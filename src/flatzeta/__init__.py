@@ -64,6 +64,7 @@ from .zeta import (
     integrand,
     j_pieces,
     log_derivative_integral,
+    log_derivative_moments,
     monomial_closed_form,
     region_pieces,
     zeta_quadrant,

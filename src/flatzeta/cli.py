@@ -355,7 +355,6 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
                 "observed": r.observed,
                 "tolerance": r.tolerance,
                 "passed": r.passed,
-                "runtime_s": r.runtime_seconds,
             }
             for r in reports
         ],

@@ -45,7 +45,8 @@ class FamilyParams:
     r2: float = 0.5
 
     def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int) and isinstance(self.q, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (self.a, self.b, self.q)):
             raise DomainError("a, b, q must be integers")
         if not 0 <= self.a < self.b:
             raise DomainError(f"need 0 <= a < b, got a={self.a}, b={self.b}")
@@ -54,7 +55,10 @@ class FamilyParams:
         if not 1 <= self.q <= self.b:
             raise DomainError(f"need 1 <= q <= b, got q={self.q}")
         if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", Fraction(self.p))
+            try:
+                object.__setattr__(self, "p", Fraction(self.p))
+            except (ValueError, OverflowError) as exc:
+                raise DomainError(f"p must be a finite rational, got p={self.p}") from exc
         if self.p <= 0:
             raise DomainError(f"need p > 0, got p={self.p}")
         if not 0.0 < self.r1 < 1.0 or not 0.0 < self.r2 < 1.0:

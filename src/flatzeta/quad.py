@@ -95,9 +95,28 @@ def _as_vectorized(f, p1: float, p2: float):
     return lambda xs: np.asarray([float(f(float(x))) for x in xs], dtype=float)
 
 
+def _endpoint_remainder(deep_f, deep_d, endpoints: Optional[EndpointSpec]):
+    """Unresolved endpoint mass below the deepest representable node: for an
+    integrable power (x-lo)^beta the remainder is f(d)*d/(1+beta).  Vector
+    form of the bound at the end of `_tanh_sinh`; d = inf means no node."""
+    if endpoints is None:
+        return 0.0
+    beta = min(endpoints.exponent_lo, endpoints.exponent_hi)
+    return deep_f * np.where(np.isfinite(deep_d), deep_d, 0.0) / (1.0 + beta)
+
+
 def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
                endpoints: Optional[EndpointSpec] = None, abs_tol: float = 0.0):
-    """Core refinement loop on a finite interval.  f must accept arrays."""
+    """Core refinement loop on a finite interval.  f must accept arrays.
+
+    f returns either (n,) values, giving a float value and error, or an (n, k)
+    matrix of k integrands on the same nodes, giving (k,) values and errors.
+    In the vector case each stopping rule below is applied per component, and
+    refinement stops at the first level where every component meets one.  A
+    component's error is the larger of the estimate at the level where it
+    first met a rule, which a scalar call would have returned, and the
+    estimate at the final level.
+    """
     span = hi - lo
     running = 0.0            # sum of w * f over all retained nodes so far
     evals = 0
@@ -107,6 +126,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
     value = 0.0
     deep_d = math.inf        # distance and |f| of the deepest sampled node,
     deep_f = 0.0             # used below for the endpoint remainder bound
+    vec = None               # set from the first evaluation: (n, k) integrand
     for level in range(max_levels + 1):
         ts, off, w = _level_nodes(level)
         if ts.size == 0:
@@ -120,27 +140,69 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
         ws = np.concatenate([w[ok_l], w[left_first:][ok_r[left_first:]]])
         fs = f(xs)
         fs = np.asarray(fs, dtype=float)
+        if vec is None:
+            vec = fs.ndim == 2
+            if vec:
+                cols = np.arange(fs.shape[1])
+                deep_d = np.full(cols.size, math.inf)
+                deep_f = np.zeros(cols.size)
+                met = np.zeros(cols.size, dtype=bool)    # stopping rule met now
+                seen = np.zeros(cols.size, dtype=bool)   # ... at some level
+                floor = np.zeros(cols.size)   # error estimate when first met
         finite = np.isfinite(fs)
-        if not np.all(finite):
+        all_finite = np.all(finite)
+        if not all_finite:
             # A declared integrable endpoint singularity may overflow pointwise
             # at the deepest nodes even though its weighted contribution is
             # negligible; drop those nodes (the unresolved-mass bound below
             # accounts for them).  Anything non-finite away from a declared
             # singular endpoint is a real failure.
-            droppable = np.zeros_like(finite)
+            droppable = np.zeros(xs.shape, dtype=bool)
             if endpoints is not None:
                 if endpoints.exponent_lo < 0.0:
                     droppable |= (xs - lo) < 1e-100 * span
                 if endpoints.exponent_hi < 0.0:
                     droppable |= (hi - xs) < 1e-100 * span
-            if np.any(~finite & ~droppable):
-                bad = xs[~finite & ~droppable][:3]
-                raise NonConvergence(f"integrand non-finite near x={bad.tolist()}")
+            bad = ~finite & (~droppable[:, None] if vec else ~droppable)
+            if np.any(bad):
+                bad_x = xs[bad.any(axis=1) if vec else bad][:3]
+                raise NonConvergence(f"integrand non-finite near x={bad_x.tolist()}")
             fs = np.where(finite, fs, 0.0)
-            ws = np.where(finite, ws, 0.0)
         evals += xs.size
-        running += float(np.dot(ws, fs))
         h = 1.0 / (1 << level)
+        if vec:
+            running = running + ws @ fs
+            value = span * h * running
+            dist = np.minimum(xs - lo, hi - xs)
+            if all_finite:    # one deepest node for all components
+                i = int(np.argmin(dist))
+                node_d, node_f = dist[i], np.abs(fs[i])
+            else:
+                dist = np.where(finite, dist[:, None], np.inf)
+                i = np.argmin(dist, axis=0)
+                node_d, node_f = dist[i, cols], np.abs(fs[i, cols])
+            deeper = node_d < deep_d
+            deep_d = np.where(deeper, node_d, deep_d)
+            deep_f = np.where(deeper, node_f, deep_f)
+            if prev is not None:
+                prev_err, err = err, np.abs(value - prev)
+                scale = np.maximum(np.abs(value), 1e-300)
+                met = np.zeros(cols.size, dtype=bool)
+                if level >= 2:
+                    met |= (err <= tol * scale) | (err <= abs_tol)
+                if level >= 4:   # stagnation, as in the scalar branch below
+                    met |= (err >= 0.25 * prev_err) & (err <= 1e-3 * scale)
+                first = met & ~seen
+                if np.any(first):
+                    floor = np.where(first, err + _endpoint_remainder(deep_f, deep_d, endpoints),
+                                     floor)
+                    seen |= met
+                if met.all():
+                    break
+            prev = value
+            fs = finite = None   # free the (n, k) matrix before the next level's
+            continue
+        running += float(np.dot(ws, fs))
         value = span * h * running
         if np.any(finite):
             dist = np.where(finite, np.minimum(xs - lo, hi - xs), np.inf)
@@ -164,11 +226,24 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
         # result is usable with an honest (inflated) error bar; this happens
         # for pieces whose mass sits at the representability floor.  Anything
         # worse is a genuine failure.
-        if not err <= 1e-2 * max(abs(value), 1e-300):
-            raise NonConvergence(
-                f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
-                f"(last value {value:.6g}, last step {err:.3g})")
-        err *= 3.0
+        if vec:
+            loose = ~met & ~(err <= 1e-2 * np.maximum(np.abs(value), 1e-300))
+            if np.any(loose):
+                c = int(np.argmax(loose))
+                raise NonConvergence(
+                    f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
+                    f"(component {c}: last value {value[c]:.6g}, last step {err[c]:.3g})")
+            err = np.where(met, err, 3.0 * err)
+        else:
+            if not err <= 1e-2 * max(abs(value), 1e-300):
+                raise NonConvergence(
+                    f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
+                    f"(last value {value:.6g}, last step {err:.3g})")
+            err *= 3.0
+    if vec:
+        err = np.where(np.isinf(err), np.abs(value), err)
+        err = np.maximum(err + _endpoint_remainder(deep_f, deep_d, endpoints), floor)
+        return value, err, evals
     if err == math.inf:
         err = abs(value)
     # Unresolved endpoint mass below the deepest representable node: for an

@@ -34,6 +34,7 @@ from .zeta import (
     h_pieces,
     j_pieces,
     log_derivative_integral,
+    log_derivative_moments,
     region_pieces,
     zeta_quadrant,
     zeta_weighted,
@@ -333,7 +334,8 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
                           rel_tol: Optional[float] = None,
                           flat: bool = False) -> VerificationReport:
     """Rebuild the weighted integral at s_target from its derivative moments
-    at s0 and compare with direct quadrature:
+    at s0, all computed in one log_derivative_moments pass, and compare with
+    direct quadrature on the weighted engine:
 
         sum_{j<=J} D_j(s0) (s_target - s0)^j / j!  vs  D_0(s_target).
 
@@ -353,11 +355,10 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
     h = s_target - s0
     terms = []
     fact = 1.0
-    for j in range(J + 1):
+    for j, d_j in enumerate(log_derivative_moments(params, bump, s0, J, cfg, flat=flat)):
         if j > 0:
             fact *= j
-        d_j = log_derivative_integral(params, bump, s0, j, cfg, flat=flat)
-        terms.append(d_j * h**j / fact)
+        terms.append(float(d_j) * h**j / fact)
     partial = math.fsum(terms)
     direct = log_derivative_integral(params, bump, s_target, 0, cfg, flat=flat)
     one_signed = all(t > 0.0 for t in terms) or all(t < 0.0 for t in terms)

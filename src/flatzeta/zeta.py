@@ -167,15 +167,16 @@ def _c2_full_cached(b: int, q: int, sigma: float, max_levels: int):
 
 
 def _c2_partial(params: FamilyParams, sigma: float, z_lo: float,
-                cfg: NumericConfig) -> float:
-    """C2(S) with finite S, lower z-limit z_lo = S^-q in (0, 1)."""
+                cfg: NumericConfig):
+    """C2(S) with finite S, lower z-limit z_lo = S^-q in (0, 1).
+
+    Returns (value, error, evaluations)."""
     X = params.b * sigma + 1.0
     if z_lo >= 1.0:
-        return 0.0
+        return 0.0, 0.0, 0
     f = _c2_integrand(sigma, X, params.q)
-    value, _, _ = _tanh_sinh(f, z_lo, 1.0, 1e-12, cfg.max_subdivisions,
-                             EndpointSpec(exponent_lo=-X / params.q))
-    return value
+    return _tanh_sinh(f, z_lo, 1.0, 1e-12, cfg.max_subdivisions,
+                      EndpointSpec(exponent_lo=-X / params.q))
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +263,13 @@ def _box_integral(params: FamilyParams, sigma: float, cfg: NumericConfig,
             return eX * val
         z_lo = math.exp(max(-q * (lnY2 - ln_e), -745.0))
         if z_lo < z_cut:
-            c2 = c2f
-        else:
-            c2 = _c2_partial(params, sigma, z_lo, cfg)
-            state["n"] += 1
-        return main + eX * (c1 + c2)
+            return main + eX * (c1 + c2f)
+        c2, err, ev = _c2_partial(params, sigma, z_lo, cfg)
+        val = main + eX * (c1 + c2)
+        state["ev"] += ev
+        state["rel"] += eX * err / max(abs(val), 1e-300)
+        state["n"] += 1
+        return val
 
     if bump is not None:
         y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
@@ -745,11 +748,9 @@ def j_pieces(params: FamilyParams, lam: float, sigma: float,
 # log-derivative integrals D_j(s) = int |f|^s (log|f|)^j phi
 # ---------------------------------------------------------------------------
 
-def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: int,
-                            cfg: NumericConfig = DEFAULT_CONFIG, *,
-                            flat: bool = True) -> float:
-    """D_j(s) over the plane (4x quadrant), requiring |f| < 1 on the support
-    so that sign(D_j) = (-1)^j.  j = 0 delegates to the weighted engine."""
+def _check_log_moments(params: FamilyParams, bump: BumpSpec, s: float, j,
+                       flat: bool) -> int:
+    """Validate the arguments of D_j(s), returning j as an int."""
     if j < 0 or int(j) != j:
         raise DomainError("j must be a nonnegative integer")
     if params.q % 2 != 0:
@@ -762,13 +763,24 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
     fmax = R1**a * R2**(b - q) * (R2**q + (E_flat(params, R1) if flat else 0.0))
     if fmax >= 1.0:
         raise DomainError(f"|f| reaches {fmax:.3g} >= 1 on the bump support")
-    if j == 0:
-        val, err, _ = _box_integral(params, s, cfg, R1, R2, bump, flat)
-        return 4.0 * val
+    return int(j)
+
+
+def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: int,
+                           cfg: NumericConfig = DEFAULT_CONFIG, *,
+                           flat: bool = True) -> np.ndarray:
+    """D_0(s), ..., D_J(s) over the plane (4x quadrant) as one array, from a
+    single iterated quadrature whose integrands are the J + 1 columns
+    |f|^s (log|f|)^j phi on shared nodes; refinement stops once every
+    moment has converged.  Requires |f| < 1 on the support, so that
+    sign(D_j) = (-1)^j."""
+    J = _check_log_moments(params, bump, s, J, flat)
+    a, b, q = params.a, params.b, params.q
+    ep_y = EndpointSpec(exponent_lo=(b - q) * s if s < 0 else 0.0)
 
     def outer(xs):
         ln_es = _ln_e_arr(params, xs) if flat else np.full_like(xs, -np.inf)
-        out = np.empty_like(xs)
+        out = np.empty((xs.size, J + 1))
         with np.errstate(divide="ignore"):
             lnxs = np.log(xs)
         for i, x in enumerate(xs):
@@ -778,15 +790,31 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
             def fy(ys):
                 lny = np.log(ys)
                 core = np.logaddexp(q * lny, lnE) if lnE > -math.inf else q * lny
-                lnf = a * lnx + (b - q) * lny + core
-                return np.exp(s * lnf) * lnf**j * bump_y_profile(bump, ys)
+                ln_fy = (b - q) * lny + core          # log|f| - a log x
+                cols = np.vander(a * lnx + ln_fy, J + 1, increasing=True)   # (log|f|)^j
+                cols *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys))[:, None]
+                return cols
 
-            val, _, _ = _quad(fy, 0.0, R2, cfg.tol_2d / 5.0,
-                              EndpointSpec(exponent_lo=(b - q) * s if s < 0 else 0.0), cfg)
-            out[i] = val
-        # |f|^s including x^(a s) lives inside fy; only the bump x-factor remains
-        return out * bump_x_profile(bump, xs)
+            out[i], _, _ = _quad(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y, cfg)
+        # x^(a s) is kept out of fy: where it falls below the normal range the
+        # inner values would carry its rounding noise, and refinement would
+        # chase that noise to the level cap
+        with np.errstate(over="ignore"):
+            return out * (np.exp(a * s * lnxs) * bump_x_profile(bump, xs))[:, None]
 
-    val, _, _ = _tanh_sinh(outer, 0.0, R1, cfg.tol_2d, cfg.max_subdivisions,
-                           EndpointSpec(exponent_lo=a * s if s < 0 else 0.0))
-    return 4.0 * val
+    vals, _, _ = _tanh_sinh(outer, 0.0, bump.R1, cfg.tol_2d, cfg.max_subdivisions,
+                            EndpointSpec(exponent_lo=a * s if s < 0 else 0.0))
+    return 4.0 * vals
+
+
+def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: int,
+                            cfg: NumericConfig = DEFAULT_CONFIG, *,
+                            flat: bool = True) -> float:
+    """D_j(s) over the plane (4x quadrant), requiring |f| < 1 on the support
+    so that sign(D_j) = (-1)^j.  j = 0 delegates to the weighted engine,
+    j >= 1 to log_derivative_moments."""
+    j = _check_log_moments(params, bump, s, j, flat)
+    if j == 0:
+        val, _, _ = _box_integral(params, s, cfg, bump.R1, bump.R2, bump, flat)
+        return 4.0 * val
+    return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])

@@ -27,6 +27,7 @@ from flatzeta.model import (
 from flatzeta.zeta import (
     ZetaSample,
     log_derivative_integral,
+    log_derivative_moments,
     monomial_closed_form,
     region_pieces,
     zeta_quadrant,
@@ -294,12 +295,12 @@ def test_criterion_08_property_suites():
 
 
 def _derivative_moments(J):
-    """D_j(1/2), j = 0..J, for the monomial x y^2 under the standard bump."""
+    """D_j(1/2), j = 0..J, for the monomial x y^2 under the standard bump,
+    from one call of the fused moments engine the Landau rebuild uses."""
     if "dj" not in _dj_cache or len(_dj_cache["dj"]) < J + 1:
         params = PRESETS["greenblatt"]
-        _dj_cache["dj"] = [log_derivative_integral(params, BUMP, 0.5, j, CFG,
-                                                   flat=False)
-                           for j in range(J + 1)]
+        _dj_cache["dj"] = log_derivative_moments(params, BUMP, 0.5, J, CFG,
+                                                 flat=False).tolist()
     return _dj_cache["dj"][: J + 1]
 
 

@@ -119,6 +119,14 @@ def test_verify_landau_suite(capsys):
     assert code == 0
 
 
+def test_verify_json_byte_identical(capsys):
+    args = ["verify", "--preset", "greenblatt", "--suite", "landau"]
+    _, out1 = run_cli(args, capsys=capsys)
+    _, out2 = run_cli(args, capsys=capsys)
+    assert out1.encode() == out2.encode()
+    assert "runtime_s" not in out1
+
+
 def test_usage_error_exit_2(capsys):
     code, _ = run_cli(["compute", "--a", "0", "--b", "2"], capsys=capsys)
     assert code == 2

@@ -36,6 +36,19 @@ def test_family_params_validation():
         FamilyParams(a=0, b=2, q=2, p=Fraction(2), r2=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(a=True, b=2, q=2, p=Fraction(2)),       # bool is not an integer here
+    dict(a=0, b=2, q=True, p=Fraction(2)),
+    dict(a=False, b=3, q=2, p=Fraction(2)),
+    dict(a=0, b=2, q=2, p=math.nan),             # Fraction raises ValueError
+    dict(a=0, b=2, q=2, p=math.inf),             # Fraction raises OverflowError
+    dict(a=0, b=2, q=2, p=-math.inf),
+])
+def test_family_params_rejects_bool_and_nonfinite(kwargs):
+    with pytest.raises(DomainError):
+        FamilyParams(**kwargs)
+
+
 def test_classify_regime_examples():
     r = classify_regime(FamilyParams(0, 2, 2, Fraction(2)))
     assert r.kind is RegimeKind.SUPERCRITICAL_FLAT

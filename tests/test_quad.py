@@ -8,6 +8,7 @@ import pytest
 from flatzeta.errors import DomainError, EnvelopeViolation, NonConvergence
 from flatzeta.quad import (
     EndpointSpec,
+    _tanh_sinh,
     integrate_1d,
     integrate_2d_pieces,
     integrate_2d_split,
@@ -86,6 +87,43 @@ def test_error_estimate_honesty():
             if abs(r.value - exact) <= 10.0 * r.abs_error_estimate + 1e-15:
                 good += 1
     assert good / total >= 0.95
+
+
+def _columns(x):
+    """Four integrands sharing the x^(-1/2) endpoint at 0, as an (n, 4) matrix."""
+    r = x**-0.5
+    return np.column_stack([r, r * np.exp(x), r * np.log(x) ** 2, r * np.cos(3.0 * x)])
+
+
+def test_tanh_sinh_vector_matches_scalar_calls():
+    spec = EndpointSpec(exponent_lo=-0.5)
+    for tol in (1e-6, 1e-10):
+        values, errors, evals = _tanh_sinh(_columns, 0.0, 1.0, tol, 12, spec)
+        assert values.shape == errors.shape == (4,)
+        for c in range(4):
+            v, e, ev = _tanh_sinh(lambda x: _columns(x)[:, c], 0.0, 1.0, tol, 12, spec)
+            assert values[c] == pytest.approx(v, rel=1e-12)
+            # the vector loop stops no earlier than any component would alone;
+            # allow for the rounding of the two running sums
+            assert errors[c] >= e - 4.0 * np.finfo(float).eps * abs(v)
+            assert evals >= ev
+
+
+def test_tanh_sinh_vector_nonfinite():
+    spec = EndpointSpec(exponent_lo=-0.5)
+
+    def away(x):   # NaN in one component at the midpoint, far from 0
+        return np.column_stack([x**-0.5, np.where(np.abs(x - 0.5) < 0.1, np.nan, x)])
+
+    with pytest.raises(NonConvergence):
+        _tanh_sinh(away, 0.0, 1.0, 1e-10, 12, spec)
+
+    def at_endpoint(x):   # overflow at the declared singular endpoint is dropped
+        return np.column_stack([np.where(x < 1e-200, np.inf, x**-0.5), np.ones_like(x)])
+
+    values, errors, _ = _tanh_sinh(at_endpoint, 0.0, 1.0, 1e-10, 12, spec)
+    assert values == pytest.approx([2.0, 1.0], rel=1e-9)
+    assert np.all(errors >= 0.0)
 
 
 def test_integrate_tail_closed_forms():

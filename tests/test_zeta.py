@@ -13,6 +13,7 @@ import pytest
 
 from flatzeta.errors import (
     DegenerateLowerLimit,
+    DomainError,
     OddQNotSupported,
     OutOfWindow,
     PoleHit,
@@ -25,6 +26,7 @@ from flatzeta.zeta import (
     integrand,
     j_pieces,
     log_derivative_integral,
+    log_derivative_moments,
     monomial_closed_form,
     region_pieces,
     zeta_quadrant,
@@ -309,6 +311,29 @@ def test_log_derivative_window():
     bump = BumpSpec(0.5, 0.5)
     with pytest.raises(OutOfWindow):
         log_derivative_integral(GREEN, bump, -0.5, 0, CFG, flat=False)
+
+
+@pytest.mark.parametrize("flat", [True, False])
+@pytest.mark.parametrize("s0", [0.5, -0.2])
+def test_log_derivative_moments_match_per_j(s0, flat):
+    # one vector quadrature for D_0..D_12 against the moment-by-moment calls
+    # (D_0 on the weighted engine, D_j as element j of a J = j pass)
+    bump = BumpSpec(0.5, 0.5)
+    moments = log_derivative_moments(GREEN, bump, s0, 12, CFG, flat=flat)
+    assert moments.shape == (13,)
+    for j in range(13):
+        d = log_derivative_integral(GREEN, bump, s0, j, CFG, flat=flat)
+        assert moments[j] == pytest.approx(d, rel=1e-10)
+
+
+def test_log_derivative_moments_rejections():
+    bump = BumpSpec(0.5, 0.5)
+    with pytest.raises(DomainError):
+        log_derivative_moments(GREEN, bump, 0.5, -1, CFG)
+    with pytest.raises(OutOfWindow):
+        log_derivative_moments(GREEN, bump, -0.5, 4, CFG)
+    with pytest.raises(OddQNotSupported):
+        log_derivative_moments(FamilyParams(0, 2, 1, Fraction(2)), bump, 0.5, 4, CFG)
 
 
 def test_degenerate_lower_limit():
