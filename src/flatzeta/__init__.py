@@ -52,8 +52,6 @@ from .quad import (
     EndpointSpec,
     QuadResult,
     integrate_1d,
-    integrate_2d_pieces,
-    integrate_2d_split,
     integrate_tail,
 )
 from .zeta import (

@@ -6,8 +6,7 @@
 
 Exit codes: 0 all checks pass, 1 numeric/verification failure, 2 usage or
 config error.  Floating output uses fixed 17-significant-digit formatting so
-identical configs produce byte-identical files.  FLATZETA_THREADS overrides
-the worker count used to evaluate schedule points.
+identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -95,13 +92,12 @@ def _csv_field(s: str) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs; round-trips through key=value files."""
+    """Everything one invocation needs; round-trips through key=value files.
+    Unknown keys in a file are ignored."""
 
     params: FamilyParams
     schedule_spec: tuple[float, float, int] = DEFAULT_SCHEDULE
     numeric: NumericConfig = field(default_factory=NumericConfig)
-    out_dir: str = "."
-    formats: tuple[str, ...] = ("csv", "json")
 
     def schedule(self) -> SigmaSchedule:
         x0, ratio, count = self.schedule_spec
@@ -120,8 +116,6 @@ class RunConfig:
             f"tol_1d={_f17(self.numeric.tol_1d)}",
             f"tol_2d={_f17(self.numeric.tol_2d)}",
             f"flat_cutoff={_f17(self.numeric.flat_cutoff_exponent)}",
-            f"out_dir={self.out_dir}",
-            f"formats={','.join(self.formats)}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -145,9 +139,7 @@ class RunConfig:
             tol_1d=float(kv.get("tol_1d", 1e-10)),
             tol_2d=float(kv.get("tol_2d", 1e-7)),
             flat_cutoff_exponent=float(kv.get("flat_cutoff", 690.0)))
-        formats = tuple(f for f in kv.get("formats", "csv,json").split(",") if f)
-        return RunConfig(params=params, schedule_spec=sched, numeric=numeric,
-                         out_dir=kv.get("out_dir", "."), formats=formats)
+        return RunConfig(params=params, schedule_spec=sched, numeric=numeric)
 
 
 def _parse_schedule(spec: str) -> tuple[float, float, int]:
@@ -222,27 +214,6 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("FLATZETA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _schedule_samples(cfg: RunConfig, flat: bool):
-    sched = cfg.schedule()
-    workers = _n_workers()
-    if workers == 1:
-        return sched, [zeta_quadrant(cfg.params, s, cfg.numeric, flat=flat)
-                       for s in sched.sigmas]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        samples = list(pool.map(
-            lambda s: zeta_quadrant(cfg.params, s, cfg.numeric, flat=flat),
-            sched.sigmas))
-    return sched, samples
-
-
 def _emit(text: str, out_path: str | None):
     sys.stdout.write(text)
     if out_path:
@@ -256,7 +227,8 @@ def _emit(text: str, out_path: str | None):
 def cmd_compute(args) -> int:
     cfg = _build_config(args)
     flat = args.flat != "off"
-    sched, samples = _schedule_samples(cfg, flat)
+    samples = [zeta_quadrant(cfg.params, s, cfg.numeric, flat=flat)
+               for s in cfg.schedule().sigmas]
     seq = scale_sequence(cfg.params, samples)
     rows = ["sigma,X,Z,scaled,err"]
     for s, sc in zip(samples, seq.scaled_values):

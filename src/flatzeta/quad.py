@@ -2,21 +2,21 @@
 
 A single variable change absorbs every algebraic endpoint singularity
 x^beta with beta > -1, with uniform behavior as beta -> -1, so no
-exponent-dependent substitutions are needed.  Three entry points:
+exponent-dependent substitutions are needed.  Two entry points:
 
     integrate_1d       finite interval, integrable endpoint singularities
     integrate_tail     semi-infinite tail with a caller-certified envelope
-    integrate_2d_split iterated 2D integral, inner interval split on a curve
 
-Integrands are called with numpy arrays of abscissae; scalar-only callables
-are adapted automatically.
+Integrands are called with numpy arrays of abscissae and must return arrays
+of the same length.  Iterated 2D integrals are built in flatzeta.zeta on the
+refinement loop `_tanh_sinh`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -81,18 +81,6 @@ class EndpointSpec:
     def __post_init__(self):
         if self.exponent_lo <= -1.0 or self.exponent_hi <= -1.0:
             raise DomainError("endpoint exponents must be > -1 for integrability")
-
-
-def _as_vectorized(f, p1: float, p2: float):
-    """Accept scalar-only integrands by probing with a small in-domain array."""
-    try:
-        probe = f(np.asarray([p1, p2]))
-        arr = np.asarray(probe, dtype=float)
-        if arr.shape == (2,):
-            return f
-    except Exception:
-        pass
-    return lambda xs: np.asarray([float(f(float(x))) for x in xs], dtype=float)
 
 
 def _endpoint_remainder(deep_f, deep_d, endpoints: Optional[EndpointSpec]):
@@ -262,7 +250,7 @@ def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = No
     ----------
     f : callable
         Integrand; called with numpy arrays of interior points (never the
-        endpoints themselves).
+        endpoints themselves), returning an array of the same length.
     lo, hi : float
         Finite interval, lo < hi.
     endpoints : EndpointSpec, optional
@@ -280,8 +268,7 @@ def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = No
         raise DomainError(f"need finite lo < hi, got ({lo}, {hi})")
     if endpoints is None:
         endpoints = EndpointSpec()
-    fv = _as_vectorized(f, lo + 0.37 * (hi - lo), lo + 0.71 * (hi - lo))
-    value, err, evals = _tanh_sinh(fv, lo, hi, tol, max_levels, endpoints)
+    value, err, evals = _tanh_sinh(f, lo, hi, tol, max_levels, endpoints)
     return QuadResult(value, err, evals)
 
 
@@ -307,12 +294,11 @@ def integrate_tail(f, lo: float, tail_exponent: float, envelope_k: float,
     x_max = lo * (0.005 * tol) ** (1.0 / (gamma + 1.0))
     x_max = max(x_max, 4.0 * lo)
     remainder = envelope_k * x_max ** (gamma + 1.0) / abs(gamma + 1.0)
-    fv = _as_vectorized(f, 1.5 * lo, 2.5 * lo)
 
     def g(us):
         with np.errstate(over="ignore", divide="ignore"):
             xs = 1.0 / us
-            vals = np.asarray(fv(xs), dtype=float)
+            vals = np.asarray(f(xs), dtype=float)
             bound = envelope_k * np.power(xs, gamma) * (1.0 + 1e-9) + 1e-300
             if np.any(np.abs(vals) > bound):
                 i = int(np.argmax(np.abs(vals) - bound))
@@ -323,77 +309,3 @@ def integrate_tail(f, lo: float, tail_exponent: float, envelope_k: float,
     value, err, evals = _tanh_sinh(g, 1.0 / x_max, 1.0 / lo, tol, max_levels,
                                    EndpointSpec(exponent_lo=-gamma - 2.0))
     return QuadResult(value, err + remainder, evals)
-
-
-def integrate_2d_split(g, x_range: tuple[float, float], y_range: tuple[float, float],
-                       split_curve: Callable[[float], float],
-                       endpoints_x: Optional[EndpointSpec] = None,
-                       endpoints_y: Optional[EndpointSpec] = None,
-                       tol: float = 1e-7, max_levels: int = 12) -> QuadResult:
-    """Iterated integral of g over x_range x y_range, outer in x, inner in y.
-
-    The inner interval is subdivided exactly at split_curve(x) (clipped to the
-    box), so no quadrature panel straddles the curve.
-    """
-    below, above = integrate_2d_pieces(g, x_range, y_range, split_curve,
-                                       endpoints_x, endpoints_y, tol, max_levels)
-    return QuadResult(below.value + above.value,
-                      below.abs_error_estimate + above.abs_error_estimate,
-                      below.evaluations + above.evaluations)
-
-
-def integrate_2d_pieces(g, x_range, y_range, split_curve,
-                        endpoints_x=None, endpoints_y=None,
-                        tol: float = 1e-7, max_levels: int = 12):
-    """Like integrate_2d_split but returning (below-curve, above-curve) parts."""
-    x_lo, x_hi = x_range
-    y_lo, y_hi = y_range
-    if x_lo >= x_hi or y_lo >= y_hi:
-        raise DomainError("degenerate integration box")
-    if endpoints_x is None:
-        endpoints_x = EndpointSpec()
-    if endpoints_y is None:
-        endpoints_y = EndpointSpec()
-    inner_tol = tol / 5.0
-    # Inner errors are tracked relative to the inner values: the outer weights
-    # then scale them the same way they scale the values themselves.
-    state = {"evals": 0, "inner_rel_below": 0.0, "inner_rel_above": 0.0, "n": 0}
-
-    def g_vec(x: float, ys):
-        try:
-            vals = np.asarray(g(x, ys), dtype=float)
-            if vals.shape == ys.shape:
-                return vals
-        except Exception:
-            pass
-        return np.asarray([float(g(x, float(y))) for y in ys], dtype=float)
-
-    def make_outer(which: str):
-        def outer(xs):
-            out = np.empty(xs.shape, dtype=float)
-            for i, x in enumerate(xs):
-                c = min(max(split_curve(float(x)), y_lo), y_hi)
-                lo_i, hi_i = (y_lo, c) if which == "below" else (c, y_hi)
-                if hi_i - lo_i <= 0.0:
-                    out[i] = 0.0
-                    continue
-                ep = EndpointSpec(
-                    exponent_lo=endpoints_y.exponent_lo if lo_i == y_lo else 0.0,
-                    exponent_hi=endpoints_y.exponent_hi if hi_i == y_hi else 0.0)
-                val, err, ev = _tanh_sinh(lambda ys, xv=float(x): g_vec(xv, ys),
-                                          lo_i, hi_i, inner_tol, max_levels, ep)
-                state["evals"] += ev
-                state["inner_rel_" + which] += err / max(abs(val), 1e-300)
-                state["n"] += 1
-                out[i] = val
-            return out
-        return outer
-
-    results = []
-    for which in ("below", "above"):
-        state["n"] = 0
-        val, err, ev = _tanh_sinh(make_outer(which), x_lo, x_hi, tol, max_levels, endpoints_x)
-        mean_rel = state["inner_rel_" + which] / max(state["n"], 1)
-        results.append(QuadResult(val, err + mean_rel * abs(val), state["evals"] + ev))
-        state["evals"] = 0
-    return results[0], results[1]

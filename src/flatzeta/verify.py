@@ -164,9 +164,9 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
     violations = 0
     margins = []
     q = params.q
+    zs = [zeta_quadrant(params, sigma, cfg) for sigma in schedule.sigmas]
     for lam in lambdas:
-        for sigma in schedule.sigmas:
-            z = zeta_quadrant(params, sigma, cfg)
+        for sigma, z in zip(schedule.sigmas, zs):
             tr = region_pieces(params, lam, sigma, cfg)
             slack = 10.0 * (z.error + tr.error) + 1e-12 * z.value
             lo1 = (1.0 + lam**q) ** sigma * tr.ztilde1

@@ -223,6 +223,51 @@ def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> 
 
 
 # ---------------------------------------------------------------------------
+# the outer x-integral, shared by every iterated quadrature
+# ---------------------------------------------------------------------------
+
+def _panels(outer, cuts, a_s: float, cfg: NumericConfig):
+    """Sum of tanh-sinh integrals of outer over the panels between
+    consecutive cuts; the panel at 0 declares the x^(a s) endpoint.
+
+    Returns (value, error, evaluations)."""
+    total, err, evs = 0.0, 0.0, 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        ep = EndpointSpec(exponent_lo=a_s if lo == 0.0 else 0.0)
+        v, e, ev = _tanh_sinh(outer, lo, hi, cfg.tol_2d, cfg.max_subdivisions, ep)
+        total, err, evs = total + v, err + e, evs + ev
+    return total, err, evs
+
+
+def _columns(params: FamilyParams, column: Callable, cuts, a_s: float,
+             cfg: NumericConfig, *, flat: bool = True, bump: Optional[BumpSpec] = None):
+    """int x^(a s) [phi_x(x)] column(x, log e(x)) dx over (cuts[0], cuts[-1]),
+    split at the cuts.  column gets one abscissa and log e(x) (-inf where e
+    underflows or flat is off) and returns a float or a (k,) row.
+
+    Returns (value, error, outer evaluations); inner evaluations are the
+    column's to count."""
+    def outer(xs):
+        ln_es = _ln_e_arr(params, xs) if flat else np.full_like(xs, -np.inf)
+        out = np.array([column(x, ln_e) for x, ln_e in zip(xs.tolist(), ln_es.tolist())])
+        cols = out.T          # a view with x along the last axis, rows or not
+        with np.errstate(divide="ignore", over="ignore"):
+            cols *= np.exp(a_s * np.log(xs))
+        if bump is not None:
+            cols *= bump_x_profile(bump, xs)
+        return out
+
+    return _panels(outer, cuts, a_s, cfg)
+
+
+def _kink_cuts(params: FamilyParams, lam: float, cfg: NumericConfig):
+    """Outer cuts 0 < [rho(lam r2)] < r1: the slice geometry kinks where
+    e(x)/lambda crosses the box top, so the kink goes on a panel boundary."""
+    x_kink = rho(params, lam * params.r2, cfg.flat_cutoff_exponent)
+    return [0.0] + ([x_kink] if 0.0 < x_kink < params.r1 else []) + [params.r1]
+
+
+# ---------------------------------------------------------------------------
 # the fast quadrant engine
 # ---------------------------------------------------------------------------
 
@@ -232,23 +277,23 @@ def _box_integral(params: FamilyParams, sigma: float, cfg: NumericConfig,
 
     Returns (value, error, evaluations).
     """
+    if sigma >= 0.0:
+        return _box_direct(params, sigma, cfg, Y1, Y2, bump, flat)
     X = params.b * sigma + 1.0
-    a, b, q = params.a, params.b, params.q
+    b, q = params.b, params.q
     lnY2 = math.log(Y2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
     state = {"ev": 0, "rel": 0.0, "n": 0}
-
-    if sigma >= 0.0:
-        return _box_direct(params, sigma, cfg, Y1, Y2, bump, flat)
 
     c1, c1_err = _c1_cached(b, q, sigma, cfg.max_subdivisions) if flat else (0.0, 0.0)
     c2f, c2_err = _c2_full_cached(b, q, sigma, cfg.max_subdivisions) if flat else (0.0, 0.0)
     # z_lo below this leaves C2 indistinguishable from its full value
     z_cut = (1e-14) ** (q / max(q - X, 1e-12))
+    y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
 
-    def inner_plain(x: float, ln_e: float) -> float:
+    def inner_plain(ln_e: float) -> float:
         """int_0^Y2 y^((b-q)s)(y^q+E)^s dy for one x, weight-free."""
-        if not flat or ln_e == -math.inf:
+        if ln_e == -math.inf:
             return math.exp(X * lnY2) / X
         eX = math.exp(max(X * ln_e, -745.0))
         main = math.exp(X * lnY2) * (-math.expm1(min(X * (ln_e - lnY2), 0.0))) / X
@@ -271,96 +316,62 @@ def _box_integral(params: FamilyParams, sigma: float, cfg: NumericConfig,
         state["n"] += 1
         return val
 
-    if bump is not None:
-        y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
+    def inner_delta(ln_e: float) -> float:
+        """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy."""
+        total = 0.0
+        e_x = math.exp(max(ln_e, -745.0)) if ln_e > -math.inf else 0.0
+        m = min(e_x, Y2)
+        if m > y_dead:     # scaled piece over (0, m)
+            s_hi = min(1.0, math.exp(lnY2 - ln_e))
+            val, err, ev = _v_integral(params, sigma, s_hi,
+                                       weight=lambda vs: bump_y_increment(bump, e_x * vs),
+                                       tol=mini_tol, cfg=cfg)
+            eX = math.exp(max(X * ln_e, -745.0))
+            total += eX * val
+            state["ev"] += ev
+        if m < Y2:         # log-variable piece over (m, Y2)
+            w_lo = max(math.log(m) if m > 0.0 else -math.inf, math.log(y_dead))
+            val, _, ev = _w_piece(params, sigma, X, ln_e, w_lo, lnY2, mini_tol, cfg,
+                                  weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
+            total += val
+            state["ev"] += ev
+        return total
 
-        def delta_w(ys):
-            return bump_y_increment(bump, ys)
-
-        def inner_delta(x: float, ln_e: float) -> float:
-            """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy."""
-            total = 0.0
-            if flat and ln_e > -math.inf:
-                e_x = math.exp(max(ln_e, -745.0))
-            else:
-                e_x = 0.0
-            m = min(e_x, Y2)
-            if m > y_dead:     # scaled piece over (0, m)
-                s_hi = min(1.0, math.exp(lnY2 - ln_e))
-                val, err, ev = _v_integral(params, sigma, s_hi,
-                                           weight=lambda vs: delta_w(e_x * vs),
-                                           tol=mini_tol, cfg=cfg)
-                eX = math.exp(max(X * ln_e, -745.0))
-                total += eX * val
-                state["ev"] += ev
-            if m < Y2:         # log-variable piece over (m, Y2)
-                w_lo = max(math.log(m) if m > 0.0 else -math.inf, math.log(y_dead))
-                lnE = q * ln_e
-
-                def fw(ws):
-                    with np.errstate(over="ignore"):
-                        t = np.exp(np.minimum(lnE - q * ws, 700.0)) if flat and lnE > -math.inf else 0.0
-                    return np.exp(X * ws + sigma * np.log1p(t)) * delta_w(np.exp(ws))
-
-                if lnY2 - w_lo < 1e-4:
-                    val, _, ev = _quad_narrow(fw, w_lo, lnY2)
-                else:
-                    val, _, ev = _quad(fw, w_lo, lnY2, mini_tol, cfg=cfg)
-                total += val
-                state["ev"] += ev
-            return total
-
-    def outer(xs):
-        ln_es = _ln_e_arr(params, xs) if flat else np.full_like(xs, -np.inf)
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            v = inner_plain(float(x), float(ln_es[i]))
-            if bump is not None:
-                v += inner_delta(float(x), float(ln_es[i]))
-            out[i] = v
-        with np.errstate(divide="ignore"):
-            out *= np.exp(a * sigma * np.log(xs))
+    def column(x: float, ln_e: float) -> float:
+        v = inner_plain(ln_e)
         if bump is not None:
-            out *= bump_x_profile(bump, xs)
-        return out
+            v += inner_delta(ln_e)
+        return v
 
-    value, err, ev = _tanh_sinh(outer, 0.0, Y1, cfg.tol_2d, cfg.max_subdivisions,
-                                EndpointSpec(exponent_lo=a * sigma))
+    value, err, ev = _columns(params, column, [0.0, Y1], params.a * sigma, cfg,
+                              flat=flat, bump=bump)
     err += (c1_err + c2_err + state["rel"] / max(state["n"], 1)) * abs(value)
     return value, err, ev + state["ev"]
 
 
 def _box_direct(params, sigma, cfg, Y1, Y2, bump, flat):
     """Plain iterated quadrature, used for sigma >= 0 where nothing is singular."""
-    a, b, q = params.a, params.b, params.q
+    b, q = params.b, params.q
+    ep_y = EndpointSpec(exponent_lo=(b - q) * sigma)
     state = {"ev": 0}
 
-    def outer(xs):
-        ln_es = _ln_e_arr(params, xs) if flat else np.full_like(xs, -np.inf)
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            lnE = q * ln_es[i]
+    def column(x: float, ln_e: float) -> float:
+        lnE = q * ln_e
 
-            def fy(ys):
-                lny = np.log(ys)
-                core = np.logaddexp(q * lny, lnE) if flat and lnE > -math.inf else q * lny
-                vals = np.exp(sigma * ((b - q) * lny + core))
-                if bump is not None:
-                    vals = vals * bump_y_profile(bump, ys)
-                return vals
+        def fy(ys):
+            lny = np.log(ys)
+            core = np.logaddexp(q * lny, lnE) if lnE > -math.inf else q * lny
+            vals = np.exp(sigma * ((b - q) * lny + core))
+            if bump is not None:
+                vals = vals * bump_y_profile(bump, ys)
+            return vals
 
-            val, _, ev = _quad(fy, 0.0, Y2, cfg.tol_2d / 5.0,
-                               EndpointSpec(exponent_lo=(b - q) * sigma), cfg)
-            state["ev"] += ev
-            out[i] = val
-        with np.errstate(divide="ignore"):
-            out *= np.exp(a * sigma * np.log(xs))
-        if bump is not None:
-            out *= bump_x_profile(bump, xs)
-        return out
+        val, _, ev = _quad(fy, 0.0, Y2, cfg.tol_2d / 5.0, ep_y, cfg)
+        state["ev"] += ev
+        return val
 
-    value, err, ev = _tanh_sinh(outer, 0.0, Y1, cfg.tol_2d, cfg.max_subdivisions,
-                                EndpointSpec(exponent_lo=a * sigma))
+    value, err, ev = _columns(params, column, [0.0, Y1], params.a * sigma, cfg,
+                              flat=flat, bump=bump)
     return value, err, ev + state["ev"]
 
 
@@ -397,17 +408,19 @@ def zeta_weighted(params: FamilyParams, bump: BumpSpec, sigma: float,
 # region pieces along lambda*y = e(x)
 # ---------------------------------------------------------------------------
 
-def _w_piece(params, sigma, X, ln_e, w_lo, w_hi, tol, cfg):
-    """int_{w_lo}^{w_hi} e^(X w) (1 + E e^(-q w))^sigma dw  (w = log y)."""
+def _w_piece(params, sigma, X, ln_e, w_lo, w_hi, tol, cfg, weight=None):
+    """int_{w_lo}^{w_hi} e^(X w) (1 + E e^(-q w))^sigma [weight(w)] dw  (w = log y)."""
     q = params.q
     lnE = q * ln_e
 
     def f(ws):
         if lnE == -math.inf:
-            return np.exp(X * ws)
-        with np.errstate(over="ignore"):
-            t = np.exp(np.minimum(lnE - q * ws, 700.0))
-        return np.exp(X * ws + sigma * np.log1p(t))
+            out = np.exp(X * ws)
+        else:
+            with np.errstate(over="ignore"):
+                t = np.exp(np.minimum(lnE - q * ws, 700.0))
+            out = np.exp(X * ws + sigma * np.log1p(t))
+        return out * weight(ws) if weight is not None else out
 
     if w_hi - w_lo < 1e-4:
         return _quad_narrow(f, w_lo, w_hi)
@@ -423,11 +436,8 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
     X = _check_window(params, sigma)
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
-    a, b, q = params.a, params.b, params.q
-    r1, Y2 = params.r1, params.r2
-    lnY2, ln_lam = math.log(Y2), math.log(lam)
+    lnY2, ln_lam = math.log(params.r2), math.log(lam)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
-    state = {"ev": 0}
 
     # inner scaled integral over the full unclipped slice, shared by all columns
     v_unclipped, _, _ = _v_integral(params, sigma, 1.0 / lam, tol=mini_tol, cfg=cfg)
@@ -441,8 +451,7 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
         ln_c = ln_e - ln_lam
         if ln_c <= lnY2:
             return eX * v_unclipped
-        val, _, ev = _v_integral(params, sigma, math.exp(lnY2 - ln_e), tol=mini_tol, cfg=cfg)
-        state["ev"] += ev
+        val, _, _ = _v_integral(params, sigma, math.exp(lnY2 - ln_e), tol=mini_tol, cfg=cfg)
         return eX * val
 
     def z1_inner(x: float, ln_e: float) -> float:
@@ -451,37 +460,11 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
         ln_m = min(ln_e - ln_lam, lnY2)
         if ln_m >= lnY2:
             return 0.0
-        val, _, ev = _w_piece(params, sigma, X, ln_e, ln_m, lnY2, mini_tol, cfg)
-        state["ev"] += ev
-        return val
+        return _w_piece(params, sigma, X, ln_e, ln_m, lnY2, mini_tol, cfg)[0]
 
-    def make_outer(inner):
-        def outer(xs):
-            ln_es = _ln_e_arr(params, xs)
-            out = np.empty_like(xs)
-            for i, x in enumerate(xs):
-                out[i] = inner(float(x), float(ln_es[i]))
-            with np.errstate(divide="ignore"):
-                out *= np.exp(a * sigma * np.log(xs))
-            return out
-        return outer
-
-    # The slice geometry kinks where e(x)/lambda crosses the box top; keep the
-    # kink on a panel boundary by splitting the outer integral at rho(lam r2).
-    x_kink = rho(params, lam * Y2, cfg.flat_cutoff_exponent)
-    cuts = [0.0] + ([x_kink] if 0.0 < x_kink < r1 else []) + [r1]
-
-    def outer_integral(inner):
-        total, err, evs = 0.0, 0.0, 0
-        for lo, hi in zip(cuts, cuts[1:]):
-            ep = EndpointSpec(exponent_lo=a * sigma if lo == 0.0 else 0.0)
-            v, e, ev = _tanh_sinh(make_outer(inner), lo, hi, cfg.tol_2d,
-                                  cfg.max_subdivisions, ep)
-            total, err, evs = total + v, err + e, evs + ev
-        return total, err, evs
-
-    z1, e1, ev1 = outer_integral(z1_inner)
-    z2, e2, ev2 = outer_integral(z2_inner)
+    cuts = _kink_cuts(params, lam, cfg)
+    z1, e1, _ = _columns(params, z1_inner, cuts, params.a * sigma, cfg)
+    z2, e2, _ = _columns(params, z2_inner, cuts, params.a * sigma, cfg)
     zt1 = ztilde1(params, lam, sigma, cfg)
     zt2 = ztilde2(params, lam, sigma, cfg)
     trace = dict(lam=lam, sigma=sigma, z1=z1, z2=z2, ztilde1=zt1, ztilde2=zt2,
@@ -573,83 +556,47 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
     """Direct iterated quadrature of x^(a s) y^(b s) over {lambda y >= e(x)},
     for cross-checking the 1D reduction."""
     X = _check_window(params, sigma)
-    a = params.a
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
-    state = {"ev": 0}
+    ep_y = EndpointSpec(exponent_lo=X - 1.0)
 
-    def outer(xs):
-        ln_es = _ln_e_arr(params, xs)
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            ln_e = float(ln_es[i])
-            if ln_e == -math.inf:
-                def fy(ys):
-                    return np.exp((X - 1.0) * np.log(ys))
-                val, _, ev = _quad(fy, 0.0, params.r2, cfg.tol_2d / 5.0,
-                                   EndpointSpec(exponent_lo=X - 1.0), cfg)
-            else:
-                ln_c = ln_e - ln_lam
-                if ln_c >= lnY2:
-                    out[i] = 0.0
-                    continue
-                val, _, ev = _w_piece(params, sigma, X, -math.inf, ln_c, lnY2,
-                                      cfg.tol_2d / 5.0, cfg)
-            state["ev"] += ev
-            out[i] = val
-        with np.errstate(divide="ignore"):
-            return out * np.exp(a * sigma * np.log(xs))
+    def column(x: float, ln_e: float) -> float:
+        if ln_e == -math.inf:
+            return _quad(lambda ys: np.exp((X - 1.0) * np.log(ys)), 0.0, params.r2,
+                         cfg.tol_2d / 5.0, ep_y, cfg)[0]
+        ln_c = ln_e - ln_lam
+        if ln_c >= lnY2:
+            return 0.0
+        return _w_piece(params, sigma, X, -math.inf, ln_c, lnY2, cfg.tol_2d / 5.0, cfg)[0]
 
-    return _split_outer(params, lam, cfg, outer, a * sigma)
-
-
-def _split_outer(params, lam, cfg, outer, exp_lo):
-    """Outer x-integral over (0, r1) split at the clip point rho(lam r2)."""
-    x_kink = rho(params, lam * params.r2, cfg.flat_cutoff_exponent)
-    cuts = [0.0] + ([x_kink] if 0.0 < x_kink < params.r1 else []) + [params.r1]
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        ep = EndpointSpec(exponent_lo=exp_lo if lo == 0.0 else 0.0)
-        v, _, _ = _tanh_sinh(outer, lo, hi, cfg.tol_2d, cfg.max_subdivisions, ep)
-        total += v
-    return total
+    return _columns(params, column, _kink_cuts(params, lam, cfg), params.a * sigma, cfg)[0]
 
 
 def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
                cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Direct iterated quadrature of x^(a s) y^((b-q)s) e^(-s/x^p) over
-    {lambda y < e(x)}, for cross-checking the two-piece reduction."""
-    X = _check_window(params, sigma)
+    {lambda y < e(x)}, for cross-checking the two-piece reduction.  The inner
+    integral is v0 m^((b-q)s+1), m = min(e(x)/lambda, r2), with v0 the
+    quadrature of v^((b-q)s) over (0, 1)."""
+    _check_window(params, sigma)
     a, q = params.a, params.q
     bq = (params.b - params.q) * sigma
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
 
-    def v_quad():
-        def f(vs):
-            with np.errstate(divide="ignore"):
-                return np.exp(bq * np.log(vs))
-        val, _, _ = _quad(f, 0.0, 1.0, cfg.tol_2d / 5.0,
-                          EndpointSpec(exponent_lo=bq), cfg)
-        return val
+    def fv(vs):
+        with np.errstate(divide="ignore"):
+            return np.exp(bq * np.log(vs))
 
-    v0 = v_quad()
+    v0, _, _ = _quad(fv, 0.0, 1.0, cfg.tol_2d / 5.0, EndpointSpec(exponent_lo=bq), cfg)
 
     def outer(xs):
         ln_es = _ln_e_arr(params, xs)
-        out = np.zeros_like(xs)
-        with np.errstate(divide="ignore"):
-            lnxs = np.log(xs)
-        for i, x in enumerate(xs):
-            ln_e = float(ln_es[i])
-            if ln_e == -math.inf:
-                continue
-            ln_m = min(ln_e - ln_lam, lnY2)
-            ln_col = a * sigma * lnxs[i] + q * sigma * ln_e + (bq + 1.0) * ln_m
-            if ln_col < -740.0:
-                continue
-            out[i] = math.exp(ln_col) * v0
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_col = (a * sigma * np.log(xs) + q * sigma * ln_es
+                      + (bq + 1.0) * np.minimum(ln_es - ln_lam, lnY2))
+            # where ln e = -inf, ln_col is inf - inf; the column vanishes there
+            return np.where((ln_es > -np.inf) & (ln_col >= -740.0), np.exp(ln_col) * v0, 0.0)
 
-    return _split_outer(params, lam, cfg, outer, a * sigma)
+    return _panels(outer, _kink_cuts(params, lam, cfg), a * sigma, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -776,34 +723,29 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
     sign(D_j) = (-1)^j."""
     J = _check_log_moments(params, bump, s, J, flat)
     a, b, q = params.a, params.b, params.q
-    ep_y = EndpointSpec(exponent_lo=(b - q) * s if s < 0 else 0.0)
+    # where E(x) is far below y^q the integrand goes as y^(b s) (log|f|)^j
+    ep_y = EndpointSpec(exponent_lo=b * s if s < 0 else 0.0)
 
-    def outer(xs):
-        ln_es = _ln_e_arr(params, xs) if flat else np.full_like(xs, -np.inf)
-        out = np.empty((xs.size, J + 1))
-        with np.errstate(divide="ignore"):
-            lnxs = np.log(xs)
-        for i, x in enumerate(xs):
-            lnE = q * float(ln_es[i])
-            lnx = float(lnxs[i])
+    def column(x: float, ln_e: float) -> np.ndarray:
+        lnE, lnx = q * ln_e, math.log(x)
 
-            def fy(ys):
-                lny = np.log(ys)
-                core = np.logaddexp(q * lny, lnE) if lnE > -math.inf else q * lny
-                ln_fy = (b - q) * lny + core          # log|f| - a log x
+        def fy(ys):
+            lny = np.log(ys)
+            core = np.logaddexp(q * lny, lnE) if lnE > -math.inf else q * lny
+            ln_fy = (b - q) * lny + core          # log|f| - a log x
+            # the powers may overflow at the deepest nodes next to a singular
+            # endpoint; _tanh_sinh drops those nodes
+            with np.errstate(over="ignore", invalid="ignore"):
                 cols = np.vander(a * lnx + ln_fy, J + 1, increasing=True)   # (log|f|)^j
                 cols *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys))[:, None]
-                return cols
+            return cols
 
-            out[i], _, _ = _quad(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y, cfg)
-        # x^(a s) is kept out of fy: where it falls below the normal range the
-        # inner values would carry its rounding noise, and refinement would
-        # chase that noise to the level cap
-        with np.errstate(over="ignore"):
-            return out * (np.exp(a * s * lnxs) * bump_x_profile(bump, xs))[:, None]
+        return _quad(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y, cfg)[0]
 
-    vals, _, _ = _tanh_sinh(outer, 0.0, bump.R1, cfg.tol_2d, cfg.max_subdivisions,
-                            EndpointSpec(exponent_lo=a * s if s < 0 else 0.0))
+    # x^(a s) is kept out of fy: where it falls below the normal range the
+    # inner values would carry its rounding noise, and refinement would
+    # chase that noise to the level cap
+    vals, _, _ = _columns(params, column, [0.0, bump.R1], a * s, cfg, flat=flat, bump=bump)
     return 4.0 * vals
 
 

@@ -3,7 +3,6 @@ determinism."""
 
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,21 +15,9 @@ from flatzeta.zeta import monomial_closed_form
 from fractions import Fraction
 
 
-def run_cli(args, env_extra=None, capsys=None):
+def run_cli(args, capsys=None):
     """Invoke the CLI in-process, capturing stdout."""
-    env_backup = {}
-    if env_extra:
-        for k, v in env_extra.items():
-            env_backup[k] = os.environ.get(k)
-            os.environ[k] = v
-    try:
-        code = main(args)
-    finally:
-        for k, v in env_backup.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    code = main(args)
     out = capsys.readouterr().out if capsys else ""
     return code, out
 
@@ -63,13 +50,6 @@ def test_compute_deterministic_output(capsys):
     args = ["compute", "--preset", "critical", "--schedule", "geo:0.125,0.5,6"]
     _, out1 = run_cli(args, capsys=capsys)
     _, out2 = run_cli(args, capsys=capsys)
-    assert out1 == out2
-
-
-def test_compute_workers_env_same_output(capsys):
-    args = ["compute", "--preset", "critical", "--schedule", "geo:0.125,0.5,6"]
-    _, out1 = run_cli(args, capsys=capsys)
-    _, out2 = run_cli(args, env_extra={"FLATZETA_THREADS": "3"}, capsys=capsys)
     assert out1 == out2
 
 
@@ -143,6 +123,9 @@ def test_config_round_trip(tmp_path):
     back = RunConfig.from_text(text)
     assert back == cfg
     assert back.to_text() == text
+    # files written with the former out_dir/formats keys still load
+    old = text + "out_dir=.\nformats=csv,json\n"
+    assert RunConfig.from_text(old) == cfg
 
 
 def test_config_file_cli(tmp_path, capsys):

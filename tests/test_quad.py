@@ -10,8 +10,6 @@ from flatzeta.quad import (
     EndpointSpec,
     _tanh_sinh,
     integrate_1d,
-    integrate_2d_pieces,
-    integrate_2d_split,
     integrate_tail,
 )
 
@@ -59,11 +57,6 @@ def test_integrate_1d_rejections():
     with pytest.raises(NonConvergence), np.errstate(over="ignore", invalid="ignore"):
         # wildly oscillatory at 0: the engine must not return silently
         integrate_1d(lambda x: np.sin(1e6 / x) / x, 0.0, 1.0, tol=1e-13, max_levels=5)
-
-
-def test_integrate_1d_scalar_integrand_adapts():
-    r = integrate_1d(lambda x: math.exp(-x), 0.0, 1.0)
-    assert r.value == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
 
 def test_monotone_refinement():
@@ -166,61 +159,3 @@ def test_integrate_tail_rejections():
         integrate_tail(lambda x: x**-2.0, 1.0, -0.5, envelope_k=1.0)
     with pytest.raises(DomainError):
         integrate_tail(lambda x: x**-2.0, 0.0, -2.0, envelope_k=1.0)
-
-
-def test_2d_split_constant():
-    r = integrate_2d_split(lambda x, y: np.ones_like(y), (0.0, 1.0), (0.0, 1.0),
-                           lambda x: 0.5)
-    assert r.value == pytest.approx(1.0, rel=1e-12)
-
-
-def test_2d_split_separable_singular():
-    r = integrate_2d_split(lambda x, y: x**-0.5 * y**-0.5, (0.0, 1.0), (0.0, 1.0),
-                           lambda x: 0.3 + 0.2 * x,
-                           EndpointSpec(exponent_lo=-0.5),
-                           EndpointSpec(exponent_lo=-0.5))
-    assert r.value == pytest.approx(4.0, rel=1e-9)
-
-
-def test_2d_split_invariance_for_continuous_integrand():
-    # the split position must not matter when nothing is singular on the curve
-    def g(x, y):
-        return np.exp(-x) * np.cos(y)
-
-    r1 = integrate_2d_split(g, (0.0, 1.0), (0.0, 1.0), lambda x: 0.2)
-    r2 = integrate_2d_split(g, (0.0, 1.0), (0.0, 1.0), lambda x: 0.8 - 0.5 * x)
-    tol = r1.abs_error_estimate + r2.abs_error_estimate + 1e-12
-    assert abs(r1.value - r2.value) <= max(tol, 1e-10)
-
-
-def test_2d_split_family_integrand_self_consistency():
-    # |f|^sigma for (a,b,q,p)=(1,2,2,1/4) at sigma=-0.45: splitting along the
-    # flat crossover equals splitting along a constant line, within tolerance.
-    from fractions import Fraction
-    from flatzeta.model import FamilyParams
-    from flatzeta.zeta import integrand
-
-    params = FamilyParams(1, 2, 2, Fraction(1, 4))
-    sigma = -0.45
-
-    def g(x, y):
-        return integrand(params, x, y, sigma)
-
-    ep_x = EndpointSpec(exponent_lo=params.a * sigma)
-    ep_y = EndpointSpec(exponent_lo=params.b * sigma)
-    r1 = integrate_2d_split(g, (0.0, 0.5), (0.0, 0.5),
-                            lambda x: math.exp(-1.0 / (2.0 * x**0.25)) if x > 0 else 0.0,
-                            ep_x, ep_y, tol=1e-8)
-    r2 = integrate_2d_split(g, (0.0, 0.5), (0.0, 0.5), lambda x: 0.25,
-                            ep_x, ep_y, tol=1e-8)
-    assert r1.value == pytest.approx(r2.value, rel=1e-6)
-
-
-def test_2d_pieces_sum_to_total():
-    below, above = integrate_2d_pieces(lambda x, y: x + y, (0.0, 1.0), (0.0, 1.0),
-                                       lambda x: 0.5 * x)
-    total = integrate_2d_split(lambda x, y: x + y, (0.0, 1.0), (0.0, 1.0),
-                               lambda x: 0.5 * x)
-    assert below.value + above.value == pytest.approx(total.value, rel=1e-14)
-    # int_0^1 int_0^{x/2} (x+y) dy dx = int_0^1 5x^2/8 dx = 5/24
-    assert below.value == pytest.approx(5.0 / 24.0, rel=1e-9)

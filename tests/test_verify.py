@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import flatzeta.verify as verify_mod
 from flatzeta.errors import OutsideDisc
 from flatzeta.funcs import BumpSpec
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
@@ -88,6 +89,20 @@ def test_sandwich_preset_cases():
     assert rep.passed
     assert rep.observed == 0.0
     assert len(rep.residual_log) == 12  # 3 lambdas x 4 sigmas
+
+
+def test_sandwich_computes_each_z_once(monkeypatch):
+    calls = []
+    real = verify_mod.zeta_quadrant
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "zeta_quadrant", counting)
+    rep = verify_sandwich(PRESETS["critical"], [0.25, 1.0, 4.0], SHORT, CFG)
+    assert rep.passed
+    assert calls == list(SHORT.sigmas)
 
 
 def test_sandwich_flat_dead_degenerates():

@@ -20,6 +20,7 @@ from flatzeta.errors import (
 )
 from flatzeta.funcs import BumpSpec, E_flat
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS
+from flatzeta.quad import EndpointSpec, integrate_1d
 from flatzeta.zeta import (
     g_pieces,
     h_pieces,
@@ -138,6 +139,25 @@ def test_zeta_quadrant_frozen_oracle_bounded_regime():
     z = zeta_quadrant(GREEN, -0.45, CFG)
     assert z.value == pytest.approx(ORACLE_Z_GREEN_045, rel=1e-10)
     assert abs(z.value - ORACLE_Z_GREEN_045) <= 10.0 * z.error
+
+
+def test_zeta_quadrant_matches_nested_1d_integrand():
+    # |f|^sigma for (a,b,q,p)=(1,2,2,1/4) at sigma=-0.45 by nested integrate_1d
+    # calls on the public pointwise integrand, the inner y-interval split at
+    # the flat crossover y = e(x), against the rescaled-inner engine
+    sigma = -0.45
+    ep_y = EndpointSpec(exponent_lo=GREEN.b * sigma)
+
+    def column(x):
+        c = math.exp(-1.0 / (2.0 * x**0.25))
+        cuts = [0.0] + ([c] if 0.0 < c < 0.5 else []) + [0.5]
+        return sum(integrate_1d(lambda ys: integrand(GREEN, x, ys, sigma), lo, hi,
+                                ep_y if lo == 0.0 else None, tol=1e-9).value
+                   for lo, hi in zip(cuts, cuts[1:]))
+
+    r = integrate_1d(lambda xs: np.array([column(x) for x in xs]), 0.0, 0.5,
+                     EndpointSpec(exponent_lo=GREEN.a * sigma), tol=1e-8)
+    assert r.value == pytest.approx(zeta_quadrant(GREEN, sigma, CFG).value, rel=1e-6)
 
 
 def test_zeta_quadrant_window():
@@ -324,6 +344,17 @@ def test_log_derivative_moments_match_per_j(s0, flat):
     for j in range(13):
         d = log_derivative_integral(GREEN, bump, s0, j, CFG, flat=flat)
         assert moments[j] == pytest.approx(d, rel=1e-10)
+
+
+def test_log_derivative_moments_flat_on_deep_negative_s():
+    # q = b: the inner y-integrand goes as y^(b s) (log|f|)^j where E(x) is
+    # far below y^q, and its powers overflow at the deepest nodes
+    bump = BumpSpec(0.5, 0.5)
+    moments = log_derivative_moments(GREEN, bump, -0.3, 40, CFG, flat=True)
+    assert np.all(np.isfinite(moments))
+    assert np.all(np.sign(moments) == (-1.0) ** np.arange(41))
+    d0 = log_derivative_integral(GREEN, bump, -0.3, 0, CFG, flat=True)
+    assert moments[0] == pytest.approx(d0, rel=1e-12)
 
 
 def test_log_derivative_moments_rejections():
