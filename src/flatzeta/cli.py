@@ -292,11 +292,12 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
         return report
 
     if suite in ("thm31", "all"):
-        rep = verify_theorem31(params, sched, numeric)
+        samples = ([zeta_quadrant(params, s, numeric) for s in sched.sigmas]
+                   if plot_path else None)
+        rep = verify_theorem31(params, sched, numeric, samples)
         rep = maybe_expect(maybe_expect(rep, "A"), "limit")
         reports.append(rep)
         if plot_path:
-            samples = [zeta_quadrant(params, s, numeric) for s in sched.sigmas]
             seq = scale_sequence(params, samples)
             target = rep.target if isinstance(rep.target, float) else None
             plot_doc = convergence_svg(seq.schedule.xs, seq.scaled_values, target,

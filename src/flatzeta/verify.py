@@ -30,6 +30,7 @@ from .asym import (
     scale_sequence,
 )
 from .zeta import (
+    ZetaSample,
     g_pieces,
     h_pieces,
     j_pieces,
@@ -88,13 +89,18 @@ def _quadrant_samples(params, schedule, cfg, weighted_bump=None):
 
 
 def verify_theorem31(params: FamilyParams, schedule: SigmaSchedule,
-                     cfg: NumericConfig = DEFAULT_CONFIG) -> VerificationReport:
+                     cfg: NumericConfig = DEFAULT_CONFIG,
+                     samples: Optional[Sequence[ZetaSample]] = None) -> VerificationReport:
     """Check the regime-appropriate blow-up law of the quadrant integral:
     power scaling to A (2%), log scaling to 1/(pq) (5%), or in the bounded
-    regime monotone growth into the optimized [lower, upper] bracket."""
+    regime monotone growth into the optimized [lower, upper] bracket.
+
+    samples, when given, are the zeta_quadrant values along the schedule,
+    computed once by a caller that also needs them."""
     t0 = time.perf_counter()
     regime = classify_regime(params)
-    samples = _quadrant_samples(params, schedule, cfg)
+    if samples is None:
+        samples = _quadrant_samples(params, schedule, cfg)
     seq = scale_sequence(params, samples)
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         limit, unc = extract_limit(seq)

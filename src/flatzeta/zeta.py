@@ -6,20 +6,27 @@ The quadrant integral
     E(x) = exp(-1/x^p),   s = sigma in (-1/b, 0),
 
 is dominated near sigma = -1/b by y-mass that sits far below double
-precision, so the inner integral is never attacked head on.  Substituting
-y = e(x) v against the crossover scale e(x) = E(x)^(1/q) gives
+precision, so the inner integral is never attacked by quadrature.  It has
+the closed form (DLMF 15.6.1)
 
-    inner(x) = Y^X (1 - (e(x)/Y)^X) / X  +  e(x)^X (C1 + C2(S)),
-    X = b sigma + 1,   S = Y / e(x),
+    inner(x) = Y^al / al  E^s  2F1(-s, al/q; 1 + al/q; -Y^q / E),
+    al = (b-q) s + 1,
 
-with C1 = int_0^1 v^((b-q)s) (1+v^q)^s dv and C2 the convergent tail
-correction int_1^S v^(X-1) [(1+v^-q)^s - 1] dv; everything is assembled from
-logs and expm1 so the evaluation stays exact down to X ~ 1e-5 and across
-e(x) values far below the underflow threshold.
+evaluated from logs with scipy's hyp2f1 wherever Y^q/E fits in a double.
+Further out, substituting y = e(x) v against the crossover scale
+e(x) = E(x)^(1/q) gives the exact
+
+    inner(x) = Y^X (1 - (e(x)/Y)^X) / X  +  e(x)^X (C1 + C2(inf)),
+    X = b sigma + 1,
+
+with C1 = int_0^1 v^((b-q)s) (1+v^q)^s dv (the closed form at Y = E = 1)
+and C2(inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv, one cached quadrature
+per sigma.  The bump-weighted correction of zeta_weighted stays on
+quadrature.
 
 Region pieces, the auxiliary reductions ztilde1/ztilde2 and the proof-level
-G/H/J parts are computed by independent quadratures in scaled variables so
-that the identity checks compare genuinely distinct computations.
+G/H/J parts are computed by independent quadratures in scaled variables, so
+the identity checks compare the closed-form Z with quadratures.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .errors import (
     DegenerateLowerLimit,
@@ -111,20 +119,31 @@ def _quad_narrow(f, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# cached scaled v- and z-integrals
+# the unweighted inner column in closed form; scaled v- and z-integrals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _c1_cached(b: int, q: int, sigma: float, max_levels: int):
-    """C1 = int_0^1 v^((b-q)s) (1 + v^q)^s dv."""
-    bq = (b - q) * sigma
+#: Relative error bound of one closed-form inner column (_inner_closed) for
+#: X >= 1e-5, from the 40-digit mpmath values frozen in tests/test_zeta.py
+#: (worst measured 8.8e-11).  scipy's hyp2f1 loses digits as 1/X when
+#: X -> 0, so below X = 1e-5 the bound grows as 1e-5 / X (_inner_rel_err).
+INNER_REL_ERR = 2e-10
 
-    def f(vs):
-        with np.errstate(divide="ignore"):
-            return np.exp(bq * np.log(vs) + sigma * np.log1p(vs**q))
+#: Largest q log(T/e) = log(T^q/E) for which _inner_closed is used; beyond it
+#: T^q/E nears the double range and C2(S) equals C2(inf) to double precision.
+_FAR = 700.0
 
-    value, err, _ = _tanh_sinh(f, 0.0, 1.0, 1e-12, max_levels, EndpointSpec(exponent_lo=bq))
-    return value, err
+
+def _inner_rel_err(X: float) -> float:
+    return INNER_REL_ERR * max(1.0, 1e-5 / X)
+
+
+def _inner_closed(b: int, q: int, sigma: float, lnT: float, lnE: float) -> float:
+    """int_0^T v^((b-q)s) (v^q + E)^s dv
+        = T^al / al  E^s  2F1(-s, al/q; 1 + al/q; -T^q/E),   al = (b-q)s + 1,
+    (DLMF 15.6.1) from log T and log E; needs q log T - log E <= _FAR."""
+    al = (b - q) * sigma + 1.0
+    F = hyp2f1(-sigma, al / q, 1.0 + al / q, -math.exp(q * lnT - lnE))
+    return math.exp(al * lnT + sigma * lnE) / al * float(F)
 
 
 def _v_integral(params: FamilyParams, sigma: float, s_hi: float,
@@ -142,8 +161,11 @@ def _v_integral(params: FamilyParams, sigma: float, s_hi: float,
     return _quad(f, 0.0, s_hi, tol, EndpointSpec(exponent_lo=bq), cfg)
 
 
-def _c2_integrand(sigma: float, X: float, q: int):
-    """Integrand of C2 in the z = v^-q variable: z^(-X/q-1) expm1(s log1p(z)) / q."""
+@lru_cache(maxsize=512)
+def _c2_full_cached(b: int, q: int, sigma: float, max_levels: int):
+    """C2(S=inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv, in z = v^-q the
+    integral of z^(-X/q-1) expm1(s log1p(z)) / q over (0, 1]."""
+    X = b * sigma + 1.0
     a = -X / q - 1.0
 
     def f(zs):
@@ -153,30 +175,9 @@ def _c2_integrand(sigma: float, X: float, q: int):
         lead = sigma * np.power(zs, a + 1.0)
         return np.where(small, lead, full) / q
 
-    return f
-
-
-@lru_cache(maxsize=512)
-def _c2_full_cached(b: int, q: int, sigma: float, max_levels: int):
-    """C2(S=inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv via z = v^-q on (0, 1]."""
-    X = b * sigma + 1.0
-    f = _c2_integrand(sigma, X, q)
     value, err, _ = _tanh_sinh(f, 0.0, 1.0, 1e-12, max_levels,
                                EndpointSpec(exponent_lo=-X / q))
     return value, err
-
-
-def _c2_partial(params: FamilyParams, sigma: float, z_lo: float,
-                cfg: NumericConfig):
-    """C2(S) with finite S, lower z-limit z_lo = S^-q in (0, 1).
-
-    Returns (value, error, evaluations)."""
-    X = params.b * sigma + 1.0
-    if z_lo >= 1.0:
-        return 0.0, 0.0, 0
-    f = _c2_integrand(sigma, X, params.q)
-    return _tanh_sinh(f, z_lo, 1.0, 1e-12, cfg.max_subdivisions,
-                      EndpointSpec(exponent_lo=-X / params.q))
 
 
 # ---------------------------------------------------------------------------
@@ -283,38 +284,19 @@ def _box_integral(params: FamilyParams, sigma: float, cfg: NumericConfig,
     b, q = params.b, params.q
     lnY2 = math.log(Y2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
-    state = {"ev": 0, "rel": 0.0, "n": 0}
+    state = {"ev": 0}
 
-    c1, c1_err = _c1_cached(b, q, sigma, cfg.max_subdivisions) if flat else (0.0, 0.0)
+    c1 = _inner_closed(b, q, sigma, 0.0, 0.0)
     c2f, c2_err = _c2_full_cached(b, q, sigma, cfg.max_subdivisions) if flat else (0.0, 0.0)
-    # z_lo below this leaves C2 indistinguishable from its full value
-    z_cut = (1e-14) ** (q / max(q - X, 1e-12))
     y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
 
     def inner_plain(ln_e: float) -> float:
         """int_0^Y2 y^((b-q)s)(y^q+E)^s dy for one x, weight-free."""
-        if ln_e == -math.inf:
-            return math.exp(X * lnY2) / X
-        eX = math.exp(max(X * ln_e, -745.0))
-        main = math.exp(X * lnY2) * (-math.expm1(min(X * (ln_e - lnY2), 0.0))) / X
-        if eX == 0.0:
-            return main
-        if ln_e > lnY2:        # e(x) exceeds the box height: single scaled piece
-            s_hi = math.exp(lnY2 - ln_e)
-            val, err, ev = _v_integral(params, sigma, s_hi, tol=mini_tol, cfg=cfg)
-            state["ev"] += ev
-            state["rel"] += err / max(abs(val), 1e-300)
-            state["n"] += 1
-            return eX * val
-        z_lo = math.exp(max(-q * (lnY2 - ln_e), -745.0))
-        if z_lo < z_cut:
-            return main + eX * (c1 + c2f)
-        c2, err, ev = _c2_partial(params, sigma, z_lo, cfg)
-        val = main + eX * (c1 + c2)
-        state["ev"] += ev
-        state["rel"] += eX * err / max(abs(val), 1e-300)
-        state["n"] += 1
-        return val
+        if q * (lnY2 - ln_e) <= _FAR:
+            return _inner_closed(b, q, sigma, lnY2, q * ln_e)
+        # y = e(x) v: exact main term plus e^X (C1 + C2(S)), C2(S) = C2(inf) here
+        main = math.exp(X * lnY2) * -math.expm1(X * (ln_e - lnY2)) / X
+        return main + math.exp(X * ln_e) * (c1 + c2f)
 
     def inner_delta(ln_e: float) -> float:
         """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy."""
@@ -345,7 +327,7 @@ def _box_integral(params: FamilyParams, sigma: float, cfg: NumericConfig,
 
     value, err, ev = _columns(params, column, [0.0, Y1], params.a * sigma, cfg,
                               flat=flat, bump=bump)
-    err += (c1_err + c2_err + state["rel"] / max(state["n"], 1)) * abs(value)
+    err += (_inner_rel_err(X) + c2_err) * abs(value)
     return value, err, ev + state["ev"]
 
 
@@ -556,6 +538,8 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
     """Direct iterated quadrature of x^(a s) y^(b s) over {lambda y >= e(x)},
     for cross-checking the 1D reduction."""
     X = _check_window(params, sigma)
+    if lam <= 0.0:
+        raise DomainError("lambda must be positive")
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
     ep_y = EndpointSpec(exponent_lo=X - 1.0)
 
@@ -578,6 +562,8 @@ def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
     integral is v0 m^((b-q)s+1), m = min(e(x)/lambda, r2), with v0 the
     quadrature of v^((b-q)s) over (0, 1)."""
     _check_window(params, sigma)
+    if lam <= 0.0:
+        raise DomainError("lambda must be positive")
     a, q = params.a, params.q
     bq = (params.b - params.q) * sigma
     lnY2, ln_lam = math.log(params.r2), math.log(lam)

@@ -1,6 +1,7 @@
 """CLI integration: CSV/JSON contracts, exit codes, config round-trip,
 determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from flatzeta import cli, verify
 from flatzeta.cli import RunConfig, main
 from flatzeta.model import FamilyParams, PRESETS
-from flatzeta.zeta import monomial_closed_form
+from flatzeta.zeta import monomial_closed_form, zeta_quadrant
 from fractions import Fraction
 
 
@@ -83,6 +85,28 @@ def test_verify_suite_exit_codes(tmp_path, capsys):
     assert all(c["passed"] for c in doc["checks"])
     svg = plot.read_text()
     assert svg.startswith("<svg") and "</svg>" in svg
+
+
+# sha256 of the greenblatt thm31 plot on the default schedule, as written
+# when the plot recomputed its samples
+GREEN_THM31_SVG_SHA256 = "bc5a39e3328a375c09b7175e58ae2bffe91cd555828c742d30a92413465b3aa5"
+
+
+def test_verify_thm31_plot_reuses_samples(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return zeta_quadrant(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "zeta_quadrant", counted)
+    monkeypatch.setattr(verify, "zeta_quadrant", counted)
+    plot = tmp_path / "conv.svg"
+    code, _ = run_cli(["verify", "--preset", "greenblatt", "--suite", "thm31",
+                       "--plot", str(plot)], capsys=capsys)
+    assert code == 0
+    assert len(calls) == 14       # one per point of the default schedule
+    assert hashlib.sha256(plot.read_bytes()).hexdigest() == GREEN_THM31_SVG_SHA256
 
 
 def test_verify_expect_injection_fails(capsys):

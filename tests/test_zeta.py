@@ -22,6 +22,9 @@ from flatzeta.funcs import BumpSpec, E_flat
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS
 from flatzeta.quad import EndpointSpec, integrate_1d
 from flatzeta.zeta import (
+    _c2_full_cached,
+    _inner_closed,
+    _inner_rel_err,
     g_pieces,
     h_pieces,
     integrand,
@@ -50,6 +53,31 @@ ORACLE_ZT2_CRIT_L4_049 = 0.11413806470507014
 ORACLE_W_SUP_049 = 26.791796839804343
 ORACLE_W_CRIT_X2M8 = 10.095046683202458
 ORACLE_Z_GREEN_045 = 1.3496269881465771
+
+# tests/oracle_inner.py (mpmath, 40 digits, cross-checked by quadrature):
+# (b, q, X, log T, log E, int_0^T v^((b-q)s) (v^q + E)^s dv) with s = (X-1)/b
+INNER_ORACLE = [
+    (2, 2, 1e-05, -0.10536051565782628, -1.0, 1.1857673522716047025),
+    (7, 6, 1e-05, -0.6931471805599453, -5.0, 1.280511871054687574),
+    (7, 7, 1e-05, -0.0010005003335835344, -1.0, 1.1182697699494482809),
+    (2, 2, 0.125, 0.0, 0.0, 0.89484623049904758944),
+    (7, 6, 1e-05, 0.0, 0.0, 1.1502084460696192861),
+    (3, 1, 0.5, 0.0, 0.0, 1.4244573963521167944),
+    (2, 2, 0.00390625, -0.6931471805599453, -0.1, 0.50400552600766204325),
+    (1, 1, 0.0001, -1.2039728043259361, -0.5, 0.40185755440342453892),
+    (3, 2, 0.0001, -0.0010005003335835344, -20.0, 11.270073432027091044),
+    (6, 4, 0.00390625, -0.7985076962177716, -200.0, 45.804108841679946438),
+    (2, 2, 0.125, -0.6931471805599453, -690.0, 7.3360323456373698739),
+    (7, 1, 0.001, -2.995732273553991, -690.0, 498.81590103450353092),
+    (5, 4, 1e-05, -1.2039728043259361, -690.0, 172.32326201858244534),
+    (3, 3, 1e-07, -0.6931471805599453, -5.0, 1.8310098592816018505),
+    (2, 2, 0.125, -0.6931471805599453, -700.3862943611199, 7.3360323456373698745),
+    (2, 2, 0.125, -0.6931471805599453, -702.3862943611199, 7.3360323456373698746),
+    (2, 2, 1e-05, -0.6931471805599453, -700.3862943611199, 349.57826711740027381),
+    (2, 2, 1e-05, -0.6931471805599453, -702.3862943611199, 350.57475942081151161),
+    (7, 6, 0.00390625, -1.2039728043259361, -706.2238368259556, 93.868684608776192528),
+    (7, 6, 0.00390625, -1.2039728043259361, -708.2238368259556, 94.078092737058432667),
+]
 
 
 def test_integrand_monomial_reduction():
@@ -160,6 +188,21 @@ def test_zeta_quadrant_matches_nested_1d_integrand():
     assert r.value == pytest.approx(zeta_quadrant(GREEN, sigma, CFG).value, rel=1e-6)
 
 
+@pytest.mark.parametrize("b, q, X, lnT, lnE, ref", INNER_ORACLE)
+def test_inner_closed_form_matches_oracle(b, q, X, lnT, lnE, ref):
+    sigma = (X - 1.0) / b
+    bound = _inner_rel_err(X)
+    assert abs(_inner_closed(b, q, sigma, lnT, lnE) - ref) <= bound * ref
+    if q * lnT - lnE > 698.0:
+        # either side of the switch, the engine's far branch (exact main
+        # term plus e^X (C1 + C2(inf))) must agree within the same bound
+        ln_e = lnE / q
+        main = math.exp(X * lnT) * -math.expm1(X * (ln_e - lnT)) / X
+        c2f, _ = _c2_full_cached(b, q, sigma, CFG.max_subdivisions)
+        far = main + math.exp(X * ln_e) * (_inner_closed(b, q, sigma, 0.0, 0.0) + c2f)
+        assert abs(far - ref) <= bound * ref
+
+
 def test_zeta_quadrant_window():
     with pytest.raises(OutOfWindow):
         zeta_quadrant(SUP, -0.5, CFG)
@@ -236,6 +279,13 @@ def test_ztilde2_matches_2d():
         v1 = ztilde2(params, lam, sigma, CFG)
         v2 = ztilde2_2d(params, lam, sigma, CFG)
         assert v1 == pytest.approx(v2, rel=1e-5)
+
+
+@pytest.mark.parametrize("fn", [ztilde1_2d, ztilde2_2d])
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_ztilde_2d_rejects_nonpositive_lambda(fn, lam):
+    with pytest.raises(DomainError, match="lambda must be positive"):
+        fn(CRIT, lam, -0.4, CFG)
 
 
 def test_region_pieces_additivity_and_sandwich():
