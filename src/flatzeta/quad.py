@@ -9,13 +9,15 @@ exponent-dependent substitutions are needed.  Two entry points:
 
 Integrands are called with numpy arrays of abscissae and must return arrays
 of the same length.  Iterated 2D integrals are built in flatzeta.zeta on the
-refinement loop `_tanh_sinh`.
+refinement loop `_tanh_sinh`, whose vector calls integrate all inner columns
+of one outer level at once, each column retiring at its own level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -31,6 +33,9 @@ _T_MAX = 6.1
 _OFF_MIN = 1e-305
 
 _LEVEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+#: Most (node, component) values one integrand call of a vector _tanh_sinh
+#: computes; wider levels are evaluated in blocks of components.
+_BLOCK_CELLS = 1 << 14
 
 
 def _level_nodes(level: int):
@@ -59,6 +64,24 @@ def _level_nodes(level: int):
     return entry
 
 
+@lru_cache(maxsize=64)
+def _nodes(level: int, lo: float, hi: float):
+    """Abscissae and weights of the nodes refinement level `level` adds on
+    (lo, hi), without those that round onto an endpoint; read-only, as
+    calls on the same interval share them."""
+    _, off, w = _level_nodes(level)
+    first = 1 if level == 0 else 0      # t = 0 maps to the midpoint, once
+    span = hi - lo
+    x_left = lo + span * off
+    x_right = hi - span * off[first:]
+    ok_l = x_left > lo
+    ok_r = x_right < hi
+    xs = np.concatenate([x_left[ok_l], x_right[ok_r]])
+    ws = np.concatenate([w[ok_l], w[first:][ok_r]])
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 @dataclass(frozen=True)
 class QuadResult:
     value: float
@@ -84,27 +107,83 @@ class EndpointSpec:
 
 
 def _endpoint_remainder(deep_f, deep_d, endpoints: Optional[EndpointSpec]):
-    """Unresolved endpoint mass below the deepest representable node: for an
-    integrable power (x-lo)^beta the remainder is f(d)*d/(1+beta).  Vector
-    form of the bound at the end of `_tanh_sinh`; d = inf means no node."""
+    """Unresolved endpoint mass below the deepest sampled node: for an
+    integrable power (x-lo)^beta the remainder is f(d)*d/(1+beta).
+    Elementwise; d = inf means no node was sampled."""
     if endpoints is None:
         return 0.0
     beta = min(endpoints.exponent_lo, endpoints.exponent_hi)
     return deep_f * np.where(np.isfinite(deep_d), deep_d, 0.0) / (1.0 + beta)
 
 
-def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
-               endpoints: Optional[EndpointSpec] = None, abs_tol: float = 0.0):
-    """Core refinement loop on a finite interval.  f must accept arrays.
+def _droppable(xs, lo, hi, span, endpoints: Optional[EndpointSpec]):
+    """Nodes next to a declared singular endpoint, where a non-finite value
+    is an overflow of an integrable singularity rather than a failure."""
+    out = np.zeros(xs.shape, dtype=bool)
+    if endpoints is not None:
+        if endpoints.exponent_lo < 0.0:
+            out |= (xs - lo) < 1e-100 * span
+        if endpoints.exponent_hi < 0.0:
+            out |= (hi - xs) < 1e-100 * span
+    return out
 
-    f returns either (n,) values, giving a float value and error, or an (n, k)
-    matrix of k integrands on the same nodes, giving (k,) values and errors.
-    In the vector case each stopping rule below is applied per component, and
-    refinement stops at the first level where every component meets one.  A
-    component's error is the larger of the estimate at the level where it
-    first met a rule, which a scalar call would have returned, and the
-    estimate at the final level.
+
+def _stops(level: int, err, prev_err, value, tol: float, abs_tol: float):
+    """The stopping rules of one refinement level, elementwise.
+
+    From level 2 the step |value - previous value| must meet tol (relative)
+    or abs_tol.  From level 4 a stagnating step is also accepted: refinement
+    stopped helping (the step shrank by less than 4x) while it sits at a
+    small relative floor.  This happens when part of the mass lies below the
+    double-precision representability limit; the floor is then the error.
     """
+    if level < 2:
+        return np.zeros(np.shape(err), dtype=bool)
+    scale = np.maximum(abs(value), 1e-300)
+    met = (err <= tol * scale) | (err <= abs_tol)
+    if level >= 4:
+        met = met | ((err >= 0.25 * prev_err) & (err <= 1e-3 * scale))
+    return met
+
+
+def _capped(err, value):
+    """At the refinement cap a last step below 1% of the value still gives a
+    usable result with an inflated (3x) error bar; this happens for pieces
+    whose mass sits at the representability floor.  Anything worse is a
+    genuine failure: returns the mask of those components."""
+    return ~(err <= 1e-2 * np.maximum(abs(value), 1e-300))
+
+
+def _tanh_sinh(f, lo, hi, tol: float, max_levels: int,
+               endpoints: Optional[EndpointSpec] = None, abs_tol: float = 0.0, *,
+               joint: bool = False):
+    """Core refinement loop on finite intervals.  Returns (value, error,
+    evaluations).
+
+    Scalar call: lo and hi are floats and f(xs) maps an (n,) array of
+    abscissae in (lo, hi) to (n,) values; value and error are floats.
+
+    Vector call: lo or hi is an array, and the call integrates k components,
+    component i over its own interval (lo[i], hi[i]) (the two broadcast to
+    (k,)).  Each level's trapezoid nodes on (0, 1) are mapped onto every
+    interval, and f(xs, cols) receives the (n, m) abscissa matrix of the m
+    components still refining, with cols their indices, and returns (n, m)
+    values; when every component has the same interval, xs is one (n, 1)
+    column that broadcasts against them.  Each component retires at the
+    level where a scalar call on it alone would stop, under the same rules
+    (_stops, the 1% cap, the endpoint remainder), so it returns that call's
+    value and error; only the abscissae of components still refining are
+    evaluated and counted.  A component that fails at the cap raises
+    NonConvergence naming it.
+
+    joint=True instead stops every component at the first level where all
+    of them meet a rule.  It suits components that are moments of one
+    integrand (log_derivative_moments): they share every node and nearly
+    all of the cost, so an early retirement saves little, while the extra
+    levels make the fast components more accurate.
+    """
+    if np.ndim(lo) or np.ndim(hi):
+        return _tanh_sinh_vec(f, lo, hi, tol, max_levels, endpoints, abs_tol, joint)
     span = hi - lo
     running = 0.0            # sum of w * f over all retained nodes so far
     evals = 0
@@ -114,84 +193,23 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
     value = 0.0
     deep_d = math.inf        # distance and |f| of the deepest sampled node,
     deep_f = 0.0             # used below for the endpoint remainder bound
-    vec = None               # set from the first evaluation: (n, k) integrand
     for level in range(max_levels + 1):
-        ts, off, w = _level_nodes(level)
-        if ts.size == 0:
-            continue
-        left_first = 1 if (level == 0) else 0   # t = 0 maps to the midpoint, once
-        x_left = lo + span * off
-        x_right = hi - span * off
-        ok_l = x_left > lo
-        ok_r = x_right < hi
-        xs = np.concatenate([x_left[ok_l], x_right[left_first:][ok_r[left_first:]]])
-        ws = np.concatenate([w[ok_l], w[left_first:][ok_r[left_first:]]])
-        fs = f(xs)
-        fs = np.asarray(fs, dtype=float)
-        if vec is None:
-            vec = fs.ndim == 2
-            if vec:
-                cols = np.arange(fs.shape[1])
-                deep_d = np.full(cols.size, math.inf)
-                deep_f = np.zeros(cols.size)
-                met = np.zeros(cols.size, dtype=bool)    # stopping rule met now
-                seen = np.zeros(cols.size, dtype=bool)   # ... at some level
-                floor = np.zeros(cols.size)   # error estimate when first met
+        xs, ws = _nodes(level, lo, hi)
+        fs = np.asarray(f(xs), dtype=float)
         finite = np.isfinite(fs)
-        all_finite = np.all(finite)
-        if not all_finite:
+        if not np.all(finite):
             # A declared integrable endpoint singularity may overflow pointwise
             # at the deepest nodes even though its weighted contribution is
             # negligible; drop those nodes (the unresolved-mass bound below
             # accounts for them).  Anything non-finite away from a declared
             # singular endpoint is a real failure.
-            droppable = np.zeros(xs.shape, dtype=bool)
-            if endpoints is not None:
-                if endpoints.exponent_lo < 0.0:
-                    droppable |= (xs - lo) < 1e-100 * span
-                if endpoints.exponent_hi < 0.0:
-                    droppable |= (hi - xs) < 1e-100 * span
-            bad = ~finite & (~droppable[:, None] if vec else ~droppable)
+            bad = ~finite & ~_droppable(xs, lo, hi, span, endpoints)
             if np.any(bad):
-                bad_x = xs[bad.any(axis=1) if vec else bad][:3]
-                raise NonConvergence(f"integrand non-finite near x={bad_x.tolist()}")
+                raise NonConvergence(f"integrand non-finite near x={xs[bad][:3].tolist()}")
             fs = np.where(finite, fs, 0.0)
         evals += xs.size
-        h = 1.0 / (1 << level)
-        if vec:
-            running = running + ws @ fs
-            value = span * h * running
-            dist = np.minimum(xs - lo, hi - xs)
-            if all_finite:    # one deepest node for all components
-                i = int(np.argmin(dist))
-                node_d, node_f = dist[i], np.abs(fs[i])
-            else:
-                dist = np.where(finite, dist[:, None], np.inf)
-                i = np.argmin(dist, axis=0)
-                node_d, node_f = dist[i, cols], np.abs(fs[i, cols])
-            deeper = node_d < deep_d
-            deep_d = np.where(deeper, node_d, deep_d)
-            deep_f = np.where(deeper, node_f, deep_f)
-            if prev is not None:
-                prev_err, err = err, np.abs(value - prev)
-                scale = np.maximum(np.abs(value), 1e-300)
-                met = np.zeros(cols.size, dtype=bool)
-                if level >= 2:
-                    met |= (err <= tol * scale) | (err <= abs_tol)
-                if level >= 4:   # stagnation, as in the scalar branch below
-                    met |= (err >= 0.25 * prev_err) & (err <= 1e-3 * scale)
-                first = met & ~seen
-                if np.any(first):
-                    floor = np.where(first, err + _endpoint_remainder(deep_f, deep_d, endpoints),
-                                     floor)
-                    seen |= met
-                if met.all():
-                    break
-            prev = value
-            fs = finite = None   # free the (n, k) matrix before the next level's
-            continue
         running += float(np.dot(ws, fs))
-        value = span * h * running
+        value = span / (1 << level) * running
         if np.any(finite):
             dist = np.where(finite, np.minimum(xs - lo, hi - xs), np.inf)
             i = int(np.argmin(dist))
@@ -199,47 +217,121 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
                 deep_d, deep_f = float(dist[i]), abs(float(fs[i]))
         if prev is not None:
             prev_err, err = err, abs(value - prev)
-            if level >= 2 and (err <= tol * max(abs(value), 1e-300) or err <= abs_tol):
-                break
-            # Stagnation: refinement stopped helping while the step sits at a
-            # small relative floor.  This happens when part of the mass lies
-            # below the double-precision representability limit; accept and
-            # report the floor as the error estimate rather than iterating.
-            if (level >= 4 and err >= 0.25 * prev_err
-                    and err <= 1e-3 * max(abs(value), 1e-300)):
+            if _stops(level, err, prev_err, value, tol, abs_tol):
                 break
         prev = value
     else:
-        # Refinement cap reached.  A last step below 1% of the value means the
-        # result is usable with an honest (inflated) error bar; this happens
-        # for pieces whose mass sits at the representability floor.  Anything
-        # worse is a genuine failure.
-        if vec:
-            loose = ~met & ~(err <= 1e-2 * np.maximum(np.abs(value), 1e-300))
-            if np.any(loose):
-                c = int(np.argmax(loose))
-                raise NonConvergence(
-                    f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
-                    f"(component {c}: last value {value[c]:.6g}, last step {err[c]:.3g})")
-            err = np.where(met, err, 3.0 * err)
-        else:
-            if not err <= 1e-2 * max(abs(value), 1e-300):
-                raise NonConvergence(
-                    f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
-                    f"(last value {value:.6g}, last step {err:.3g})")
-            err *= 3.0
-    if vec:
-        err = np.where(np.isinf(err), np.abs(value), err)
-        err = np.maximum(err + _endpoint_remainder(deep_f, deep_d, endpoints), floor)
-        return value, err, evals
+        if _capped(err, value):
+            raise NonConvergence(
+                f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
+                f"(last value {value:.6g}, last step {err:.3g})")
+        err *= 3.0
     if err == math.inf:
         err = abs(value)
-    # Unresolved endpoint mass below the deepest representable node: for an
-    # integrable power (x-lo)^beta the remainder is f(d)*d/(1+beta).
-    if endpoints is not None and math.isfinite(deep_d):
-        beta = min(endpoints.exponent_lo, endpoints.exponent_hi)
-        err += deep_f * deep_d / (1.0 + beta)
-    return value, err, evals
+    return value, float(err + _endpoint_remainder(deep_f, deep_d, endpoints)), evals
+
+
+def _tanh_sinh_vec(f, lo, hi, tol, max_levels, endpoints, abs_tol, joint):
+    """The vector call of _tanh_sinh; see there."""
+    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
+    k = lo.size
+    # components on one shared interval share one column of abscissae
+    shared = bool(np.all(lo == lo[0]) and np.all(hi == hi[0]))
+    if shared:
+        lo, hi = lo[:1], hi[:1]
+    span = hi - lo
+    value = np.zeros(k)         # results, filled in as components retire
+    error = np.zeros(k)
+    evals = 0
+    # state of the components still refining, compacted as they retire
+    act = np.arange(k)
+    running = np.zeros(k)
+    prev = err = np.full(k, np.inf)
+    deep_d = np.full(k, np.inf)     # distance and |f| of each component's
+    deep_f = np.zeros(k)            # deepest finite node, as in the scalar branch
+    for level in range(max_levels + 1):
+        if shared:
+            xs, ws = _nodes(level, lo[0], hi[0])
+            xs, ok, all_ok = xs[:, None], True, True
+        else:
+            _, off, w = _level_nodes(level)
+            right = slice(1, None) if level == 0 else slice(None)   # t = 0 only once
+            nl = off.size
+            d = np.concatenate([off, off[right]])[:, None] * span
+            ws = np.concatenate([w, w[right]])
+            xs = np.concatenate([lo + d[:nl], hi - d[nl:]])
+            ok = np.concatenate([xs[:nl] > lo, xs[nl:] < hi])
+            all_ok = ok.all()
+        if not all_ok:
+            # a node that rounds onto its endpoint is skipped, as in _nodes:
+            # its row goes if no component keeps it, and is otherwise moved
+            # to the midpoint and weighted out below
+            rows = ok.any(axis=1)
+            xs, ok, ws = xs[rows], ok[rows], ws[rows]
+            all_ok = ok.all()
+            if not all_ok:
+                xs = np.where(ok, xs, lo + 0.5 * span)
+        # f sees blocks of components, so that its temporaries stay small;
+        # joint components share the integrand's work and go in whole
+        step = act.size if joint else max(1, _BLOCK_CELLS // xs.shape[0])
+        if step >= act.size:
+            fs = np.asarray(f(xs, act), dtype=float)
+        else:
+            fs = np.empty((xs.shape[0], act.size))
+            for j in range(0, act.size, step):
+                fs[:, j:j + step] = f(xs if shared else xs[:, j:j + step], act[j:j + step])
+        good = np.isfinite(fs)
+        dist = np.minimum(xs - lo, hi - xs)
+        if not (all_ok and good.all()):
+            bad = ~good & ok & ~_droppable(xs, lo, hi, span, endpoints)
+            if np.any(bad):   # as in the scalar branch
+                i, j = np.argwhere(bad)[0]
+                x_bad = np.broadcast_to(xs, fs.shape)[i, j]
+                raise NonConvergence(f"integrand non-finite near x={x_bad!r} "
+                                     f"(component {act[j]})")
+            good &= ok
+            fs = np.where(good, fs, 0.0)
+            dist = np.where(good, dist, np.inf)
+        evals += xs.shape[0] * act.size if all_ok else int(np.count_nonzero(ok))
+        running += ws @ fs
+        val = span / (1 << level) * running
+        i = dist.argmin(axis=0)
+        if dist.shape[1] == 1:        # one deepest node for every component
+            node_d, node_f = dist[i[0], 0], np.abs(fs[i[0]])
+        else:
+            cols = np.arange(act.size)
+            node_d, node_f = dist[i, cols], np.abs(fs[i, cols])
+        deeper = node_d < deep_d
+        deep_d = np.where(deeper, node_d, deep_d)
+        deep_f = np.where(deeper, node_f, deep_f)
+        if level >= 1:
+            prev_err, err = err, np.abs(val - prev)
+            stop = _stops(level, err, prev_err, val, tol, abs_tol)
+            if joint:
+                stop[:] = stop.all()
+            if stop.any():
+                done = act[stop]
+                value[done] = val[stop]
+                error[done] = err[stop] + _endpoint_remainder(deep_f[stop], deep_d[stop],
+                                                              endpoints)
+                live = ~stop
+                act, running, val, err, deep_d, deep_f = (
+                    a[live] for a in (act, running, val, err, deep_d, deep_f))
+                if not shared:
+                    lo, hi, span = lo[live], hi[live], span[live]
+                if act.size == 0:
+                    return value, error, evals
+        prev = val
+    loose = _capped(err, val)
+    if np.any(loose):
+        c = int(np.argmax(loose))
+        raise NonConvergence(
+            f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
+            f"(component {act[c]}: last value {val[c]:.6g}, last step {err[c]:.3g})")
+    value[act] = val
+    error[act] = (np.where(np.isinf(err), np.abs(val), 3.0 * err)
+                  + _endpoint_remainder(deep_f, deep_d, endpoints))
+    return value, error, evals
 
 
 def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = None,

@@ -21,12 +21,17 @@ e(x) = E(x)^(1/q) gives the exact
 
 with C1 = int_0^1 v^((b-q)s) (1+v^q)^s dv (the closed form at Y = E = 1)
 and C2(inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv, one cached quadrature
-per sigma.  The bump-weighted correction of zeta_weighted stays on
-quadrature.
+per sigma.
 
 Region pieces, the auxiliary reductions ztilde1/ztilde2 and the proof-level
 G/H/J parts are computed by independent quadratures in scaled variables, so
-the identity checks compare the closed-form Z with quadratures.
+the identity checks compare the closed-form Z with quadratures.  Every
+iterated integral runs through _columns: the inner integrals of one outer
+level (the bump-weighted correction of zeta_weighted, the region columns,
+the 2D reductions) are batched into one vector _tanh_sinh call per piece,
+each column retiring at its own level.  Log-variable inner integrals of the
+region columns are clipped at log r2 - 800/X (_w_floor); below it the
+neglected mass is under e^-800 of the column.
 """
 
 from __future__ import annotations
@@ -104,22 +109,8 @@ def _quad(f, lo, hi, tol, ep=None, cfg=DEFAULT_CONFIG):
     return value, err, ev
 
 
-_GAUSS2 = 0.5 / math.sqrt(3.0)
-
-
-def _quad_narrow(f, lo, hi):
-    """Two-point Gauss rule for smooth integrands on intervals so narrow that
-    abscissa quantization would stall the refinement loop; error O(width^5)."""
-    width = hi - lo
-    mid = 0.5 * (lo + hi)
-    xs = np.asarray([mid - width * _GAUSS2, mid + width * _GAUSS2])
-    vals = f(xs)
-    value = width * 0.5 * float(vals[0] + vals[1])
-    return value, width**3 * abs(value), 2
-
-
 # ---------------------------------------------------------------------------
-# the unweighted inner column in closed form; scaled v- and z-integrals
+# the unweighted inner column in closed form; batched v- and w-integrals
 # ---------------------------------------------------------------------------
 
 #: Relative error bound of one closed-form inner column (_inner_closed) for
@@ -137,28 +128,52 @@ def _inner_rel_err(X: float) -> float:
     return INNER_REL_ERR * max(1.0, 1e-5 / X)
 
 
-def _inner_closed(b: int, q: int, sigma: float, lnT: float, lnE: float) -> float:
+def _inner_closed(b: int, q: int, sigma: float, lnT, lnE):
     """int_0^T v^((b-q)s) (v^q + E)^s dv
         = T^al / al  E^s  2F1(-s, al/q; 1 + al/q; -T^q/E),   al = (b-q)s + 1,
-    (DLMF 15.6.1) from log T and log E; needs q log T - log E <= _FAR."""
+    (DLMF 15.6.1) from log T and log E, elementwise over arrays; needs
+    q log T - log E <= _FAR."""
     al = (b - q) * sigma + 1.0
-    F = hyp2f1(-sigma, al / q, 1.0 + al / q, -math.exp(q * lnT - lnE))
-    return math.exp(al * lnT + sigma * lnE) / al * float(F)
+    F = hyp2f1(-sigma, al / q, 1.0 + al / q, -np.exp(q * lnT - lnE))
+    return np.exp(al * lnT + sigma * lnE) / al * F
 
 
-def _v_integral(params: FamilyParams, sigma: float, s_hi: float,
-                weight: Optional[Callable] = None, tol: float = 1e-12,
-                cfg: NumericConfig = DEFAULT_CONFIG):
-    """int_0^{s_hi} v^((b-q)s) (1+v^q)^s [weight(v)] dv with s_hi <= 1 allowed >1 too."""
+def _v_integrals(params: FamilyParams, sigma: float, s_hi: np.ndarray,
+                 weight: Optional[Callable] = None, tol: float = 1e-12,
+                 cfg: NumericConfig = DEFAULT_CONFIG):
+    """int_0^{s_hi[i]} v^((b-q)s) (1+v^q)^s [weight(v, cols)] dv for every
+    entry of s_hi, as one vector quadrature (components as in _tanh_sinh).
+
+    Returns (values, errors, evaluations)."""
     bq = (params.b - params.q) * sigma
     q = params.q
 
-    def f(vs):
+    def f(vs, cols):
         with np.errstate(divide="ignore"):
             out = np.exp(bq * np.log(vs) + sigma * np.log1p(vs**q))
-        return out * weight(vs) if weight is not None else out
+        return out * weight(vs, cols) if weight is not None else out
 
-    return _quad(f, 0.0, s_hi, tol, EndpointSpec(exponent_lo=bq), cfg)
+    return _tanh_sinh(f, 0.0, s_hi, tol, cfg.max_subdivisions, EndpointSpec(exponent_lo=bq))
+
+
+def _w_integrals(q: int, sigma: float, X: float, lnE: np.ndarray, w_lo: np.ndarray,
+                 w_hi: float, tol: float, cfg: NumericConfig, weight=None):
+    """int_{w_lo[i]}^{w_hi} e^(X w) (1 + E_i e^(-q w))^s [weight(w)] dw for
+    every entry of w_lo (w = log y, log E_i = lnE[i], -inf for no flat term),
+    as one vector quadrature.  Each interval is mapped onto u in (0, 1) by
+    w = w_lo + (w_hi - w_lo) u inside the integrand, so an interval narrow
+    against |w| samples distinct abscissae and needs no special rule.
+
+    Returns (values, errors, evaluations)."""
+    width = w_hi - w_lo
+
+    def f(us, cols):
+        ws = w_lo[cols] + width[cols] * us
+        t = np.exp(np.minimum(lnE[cols] - q * ws, 700.0))
+        out = width[cols] * np.exp(X * ws + sigma * np.log1p(t))
+        return out * weight(ws) if weight is not None else out
+
+    return _tanh_sinh(f, 0.0, np.ones(w_lo.size), tol, cfg.max_subdivisions, EndpointSpec())
 
 
 @lru_cache(maxsize=512)
@@ -227,30 +242,40 @@ def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> 
 # the outer x-integral, shared by every iterated quadrature
 # ---------------------------------------------------------------------------
 
-def _panels(outer, cuts, a_s: float, cfg: NumericConfig):
+def _panels(outer, cuts, a_s: float, cfg: NumericConfig, k: Optional[int] = None):
     """Sum of tanh-sinh integrals of outer over the panels between
     consecutive cuts; the panel at 0 declares the x^(a s) endpoint.
+    outer(xs) gives (n,) values, or with k the (n, k) values of k integrands
+    on the same nodes, which refine jointly (see _tanh_sinh).
 
     Returns (value, error, evaluations)."""
     total, err, evs = 0.0, 0.0, 0
     for lo, hi in zip(cuts, cuts[1:]):
         ep = EndpointSpec(exponent_lo=a_s if lo == 0.0 else 0.0)
-        v, e, ev = _tanh_sinh(outer, lo, hi, cfg.tol_2d, cfg.max_subdivisions, ep)
+        if k is None:
+            v, e, ev = _tanh_sinh(outer, lo, hi, cfg.tol_2d, cfg.max_subdivisions, ep)
+        else:       # joint: every component stays in, and xs is one column
+            v, e, ev = _tanh_sinh(lambda xs, cols: outer(xs[:, 0]), lo, np.full(k, hi),
+                                  cfg.tol_2d, cfg.max_subdivisions, ep, joint=True)
         total, err, evs = total + v, err + e, evs + ev
     return total, err, evs
 
 
 def _columns(params: FamilyParams, column: Callable, cuts, a_s: float,
-             cfg: NumericConfig, *, flat: bool = True, bump: Optional[BumpSpec] = None):
-    """int x^(a s) [phi_x(x)] column(x, log e(x)) dx over (cuts[0], cuts[-1]),
-    split at the cuts.  column gets one abscissa and log e(x) (-inf where e
-    underflows or flat is off) and returns a float or a (k,) row.
+             cfg: NumericConfig, *, flat: bool = True, bump: Optional[BumpSpec] = None,
+             k: Optional[int] = None):
+    """int x^(a s) [phi_x(x)] column(xs, log e(xs)) dx over (cuts[0], cuts[-1]),
+    split at the cuts.  column gets all abscissae of one outer level and
+    their log e(x) (-inf where e underflows or flat is off), and returns a
+    fresh (n,) array of inner integrals: a batched column makes one vector
+    _tanh_sinh call per level, not one call per abscissa.  With k the column
+    returns (n, k) values of k integrands, integrated jointly.
 
     Returns (value, error, outer evaluations); inner evaluations are the
     column's to count."""
     def outer(xs):
         ln_es = _ln_e_arr(params, xs) if flat else np.full_like(xs, -np.inf)
-        out = np.array([column(x, ln_e) for x, ln_e in zip(xs.tolist(), ln_es.tolist())])
+        out = column(xs, ln_es)
         cols = out.T          # a view with x along the last axis, rows or not
         with np.errstate(divide="ignore", over="ignore"):
             cols *= np.exp(a_s * np.log(xs))
@@ -258,7 +283,7 @@ def _columns(params: FamilyParams, column: Callable, cuts, a_s: float,
             cols *= bump_x_profile(bump, xs)
         return out
 
-    return _panels(outer, cuts, a_s, cfg)
+    return _panels(outer, cuts, a_s, cfg, k)
 
 
 def _kink_cuts(params: FamilyParams, lam: float, cfg: NumericConfig):
@@ -290,39 +315,49 @@ def _box_integral(params: FamilyParams, sigma: float, cfg: NumericConfig,
     c2f, c2_err = _c2_full_cached(b, q, sigma, cfg.max_subdivisions) if flat else (0.0, 0.0)
     y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
 
-    def inner_plain(ln_e: float) -> float:
-        """int_0^Y2 y^((b-q)s)(y^q+E)^s dy for one x, weight-free."""
-        if q * (lnY2 - ln_e) <= _FAR:
-            return _inner_closed(b, q, sigma, lnY2, q * ln_e)
+    def inner_plain(ln_es, lnE):
+        """int_0^Y2 y^((b-q)s)(y^q+E)^s dy per column, weight-free."""
+        with np.errstate(over="ignore"):
+            near = q * (lnY2 - ln_es) <= _FAR
+        out = np.empty_like(ln_es)
+        out[near] = _inner_closed(b, q, sigma, lnY2, lnE[near])
         # y = e(x) v: exact main term plus e^X (C1 + C2(S)), C2(S) = C2(inf) here
-        main = math.exp(X * lnY2) * -math.expm1(X * (ln_e - lnY2)) / X
-        return main + math.exp(X * ln_e) * (c1 + c2f)
+        ln_far = ln_es[~near]
+        out[~near] = (math.exp(X * lnY2) * -np.expm1(X * (ln_far - lnY2)) / X
+                      + np.exp(X * ln_far) * (c1 + c2f))
+        return out
 
-    def inner_delta(ln_e: float) -> float:
-        """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy."""
-        total = 0.0
-        e_x = math.exp(max(ln_e, -745.0)) if ln_e > -math.inf else 0.0
-        m = min(e_x, Y2)
-        if m > y_dead:     # scaled piece over (0, m)
-            s_hi = min(1.0, math.exp(lnY2 - ln_e))
-            val, err, ev = _v_integral(params, sigma, s_hi,
-                                       weight=lambda vs: bump_y_increment(bump, e_x * vs),
-                                       tol=mini_tol, cfg=cfg)
-            eX = math.exp(max(X * ln_e, -745.0))
-            total += eX * val
+    def inner_delta(ln_es, lnE):
+        """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy per column:
+        a scaled piece over (0, m) and a log-variable piece over (m, Y2),
+        m = min(e(x), Y2), each one vector quadrature over the columns."""
+        total = np.zeros_like(ln_es)
+        e_x = np.where(ln_es > -np.inf, np.exp(np.maximum(ln_es, -745.0)), 0.0)
+        m = np.minimum(e_x, Y2)
+        sel = m > y_dead
+        if sel.any():      # scaled piece over (0, m), y = e(x) v
+            ln_v, e_v = ln_es[sel], e_x[sel]
+            val, _, ev = _v_integrals(params, sigma, np.minimum(1.0, np.exp(lnY2 - ln_v)),
+                                      lambda vs, cols: bump_y_increment(bump, e_v[cols] * vs),
+                                      mini_tol, cfg)
+            total[sel] += np.exp(np.maximum(X * ln_v, -745.0)) * val
             state["ev"] += ev
-        if m < Y2:         # log-variable piece over (m, Y2)
-            w_lo = max(math.log(m) if m > 0.0 else -math.inf, math.log(y_dead))
-            val, _, ev = _w_piece(params, sigma, X, ln_e, w_lo, lnY2, mini_tol, cfg,
-                                  weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
-            total += val
+        sel = m < Y2
+        if sel.any():      # log-variable piece over (m, Y2)
+            with np.errstate(divide="ignore"):
+                w_lo = np.maximum(np.log(m[sel]), math.log(y_dead))
+            val, _, ev = _w_integrals(q, sigma, X, lnE[sel], w_lo, lnY2, mini_tol, cfg,
+                                      weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
+            total[sel] += val
             state["ev"] += ev
         return total
 
-    def column(x: float, ln_e: float) -> float:
-        v = inner_plain(ln_e)
+    def column(xs, ln_es):
+        with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
+            lnE = q * ln_es
+        v = inner_plain(ln_es, lnE)
         if bump is not None:
-            v += inner_delta(ln_e)
+            v += inner_delta(ln_es, lnE)
         return v
 
     value, err, ev = _columns(params, column, [0.0, Y1], params.a * sigma, cfg,
@@ -332,23 +367,23 @@ def _box_integral(params: FamilyParams, sigma: float, cfg: NumericConfig,
 
 
 def _box_direct(params, sigma, cfg, Y1, Y2, bump, flat):
-    """Plain iterated quadrature, used for sigma >= 0 where nothing is singular."""
+    """Plain iterated quadrature, used for sigma >= 0 where nothing is singular;
+    each outer level's columns are one vector quadrature over (0, Y2)."""
     b, q = params.b, params.q
     ep_y = EndpointSpec(exponent_lo=(b - q) * sigma)
     state = {"ev": 0}
 
-    def column(x: float, ln_e: float) -> float:
-        lnE = q * ln_e
+    def column(xs, ln_es):
+        with np.errstate(over="ignore"):
+            lnE = q * ln_es
 
-        def fy(ys):
+        def fy(ys, cols):
             lny = np.log(ys)
-            core = np.logaddexp(q * lny, lnE) if lnE > -math.inf else q * lny
-            vals = np.exp(sigma * ((b - q) * lny + core))
-            if bump is not None:
-                vals = vals * bump_y_profile(bump, ys)
-            return vals
+            vals = np.exp(sigma * ((b - q) * lny + np.logaddexp(q * lny, lnE[cols])))
+            return vals * bump_y_profile(bump, ys) if bump is not None else vals
 
-        val, _, ev = _quad(fy, 0.0, Y2, cfg.tol_2d / 5.0, ep_y, cfg)
+        val, _, ev = _tanh_sinh(fy, 0.0, np.full(xs.size, Y2), cfg.tol_2d / 5.0,
+                                cfg.max_subdivisions, ep_y)
         state["ev"] += ev
         return val
 
@@ -390,23 +425,14 @@ def zeta_weighted(params: FamilyParams, bump: BumpSpec, sigma: float,
 # region pieces along lambda*y = e(x)
 # ---------------------------------------------------------------------------
 
-def _w_piece(params, sigma, X, ln_e, w_lo, w_hi, tol, cfg, weight=None):
-    """int_{w_lo}^{w_hi} e^(X w) (1 + E e^(-q w))^sigma [weight(w)] dw  (w = log y)."""
-    q = params.q
-    lnE = q * ln_e
-
-    def f(ws):
-        if lnE == -math.inf:
-            out = np.exp(X * ws)
-        else:
-            with np.errstate(over="ignore"):
-                t = np.exp(np.minimum(lnE - q * ws, 700.0))
-            out = np.exp(X * ws + sigma * np.log1p(t))
-        return out * weight(ws) if weight is not None else out
-
-    if w_hi - w_lo < 1e-4:
-        return _quad_narrow(f, w_lo, w_hi)
-    return _quad(f, w_lo, w_hi, tol, cfg=cfg)
+def _w_floor(X: float, lnY2: float) -> float:
+    """Lower clip of the log-variable integrals int^lnY2 e^(X w)(1 + ...)^s dw
+    of the region columns.  For s < 0 the factor (1 + ...)^s is at most 1,
+    so the mass dropped below the clip is at most Y2^X e^-800 / X, under
+    the double range relative to the column.  Without it the interval
+    reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at p = 6), where
+    tanh-sinh stagnates before it resolves the mass next to lnY2."""
+    return lnY2 - 800.0 / X
 
 
 def region_pieces(params: FamilyParams, lam: float, sigma: float,
@@ -414,35 +440,40 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
                   with_parts: bool = False) -> DecompositionTrace:
     """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)},
     plus the auxiliary integrals ztilde1/ztilde2; optionally the proof-level
-    G/H/J parts matching the current regime."""
+    G/H/J parts matching the current regime.  Each outer level's z1 and z2
+    columns are batched into one vector quadrature apiece."""
     X = _check_window(params, sigma)
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
+    q = params.q
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
+    w_floor = _w_floor(X, lnY2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
 
     # inner scaled integral over the full unclipped slice, shared by all columns
-    v_unclipped, _, _ = _v_integral(params, sigma, 1.0 / lam, tol=mini_tol, cfg=cfg)
+    v_unclipped = _v_integrals(params, sigma, np.array([1.0 / lam]), tol=mini_tol, cfg=cfg)[0]
 
-    def z2_inner(x: float, ln_e: float) -> float:
-        if ln_e == -math.inf:
-            return 0.0
-        eX = math.exp(max(X * ln_e, -745.0))
-        if eX == 0.0:
-            return 0.0
-        ln_c = ln_e - ln_lam
-        if ln_c <= lnY2:
-            return eX * v_unclipped
-        val, _, _ = _v_integral(params, sigma, math.exp(lnY2 - ln_e), tol=mini_tol, cfg=cfg)
-        return eX * val
+    def z2_inner(xs, ln_es):
+        eX = np.where(ln_es > -np.inf, np.exp(np.maximum(X * ln_es, -745.0)), 0.0)
+        v = np.full_like(ln_es, v_unclipped[0])
+        clip = ln_es - ln_lam > lnY2       # the slice e(x)/lambda leaves the box
+        if clip.any():
+            v[clip] = _v_integrals(params, sigma, np.exp(lnY2 - ln_es[clip]),
+                                   tol=mini_tol, cfg=cfg)[0]
+        return eX * v
 
-    def z1_inner(x: float, ln_e: float) -> float:
-        if ln_e == -math.inf:
-            return math.exp(X * lnY2) / X
-        ln_m = min(ln_e - ln_lam, lnY2)
-        if ln_m >= lnY2:
-            return 0.0
-        return _w_piece(params, sigma, X, ln_e, ln_m, lnY2, mini_tol, cfg)[0]
+    def z1_inner(xs, ln_es):
+        out = np.full_like(ln_es, math.exp(X * lnY2) / X)    # flat term dead
+        live = ln_es > -np.inf
+        ln_m = np.minimum(ln_es - ln_lam, lnY2)
+        out[live & (ln_m >= lnY2)] = 0.0
+        sel = live & (ln_m < lnY2)
+        if sel.any():
+            with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
+                lnE = q * ln_es[sel]
+            out[sel] = _w_integrals(q, sigma, X, lnE, np.maximum(ln_m[sel], w_floor), lnY2,
+                                    mini_tol, cfg)[0]
+        return out
 
     cuts = _kink_cuts(params, lam, cfg)
     z1, e1, _ = _columns(params, z1_inner, cuts, params.a * sigma, cfg)
@@ -541,16 +572,17 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
-    ep_y = EndpointSpec(exponent_lo=X - 1.0)
+    w_floor = _w_floor(X, lnY2)
 
-    def column(x: float, ln_e: float) -> float:
-        if ln_e == -math.inf:
-            return _quad(lambda ys: np.exp((X - 1.0) * np.log(ys)), 0.0, params.r2,
-                         cfg.tol_2d / 5.0, ep_y, cfg)[0]
-        ln_c = ln_e - ln_lam
-        if ln_c >= lnY2:
-            return 0.0
-        return _w_piece(params, sigma, X, -math.inf, ln_c, lnY2, cfg.tol_2d / 5.0, cfg)[0]
+    def column(xs, ln_es):
+        out = np.zeros_like(ln_es)
+        ln_c = ln_es - ln_lam
+        sel = ln_c < lnY2
+        if sel.any():     # int_c^r2 y^(X-1) dy in w = log y, c = e(x)/lambda
+            out[sel] = _w_integrals(params.q, sigma, X, np.full(np.count_nonzero(sel), -np.inf),
+                                    np.maximum(ln_c[sel], w_floor), lnY2,
+                                    cfg.tol_2d / 5.0, cfg)[0]
+        return out
 
     return _columns(params, column, _kink_cuts(params, lam, cfg), params.a * sigma, cfg)[0]
 
@@ -704,34 +736,42 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
                            flat: bool = True) -> np.ndarray:
     """D_0(s), ..., D_J(s) over the plane (4x quadrant) as one array, from a
     single iterated quadrature whose integrands are the J + 1 columns
-    |f|^s (log|f|)^j phi on shared nodes; refinement stops once every
-    moment has converged.  Requires |f| < 1 on the support, so that
+    |f|^s (log|f|)^j phi on shared nodes.  Inner and outer quadratures are
+    joint vector calls over the J + 1 moments (see _tanh_sinh): refinement
+    stops once every moment has converged.  The abscissae of an outer level
+    are looped over here: batching them as well would need
+    (n_y, n_x, J + 1) arrays.  Requires |f| < 1 on the support, so that
     sign(D_j) = (-1)^j."""
     J = _check_log_moments(params, bump, s, J, flat)
     a, b, q = params.a, params.b, params.q
     # where E(x) is far below y^q the integrand goes as y^(b s) (log|f|)^j
     ep_y = EndpointSpec(exponent_lo=b * s if s < 0 else 0.0)
 
-    def column(x: float, ln_e: float) -> np.ndarray:
+    def moments(x: float, ln_e: float) -> np.ndarray:
         lnE, lnx = q * ln_e, math.log(x)
 
-        def fy(ys):
-            lny = np.log(ys)
+        def fy(ys, cols):      # joint: cols is every moment, and ys one column
+            lny = np.log(ys[:, 0])
             core = np.logaddexp(q * lny, lnE) if lnE > -math.inf else q * lny
             ln_fy = (b - q) * lny + core          # log|f| - a log x
             # the powers may overflow at the deepest nodes next to a singular
             # endpoint; _tanh_sinh drops those nodes
             with np.errstate(over="ignore", invalid="ignore"):
-                cols = np.vander(a * lnx + ln_fy, J + 1, increasing=True)   # (log|f|)^j
-                cols *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys))[:, None]
-            return cols
+                pows = np.vander(a * lnx + ln_fy, J + 1, increasing=True)   # (log|f|)^j
+                pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0]))[:, None]
+            return pows
 
-        return _quad(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y, cfg)[0]
+        return _tanh_sinh(fy, 0.0, np.full(J + 1, bump.R2), cfg.tol_2d / 5.0,
+                          cfg.max_subdivisions, ep_y, joint=True)[0]
+
+    def column(xs, ln_es):
+        return np.array([moments(x, ln_e) for x, ln_e in zip(xs.tolist(), ln_es.tolist())])
 
     # x^(a s) is kept out of fy: where it falls below the normal range the
     # inner values would carry its rounding noise, and refinement would
     # chase that noise to the level cap
-    vals, _, _ = _columns(params, column, [0.0, bump.R1], a * s, cfg, flat=flat, bump=bump)
+    vals, _, _ = _columns(params, column, [0.0, bump.R1], a * s, cfg, flat=flat, bump=bump,
+                          k=J + 1)
     return 4.0 * vals
 
 

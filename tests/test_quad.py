@@ -7,6 +7,7 @@ import pytest
 
 from flatzeta.errors import DomainError, EnvelopeViolation, NonConvergence
 from flatzeta.quad import (
+    _BLOCK_CELLS,
     EndpointSpec,
     _tanh_sinh,
     integrate_1d,
@@ -82,40 +83,132 @@ def test_error_estimate_honesty():
     assert good / total >= 0.95
 
 
-def _columns(x):
-    """Four integrands sharing the x^(-1/2) endpoint at 0, as an (n, 4) matrix."""
+EPS = np.finfo(float).eps
+
+# Four integrands sharing the x^(-1/2) endpoint at 0, component c on the
+# interval (0, HI[c]); the first and third integrate to 2 sqrt(h) and
+# 2 sqrt(h) (log(h)^2 - 4 log(h) + 8).
+HI = np.array([1.0, 2.0, 0.5, 3.0])
+
+
+def _integrands(x):
     r = x**-0.5
-    return np.column_stack([r, r * np.exp(x), r * np.log(x) ** 2, r * np.cos(3.0 * x)])
+    return np.stack([r, r * np.exp(x), r * np.log(x) ** 2, r * np.cos(3.0 * x)], axis=-1)
+
+
+def _vector(xs, cols):
+    """The (n, m) values of the components cols at their own abscissae
+    (one shared column of abscissae when the intervals are the same)."""
+    xs = np.broadcast_to(xs, (xs.shape[0], len(cols)))
+    return np.stack([_integrands(xs[:, i])[:, c] for i, c in enumerate(cols)], axis=1)
+
+
+def test_tanh_sinh_vector_per_component_intervals():
+    spec = EndpointSpec(exponent_lo=-0.5)
+    values, errors, _ = _tanh_sinh(_vector, 0.0, HI, 1e-12, 12, spec)
+    assert values.shape == errors.shape == (4,)
+    h = HI[[0, 2]]
+    lh = np.log(h[1])
+    exact = [2.0 * np.sqrt(h[0]), 2.0 * np.sqrt(h[1]) * (lh**2 - 4.0 * lh + 8.0)]
+    assert values[[0, 2]] == pytest.approx(exact, rel=1e-12)
+    # both ends per component: int_lo^hi e^x dx
+    lo = np.array([-1.0, 0.5, 1.0, 2.0])
+    shifted, _, _ = _tanh_sinh(lambda xs, cols: np.exp(xs), lo, lo + HI, 1e-12, 12)
+    assert shifted == pytest.approx(np.exp(lo + HI) - np.exp(lo), rel=1e-13)
 
 
 def test_tanh_sinh_vector_matches_scalar_calls():
+    # each component retires where a scalar call on it alone stops, so it
+    # returns that call's value and error up to the rounding of the sums;
+    # only the components still refining are evaluated and counted
     spec = EndpointSpec(exponent_lo=-0.5)
-    for tol in (1e-6, 1e-10):
-        values, errors, evals = _tanh_sinh(_columns, 0.0, 1.0, tol, 12, spec)
-        assert values.shape == errors.shape == (4,)
+    for tol in (1e-6, 1e-10, 1e-13):
+        values, errors, evals = _tanh_sinh(_vector, 0.0, HI, tol, 12, spec)
+        total = 0
         for c in range(4):
-            v, e, ev = _tanh_sinh(lambda x: _columns(x)[:, c], 0.0, 1.0, tol, 12, spec)
-            assert values[c] == pytest.approx(v, rel=1e-12)
-            # the vector loop stops no earlier than any component would alone;
-            # allow for the rounding of the two running sums
-            assert errors[c] >= e - 4.0 * np.finfo(float).eps * abs(v)
-            assert evals >= ev
+            v, e, ev = _tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, HI[c], tol, 12, spec)
+            assert abs(values[c] - v) <= 4.0 * EPS * abs(v)
+            assert abs(errors[c] - e) <= 4.0 * EPS * abs(v)
+            total += ev
+        assert evals == total
+
+
+def test_tanh_sinh_vector_wide_levels_in_blocks():
+    # 1024 components: f gets blocks of at most _BLOCK_CELLS values, and
+    # every component still returns its scalar call's result
+    spec = EndpointSpec(exponent_lo=-0.5)
+    hi = np.tile(HI, 256)
+    cells = []
+
+    def f(xs, cols):
+        cells.append(xs.shape[0] * len(cols))
+        return _vector(xs, cols % 4)
+
+    values, errors, _ = _tanh_sinh(f, 0.0, hi, 1e-13, 12, spec)
+    assert max(cells) > _BLOCK_CELLS // 2 and max(cells) <= _BLOCK_CELLS
+    for c in range(4):
+        v, e, _ = _tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, HI[c], 1e-13, 12, spec)
+        assert np.all(np.abs(values[c::4] - v) <= 4.0 * EPS * abs(v))
+        assert np.all(np.abs(errors[c::4] - e) <= 4.0 * EPS * abs(v))
+
+
+def test_tanh_sinh_vector_evaluates_active_components_only():
+    seen = []
+
+    def f(xs, cols):
+        seen.append(cols.copy())
+        return np.stack([np.ones(xs.shape[0]), np.sin(40.0 * xs[:, 0]) + 2.0], axis=1)[:, cols]
+
+    values, _, evals = _tanh_sinh(f, 0.0, np.array([1.0, 1.0]), 1e-12, 12)
+    assert values[0] == pytest.approx(1.0, rel=1e-14)
+    assert values[1] == pytest.approx(2.0 + (1.0 - math.cos(40.0)) / 40.0, rel=1e-11)
+    # the constant retires first, after which f sees the other component only
+    assert seen[0].tolist() == [0, 1] and seen[-1].tolist() == [1]
+    _, _, ev0 = _tanh_sinh(lambda x: np.ones_like(x), 0.0, 1.0, 1e-12, 12)
+    _, _, ev1 = _tanh_sinh(lambda x: np.sin(40.0 * x) + 2.0, 0.0, 1.0, 1e-12, 12)
+    assert evals == ev0 + ev1
+
+
+def test_tanh_sinh_vector_cap_names_the_stuck_component():
+    def f(xs, cols):
+        with np.errstate(over="ignore", invalid="ignore"):
+            wild = np.sin(1e6 / xs[:, 0]) / xs[:, 0]
+        return np.stack([wild, np.exp(xs[:, 0])], axis=1)[:, cols]
+
+    with pytest.raises(NonConvergence, match="component 0"):
+        _tanh_sinh(f, 0.0, np.array([1.0, 1.0]), 1e-13, 5)
+    # the smooth component alone converges within the same cap
+    value, _, _ = _tanh_sinh(lambda xs, cols: np.exp(xs), 0.0, np.array([1.0]), 1e-13, 5)
+    assert value[0] == pytest.approx(math.e - 1.0, rel=1e-13)
 
 
 def test_tanh_sinh_vector_nonfinite():
     spec = EndpointSpec(exponent_lo=-0.5)
 
-    def away(x):   # NaN in one component at the midpoint, far from 0
-        return np.column_stack([x**-0.5, np.where(np.abs(x - 0.5) < 0.1, np.nan, x)])
+    def away(xs, cols):   # NaN in one component at the midpoint, far from 0
+        x = xs[:, 0]
+        return np.stack([x**-0.5, np.where(np.abs(x - 0.5) < 0.1, np.nan, x)], axis=1)[:, cols]
 
-    with pytest.raises(NonConvergence):
-        _tanh_sinh(away, 0.0, 1.0, 1e-10, 12, spec)
+    with pytest.raises(NonConvergence, match="component 1"):
+        _tanh_sinh(away, 0.0, np.array([1.0, 1.0]), 1e-10, 12, spec)
 
-    def at_endpoint(x):   # overflow at the declared singular endpoint is dropped
-        return np.column_stack([np.where(x < 1e-200, np.inf, x**-0.5), np.ones_like(x)])
+    def at_endpoint(xs, cols):   # overflow at the declared singular endpoint is dropped
+        x = xs[:, 0]
+        return np.stack([np.where(x < 1e-200, np.inf, x**-0.5), np.ones_like(x)], axis=1)[:, cols]
 
-    values, errors, _ = _tanh_sinh(at_endpoint, 0.0, 1.0, 1e-10, 12, spec)
+    values, errors, _ = _tanh_sinh(at_endpoint, 0.0, np.array([1.0, 1.0]), 1e-10, 12, spec)
     assert values == pytest.approx([2.0, 1.0], rel=1e-9)
+    assert np.all(errors >= 0.0)
+
+
+def test_tanh_sinh_joint_components_stop_together():
+    spec = EndpointSpec(exponent_lo=-0.5)
+    values, errors, evals = _tanh_sinh(_vector, 0.0, np.ones(4), 1e-10, 12, spec, joint=True)
+    alone = [_tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, 1.0, 1e-10, 12, spec)
+             for c in range(4)]
+    # one shared stopping level, at least as deep as each component's own
+    assert evals % 4 == 0 and evals >= 4 * max(ev for _, _, ev in alone)
+    assert values == pytest.approx([v for v, _, _ in alone], rel=1e-9)
     assert np.all(errors >= 0.0)
 
 

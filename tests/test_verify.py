@@ -2,6 +2,7 @@
 canonical parameter sets, gates fire on wrong input."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,17 @@ def test_decompositions_presets():
         rep = verify_decompositions(PRESETS[name], 1.0, -0.49, CFG)
         assert rep.passed, rep
         assert rep.observed < 1e-5
+
+
+@pytest.mark.parametrize("a, b, q, p", [(5, 6, 4, 6), (5, 6, 2, 6), (4, 5, 2, 5)])
+def test_decompositions_strong_outer_singularity(a, b, q, p):
+    # a/b >= 0.8 with large p: the region columns lost up to 1e-3 of Z
+    # before the log-variable integrals were clipped; no numpy warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_decompositions(FamilyParams(a, b, q, Fraction(p)), 1.0, -0.98 / b, CFG)
+    assert rep.passed, rep
+    assert rep.tolerance == 1e-5
 
 
 def test_psi_and_flat_suite():

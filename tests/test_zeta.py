@@ -21,6 +21,7 @@ from flatzeta.errors import (
 from flatzeta.funcs import BumpSpec, E_flat
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS
 from flatzeta.quad import EndpointSpec, integrate_1d
+import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     _c2_full_cached,
     _inner_closed,
@@ -53,6 +54,15 @@ ORACLE_ZT2_CRIT_L4_049 = 0.11413806470507014
 ORACLE_W_SUP_049 = 26.791796839804343
 ORACLE_W_CRIT_X2M8 = 10.095046683202458
 ORACLE_Z_GREEN_045 = 1.3496269881465771
+# Z(-0.98/6) at (a,b,q,p) = (5,6,4,6): mpmath at 30 digits, the monomial
+# integral minus int x^(a s) (lim - inner(x)) dx with the closed-form inner
+ORACLE_Z_5646 = 230.899148425969296
+# tests/oracle_gen4.py (mpmath, 30 and 40 digits agree to 7e-31): z1 and z2
+# at lambda = 1, sigma = -0.98/b, r1 = r2 = 1/2
+ORACLE_Z1_Z2 = {
+    (5, 6, 4, 6): (230.71981734912613696, 0.17933107684338404357),
+    (4, 5, 2, 5): (189.39281881502831239, 0.33786652067315064151),
+}
 
 # tests/oracle_inner.py (mpmath, 40 digits, cross-checked by quadrature):
 # (b, q, X, log T, log E, int_0^T v^((b-q)s) (v^q + E)^s dv) with s = (X-1)/b
@@ -303,6 +313,49 @@ def test_region_pieces_additivity_and_sandwich():
             assert lo1 - eps <= tr.z1 <= tr.ztilde1 + eps
             assert lo2 - eps <= tr.z2 <= tr.ztilde2 + eps
             assert lo1 + lo2 - eps <= z.value <= tr.ztilde1 + tr.ztilde2 + eps
+
+
+def test_region_pieces_strong_outer_singularity_against_oracle():
+    # a s near -1 with the flat term alive only near the box edge: the z1
+    # columns' log-variable integrals would reach down to log e(x) ~ -1e15
+    # without the clip at log Y2 - 800/X, and lost 4.2e-4 of Z there
+    p = FamilyParams(5, 6, 4, Fraction(6))
+    for lam in (0.25, 1.0, 4.0):
+        tr = region_pieces(p, lam, -0.98 / 6, CFG)
+        assert abs(tr.z1 + tr.z2 - ORACLE_Z_5646) <= 1e-10 * ORACLE_Z_5646
+    assert zeta_quadrant(p, -0.98 / 6, CFG).value == pytest.approx(ORACLE_Z_5646, rel=1e-10)
+
+
+@pytest.mark.parametrize("fam", sorted(ORACLE_Z1_Z2))
+def test_region_pieces_separately_against_oracle(fam):
+    a, b, q, p = fam
+    z1, z2 = ORACLE_Z1_Z2[fam]
+    tr = region_pieces(FamilyParams(a, b, q, Fraction(p)), 1.0, -0.98 / b, CFG)
+    assert tr.z1 == pytest.approx(z1, rel=1e-10)
+    assert tr.z2 == pytest.approx(z2, rel=1e-10)
+
+
+def test_zeta_weighted_batches_inner_columns(monkeypatch):
+    # the inner integrals of one outer level are a few vector calls (the
+    # bump's scaled and log-variable pieces), not one call per abscissa
+    count = {"levels": 0, "inner": 0}
+    real_tanh_sinh, real_ln_e = zeta_mod._tanh_sinh, zeta_mod._ln_e_arr
+
+    def tanh_sinh(*args, **kwargs):
+        count["inner"] += count["levels"] > 0     # calls from inside a level
+        return real_tanh_sinh(*args, **kwargs)
+
+    def ln_e(*args):
+        count["levels"] += 1                      # once per outer level
+        return real_ln_e(*args)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    monkeypatch.setattr(zeta_mod, "_ln_e_arr", ln_e)
+    X = 2.0 ** -8
+    zw = zeta_weighted(CRIT, BumpSpec(0.5, 0.5), (X - 1.0) / 2.0, CFG)
+    assert zw.value == pytest.approx(ORACLE_W_CRIT_X2M8, rel=1e-9)
+    assert count["levels"] >= 3
+    assert count["inner"] <= 3 * count["levels"]
 
 
 def test_region_pieces_flat_dead():
