@@ -8,9 +8,10 @@ exponent-dependent substitutions are needed.  Two entry points:
     integrate_tail     semi-infinite tail with a caller-certified envelope
 
 Integrands are called with numpy arrays of abscissae and must return arrays
-of the same length.  Iterated 2D integrals are built in flatzeta.zeta on the
-refinement loop `_tanh_sinh`, whose vector calls integrate all inner columns
-of one outer level at once, each column retiring at its own level.
+of the same length.  Both run on the one refinement loop `_tanh_sinh`, on one
+interval per call.  Iterated 2D integrals are built on it in flatzeta.zeta:
+its vector calls integrate all inner columns of one outer level at once on
+a shared interval, each column retiring at its own level.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _T_MAX = 6.1
 #: abscissa would round onto the singular endpoint itself).
 _OFF_MIN = 1e-305
 
-_LEVEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_LEVEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 #: Most (node, component) values one integrand call of a vector _tanh_sinh
 #: computes; wider levels are evaluated in blocks of components.
 _BLOCK_CELLS = 1 << 14
@@ -41,7 +42,7 @@ _BLOCK_CELLS = 1 << 14
 def _level_nodes(level: int):
     """New trapezoid nodes introduced at refinement level `level`.
 
-    Returns (t, off, w) with off the distance of the mapped abscissa from the
+    Returns (off, w) with off the distance of the mapped abscissa from the
     nearer endpoint of the unit interval and w the map derivative dg/dt, both
     evaluated in underflow-safe form.  Level 0 holds t = 0, 1, 2, ...; level
     L >= 1 holds the odd multiples of 2^-L.
@@ -59,17 +60,19 @@ def _level_nodes(level: int):
     off = em / (1.0 + em)                      # (1 - tanh u)/2, no cancellation
     w = _PI_2 * np.cosh(ts) * 2.0 * em / (1.0 + em) ** 2   # dg/dt = (pi/4) cosh t sech^2 u
     keep = (off > _OFF_MIN) & (w > 0.0) & np.isfinite(w)
-    entry = (ts[keep], off[keep], w[keep])
+    entry = (off[keep], w[keep])
     _LEVEL_CACHE[level] = entry
     return entry
 
 
 @lru_cache(maxsize=64)
 def _nodes(level: int, lo: float, hi: float):
-    """Abscissae and weights of the nodes refinement level `level` adds on
-    (lo, hi), without those that round onto an endpoint; read-only, as
-    calls on the same interval share them."""
-    _, off, w = _level_nodes(level)
+    """The nodes refinement level `level` adds on (lo, hi), without those
+    that round onto an endpoint: abscissae, weights, distances from the
+    nearer endpoint, and the index and distance of the deepest node (inf
+    on an empty level).  Read-only, as calls on the same interval share
+    them."""
+    off, w = _level_nodes(level)
     first = 1 if level == 0 else 0      # t = 0 maps to the midpoint, once
     span = hi - lo
     x_left = lo + span * off
@@ -78,8 +81,12 @@ def _nodes(level: int, lo: float, hi: float):
     ok_r = x_right < hi
     xs = np.concatenate([x_left[ok_l], x_right[ok_r]])
     ws = np.concatenate([w[ok_l], w[first:][ok_r]])
-    xs.flags.writeable = ws.flags.writeable = False
-    return xs, ws
+    dist = np.minimum(xs - lo, hi - xs)
+    xs.flags.writeable = ws.flags.writeable = dist.flags.writeable = False
+    if not dist.size:
+        return xs, ws, dist, 0, math.inf
+    i = int(np.argmin(dist))
+    return xs, ws, dist, i, float(dist[i])
 
 
 @dataclass(frozen=True)
@@ -116,11 +123,12 @@ def _endpoint_remainder(deep_f, deep_d, endpoints: Optional[EndpointSpec]):
     return deep_f * np.where(np.isfinite(deep_d), deep_d, 0.0) / (1.0 + beta)
 
 
-def _droppable(xs, lo, hi, span, endpoints: Optional[EndpointSpec]):
+def _droppable(xs, lo, hi, endpoints: Optional[EndpointSpec]):
     """Nodes next to a declared singular endpoint, where a non-finite value
     is an overflow of an integrable singularity rather than a failure."""
     out = np.zeros(xs.shape, dtype=bool)
     if endpoints is not None:
+        span = hi - lo
         if endpoints.exponent_lo < 0.0:
             out |= (xs - lo) < 1e-100 * span
         if endpoints.exponent_hi < 0.0:
@@ -129,16 +137,14 @@ def _droppable(xs, lo, hi, span, endpoints: Optional[EndpointSpec]):
 
 
 def _stops(level: int, err, prev_err, value, tol: float, abs_tol: float):
-    """The stopping rules of one refinement level, elementwise.
+    """The stopping rules of one refinement level >= 2, elementwise.
 
-    From level 2 the step |value - previous value| must meet tol (relative)
-    or abs_tol.  From level 4 a stagnating step is also accepted: refinement
-    stopped helping (the step shrank by less than 4x) while it sits at a
-    small relative floor.  This happens when part of the mass lies below the
+    The step |value - previous value| must meet tol (relative) or abs_tol.
+    From level 4 a stagnating step is also accepted: refinement stopped
+    helping (the step shrank by less than 4x) while it sits at a small
+    relative floor.  This happens when part of the mass lies below the
     double-precision representability limit; the floor is then the error.
     """
-    if level < 2:
-        return np.zeros(np.shape(err), dtype=bool)
     scale = np.maximum(abs(value), 1e-300)
     met = (err <= tol * scale) | (err <= abs_tol)
     if level >= 4:
@@ -154,27 +160,25 @@ def _capped(err, value):
     return ~(err <= 1e-2 * np.maximum(abs(value), 1e-300))
 
 
-def _tanh_sinh(f, lo, hi, tol: float, max_levels: int,
+def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
                endpoints: Optional[EndpointSpec] = None, abs_tol: float = 0.0, *,
-               joint: bool = False):
-    """Core refinement loop on finite intervals.  Returns (value, error,
-    evaluations).
+               k: Optional[int] = None, joint: bool = False):
+    """Core refinement loop on the finite interval (lo, hi).  Returns
+    (value, error, evaluations).
 
-    Scalar call: lo and hi are floats and f(xs) maps an (n,) array of
-    abscissae in (lo, hi) to (n,) values; value and error are floats.
+    Scalar call (k=None): f(xs) maps an (n,) array of abscissae in (lo, hi)
+    to (n,) values; value and error are floats.
 
-    Vector call: lo or hi is an array, and the call integrates k components,
-    component i over its own interval (lo[i], hi[i]) (the two broadcast to
-    (k,)).  Each level's trapezoid nodes on (0, 1) are mapped onto every
-    interval, and f(xs, cols) receives the (n, m) abscissa matrix of the m
-    components still refining, with cols their indices, and returns (n, m)
-    values; when every component has the same interval, xs is one (n, 1)
-    column that broadcasts against them.  Each component retires at the
-    level where a scalar call on it alone would stop, under the same rules
-    (_stops, the 1% cap, the endpoint remainder), so it returns that call's
-    value and error; only the abscissae of components still refining are
-    evaluated and counted.  A component that fails at the cap raises
-    NonConvergence naming it.
+    Vector call: the call integrates k components over (lo, hi) on shared
+    nodes.  f(xs, cols) receives one (n, 1) column of abscissae and the
+    indices cols of the m components still refining, and returns (n, m)
+    values, in blocks of at most _BLOCK_CELLS values; value and error are
+    (k,) arrays.  Each component retires at the level where a scalar call
+    on it alone would stop, under the same rules (_stops, the 1% cap, the
+    endpoint remainder), so it returns that call's value and error; only
+    the components still refining are evaluated and counted.  A component
+    that fails at the cap raises NonConvergence naming it.  Callers map
+    intervals that differ per component onto one shared interval inside f.
 
     joint=True instead stops every component at the first level where all
     of them meet a rule.  It suits components that are moments of one
@@ -182,133 +186,67 @@ def _tanh_sinh(f, lo, hi, tol: float, max_levels: int,
     all of the cost, so an early retirement saves little, while the extra
     levels make the fast components more accurate.
     """
-    if np.ndim(lo) or np.ndim(hi):
-        return _tanh_sinh_vec(f, lo, hi, tol, max_levels, endpoints, abs_tol, joint)
     span = hi - lo
-    running = 0.0            # sum of w * f over all retained nodes so far
-    evals = 0
-    prev = None
-    err = math.inf
-    prev_err = math.inf
-    value = 0.0
-    deep_d = math.inf        # distance and |f| of the deepest sampled node,
-    deep_f = 0.0             # used below for the endpoint remainder bound
-    for level in range(max_levels + 1):
-        xs, ws = _nodes(level, lo, hi)
-        fs = np.asarray(f(xs), dtype=float)
-        finite = np.isfinite(fs)
-        if not np.all(finite):
-            # A declared integrable endpoint singularity may overflow pointwise
-            # at the deepest nodes even though its weighted contribution is
-            # negligible; drop those nodes (the unresolved-mass bound below
-            # accounts for them).  Anything non-finite away from a declared
-            # singular endpoint is a real failure.
-            bad = ~finite & ~_droppable(xs, lo, hi, span, endpoints)
-            if np.any(bad):
-                raise NonConvergence(f"integrand non-finite near x={xs[bad][:3].tolist()}")
-            fs = np.where(finite, fs, 0.0)
-        evals += xs.size
-        running += float(np.dot(ws, fs))
-        value = span / (1 << level) * running
-        if np.any(finite):
-            dist = np.where(finite, np.minimum(xs - lo, hi - xs), np.inf)
-            i = int(np.argmin(dist))
-            if dist[i] < deep_d:
-                deep_d, deep_f = float(dist[i]), abs(float(fs[i]))
-        if prev is not None:
-            prev_err, err = err, abs(value - prev)
-            if _stops(level, err, prev_err, value, tol, abs_tol):
-                break
-        prev = value
-    else:
-        if _capped(err, value):
-            raise NonConvergence(
-                f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
-                f"(last value {value:.6g}, last step {err:.3g})")
-        err *= 3.0
-    if err == math.inf:
-        err = abs(value)
-    return value, float(err + _endpoint_remainder(deep_f, deep_d, endpoints)), evals
-
-
-def _tanh_sinh_vec(f, lo, hi, tol, max_levels, endpoints, abs_tol, joint):
-    """The vector call of _tanh_sinh; see there."""
-    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
-    k = lo.size
-    # components on one shared interval share one column of abscissae
-    shared = bool(np.all(lo == lo[0]) and np.all(hi == hi[0]))
-    if shared:
-        lo, hi = lo[:1], hi[:1]
-    span = hi - lo
-    value = np.zeros(k)         # results, filled in as components retire
-    error = np.zeros(k)
+    n_comp = 1 if k is None else k
+    value = np.zeros(n_comp)    # results, filled in as components retire
+    error = np.zeros(n_comp)
     evals = 0
     # state of the components still refining, compacted as they retire
-    act = np.arange(k)
-    running = np.zeros(k)
-    prev = err = np.full(k, np.inf)
-    deep_d = np.full(k, np.inf)     # distance and |f| of each component's
-    deep_f = np.zeros(k)            # deepest finite node, as in the scalar branch
+    act = np.arange(n_comp)
+    running = np.zeros(n_comp)  # sum of w * f over all retained nodes so far
+    err = np.full(n_comp, np.inf)
+    deep_d = np.full(n_comp, np.inf)    # distance and |f| of each component's
+    deep_f = np.zeros(n_comp)           # deepest finite node, for the remainder
     for level in range(max_levels + 1):
-        if shared:
-            xs, ws = _nodes(level, lo[0], hi[0])
-            xs, ok, all_ok = xs[:, None], True, True
+        xs, ws, dist, i, d = _nodes(level, lo, hi)
+        if k is None:
+            fs = np.asarray(f(xs), dtype=float)[:, None]
         else:
-            _, off, w = _level_nodes(level)
-            right = slice(1, None) if level == 0 else slice(None)   # t = 0 only once
-            nl = off.size
-            d = np.concatenate([off, off[right]])[:, None] * span
-            ws = np.concatenate([w, w[right]])
-            xs = np.concatenate([lo + d[:nl], hi - d[nl:]])
-            ok = np.concatenate([xs[:nl] > lo, xs[nl:] < hi])
-            all_ok = ok.all()
-        if not all_ok:
-            # a node that rounds onto its endpoint is skipped, as in _nodes:
-            # its row goes if no component keeps it, and is otherwise moved
-            # to the midpoint and weighted out below
-            rows = ok.any(axis=1)
-            xs, ok, ws = xs[rows], ok[rows], ws[rows]
-            all_ok = ok.all()
-            if not all_ok:
-                xs = np.where(ok, xs, lo + 0.5 * span)
-        # f sees blocks of components, so that its temporaries stay small;
-        # joint components share the integrand's work and go in whole
-        step = act.size if joint else max(1, _BLOCK_CELLS // xs.shape[0])
-        if step >= act.size:
-            fs = np.asarray(f(xs, act), dtype=float)
-        else:
-            fs = np.empty((xs.shape[0], act.size))
-            for j in range(0, act.size, step):
-                fs[:, j:j + step] = f(xs if shared else xs[:, j:j + step], act[j:j + step])
+            # f sees blocks of components, so that its temporaries stay small;
+            # joint components share the integrand's work and go in whole
+            col = xs[:, None]
+            step = act.size if joint else max(1, _BLOCK_CELLS // xs.size)
+            if step >= act.size:
+                fs = np.asarray(f(col, act), dtype=float)
+            else:
+                fs = np.empty((xs.size, act.size))
+                for j in range(0, act.size, step):
+                    fs[:, j:j + step] = f(col, act[j:j + step])
         good = np.isfinite(fs)
-        dist = np.minimum(xs - lo, hi - xs)
-        if not (all_ok and good.all()):
-            bad = ~good & ok & ~_droppable(xs, lo, hi, span, endpoints)
-            if np.any(bad):   # as in the scalar branch
-                i, j = np.argwhere(bad)[0]
-                x_bad = np.broadcast_to(xs, fs.shape)[i, j]
-                raise NonConvergence(f"integrand non-finite near x={x_bad!r} "
-                                     f"(component {act[j]})")
-            good &= ok
+        if good.all():
+            if d < deep_d.max():        # this level samples deeper
+                deeper = d < deep_d
+                deep_d = np.where(deeper, d, deep_d)
+                deep_f = np.where(deeper, np.abs(fs[i]), deep_f)
+        else:
+            # A declared integrable endpoint singularity may overflow pointwise
+            # at the deepest nodes even though its weighted contribution is
+            # negligible; drop those nodes (the endpoint remainder accounts for
+            # them).  Anything non-finite away from a declared singular
+            # endpoint is a real failure.
+            bad = ~good & ~_droppable(xs, lo, hi, endpoints)[:, None]
+            if bad.any():
+                r, c = np.argwhere(bad)[0]
+                which = "" if k is None else f" (component {act[c]})"
+                raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r}{which}")
             fs = np.where(good, fs, 0.0)
-            dist = np.where(good, dist, np.inf)
-        evals += xs.shape[0] * act.size if all_ok else int(np.count_nonzero(ok))
+            dist_c = np.where(good, dist[:, None], np.inf)
+            j = dist_c.argmin(axis=0)
+            cols = np.arange(act.size)
+            deeper = dist_c[j, cols] < deep_d
+            deep_d = np.where(deeper, dist_c[j, cols], deep_d)
+            deep_f = np.where(deeper, np.abs(fs[j, cols]), deep_f)
+        evals += xs.size * act.size
         running += ws @ fs
         val = span / (1 << level) * running
-        i = dist.argmin(axis=0)
-        if dist.shape[1] == 1:        # one deepest node for every component
-            node_d, node_f = dist[i[0], 0], np.abs(fs[i[0]])
-        else:
-            cols = np.arange(act.size)
-            node_d, node_f = dist[i, cols], np.abs(fs[i, cols])
-        deeper = node_d < deep_d
-        deep_d = np.where(deeper, node_d, deep_d)
-        deep_f = np.where(deeper, node_f, deep_f)
         if level >= 1:
             prev_err, err = err, np.abs(val - prev)
+        if level >= 2:
             stop = _stops(level, err, prev_err, val, tol, abs_tol)
             if joint:
                 stop[:] = stop.all()
+            if stop.all():
+                break
             if stop.any():
                 done = act[stop]
                 value[done] = val[stop]
@@ -317,20 +255,20 @@ def _tanh_sinh_vec(f, lo, hi, tol, max_levels, endpoints, abs_tol, joint):
                 live = ~stop
                 act, running, val, err, deep_d, deep_f = (
                     a[live] for a in (act, running, val, err, deep_d, deep_f))
-                if not shared:
-                    lo, hi, span = lo[live], hi[live], span[live]
-                if act.size == 0:
-                    return value, error, evals
         prev = val
-    loose = _capped(err, val)
-    if np.any(loose):
-        c = int(np.argmax(loose))
-        raise NonConvergence(
-            f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
-            f"(component {act[c]}: last value {val[c]:.6g}, last step {err[c]:.3g})")
+    else:
+        loose = _capped(err, val)
+        if loose.any():
+            c = int(np.argmax(loose))
+            which = "" if k is None else f"component {act[c]}: "
+            raise NonConvergence(
+                f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
+                f"({which}last value {val[c]:.6g}, last step {err[c]:.3g})")
+        err = 3.0 * err
     value[act] = val
-    error[act] = (np.where(np.isinf(err), np.abs(val), 3.0 * err)
-                  + _endpoint_remainder(deep_f, deep_d, endpoints))
+    error[act] = err + _endpoint_remainder(deep_f, deep_d, endpoints)
+    if k is None:
+        return float(value[0]), float(error[0]), evals
     return value, error, evals
 
 

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .funcs import BumpSpec, E_flat, bump_x_profile, bump_y_increment, bump_y_profile, rho
 from .model import DEFAULT_CONFIG, FamilyParams, NumericConfig, RegimeKind, classify_regime
-from .quad import EndpointSpec, _tanh_sinh
+from .quad import EndpointSpec, _tanh_sinh, integrate_1d
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,6 @@ def _ln_e_arr(params: FamilyParams, xs: np.ndarray) -> np.ndarray:
         return np.where(xp > 0.0, -1.0 / (params.q * xp), -np.inf)
 
 
-def _quad(f, lo, hi, tol, ep=None, cfg=DEFAULT_CONFIG):
-    value, err, ev = _tanh_sinh(f, lo, hi, tol, cfg.max_subdivisions, ep or EndpointSpec())
-    return value, err, ev
-
-
 # ---------------------------------------------------------------------------
 # the unweighted inner column in closed form; batched v- and w-integrals
 # ---------------------------------------------------------------------------
@@ -143,17 +138,22 @@ def _v_integrals(params: FamilyParams, sigma: float, s_hi: np.ndarray,
                  cfg: NumericConfig = DEFAULT_CONFIG):
     """int_0^{s_hi[i]} v^((b-q)s) (1+v^q)^s [weight(v, cols)] dv for every
     entry of s_hi, as one vector quadrature (components as in _tanh_sinh).
+    Each interval is mapped onto u in (0, 1) by v = s_hi u inside the
+    integrand, so all components share the nodes of (0, 1).
 
     Returns (values, errors, evaluations)."""
     bq = (params.b - params.q) * sigma
     q = params.q
 
-    def f(vs, cols):
+    def f(us, cols):
+        h = s_hi[cols]
+        vs = h * us
         with np.errstate(divide="ignore"):
-            out = np.exp(bq * np.log(vs) + sigma * np.log1p(vs**q))
+            out = h * np.exp(bq * np.log(vs) + sigma * np.log1p(vs**q))
         return out * weight(vs, cols) if weight is not None else out
 
-    return _tanh_sinh(f, 0.0, s_hi, tol, cfg.max_subdivisions, EndpointSpec(exponent_lo=bq))
+    return _tanh_sinh(f, 0.0, 1.0, tol, cfg.max_subdivisions, EndpointSpec(exponent_lo=bq),
+                      k=s_hi.size)
 
 
 def _w_integrals(q: int, sigma: float, X: float, lnE: np.ndarray, w_lo: np.ndarray,
@@ -173,7 +173,7 @@ def _w_integrals(q: int, sigma: float, X: float, lnE: np.ndarray, w_lo: np.ndarr
         out = width[cols] * np.exp(X * ws + sigma * np.log1p(t))
         return out * weight(ws) if weight is not None else out
 
-    return _tanh_sinh(f, 0.0, np.ones(w_lo.size), tol, cfg.max_subdivisions, EndpointSpec())
+    return _tanh_sinh(f, 0.0, 1.0, tol, cfg.max_subdivisions, EndpointSpec(), k=w_lo.size)
 
 
 @lru_cache(maxsize=512)
@@ -249,14 +249,11 @@ def _panels(outer, cuts, a_s: float, cfg: NumericConfig, k: Optional[int] = None
     on the same nodes, which refine jointly (see _tanh_sinh).
 
     Returns (value, error, evaluations)."""
+    f = outer if k is None else lambda xs, cols: outer(xs[:, 0])   # joint: cols is all k
     total, err, evs = 0.0, 0.0, 0
     for lo, hi in zip(cuts, cuts[1:]):
         ep = EndpointSpec(exponent_lo=a_s if lo == 0.0 else 0.0)
-        if k is None:
-            v, e, ev = _tanh_sinh(outer, lo, hi, cfg.tol_2d, cfg.max_subdivisions, ep)
-        else:       # joint: every component stays in, and xs is one column
-            v, e, ev = _tanh_sinh(lambda xs, cols: outer(xs[:, 0]), lo, np.full(k, hi),
-                                  cfg.tol_2d, cfg.max_subdivisions, ep, joint=True)
+        v, e, ev = _tanh_sinh(f, lo, hi, cfg.tol_2d, cfg.max_subdivisions, ep, k=k, joint=True)
         total, err, evs = total + v, err + e, evs + ev
     return total, err, evs
 
@@ -382,8 +379,8 @@ def _box_direct(params, sigma, cfg, Y1, Y2, bump, flat):
             vals = np.exp(sigma * ((b - q) * lny + np.logaddexp(q * lny, lnE[cols])))
             return vals * bump_y_profile(bump, ys) if bump is not None else vals
 
-        val, _, ev = _tanh_sinh(fy, 0.0, np.full(xs.size, Y2), cfg.tol_2d / 5.0,
-                                cfg.max_subdivisions, ep_y)
+        val, _, ev = _tanh_sinh(fy, 0.0, Y2, cfg.tol_2d / 5.0, cfg.max_subdivisions, ep_y,
+                                k=xs.size)
         state["ev"] += ev
         return val
 
@@ -521,7 +518,8 @@ def ztilde1(params: FamilyParams, lam: float, sigma: float,
         with np.errstate(divide="ignore"):
             return np.exp(a * sigma * np.log(xs)) * diff
 
-    val, _, _ = _quad(f, 0.0, upper, cfg.tol_1d, EndpointSpec(exponent_lo=a * sigma), cfg)
+    val = integrate_1d(f, 0.0, upper, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d,
+                       max_levels=cfg.max_subdivisions).value
     return math.exp(-X * math.log(lam)) / X * val
 
 
@@ -550,7 +548,7 @@ def ztilde2(params: FamilyParams, lam: float, sigma: float,
         with np.errstate(divide="ignore"):
             return np.exp(a * sigma * np.log(xs) + np.maximum(X * ln_es, -745.0))
 
-    p1, _, _ = _quad(f1, 0.0, rho_v, cfg.tol_1d, ep, cfg)
+    p1 = integrate_1d(f1, 0.0, rho_v, ep, cfg.tol_1d, max_levels=cfg.max_subdivisions).value
     p1 *= math.exp(-denom * math.log(lam)) / denom
 
     p2 = 0.0
@@ -559,7 +557,8 @@ def ztilde2(params: FamilyParams, lam: float, sigma: float,
             ln_es = _ln_e_arr(params, xs)
             return np.exp(a * sigma * np.log(xs) + q * sigma * ln_es)
 
-        val, _, _ = _quad(f2, rho_v, params.r1, cfg.tol_1d, cfg=cfg)
+        val = integrate_1d(f2, rho_v, params.r1, tol=cfg.tol_1d,
+                           max_levels=cfg.max_subdivisions).value
         p2 = math.exp(denom * math.log(params.r2)) / denom * val
     return p1 + p2
 
@@ -604,7 +603,8 @@ def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
         with np.errstate(divide="ignore"):
             return np.exp(bq * np.log(vs))
 
-    v0, _, _ = _quad(fv, 0.0, 1.0, cfg.tol_2d / 5.0, EndpointSpec(exponent_lo=bq), cfg)
+    v0 = integrate_1d(fv, 0.0, 1.0, EndpointSpec(exponent_lo=bq), cfg.tol_2d / 5.0,
+                      max_levels=cfg.max_subdivisions).value
 
     def outer(xs):
         ln_es = _ln_e_arr(params, xs)
@@ -620,6 +620,16 @@ def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
 # ---------------------------------------------------------------------------
 # proof-level parts: G (supercritical rescaling), H (critical), J (subcritical)
 # ---------------------------------------------------------------------------
+
+def _from_one(f, U: float, cfg: NumericConfig) -> float:
+    """int_1^U f(u) du for U on either side of 1; 0 for U = 1, where the
+    G2 and H2 intervals are empty."""
+    if U == 1.0:
+        return 0.0
+    val = integrate_1d(f, min(1.0, U), max(1.0, U), tol=cfg.tol_1d,
+                       max_levels=cfg.max_subdivisions).value
+    return val if U > 1.0 else -val
+
 
 def g_pieces(params: FamilyParams, lam: float, sigma: float,
              cfg: NumericConfig = DEFAULT_CONFIG):
@@ -644,18 +654,14 @@ def g_pieces(params: FamilyParams, lam: float, sigma: float,
         with np.errstate(divide="ignore"):
             return np.exp(a * sigma * np.log(us)) * (rt2X - e_of(us))
 
-    g1, _, _ = _quad(f1, 0.0, 1.0, cfg.tol_1d, EndpointSpec(exponent_lo=a * sigma), cfg)
+    g1 = integrate_1d(f1, 0.0, 1.0, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d,
+                      max_levels=cfg.max_subdivisions).value
 
     def f2(us):
         ln_es = _ln_e_arr(params, us)
         return np.exp(a * sigma * np.log(us)) * (-np.expm1(ln_es))
 
-    sign = 1.0
-    lo_u, hi_u = 1.0, U
-    if U < 1.0:
-        sign, lo_u, hi_u = -1.0, U, 1.0
-    g2v, _, _ = _quad(f2, lo_u, hi_u, cfg.tol_1d, cfg=cfg)
-    g2 = sign * g2v
+    g2 = _from_one(f2, U, cfg)
 
     asp1 = a * sigma + 1.0
     g3 = math.expm1(X * ln_rt2) * (U**asp1 - 1.0) / asp1
@@ -678,12 +684,7 @@ def h_pieces(params: FamilyParams, lam: float, sigma: float,
         ln_es = _ln_e_arr(params, us)
         return 1.0 / (q * us) - np.exp(a * sigma * np.log(us)) * (-np.expm1(ln_es))
 
-    sign = 1.0
-    lo_u, hi_u = 1.0, U
-    if U < 1.0:
-        sign, lo_u, hi_u = -1.0, U, 1.0
-    h2v, _, _ = _quad(f, lo_u, hi_u, cfg.tol_1d, cfg=cfg)
-    return h1, sign * h2v
+    return h1, _from_one(f, U, cfg)
 
 
 def j_pieces(params: FamilyParams, lam: float, sigma: float,
@@ -703,7 +704,8 @@ def j_pieces(params: FamilyParams, lam: float, sigma: float,
         ln_es = _ln_e_arr(params, xs)
         return np.exp(a * sigma * np.log(xs)) * (-np.expm1(np.maximum(X * ln_es, -745.0))) / X
 
-    j1, _, _ = _quad(f, 0.0, rho_v, cfg.tol_1d, EndpointSpec(exponent_lo=a * sigma), cfg)
+    j1 = integrate_1d(f, 0.0, rho_v, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d,
+                      max_levels=cfg.max_subdivisions).value
     asp1 = a * sigma + 1.0
     j2 = math.expm1(X * math.log(rt2)) / X * rho_v**asp1 / asp1
     return lamX * j1, lamX * j2
@@ -761,8 +763,8 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
                 pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0]))[:, None]
             return pows
 
-        return _tanh_sinh(fy, 0.0, np.full(J + 1, bump.R2), cfg.tol_2d / 5.0,
-                          cfg.max_subdivisions, ep_y, joint=True)[0]
+        return _tanh_sinh(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, cfg.max_subdivisions, ep_y,
+                          k=J + 1, joint=True)[0]
 
     def column(xs, ln_es):
         return np.array([moments(x, ln_e) for x, ln_e in zip(xs.tolist(), ln_es.tolist())])

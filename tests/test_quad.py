@@ -85,10 +85,9 @@ def test_error_estimate_honesty():
 
 EPS = np.finfo(float).eps
 
-# Four integrands sharing the x^(-1/2) endpoint at 0, component c on the
-# interval (0, HI[c]); the first and third integrate to 2 sqrt(h) and
-# 2 sqrt(h) (log(h)^2 - 4 log(h) + 8).
-HI = np.array([1.0, 2.0, 0.5, 3.0])
+# Four integrands sharing the x^(-1/2) endpoint at 0; on (0, h) the first
+# and third integrate to 2 sqrt(h) and 2 sqrt(h) (log(h)^2 - 4 log(h) + 8).
+SPEC = EndpointSpec(exponent_lo=-0.5)
 
 
 def _integrands(x):
@@ -97,57 +96,62 @@ def _integrands(x):
 
 
 def _vector(xs, cols):
-    """The (n, m) values of the components cols at their own abscissae
-    (one shared column of abscissae when the intervals are the same)."""
-    xs = np.broadcast_to(xs, (xs.shape[0], len(cols)))
-    return np.stack([_integrands(xs[:, i])[:, c] for i, c in enumerate(cols)], axis=1)
-
-
-def test_tanh_sinh_vector_per_component_intervals():
-    spec = EndpointSpec(exponent_lo=-0.5)
-    values, errors, _ = _tanh_sinh(_vector, 0.0, HI, 1e-12, 12, spec)
-    assert values.shape == errors.shape == (4,)
-    h = HI[[0, 2]]
-    lh = np.log(h[1])
-    exact = [2.0 * np.sqrt(h[0]), 2.0 * np.sqrt(h[1]) * (lh**2 - 4.0 * lh + 8.0)]
-    assert values[[0, 2]] == pytest.approx(exact, rel=1e-12)
-    # both ends per component: int_lo^hi e^x dx
-    lo = np.array([-1.0, 0.5, 1.0, 2.0])
-    shifted, _, _ = _tanh_sinh(lambda xs, cols: np.exp(xs), lo, lo + HI, 1e-12, 12)
-    assert shifted == pytest.approx(np.exp(lo + HI) - np.exp(lo), rel=1e-13)
+    """The (n, m) values of the components cols on the column xs."""
+    return _integrands(xs[:, 0])[:, cols]
 
 
 def test_tanh_sinh_vector_matches_scalar_calls():
     # each component retires where a scalar call on it alone stops, so it
     # returns that call's value and error up to the rounding of the sums;
     # only the components still refining are evaluated and counted
-    spec = EndpointSpec(exponent_lo=-0.5)
-    for tol in (1e-6, 1e-10, 1e-13):
-        values, errors, evals = _tanh_sinh(_vector, 0.0, HI, tol, 12, spec)
-        total = 0
-        for c in range(4):
-            v, e, ev = _tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, HI[c], tol, 12, spec)
-            assert abs(values[c] - v) <= 4.0 * EPS * abs(v)
-            assert abs(errors[c] - e) <= 4.0 * EPS * abs(v)
-            total += ev
-        assert evals == total
+    for hi in (1.0, 3.0):
+        lh = math.log(hi)
+        for tol in (1e-6, 1e-10, 1e-13):
+            values, errors, evals = _tanh_sinh(_vector, 0.0, hi, tol, 12, SPEC, k=4)
+            assert values.shape == errors.shape == (4,)
+            total = 0
+            for c in range(4):
+                v, e, ev = _tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, hi, tol, 12, SPEC)
+                assert abs(values[c] - v) <= 4.0 * EPS * abs(v)
+                assert abs(errors[c] - e) <= 4.0 * EPS * abs(v)
+                total += ev
+            assert evals == total
+            if tol == 1e-13:
+                exact = [2.0 * math.sqrt(hi), 2.0 * math.sqrt(hi) * (lh**2 - 4.0 * lh + 8.0)]
+                assert values[[0, 2]] == pytest.approx(exact, rel=1e-12)
+
+
+def test_tanh_sinh_k1_matches_scalar_call_bit_for_bit():
+    # a scalar call is the one loop with a single component: same value,
+    # error and evaluation count, bit for bit
+    cases = [
+        (lambda x: x**-0.5 * np.exp(x), 0.0, 2.0, SPEC, 1e-12, 12),
+        (lambda x: np.sin(40.0 * x) + 2.0, 0.0, 1.0, None, 1e-12, 12),
+        (lambda x: (1.0 - x) ** -0.25, 0.0, 1.0, EndpointSpec(exponent_hi=-0.25), 1e-10, 12),
+        (lambda x: np.where(x < 1e-200, np.inf, x**-0.5), 0.0, 1.0, SPEC, 1e-10, 12),
+        (lambda x: np.log(x), 0.5, 3.0, None, 1e-13, 3),      # ends at the cap
+    ]
+    for f, lo, hi, spec, tol, levels in cases:
+        v, e, ev = _tanh_sinh(f, lo, hi, tol, levels, spec)
+        vk, ek, evk = _tanh_sinh(lambda xs, cols: f(xs[:, 0])[:, None], lo, hi, tol, levels,
+                                 spec, k=1)
+        assert isinstance(v, float) and isinstance(e, float)
+        assert (vk[0], ek[0], evk) == (v, e, ev)
 
 
 def test_tanh_sinh_vector_wide_levels_in_blocks():
     # 1024 components: f gets blocks of at most _BLOCK_CELLS values, and
     # every component still returns its scalar call's result
-    spec = EndpointSpec(exponent_lo=-0.5)
-    hi = np.tile(HI, 256)
     cells = []
 
     def f(xs, cols):
         cells.append(xs.shape[0] * len(cols))
         return _vector(xs, cols % 4)
 
-    values, errors, _ = _tanh_sinh(f, 0.0, hi, 1e-13, 12, spec)
+    values, errors, _ = _tanh_sinh(f, 0.0, 2.0, 1e-13, 12, SPEC, k=1024)
     assert max(cells) > _BLOCK_CELLS // 2 and max(cells) <= _BLOCK_CELLS
     for c in range(4):
-        v, e, _ = _tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, HI[c], 1e-13, 12, spec)
+        v, e, _ = _tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, 2.0, 1e-13, 12, SPEC)
         assert np.all(np.abs(values[c::4] - v) <= 4.0 * EPS * abs(v))
         assert np.all(np.abs(errors[c::4] - e) <= 4.0 * EPS * abs(v))
 
@@ -159,7 +163,7 @@ def test_tanh_sinh_vector_evaluates_active_components_only():
         seen.append(cols.copy())
         return np.stack([np.ones(xs.shape[0]), np.sin(40.0 * xs[:, 0]) + 2.0], axis=1)[:, cols]
 
-    values, _, evals = _tanh_sinh(f, 0.0, np.array([1.0, 1.0]), 1e-12, 12)
+    values, _, evals = _tanh_sinh(f, 0.0, 1.0, 1e-12, 12, k=2)
     assert values[0] == pytest.approx(1.0, rel=1e-14)
     assert values[1] == pytest.approx(2.0 + (1.0 - math.cos(40.0)) / 40.0, rel=1e-11)
     # the constant retires first, after which f sees the other component only
@@ -176,35 +180,32 @@ def test_tanh_sinh_vector_cap_names_the_stuck_component():
         return np.stack([wild, np.exp(xs[:, 0])], axis=1)[:, cols]
 
     with pytest.raises(NonConvergence, match="component 0"):
-        _tanh_sinh(f, 0.0, np.array([1.0, 1.0]), 1e-13, 5)
+        _tanh_sinh(f, 0.0, 1.0, 1e-13, 5, k=2)
     # the smooth component alone converges within the same cap
-    value, _, _ = _tanh_sinh(lambda xs, cols: np.exp(xs), 0.0, np.array([1.0]), 1e-13, 5)
+    value, _, _ = _tanh_sinh(lambda xs, cols: np.exp(xs), 0.0, 1.0, 1e-13, 5, k=1)
     assert value[0] == pytest.approx(math.e - 1.0, rel=1e-13)
 
 
 def test_tanh_sinh_vector_nonfinite():
-    spec = EndpointSpec(exponent_lo=-0.5)
-
     def away(xs, cols):   # NaN in one component at the midpoint, far from 0
         x = xs[:, 0]
         return np.stack([x**-0.5, np.where(np.abs(x - 0.5) < 0.1, np.nan, x)], axis=1)[:, cols]
 
     with pytest.raises(NonConvergence, match="component 1"):
-        _tanh_sinh(away, 0.0, np.array([1.0, 1.0]), 1e-10, 12, spec)
+        _tanh_sinh(away, 0.0, 1.0, 1e-10, 12, SPEC, k=2)
 
     def at_endpoint(xs, cols):   # overflow at the declared singular endpoint is dropped
         x = xs[:, 0]
         return np.stack([np.where(x < 1e-200, np.inf, x**-0.5), np.ones_like(x)], axis=1)[:, cols]
 
-    values, errors, _ = _tanh_sinh(at_endpoint, 0.0, np.array([1.0, 1.0]), 1e-10, 12, spec)
+    values, errors, _ = _tanh_sinh(at_endpoint, 0.0, 1.0, 1e-10, 12, SPEC, k=2)
     assert values == pytest.approx([2.0, 1.0], rel=1e-9)
     assert np.all(errors >= 0.0)
 
 
 def test_tanh_sinh_joint_components_stop_together():
-    spec = EndpointSpec(exponent_lo=-0.5)
-    values, errors, evals = _tanh_sinh(_vector, 0.0, np.ones(4), 1e-10, 12, spec, joint=True)
-    alone = [_tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, 1.0, 1e-10, 12, spec)
+    values, errors, evals = _tanh_sinh(_vector, 0.0, 1.0, 1e-10, 12, SPEC, k=4, joint=True)
+    alone = [_tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, 1.0, 1e-10, 12, SPEC)
              for c in range(4)]
     # one shared stopping level, at least as deep as each component's own
     assert evals % 4 == 0 and evals >= 4 * max(ev for _, _, ev in alone)

@@ -20,12 +20,14 @@ from flatzeta.errors import (
 )
 from flatzeta.funcs import BumpSpec, E_flat
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS
-from flatzeta.quad import EndpointSpec, integrate_1d
+from flatzeta.quad import EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     _c2_full_cached,
+    _from_one,
     _inner_closed,
     _inner_rel_err,
+    _v_integrals,
     g_pieces,
     h_pieces,
     integrand,
@@ -335,6 +337,29 @@ def test_region_pieces_separately_against_oracle(fam):
     assert tr.z2 == pytest.approx(z2, rel=1e-10)
 
 
+def test_v_integrals_match_scalar_calls_on_own_intervals():
+    # each interval (0, s_hi[i]) is mapped onto (0, 1) inside the integrand;
+    # every component still returns the scalar call on its own interval
+    sigma = (2.0 ** -8 - 1.0) / 2.0
+    bq = (GREEN.b - GREEN.q) * sigma
+    s_hi = np.array([1.0, 0.37, 2.5, 1e-3, 40.0])
+
+    def weight(vs, cols):      # differs per component
+        return 1.0 + np.cos(3.0 * vs) / (1.0 + cols)
+
+    for w in (None, weight):
+        values, errors, _ = _v_integrals(GREEN, sigma, s_hi, w, tol=1e-12, cfg=CFG)
+        for i, h in enumerate(s_hi):
+            def f(vs):
+                out = np.exp(bq * np.log(vs) + sigma * np.log1p(vs**GREEN.q))
+                return out if w is None else out * w(vs[:, None], np.array([i]))[:, 0]
+
+            v, e, _ = _tanh_sinh(f, 0.0, h, 1e-12, CFG.max_subdivisions,
+                                 EndpointSpec(exponent_lo=bq))
+            assert abs(values[i] - v) <= 4.0 * np.finfo(float).eps * abs(v)
+            assert abs(errors[i] - e) <= 4.0 * np.finfo(float).eps * abs(v)
+
+
 def test_zeta_weighted_batches_inner_columns(monkeypatch):
     # the inner integrals of one outer level are a few vector calls (the
     # bump's scaled and log-variable pieces), not one call per abscissa
@@ -392,6 +417,14 @@ def test_h_identity_critical():
     _, g2, _ = g_pieces(CRIT, lam, sigma, CFG)
     h1, h2 = h_pieces(CRIT, lam, sigma, CFG)
     assert g2 == pytest.approx(h1 - h2, rel=1e-9)
+
+
+def test_g2_h2_integral_from_one():
+    # int_1^U for U on either side of 1; U = 1 leaves the G2/H2 interval
+    # empty, and the piece is 0 rather than a DomainError
+    assert _from_one(lambda us: 1.0 / us, 1.0, CFG) == 0.0
+    for U in (2.0, 0.5):
+        assert _from_one(lambda us: 1.0 / us, U, CFG) == pytest.approx(math.log(U), rel=1e-12)
 
 
 def test_j_identity_subcritical():
