@@ -10,7 +10,6 @@ Landau-type Taylor rebuild of the weighted integral.
 from .errors import (
     DegenerateLowerLimit,
     DomainError,
-    EnvelopeViolation,
     FlatZetaError,
     IllConditionedFit,
     NonConvergence,
@@ -23,7 +22,6 @@ from .errors import (
 )
 from .model import (
     DEFAULT_CONFIG,
-    DEFAULT_FLAT_CUTOFF,
     FamilyParams,
     NewtonDistance,
     NumericConfig,
@@ -52,7 +50,6 @@ from .quad import (
     EndpointSpec,
     QuadResult,
     integrate_1d,
-    integrate_tail,
 )
 from .zeta import (
     DecompositionTrace,
@@ -78,7 +75,6 @@ from .asym import (
     ScalingKind,
     case3_bounds,
     constant_A,
-    constant_A_closed_form,
     constant_L,
     constant_M,
     extract_limit,

@@ -1,10 +1,13 @@
-"""Closed-form asymptotic constants and blow-up limit extraction.
+"""Asymptotic constants and blow-up limit extraction.
 
 The three laws of Z(sigma) as sigma -> -1/b are calibrated by:
 
     A        = int_0^inf x^(-a/b) (1 - e^(-1/(q x^p))) dx    (power regime)
     1/(p q)                                                   (log regime)
     L(lambda), M(lambda) and their optimized combinations     (bounded regime)
+
+A is evaluated from its Gamma-function closed form and L in closed form;
+M adds one 1D quadrature on (rho(lambda r2), r1).
 
 Limits are pulled out of a sigma-schedule by a least-squares fit whose basis
 follows the proof-level corrections: lambda^-X and X^(c X) factors expand to
@@ -38,7 +41,7 @@ from .model import (
     SigmaSchedule,
     classify_regime,
 )
-from .quad import EndpointSpec, integrate_1d, integrate_tail
+from .quad import integrate_1d
 from .zeta import ZetaSample, _ln_e_arr
 
 
@@ -80,36 +83,15 @@ class Case3Bounds:
             raise DomainError("bracket must be positive")
 
 
-def constant_A(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
+def constant_A(params: FamilyParams) -> float:
     """A = int_0^inf x^(-a/b) (1 - e(x)) dx, finite exactly when p > 1 - a/b.
 
-    Split at x = 1: tanh-sinh on (0, 1] against the x^(-a/b) endpoint, and a
-    certified tail with envelope (1/q) x^(-a/b - p) from 1 - e^(-t) <= t.
+    The substitution t = 1/(q x^p) gives the closed form
+    A = c^beta Gamma(1 - beta) / (p beta), c = 1/q, beta = (1 - a/b)/p.
     """
     regime = classify_regime(params)
     if regime.kind is not RegimeKind.SUPERCRITICAL_FLAT:
         raise WrongRegime(f"A diverges in regime {regime.kind.value}")
-    ab = params.a / params.b
-
-    def f(xs):
-        ln_es = _ln_e_arr(params, xs)
-        with np.errstate(divide="ignore"):
-            return np.exp(-ab * np.log(xs)) * (-np.expm1(ln_es))
-
-    head = integrate_1d(f, 0.0, 1.0, EndpointSpec(exponent_lo=-ab),
-                        tol=cfg.tol_1d, max_levels=cfg.max_subdivisions)
-    gamma = -ab - params.p_float
-    tail = integrate_tail(f, 1.0, gamma, envelope_k=1.0 / params.q,
-                          tol=cfg.tol_1d, max_levels=cfg.max_subdivisions)
-    return head.value + tail.value
-
-
-def constant_A_closed_form(params: FamilyParams) -> float:
-    """Reference value by the substitution t = 1/(q x^p):
-    A = c^beta Gamma(1 - beta) / (p beta), c = 1/q, beta = (1 - a/b)/p."""
-    regime = classify_regime(params)
-    if regime.kind is not RegimeKind.SUPERCRITICAL_FLAT:
-        raise WrongRegime("closed form needs the power regime")
     beta = (1.0 - params.a / params.b) / params.p_float
     c = 1.0 / params.q
     return c**beta * math.gamma(1.0 - beta) / (params.p_float * beta)
@@ -129,7 +111,7 @@ def constant_L(params: FamilyParams, lam: float,
     ab = params.a / params.b
     pf = params.p_float
     rt2 = lam * params.r2
-    rho_v = rho(params, rt2, cfg.flat_cutoff_exponent)
+    rho_v = rho(params, rt2)
     return (rho_v**(1.0 - ab) / (1.0 - ab) * math.log(rt2)
             + rho_v**(1.0 - ab - pf) / (params.q * (1.0 - ab - pf)))
 
@@ -149,7 +131,7 @@ def constant_M(params: FamilyParams, lam: float,
     a, b, q = params.a, params.b, params.q
     ab = a / b
     rt2 = lam * params.r2
-    rho_v = rho(params, rt2, cfg.flat_cutoff_exponent)
+    rho_v = rho(params, rt2)
     if rho_v == 0.0:
         raise DegenerateLowerLimit(f"rho({rt2:g}) underflowed to 0")
     first = b * b / (q * (b - a)) * lam**(-q / b) * rho_v**(1.0 - ab)
@@ -166,9 +148,9 @@ def constant_M(params: FamilyParams, lam: float,
     return first + second
 
 
-def _golden_section(fn, t_lo: float, t_hi: float, maximize: bool,
-                    rel_tol: float = 1e-6):
-    """Golden-section search on [t_lo, t_hi]; returns (t_opt, fn(t_opt))."""
+def _golden_section(fn, t_lo: float, t_hi: float, maximize: bool):
+    """Golden-section search on [t_lo, t_hi] down to 1e-6 of its width;
+    returns (t_opt, fn(t_opt))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     sign = -1.0 if maximize else 1.0
     a, b = t_lo, t_hi
@@ -176,7 +158,7 @@ def _golden_section(fn, t_lo: float, t_hi: float, maximize: bool,
     d = a + invphi * (b - a)
     fc, fd = sign * fn(c), sign * fn(d)
     f_lo, f_hi = sign * fn(a), sign * fn(b)
-    while b - a > rel_tol * (t_hi - t_lo):
+    while b - a > 1e-6 * (t_hi - t_lo):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -193,15 +175,15 @@ def _golden_section(fn, t_lo: float, t_hi: float, maximize: bool,
     return t, sign * ft
 
 
-def case3_bounds(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG,
-                 log_lambda_bracket: tuple[float, float] = (-12.0, 12.0)) -> Case3Bounds:
+def case3_bounds(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG) -> Case3Bounds:
     """Bounded-regime bracket:
 
         lower = max_lambda  L/(1+lam^q)^(1/b) + M/(1+lam^-q)^(1/b)
         upper = min_lambda  L + M
 
     The weighted objectives vanish at both bracket ends while L + M diverges
-    there, so both optima are interior; found by golden-section on log lambda.
+    there, so both optima are interior; found by golden-section on log lambda
+    in [-12, 12].
     """
     if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
         raise WrongRegime("case-3 bounds exist only in the bounded regime")
@@ -216,8 +198,8 @@ def case3_bounds(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG,
         lam = math.exp(t)
         return constant_L(params, lam, cfg) + constant_M(params, lam, cfg)
 
-    t_max, lower = _golden_section(lower_obj, *log_lambda_bracket, maximize=True)
-    t_min, upper = _golden_section(upper_obj, *log_lambda_bracket, maximize=False)
+    t_max, lower = _golden_section(lower_obj, -12.0, 12.0, maximize=True)
+    t_min, upper = _golden_section(upper_obj, -12.0, 12.0, maximize=False)
     return Case3Bounds(lower=lower, upper=upper,
                        lambda_lower=math.exp(t_max), lambda_upper=math.exp(t_min))
 
@@ -255,21 +237,18 @@ def _fit_basis(seq: BlowupSequence, xs: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def extract_limit(seq: BlowupSequence, n_fit: int | None = None) -> tuple[float, float]:
+def extract_limit(seq: BlowupSequence) -> tuple[float, float]:
     """Least-squares limit of S(X) as X -> 0, with an uncertainty estimate.
 
     Model: S = S_inf + c1 X log X + c2 X, plus X^kappa (power regime) or
-    1/|log X| (log regime) correction columns.  Fits the n_fit smallest-X
-    points (default: all but the 4 largest, at least 6); the reported
-    uncertainty combines the rms residual with the shift under dropping the
-    largest fitted X.
+    1/|log X| (log regime) correction columns.  Fits the smallest-X points,
+    all but the 4 largest and at least 6; the reported uncertainty combines
+    the rms residual with the shift under dropping the largest fitted X.
     """
     xs_all = np.asarray(seq.schedule.xs, dtype=float)
     ss_all = np.asarray(seq.scaled_values, dtype=float)
     n = len(xs_all)
-    if n_fit is None:
-        n_fit = max(6, n - 4) if n > 6 else n
-    n_fit = min(n_fit, n)
+    n_fit = max(6, n - 4) if n > 6 else n
     order = np.argsort(xs_all)          # ascending: smallest X first
     xs = xs_all[order][:n_fit]
     ss = ss_all[order][:n_fit]

@@ -115,7 +115,6 @@ class RunConfig:
             f"schedule=geo:{_f17(self.schedule_spec[0])},{_f17(self.schedule_spec[1])},{self.schedule_spec[2]}",
             f"tol_1d={_f17(self.numeric.tol_1d)}",
             f"tol_2d={_f17(self.numeric.tol_2d)}",
-            f"flat_cutoff={_f17(self.numeric.flat_cutoff_exponent)}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -137,8 +136,7 @@ class RunConfig:
         sched = _parse_schedule(kv.get("schedule", ""))
         numeric = NumericConfig(
             tol_1d=float(kv.get("tol_1d", 1e-10)),
-            tol_2d=float(kv.get("tol_2d", 1e-7)),
-            flat_cutoff_exponent=float(kv.get("flat_cutoff", 690.0)))
+            tol_2d=float(kv.get("tol_2d", 1e-7)))
         return RunConfig(params=params, schedule_spec=sched, numeric=numeric)
 
 
@@ -159,59 +157,38 @@ def _add_param_args(sp):
     sp.add_argument("--a", type=int)
     sp.add_argument("--b", type=int)
     sp.add_argument("--q", type=int)
-    sp.add_argument("--p", type=str, help="flat decay rate, rational NUM/DEN or integer")
+    sp.add_argument("--p", type=parse_rational,
+                    help="flat decay rate, rational NUM/DEN or integer")
     sp.add_argument("--r1", type=float)
     sp.add_argument("--r2", type=float)
     sp.add_argument("--schedule", type=str, help="geo:X0,RATIO,COUNT")
     sp.add_argument("--tol-1d", type=float, dest="tol_1d")
     sp.add_argument("--tol-2d", type=float, dest="tol_2d")
-    sp.add_argument("--flat-cutoff", type=float, dest="flat_cutoff")
     sp.add_argument("--config", type=str, help="key=value config file")
     sp.add_argument("--out", type=str, help="write the report here as well as stdout")
 
 
+def _given(args, *names) -> dict:
+    """The flags among names that were set on the command line."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _build_config(args) -> RunConfig:
+    """The config of --config, --preset or the family flags, in that order,
+    with every flag that was set taking precedence over it."""
+    params = _given(args, "a", "b", "q", "p", "r1", "r2")
     if args.config:
         cfg = RunConfig.from_text(Path(args.config).read_text(encoding="utf-8"))
     elif args.preset:
         cfg = RunConfig(params=PRESETS[args.preset])
+    elif {"a", "b", "q", "p"} <= params.keys():
+        cfg = RunConfig(params=FamilyParams(**params))
     else:
-        if args.a is None or args.b is None or args.q is None or args.p is None:
-            raise ValueError("need --preset, --config, or all of --a --b --q --p")
-        cfg = RunConfig(params=FamilyParams(
-            a=args.a, b=args.b, q=args.q, p=parse_rational(args.p),
-            r1=args.r1 if args.r1 is not None else 0.5,
-            r2=args.r2 if args.r2 is not None else 0.5))
-    params = cfg.params
-    overrides = {}
-    for name in ("a", "b", "q"):
-        v = getattr(args, name)
-        if v is not None:
-            overrides[name] = v
-    if args.p is not None:
-        overrides["p"] = parse_rational(args.p)
-    if args.r1 is not None:
-        overrides["r1"] = args.r1
-    if args.r2 is not None:
-        overrides["r2"] = args.r2
-    if overrides:
-        base = dict(a=params.a, b=params.b, q=params.q, p=params.p,
-                    r1=params.r1, r2=params.r2)
-        base.update(overrides)
-        cfg = replace(cfg, params=FamilyParams(**base))
-    if args.schedule:
-        cfg = replace(cfg, schedule_spec=_parse_schedule(args.schedule))
-    num = dict(tol_1d=cfg.numeric.tol_1d, tol_2d=cfg.numeric.tol_2d,
-               flat_cutoff_exponent=cfg.numeric.flat_cutoff_exponent,
-               max_subdivisions=cfg.numeric.max_subdivisions)
-    if args.tol_1d is not None:
-        num["tol_1d"] = args.tol_1d
-    if args.tol_2d is not None:
-        num["tol_2d"] = args.tol_2d
-    if args.flat_cutoff is not None:
-        num["flat_cutoff_exponent"] = args.flat_cutoff
-    cfg = replace(cfg, numeric=NumericConfig(**num))
-    return cfg
+        raise ValueError("need --preset, --config, or all of --a --b --q --p")
+    schedule = {"schedule_spec": _parse_schedule(args.schedule)} if args.schedule else {}
+    return replace(cfg, params=replace(cfg.params, **params),
+                   numeric=replace(cfg.numeric, **_given(args, "tol_1d", "tol_2d")),
+                   **schedule)
 
 
 def _emit(text: str, out_path: str | None):
@@ -248,7 +225,7 @@ def cmd_constants(args) -> int:
     }
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         doc["blowup_exponent"] = regime.blowup_exponent
-        doc["A"] = constant_A(params, cfg.numeric)
+        doc["A"] = constant_A(params)
     elif regime.kind is RegimeKind.CRITICAL_FLAT:
         doc["one_over_pq"] = 1.0 / (params.p_float * params.q)
     else:
@@ -281,15 +258,11 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
     plot_doc = None
 
     def maybe_expect(report: VerificationReport, key: str) -> VerificationReport:
-        if key in expects:
-            target = expects[key]
-            tol = report.tolerance
-            return VerificationReport(
-                check_id=report.check_id, target=target, observed=report.observed,
-                tolerance=tol, passed=abs(report.observed - target) <= tol,
-                residual_log=report.residual_log,
-                runtime_seconds=report.runtime_seconds)
-        return report
+        if key not in expects:
+            return report
+        target = expects[key]
+        return replace(report, target=target,
+                       passed=abs(report.observed - target) <= report.tolerance)
 
     if suite in ("thm31", "all"):
         samples = ([zeta_quadrant(params, s, numeric) for s in sched.sigmas]

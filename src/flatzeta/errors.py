@@ -13,10 +13,6 @@ class NonConvergence(FlatZetaError, RuntimeError):
     """A quadrature hit its refinement cap with the error still above tolerance."""
 
 
-class EnvelopeViolation(FlatZetaError, RuntimeError):
-    """A sampled integrand value exceeded its caller-certified tail envelope."""
-
-
 class OutOfWindow(FlatZetaError, ValueError):
     """sigma outside the convergence window of the requested integral."""
 

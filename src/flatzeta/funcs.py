@@ -10,7 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DEFAULT_FLAT_CUTOFF, FamilyParams
+from .model import FamilyParams
+
+#: Flat cutoff: e(x) = exp(-t), t = 1/(q x^p), is flushed to exact 0 once
+#: t > 690, where e(x) < 1e-299.  A few steps further e(x) would leave the
+#: normal double range, and a subnormal e carries too few bits for rho's
+#: round trip rho(e(x)) = x to stay precise.
+_FLAT_CUTOFF = 690.0
 
 
 def _as_array(x):
@@ -28,21 +34,21 @@ def log_e_flat(params: FamilyParams, x):
     return float(out) if scalar else out
 
 
-def e_flat(params: FamilyParams, x, cutoff: float = DEFAULT_FLAT_CUTOFF):
+def e_flat(params: FamilyParams, x):
     """e(x) = exp(-1/(q x^p)) for x > 0, with e(0) = 0.
 
-    Values with 1/(q x^p) > cutoff are flushed to exact zero; they would be
-    below 1e-299 and only contribute subnormal noise.
+    Values with 1/(q x^p) > _FLAT_CUTOFF are flushed to exact zero; they
+    would be below 1e-299 and only contribute subnormal noise.
     """
     arr, scalar = _as_array(x)
     ln = log_e_flat(params, arr)
     ln = np.asarray(ln, dtype=float)
-    out = np.where(ln < -cutoff, 0.0, np.exp(np.maximum(ln, -745.0)))
+    out = np.where(ln < -_FLAT_CUTOFF, 0.0, np.exp(np.maximum(ln, -745.0)))
     out = np.where(np.asarray(arr) > 0.0, out, 0.0)
     return float(out) if scalar else out
 
 
-def E_flat(params: FamilyParams, x, cutoff: float = DEFAULT_FLAT_CUTOFF):
+def E_flat(params: FamilyParams, x):
     """E(x) = exp(-1/x^p) = e(x)^q, with the same cutoff convention."""
     arr, scalar = _as_array(x)
     if np.any(arr < 0.0):
@@ -50,7 +56,7 @@ def E_flat(params: FamilyParams, x, cutoff: float = DEFAULT_FLAT_CUTOFF):
     with np.errstate(divide="ignore"):
         lnE = np.where(arr > 0.0, -1.0 / np.power(arr, params.p_float), -np.inf)
     # same cutoff rule as e_flat, expressed on ln e = lnE / q
-    out = np.where(lnE / params.q < -cutoff, 0.0, np.exp(np.maximum(lnE, -745.0)))
+    out = np.where(lnE / params.q < -_FLAT_CUTOFF, 0.0, np.exp(np.maximum(lnE, -745.0)))
     out = np.where(arr > 0.0, out, 0.0)
     return float(out) if scalar else out
 
@@ -72,7 +78,7 @@ def psi(alpha: float, x):
     return float(out) if scalar else out
 
 
-def rho(params: FamilyParams, y, cutoff: float = DEFAULT_FLAT_CUTOFF):
+def rho(params: FamilyParams, y):
     """Inverse profile of e: rho(y) = (-1/(q log y))^(1/p) on [0, e(r1)),
     saturating at r1 for y >= e(r1), with rho(0) = 0.
 
@@ -81,7 +87,7 @@ def rho(params: FamilyParams, y, cutoff: float = DEFAULT_FLAT_CUTOFF):
     arr, scalar = _as_array(y)
     if np.any(arr < 0.0):
         raise DomainError("y must be nonnegative")
-    e_r1 = e_flat(params, params.r1, cutoff)
+    e_r1 = e_flat(params, params.r1)
     inv_p = params.p.denominator / params.p.numerator
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(np.where(arr > 0.0, arr, 1.0))

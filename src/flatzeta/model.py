@@ -18,11 +18,6 @@ from typing import NamedTuple
 
 from .errors import DomainError
 
-#: Flat cutoff threshold T: exp(-t) is treated as exactly 0 once t > T.
-#: 690 sits just below the double-precision exponent underflow bound, where
-#: exp(-t) < 1e-299 and only subnormal noise would remain.
-DEFAULT_FLAT_CUTOFF = 690.0
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'num/den' or a plain integer literal into an exact Fraction."""
@@ -181,14 +176,11 @@ class NumericConfig:
 
     tol_1d: float = 1e-10
     tol_2d: float = 1e-7
-    flat_cutoff_exponent: float = DEFAULT_FLAT_CUTOFF
     max_subdivisions: int = 12
 
     def __post_init__(self):
         if not 0.0 < self.tol_1d <= 1e-2 or not 0.0 < self.tol_2d <= 1e-2:
             raise DomainError("tolerances must lie in (0, 1e-2]")
-        if self.flat_cutoff_exponent < 500.0:
-            raise DomainError("flat_cutoff_exponent must be >= 500")
         if self.max_subdivisions < 3:
             raise DomainError("max_subdivisions must be >= 3")
 

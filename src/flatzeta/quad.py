@@ -1,17 +1,16 @@
-"""Quadrature engines built on the tanh-sinh (double exponential) transform.
+"""Quadrature engine built on the tanh-sinh (double exponential) transform.
 
 A single variable change absorbs every algebraic endpoint singularity
 x^beta with beta > -1, with uniform behavior as beta -> -1, so no
-exponent-dependent substitutions are needed.  Two entry points:
-
-    integrate_1d       finite interval, integrable endpoint singularities
-    integrate_tail     semi-infinite tail with a caller-certified envelope
+exponent-dependent substitutions are needed.  The entry point is
+integrate_1d: a finite interval with integrable endpoint singularities.
 
 Integrands are called with numpy arrays of abscissae and must return arrays
-of the same length.  Both run on the one refinement loop `_tanh_sinh`, on one
-interval per call.  Iterated 2D integrals are built on it in flatzeta.zeta:
-its vector calls integrate all inner columns of one outer level at once on
-a shared interval, each column retiring at its own level.
+of the same length.  integrate_1d runs on the one refinement loop
+`_tanh_sinh`, on one interval per call.  Iterated 2D integrals are built on
+it in flatzeta.zeta: its vector calls integrate all inner columns of one
+outer level at once on a shared interval, each column retiring at its own
+level.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, EnvelopeViolation, NonConvergence
+from .errors import DomainError, NonConvergence
 
 _PI_2 = math.pi / 2.0
 #: Largest |t| kept in the trapezoidal sum; beyond this the distance of the
@@ -102,15 +101,14 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class EndpointSpec:
-    """Declared endpoint behavior: integrand ~ (x - lo)^exponent_lo near lo
-    and ~ (hi - x)^exponent_hi near hi.  Both must exceed -1 (integrability)."""
+    """Declared endpoint behavior: integrand ~ (x - lo)^exponent_lo near lo.
+    The exponent must exceed -1 (integrability)."""
 
     exponent_lo: float = 0.0
-    exponent_hi: float = 0.0
 
     def __post_init__(self):
-        if self.exponent_lo <= -1.0 or self.exponent_hi <= -1.0:
-            raise DomainError("endpoint exponents must be > -1 for integrability")
+        if self.exponent_lo <= -1.0:
+            raise DomainError("the endpoint exponent must be > -1 for integrability")
 
 
 def _endpoint_remainder(deep_f, deep_d, endpoints: Optional[EndpointSpec]):
@@ -119,34 +117,29 @@ def _endpoint_remainder(deep_f, deep_d, endpoints: Optional[EndpointSpec]):
     Elementwise; d = inf means no node was sampled."""
     if endpoints is None:
         return 0.0
-    beta = min(endpoints.exponent_lo, endpoints.exponent_hi)
+    beta = min(endpoints.exponent_lo, 0.0)
     return deep_f * np.where(np.isfinite(deep_d), deep_d, 0.0) / (1.0 + beta)
 
 
 def _droppable(xs, lo, hi, endpoints: Optional[EndpointSpec]):
-    """Nodes next to a declared singular endpoint, where a non-finite value
-    is an overflow of an integrable singularity rather than a failure."""
-    out = np.zeros(xs.shape, dtype=bool)
-    if endpoints is not None:
-        span = hi - lo
-        if endpoints.exponent_lo < 0.0:
-            out |= (xs - lo) < 1e-100 * span
-        if endpoints.exponent_hi < 0.0:
-            out |= (hi - xs) < 1e-100 * span
-    return out
+    """Nodes next to a declared singular lower endpoint, where a non-finite
+    value is an overflow of an integrable singularity rather than a failure."""
+    if endpoints is None or endpoints.exponent_lo >= 0.0:
+        return np.zeros(xs.shape, dtype=bool)
+    return (xs - lo) < 1e-100 * (hi - lo)
 
 
-def _stops(level: int, err, prev_err, value, tol: float, abs_tol: float):
+def _stops(level: int, err, prev_err, value, tol: float):
     """The stopping rules of one refinement level >= 2, elementwise.
 
-    The step |value - previous value| must meet tol (relative) or abs_tol.
+    The step |value - previous value| must meet tol (relative).
     From level 4 a stagnating step is also accepted: refinement stopped
     helping (the step shrank by less than 4x) while it sits at a small
     relative floor.  This happens when part of the mass lies below the
     double-precision representability limit; the floor is then the error.
     """
     scale = np.maximum(abs(value), 1e-300)
-    met = (err <= tol * scale) | (err <= abs_tol)
+    met = err <= tol * scale
     if level >= 4:
         met = met | ((err >= 0.25 * prev_err) & (err <= 1e-3 * scale))
     return met
@@ -161,7 +154,7 @@ def _capped(err, value):
 
 
 def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
-               endpoints: Optional[EndpointSpec] = None, abs_tol: float = 0.0, *,
+               endpoints: Optional[EndpointSpec] = None, *,
                k: Optional[int] = None, joint: bool = False):
     """Core refinement loop on the finite interval (lo, hi).  Returns
     (value, error, evaluations).
@@ -205,7 +198,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
             # f sees blocks of components, so that its temporaries stay small;
             # joint components share the integrand's work and go in whole
             col = xs[:, None]
-            step = act.size if joint else max(1, _BLOCK_CELLS // xs.size)
+            step = act.size if joint else max(1, _BLOCK_CELLS // max(xs.size, 1))
             if step >= act.size:
                 fs = np.asarray(f(col, act), dtype=float)
             else:
@@ -242,7 +235,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
         if level >= 1:
             prev_err, err = err, np.abs(val - prev)
         if level >= 2:
-            stop = _stops(level, err, prev_err, val, tol, abs_tol)
+            stop = _stops(level, err, prev_err, val, tol)
             if joint:
                 stop[:] = stop.all()
             if stop.all():
@@ -284,8 +277,8 @@ def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = No
     lo, hi : float
         Finite interval, lo < hi.
     endpoints : EndpointSpec, optional
-        Declared endpoint exponents; validated > -1 and used to bound the
-        unresolvable mass next to the endpoints.
+        Declared exponent at lo; validated > -1 and used to bound the
+        unresolvable mass next to lo.
     tol : float
         Relative tolerance target.
 
@@ -300,42 +293,3 @@ def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = No
         endpoints = EndpointSpec()
     value, err, evals = _tanh_sinh(f, lo, hi, tol, max_levels, endpoints)
     return QuadResult(value, err, evals)
-
-
-def integrate_tail(f, lo: float, tail_exponent: float, envelope_k: float,
-                   tol: float = 1e-10, max_levels: int = 12) -> QuadResult:
-    """Integrate f over (lo, infinity) given |f(x)| <= envelope_k * x^tail_exponent.
-
-    The integral is truncated at an x_max chosen so the certified analytic
-    remainder envelope_k * x_max^(gamma+1)/|gamma+1| is far below tol, then
-    mapped through u = 1/x onto a finite interval.  The remainder is added to
-    the error estimate, so the result covers the full infinite tail.
-
-    Raises EnvelopeViolation if a sampled |f| exceeds the envelope.
-    """
-    gamma = tail_exponent
-    if gamma >= -1.0:
-        raise DomainError(f"tail exponent must be < -1, got {gamma}")
-    if lo <= 0.0:
-        raise DomainError(f"need lo > 0, got {lo}")
-    if envelope_k <= 0.0:
-        raise DomainError("envelope constant must be positive")
-    # remainder(x)/remainder(lo) = (x/lo)^(gamma+1); push it below 0.005*tol
-    x_max = lo * (0.005 * tol) ** (1.0 / (gamma + 1.0))
-    x_max = max(x_max, 4.0 * lo)
-    remainder = envelope_k * x_max ** (gamma + 1.0) / abs(gamma + 1.0)
-
-    def g(us):
-        with np.errstate(over="ignore", divide="ignore"):
-            xs = 1.0 / us
-            vals = np.asarray(f(xs), dtype=float)
-            bound = envelope_k * np.power(xs, gamma) * (1.0 + 1e-9) + 1e-300
-            if np.any(np.abs(vals) > bound):
-                i = int(np.argmax(np.abs(vals) - bound))
-                raise EnvelopeViolation(
-                    f"|f({xs[i]:.6g})| = {abs(vals[i]):.6g} exceeds envelope {bound[i]:.6g}")
-            return vals / (us * us)
-
-    value, err, evals = _tanh_sinh(g, 1.0 / x_max, 1.0 / lo, tol, max_levels,
-                                   EndpointSpec(exponent_lo=-gamma - 2.0))
-    return QuadResult(value, err + remainder, evals)

@@ -104,7 +104,7 @@ def verify_theorem31(params: FamilyParams, schedule: SigmaSchedule,
     seq = scale_sequence(params, samples)
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         limit, unc = extract_limit(seq)
-        return _scalar_report("thm31_power_law", constant_A(params, cfg), limit,
+        return _scalar_report("thm31_power_law", constant_A(params), limit,
                               0.02, residuals=(unc,), t0=t0)
     if regime.kind is RegimeKind.CRITICAL_FLAT:
         limit, unc = extract_limit(seq)
@@ -135,7 +135,7 @@ def verify_theorem21(params: FamilyParams, bump: BumpSpec, schedule: SigmaSchedu
     seq = scale_sequence(params, samples)
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         limit, unc = extract_limit(seq)
-        return _scalar_report("thm21_power_law", 4.0 * constant_A(params, cfg),
+        return _scalar_report("thm21_power_law", 4.0 * constant_A(params),
                               limit, 0.05, residuals=(unc,), t0=t0)
     if regime.kind is RegimeKind.CRITICAL_FLAT:
         limit, unc = extract_limit(seq)
@@ -193,11 +193,10 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
 
 
 def verify_decompositions(params: FamilyParams, lam: float, sigma: float,
-                          cfg: NumericConfig = DEFAULT_CONFIG,
-                          rel_tol: float = 1e-5) -> VerificationReport:
+                          cfg: NumericConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Relative residuals of the additivity Z = Z1 + Z2, the 1D reductions
     against direct iterated quadrature, and the regime-matched proof splits
-    (G-sum, H-difference, J-sum); all must fall below rel_tol."""
+    (G-sum, H-difference, J-sum); all must fall below 1e-5."""
     t0 = time.perf_counter()
     X = params.b * sigma + 1.0
     z = zeta_quadrant(params, sigma, cfg)
@@ -224,7 +223,7 @@ def verify_decompositions(params: FamilyParams, lam: float, sigma: float,
     worst = max(resid.values())
     return VerificationReport(
         check_id="decomposition_identities", target=0.0, observed=worst,
-        tolerance=rel_tol, passed=worst <= rel_tol,
+        tolerance=1e-5, passed=worst <= 1e-5,
         residual_log=tuple(sorted(resid.items())),
         runtime_seconds=time.perf_counter() - t0)
 

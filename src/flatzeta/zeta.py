@@ -52,7 +52,7 @@ from .errors import (
     PoleHit,
 )
 from .funcs import BumpSpec, E_flat, bump_x_profile, bump_y_increment, bump_y_profile, rho
-from .model import DEFAULT_CONFIG, FamilyParams, NumericConfig, RegimeKind, classify_regime
+from .model import DEFAULT_CONFIG, FamilyParams, NumericConfig
 from .quad import EndpointSpec, _tanh_sinh, integrate_1d
 
 
@@ -77,13 +77,6 @@ class DecompositionTrace:
     ztilde1: float
     ztilde2: float
     error: float
-    g1: Optional[float] = None
-    g2: Optional[float] = None
-    g3: Optional[float] = None
-    h1: Optional[float] = None
-    h2: Optional[float] = None
-    j1: Optional[float] = None
-    j2: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def _columns(params: FamilyParams, column: Callable, cuts, a_s: float,
 def _kink_cuts(params: FamilyParams, lam: float, cfg: NumericConfig):
     """Outer cuts 0 < [rho(lam r2)] < r1: the slice geometry kinks where
     e(x)/lambda crosses the box top, so the kink goes on a panel boundary."""
-    x_kink = rho(params, lam * params.r2, cfg.flat_cutoff_exponent)
+    x_kink = rho(params, lam * params.r2)
     return [0.0] + ([x_kink] if 0.0 < x_kink < params.r1 else []) + [params.r1]
 
 
@@ -433,12 +426,10 @@ def _w_floor(X: float, lnY2: float) -> float:
 
 
 def region_pieces(params: FamilyParams, lam: float, sigma: float,
-                  cfg: NumericConfig = DEFAULT_CONFIG, *,
-                  with_parts: bool = False) -> DecompositionTrace:
+                  cfg: NumericConfig = DEFAULT_CONFIG) -> DecompositionTrace:
     """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)},
-    plus the auxiliary integrals ztilde1/ztilde2; optionally the proof-level
-    G/H/J parts matching the current regime.  Each outer level's z1 and z2
-    columns are batched into one vector quadrature apiece."""
+    plus the auxiliary integrals ztilde1/ztilde2.  Each outer level's z1 and
+    z2 columns are batched into one vector quadrature apiece."""
     X = _check_window(params, sigma)
     if lam <= 0.0:
         raise DomainError("lambda must be positive")
@@ -477,21 +468,8 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
     z2, e2, _ = _columns(params, z2_inner, cuts, params.a * sigma, cfg)
     zt1 = ztilde1(params, lam, sigma, cfg)
     zt2 = ztilde2(params, lam, sigma, cfg)
-    trace = dict(lam=lam, sigma=sigma, z1=z1, z2=z2, ztilde1=zt1, ztilde2=zt2,
-                 error=e1 + e2)
-    if with_parts:
-        kind = classify_regime(params).kind
-        if kind is RegimeKind.SUPERCRITICAL_FLAT:
-            g1, g2, g3 = g_pieces(params, lam, sigma, cfg)
-            trace.update(g1=g1, g2=g2, g3=g3)
-        elif kind is RegimeKind.CRITICAL_FLAT:
-            _, g2, _ = g_pieces(params, lam, sigma, cfg)
-            h1, h2 = h_pieces(params, lam, sigma, cfg)
-            trace.update(g2=g2, h1=h1, h2=h2)
-        else:
-            j1, j2 = j_pieces(params, lam, sigma, cfg)
-            trace.update(j1=j1, j2=j2)
-    return DecompositionTrace(**trace)
+    return DecompositionTrace(lam=lam, sigma=sigma, z1=z1, z2=z2, ztilde1=zt1, ztilde2=zt2,
+                              error=e1 + e2)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +488,7 @@ def ztilde1(params: FamilyParams, lam: float, sigma: float,
     a = params.a
     rt2 = lam * params.r2
     ln_rt2 = math.log(rt2)
-    upper = rho(params, rt2, cfg.flat_cutoff_exponent)
+    upper = rho(params, rt2)
 
     def f(xs):
         ln_es = _ln_e_arr(params, xs)
@@ -537,7 +515,7 @@ def ztilde2(params: FamilyParams, lam: float, sigma: float,
         raise DomainError("lambda must be positive")
     a, q = params.a, params.q
     rt2 = lam * params.r2
-    rho_v = rho(params, rt2, cfg.flat_cutoff_exponent)
+    rho_v = rho(params, rt2)
     if rho_v == 0.0:
         raise DegenerateLowerLimit(f"rho({rt2}) underflowed to 0")
     denom = X - q * sigma
@@ -644,7 +622,7 @@ def g_pieces(params: FamilyParams, lam: float, sigma: float,
     rt2 = lam * params.r2
     ln_rt2 = math.log(rt2)
     rt2X = math.exp(X * ln_rt2)
-    U = rho(params, rt2, cfg.flat_cutoff_exponent) * math.exp(-math.log(X) * float(1 / params.p))
+    U = rho(params, rt2) * math.exp(-math.log(X) * float(1 / params.p))
 
     def e_of(us):
         ln_es = _ln_e_arr(params, us)
@@ -675,7 +653,7 @@ def h_pieces(params: FamilyParams, lam: float, sigma: float,
     X = _check_window(params, sigma)
     a, q = params.a, params.q
     rt2 = lam * params.r2
-    rho_v = rho(params, rt2, cfg.flat_cutoff_exponent)
+    rho_v = rho(params, rt2)
     p = params.p_float
     U = rho_v * math.exp(-math.log(X) / p)
     h1 = (math.log(rho_v) - math.log(X) / p) / q
@@ -697,7 +675,7 @@ def j_pieces(params: FamilyParams, lam: float, sigma: float,
     X = _check_window(params, sigma)
     a = params.a
     rt2 = lam * params.r2
-    rho_v = rho(params, rt2, cfg.flat_cutoff_exponent)
+    rho_v = rho(params, rt2)
     lamX = math.exp(-X * math.log(lam))
 
     def f(xs):

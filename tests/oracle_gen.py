@@ -74,6 +74,38 @@ for (aa, bb, qq, pp) in [(0, 2, 2, 2), (0, 2, 1, 2), (1, 2, 2, 2), (0, 3, 2, 3)]
     print(f"A({aa},{bb},{qq},{pp}) closed={mp.nstr(A_cf, 20)} quad={mp.nstr(A_num, 20)}",
           flush=True)
 
+# ---- constant_A without the Gamma substitution ----
+# A = int_0^1 x^(-a/b) (1 - e^(-1/(q x^p))) dx, as 1/(1 - a/b) minus the
+# quadrature of x^(-a/b) e^(-1/(q x^p)) on (0, 1] (which vanishes to all
+# orders at 0; the unsplit integrand converges slowly at p = 1/3), plus the
+# tail int_1^inf x^(-a/b) (1 - e^(-t)) dx, t = 1/(q x^p) <= 1, integrated
+# term by term from the exponential series:
+#   sum_k (-1)^(k+1) / (k! q^k (a/b + k p - 1)),
+# which converges because p > 1 - a/b.  Two precisions must agree to 1e-25.
+def A_series(aa, bb, qq, pp):
+    ab = mpf(aa) / bb
+    head = 1 / (1 - ab) - quad(lambda x: x**(-ab) * exp(-1 / (qq * x**pp)),
+                               [0, mpf(1) / 4, mpf(1) / 2, mpf(3) / 4, 1])
+    tail, k, term, fact = mpf(0), 1, mpf(1), mpf(1)
+    while abs(term) > mpf(10)**(-mp.dps - 5):
+        fact *= k
+        term = (-1)**(k + 1) / (fact * mpf(qq)**k * (ab + k * pp - 1))
+        tail += term
+        k += 1
+    return head + tail
+
+
+for (aa, bb, qq, pp) in [(1, 7, 1, (7, 8)), (2, 7, 2, (3, 4)), (5, 7, 2, (1, 3)),
+                         (2, 7, 7, (7, 1))]:
+    vals = []
+    for dps in (30, 40):
+        mp.dps = dps
+        vals.append(A_series(aa, bb, qq, mpf(pp[0]) / pp[1]))
+    mp.dps = 40
+    assert abs(vals[0] - vals[1]) <= mpf(10)**-25 * abs(vals[1])
+    print(f"A({aa},{bb},{qq},{pp[0]}/{pp[1]}) = {mp.nstr(vals[1], 21)}  "
+          f"(30 vs 40 digits: {mp.nstr(abs(vals[0] - vals[1]) / vals[1], 3)})", flush=True)
+
 # ---- zeta_weighted (0,2,2,2), bump R=(1/2,1/2), sigma=-0.49 :: w-space inner ----
 mp.dps = 25
 a, b, q, p = 0, 2, 2, 2

@@ -82,7 +82,7 @@ def test_criterion_01_supercritical_power_law():
     _report(1, "supercritical-power-law", ok,
             f"limit={limit:.6f} target={target:.6f} rel={rel:.2e} "
             f"t={time.perf_counter() - t0:.1f}s")
-    assert constant_A(params, CFG) == pytest.approx(target, rel=1e-9)
+    assert constant_A(params) == pytest.approx(target, rel=1e-9)
     assert time.perf_counter() - t0 < 60.0
     assert ok
 
@@ -128,7 +128,7 @@ def test_criterion_04_weighted_limits():
     t0 = time.perf_counter()
     params = PRESETS["supercritical"]
     lim_s, _ = extract_limit(scale_sequence(params, _samples(params, weighted=True)))
-    target_s = 4.0 * constant_A(params, CFG)
+    target_s = 4.0 * constant_A(params)
     rel_s = abs(lim_s - target_s) / target_s
 
     params = PRESETS["critical"]
@@ -254,8 +254,8 @@ def test_criterion_08_property_suites():
     # constants invariants: regime gates fire, L+M is continuous with its
     # minimum below the bracket endpoints, A never reads the box
     gates = 0
-    for params, fn in ((PRESETS["critical"], constant_A),
-                       (PRESETS["greenblatt"], constant_A),
+    for params, fn in ((PRESETS["critical"], lambda p, c: constant_A(p)),
+                       (PRESETS["greenblatt"], lambda p, c: constant_A(p)),
                        (PRESETS["supercritical"], lambda p, c: constant_L(p, 1.0, c)),
                        (PRESETS["supercritical"], lambda p, c: case3_bounds(p, c))):
         try:
@@ -273,8 +273,8 @@ def test_criterion_08_property_suites():
     # golden-section localizes lambda to ~1e-5, so the curve may dip below the
     # reported minimum by O(curvature * 1e-10); allow that much slack
     min_ok = all(v >= b3.upper * (1.0 - 1e-6) for v in lm)
-    a_box = (constant_A(FamilyParams(0, 2, 2, Fraction(2), r1=0.3, r2=0.9), CFG)
-             == constant_A(FamilyParams(0, 2, 2, Fraction(2), r1=0.6, r2=0.2), CFG))
+    a_box = (constant_A(FamilyParams(0, 2, 2, Fraction(2), r1=0.3, r2=0.9))
+             == constant_A(FamilyParams(0, 2, 2, Fraction(2), r1=0.6, r2=0.2)))
 
     # fit model reproduces synthetic data of its own form
     from flatzeta.asym import BlowupSequence, ScalingKind

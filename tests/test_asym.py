@@ -14,7 +14,6 @@ from flatzeta.asym import (
     ScalingKind,
     case3_bounds,
     constant_A,
-    constant_A_closed_form,
     constant_L,
     constant_M,
     extract_limit,
@@ -35,29 +34,41 @@ A_ORACLES = {
     (0, 3, 2, Fraction(3)): 1.0747641207672393,
 }
 
+# near-critical and steep families, from tests/oracle_gen.py without the Gamma
+# substitution: mpmath quadrature on (0, 1] plus the tail's exponential
+# series, at 30 and 40 digits (agreeing to 2e-30)
+A_SERIES_ORACLES = {
+    (1, 7, 1, Fraction(7, 8)): 56.5163659318812476902,
+    (2, 7, 2, Fraction(3, 4)): 14.8083487027844956685,
+    (5, 7, 2, Fraction(1, 3)): 12.6518833476065348143,
+    (2, 7, 7, Fraction(7)): 1.22854542914860699024,
+}
+
 M_ORACLE_GREEN_LAM1 = 1.3950594060599476
 
 
 def test_constant_A_values():
     for (a, b, q, p), expect in A_ORACLES.items():
-        params = FamilyParams(a, b, q, p)
-        got = constant_A(params, CFG)
-        assert got == pytest.approx(expect, rel=1e-10)
-        assert constant_A_closed_form(params) == pytest.approx(expect, rel=1e-14)
+        assert constant_A(FamilyParams(a, b, q, p)) == pytest.approx(expect, rel=1e-14)
+
+
+def test_constant_A_against_series_oracle():
+    for (a, b, q, p), expect in A_SERIES_ORACLES.items():
+        assert constant_A(FamilyParams(a, b, q, p)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_constant_A_regime_gate():
     with pytest.raises(WrongRegime):
-        constant_A(CRIT, CFG)       # p = 1 - a/b exactly
+        constant_A(CRIT)       # p = 1 - a/b exactly
     with pytest.raises(WrongRegime):
-        constant_A(GREEN, CFG)
+        constant_A(GREEN)
 
 
 def test_constant_A_ignores_box():
     # A never reads (r1, r2)
     p1 = FamilyParams(0, 2, 2, Fraction(2), r1=0.3, r2=0.9)
     p2 = FamilyParams(0, 2, 2, Fraction(2), r1=0.7, r2=0.1)
-    assert constant_A(p1, CFG) == constant_A(p2, CFG)
+    assert constant_A(p1) == constant_A(p2)
 
 
 def test_constant_L_hand_example():

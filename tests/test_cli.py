@@ -12,7 +12,7 @@ import pytest
 
 from flatzeta import cli, verify
 from flatzeta.cli import RunConfig, main
-from flatzeta.model import FamilyParams, PRESETS
+from flatzeta.model import FamilyParams, NumericConfig, PRESETS
 from flatzeta.zeta import monomial_closed_form, zeta_quadrant
 from fractions import Fraction
 
@@ -73,6 +73,14 @@ def test_constants_regime_gating(capsys):
     assert "case3_bounds" in doc and "A" not in doc
     assert doc["case3_bounds"]["lower"] <= doc["case3_bounds"]["upper"]
     assert len(doc["L_curve"]) == 13
+
+
+def test_constants_near_critical_family(capsys):
+    # p = 7/8 just above 1 - a/b = 6/7: A is large but finite
+    code, out = run_cli(["constants", "--a", "1", "--b", "7", "--q", "1", "--p", "7/8"],
+                        capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["A"] == pytest.approx(56.5163659318812476902, rel=1e-13)
 
 
 def test_verify_suite_exit_codes(tmp_path, capsys):
@@ -150,6 +158,10 @@ def test_config_round_trip(tmp_path):
     # files written with the former out_dir/formats keys still load
     old = text + "out_dir=.\nformats=csv,json\n"
     assert RunConfig.from_text(old) == cfg
+    # so do files with the former flat_cutoff key, which is ignored
+    old = text + "flat_cutoff=600\n"
+    assert RunConfig.from_text(old) == cfg
+    assert RunConfig.from_text(old).numeric == NumericConfig()
 
 
 def test_config_file_cli(tmp_path, capsys):
@@ -160,6 +172,15 @@ def test_config_file_cli(tmp_path, capsys):
     code, out = run_cli(["compute", "--config", str(path)], capsys=capsys)
     assert code == 0
     assert len(out.strip().split("\n")) == 6
+    # flags set next to the file take precedence over its keys
+    code, out = run_cli(["compute", "--config", str(path), "--schedule", "geo:0.125,0.5,4",
+                         "--r1", "0.3"], capsys=capsys)
+    assert code == 0
+    rows = out.strip().split("\n")
+    assert len(rows) == 5
+    sigma, _, Z, _, _ = map(float, rows[1].split(","))
+    z = zeta_quadrant(FamilyParams(0, 2, 2, Fraction(1), r1=0.3, r2=0.5), sigma)
+    assert Z == z.value
 
 
 def test_csv_written_to_file_lf_endings(tmp_path, capsys):

@@ -133,7 +133,7 @@ def test_numeric_config_validation():
     with pytest.raises(DomainError):
         NumericConfig(tol_1d=0.5)
     with pytest.raises(DomainError):
-        NumericConfig(flat_cutoff_exponent=100.0)
+        NumericConfig(max_subdivisions=2)
 
 
 def test_parse_rational():

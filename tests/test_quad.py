@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from flatzeta.errors import DomainError, EnvelopeViolation, NonConvergence
+from flatzeta.errors import DomainError, NonConvergence
 from flatzeta.quad import (
     _BLOCK_CELLS,
     EndpointSpec,
     _tanh_sinh,
     integrate_1d,
-    integrate_tail,
 )
 
 # Closed-form battery reused by several checks: (f, lo, hi, spec, exact)
@@ -21,7 +20,7 @@ CLOSED_FORMS = [
     (lambda x: np.sin(x), 0.0, math.pi, None, 2.0),
     (lambda x: np.log(x), 0.0, 1.0, None, -1.0),
     (lambda x: x**-0.75, 0.0, 1.0, EndpointSpec(exponent_lo=-0.75), 4.0),
-    (lambda x: (1.0 - x) ** -0.25, 0.0, 1.0, EndpointSpec(exponent_hi=-0.25), 4.0 / 3.0),
+    (lambda x: x**-0.25, 0.0, 1.0, EndpointSpec(exponent_lo=-0.25), 4.0 / 3.0),
     (lambda x: np.exp(x), -1.0, 2.0, None, math.exp(2.0) - math.exp(-1.0)),
 ]
 
@@ -127,9 +126,11 @@ def test_tanh_sinh_k1_matches_scalar_call_bit_for_bit():
     cases = [
         (lambda x: x**-0.5 * np.exp(x), 0.0, 2.0, SPEC, 1e-12, 12),
         (lambda x: np.sin(40.0 * x) + 2.0, 0.0, 1.0, None, 1e-12, 12),
-        (lambda x: (1.0 - x) ** -0.25, 0.0, 1.0, EndpointSpec(exponent_hi=-0.25), 1e-10, 12),
+        (lambda x: x**-0.25, 0.0, 1.0, EndpointSpec(exponent_lo=-0.25), 1e-10, 12),
         (lambda x: np.where(x < 1e-200, np.inf, x**-0.5), 0.0, 1.0, SPEC, 1e-10, 12),
         (lambda x: np.log(x), 0.5, 3.0, None, 1e-13, 3),      # ends at the cap
+        # too narrow to hold a node: every level is empty
+        (lambda x: np.ones_like(x), 1.0, math.nextafter(1.0, 2.0), None, 1e-10, 12),
     ]
     for f, lo, hi, spec, tol, levels in cases:
         v, e, ev = _tanh_sinh(f, lo, hi, tol, levels, spec)
@@ -137,6 +138,10 @@ def test_tanh_sinh_k1_matches_scalar_call_bit_for_bit():
                                  spec, k=1)
         assert isinstance(v, float) and isinstance(e, float)
         assert (vk[0], ek[0], evk) == (v, e, ev)
+    # with two components the empty levels give (0, 0) per component as well
+    values, errors, evals = _tanh_sinh(lambda xs, cols: np.ones((xs.shape[0], cols.size)),
+                                       1.0, math.nextafter(1.0, 2.0), 1e-10, 12, k=2)
+    assert values.tolist() == [0.0, 0.0] and errors.tolist() == [0.0, 0.0] and evals == 0
 
 
 def test_tanh_sinh_vector_wide_levels_in_blocks():
@@ -212,44 +217,3 @@ def test_tanh_sinh_joint_components_stop_together():
     assert values == pytest.approx([v for v, _, _ in alone], rel=1e-9)
     assert np.all(errors >= 0.0)
 
-
-def test_integrate_tail_closed_forms():
-    r = integrate_tail(lambda x: x**-2.0, 1.0, -2.0, envelope_k=1.0)
-    assert r.value == pytest.approx(1.0, rel=1e-9)
-    r = integrate_tail(lambda x: x**-3.0, 2.0, -3.0, envelope_k=1.0)
-    assert r.value == pytest.approx(0.125, rel=1e-9)
-
-
-def test_integrate_tail_flat_envelope_case():
-    # x^(-a/b) (1 - e^(-1/(q x^p))) with (a,b,q,p) = (0,2,2,2): envelope
-    # (1/q) x^(-p) from 1 - e^(-t) <= t.  Oracle: truncation at 1e4 computed
-    # by a midpoint rule in u = 1/x (smooth there), plus the series value of
-    # the remaining tail int (c/x^2 - c^2/(2x^4) + ...) dx.
-    def f(x):
-        with np.errstate(divide="ignore", over="ignore"):
-            return -np.expm1(-1.0 / (2.0 * x**2))
-
-    r = integrate_tail(f, 1.0, -2.0, envelope_k=0.5)
-    N = 2_000_000
-    u = 1e-4 + (np.arange(N) + 0.5) * (1.0 - 1e-4) / N
-    trunc = float(np.sum(-np.expm1(-0.5 * u * u) / (u * u))) * (1.0 - 1e-4) / N
-    c = 0.5
-    X = 1e4
-    rem_series = c / X - c * c / (6.0 * X**3)
-    assert abs(r.value - (trunc + rem_series)) <= 1e-8
-    # second oracle: closed form of the whole integral minus the head piece
-    A = math.sqrt(math.pi / 2.0)
-    head = integrate_1d(f, 0.0, 1.0).value
-    assert r.value == pytest.approx(A - head, rel=1e-9)
-
-
-def test_integrate_tail_envelope_violation():
-    with pytest.raises(EnvelopeViolation):
-        integrate_tail(lambda x: 2.0 * x**-2.0, 1.0, -2.0, envelope_k=1.0)
-
-
-def test_integrate_tail_rejections():
-    with pytest.raises(DomainError):
-        integrate_tail(lambda x: x**-2.0, 1.0, -0.5, envelope_k=1.0)
-    with pytest.raises(DomainError):
-        integrate_tail(lambda x: x**-2.0, 0.0, -2.0, envelope_k=1.0)

@@ -391,18 +391,6 @@ def test_region_pieces_flat_dead():
     assert tr.z1 == pytest.approx(z.value, rel=1e-9)
 
 
-def test_region_pieces_with_parts_matches_regime():
-    tr = region_pieces(SUP, 1.0, -0.45, CFG, with_parts=True)
-    assert tr.g1 is not None and tr.g2 is not None and tr.g3 is not None
-    assert tr.j1 is None
-    g1, g2, g3 = g_pieces(SUP, 1.0, -0.45, CFG)
-    assert tr.g1 == pytest.approx(g1, rel=1e-12)
-    tr = region_pieces(CRIT, 1.0, -0.45, CFG, with_parts=True)
-    assert tr.h1 is not None and tr.h2 is not None and tr.g2 is not None
-    tr = region_pieces(GREEN, 1.0, -0.45, CFG, with_parts=True)
-    assert tr.j1 is not None and tr.j2 is not None and tr.g1 is None
-
-
 def test_g_identity_supercritical():
     lam, sigma = 1.0, -0.49
     X = SUP.b * sigma + 1.0
