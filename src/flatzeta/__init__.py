@@ -63,6 +63,7 @@ from .zeta import (
     monomial_closed_form,
     region_pieces,
     zeta_quadrant,
+    zeta_samples,
     zeta_weighted,
     ztilde1,
     ztilde1_2d,

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import FlatZetaError
@@ -48,7 +49,7 @@ from .verify import (
     verify_theorem21,
     verify_theorem31,
 )
-from .zeta import zeta_quadrant
+from .zeta import zeta_samples
 from ._svg import convergence_svg
 
 SUITES = ("thm31", "thm21", "sandwich", "decomp", "lemmas", "landau", "all")
@@ -204,8 +205,7 @@ def _emit(text: str, out_path: str | None):
 def cmd_compute(args) -> int:
     cfg = _build_config(args)
     flat = args.flat != "off"
-    samples = [zeta_quadrant(cfg.params, s, cfg.numeric, flat=flat)
-               for s in cfg.schedule().sigmas]
+    samples = zeta_samples(cfg.params, None, cfg.schedule().sigmas, cfg.numeric, flat=flat)
     seq = scale_sequence(cfg.params, samples)
     rows = ["sigma,X,Z,scaled,err"]
     for s, sc in zip(samples, seq.scaled_values):
@@ -265,7 +265,7 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
                        passed=abs(report.observed - target) <= report.tolerance)
 
     if suite in ("thm31", "all"):
-        samples = ([zeta_quadrant(params, s, numeric) for s in sched.sigmas]
+        samples = (zeta_samples(params, None, sched.sigmas, numeric, flat=True)
                    if plot_path else None)
         rep = verify_theorem31(params, sched, numeric, samples)
         rep = maybe_expect(maybe_expect(rep, "A"), "limit")
@@ -321,7 +321,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process (parse_args does not change it)."""
     ap = argparse.ArgumentParser(
         prog="flatzeta",
         description="local zeta functions of flat-perturbed monomials: "

@@ -24,6 +24,8 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise DomainError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

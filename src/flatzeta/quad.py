@@ -102,31 +102,33 @@ class QuadResult:
 @dataclass(frozen=True)
 class EndpointSpec:
     """Declared endpoint behavior: integrand ~ (x - lo)^exponent_lo near lo.
-    The exponent must exceed -1 (integrability)."""
+    The exponent, one for all components or a (k,) array of one each, must
+    exceed -1 (integrability)."""
 
-    exponent_lo: float = 0.0
+    exponent_lo: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.exponent_lo <= -1.0:
+        if np.any(np.asarray(self.exponent_lo) <= -1.0):
             raise DomainError("the endpoint exponent must be > -1 for integrability")
 
 
-def _endpoint_remainder(deep_f, deep_d, endpoints: Optional[EndpointSpec]):
+def _endpoint_remainder(deep_f, deep_d, beta, comps):
     """Unresolved endpoint mass below the deepest sampled node: for an
-    integrable power (x-lo)^beta the remainder is f(d)*d/(1+beta).
-    Elementwise; d = inf means no node was sampled."""
-    if endpoints is None:
+    integrable power (x-lo)^beta the remainder is f(d)*d/(1+beta), with the
+    declared beta[c] of each component c of comps; d = inf: no node sampled."""
+    if beta is None:
         return 0.0
-    beta = min(endpoints.exponent_lo, 0.0)
-    return deep_f * np.where(np.isfinite(deep_d), deep_d, 0.0) / (1.0 + beta)
+    d = np.where(np.isfinite(deep_d), deep_d, 0.0)
+    return deep_f * d / (1.0 + np.minimum(beta[comps], 0.0))
 
 
-def _droppable(xs, lo, hi, endpoints: Optional[EndpointSpec]):
-    """Nodes next to a declared singular lower endpoint, where a non-finite
-    value is an overflow of an integrable singularity rather than a failure."""
-    if endpoints is None or endpoints.exponent_lo >= 0.0:
-        return np.zeros(xs.shape, dtype=bool)
-    return (xs - lo) < 1e-100 * (hi - lo)
+def _droppable(xs, lo, hi, beta, comps):
+    """(n, m) mask of the nodes xs next to lo where the components comps
+    declare beta[c] < 0: a non-finite value there overflows an integrable
+    singularity rather than a failure."""
+    if beta is None:
+        return np.zeros((xs.size, 1), dtype=bool)
+    return ((xs - lo) < 1e-100 * (hi - lo))[:, None] & (beta[comps] < 0.0)
 
 
 def _stops(level: int, err, prev_err, value, tol: float):
@@ -166,12 +168,13 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
     nodes.  f(xs, cols) receives one (n, 1) column of abscissae and the
     indices cols of the m components still refining, and returns (n, m)
     values, in blocks of at most _BLOCK_CELLS values; value and error are
-    (k,) arrays.  Each component retires at the level where a scalar call
-    on it alone would stop, under the same rules (_stops, the 1% cap, the
-    endpoint remainder), so it returns that call's value and error; only
-    the components still refining are evaluated and counted.  A component
-    that fails at the cap raises NonConvergence naming it.  Callers map
-    intervals that differ per component onto one shared interval inside f.
+    (k,) arrays, and endpoints may declare each component's own exponent.
+    Each component's sums run apart from the others', and it retires at the
+    level where a scalar call on it alone would stop, under the same rules
+    (_stops, the 1% cap, the endpoint remainder), so it returns that call's
+    value and error; only the components still refining are evaluated and
+    counted.  A component that fails at the cap raises NonConvergence naming
+    it.  Callers map per-component intervals onto one shared interval in f.
 
     joint=True instead stops every component at the first level where all
     of them meet a rule.  It suits components that are moments of one
@@ -190,47 +193,48 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
     err = np.full(n_comp, np.inf)
     deep_d = np.full(n_comp, np.inf)    # distance and |f| of each component's
     deep_f = np.zeros(n_comp)           # deepest finite node, for the remainder
+    beta = None if endpoints is None else np.broadcast_to(endpoints.exponent_lo, (n_comp,))
     for level in range(max_levels + 1):
         xs, ws, dist, i, d = _nodes(level, lo, hi)
-        if k is None:
-            fs = np.asarray(f(xs), dtype=float)[:, None]
-        else:
-            # f sees blocks of components, so that its temporaries stay small;
-            # joint components share the integrand's work and go in whole
-            col = xs[:, None]
-            step = act.size if joint else max(1, _BLOCK_CELLS // max(xs.size, 1))
-            if step >= act.size:
-                fs = np.asarray(f(col, act), dtype=float)
+        # f sees blocks of components, and each block is summed before the
+        # next is evaluated, so that values and temporaries stay small; joint
+        # components share the integrand's work and go in whole
+        step = act.size if joint or k is None else max(1, _BLOCK_CELLS // max(xs.size, 1))
+        for j in range(0, act.size, step):
+            blk = slice(j, j + step)
+            fs = (np.asarray(f(xs), dtype=float)[:, None] if k is None
+                  else np.asarray(f(xs[:, None], act[blk]), dtype=float))
+            good = np.isfinite(fs)
+            if good.all():
+                if d < deep_d[blk].max():        # this level samples deeper
+                    deeper = d < deep_d[blk]
+                    deep_d[blk] = np.where(deeper, d, deep_d[blk])
+                    deep_f[blk] = np.where(deeper, np.abs(fs[i]), deep_f[blk])
             else:
-                fs = np.empty((xs.size, act.size))
-                for j in range(0, act.size, step):
-                    fs[:, j:j + step] = f(col, act[j:j + step])
-        good = np.isfinite(fs)
-        if good.all():
-            if d < deep_d.max():        # this level samples deeper
-                deeper = d < deep_d
-                deep_d = np.where(deeper, d, deep_d)
-                deep_f = np.where(deeper, np.abs(fs[i]), deep_f)
-        else:
-            # A declared integrable endpoint singularity may overflow pointwise
-            # at the deepest nodes even though its weighted contribution is
-            # negligible; drop those nodes (the endpoint remainder accounts for
-            # them).  Anything non-finite away from a declared singular
-            # endpoint is a real failure.
-            bad = ~good & ~_droppable(xs, lo, hi, endpoints)[:, None]
-            if bad.any():
-                r, c = np.argwhere(bad)[0]
-                which = "" if k is None else f" (component {act[c]})"
-                raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r}{which}")
-            fs = np.where(good, fs, 0.0)
-            dist_c = np.where(good, dist[:, None], np.inf)
-            j = dist_c.argmin(axis=0)
-            cols = np.arange(act.size)
-            deeper = dist_c[j, cols] < deep_d
-            deep_d = np.where(deeper, dist_c[j, cols], deep_d)
-            deep_f = np.where(deeper, np.abs(fs[j, cols]), deep_f)
+                # A declared integrable endpoint singularity may overflow
+                # pointwise at the deepest nodes even though its weighted
+                # contribution is negligible; drop those nodes (the endpoint
+                # remainder accounts for them).  Anything non-finite away from
+                # a declared singular endpoint is a real failure.
+                bad = ~good & ~_droppable(xs, lo, hi, beta, act[blk])
+                if bad.any():
+                    r, c = np.argwhere(bad)[0]
+                    which = "" if k is None else f" (component {act[blk][c]})"
+                    raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r}{which}")
+                fs = np.where(good, fs, 0.0)
+                dist_c = np.where(good, dist[:, None], np.inf)
+                near = dist_c.argmin(axis=0)
+                cols = np.arange(fs.shape[1])
+                deeper = dist_c[near, cols] < deep_d[blk]
+                deep_d[blk] = np.where(deeper, dist_c[near, cols], deep_d[blk])
+                deep_f[blk] = np.where(deeper, np.abs(fs[near, cols]), deep_f[blk])
+            if joint:       # every component in one block: one matrix product
+                running += ws @ fs
+            else:
+                # one dot product per component on its own contiguous row, so
+                # its sum does not depend on the components beside it
+                running[blk] += np.vecdot(np.ascontiguousarray(fs.T), ws)
         evals += xs.size * act.size
-        running += ws @ fs
         val = span / (1 << level) * running
         if level >= 1:
             prev_err, err = err, np.abs(val - prev)
@@ -244,7 +248,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
                 done = act[stop]
                 value[done] = val[stop]
                 error[done] = err[stop] + _endpoint_remainder(deep_f[stop], deep_d[stop],
-                                                              endpoints)
+                                                              beta, done)
                 live = ~stop
                 act, running, val, err, deep_d, deep_f = (
                     a[live] for a in (act, running, val, err, deep_d, deep_f))
@@ -259,7 +263,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
                 f"({which}last value {val[c]:.6g}, last step {err[c]:.3g})")
         err = 3.0 * err
     value[act] = val
-    error[act] = err + _endpoint_remainder(deep_f, deep_d, endpoints)
+    error[act] = err + _endpoint_remainder(deep_f, deep_d, beta, act)
     if k is None:
         return float(value[0]), float(error[0]), evals
     return value, error, evals

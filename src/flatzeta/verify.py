@@ -38,7 +38,7 @@ from .zeta import (
     log_derivative_moments,
     region_pieces,
     zeta_quadrant,
-    zeta_weighted,
+    zeta_samples,
     ztilde1_2d,
     ztilde2_2d,
 )
@@ -82,12 +82,6 @@ def _scalar_report(check_id, target, observed, rel_tol, residuals=(), t0=0.0):
 # blow-up laws
 # ---------------------------------------------------------------------------
 
-def _quadrant_samples(params, schedule, cfg, weighted_bump=None):
-    if weighted_bump is None:
-        return [zeta_quadrant(params, s, cfg) for s in schedule.sigmas]
-    return [zeta_weighted(params, weighted_bump, s, cfg) for s in schedule.sigmas]
-
-
 def verify_theorem31(params: FamilyParams, schedule: SigmaSchedule,
                      cfg: NumericConfig = DEFAULT_CONFIG,
                      samples: Optional[Sequence[ZetaSample]] = None) -> VerificationReport:
@@ -100,7 +94,7 @@ def verify_theorem31(params: FamilyParams, schedule: SigmaSchedule,
     t0 = time.perf_counter()
     regime = classify_regime(params)
     if samples is None:
-        samples = _quadrant_samples(params, schedule, cfg)
+        samples = zeta_samples(params, None, schedule.sigmas, cfg, flat=True)
     seq = scale_sequence(params, samples)
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         limit, unc = extract_limit(seq)
@@ -131,7 +125,7 @@ def verify_theorem21(params: FamilyParams, bump: BumpSpec, schedule: SigmaSchedu
     up the quadrant-symmetry factor 4 and the bump normalization phi(0,0)=1."""
     t0 = time.perf_counter()
     regime = classify_regime(params)
-    samples = _quadrant_samples(params, schedule, cfg, weighted_bump=bump)
+    samples = zeta_samples(params, bump, schedule.sigmas, cfg, flat=True)
     seq = scale_sequence(params, samples)
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         limit, unc = extract_limit(seq)
@@ -170,7 +164,7 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
     violations = 0
     margins = []
     q = params.q
-    zs = [zeta_quadrant(params, sigma, cfg) for sigma in schedule.sigmas]
+    zs = zeta_samples(params, None, schedule.sigmas, cfg, flat=True)
     for lam in lambdas:
         for sigma, z in zip(schedule.sigmas, zs):
             tr = region_pieces(params, lam, sigma, cfg)

@@ -20,8 +20,8 @@ e(x) = E(x)^(1/q) gives the exact
     X = b sigma + 1,
 
 with C1 = int_0^1 v^((b-q)s) (1+v^q)^s dv (the closed form at Y = E = 1)
-and C2(inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv, one cached quadrature
-per sigma.
+and C2(inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv.  A whole sigma schedule
+is one vector quadrature over x and one of C2(inf), a component per sigma.
 
 Region pieces, the auxiliary reductions ztilde1/ztilde2 and the proof-level
 G/H/J parts are computed by independent quadratures in scaled variables, so
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,8 +111,8 @@ INNER_REL_ERR = 2e-10
 _FAR = 700.0
 
 
-def _inner_rel_err(X: float) -> float:
-    return INNER_REL_ERR * max(1.0, 1e-5 / X)
+def _inner_rel_err(X):
+    return INNER_REL_ERR * np.maximum(1.0, 1e-5 / X)
 
 
 def _inner_closed(b: int, q: int, sigma: float, lnT, lnE):
@@ -126,66 +125,69 @@ def _inner_closed(b: int, q: int, sigma: float, lnT, lnE):
     return np.exp(al * lnT + sigma * lnE) / al * F
 
 
-def _v_integrals(params: FamilyParams, sigma: float, s_hi: np.ndarray,
+def _v_integrals(params: FamilyParams, sigma, s_hi: np.ndarray,
                  weight: Optional[Callable] = None, tol: float = 1e-12,
                  cfg: NumericConfig = DEFAULT_CONFIG):
     """int_0^{s_hi[i]} v^((b-q)s) (1+v^q)^s [weight(v, cols)] dv for every
-    entry of s_hi, as one vector quadrature (components as in _tanh_sinh).
-    Each interval is mapped onto u in (0, 1) by v = s_hi u inside the
-    integrand, so all components share the nodes of (0, 1).
+    entry of s_hi (s = sigma, or sigma[i]), as one vector quadrature
+    (components as in _tanh_sinh).  Each interval is mapped onto u in (0, 1)
+    by v = s_hi u inside the integrand, so all components share the nodes.
 
     Returns (values, errors, evaluations)."""
-    bq = (params.b - params.q) * sigma
+    sig = np.broadcast_to(sigma, s_hi.shape)
+    bq = (params.b - params.q) * sig
     q = params.q
 
     def f(us, cols):
         h = s_hi[cols]
         vs = h * us
         with np.errstate(divide="ignore"):
-            out = h * np.exp(bq * np.log(vs) + sigma * np.log1p(vs**q))
+            out = h * np.exp(bq[cols] * np.log(vs) + sig[cols] * np.log1p(vs**q))
         return out * weight(vs, cols) if weight is not None else out
 
     return _tanh_sinh(f, 0.0, 1.0, tol, cfg.max_subdivisions, EndpointSpec(exponent_lo=bq),
                       k=s_hi.size)
 
 
-def _w_integrals(q: int, sigma: float, X: float, lnE: np.ndarray, w_lo: np.ndarray,
+def _w_integrals(q: int, sigma, X, lnE: np.ndarray, w_lo: np.ndarray,
                  w_hi: float, tol: float, cfg: NumericConfig, weight=None):
     """int_{w_lo[i]}^{w_hi} e^(X w) (1 + E_i e^(-q w))^s [weight(w)] dw for
-    every entry of w_lo (w = log y, log E_i = lnE[i], -inf for no flat term),
-    as one vector quadrature.  Each interval is mapped onto u in (0, 1) by
-    w = w_lo + (w_hi - w_lo) u inside the integrand, so an interval narrow
-    against |w| samples distinct abscissae and needs no special rule.
+    every entry of w_lo (w = log y, log E_i = lnE[i], -inf for no flat term;
+    s and X floats or per entry), as one vector quadrature.  Each interval is
+    mapped onto u in (0, 1) by w = w_lo + (w_hi - w_lo) u inside the
+    integrand, so an interval narrow against |w| samples distinct abscissae.
 
     Returns (values, errors, evaluations)."""
     width = w_hi - w_lo
+    sig, Xw = np.broadcast_to(sigma, w_lo.shape), np.broadcast_to(X, w_lo.shape)
 
     def f(us, cols):
         ws = w_lo[cols] + width[cols] * us
         t = np.exp(np.minimum(lnE[cols] - q * ws, 700.0))
-        out = width[cols] * np.exp(X * ws + sigma * np.log1p(t))
+        out = width[cols] * np.exp(Xw[cols] * ws + sig[cols] * np.log1p(t))
         return out * weight(ws) if weight is not None else out
 
     return _tanh_sinh(f, 0.0, 1.0, tol, cfg.max_subdivisions, EndpointSpec(), k=w_lo.size)
 
 
-@lru_cache(maxsize=512)
-def _c2_full_cached(b: int, q: int, sigma: float, max_levels: int):
-    """C2(S=inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv, in z = v^-q the
-    integral of z^(-X/q-1) expm1(s log1p(z)) / q over (0, 1]."""
-    X = b * sigma + 1.0
+def _c2_full(b: int, q: int, sigmas: np.ndarray, max_levels: int):
+    """C2(S=inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv for every sigma of
+    the array sigmas, in z = v^-q the integral of z^(-X/q-1) expm1(s log1p(z))
+    / q over (0, 1], as one vector quadrature.  Returns (values, errors,
+    evaluations)."""
+    X = b * sigmas + 1.0
     a = -X / q - 1.0
 
-    def f(zs):
+    def f(zs, cols):
         small = zs < 1e-8
         zsafe = np.where(small, 1.0, zs)
-        full = np.power(zsafe, a) * np.expm1(sigma * np.log1p(zsafe))
-        lead = sigma * np.power(zs, a + 1.0)
+        s, ac = sigmas[cols], a[cols]
+        full = np.power(zsafe, ac) * np.expm1(s * np.log1p(zsafe))
+        lead = s * np.power(zs, ac + 1.0)
         return np.where(small, lead, full) / q
 
-    value, err, _ = _tanh_sinh(f, 0.0, 1.0, 1e-12, max_levels,
-                               EndpointSpec(exponent_lo=-X / q))
-    return value, err
+    return _tanh_sinh(f, 0.0, 1.0, 1e-12, max_levels, EndpointSpec(exponent_lo=-X / q),
+                      k=sigmas.size)
 
 
 # ---------------------------------------------------------------------------
@@ -287,77 +289,97 @@ def _kink_cuts(params: FamilyParams, lam: float, cfg: NumericConfig):
 # the fast quadrant engine
 # ---------------------------------------------------------------------------
 
-def _box_integral(params: FamilyParams, sigma: float, cfg: NumericConfig,
+def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
                   Y1: float, Y2: float, bump: Optional[BumpSpec], flat: bool):
-    """Integral over (0,Y1)x(0,Y2) of the integrand, optionally bump-weighted.
-
-    Returns (value, error, evaluations).
-    """
-    if sigma >= 0.0:
-        return _box_direct(params, sigma, cfg, Y1, Y2, bump, flat)
-    X = params.b * sigma + 1.0
-    b, q = params.b, params.q
+    """Integral over (0,Y1)x(0,Y2) of the integrand, optionally bump-weighted,
+    for every sigma < 0 of the array sigmas, as one vector quadrature over x
+    with one component per sigma.  Returns (values, errors, evaluations)."""
+    b, q, k = params.b, params.q, sigmas.size
+    Xs = b * sigmas + 1.0
     lnY2 = math.log(Y2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
-    state = {"ev": 0}
-
-    c1 = _inner_closed(b, q, sigma, 0.0, 0.0)
-    c2f, c2_err = _c2_full_cached(b, q, sigma, cfg.max_subdivisions) if flat else (0.0, 0.0)
+    c1 = _inner_closed(b, q, sigmas, 0.0, 0.0)
+    c2f, c2_err, ev = (_c2_full(b, q, sigmas, cfg.max_subdivisions) if flat
+                       else (np.zeros(k), np.zeros(k), 0))
+    state = {"ev": ev}
     y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
+    ln_dead = math.log(y_dead)
 
-    def inner_plain(ln_es, lnE):
-        """int_0^Y2 y^((b-q)s)(y^q+E)^s dy per column, weight-free."""
+    def increment(ws):
+        return bump_y_increment(bump, np.exp(ws))
+
+    if bump is not None:
+        # log-variable piece of the columns with m <= y_dead and (1 + E e^(-q w))^s
+        # within 4e-18 of 1 on (y_dead, Y2): one E = 0 column per sigma
+        dead_col, _, ev = _w_integrals(q, sigmas, Xs, np.full(k, -np.inf), np.full(k, ln_dead),
+                                       lnY2, mini_tol, cfg, weight=increment)
+        state["ev"] += ev
+
+    def inner_plain(ln_es, lnE, cols):
+        """int_0^Y2 y^((b-q)s)(y^q+E)^s dy per (column, sigma), weight-free."""
         with np.errstate(over="ignore"):
             near = q * (lnY2 - ln_es) <= _FAR
-        out = np.empty_like(ln_es)
-        out[near] = _inner_closed(b, q, sigma, lnY2, lnE[near])
+        X = Xs[cols]
+        out = np.empty((ln_es.size, cols.size))
+        out[near] = _inner_closed(b, q, sigmas[cols], lnY2, lnE[near, None])
         # y = e(x) v: exact main term plus e^X (C1 + C2(S)), C2(S) = C2(inf) here
-        ln_far = ln_es[~near]
-        out[~near] = (math.exp(X * lnY2) * -np.expm1(X * (ln_far - lnY2)) / X
-                      + np.exp(X * ln_far) * (c1 + c2f))
+        ln_far = ln_es[~near, None]
+        out[~near] = (np.exp(X * lnY2) * -np.expm1(X * (ln_far - lnY2)) / X
+                      + np.exp(X * ln_far) * (c1[cols] + c2f[cols]))
         return out
 
-    def inner_delta(ln_es, lnE):
-        """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy per column:
-        a scaled piece over (0, m) and a log-variable piece over (m, Y2),
-        m = min(e(x), Y2), each one vector quadrature over the columns."""
-        total = np.zeros_like(ln_es)
+    def inner_delta(ln_es, lnE, cols):
+        """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy per (column,
+        sigma): a scaled piece over (0, m) and a log-variable piece over
+        (m, Y2), m = min(e(x), Y2), each one vector quadrature over the pairs."""
+        total = np.zeros((ln_es.size, cols.size))
         e_x = np.where(ln_es > -np.inf, np.exp(np.maximum(ln_es, -745.0)), 0.0)
         m = np.minimum(e_x, Y2)
-        sel = m > y_dead
-        if sel.any():      # scaled piece over (0, m), y = e(x) v
-            ln_v, e_v = ln_es[sel], e_x[sel]
-            val, _, ev = _v_integrals(params, sigma, np.minimum(1.0, np.exp(lnY2 - ln_v)),
-                                      lambda vs, cols: bump_y_increment(bump, e_v[cols] * vs),
+        rows = np.flatnonzero(m > y_dead)
+        if rows.size:      # scaled piece over (0, m), y = e(x) v
+            r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+            e_v = e_x[r]
+            val, _, ev = _v_integrals(params, sigmas[c], np.minimum(1.0, np.exp(lnY2 - ln_es[r])),
+                                      lambda vs, cc: bump_y_increment(bump, e_v[cc] * vs),
                                       mini_tol, cfg)
-            total[sel] += np.exp(np.maximum(X * ln_v, -745.0)) * val
+            total[rows] += (np.exp(np.maximum(Xs[c] * ln_es[r], -745.0)) * val).reshape(
+                rows.size, cols.size)
             state["ev"] += ev
-        sel = m < Y2
-        if sel.any():      # log-variable piece over (m, Y2)
-            with np.errstate(divide="ignore"):
-                w_lo = np.maximum(np.log(m[sel]), math.log(y_dead))
-            val, _, ev = _w_integrals(q, sigma, X, lnE[sel], w_lo, lnY2, mini_tol, cfg,
-                                      weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
-            total[sel] += val
+        with np.errstate(divide="ignore"):
+            w_lo = np.maximum(np.log(m), ln_dead)
+        dead = (w_lo == ln_dead) & (lnE - q * ln_dead < -40.0)
+        total[dead] += dead_col[cols]
+        rows = np.flatnonzero((m < Y2) & ~dead)
+        if rows.size:      # log-variable piece over (m, Y2)
+            r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+            val, _, ev = _w_integrals(q, sigmas[c], Xs[c], lnE[r], w_lo[r], lnY2, mini_tol, cfg,
+                                      weight=increment)
+            total[rows] += val.reshape(rows.size, cols.size)
             state["ev"] += ev
         return total
 
-    def column(xs, ln_es):
+    def column(xs, cols):
+        x = xs[:, 0]
+        ln_es = _ln_e_arr(params, x) if flat else np.full_like(x, -np.inf)
         with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
             lnE = q * ln_es
-        v = inner_plain(ln_es, lnE)
+        out = inner_plain(ln_es, lnE, cols)
         if bump is not None:
-            v += inner_delta(ln_es, lnE)
-        return v
+            out += inner_delta(ln_es, lnE, cols)
+        with np.errstate(divide="ignore", over="ignore"):
+            out *= np.exp(params.a * sigmas[cols] * np.log(xs))
+        if bump is not None:
+            out *= bump_x_profile(bump, xs)
+        return out
 
-    value, err, ev = _columns(params, column, [0.0, Y1], params.a * sigma, cfg,
-                              flat=flat, bump=bump)
-    err += (_inner_rel_err(X) + c2_err) * abs(value)
-    return value, err, ev + state["ev"]
+    values, errors, ev = _tanh_sinh(column, 0.0, Y1, cfg.tol_2d, cfg.max_subdivisions,
+                                    EndpointSpec(exponent_lo=params.a * sigmas), k=k)
+    errors += (_inner_rel_err(Xs) + c2_err) * np.abs(values)
+    return values, errors, ev + state["ev"]
 
 
 def _box_direct(params, sigma, cfg, Y1, Y2, bump, flat):
-    """Plain iterated quadrature, used for sigma >= 0 where nothing is singular;
+    """Plain iterated quadrature of one sigma >= 0, where nothing is singular;
     each outer level's columns are one vector quadrature over (0, Y2)."""
     b, q = params.b, params.q
     ep_y = EndpointSpec(exponent_lo=(b - q) * sigma)
@@ -382,6 +404,24 @@ def _box_direct(params, sigma, cfg, Y1, Y2, bump, flat):
     return value, err, ev + state["ev"]
 
 
+def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], sigmas,
+                 cfg: NumericConfig, *, flat: bool) -> list[ZetaSample]:
+    """zeta_quadrant (bump None) or zeta_weighted at every sigma of sigmas,
+    as one batched quadrature: each sigma is one component of the vector
+    quadratures, so its sample is the one-sigma call's value and error."""
+    if bump is not None:
+        if params.q % 2 != 0:
+            raise OddQNotSupported(f"q={params.q} is odd; quadrant symmetry fails")
+        if bump.R1 >= 1.0 or bump.R2 >= 1.0:
+            raise DomainError("bump support must lie inside (-1,1)^2")
+    Xs = [_check_window(params, s) for s in sigmas]
+    Y1, Y2, scale = (params.r1, params.r2, 1.0) if bump is None else (bump.R1, bump.R2, 4.0)
+    values, errors, _ = _box_integral(params, np.array(sigmas, dtype=float), cfg, Y1, Y2,
+                                      bump, flat)
+    return [ZetaSample(sigma=s, X=X, value=scale * float(v), error=scale * float(e))
+            for s, X, v, e in zip(sigmas, Xs, values, errors)]
+
+
 def zeta_quadrant(params: FamilyParams, sigma: float,
                   cfg: NumericConfig = DEFAULT_CONFIG, *, flat: bool = True) -> ZetaSample:
     """Z(sigma) over the quadrant box [0, r1] x [0, r2].
@@ -390,9 +430,7 @@ def zeta_quadrant(params: FamilyParams, sigma: float,
     With flat=False the perturbation is suppressed and the integral reduces to
     the pure monomial.
     """
-    X = _check_window(params, sigma)
-    value, err, _ = _box_integral(params, sigma, cfg, params.r1, params.r2, None, flat)
-    return ZetaSample(sigma=sigma, X=X, value=value, error=err)
+    return zeta_samples(params, None, [sigma], cfg, flat=flat)[0]
 
 
 def zeta_weighted(params: FamilyParams, bump: BumpSpec, sigma: float,
@@ -402,13 +440,7 @@ def zeta_weighted(params: FamilyParams, bump: BumpSpec, sigma: float,
     Needs q even so that |f(x, y)| = |f(|x|, |y|)| and the quadrant symmetry
     holds; the bump support must sit inside (-1, 1)^2.
     """
-    if params.q % 2 != 0:
-        raise OddQNotSupported(f"q={params.q} is odd; quadrant symmetry fails")
-    if bump.R1 >= 1.0 or bump.R2 >= 1.0:
-        raise DomainError("bump support must lie inside (-1,1)^2")
-    X = _check_window(params, sigma)
-    value, err, _ = _box_integral(params, sigma, cfg, bump.R1, bump.R2, bump, flat)
-    return ZetaSample(sigma=sigma, X=X, value=4.0 * value, error=4.0 * err)
+    return zeta_samples(params, bump, [sigma], cfg, flat=flat)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +794,9 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
     so that sign(D_j) = (-1)^j.  j = 0 delegates to the weighted engine,
     j >= 1 to log_derivative_moments."""
     j = _check_log_moments(params, bump, s, j, flat)
-    if j == 0:
-        val, _, _ = _box_integral(params, s, cfg, bump.R1, bump.R2, bump, flat)
-        return 4.0 * val
-    return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])
+    if j > 0:
+        return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])
+    if s >= 0.0:
+        return 4.0 * _box_direct(params, s, cfg, bump.R1, bump.R2, bump, flat)[0]
+    (value,), _, _ = _box_integral(params, np.array([s]), cfg, bump.R1, bump.R2, bump, flat)
+    return 4.0 * float(value)

@@ -13,7 +13,7 @@ import pytest
 from flatzeta import cli, verify
 from flatzeta.cli import RunConfig, main
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS
-from flatzeta.zeta import monomial_closed_form, zeta_quadrant
+from flatzeta.zeta import monomial_closed_form, zeta_quadrant, zeta_samples
 from fractions import Fraction
 
 
@@ -104,16 +104,17 @@ def test_verify_thm31_plot_reuses_samples(tmp_path, capsys, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return zeta_quadrant(*args, **kwargs)
+        calls.append(args[2])
+        return zeta_samples(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "zeta_quadrant", counted)
-    monkeypatch.setattr(verify, "zeta_quadrant", counted)
+    monkeypatch.setattr(cli, "zeta_samples", counted)
+    monkeypatch.setattr(verify, "zeta_samples", counted)
     plot = tmp_path / "conv.svg"
     code, _ = run_cli(["verify", "--preset", "greenblatt", "--suite", "thm31",
                        "--plot", str(plot)], capsys=capsys)
     assert code == 0
-    assert len(calls) == 14       # one per point of the default schedule
+    # one batch over the 14 points of the default schedule, shared by the plot
+    assert [len(sigmas) for sigmas in calls] == [14]
     assert hashlib.sha256(plot.read_bytes()).hexdigest() == GREEN_THM31_SVG_SHA256
 
 
@@ -146,6 +147,26 @@ def test_usage_error_exit_2(capsys):
     code, _ = run_cli(["compute", "--a", "0", "--b", "2", "--q", "2",
                        "--p", "0.25"], capsys=capsys)
     assert code == 2
+
+
+def test_zero_denominator_in_p_is_a_usage_error(tmp_path, capsys):
+    assert main(["constants", "--a", "0", "--b", "2", "--q", "2", "--p", "1/0"]) == 2
+    assert "invalid parse_rational value: '1/0'" in capsys.readouterr().err
+    path = tmp_path / "zero.cfg"
+    path.write_text("a=0\nb=2\nq=2\np=1/0\n", encoding="utf-8")
+    assert main(["constants", "--config", str(path)]) == 2
+    assert "config error: zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_successive_main_calls_share_no_state(capsys):
+    # the parser is built once per process; an --expect (an append action)
+    # of one call must not leak into the next
+    args = ["verify", "--preset", "supercritical", "--suite", "thm31"]
+    code, out = run_cli(args + ["--expect", "A=2.0"], capsys=capsys)
+    assert code == 1 and json.loads(out)["checks"][0]["target"] == 2.0
+    code, out = run_cli(args, capsys=capsys)
+    assert code == 0 and json.loads(out)["checks"][0]["target"] != 2.0
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_config_round_trip(tmp_path):

@@ -142,3 +142,5 @@ def test_parse_rational():
     assert parse_rational("3") == Fraction(3)
     with pytest.raises(ValueError):
         parse_rational("0.25")
+    with pytest.raises(DomainError):      # not a bare ZeroDivisionError
+        parse_rational("1/0")

@@ -120,6 +120,32 @@ def test_tanh_sinh_vector_matches_scalar_calls():
                 assert values[[0, 2]] == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("betas", [(-0.5, -0.25, 0.0), (0.0, -0.5, -0.98)])
+def test_tanh_sinh_per_component_exponents(betas):
+    # x^beta_c with its own declared exponent per component: each component
+    # gets its scalar call's endpoint remainder and error bar; at -0.98 the
+    # mass below the deepest node is 1e-4 of the value, and only the
+    # remainder with that component's own exponent covers it
+    betas = np.array(betas)
+
+    def f(xs, cols):
+        return xs ** betas[cols]
+
+    values, errors, evals = _tanh_sinh(f, 0.0, 1.0, 1e-10, 12, EndpointSpec(exponent_lo=betas),
+                                       k=3)
+    total = 0
+    for c, beta in enumerate(betas):
+        v, e, ev = _tanh_sinh(lambda x: x ** beta, 0.0, 1.0, 1e-10, 12,
+                              EndpointSpec(exponent_lo=float(beta)))
+        assert abs(values[c] - v) <= 4.0 * EPS * abs(v)
+        assert abs(errors[c] - e) <= 4.0 * EPS * abs(v)
+        assert abs(v - 1.0 / (1.0 + beta)) <= e
+        total += ev
+    assert evals == total
+    with pytest.raises(DomainError):
+        EndpointSpec(exponent_lo=np.array([-0.5, -1.0]))
+
+
 def test_tanh_sinh_k1_matches_scalar_call_bit_for_bit():
     # a scalar call is the one loop with a single component: same value,
     # error and evaluation count, bit for bit

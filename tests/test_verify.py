@@ -94,16 +94,16 @@ def test_sandwich_preset_cases():
 
 def test_sandwich_computes_each_z_once(monkeypatch):
     calls = []
-    real = verify_mod.zeta_quadrant
+    real = verify_mod.zeta_samples
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(list(args[2]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify_mod, "zeta_quadrant", counting)
+    monkeypatch.setattr(verify_mod, "zeta_samples", counting)
     rep = verify_sandwich(PRESETS["critical"], [0.25, 1.0, 4.0], SHORT, CFG)
     assert rep.passed
-    assert calls == list(SHORT.sigmas)
+    assert calls == [list(SHORT.sigmas)]      # one batch for all lambdas
 
 
 def test_sandwich_flat_dead_degenerates():

@@ -18,16 +18,17 @@ from flatzeta.errors import (
     OutOfWindow,
     PoleHit,
 )
-from flatzeta.funcs import BumpSpec, E_flat
-from flatzeta.model import FamilyParams, NumericConfig, PRESETS
+from flatzeta.funcs import BumpSpec, E_flat, bump_y_increment
+from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
-    _c2_full_cached,
+    _c2_full,
     _from_one,
     _inner_closed,
     _inner_rel_err,
     _v_integrals,
+    _w_integrals,
     g_pieces,
     h_pieces,
     integrand,
@@ -37,6 +38,7 @@ from flatzeta.zeta import (
     monomial_closed_form,
     region_pieces,
     zeta_quadrant,
+    zeta_samples,
     zeta_weighted,
     ztilde1,
     ztilde1_2d,
@@ -210,7 +212,7 @@ def test_inner_closed_form_matches_oracle(b, q, X, lnT, lnE, ref):
         # term plus e^X (C1 + C2(inf))) must agree within the same bound
         ln_e = lnE / q
         main = math.exp(X * lnT) * -math.expm1(X * (ln_e - lnT)) / X
-        c2f, _ = _c2_full_cached(b, q, sigma, CFG.max_subdivisions)
+        c2f = _c2_full(b, q, np.array([sigma]), CFG.max_subdivisions)[0][0]
         far = main + math.exp(X * ln_e) * (_inner_closed(b, q, sigma, 0.0, 0.0) + c2f)
         assert abs(far - ref) <= bound * ref
 
@@ -253,6 +255,66 @@ def test_zeta_weighted_odd_q_rejected():
     p = FamilyParams(0, 3, 1, Fraction(2))
     with pytest.raises(OddQNotSupported):
         zeta_weighted(p, BumpSpec(0.5, 0.5), -0.2, CFG)
+    with pytest.raises(OddQNotSupported):
+        zeta_samples(p, BumpSpec(0.5, 0.5), [-0.2, -0.3], CFG, flat=True)
+
+
+def _seeded_family(seed: int, even_q: bool) -> FamilyParams:
+    """A random member with b <= 7, p = num/den <= 2 and a random box."""
+    rng = np.random.default_rng(seed)
+    while True:
+        b = int(rng.integers(2, 8))
+        a, q = int(rng.integers(0, b)), int(rng.integers(1, b + 1))
+        p = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        if p <= 2 and not (even_q and q % 2):
+            return FamilyParams(a, b, q, p, *map(float, rng.uniform(0.25, 0.5, 2)))
+
+
+# (family, schedule start X0, flat): 14-point schedules with ratio 1/2; the
+# pinned (0,7,1,5) schedule ends in a stagnation exit at its last sample
+BATCH_CASES = [
+    (SUP, 0.125, True), (CRIT, 0.1, True), (GREEN, 0.0819, True),
+    (_seeded_family(7, False), 0.07, True), (GREEN, 0.125, False),
+    (FamilyParams(0, 7, 1, Fraction(5)), 0.8192, True),
+]
+WEIGHTED_CASES = [
+    (SUP, 0.125, True), (CRIT, 0.1, True), (GREEN, 0.0819, True),
+    (_seeded_family(7, True), 0.07, True), (GREEN, 0.125, False),
+]
+
+
+@pytest.mark.parametrize("bump", [None, BumpSpec(0.5, 0.5)], ids=["quadrant", "weighted"])
+def test_zeta_samples_match_one_sigma_calls(bump):
+    # each sigma of a batch is one component of the vector quadratures and
+    # returns its one-sigma call's value and error
+    eps = np.finfo(float).eps
+    for params, x0, flat in (BATCH_CASES if bump is None else WEIGHTED_CASES):
+        sched = make_schedule(x0, 0.5, 14, params.b)
+        batch = zeta_samples(params, bump, sched.sigmas, CFG, flat=flat)
+        assert len(batch) == 14
+        for s, z in zip(sched.sigmas, batch):
+            one = (zeta_quadrant(params, s, CFG, flat=flat) if bump is None
+                   else zeta_weighted(params, bump, s, CFG, flat=flat))
+            assert (z.sigma, z.X) == (one.sigma, one.X)
+            assert abs(z.value - one.value) <= 4.0 * eps * one.value
+            assert abs(z.error - one.error) <= 4.0 * eps * one.value
+
+
+@pytest.mark.parametrize("flat", [True, False])
+def test_zeta_samples_one_outer_and_one_c2_call(monkeypatch, flat):
+    # a whole schedule is one vector quadrature over x plus, with the flat
+    # term on, one vector quadrature of C2(inf)
+    calls = []
+    real = zeta_mod._tanh_sinh
+
+    def tanh_sinh(f, lo, hi, *args, **kwargs):
+        calls.append((lo, hi, kwargs.get("k")))
+        return real(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    sched = make_schedule(0.125, 0.5, 14, SUP.b)
+    zeta_samples(SUP, None, sched.sigmas, CFG, flat=flat)
+    assert calls == [(0.0, 1.0, 14)] * flat + [(0.0, SUP.r1, 14)]
 
 
 def test_ztilde1_saturated_equals_2d():
@@ -358,6 +420,19 @@ def test_v_integrals_match_scalar_calls_on_own_intervals():
                                  EndpointSpec(exponent_lo=bq))
             assert abs(values[i] - v) <= 4.0 * np.finfo(float).eps * abs(v)
             assert abs(errors[i] - e) <= 4.0 * np.finfo(float).eps * abs(v)
+
+
+def test_flat_dead_bump_columns_equal_the_e0_column():
+    # on (y_dead, Y2) with log E - q log y_dead < -40 the flat factor is 1
+    # to within 4e-18, so the weighted engine shares one E = 0 column per
+    # sigma among all such columns: each equals it to rounding
+    bump, q, lnY2 = BumpSpec(0.5, 0.5), 2, math.log(0.5)
+    ln_dead = lnY2 + math.log(1e-9)
+    lnE = np.array([-np.inf, q * ln_dead - 40.0, q * ln_dead - 300.0])
+    for X in (0.125, 2.0 ** -8, 1e-5):
+        vals, _, _ = _w_integrals(q, (X - 1.0) / 2.0, X, lnE, np.full(3, ln_dead), lnY2, 1e-10,
+                                  CFG, weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
+        assert np.all(np.abs(vals[1:] - vals[0]) <= 4.0 * np.finfo(float).eps * abs(vals[0]))
 
 
 def test_zeta_weighted_batches_inner_columns(monkeypatch):
