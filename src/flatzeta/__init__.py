@@ -73,7 +73,6 @@ from .zeta import (
 from .asym import (
     BlowupSequence,
     Case3Bounds,
-    ScalingKind,
     case3_bounds,
     constant_A,
     constant_L,
@@ -85,11 +84,10 @@ from .verify import (
     VerificationReport,
     landau_taylor_rebuild,
     verify_LM_limits,
+    verify_blowup_law,
     verify_decompositions,
     verify_psi_and_flat,
     verify_sandwich,
-    verify_theorem21,
-    verify_theorem31,
 )
 
 __version__ = "0.1.0"

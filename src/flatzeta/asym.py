@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -32,33 +31,28 @@ from .errors import (
     OptimizerBracketFailure,
     WrongRegime,
 )
-from .funcs import rho
+from .funcs import log_e_flat, rho
 from .model import (
     DEFAULT_CONFIG,
     FamilyParams,
     NumericConfig,
+    Regime,
     RegimeKind,
     SigmaSchedule,
     classify_regime,
 )
 from .quad import integrate_1d
-from .zeta import ZetaSample, _ln_e_arr
-
-
-class ScalingKind(Enum):
-    POWER_LAW = "PowerLaw"
-    LOG_LAW = "LogLaw"
-    RAW = "Raw"
+from .zeta import ZetaSample
 
 
 @dataclass(frozen=True)
 class BlowupSequence:
-    """Regime-scaled samples S_k along a schedule, ready for extrapolation."""
+    """Samples S_k along a schedule, scaled by the law of their regime and
+    ready for extrapolation."""
 
     schedule: SigmaSchedule
     scaled_values: tuple[float, ...]
-    scaling_kind: ScalingKind
-    blowup_exponent: float | None = None
+    regime: Regime
 
     def __post_init__(self):
         if len(self.scaled_values) != len(self.schedule):
@@ -97,8 +91,7 @@ def constant_A(params: FamilyParams) -> float:
     return c**beta * math.gamma(1.0 - beta) / (params.p_float * beta)
 
 
-def constant_L(params: FamilyParams, lam: float,
-               cfg: NumericConfig = DEFAULT_CONFIG) -> float:
+def constant_L(params: FamilyParams, lam: float) -> float:
     """Limit of the monomial-side auxiliary integral in the bounded regime:
 
         L = rho(lam r2)^(1-a/b)/(1-a/b) * log(lam r2)
@@ -106,7 +99,7 @@ def constant_L(params: FamilyParams, lam: float,
     """
     if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
         raise WrongRegime("L(lambda) exists only in the bounded regime")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise DomainError("lambda must be positive")
     ab = params.a / params.b
     pf = params.p_float
@@ -126,7 +119,7 @@ def constant_M(params: FamilyParams, lam: float,
     The integrand grows toward the lower limit but rho(lam r2) > 0 keeps it
     finite; DegenerateLowerLimit is raised if rho underflows to 0.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise DomainError("lambda must be positive")
     a, b, q = params.a, params.b, params.q
     ab = a / b
@@ -138,12 +131,11 @@ def constant_M(params: FamilyParams, lam: float,
     second = 0.0
     if rho_v < params.r1:
         def f(xs):
-            ln_es = _ln_e_arr(params, xs)
+            ln_es = log_e_flat(params, xs)
             with np.errstate(divide="ignore"):
                 return np.exp(-ab * np.log(xs) - (q / b) * ln_es)
 
-        r = integrate_1d(f, rho_v, params.r1, tol=cfg.tol_1d,
-                         max_levels=cfg.max_subdivisions)
+        r = integrate_1d(f, rho_v, params.r1, tol=cfg.tol_1d)
         second = b / q * params.r2**(q / b) * r.value
     return first + second
 
@@ -191,12 +183,12 @@ def case3_bounds(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG) -> C
 
     def lower_obj(t):
         lam = math.exp(t)
-        L, M = constant_L(params, lam, cfg), constant_M(params, lam, cfg)
+        L, M = constant_L(params, lam), constant_M(params, lam, cfg)
         return (L / (1.0 + lam**q)**(1.0 / b) + M / (1.0 + lam**(-q))**(1.0 / b))
 
     def upper_obj(t):
         lam = math.exp(t)
-        return constant_L(params, lam, cfg) + constant_M(params, lam, cfg)
+        return constant_L(params, lam) + constant_M(params, lam, cfg)
 
     t_max, lower = _golden_section(lower_obj, -12.0, 12.0, maximize=True)
     t_min, upper = _golden_section(upper_obj, -12.0, 12.0, maximize=False)
@@ -218,19 +210,18 @@ def scale_sequence(params: FamilyParams, samples: Sequence[ZetaSample]) -> Blowu
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         kappa = regime.blowup_exponent
         scaled = tuple(s.X**kappa * s.value for s in samples)
-        return BlowupSequence(schedule, scaled, ScalingKind.POWER_LAW, kappa)
-    if regime.kind is RegimeKind.CRITICAL_FLAT:
+    elif regime.kind is RegimeKind.CRITICAL_FLAT:
         scaled = tuple(s.value / abs(math.log(s.X)) for s in samples)
-        return BlowupSequence(schedule, scaled, ScalingKind.LOG_LAW, None)
-    scaled = tuple(s.value for s in samples)
-    return BlowupSequence(schedule, scaled, ScalingKind.RAW, None)
+    else:
+        scaled = tuple(s.value for s in samples)
+    return BlowupSequence(schedule, scaled, regime)
 
 
 def _fit_basis(seq: BlowupSequence, xs: np.ndarray) -> np.ndarray:
     cols = [np.ones_like(xs)]
-    if seq.scaling_kind is ScalingKind.POWER_LAW:
-        cols.append(xs**seq.blowup_exponent)
-    if seq.scaling_kind is ScalingKind.LOG_LAW:
+    if seq.regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
+        cols.append(xs**seq.regime.blowup_exponent)
+    if seq.regime.kind is RegimeKind.CRITICAL_FLAT:
         cols.append(1.0 / np.abs(np.log(xs)))
     cols.append(xs * np.log(xs))
     cols.append(xs)

@@ -43,11 +43,10 @@ from .verify import (
     VerificationReport,
     landau_taylor_rebuild,
     verify_LM_limits,
+    verify_blowup_law,
     verify_decompositions,
     verify_psi_and_flat,
     verify_sandwich,
-    verify_theorem21,
-    verify_theorem31,
 )
 from .zeta import zeta_samples
 from ._svg import convergence_svg
@@ -230,7 +229,7 @@ def cmd_constants(args) -> int:
         doc["one_over_pq"] = 1.0 / (params.p_float * params.q)
     else:
         lams = [10.0 ** (k / 2.0) for k in range(-6, 7)]
-        doc["L_curve"] = [[lam, constant_L(params, lam, cfg.numeric)] for lam in lams]
+        doc["L_curve"] = [[lam, constant_L(params, lam)] for lam in lams]
         doc["M_curve"] = [[lam, constant_M(params, lam, cfg.numeric)] for lam in lams]
         b3 = case3_bounds(params, cfg.numeric)
         doc["case3_bounds"] = {
@@ -267,7 +266,7 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
     if suite in ("thm31", "all"):
         samples = (zeta_samples(params, None, sched.sigmas, numeric, flat=True)
                    if plot_path else None)
-        rep = verify_theorem31(params, sched, numeric, samples)
+        rep = verify_blowup_law(params, None, sched, numeric, samples)
         rep = maybe_expect(maybe_expect(rep, "A"), "limit")
         reports.append(rep)
         if plot_path:
@@ -276,7 +275,7 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
             plot_doc = convergence_svg(seq.schedule.xs, seq.scaled_values, target,
                                        title=f"scaled Z along the schedule ({rep.check_id})")
     if suite in ("thm21", "all"):
-        reports.append(verify_theorem21(params, bump, sched, numeric))
+        reports.append(verify_blowup_law(params, bump, sched, numeric))
     if suite in ("sandwich", "all"):
         short = make_schedule(0.125, 0.25, 4, params.b)
         reports.append(verify_sandwich(params, [0.25, 1.0, 4.0], short, numeric))

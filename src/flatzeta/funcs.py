@@ -25,11 +25,12 @@ def _as_array(x):
 
 
 def log_e_flat(params: FamilyParams, x):
-    """log e(x) = -1/(q x^p); -inf at x = 0.  No cutoff is applied here."""
+    """log e(x) = -1/(q x^p); -inf at x = 0 and where x^p underflows.  No
+    cutoff is applied here."""
     arr, scalar = _as_array(x)
     if np.any(arr < 0.0):
         raise DomainError("x must be nonnegative")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         out = np.where(arr > 0.0, -1.0 / (params.q * np.power(arr, params.p_float)), -np.inf)
     return float(out) if scalar else out
 
@@ -112,7 +113,7 @@ class BumpSpec:
     R2: float = 0.5
 
     def __post_init__(self):
-        if self.R1 <= 0.0 or self.R2 <= 0.0:
+        if not (self.R1 > 0.0 and self.R2 > 0.0):
             raise DomainError("bump half-widths must be positive")
 
     @property

@@ -170,21 +170,15 @@ DEFAULT_SCHEDULE = (0.125, 0.5, 14)
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Quadrature tolerances and caps shared by the evaluators.
-
-    max_subdivisions caps the number of mesh-halving refinement levels per
-    quadrature call (each level roughly doubles the node count).
-    """
+    """Quadrature tolerances shared by the evaluators (the refinement cap is
+    flatzeta.quad.MAX_LEVELS)."""
 
     tol_1d: float = 1e-10
     tol_2d: float = 1e-7
-    max_subdivisions: int = 12
 
     def __post_init__(self):
         if not 0.0 < self.tol_1d <= 1e-2 or not 0.0 < self.tol_2d <= 1e-2:
             raise DomainError("tolerances must lie in (0, 1e-2]")
-        if self.max_subdivisions < 3:
-            raise DomainError("max_subdivisions must be >= 3")
 
 
 DEFAULT_CONFIG = NumericConfig()

@@ -5,12 +5,12 @@ x^beta with beta > -1, with uniform behavior as beta -> -1, so no
 exponent-dependent substitutions are needed.  The entry point is
 integrate_1d: a finite interval with integrable endpoint singularities.
 
-Integrands are called with numpy arrays of abscissae and must return arrays
-of the same length.  integrate_1d runs on the one refinement loop
-`_tanh_sinh`, on one interval per call.  Iterated 2D integrals are built on
-it in flatzeta.zeta: its vector calls integrate all inner columns of one
-outer level at once on a shared interval, each column retiring at its own
-level.
+integrate_1d's integrand is called with numpy arrays of abscissae and must
+return arrays of the same length; it runs on the one refinement loop
+`_tanh_sinh` as a call with a single component.  Iterated 2D integrals are
+built on the loop in flatzeta.zeta: one call integrates all inner columns of
+one outer level at once on a shared interval, each column retiring at its
+own level.  Every call refines at most MAX_LEVELS times.
 """
 
 from __future__ import annotations
@@ -32,8 +32,12 @@ _T_MAX = 6.1
 #: abscissa would round onto the singular endpoint itself).
 _OFF_MIN = 1e-305
 
+#: Most mesh-halving refinement levels of one _tanh_sinh call (each level
+#: roughly doubles the node count).
+MAX_LEVELS = 12
+
 _LEVEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-#: Most (node, component) values one integrand call of a vector _tanh_sinh
+#: Most (node, component) values one integrand call of _tanh_sinh
 #: computes; wider levels are evaluated in blocks of components.
 _BLOCK_CELLS = 1 << 14
 
@@ -155,26 +159,23 @@ def _capped(err, value):
     return ~(err <= 1e-2 * np.maximum(abs(value), 1e-300))
 
 
-def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
-               endpoints: Optional[EndpointSpec] = None, *,
-               k: Optional[int] = None, joint: bool = False):
-    """Core refinement loop on the finite interval (lo, hi).  Returns
-    (value, error, evaluations).
+def _tanh_sinh(f, lo: float, hi: float, tol: float,
+               endpoints: Optional[EndpointSpec] = None, *, k: int, joint: bool = False):
+    """Core refinement loop on the finite interval (lo, hi): integrates k
+    components on shared nodes.  Returns (value, error, evaluations), value
+    and error (k,) arrays.
 
-    Scalar call (k=None): f(xs) maps an (n,) array of abscissae in (lo, hi)
-    to (n,) values; value and error are floats.
-
-    Vector call: the call integrates k components over (lo, hi) on shared
-    nodes.  f(xs, cols) receives one (n, 1) column of abscissae and the
-    indices cols of the m components still refining, and returns (n, m)
-    values, in blocks of at most _BLOCK_CELLS values; value and error are
-    (k,) arrays, and endpoints may declare each component's own exponent.
-    Each component's sums run apart from the others', and it retires at the
-    level where a scalar call on it alone would stop, under the same rules
-    (_stops, the 1% cap, the endpoint remainder), so it returns that call's
-    value and error; only the components still refining are evaluated and
-    counted.  A component that fails at the cap raises NonConvergence naming
-    it.  Callers map per-component intervals onto one shared interval in f.
+    f(xs, cols) receives one (n, 1) column of abscissae and the indices cols
+    of the m components still refining, and returns (n, m) values, in blocks
+    of at most _BLOCK_CELLS values; endpoints may declare each component's
+    own exponent.  Each component's sums run apart from the others', and it
+    retires at the first level >= 2 where it meets the stopping rules
+    (_stops), with its endpoint remainder added to its error, so it returns
+    the same value and error as a call on it alone; only the components
+    still refining are evaluated and counted.  After MAX_LEVELS levels a
+    last step below 1% of the value is accepted with a 3x error bar
+    (_capped); a component that fails that raises NonConvergence naming it.
+    Callers map per-component intervals onto one shared interval in f.
 
     joint=True instead stops every component at the first level where all
     of them meet a rule.  It suits components that are moments of one
@@ -183,27 +184,25 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
     levels make the fast components more accurate.
     """
     span = hi - lo
-    n_comp = 1 if k is None else k
-    value = np.zeros(n_comp)    # results, filled in as components retire
-    error = np.zeros(n_comp)
+    value = np.zeros(k)    # results, filled in as components retire
+    error = np.zeros(k)
     evals = 0
     # state of the components still refining, compacted as they retire
-    act = np.arange(n_comp)
-    running = np.zeros(n_comp)  # sum of w * f over all retained nodes so far
-    err = np.full(n_comp, np.inf)
-    deep_d = np.full(n_comp, np.inf)    # distance and |f| of each component's
-    deep_f = np.zeros(n_comp)           # deepest finite node, for the remainder
-    beta = None if endpoints is None else np.broadcast_to(endpoints.exponent_lo, (n_comp,))
-    for level in range(max_levels + 1):
+    act = np.arange(k)
+    running = np.zeros(k)  # sum of w * f over all retained nodes so far
+    err = np.full(k, np.inf)
+    deep_d = np.full(k, np.inf)    # distance and |f| of each component's
+    deep_f = np.zeros(k)           # deepest finite node, for the remainder
+    beta = None if endpoints is None else np.broadcast_to(endpoints.exponent_lo, (k,))
+    for level in range(MAX_LEVELS + 1):
         xs, ws, dist, i, d = _nodes(level, lo, hi)
         # f sees blocks of components, and each block is summed before the
         # next is evaluated, so that values and temporaries stay small; joint
         # components share the integrand's work and go in whole
-        step = act.size if joint or k is None else max(1, _BLOCK_CELLS // max(xs.size, 1))
+        step = act.size if joint else max(1, _BLOCK_CELLS // max(xs.size, 1))
         for j in range(0, act.size, step):
             blk = slice(j, j + step)
-            fs = (np.asarray(f(xs), dtype=float)[:, None] if k is None
-                  else np.asarray(f(xs[:, None], act[blk]), dtype=float))
+            fs = np.asarray(f(xs[:, None], act[blk]), dtype=float)
             good = np.isfinite(fs)
             if good.all():
                 if d < deep_d[blk].max():        # this level samples deeper
@@ -219,8 +218,8 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
                 bad = ~good & ~_droppable(xs, lo, hi, beta, act[blk])
                 if bad.any():
                     r, c = np.argwhere(bad)[0]
-                    which = "" if k is None else f" (component {act[blk][c]})"
-                    raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r}{which}")
+                    raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r} "
+                                         f"(component {act[blk][c]})")
                 fs = np.where(good, fs, 0.0)
                 dist_c = np.where(good, dist[:, None], np.inf)
                 near = dist_c.argmin(axis=0)
@@ -257,20 +256,17 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float, max_levels: int,
         loose = _capped(err, val)
         if loose.any():
             c = int(np.argmax(loose))
-            which = "" if k is None else f"component {act[c]}: "
             raise NonConvergence(
-                f"tanh-sinh did not reach tol={tol:g} within {max_levels} levels "
-                f"({which}last value {val[c]:.6g}, last step {err[c]:.3g})")
+                f"tanh-sinh did not reach tol={tol:g} within {MAX_LEVELS} levels "
+                f"(component {act[c]}: last value {val[c]:.6g}, last step {err[c]:.3g})")
         err = 3.0 * err
     value[act] = val
     error[act] = err + _endpoint_remainder(deep_f, deep_d, beta, act)
-    if k is None:
-        return float(value[0]), float(error[0]), evals
     return value, error, evals
 
 
 def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = None,
-                 tol: float = 1e-10, max_levels: int = 12) -> QuadResult:
+                 tol: float = 1e-10) -> QuadResult:
     """Integrate f over (lo, hi) with integrable endpoint singularities.
 
     Parameters
@@ -289,11 +285,13 @@ def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = No
     Raises
     ------
     DomainError      on a bad interval or non-integrable declared exponent.
-    NonConvergence   when the refinement cap is hit with the error above tol.
+    NonConvergence   when MAX_LEVELS levels leave the last step above 1% of
+                     the value.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"need finite lo < hi, got ({lo}, {hi})")
     if endpoints is None:
         endpoints = EndpointSpec()
-    value, err, evals = _tanh_sinh(f, lo, hi, tol, max_levels, endpoints)
-    return QuadResult(value, err, evals)
+    (value,), (err,), evals = _tanh_sinh(lambda xs, cols: np.asarray(f(xs[:, 0]))[:, None],
+                                         lo, hi, tol, endpoints, k=1)
+    return QuadResult(float(value), float(err), evals)

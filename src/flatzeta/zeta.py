@@ -50,7 +50,15 @@ from .errors import (
     OutOfWindow,
     PoleHit,
 )
-from .funcs import BumpSpec, E_flat, bump_x_profile, bump_y_increment, bump_y_profile, rho
+from .funcs import (
+    BumpSpec,
+    E_flat,
+    bump_x_profile,
+    bump_y_increment,
+    bump_y_profile,
+    log_e_flat,
+    rho,
+)
 from .model import DEFAULT_CONFIG, FamilyParams, NumericConfig
 from .quad import EndpointSpec, _tanh_sinh, integrate_1d
 
@@ -89,11 +97,13 @@ def _check_window(params: FamilyParams, sigma: float) -> float:
     return params.b * sigma + 1.0
 
 
-def _ln_e_arr(params: FamilyParams, xs: np.ndarray) -> np.ndarray:
-    """log e(x) = -1/(q x^p) elementwise, -inf where x^p underflows."""
-    with np.errstate(divide="ignore", over="ignore"):
-        xp = np.power(xs, params.p_float)
-        return np.where(xp > 0.0, -1.0 / (params.q * xp), -np.inf)
+def _check_slice(params: FamilyParams, lam: float, sigma: float) -> float:
+    """X = b sigma + 1 for the slice lambda y = e(x), after checking sigma
+    against the window and lambda > 0 (NaN fails)."""
+    X = _check_window(params, sigma)
+    if not lam > 0.0:
+        raise DomainError("lambda must be positive")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +136,7 @@ def _inner_closed(b: int, q: int, sigma: float, lnT, lnE):
 
 
 def _v_integrals(params: FamilyParams, sigma, s_hi: np.ndarray,
-                 weight: Optional[Callable] = None, tol: float = 1e-12,
-                 cfg: NumericConfig = DEFAULT_CONFIG):
+                 weight: Optional[Callable] = None, tol: float = 1e-12):
     """int_0^{s_hi[i]} v^((b-q)s) (1+v^q)^s [weight(v, cols)] dv for every
     entry of s_hi (s = sigma, or sigma[i]), as one vector quadrature
     (components as in _tanh_sinh).  Each interval is mapped onto u in (0, 1)
@@ -145,12 +154,11 @@ def _v_integrals(params: FamilyParams, sigma, s_hi: np.ndarray,
             out = h * np.exp(bq[cols] * np.log(vs) + sig[cols] * np.log1p(vs**q))
         return out * weight(vs, cols) if weight is not None else out
 
-    return _tanh_sinh(f, 0.0, 1.0, tol, cfg.max_subdivisions, EndpointSpec(exponent_lo=bq),
-                      k=s_hi.size)
+    return _tanh_sinh(f, 0.0, 1.0, tol, EndpointSpec(exponent_lo=bq), k=s_hi.size)
 
 
 def _w_integrals(q: int, sigma, X, lnE: np.ndarray, w_lo: np.ndarray,
-                 w_hi: float, tol: float, cfg: NumericConfig, weight=None):
+                 w_hi: float, tol: float, weight=None):
     """int_{w_lo[i]}^{w_hi} e^(X w) (1 + E_i e^(-q w))^s [weight(w)] dw for
     every entry of w_lo (w = log y, log E_i = lnE[i], -inf for no flat term;
     s and X floats or per entry), as one vector quadrature.  Each interval is
@@ -167,10 +175,10 @@ def _w_integrals(q: int, sigma, X, lnE: np.ndarray, w_lo: np.ndarray,
         out = width[cols] * np.exp(Xw[cols] * ws + sig[cols] * np.log1p(t))
         return out * weight(ws) if weight is not None else out
 
-    return _tanh_sinh(f, 0.0, 1.0, tol, cfg.max_subdivisions, EndpointSpec(), k=w_lo.size)
+    return _tanh_sinh(f, 0.0, 1.0, tol, EndpointSpec(), k=w_lo.size)
 
 
-def _c2_full(b: int, q: int, sigmas: np.ndarray, max_levels: int):
+def _c2_full(b: int, q: int, sigmas: np.ndarray):
     """C2(S=inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv for every sigma of
     the array sigmas, in z = v^-q the integral of z^(-X/q-1) expm1(s log1p(z))
     / q over (0, 1], as one vector quadrature.  Returns (values, errors,
@@ -186,8 +194,7 @@ def _c2_full(b: int, q: int, sigmas: np.ndarray, max_levels: int):
         lead = s * np.power(zs, ac + 1.0)
         return np.where(small, lead, full) / q
 
-    return _tanh_sinh(f, 0.0, 1.0, 1e-12, max_levels, EndpointSpec(exponent_lo=-X / q),
-                      k=sigmas.size)
+    return _tanh_sinh(f, 0.0, 1.0, 1e-12, EndpointSpec(exponent_lo=-X / q), k=sigmas.size)
 
 
 # ---------------------------------------------------------------------------
@@ -237,36 +244,36 @@ def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> 
 # the outer x-integral, shared by every iterated quadrature
 # ---------------------------------------------------------------------------
 
-def _panels(outer, cuts, a_s: float, cfg: NumericConfig, k: Optional[int] = None):
+def _panels(outer, cuts, a_s: float, cfg: NumericConfig, k: int = 1):
     """Sum of tanh-sinh integrals of outer over the panels between
     consecutive cuts; the panel at 0 declares the x^(a s) endpoint.
-    outer(xs) gives (n,) values, or with k the (n, k) values of k integrands
-    on the same nodes, which refine jointly (see _tanh_sinh).
+    outer(xs) gives the (n, k) values of k integrands on the same nodes, or
+    (n,) values for k = 1; they refine jointly (see _tanh_sinh).
 
-    Returns (value, error, evaluations)."""
-    f = outer if k is None else lambda xs, cols: outer(xs[:, 0])   # joint: cols is all k
+    Returns (values, errors, evaluations), values and errors (k,) arrays."""
+    f = lambda xs, cols: outer(xs[:, 0]).reshape(-1, k)     # joint: cols is all k
     total, err, evs = 0.0, 0.0, 0
     for lo, hi in zip(cuts, cuts[1:]):
         ep = EndpointSpec(exponent_lo=a_s if lo == 0.0 else 0.0)
-        v, e, ev = _tanh_sinh(f, lo, hi, cfg.tol_2d, cfg.max_subdivisions, ep, k=k, joint=True)
+        v, e, ev = _tanh_sinh(f, lo, hi, cfg.tol_2d, ep, k=k, joint=True)
         total, err, evs = total + v, err + e, evs + ev
     return total, err, evs
 
 
 def _columns(params: FamilyParams, column: Callable, cuts, a_s: float,
              cfg: NumericConfig, *, flat: bool = True, bump: Optional[BumpSpec] = None,
-             k: Optional[int] = None):
+             k: int = 1):
     """int x^(a s) [phi_x(x)] column(xs, log e(xs)) dx over (cuts[0], cuts[-1]),
     split at the cuts.  column gets all abscissae of one outer level and
     their log e(x) (-inf where e underflows or flat is off), and returns a
     fresh (n,) array of inner integrals: a batched column makes one vector
-    _tanh_sinh call per level, not one call per abscissa.  With k the column
-    returns (n, k) values of k integrands, integrated jointly.
+    _tanh_sinh call per level, not one call per abscissa.  With k > 1 the
+    column returns (n, k) values of k integrands, integrated jointly.
 
-    Returns (value, error, outer evaluations); inner evaluations are the
-    column's to count."""
+    Returns (values, errors, outer evaluations) as _panels does; inner
+    evaluations are the column's to count."""
     def outer(xs):
-        ln_es = _ln_e_arr(params, xs) if flat else np.full_like(xs, -np.inf)
+        ln_es = log_e_flat(params, xs) if flat else np.full_like(xs, -np.inf)
         out = column(xs, ln_es)
         cols = out.T          # a view with x along the last axis, rows or not
         with np.errstate(divide="ignore", over="ignore"):
@@ -278,7 +285,7 @@ def _columns(params: FamilyParams, column: Callable, cuts, a_s: float,
     return _panels(outer, cuts, a_s, cfg, k)
 
 
-def _kink_cuts(params: FamilyParams, lam: float, cfg: NumericConfig):
+def _kink_cuts(params: FamilyParams, lam: float):
     """Outer cuts 0 < [rho(lam r2)] < r1: the slice geometry kinks where
     e(x)/lambda crosses the box top, so the kink goes on a panel boundary."""
     x_kink = rho(params, lam * params.r2)
@@ -299,7 +306,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
     lnY2 = math.log(Y2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
     c1 = _inner_closed(b, q, sigmas, 0.0, 0.0)
-    c2f, c2_err, ev = (_c2_full(b, q, sigmas, cfg.max_subdivisions) if flat
+    c2f, c2_err, ev = (_c2_full(b, q, sigmas) if flat
                        else (np.zeros(k), np.zeros(k), 0))
     state = {"ev": ev}
     y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
@@ -312,7 +319,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
         # log-variable piece of the columns with m <= y_dead and (1 + E e^(-q w))^s
         # within 4e-18 of 1 on (y_dead, Y2): one E = 0 column per sigma
         dead_col, _, ev = _w_integrals(q, sigmas, Xs, np.full(k, -np.inf), np.full(k, ln_dead),
-                                       lnY2, mini_tol, cfg, weight=increment)
+                                       lnY2, mini_tol, weight=increment)
         state["ev"] += ev
 
     def inner_plain(ln_es, lnE, cols):
@@ -341,7 +348,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
             e_v = e_x[r]
             val, _, ev = _v_integrals(params, sigmas[c], np.minimum(1.0, np.exp(lnY2 - ln_es[r])),
                                       lambda vs, cc: bump_y_increment(bump, e_v[cc] * vs),
-                                      mini_tol, cfg)
+                                      mini_tol)
             total[rows] += (np.exp(np.maximum(Xs[c] * ln_es[r], -745.0)) * val).reshape(
                 rows.size, cols.size)
             state["ev"] += ev
@@ -352,7 +359,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
         rows = np.flatnonzero((m < Y2) & ~dead)
         if rows.size:      # log-variable piece over (m, Y2)
             r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
-            val, _, ev = _w_integrals(q, sigmas[c], Xs[c], lnE[r], w_lo[r], lnY2, mini_tol, cfg,
+            val, _, ev = _w_integrals(q, sigmas[c], Xs[c], lnE[r], w_lo[r], lnY2, mini_tol,
                                       weight=increment)
             total[rows] += val.reshape(rows.size, cols.size)
             state["ev"] += ev
@@ -360,7 +367,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
 
     def column(xs, cols):
         x = xs[:, 0]
-        ln_es = _ln_e_arr(params, x) if flat else np.full_like(x, -np.inf)
+        ln_es = log_e_flat(params, x) if flat else np.full_like(x, -np.inf)
         with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
             lnE = q * ln_es
         out = inner_plain(ln_es, lnE, cols)
@@ -372,7 +379,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
             out *= bump_x_profile(bump, xs)
         return out
 
-    values, errors, ev = _tanh_sinh(column, 0.0, Y1, cfg.tol_2d, cfg.max_subdivisions,
+    values, errors, ev = _tanh_sinh(column, 0.0, Y1, cfg.tol_2d,
                                     EndpointSpec(exponent_lo=params.a * sigmas), k=k)
     errors += (_inner_rel_err(Xs) + c2_err) * np.abs(values)
     return values, errors, ev + state["ev"]
@@ -394,14 +401,13 @@ def _box_direct(params, sigma, cfg, Y1, Y2, bump, flat):
             vals = np.exp(sigma * ((b - q) * lny + np.logaddexp(q * lny, lnE[cols])))
             return vals * bump_y_profile(bump, ys) if bump is not None else vals
 
-        val, _, ev = _tanh_sinh(fy, 0.0, Y2, cfg.tol_2d / 5.0, cfg.max_subdivisions, ep_y,
-                                k=xs.size)
+        val, _, ev = _tanh_sinh(fy, 0.0, Y2, cfg.tol_2d / 5.0, ep_y, k=xs.size)
         state["ev"] += ev
         return val
 
-    value, err, ev = _columns(params, column, [0.0, Y1], params.a * sigma, cfg,
-                              flat=flat, bump=bump)
-    return value, err, ev + state["ev"]
+    (value,), (err,), ev = _columns(params, column, [0.0, Y1], params.a * sigma, cfg,
+                                    flat=flat, bump=bump)
+    return float(value), float(err), ev + state["ev"]
 
 
 def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], sigmas,
@@ -462,24 +468,21 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
     """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)},
     plus the auxiliary integrals ztilde1/ztilde2.  Each outer level's z1 and
     z2 columns are batched into one vector quadrature apiece."""
-    X = _check_window(params, sigma)
-    if lam <= 0.0:
-        raise DomainError("lambda must be positive")
+    X = _check_slice(params, lam, sigma)
     q = params.q
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
     w_floor = _w_floor(X, lnY2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
 
     # inner scaled integral over the full unclipped slice, shared by all columns
-    v_unclipped = _v_integrals(params, sigma, np.array([1.0 / lam]), tol=mini_tol, cfg=cfg)[0]
+    v_unclipped = _v_integrals(params, sigma, np.array([1.0 / lam]), tol=mini_tol)[0]
 
     def z2_inner(xs, ln_es):
         eX = np.where(ln_es > -np.inf, np.exp(np.maximum(X * ln_es, -745.0)), 0.0)
         v = np.full_like(ln_es, v_unclipped[0])
         clip = ln_es - ln_lam > lnY2       # the slice e(x)/lambda leaves the box
         if clip.any():
-            v[clip] = _v_integrals(params, sigma, np.exp(lnY2 - ln_es[clip]),
-                                   tol=mini_tol, cfg=cfg)[0]
+            v[clip] = _v_integrals(params, sigma, np.exp(lnY2 - ln_es[clip]), tol=mini_tol)[0]
         return eX * v
 
     def z1_inner(xs, ln_es):
@@ -492,16 +495,16 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
             with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
                 lnE = q * ln_es[sel]
             out[sel] = _w_integrals(q, sigma, X, lnE, np.maximum(ln_m[sel], w_floor), lnY2,
-                                    mini_tol, cfg)[0]
+                                    mini_tol)[0]
         return out
 
-    cuts = _kink_cuts(params, lam, cfg)
-    z1, e1, _ = _columns(params, z1_inner, cuts, params.a * sigma, cfg)
-    z2, e2, _ = _columns(params, z2_inner, cuts, params.a * sigma, cfg)
+    cuts = _kink_cuts(params, lam)
+    (z1,), (e1,), _ = _columns(params, z1_inner, cuts, params.a * sigma, cfg)
+    (z2,), (e2,), _ = _columns(params, z2_inner, cuts, params.a * sigma, cfg)
     zt1 = ztilde1(params, lam, sigma, cfg)
     zt2 = ztilde2(params, lam, sigma, cfg)
-    return DecompositionTrace(lam=lam, sigma=sigma, z1=z1, z2=z2, ztilde1=zt1, ztilde2=zt2,
-                              error=e1 + e2)
+    return DecompositionTrace(lam=lam, sigma=sigma, z1=float(z1), z2=float(z2), ztilde1=zt1,
+                              ztilde2=zt2, error=float(e1 + e2))
 
 
 # ---------------------------------------------------------------------------
@@ -514,22 +517,19 @@ def ztilde1(params: FamilyParams, lam: float, sigma: float,
 
         lam^-X X^-1 int_0^rho(lam r2) x^(a s) ((lam r2)^X - e(x)^X) dx
     """
-    X = _check_window(params, sigma)
-    if lam <= 0.0:
-        raise DomainError("lambda must be positive")
+    X = _check_slice(params, lam, sigma)
     a = params.a
     rt2 = lam * params.r2
     ln_rt2 = math.log(rt2)
     upper = rho(params, rt2)
 
     def f(xs):
-        ln_es = _ln_e_arr(params, xs)
+        ln_es = log_e_flat(params, xs)
         diff = math.exp(X * ln_rt2) * (-np.expm1(np.minimum(X * (ln_es - ln_rt2), 0.0)))
         with np.errstate(divide="ignore"):
             return np.exp(a * sigma * np.log(xs)) * diff
 
-    val = integrate_1d(f, 0.0, upper, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d,
-                       max_levels=cfg.max_subdivisions).value
+    val = integrate_1d(f, 0.0, upper, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d).value
     return math.exp(-X * math.log(lam)) / X * val
 
 
@@ -542,9 +542,7 @@ def ztilde2(params: FamilyParams, lam: float, sigma: float,
     with rho = rho(lam r2).  The lower limit rho > 0 keeps the growing factor
     e^(-s/x^p) finite on the second piece.
     """
-    X = _check_window(params, sigma)
-    if lam <= 0.0:
-        raise DomainError("lambda must be positive")
+    X = _check_slice(params, lam, sigma)
     a, q = params.a, params.q
     rt2 = lam * params.r2
     rho_v = rho(params, rt2)
@@ -554,21 +552,20 @@ def ztilde2(params: FamilyParams, lam: float, sigma: float,
     ep = EndpointSpec(exponent_lo=a * sigma)
 
     def f1(xs):
-        ln_es = _ln_e_arr(params, xs)
+        ln_es = log_e_flat(params, xs)
         with np.errstate(divide="ignore"):
             return np.exp(a * sigma * np.log(xs) + np.maximum(X * ln_es, -745.0))
 
-    p1 = integrate_1d(f1, 0.0, rho_v, ep, cfg.tol_1d, max_levels=cfg.max_subdivisions).value
+    p1 = integrate_1d(f1, 0.0, rho_v, ep, cfg.tol_1d).value
     p1 *= math.exp(-denom * math.log(lam)) / denom
 
     p2 = 0.0
     if rho_v < params.r1:
         def f2(xs):
-            ln_es = _ln_e_arr(params, xs)
+            ln_es = log_e_flat(params, xs)
             return np.exp(a * sigma * np.log(xs) + q * sigma * ln_es)
 
-        val = integrate_1d(f2, rho_v, params.r1, tol=cfg.tol_1d,
-                           max_levels=cfg.max_subdivisions).value
+        val = integrate_1d(f2, rho_v, params.r1, tol=cfg.tol_1d).value
         p2 = math.exp(denom * math.log(params.r2)) / denom * val
     return p1 + p2
 
@@ -577,9 +574,7 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
                cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Direct iterated quadrature of x^(a s) y^(b s) over {lambda y >= e(x)},
     for cross-checking the 1D reduction."""
-    X = _check_window(params, sigma)
-    if lam <= 0.0:
-        raise DomainError("lambda must be positive")
+    X = _check_slice(params, lam, sigma)
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
     w_floor = _w_floor(X, lnY2)
 
@@ -589,11 +584,10 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
         sel = ln_c < lnY2
         if sel.any():     # int_c^r2 y^(X-1) dy in w = log y, c = e(x)/lambda
             out[sel] = _w_integrals(params.q, sigma, X, np.full(np.count_nonzero(sel), -np.inf),
-                                    np.maximum(ln_c[sel], w_floor), lnY2,
-                                    cfg.tol_2d / 5.0, cfg)[0]
+                                    np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
         return out
 
-    return _columns(params, column, _kink_cuts(params, lam, cfg), params.a * sigma, cfg)[0]
+    return float(_columns(params, column, _kink_cuts(params, lam), params.a * sigma, cfg)[0][0])
 
 
 def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
@@ -602,9 +596,7 @@ def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
     {lambda y < e(x)}, for cross-checking the two-piece reduction.  The inner
     integral is v0 m^((b-q)s+1), m = min(e(x)/lambda, r2), with v0 the
     quadrature of v^((b-q)s) over (0, 1)."""
-    _check_window(params, sigma)
-    if lam <= 0.0:
-        raise DomainError("lambda must be positive")
+    _check_slice(params, lam, sigma)
     a, q = params.a, params.q
     bq = (params.b - params.q) * sigma
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
@@ -613,18 +605,17 @@ def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
         with np.errstate(divide="ignore"):
             return np.exp(bq * np.log(vs))
 
-    v0 = integrate_1d(fv, 0.0, 1.0, EndpointSpec(exponent_lo=bq), cfg.tol_2d / 5.0,
-                      max_levels=cfg.max_subdivisions).value
+    v0 = integrate_1d(fv, 0.0, 1.0, EndpointSpec(exponent_lo=bq), cfg.tol_2d / 5.0).value
 
     def outer(xs):
-        ln_es = _ln_e_arr(params, xs)
+        ln_es = log_e_flat(params, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             ln_col = (a * sigma * np.log(xs) + q * sigma * ln_es
                       + (bq + 1.0) * np.minimum(ln_es - ln_lam, lnY2))
             # where ln e = -inf, ln_col is inf - inf; the column vanishes there
             return np.where((ln_es > -np.inf) & (ln_col >= -740.0), np.exp(ln_col) * v0, 0.0)
 
-    return _panels(outer, _kink_cuts(params, lam, cfg), a * sigma, cfg)[0]
+    return float(_panels(outer, _kink_cuts(params, lam), a * sigma, cfg)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +627,7 @@ def _from_one(f, U: float, cfg: NumericConfig) -> float:
     G2 and H2 intervals are empty."""
     if U == 1.0:
         return 0.0
-    val = integrate_1d(f, min(1.0, U), max(1.0, U), tol=cfg.tol_1d,
-                       max_levels=cfg.max_subdivisions).value
+    val = integrate_1d(f, min(1.0, U), max(1.0, U), tol=cfg.tol_1d).value
     return val if U > 1.0 else -val
 
 
@@ -649,7 +639,7 @@ def g_pieces(params: FamilyParams, lam: float, sigma: float,
         G2 = int_1^U u^(a s)(1 - e(u)) du,      U = rho(rt2) / X^(1/p)
         G3 = (rt2^X - 1) int_1^U u^(a s) du
     """
-    X = _check_window(params, sigma)
+    X = _check_slice(params, lam, sigma)
     a = params.a
     rt2 = lam * params.r2
     ln_rt2 = math.log(rt2)
@@ -657,18 +647,17 @@ def g_pieces(params: FamilyParams, lam: float, sigma: float,
     U = rho(params, rt2) * math.exp(-math.log(X) * float(1 / params.p))
 
     def e_of(us):
-        ln_es = _ln_e_arr(params, us)
+        ln_es = log_e_flat(params, us)
         return np.exp(np.maximum(ln_es, -745.0)) * (ln_es > -math.inf)
 
     def f1(us):
         with np.errstate(divide="ignore"):
             return np.exp(a * sigma * np.log(us)) * (rt2X - e_of(us))
 
-    g1 = integrate_1d(f1, 0.0, 1.0, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d,
-                      max_levels=cfg.max_subdivisions).value
+    g1 = integrate_1d(f1, 0.0, 1.0, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d).value
 
     def f2(us):
-        ln_es = _ln_e_arr(params, us)
+        ln_es = log_e_flat(params, us)
         return np.exp(a * sigma * np.log(us)) * (-np.expm1(ln_es))
 
     g2 = _from_one(f2, U, cfg)
@@ -682,7 +671,7 @@ def h_pieces(params: FamilyParams, lam: float, sigma: float,
              cfg: NumericConfig = DEFAULT_CONFIG):
     """Critical-regime split of G2: H1 = q^-1 (log rho(rt2) - p^-1 log X) and
     H2 = int_1^U (q^-1 / u - u^(a s)(1 - e(u))) du, so G2 = H1 - H2."""
-    X = _check_window(params, sigma)
+    X = _check_slice(params, lam, sigma)
     a, q = params.a, params.q
     rt2 = lam * params.r2
     rho_v = rho(params, rt2)
@@ -691,7 +680,7 @@ def h_pieces(params: FamilyParams, lam: float, sigma: float,
     h1 = (math.log(rho_v) - math.log(X) / p) / q
 
     def f(us):
-        ln_es = _ln_e_arr(params, us)
+        ln_es = log_e_flat(params, us)
         return 1.0 / (q * us) - np.exp(a * sigma * np.log(us)) * (-np.expm1(ln_es))
 
     return h1, _from_one(f, U, cfg)
@@ -704,18 +693,17 @@ def j_pieces(params: FamilyParams, lam: float, sigma: float,
         J1 = lam^-X int_0^rho x^(a s) (1 - e(x)^X)/X dx
         J2 = lam^-X (rt2^X - 1)/X int_0^rho x^(a s) dx
     """
-    X = _check_window(params, sigma)
+    X = _check_slice(params, lam, sigma)
     a = params.a
     rt2 = lam * params.r2
     rho_v = rho(params, rt2)
     lamX = math.exp(-X * math.log(lam))
 
     def f(xs):
-        ln_es = _ln_e_arr(params, xs)
+        ln_es = log_e_flat(params, xs)
         return np.exp(a * sigma * np.log(xs)) * (-np.expm1(np.maximum(X * ln_es, -745.0))) / X
 
-    j1 = integrate_1d(f, 0.0, rho_v, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d,
-                      max_levels=cfg.max_subdivisions).value
+    j1 = integrate_1d(f, 0.0, rho_v, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d).value
     asp1 = a * sigma + 1.0
     j2 = math.expm1(X * math.log(rt2)) / X * rho_v**asp1 / asp1
     return lamX * j1, lamX * j2
@@ -728,7 +716,7 @@ def j_pieces(params: FamilyParams, lam: float, sigma: float,
 def _check_log_moments(params: FamilyParams, bump: BumpSpec, s: float, j,
                        flat: bool) -> int:
     """Validate the arguments of D_j(s), returning j as an int."""
-    if j < 0 or int(j) != j:
+    if j < 0 or not float(j).is_integer():
         raise DomainError("j must be a nonnegative integer")
     if params.q % 2 != 0:
         raise OddQNotSupported(f"q={params.q} is odd")
@@ -773,8 +761,7 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
                 pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0]))[:, None]
             return pows
 
-        return _tanh_sinh(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, cfg.max_subdivisions, ep_y,
-                          k=J + 1, joint=True)[0]
+        return _tanh_sinh(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y, k=J + 1, joint=True)[0]
 
     def column(xs, ln_es):
         return np.array([moments(x, ln_e) for x, ln_e in zip(xs.tolist(), ln_es.tolist())])

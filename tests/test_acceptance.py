@@ -256,7 +256,7 @@ def test_criterion_08_property_suites():
     gates = 0
     for params, fn in ((PRESETS["critical"], lambda p, c: constant_A(p)),
                        (PRESETS["greenblatt"], lambda p, c: constant_A(p)),
-                       (PRESETS["supercritical"], lambda p, c: constant_L(p, 1.0, c)),
+                       (PRESETS["supercritical"], lambda p, c: constant_L(p, 1.0)),
                        (PRESETS["supercritical"], lambda p, c: case3_bounds(p, c))):
         try:
             fn(params, CFG)
@@ -267,7 +267,7 @@ def test_criterion_08_property_suites():
     green = PRESETS["greenblatt"]
     b3 = case3_bounds(green, CFG)
     lams = np.logspace(-2, 2, 41)
-    lm = [constant_L(green, float(l), CFG) + constant_M(green, float(l), CFG)
+    lm = [constant_L(green, float(l)) + constant_M(green, float(l), CFG)
           for l in lams]
     cont_ok = max(abs(v2 - v1) for v1, v2 in zip(lm, lm[1:])) < 1.0
     # golden-section localizes lambda to ~1e-5, so the curve may dip below the
@@ -277,7 +277,6 @@ def test_criterion_08_property_suites():
              == constant_A(FamilyParams(0, 2, 2, Fraction(2), r1=0.6, r2=0.2)))
 
     # fit model reproduces synthetic data of its own form
-    from flatzeta.asym import BlowupSequence, ScalingKind
     xs = [2.0 ** (-4 - k) for k in range(10)]
     samples = [ZetaSample(sigma=(x - 1.0) / 2.0, X=x,
                           value=3.0 + 0.1 * x * math.log(x) + 0.2 * x, error=0.0)

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from flatzeta.errors import DomainError, WrongRegime
-from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
+from flatzeta.model import FamilyParams, NumericConfig, PRESETS, RegimeKind, make_schedule
 from flatzeta.zeta import ZetaSample
 from flatzeta.asym import (
     BlowupSequence,
-    ScalingKind,
     case3_bounds,
     constant_A,
     constant_L,
@@ -76,7 +75,7 @@ def test_constant_L_hand_example():
     # L = (1/256)^(1/2) / (1/2) * (-2) + (1/256)^(1/4) / (2 * (1/4))
     #   = -1/4 + 1/2 = 1/4
     lam = 2.0 * math.exp(-2.0)
-    assert constant_L(GREEN, lam, CFG) == pytest.approx(0.25, abs=1e-14)
+    assert constant_L(GREEN, lam) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_constant_L_saturated_branch():
@@ -86,18 +85,18 @@ def test_constant_L_saturated_branch():
     r1, rt2 = GREEN.r1, lam * GREEN.r2
     expect = (r1 ** (1 - ab) / (1 - ab) * math.log(rt2)
               + r1 ** (1 - ab - pf) / (q * (1 - ab - pf)))
-    assert constant_L(GREEN, lam, CFG) == pytest.approx(expect, rel=1e-14)
+    assert constant_L(GREEN, lam) == pytest.approx(expect, rel=1e-14)
 
 
 def test_constant_L_vanishes_at_zero():
-    vals = [constant_L(GREEN, lam, CFG) for lam in (1e-2, 1e-4, 1e-8, 1e-16)]
+    vals = [constant_L(GREEN, lam) for lam in (1e-2, 1e-4, 1e-8, 1e-16)]
     assert all(v > 0.0 for v in vals)
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
 
 def test_constant_L_regime_gate():
     with pytest.raises(WrongRegime):
-        constant_L(SUP, 1.0, CFG)
+        constant_L(SUP, 1.0)
 
 
 def test_constant_M_oracle_and_limits():
@@ -116,13 +115,13 @@ def test_case3_bounds_ordering_and_endpoint_behavior():
     assert 0.0 < b3.lower <= b3.upper
     # the lower objective sinks toward 0 at both bracket ends
     def lower_obj(lam):
-        return (constant_L(GREEN, lam, CFG) / (1 + lam**2) ** 0.5
+        return (constant_L(GREEN, lam) / (1 + lam**2) ** 0.5
                 + constant_M(GREEN, lam, CFG) / (1 + lam**-2) ** 0.5)
     assert lower_obj(1e-6) < 0.25 * b3.lower
     assert lower_obj(1e6) < 0.25 * b3.lower
     # the upper objective rises at both ends, so the minimum is interior
     def upper_obj(lam):
-        return constant_L(GREEN, lam, CFG) + constant_M(GREEN, lam, CFG)
+        return constant_L(GREEN, lam) + constant_M(GREEN, lam, CFG)
     assert upper_obj(1e-6) > b3.upper
     assert upper_obj(1e6) > b3.upper
     assert upper_obj(b3.lambda_upper) == pytest.approx(b3.upper, rel=1e-9)
@@ -142,14 +141,14 @@ def test_scale_sequence_kinds():
     xs = [0.125 * 0.5**k for k in range(6)]
     vals = [2.0 + x for x in xs]
     seq = scale_sequence(SUP, _fake_samples(2, xs, vals))
-    assert seq.scaling_kind is ScalingKind.POWER_LAW
-    assert seq.blowup_exponent == pytest.approx(0.5)
+    assert seq.regime.kind is RegimeKind.SUPERCRITICAL_FLAT
+    assert seq.regime.blowup_exponent == pytest.approx(0.5)
     assert seq.scaled_values[0] == pytest.approx(xs[0] ** 0.5 * vals[0])
     seq = scale_sequence(CRIT, _fake_samples(2, xs, vals))
-    assert seq.scaling_kind is ScalingKind.LOG_LAW
+    assert seq.regime.kind is RegimeKind.CRITICAL_FLAT
     assert seq.scaled_values[0] == pytest.approx(vals[0] / abs(math.log(xs[0])))
     seq = scale_sequence(GREEN, _fake_samples(2, xs, vals))
-    assert seq.scaling_kind is ScalingKind.RAW
+    assert seq.regime.kind is RegimeKind.SUBCRITICAL_FLAT
     assert seq.scaled_values == tuple(vals)
 
 

@@ -132,8 +132,6 @@ def test_numeric_config_validation():
     NumericConfig()
     with pytest.raises(DomainError):
         NumericConfig(tol_1d=0.5)
-    with pytest.raises(DomainError):
-        NumericConfig(max_subdivisions=2)
 
 
 def test_parse_rational():

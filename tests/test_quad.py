@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import flatzeta.quad as quad
 from flatzeta.errors import DomainError, NonConvergence
 from flatzeta.quad import (
     _BLOCK_CELLS,
@@ -49,14 +50,15 @@ def test_integrate_1d_mixed_singularity_vs_midpoint_oracle():
     assert r.value == pytest.approx(frozen, rel=1e-11)
 
 
-def test_integrate_1d_rejections():
+def test_integrate_1d_rejections(monkeypatch):
     with pytest.raises(DomainError):
         integrate_1d(lambda x: x, 1.0, 0.0)
     with pytest.raises(DomainError):
         EndpointSpec(exponent_lo=-1.0)
+    monkeypatch.setattr(quad, "MAX_LEVELS", 5)
     with pytest.raises(NonConvergence), np.errstate(over="ignore", invalid="ignore"):
         # wildly oscillatory at 0: the engine must not return silently
-        integrate_1d(lambda x: np.sin(1e6 / x) / x, 0.0, 1.0, tol=1e-13, max_levels=5)
+        integrate_1d(lambda x: np.sin(1e6 / x) / x, 0.0, 1.0, tol=1e-13)
 
 
 def test_monotone_refinement():
@@ -99,18 +101,25 @@ def _vector(xs, cols):
     return _integrands(xs[:, 0])[:, cols]
 
 
-def test_tanh_sinh_vector_matches_scalar_calls():
-    # each component retires where a scalar call on it alone stops, so it
-    # returns that call's value and error up to the rounding of the sums;
-    # only the components still refining are evaluated and counted
+def _alone(f, lo, hi, tol, spec=None):
+    """A call on f(xs) -> (n,) as its only component: (value, error,
+    evaluations) as floats and an int."""
+    (v,), (e,), ev = _tanh_sinh(lambda xs, cols: f(xs[:, 0])[:, None], lo, hi, tol, spec, k=1)
+    return float(v), float(e), ev
+
+
+def test_tanh_sinh_vector_matches_k1_calls():
+    # each component retires where a call on it alone stops, so it returns
+    # that call's value and error up to the rounding of the sums; only the
+    # components still refining are evaluated and counted
     for hi in (1.0, 3.0):
         lh = math.log(hi)
         for tol in (1e-6, 1e-10, 1e-13):
-            values, errors, evals = _tanh_sinh(_vector, 0.0, hi, tol, 12, SPEC, k=4)
+            values, errors, evals = _tanh_sinh(_vector, 0.0, hi, tol, SPEC, k=4)
             assert values.shape == errors.shape == (4,)
             total = 0
             for c in range(4):
-                v, e, ev = _tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, hi, tol, 12, SPEC)
+                v, e, ev = _alone(lambda x: _integrands(x)[:, c], 0.0, hi, tol, SPEC)
                 assert abs(values[c] - v) <= 4.0 * EPS * abs(v)
                 assert abs(errors[c] - e) <= 4.0 * EPS * abs(v)
                 total += ev
@@ -123,7 +132,7 @@ def test_tanh_sinh_vector_matches_scalar_calls():
 @pytest.mark.parametrize("betas", [(-0.5, -0.25, 0.0), (0.0, -0.5, -0.98)])
 def test_tanh_sinh_per_component_exponents(betas):
     # x^beta_c with its own declared exponent per component: each component
-    # gets its scalar call's endpoint remainder and error bar; at -0.98 the
+    # gets its lone call's endpoint remainder and error bar; at -0.98 the
     # mass below the deepest node is 1e-4 of the value, and only the
     # remainder with that component's own exponent covers it
     betas = np.array(betas)
@@ -131,12 +140,11 @@ def test_tanh_sinh_per_component_exponents(betas):
     def f(xs, cols):
         return xs ** betas[cols]
 
-    values, errors, evals = _tanh_sinh(f, 0.0, 1.0, 1e-10, 12, EndpointSpec(exponent_lo=betas),
-                                       k=3)
+    values, errors, evals = _tanh_sinh(f, 0.0, 1.0, 1e-10, EndpointSpec(exponent_lo=betas), k=3)
     total = 0
     for c, beta in enumerate(betas):
-        v, e, ev = _tanh_sinh(lambda x: x ** beta, 0.0, 1.0, 1e-10, 12,
-                              EndpointSpec(exponent_lo=float(beta)))
+        v, e, ev = _alone(lambda x: x ** beta, 0.0, 1.0, 1e-10,
+                          EndpointSpec(exponent_lo=float(beta)))
         assert abs(values[c] - v) <= 4.0 * EPS * abs(v)
         assert abs(errors[c] - e) <= 4.0 * EPS * abs(v)
         assert abs(v - 1.0 / (1.0 + beta)) <= e
@@ -146,43 +154,30 @@ def test_tanh_sinh_per_component_exponents(betas):
         EndpointSpec(exponent_lo=np.array([-0.5, -1.0]))
 
 
-def test_tanh_sinh_k1_matches_scalar_call_bit_for_bit():
-    # a scalar call is the one loop with a single component: same value,
-    # error and evaluation count, bit for bit
-    cases = [
-        (lambda x: x**-0.5 * np.exp(x), 0.0, 2.0, SPEC, 1e-12, 12),
-        (lambda x: np.sin(40.0 * x) + 2.0, 0.0, 1.0, None, 1e-12, 12),
-        (lambda x: x**-0.25, 0.0, 1.0, EndpointSpec(exponent_lo=-0.25), 1e-10, 12),
-        (lambda x: np.where(x < 1e-200, np.inf, x**-0.5), 0.0, 1.0, SPEC, 1e-10, 12),
-        (lambda x: np.log(x), 0.5, 3.0, None, 1e-13, 3),      # ends at the cap
-        # too narrow to hold a node: every level is empty
-        (lambda x: np.ones_like(x), 1.0, math.nextafter(1.0, 2.0), None, 1e-10, 12),
-    ]
-    for f, lo, hi, spec, tol, levels in cases:
-        v, e, ev = _tanh_sinh(f, lo, hi, tol, levels, spec)
-        vk, ek, evk = _tanh_sinh(lambda xs, cols: f(xs[:, 0])[:, None], lo, hi, tol, levels,
-                                 spec, k=1)
-        assert isinstance(v, float) and isinstance(e, float)
-        assert (vk[0], ek[0], evk) == (v, e, ev)
-    # with two components the empty levels give (0, 0) per component as well
+def test_tanh_sinh_interval_without_nodes():
+    # too narrow to hold a node: every level is empty, and each component
+    # gets (0, 0) with no evaluation
+    hi = math.nextafter(1.0, 2.0)
+    r = integrate_1d(lambda x: np.ones_like(x), 1.0, hi)
+    assert (r.value, r.abs_error_estimate, r.evaluations) == (0.0, 0.0, 0)
     values, errors, evals = _tanh_sinh(lambda xs, cols: np.ones((xs.shape[0], cols.size)),
-                                       1.0, math.nextafter(1.0, 2.0), 1e-10, 12, k=2)
+                                       1.0, hi, 1e-10, k=2)
     assert values.tolist() == [0.0, 0.0] and errors.tolist() == [0.0, 0.0] and evals == 0
 
 
 def test_tanh_sinh_vector_wide_levels_in_blocks():
     # 1024 components: f gets blocks of at most _BLOCK_CELLS values, and
-    # every component still returns its scalar call's result
+    # every component still returns its lone call's result
     cells = []
 
     def f(xs, cols):
         cells.append(xs.shape[0] * len(cols))
         return _vector(xs, cols % 4)
 
-    values, errors, _ = _tanh_sinh(f, 0.0, 2.0, 1e-13, 12, SPEC, k=1024)
+    values, errors, _ = _tanh_sinh(f, 0.0, 2.0, 1e-13, SPEC, k=1024)
     assert max(cells) > _BLOCK_CELLS // 2 and max(cells) <= _BLOCK_CELLS
     for c in range(4):
-        v, e, _ = _tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, 2.0, 1e-13, 12, SPEC)
+        v, e, _ = _alone(lambda x: _integrands(x)[:, c], 0.0, 2.0, 1e-13, SPEC)
         assert np.all(np.abs(values[c::4] - v) <= 4.0 * EPS * abs(v))
         assert np.all(np.abs(errors[c::4] - e) <= 4.0 * EPS * abs(v))
 
@@ -194,26 +189,28 @@ def test_tanh_sinh_vector_evaluates_active_components_only():
         seen.append(cols.copy())
         return np.stack([np.ones(xs.shape[0]), np.sin(40.0 * xs[:, 0]) + 2.0], axis=1)[:, cols]
 
-    values, _, evals = _tanh_sinh(f, 0.0, 1.0, 1e-12, 12, k=2)
+    values, _, evals = _tanh_sinh(f, 0.0, 1.0, 1e-12, k=2)
     assert values[0] == pytest.approx(1.0, rel=1e-14)
     assert values[1] == pytest.approx(2.0 + (1.0 - math.cos(40.0)) / 40.0, rel=1e-11)
     # the constant retires first, after which f sees the other component only
     assert seen[0].tolist() == [0, 1] and seen[-1].tolist() == [1]
-    _, _, ev0 = _tanh_sinh(lambda x: np.ones_like(x), 0.0, 1.0, 1e-12, 12)
-    _, _, ev1 = _tanh_sinh(lambda x: np.sin(40.0 * x) + 2.0, 0.0, 1.0, 1e-12, 12)
+    _, _, ev0 = _alone(lambda x: np.ones_like(x), 0.0, 1.0, 1e-12)
+    _, _, ev1 = _alone(lambda x: np.sin(40.0 * x) + 2.0, 0.0, 1.0, 1e-12)
     assert evals == ev0 + ev1
 
 
-def test_tanh_sinh_vector_cap_names_the_stuck_component():
+def test_tanh_sinh_vector_cap_names_the_stuck_component(monkeypatch):
+    monkeypatch.setattr(quad, "MAX_LEVELS", 5)
+
     def f(xs, cols):
         with np.errstate(over="ignore", invalid="ignore"):
             wild = np.sin(1e6 / xs[:, 0]) / xs[:, 0]
         return np.stack([wild, np.exp(xs[:, 0])], axis=1)[:, cols]
 
     with pytest.raises(NonConvergence, match="component 0"):
-        _tanh_sinh(f, 0.0, 1.0, 1e-13, 5, k=2)
+        _tanh_sinh(f, 0.0, 1.0, 1e-13, k=2)
     # the smooth component alone converges within the same cap
-    value, _, _ = _tanh_sinh(lambda xs, cols: np.exp(xs), 0.0, 1.0, 1e-13, 5, k=1)
+    value, _, _ = _tanh_sinh(lambda xs, cols: np.exp(xs), 0.0, 1.0, 1e-13, k=1)
     assert value[0] == pytest.approx(math.e - 1.0, rel=1e-13)
 
 
@@ -223,21 +220,20 @@ def test_tanh_sinh_vector_nonfinite():
         return np.stack([x**-0.5, np.where(np.abs(x - 0.5) < 0.1, np.nan, x)], axis=1)[:, cols]
 
     with pytest.raises(NonConvergence, match="component 1"):
-        _tanh_sinh(away, 0.0, 1.0, 1e-10, 12, SPEC, k=2)
+        _tanh_sinh(away, 0.0, 1.0, 1e-10, SPEC, k=2)
 
     def at_endpoint(xs, cols):   # overflow at the declared singular endpoint is dropped
         x = xs[:, 0]
         return np.stack([np.where(x < 1e-200, np.inf, x**-0.5), np.ones_like(x)], axis=1)[:, cols]
 
-    values, errors, _ = _tanh_sinh(at_endpoint, 0.0, 1.0, 1e-10, 12, SPEC, k=2)
+    values, errors, _ = _tanh_sinh(at_endpoint, 0.0, 1.0, 1e-10, SPEC, k=2)
     assert values == pytest.approx([2.0, 1.0], rel=1e-9)
     assert np.all(errors >= 0.0)
 
 
 def test_tanh_sinh_joint_components_stop_together():
-    values, errors, evals = _tanh_sinh(_vector, 0.0, 1.0, 1e-10, 12, SPEC, k=4, joint=True)
-    alone = [_tanh_sinh(lambda x: _integrands(x)[:, c], 0.0, 1.0, 1e-10, 12, SPEC)
-             for c in range(4)]
+    values, errors, evals = _tanh_sinh(_vector, 0.0, 1.0, 1e-10, SPEC, k=4, joint=True)
+    alone = [_alone(lambda x: _integrands(x)[:, c], 0.0, 1.0, 1e-10, SPEC) for c in range(4)]
     # one shared stopping level, at least as deep as each component's own
     assert evals % 4 == 0 and evals >= 4 * max(ev for _, _, ev in alone)
     assert values == pytest.approx([v for v, _, _ in alone], rel=1e-9)

@@ -15,11 +15,10 @@ from flatzeta.verify import (
     VerificationReport,
     landau_taylor_rebuild,
     verify_LM_limits,
+    verify_blowup_law,
     verify_decompositions,
     verify_psi_and_flat,
     verify_sandwich,
-    verify_theorem21,
-    verify_theorem31,
 )
 
 CFG = NumericConfig()
@@ -34,10 +33,20 @@ def test_report_passed_recomputable():
     assert r.passed == (abs(r.observed - r.target) <= r.tolerance)
 
 
+# the check of each regime, for the quadrant integral (no bump) and the
+# bump-weighted one
+CHECK_IDS = {
+    "supercritical": ("thm31_power_law", "thm21_power_law"),
+    "critical": ("thm31_log_law", "thm21_log_law"),
+    "greenblatt": ("thm31_bounded_bracket", "thm21_bounded_limit"),
+}
+
+
 def test_theorem31_three_regimes():
-    for name in ("supercritical", "critical", "greenblatt"):
-        rep = verify_theorem31(PRESETS[name], SCHED, CFG)
+    for name, (check_id, _) in CHECK_IDS.items():
+        rep = verify_blowup_law(PRESETS[name], None, SCHED, CFG)
         assert rep.passed, rep
+        assert rep.check_id == check_id
         if isinstance(rep.target, float):
             assert abs(rep.observed - rep.target) <= rep.tolerance
 
@@ -52,7 +61,7 @@ def test_theorem31_three_regimes():
 ], ids=lambda p: f"({p.a},{p.b},{p.q},{p.p})")
 def test_theorem31_generalizes_beyond_presets(params):
     sched = make_schedule(0.125, 0.5, 12, params.b)
-    rep = verify_theorem31(params, sched, CFG)
+    rep = verify_blowup_law(params, None, sched, CFG)
     assert rep.passed, rep
 
 
@@ -62,24 +71,25 @@ def test_theorem31_independent_of_box_in_nonbounded_regimes():
     for name in ("supercritical", "critical"):
         base = PRESETS[name]
         alt = FamilyParams(base.a, base.b, base.q, base.p, r1=0.3, r2=0.7)
-        r0 = verify_theorem31(base, SCHED, CFG)
-        r1 = verify_theorem31(alt, SCHED, CFG)
+        r0 = verify_blowup_law(base, None, SCHED, CFG)
+        r1 = verify_blowup_law(alt, None, SCHED, CFG)
         assert r1.passed
         tol = r0.tolerance + r1.tolerance
         assert abs(r0.observed - r1.observed) <= tol
 
 
 def test_theorem21_three_regimes():
-    for name in ("supercritical", "critical", "greenblatt"):
-        rep = verify_theorem21(PRESETS[name], BUMP, SCHED, CFG)
+    for name, (_, check_id) in CHECK_IDS.items():
+        rep = verify_blowup_law(PRESETS[name], BUMP, SCHED, CFG)
         assert rep.passed, rep
+        assert rep.check_id == check_id
 
 
 def test_theorem21_generalizes_with_nonzero_a():
     # a > 0 activates the x-singularity and the X^(aX/p)-type corrections
     for p, target in ((Fraction(2), None), (Fraction(1, 2), 4.0)):
         params = FamilyParams(1, 2, 2, p, r1=0.5, r2=0.5)
-        rep = verify_theorem21(params, BUMP, SCHED, CFG)
+        rep = verify_blowup_law(params, BUMP, SCHED, CFG)
         assert rep.passed, rep
         if target is not None:
             assert rep.target == pytest.approx(target)

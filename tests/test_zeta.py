@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flatzeta.asym import constant_L, constant_M
 from flatzeta.errors import (
     DegenerateLowerLimit,
     DomainError,
@@ -212,7 +213,7 @@ def test_inner_closed_form_matches_oracle(b, q, X, lnT, lnE, ref):
         # term plus e^X (C1 + C2(inf))) must agree within the same bound
         ln_e = lnE / q
         main = math.exp(X * lnT) * -math.expm1(X * (ln_e - lnT)) / X
-        c2f = _c2_full(b, q, np.array([sigma]), CFG.max_subdivisions)[0][0]
+        c2f = _c2_full(b, q, np.array([sigma]))[0][0]
         far = main + math.exp(X * ln_e) * (_inner_closed(b, q, sigma, 0.0, 0.0) + c2f)
         assert abs(far - ref) <= bound * ref
 
@@ -401,7 +402,7 @@ def test_region_pieces_separately_against_oracle(fam):
 
 def test_v_integrals_match_scalar_calls_on_own_intervals():
     # each interval (0, s_hi[i]) is mapped onto (0, 1) inside the integrand;
-    # every component still returns the scalar call on its own interval
+    # every component still returns the one-component call on its own interval
     sigma = (2.0 ** -8 - 1.0) / 2.0
     bq = (GREEN.b - GREEN.q) * sigma
     s_hi = np.array([1.0, 0.37, 2.5, 1e-3, 40.0])
@@ -410,14 +411,13 @@ def test_v_integrals_match_scalar_calls_on_own_intervals():
         return 1.0 + np.cos(3.0 * vs) / (1.0 + cols)
 
     for w in (None, weight):
-        values, errors, _ = _v_integrals(GREEN, sigma, s_hi, w, tol=1e-12, cfg=CFG)
+        values, errors, _ = _v_integrals(GREEN, sigma, s_hi, w, tol=1e-12)
         for i, h in enumerate(s_hi):
-            def f(vs):
+            def f(vs, cols):
                 out = np.exp(bq * np.log(vs) + sigma * np.log1p(vs**GREEN.q))
-                return out if w is None else out * w(vs[:, None], np.array([i]))[:, 0]
+                return out if w is None else out * w(vs, np.array([i]))
 
-            v, e, _ = _tanh_sinh(f, 0.0, h, 1e-12, CFG.max_subdivisions,
-                                 EndpointSpec(exponent_lo=bq))
+            (v,), (e,), _ = _tanh_sinh(f, 0.0, h, 1e-12, EndpointSpec(exponent_lo=bq), k=1)
             assert abs(values[i] - v) <= 4.0 * np.finfo(float).eps * abs(v)
             assert abs(errors[i] - e) <= 4.0 * np.finfo(float).eps * abs(v)
 
@@ -431,7 +431,7 @@ def test_flat_dead_bump_columns_equal_the_e0_column():
     lnE = np.array([-np.inf, q * ln_dead - 40.0, q * ln_dead - 300.0])
     for X in (0.125, 2.0 ** -8, 1e-5):
         vals, _, _ = _w_integrals(q, (X - 1.0) / 2.0, X, lnE, np.full(3, ln_dead), lnY2, 1e-10,
-                                  CFG, weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
+                                  weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
         assert np.all(np.abs(vals[1:] - vals[0]) <= 4.0 * np.finfo(float).eps * abs(vals[0]))
 
 
@@ -439,7 +439,7 @@ def test_zeta_weighted_batches_inner_columns(monkeypatch):
     # the inner integrals of one outer level are a few vector calls (the
     # bump's scaled and log-variable pieces), not one call per abscissa
     count = {"levels": 0, "inner": 0}
-    real_tanh_sinh, real_ln_e = zeta_mod._tanh_sinh, zeta_mod._ln_e_arr
+    real_tanh_sinh, real_ln_e = zeta_mod._tanh_sinh, zeta_mod.log_e_flat
 
     def tanh_sinh(*args, **kwargs):
         count["inner"] += count["levels"] > 0     # calls from inside a level
@@ -450,7 +450,7 @@ def test_zeta_weighted_batches_inner_columns(monkeypatch):
         return real_ln_e(*args)
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    monkeypatch.setattr(zeta_mod, "_ln_e_arr", ln_e)
+    monkeypatch.setattr(zeta_mod, "log_e_flat", ln_e)
     X = 2.0 ** -8
     zw = zeta_weighted(CRIT, BumpSpec(0.5, 0.5), (X - 1.0) / 2.0, CFG)
     assert zw.value == pytest.approx(ORACLE_W_CRIT_X2M8, rel=1e-9)
@@ -564,6 +564,39 @@ def test_log_derivative_moments_rejections():
         log_derivative_moments(GREEN, bump, -0.5, 4, CFG)
     with pytest.raises(OddQNotSupported):
         log_derivative_moments(FamilyParams(0, 2, 1, Fraction(2)), bump, 0.5, 4, CFG)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: region_pieces(GREEN, NAN, -0.4, CFG), id="region_pieces-nan"),
+    pytest.param(lambda: ztilde1(GREEN, NAN, -0.4, CFG), id="ztilde1-nan"),
+    pytest.param(lambda: ztilde2(GREEN, NAN, -0.4, CFG), id="ztilde2-nan"),
+    pytest.param(lambda: ztilde1_2d(GREEN, NAN, -0.4, CFG), id="ztilde1_2d-nan"),
+    pytest.param(lambda: ztilde2_2d(GREEN, NAN, -0.4, CFG), id="ztilde2_2d-nan"),
+    pytest.param(lambda: g_pieces(SUP, NAN, -0.4, CFG), id="g_pieces-nan"),
+    pytest.param(lambda: g_pieces(SUP, 0.0, -0.4, CFG), id="g_pieces-zero"),
+    pytest.param(lambda: h_pieces(CRIT, NAN, -0.4, CFG), id="h_pieces-nan"),
+    pytest.param(lambda: h_pieces(CRIT, -1.0, -0.4, CFG), id="h_pieces-negative"),
+    pytest.param(lambda: j_pieces(GREEN, NAN, -0.4, CFG), id="j_pieces-nan"),
+    pytest.param(lambda: j_pieces(GREEN, 0.0, -0.4, CFG), id="j_pieces-zero"),
+    pytest.param(lambda: constant_L(GREEN, NAN), id="constant_L-nan"),
+    pytest.param(lambda: constant_M(GREEN, NAN, CFG), id="constant_M-nan"),
+    pytest.param(lambda: BumpSpec(NAN, 0.5), id="bump-R1-nan"),
+    pytest.param(lambda: BumpSpec(0.5, NAN), id="bump-R2-nan"),
+    pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, math.inf, CFG),
+                 id="log_derivative-j-inf"),
+    pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, NAN, CFG),
+                 id="log_derivative-j-nan"),
+    pytest.param(lambda: log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), 0.5, 1.5, CFG),
+                 id="log_derivative-j-fraction"),
+])
+def test_invalid_input_raises_domain_error(call):
+    # a non-positive or NaN lambda, a NaN bump half-width and a j that is no
+    # nonnegative integer fail up front, before any quadrature runs
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_degenerate_lower_limit():
