@@ -62,6 +62,7 @@ from .zeta import (
     log_derivative_moments,
     monomial_closed_form,
     region_pieces,
+    region_samples,
     zeta_quadrant,
     zeta_samples,
     zeta_weighted,

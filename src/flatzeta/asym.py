@@ -99,8 +99,8 @@ def constant_L(params: FamilyParams, lam: float) -> float:
     """
     if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
         raise WrongRegime("L(lambda) exists only in the bounded regime")
-    if not lam > 0.0:
-        raise DomainError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise DomainError("lambda must be positive and finite")
     ab = params.a / params.b
     pf = params.p_float
     rt2 = lam * params.r2
@@ -119,8 +119,8 @@ def constant_M(params: FamilyParams, lam: float,
     The integrand grows toward the lower limit but rho(lam r2) > 0 keeps it
     finite; DegenerateLowerLimit is raised if rho underflows to 0.
     """
-    if not lam > 0.0:
-        raise DomainError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise DomainError("lambda must be positive and finite")
     a, b, q = params.a, params.b, params.q
     ab = a / b
     rt2 = lam * params.r2

@@ -28,7 +28,7 @@ def log_e_flat(params: FamilyParams, x):
     """log e(x) = -1/(q x^p); -inf at x = 0 and where x^p underflows.  No
     cutoff is applied here."""
     arr, scalar = _as_array(x)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):      # NaN fails
         raise DomainError("x must be nonnegative")
     with np.errstate(divide="ignore", over="ignore"):
         out = np.where(arr > 0.0, -1.0 / (params.q * np.power(arr, params.p_float)), -np.inf)
@@ -52,7 +52,7 @@ def e_flat(params: FamilyParams, x):
 def E_flat(params: FamilyParams, x):
     """E(x) = exp(-1/x^p) = e(x)^q, with the same cutoff convention."""
     arr, scalar = _as_array(x)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):      # NaN fails
         raise DomainError("x must be nonnegative")
     with np.errstate(divide="ignore"):
         lnE = np.where(arr > 0.0, -1.0 / np.power(arr, params.p_float), -np.inf)
@@ -86,7 +86,7 @@ def rho(params: FamilyParams, y):
     Ties y == e(r1) take the saturation branch.
     """
     arr, scalar = _as_array(y)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):      # NaN fails
         raise DomainError("y must be nonnegative")
     e_r1 = e_flat(params, params.r1)
     inv_p = params.p.denominator / params.p.numerator

@@ -284,12 +284,15 @@ def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = No
 
     Raises
     ------
-    DomainError      on a bad interval or non-integrable declared exponent.
+    DomainError      on a bad interval, a tolerance that is not > 0 (NaN
+                     included) or a non-integrable declared exponent.
     NonConvergence   when MAX_LEVELS levels leave the last step above 1% of
                      the value.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"need finite lo < hi, got ({lo}, {hi})")
+    if not tol > 0.0:
+        raise DomainError(f"need tol > 0, got {tol}")
     if endpoints is None:
         endpoints = EndpointSpec()
     (value,), (err,), evals = _tanh_sinh(lambda xs, cols: np.asarray(f(xs[:, 0]))[:, None],

@@ -37,6 +37,7 @@ from .zeta import (
     log_derivative_integral,
     log_derivative_moments,
     region_pieces,
+    region_samples,
     zeta_quadrant,
     zeta_samples,
     ztilde1_2d,
@@ -144,18 +145,19 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
         (1+lam^q)^s zt1 < Z1 < zt1,   (1+lam^-q)^s zt2 < Z2 < zt2,
 
     and the assembled bracket for Z itself.  A violation counts only when an
-    inequality fails by more than the combined quadrature error."""
+    inequality fails by more than the combined quadrature error.  Z and the
+    region pieces are each one batched call over the sigmas (zeta_samples
+    once, region_samples once per lambda)."""
     t0 = time.perf_counter()
     violations = 0
     margins = []
     q = params.q
     zs = zeta_samples(params, None, schedule.sigmas, cfg, flat=True)
     for lam in lambdas:
-        for sigma, z in zip(schedule.sigmas, zs):
-            tr = region_pieces(params, lam, sigma, cfg)
+        for z, tr in zip(zs, region_samples(params, lam, schedule.sigmas, cfg)):
             slack = 10.0 * (z.error + tr.error) + 1e-12 * z.value
-            lo1 = (1.0 + lam**q) ** sigma * tr.ztilde1
-            lo2 = (1.0 + lam**(-q)) ** sigma * tr.ztilde2
+            lo1 = (1.0 + lam**q) ** tr.sigma * tr.ztilde1
+            lo2 = (1.0 + lam**(-q)) ** tr.sigma * tr.ztilde2
             checks = [
                 tr.z1 - lo1, tr.ztilde1 - tr.z1,
                 tr.z2 - lo2, tr.ztilde2 - tr.z2,
@@ -330,7 +332,7 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
     the last observed term ratio."""
     t0 = time.perf_counter()
     c0 = 1.0 / params.b
-    if s0 <= -c0 or s_target <= -c0:
+    if not (s0 > -c0 and s_target > -c0):      # NaN fails
         raise OutsideDisc(f"expansion needs both points above -c0 = {-c0}")
     radius = s0 + c0
     if abs(s_target - s0) >= radius:

@@ -32,6 +32,14 @@ the 2D reductions) are batched into one vector _tanh_sinh call per piece,
 each column retiring at its own level.  Log-variable inner integrals of the
 region columns are clipped at log r2 - 800/X (_w_floor); below it the
 neglected mass is under e^-800 of the column.
+
+The region pieces of a whole sigma schedule at one lambda are batched as Z
+is (region_samples): on each panel of the kink cuts, z1 and z2 are one
+vector quadrature apiece over x with a component per sigma, their inner
+integrals one vector quadrature over the (column, sigma) pairs, and
+ztilde1/ztilde2 one vector 1D quadrature per interval.  region_pieces,
+ztilde1 and ztilde2 are the one-sigma calls of the batch, and every batched
+component equals its one-sigma call bit for bit.
 """
 
 from __future__ import annotations
@@ -99,10 +107,10 @@ def _check_window(params: FamilyParams, sigma: float) -> float:
 
 def _check_slice(params: FamilyParams, lam: float, sigma: float) -> float:
     """X = b sigma + 1 for the slice lambda y = e(x), after checking sigma
-    against the window and lambda > 0 (NaN fails)."""
+    against the window and 0 < lambda < inf (NaN fails)."""
     X = _check_window(params, sigma)
-    if not lam > 0.0:
-        raise DomainError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise DomainError("lambda must be positive and finite")
     return X
 
 
@@ -244,18 +252,17 @@ def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> 
 # the outer x-integral, shared by every iterated quadrature
 # ---------------------------------------------------------------------------
 
-def _panels(outer, cuts, a_s: float, cfg: NumericConfig, k: int = 1):
-    """Sum of tanh-sinh integrals of outer over the panels between
-    consecutive cuts; the panel at 0 declares the x^(a s) endpoint.
-    outer(xs) gives the (n, k) values of k integrands on the same nodes, or
-    (n,) values for k = 1; they refine jointly (see _tanh_sinh).
+def _panels(f, cuts, a_s, cfg: NumericConfig, k: int = 1, *, joint: bool):
+    """Sum of tanh-sinh integrals of the k components of f(xs, cols) (as in
+    _tanh_sinh, joint or not) over the panels between consecutive cuts; the
+    panel at 0 declares the x^(a s) endpoint, a_s one exponent or one per
+    component.
 
     Returns (values, errors, evaluations), values and errors (k,) arrays."""
-    f = lambda xs, cols: outer(xs[:, 0]).reshape(-1, k)     # joint: cols is all k
     total, err, evs = 0.0, 0.0, 0
     for lo, hi in zip(cuts, cuts[1:]):
         ep = EndpointSpec(exponent_lo=a_s if lo == 0.0 else 0.0)
-        v, e, ev = _tanh_sinh(f, lo, hi, cfg.tol_2d, ep, k=k, joint=True)
+        v, e, ev = _tanh_sinh(f, lo, hi, cfg.tol_2d, ep, k=k, joint=joint)
         total, err, evs = total + v, err + e, evs + ev
     return total, err, evs
 
@@ -282,7 +289,8 @@ def _columns(params: FamilyParams, column: Callable, cuts, a_s: float,
             cols *= bump_x_profile(bump, xs)
         return out
 
-    return _panels(outer, cuts, a_s, cfg, k)
+    joint = lambda xs, cols: outer(xs[:, 0]).reshape(-1, k)     # cols is all k
+    return _panels(joint, cuts, a_s, cfg, k, joint=True)
 
 
 def _kink_cuts(params: FamilyParams, lam: float):
@@ -453,63 +461,120 @@ def zeta_weighted(params: FamilyParams, bump: BumpSpec, sigma: float,
 # region pieces along lambda*y = e(x)
 # ---------------------------------------------------------------------------
 
-def _w_floor(X: float, lnY2: float) -> float:
+def _w_floor(X, lnY2: float):
     """Lower clip of the log-variable integrals int^lnY2 e^(X w)(1 + ...)^s dw
-    of the region columns.  For s < 0 the factor (1 + ...)^s is at most 1,
-    so the mass dropped below the clip is at most Y2^X e^-800 / X, under
-    the double range relative to the column.  Without it the interval
-    reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at p = 6), where
-    tanh-sinh stagnates before it resolves the mass next to lnY2."""
+    of the region columns (X a float or an array).  For s < 0 the factor
+    (1 + ...)^s is at most 1, so the mass dropped below the clip is at most
+    Y2^X e^-800 / X, under the double range relative to the column.  Without
+    it the interval reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at
+    p = 6), where tanh-sinh stagnates before it resolves the mass next to
+    lnY2."""
     return lnY2 - 800.0 / X
+
+
+def _exp_each(ts: np.ndarray) -> np.ndarray:
+    """math.exp of every entry: a per-sigma factor of a batch gets the bits
+    of the one-sigma scalar formula, which numpy's vector exp can miss by
+    an ulp."""
+    return np.array([math.exp(t) for t in ts])
+
+
+def region_samples(params: FamilyParams, lam: float, sigmas,
+                   cfg: NumericConfig = DEFAULT_CONFIG) -> list[DecompositionTrace]:
+    """region_pieces at every sigma of sigmas, as one batched quadrature:
+    on each panel of _kink_cuts, z1 and z2 are one vector quadrature apiece
+    over x with one component per sigma, and the inner integrals of one
+    outer level are one vector quadrature over the (column, sigma) pairs.
+    ztilde1/ztilde2 are one vector 1D quadrature per interval.  Each sigma
+    is a component of its own, so its trace is the one-sigma call's."""
+    Xs = np.array([_check_slice(params, lam, s) for s in sigmas])
+    sig = np.array(sigmas, dtype=float)
+    k, q = sig.size, params.q
+    lnY2, ln_lam = math.log(params.r2), math.log(lam)
+    w_floor = _w_floor(Xs, lnY2)
+    dead = _exp_each(Xs * lnY2) / Xs       # the z1 column where the flat term is dead
+    mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
+
+    # inner scaled integral over the full unclipped slice, shared by all columns
+    v_unclipped = _v_integrals(params, sig, np.full(k, 1.0 / lam), tol=mini_tol)[0]
+
+    def x_power(xs, cols):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(params.a * sig[cols] * np.log(xs))
+
+    def z2_column(xs, cols):
+        ln_es = log_e_flat(params, xs[:, 0])
+        eX = np.where(ln_es[:, None] > -np.inf,
+                      np.exp(np.maximum(Xs[cols] * ln_es[:, None], -745.0)), 0.0)
+        v = np.tile(v_unclipped[cols], (ln_es.size, 1))
+        rows = np.flatnonzero(ln_es - ln_lam > lnY2)    # the slice e(x)/lambda leaves the box
+        if rows.size:
+            r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+            v[rows] = _v_integrals(params, sig[c], np.exp(lnY2 - ln_es[r]),
+                                   tol=mini_tol)[0].reshape(rows.size, cols.size)
+        return eX * v * x_power(xs, cols)
+
+    def z1_column(xs, cols):
+        ln_es = log_e_flat(params, xs[:, 0])
+        out = np.tile(dead[cols], (ln_es.size, 1))
+        live = ln_es > -np.inf
+        ln_m = np.minimum(ln_es - ln_lam, lnY2)
+        out[live & (ln_m >= lnY2)] = 0.0
+        rows = np.flatnonzero(live & (ln_m < lnY2))
+        if rows.size:
+            r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+            with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
+                lnE = q * ln_es[r]
+            out[rows] = _w_integrals(q, sig[c], Xs[c], lnE, np.maximum(ln_m[r], w_floor[c]),
+                                     lnY2, mini_tol)[0].reshape(rows.size, cols.size)
+        return out * x_power(xs, cols)
+
+    cuts = _kink_cuts(params, lam)
+    z1, e1, _ = _panels(z1_column, cuts, params.a * sig, cfg, k, joint=False)
+    z2, e2, _ = _panels(z2_column, cuts, params.a * sig, cfg, k, joint=False)
+    zt1 = _ztilde1_values(params, lam, sig, Xs, cfg)
+    zt2 = _ztilde2_values(params, lam, sig, Xs, cfg)
+    return [DecompositionTrace(lam=lam, sigma=s, z1=float(z1[i]), z2=float(z2[i]),
+                               ztilde1=float(zt1[i]), ztilde2=float(zt2[i]),
+                               error=float(e1[i] + e2[i]))
+            for i, s in enumerate(sigmas)]
 
 
 def region_pieces(params: FamilyParams, lam: float, sigma: float,
                   cfg: NumericConfig = DEFAULT_CONFIG) -> DecompositionTrace:
     """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)},
-    plus the auxiliary integrals ztilde1/ztilde2.  Each outer level's z1 and
-    z2 columns are batched into one vector quadrature apiece."""
-    X = _check_slice(params, lam, sigma)
-    q = params.q
-    lnY2, ln_lam = math.log(params.r2), math.log(lam)
-    w_floor = _w_floor(X, lnY2)
-    mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
-
-    # inner scaled integral over the full unclipped slice, shared by all columns
-    v_unclipped = _v_integrals(params, sigma, np.array([1.0 / lam]), tol=mini_tol)[0]
-
-    def z2_inner(xs, ln_es):
-        eX = np.where(ln_es > -np.inf, np.exp(np.maximum(X * ln_es, -745.0)), 0.0)
-        v = np.full_like(ln_es, v_unclipped[0])
-        clip = ln_es - ln_lam > lnY2       # the slice e(x)/lambda leaves the box
-        if clip.any():
-            v[clip] = _v_integrals(params, sigma, np.exp(lnY2 - ln_es[clip]), tol=mini_tol)[0]
-        return eX * v
-
-    def z1_inner(xs, ln_es):
-        out = np.full_like(ln_es, math.exp(X * lnY2) / X)    # flat term dead
-        live = ln_es > -np.inf
-        ln_m = np.minimum(ln_es - ln_lam, lnY2)
-        out[live & (ln_m >= lnY2)] = 0.0
-        sel = live & (ln_m < lnY2)
-        if sel.any():
-            with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
-                lnE = q * ln_es[sel]
-            out[sel] = _w_integrals(q, sigma, X, lnE, np.maximum(ln_m[sel], w_floor), lnY2,
-                                    mini_tol)[0]
-        return out
-
-    cuts = _kink_cuts(params, lam)
-    (z1,), (e1,), _ = _columns(params, z1_inner, cuts, params.a * sigma, cfg)
-    (z2,), (e2,), _ = _columns(params, z2_inner, cuts, params.a * sigma, cfg)
-    zt1 = ztilde1(params, lam, sigma, cfg)
-    zt2 = ztilde2(params, lam, sigma, cfg)
-    return DecompositionTrace(lam=lam, sigma=sigma, z1=float(z1), z2=float(z2), ztilde1=zt1,
-                              ztilde2=zt2, error=float(e1 + e2))
+    plus the auxiliary integrals ztilde1/ztilde2, at one sigma (see
+    region_samples)."""
+    return region_samples(params, lam, [sigma], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # auxiliary 1D reductions
 # ---------------------------------------------------------------------------
+
+def _ztilde1_values(params: FamilyParams, lam: float, sig: np.ndarray, Xs: np.ndarray,
+                    cfg: NumericConfig) -> np.ndarray:
+    """ztilde1 at every (sigma, X) of the checked arrays sig, Xs, as one
+    vector quadrature with a component and an endpoint exponent per sigma."""
+    a = params.a
+    rt2 = lam * params.r2
+    ln_rt2 = math.log(rt2)
+    upper = rho(params, rt2)
+    if not upper > 0.0:
+        raise DomainError(f"rho({rt2}) underflowed to 0: the ztilde1 interval is empty")
+    scale = _exp_each(Xs * ln_rt2)
+
+    def f(xs, cols):
+        ln_es = log_e_flat(params, xs)
+        X = Xs[cols]
+        diff = scale[cols] * (-np.expm1(np.minimum(X * (ln_es - ln_rt2), 0.0)))
+        with np.errstate(divide="ignore"):
+            return np.exp(a * sig[cols] * np.log(xs)) * diff
+
+    vals, _, _ = _tanh_sinh(f, 0.0, upper, cfg.tol_1d, EndpointSpec(exponent_lo=a * sig),
+                            k=sig.size)
+    return _exp_each(-Xs * math.log(lam)) / Xs * vals
+
 
 def ztilde1(params: FamilyParams, lam: float, sigma: float,
             cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -518,19 +583,37 @@ def ztilde1(params: FamilyParams, lam: float, sigma: float,
         lam^-X X^-1 int_0^rho(lam r2) x^(a s) ((lam r2)^X - e(x)^X) dx
     """
     X = _check_slice(params, lam, sigma)
-    a = params.a
+    return float(_ztilde1_values(params, lam, np.array([sigma]), np.array([X]), cfg)[0])
+
+
+def _ztilde2_values(params: FamilyParams, lam: float, sig: np.ndarray, Xs: np.ndarray,
+                    cfg: NumericConfig) -> np.ndarray:
+    """ztilde2 at every (sigma, X) of the checked arrays sig, Xs: each of
+    its two pieces is one vector quadrature with a component per sigma."""
+    a, q = params.a, params.q
     rt2 = lam * params.r2
-    ln_rt2 = math.log(rt2)
-    upper = rho(params, rt2)
+    rho_v = rho(params, rt2)
+    if rho_v == 0.0:
+        raise DegenerateLowerLimit(f"rho({rt2}) underflowed to 0")
+    denom = Xs - q * sig
 
-    def f(xs):
+    def f1(xs, cols):
         ln_es = log_e_flat(params, xs)
-        diff = math.exp(X * ln_rt2) * (-np.expm1(np.minimum(X * (ln_es - ln_rt2), 0.0)))
         with np.errstate(divide="ignore"):
-            return np.exp(a * sigma * np.log(xs)) * diff
+            return np.exp(a * sig[cols] * np.log(xs) + np.maximum(Xs[cols] * ln_es, -745.0))
 
-    val = integrate_1d(f, 0.0, upper, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d).value
-    return math.exp(-X * math.log(lam)) / X * val
+    p1, _, _ = _tanh_sinh(f1, 0.0, rho_v, cfg.tol_1d, EndpointSpec(exponent_lo=a * sig),
+                          k=sig.size)
+    p1 *= _exp_each(-denom * math.log(lam)) / denom
+    if not rho_v < params.r1:
+        return p1
+
+    def f2(xs, cols):
+        ln_es = log_e_flat(params, xs)
+        return np.exp(a * sig[cols] * np.log(xs) + q * sig[cols] * ln_es)
+
+    val, _, _ = _tanh_sinh(f2, rho_v, params.r1, cfg.tol_1d, EndpointSpec(), k=sig.size)
+    return p1 + _exp_each(denom * math.log(params.r2)) / denom * val
 
 
 def ztilde2(params: FamilyParams, lam: float, sigma: float,
@@ -543,31 +626,7 @@ def ztilde2(params: FamilyParams, lam: float, sigma: float,
     e^(-s/x^p) finite on the second piece.
     """
     X = _check_slice(params, lam, sigma)
-    a, q = params.a, params.q
-    rt2 = lam * params.r2
-    rho_v = rho(params, rt2)
-    if rho_v == 0.0:
-        raise DegenerateLowerLimit(f"rho({rt2}) underflowed to 0")
-    denom = X - q * sigma
-    ep = EndpointSpec(exponent_lo=a * sigma)
-
-    def f1(xs):
-        ln_es = log_e_flat(params, xs)
-        with np.errstate(divide="ignore"):
-            return np.exp(a * sigma * np.log(xs) + np.maximum(X * ln_es, -745.0))
-
-    p1 = integrate_1d(f1, 0.0, rho_v, ep, cfg.tol_1d).value
-    p1 *= math.exp(-denom * math.log(lam)) / denom
-
-    p2 = 0.0
-    if rho_v < params.r1:
-        def f2(xs):
-            ln_es = log_e_flat(params, xs)
-            return np.exp(a * sigma * np.log(xs) + q * sigma * ln_es)
-
-        val = integrate_1d(f2, rho_v, params.r1, tol=cfg.tol_1d).value
-        p2 = math.exp(denom * math.log(params.r2)) / denom * val
-    return p1 + p2
+    return float(_ztilde2_values(params, lam, np.array([sigma]), np.array([X]), cfg)[0])
 
 
 def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
@@ -615,7 +674,8 @@ def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
             # where ln e = -inf, ln_col is inf - inf; the column vanishes there
             return np.where((ln_es > -np.inf) & (ln_col >= -740.0), np.exp(ln_col) * v0, 0.0)
 
-    return float(_panels(outer, _kink_cuts(params, lam), a * sigma, cfg)[0][0])
+    return float(_panels(lambda xs, cols: outer(xs[:, 0])[:, None], _kink_cuts(params, lam),
+                         a * sigma, cfg, joint=True)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +781,7 @@ def _check_log_moments(params: FamilyParams, bump: BumpSpec, s: float, j,
     if params.q % 2 != 0:
         raise OddQNotSupported(f"q={params.q} is odd")
     c0 = 1.0 / params.b
-    if s <= -c0:
+    if not s > -c0:      # NaN fails
         raise OutOfWindow(f"s={s} is <= -c0 = {-c0}")
     a, b, q = params.a, params.b, params.q
     R1, R2 = bump.R1, bump.R2

@@ -103,6 +103,14 @@ def test_rho_branches():
         rho(p, -1e-3)
 
 
+@pytest.mark.parametrize("fn", [e_flat, E_flat, rho])
+@pytest.mark.parametrize("x", [math.nan, np.array([0.25, math.nan])], ids=["scalar", "array"])
+def test_nan_argument_raises_domain_error(fn, x):
+    # NaN fails the nonnegativity test instead of returning 0.0
+    with pytest.raises(DomainError):
+        fn(P21, x)
+
+
 def test_rho_monotone_and_inverse():
     p = FamilyParams(1, 2, 2, Fraction(1, 4))
     ys = np.linspace(0.0, 1.2, 200)

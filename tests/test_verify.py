@@ -103,17 +103,24 @@ def test_sandwich_preset_cases():
 
 
 def test_sandwich_computes_each_z_once(monkeypatch):
-    calls = []
-    real = verify_mod.zeta_samples
+    calls, regions = [], []
+    real, real_regions = verify_mod.zeta_samples, verify_mod.region_samples
 
     def counting(*args, **kwargs):
         calls.append(list(args[2]))
         return real(*args, **kwargs)
 
+    def counting_regions(params, lam, sigmas, *args, **kwargs):
+        regions.append((lam, list(sigmas)))
+        return real_regions(params, lam, sigmas, *args, **kwargs)
+
     monkeypatch.setattr(verify_mod, "zeta_samples", counting)
+    monkeypatch.setattr(verify_mod, "region_samples", counting_regions)
     rep = verify_sandwich(PRESETS["critical"], [0.25, 1.0, 4.0], SHORT, CFG)
     assert rep.passed
     assert calls == [list(SHORT.sigmas)]      # one batch for all lambdas
+    # and one batch of region pieces per lambda
+    assert regions == [(lam, list(SHORT.sigmas)) for lam in (0.25, 1.0, 4.0)]
 
 
 def test_sandwich_flat_dead_degenerates():
@@ -177,4 +184,11 @@ def test_landau_trivial_at_expansion_point():
 def test_landau_outside_disc():
     with pytest.raises(OutsideDisc):
         landau_taylor_rebuild(PRESETS["greenblatt"], BUMP, 0.5, -0.6, 10,
+                              CFG, flat=False)
+
+
+@pytest.mark.parametrize("s0, s_target", [(math.nan, -0.3), (0.5, math.nan)])
+def test_landau_nan_point_outside_disc(s0, s_target):
+    with pytest.raises(OutsideDisc):
+        landau_taylor_rebuild(PRESETS["greenblatt"], BUMP, s0, s_target, 10,
                               CFG, flat=False)

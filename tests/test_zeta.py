@@ -19,7 +19,7 @@ from flatzeta.errors import (
     OutOfWindow,
     PoleHit,
 )
-from flatzeta.funcs import BumpSpec, E_flat, bump_y_increment
+from flatzeta.funcs import BumpSpec, E_flat, bump_y_increment, rho
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
@@ -38,6 +38,7 @@ from flatzeta.zeta import (
     log_derivative_moments,
     monomial_closed_form,
     region_pieces,
+    region_samples,
     zeta_quadrant,
     zeta_samples,
     zeta_weighted,
@@ -400,6 +401,49 @@ def test_region_pieces_separately_against_oracle(fam):
     assert tr.z2 == pytest.approx(z2, rel=1e-10)
 
 
+REGION_FAMILIES = [SUP, CRIT, GREEN, FamilyParams(5, 6, 4, Fraction(6)),
+                   FamilyParams(0, 7, 1, Fraction(5))]
+
+
+@pytest.mark.parametrize("params", REGION_FAMILIES,
+                         ids=lambda p: f"{p.a}{p.b}{p.q}-{p.p}")
+def test_region_samples_match_one_sigma_calls(params):
+    # each sigma of a batch is a component of its own in every vector
+    # quadrature, outer and inner, so its trace is the one-sigma calls' bit
+    # for bit; the sigmas are the CLI's sandwich schedule
+    sigmas = make_schedule(0.125, 0.25, 4, params.b).sigmas
+    for lam in (0.25, 1.0, 4.0):
+        batch = region_samples(params, lam, sigmas, CFG)
+        assert [tr.sigma for tr in batch] == list(sigmas)
+        for tr in batch:
+            assert tr == region_pieces(params, lam, tr.sigma, CFG)
+            assert tr.ztilde1 == ztilde1(params, lam, tr.sigma, CFG)
+            assert tr.ztilde2 == ztilde2(params, lam, tr.sigma, CFG)
+
+
+@pytest.mark.parametrize("lam", [0.25, 4.0], ids=["kink", "saturated"])
+def test_region_samples_one_outer_call_per_panel(monkeypatch, lam):
+    # per lambda, z1 and z2 are one vector quadrature per panel of the kink
+    # cuts, ztilde1 one and ztilde2 one per piece, each with a component per
+    # sigma; the inner integrals run on the mapped interval (0, 1)
+    calls = []
+    real = zeta_mod._tanh_sinh
+
+    def tanh_sinh(f, lo, hi, *args, **kwargs):
+        calls.append((lo, hi, kwargs.get("k")))
+        return real(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    sigmas = make_schedule(0.125, 0.25, 4, SUP.b).sigmas
+    region_samples(SUP, lam, sigmas, CFG)
+    x_rho = rho(SUP, lam * SUP.r2)
+    cuts = [0.0, x_rho, SUP.r1] if x_rho < SUP.r1 else [0.0, SUP.r1]
+    panels = [(lo, hi, 4) for lo, hi in zip(cuts, cuts[1:])]
+    ztilde = [(0.0, x_rho, 4)] * 2 + panels[1:]
+    assert [c for c in calls if c[:2] != (0.0, 1.0)] == panels * 2 + ztilde
+    assert len(panels) == (2 if lam == 0.25 else 1)
+
+
 def test_v_integrals_match_scalar_calls_on_own_intervals():
     # each interval (0, s_hi[i]) is mapped onto (0, 1) inside the integrand;
     # every component still returns the one-component call on its own interval
@@ -573,16 +617,26 @@ NAN = float("nan")
     pytest.param(lambda: region_pieces(GREEN, NAN, -0.4, CFG), id="region_pieces-nan"),
     pytest.param(lambda: ztilde1(GREEN, NAN, -0.4, CFG), id="ztilde1-nan"),
     pytest.param(lambda: ztilde2(GREEN, NAN, -0.4, CFG), id="ztilde2-nan"),
+    pytest.param(lambda: region_pieces(GREEN, math.inf, -0.4, CFG), id="region_pieces-inf"),
+    pytest.param(lambda: region_samples(GREEN, math.inf, [-0.4, -0.45], CFG),
+                 id="region_samples-inf"),
+    pytest.param(lambda: region_samples(GREEN, NAN, [-0.4, -0.45], CFG),
+                 id="region_samples-nan"),
+    pytest.param(lambda: ztilde1(GREEN, math.inf, -0.4, CFG), id="ztilde1-inf"),
+    pytest.param(lambda: ztilde2(GREEN, math.inf, -0.4, CFG), id="ztilde2-inf"),
     pytest.param(lambda: ztilde1_2d(GREEN, NAN, -0.4, CFG), id="ztilde1_2d-nan"),
     pytest.param(lambda: ztilde2_2d(GREEN, NAN, -0.4, CFG), id="ztilde2_2d-nan"),
     pytest.param(lambda: g_pieces(SUP, NAN, -0.4, CFG), id="g_pieces-nan"),
     pytest.param(lambda: g_pieces(SUP, 0.0, -0.4, CFG), id="g_pieces-zero"),
+    pytest.param(lambda: g_pieces(SUP, math.inf, -0.4, CFG), id="g_pieces-inf"),
     pytest.param(lambda: h_pieces(CRIT, NAN, -0.4, CFG), id="h_pieces-nan"),
     pytest.param(lambda: h_pieces(CRIT, -1.0, -0.4, CFG), id="h_pieces-negative"),
     pytest.param(lambda: j_pieces(GREEN, NAN, -0.4, CFG), id="j_pieces-nan"),
     pytest.param(lambda: j_pieces(GREEN, 0.0, -0.4, CFG), id="j_pieces-zero"),
     pytest.param(lambda: constant_L(GREEN, NAN), id="constant_L-nan"),
     pytest.param(lambda: constant_M(GREEN, NAN, CFG), id="constant_M-nan"),
+    pytest.param(lambda: constant_L(GREEN, math.inf), id="constant_L-inf"),
+    pytest.param(lambda: constant_M(GREEN, math.inf, CFG), id="constant_M-inf"),
     pytest.param(lambda: BumpSpec(NAN, 0.5), id="bump-R1-nan"),
     pytest.param(lambda: BumpSpec(0.5, NAN), id="bump-R2-nan"),
     pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, math.inf, CFG),
@@ -593,10 +647,20 @@ NAN = float("nan")
                  id="log_derivative-j-fraction"),
 ])
 def test_invalid_input_raises_domain_error(call):
-    # a non-positive or NaN lambda, a NaN bump half-width and a j that is no
-    # nonnegative integer fail up front, before any quadrature runs
+    # a lambda that is not positive and finite, a NaN bump half-width and a
+    # j that is no nonnegative integer fail up front, before any quadrature
+    # runs
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("j", [0, 1, 4])
+def test_nan_exponent_out_of_window(j):
+    # a NaN s fails the window test s > -c0 instead of reaching a quadrature
+    with pytest.raises(OutOfWindow):
+        log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), NAN, j, CFG)
+    with pytest.raises(OutOfWindow):
+        log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), NAN, j, CFG)
 
 
 def test_degenerate_lower_limit():
