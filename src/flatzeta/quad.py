@@ -9,8 +9,9 @@ integrate_1d's integrand is called with numpy arrays of abscissae and must
 return arrays of the same length; it runs on the one refinement loop
 `_tanh_sinh` as a call with a single component.  Iterated 2D integrals are
 built on the loop in flatzeta.zeta: one call integrates all inner columns of
-one outer level at once on a shared interval, each column retiring at its
-own level.  Every call refines at most MAX_LEVELS times.
+one outer level at once on a shared interval, each column, or each group of
+moment columns of one abscissa, retiring at its own level.  Every call
+refines at most MAX_LEVELS times.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _capped(err, value):
 
 
 def _tanh_sinh(f, lo: float, hi: float, tol: float,
-               endpoints: Optional[EndpointSpec] = None, *, k: int, joint: bool = False):
+               endpoints: Optional[EndpointSpec] = None, *, k: int, group: int = 1):
     """Core refinement loop on the finite interval (lo, hi): integrates k
     components on shared nodes.  Returns (value, error, evaluations), value
     and error (k,) arrays.
@@ -177,11 +178,14 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     (_capped); a component that fails that raises NonConvergence naming it.
     Callers map per-component intervals onto one shared interval in f.
 
-    joint=True instead stops every component at the first level where all
-    of them meet a rule.  It suits components that are moments of one
-    integrand (log_derivative_moments): they share every node and nearly
-    all of the cost, so an early retirement saves little, while the extra
-    levels make the fast components more accurate.
+    With group > 1 (k a multiple of it) the components retire in whole
+    groups of group consecutive ones, each group at the first level where
+    all of its members meet a rule, and f sees whole groups only.  It suits
+    components that are moments of one integrand (log_derivative_moments):
+    they share every node and nearly all of the cost, so an early
+    retirement saves little, while the extra levels make the fast
+    components more accurate.  A group returns what a call on it alone
+    returns.
     """
     span = hi - lo
     value = np.zeros(k)    # results, filled in as components retire
@@ -196,10 +200,9 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     beta = None if endpoints is None else np.broadcast_to(endpoints.exponent_lo, (k,))
     for level in range(MAX_LEVELS + 1):
         xs, ws, dist, i, d = _nodes(level, lo, hi)
-        # f sees blocks of components, and each block is summed before the
-        # next is evaluated, so that values and temporaries stay small; joint
-        # components share the integrand's work and go in whole
-        step = act.size if joint else max(1, _BLOCK_CELLS // max(xs.size, 1))
+        # f sees blocks of whole groups, and each block is summed before the
+        # next is evaluated, so that values and temporaries stay small
+        step = max(1, _BLOCK_CELLS // max(xs.size, 1) // group) * group
         for j in range(0, act.size, step):
             blk = slice(j, j + step)
             fs = np.asarray(f(xs[:, None], act[blk]), dtype=float)
@@ -227,20 +230,16 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
                 deeper = dist_c[near, cols] < deep_d[blk]
                 deep_d[blk] = np.where(deeper, dist_c[near, cols], deep_d[blk])
                 deep_f[blk] = np.where(deeper, np.abs(fs[near, cols]), deep_f[blk])
-            if joint:       # every component in one block: one matrix product
-                running += ws @ fs
-            else:
-                # one dot product per component on its own contiguous row, so
-                # its sum does not depend on the components beside it
-                running[blk] += np.vecdot(np.ascontiguousarray(fs.T), ws)
+            # one dot product per component on its own contiguous row, so its
+            # sum does not depend on the components beside it
+            running[blk] += np.vecdot(np.ascontiguousarray(fs.T), ws)
         evals += xs.size * act.size
         val = span / (1 << level) * running
         if level >= 1:
             prev_err, err = err, np.abs(val - prev)
         if level >= 2:
             stop = _stops(level, err, prev_err, val, tol)
-            if joint:
-                stop[:] = stop.all()
+            stop = np.repeat(stop.reshape(-1, group).all(axis=1), group)
             if stop.all():
                 break
             if stop.any():

@@ -317,19 +317,18 @@ def verify_LM_limits(params: FamilyParams,
 def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
                           s_target: float, J: int,
                           cfg: NumericConfig = DEFAULT_CONFIG, *,
-                          rel_tol: Optional[float] = None,
                           flat: bool = False) -> VerificationReport:
     """Rebuild the weighted integral at s_target from its derivative moments
     at s0, all computed in one log_derivative_moments pass, and compare with
-    direct quadrature on the weighted engine:
+    a direct D_0(s_target) (log_derivative_integral):
 
         sum_{j<=J} D_j(s0) (s_target - s0)^j / j!  vs  D_0(s_target).
 
     Requires |s_target - s0| < s0 + c0 (inside the convergence disc around
     s0, whose radius is the distance to the divergence abscissa -c0).  All
-    Taylor terms share one sign, which is also asserted.  When rel_tol is
-    None the tolerance is the certified geometric tail bound computed from
-    the last observed term ratio."""
+    Taylor terms share one sign, which is also asserted.  The tolerance is
+    the certified geometric tail bound computed from the last observed term
+    ratio."""
     t0 = time.perf_counter()
     c0 = 1.0 / params.b
     if not (s0 > -c0 and s_target > -c0):      # NaN fails
@@ -349,11 +348,10 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
     direct = log_derivative_integral(params, bump, s_target, 0, cfg, flat=flat)
     one_signed = all(t > 0.0 for t in terms) or all(t < 0.0 for t in terms)
     err = abs(partial - direct) / abs(direct)
-    if rel_tol is None:
-        ratio = abs(terms[-1] / terms[-2]) if len(terms) > 1 and terms[-2] != 0.0 else 0.5
-        ratio = min(ratio, 0.999)
-        tail = abs(terms[-1]) * ratio / (1.0 - ratio)
-        rel_tol = max(2.0 * tail / abs(direct), 10.0 * cfg.tol_2d)
+    ratio = abs(terms[-1] / terms[-2]) if len(terms) > 1 and terms[-2] != 0.0 else 0.5
+    ratio = min(ratio, 0.999)
+    tail = abs(terms[-1]) * ratio / (1.0 - ratio)
+    rel_tol = max(2.0 * tail / abs(direct), 10.0 * cfg.tol_2d)
     return VerificationReport(
         check_id="landau_taylor_rebuild", target=0.0, observed=err,
         tolerance=rel_tol, passed=err <= rel_tol and one_signed,

@@ -25,13 +25,13 @@ is one vector quadrature over x and one of C2(inf), a component per sigma.
 
 Region pieces, the auxiliary reductions ztilde1/ztilde2 and the proof-level
 G/H/J parts are computed by independent quadratures in scaled variables, so
-the identity checks compare the closed-form Z with quadratures.  Every
-iterated integral runs through _columns: the inner integrals of one outer
-level (the bump-weighted correction of zeta_weighted, the region columns,
-the 2D reductions) are batched into one vector _tanh_sinh call per piece,
-each column retiring at its own level.  Log-variable inner integrals of the
-region columns are clipped at log r2 - 800/X (_w_floor); below it the
-neglected mass is under e^-800 of the column.
+the identity checks compare the closed-form Z with quadratures.  In every
+iterated integral the inner integrals of one outer level (the bump-weighted
+correction of zeta_weighted, the region columns, the 2D reductions, the
+log-derivative moments) are batched into one vector _tanh_sinh call per
+piece, each column retiring at its own level.  Log-variable inner integrals
+of the region columns are clipped at log r2 - 800/X (_w_floor); below it
+the neglected mass is under e^-800 of the column.
 
 The region pieces of a whole sigma schedule at one lambda are batched as Z
 is (region_samples): on each panel of the kink cuts, z1 and z2 are one
@@ -252,45 +252,21 @@ def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> 
 # the outer x-integral, shared by every iterated quadrature
 # ---------------------------------------------------------------------------
 
-def _panels(f, cuts, a_s, cfg: NumericConfig, k: int = 1, *, joint: bool):
+def _panels(f, cuts, a_s, cfg: NumericConfig, k: int = 1):
     """Sum of tanh-sinh integrals of the k components of f(xs, cols) (as in
-    _tanh_sinh, joint or not) over the panels between consecutive cuts; the
-    panel at 0 declares the x^(a s) endpoint, a_s one exponent or one per
-    component.
+    _tanh_sinh) over the panels between consecutive cuts; the panel at 0
+    declares the x^(a s) endpoint, a_s one exponent or one per component.
+    An iterated integral's f evaluates all inner integrals of one outer
+    level in one vector _tanh_sinh call.
 
-    Returns (values, errors, evaluations), values and errors (k,) arrays."""
+    Returns (values, errors, outer evaluations), values and errors (k,)
+    arrays; inner evaluations are f's to count."""
     total, err, evs = 0.0, 0.0, 0
     for lo, hi in zip(cuts, cuts[1:]):
         ep = EndpointSpec(exponent_lo=a_s if lo == 0.0 else 0.0)
-        v, e, ev = _tanh_sinh(f, lo, hi, cfg.tol_2d, ep, k=k, joint=joint)
+        v, e, ev = _tanh_sinh(f, lo, hi, cfg.tol_2d, ep, k=k)
         total, err, evs = total + v, err + e, evs + ev
     return total, err, evs
-
-
-def _columns(params: FamilyParams, column: Callable, cuts, a_s: float,
-             cfg: NumericConfig, *, flat: bool = True, bump: Optional[BumpSpec] = None,
-             k: int = 1):
-    """int x^(a s) [phi_x(x)] column(xs, log e(xs)) dx over (cuts[0], cuts[-1]),
-    split at the cuts.  column gets all abscissae of one outer level and
-    their log e(x) (-inf where e underflows or flat is off), and returns a
-    fresh (n,) array of inner integrals: a batched column makes one vector
-    _tanh_sinh call per level, not one call per abscissa.  With k > 1 the
-    column returns (n, k) values of k integrands, integrated jointly.
-
-    Returns (values, errors, outer evaluations) as _panels does; inner
-    evaluations are the column's to count."""
-    def outer(xs):
-        ln_es = log_e_flat(params, xs) if flat else np.full_like(xs, -np.inf)
-        out = column(xs, ln_es)
-        cols = out.T          # a view with x along the last axis, rows or not
-        with np.errstate(divide="ignore", over="ignore"):
-            cols *= np.exp(a_s * np.log(xs))
-        if bump is not None:
-            cols *= bump_x_profile(bump, xs)
-        return out
-
-    joint = lambda xs, cols: outer(xs[:, 0]).reshape(-1, k)     # cols is all k
-    return _panels(joint, cuts, a_s, cfg, k, joint=True)
 
 
 def _kink_cuts(params: FamilyParams, lam: float):
@@ -391,31 +367,6 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
                                     EndpointSpec(exponent_lo=params.a * sigmas), k=k)
     errors += (_inner_rel_err(Xs) + c2_err) * np.abs(values)
     return values, errors, ev + state["ev"]
-
-
-def _box_direct(params, sigma, cfg, Y1, Y2, bump, flat):
-    """Plain iterated quadrature of one sigma >= 0, where nothing is singular;
-    each outer level's columns are one vector quadrature over (0, Y2)."""
-    b, q = params.b, params.q
-    ep_y = EndpointSpec(exponent_lo=(b - q) * sigma)
-    state = {"ev": 0}
-
-    def column(xs, ln_es):
-        with np.errstate(over="ignore"):
-            lnE = q * ln_es
-
-        def fy(ys, cols):
-            lny = np.log(ys)
-            vals = np.exp(sigma * ((b - q) * lny + np.logaddexp(q * lny, lnE[cols])))
-            return vals * bump_y_profile(bump, ys) if bump is not None else vals
-
-        val, _, ev = _tanh_sinh(fy, 0.0, Y2, cfg.tol_2d / 5.0, ep_y, k=xs.size)
-        state["ev"] += ev
-        return val
-
-    (value,), (err,), ev = _columns(params, column, [0.0, Y1], params.a * sigma, cfg,
-                                    flat=flat, bump=bump)
-    return float(value), float(err), ev + state["ev"]
 
 
 def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], sigmas,
@@ -530,8 +481,8 @@ def region_samples(params: FamilyParams, lam: float, sigmas,
         return out * x_power(xs, cols)
 
     cuts = _kink_cuts(params, lam)
-    z1, e1, _ = _panels(z1_column, cuts, params.a * sig, cfg, k, joint=False)
-    z2, e2, _ = _panels(z2_column, cuts, params.a * sig, cfg, k, joint=False)
+    z1, e1, _ = _panels(z1_column, cuts, params.a * sig, cfg, k)
+    z2, e2, _ = _panels(z2_column, cuts, params.a * sig, cfg, k)
     zt1 = _ztilde1_values(params, lam, sig, Xs, cfg)
     zt2 = _ztilde2_values(params, lam, sig, Xs, cfg)
     return [DecompositionTrace(lam=lam, sigma=s, z1=float(z1[i]), z2=float(z2[i]),
@@ -637,16 +588,19 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
     w_floor = _w_floor(X, lnY2)
 
-    def column(xs, ln_es):
-        out = np.zeros_like(ln_es)
-        ln_c = ln_es - ln_lam
+    def outer(xs, cols):
+        x = xs[:, 0]
+        ln_c = log_e_flat(params, x) - ln_lam
+        out = np.zeros_like(x)
         sel = ln_c < lnY2
         if sel.any():     # int_c^r2 y^(X-1) dy in w = log y, c = e(x)/lambda
             out[sel] = _w_integrals(params.q, sigma, X, np.full(np.count_nonzero(sel), -np.inf),
                                     np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
-        return out
+        with np.errstate(divide="ignore", over="ignore"):
+            out *= np.exp(params.a * sigma * np.log(x))
+        return out[:, None]
 
-    return float(_columns(params, column, _kink_cuts(params, lam), params.a * sigma, cfg)[0][0])
+    return float(_panels(outer, _kink_cuts(params, lam), params.a * sigma, cfg)[0][0])
 
 
 def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
@@ -675,7 +629,7 @@ def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
             return np.where((ln_es > -np.inf) & (ln_col >= -740.0), np.exp(ln_col) * v0, 0.0)
 
     return float(_panels(lambda xs, cols: outer(xs[:, 0])[:, None], _kink_cuts(params, lam),
-                         a * sigma, cfg, joint=True)[0][0])
+                         a * sigma, cfg)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -796,41 +750,49 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
                            flat: bool = True) -> np.ndarray:
     """D_0(s), ..., D_J(s) over the plane (4x quadrant) as one array, from a
     single iterated quadrature whose integrands are the J + 1 columns
-    |f|^s (log|f|)^j phi on shared nodes.  Inner and outer quadratures are
-    joint vector calls over the J + 1 moments (see _tanh_sinh): refinement
-    stops once every moment has converged.  The abscissae of an outer level
-    are looped over here: batching them as well would need
-    (n_y, n_x, J + 1) arrays.  Requires |f| < 1 on the support, so that
-    sign(D_j) = (-1)^j."""
+    |f|^s (log|f|)^j phi on shared nodes.  The J + 1 moments of one abscissa
+    are one group of the vector calls (see _tanh_sinh), so they stop
+    refining together, once every moment has converged; the inner integrals
+    of all abscissae of an outer level are one call with a group each.
+    Requires |f| < 1 on the support, so that sign(D_j) = (-1)^j."""
     J = _check_log_moments(params, bump, s, J, flat)
-    a, b, q = params.a, params.b, params.q
+    a, b, q, G = params.a, params.b, params.q, J + 1
     # where E(x) is far below y^q the integrand goes as y^(b s) (log|f|)^j
     ep_y = EndpointSpec(exponent_lo=b * s if s < 0 else 0.0)
 
-    def moments(x: float, ln_e: float) -> np.ndarray:
-        lnE, lnx = q * ln_e, math.log(x)
+    def column(xs, cols):      # cols is every moment: the one group
+        x = xs[:, 0]
+        ln_es = log_e_flat(params, x) if flat else np.full_like(x, -np.inf)
+        with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
+            lnE = q * ln_es
+        lnx = np.log(x)
 
-        def fy(ys, cols):      # joint: cols is every moment, and ys one column
-            lny = np.log(ys[:, 0])
-            core = np.logaddexp(q * lny, lnE) if lnE > -math.inf else q * lny
-            ln_fy = (b - q) * lny + core          # log|f| - a log x
-            # the powers may overflow at the deepest nodes next to a singular
-            # endpoint; _tanh_sinh drops those nodes
+        def fy(ys, cols):      # whole groups: the moments of the abscissae i
+            i = cols[::G] // G
+            lny = np.log(ys[:, 0])[:, None]
+            ln_fy = (b - q) * lny + np.logaddexp(q * lny, lnE[i])    # log|f| - a log x
+            pows = np.empty(ln_fy.shape + (G,))
+            pows[..., 0] = 1.0
+            pows[..., 1:] = (a * lnx[i] + ln_fy)[..., None]
+            # (log|f|)^j, the products np.vander takes; they may overflow at the
+            # deepest nodes next to a singular endpoint, which _tanh_sinh drops
             with np.errstate(over="ignore", invalid="ignore"):
-                pows = np.vander(a * lnx + ln_fy, J + 1, increasing=True)   # (log|f|)^j
-                pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0]))[:, None]
-            return pows
+                np.multiply.accumulate(pows[..., 1:], axis=-1, out=pows[..., 1:])
+                pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0])[:, None])[..., None]
+            return pows.reshape(ys.shape[0], -1)
 
-        return _tanh_sinh(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y, k=J + 1, joint=True)[0]
+        vals = _tanh_sinh(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y, k=x.size * G,
+                          group=G)[0].reshape(x.size, G)
+        # x^(a s) is kept out of fy: where it falls below the normal range the
+        # inner values would carry its rounding noise, and refinement would
+        # chase that noise to the level cap
+        with np.errstate(over="ignore"):
+            vals *= np.exp(a * s * lnx)[:, None]
+        vals *= bump_x_profile(bump, x)[:, None]
+        return vals
 
-    def column(xs, ln_es):
-        return np.array([moments(x, ln_e) for x, ln_e in zip(xs.tolist(), ln_es.tolist())])
-
-    # x^(a s) is kept out of fy: where it falls below the normal range the
-    # inner values would carry its rounding noise, and refinement would
-    # chase that noise to the level cap
-    vals, _, _ = _columns(params, column, [0.0, bump.R1], a * s, cfg, flat=flat, bump=bump,
-                          k=J + 1)
+    vals, _, _ = _tanh_sinh(column, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
+                            k=G, group=G)
     return 4.0 * vals
 
 
@@ -838,12 +800,12 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
                             cfg: NumericConfig = DEFAULT_CONFIG, *,
                             flat: bool = True) -> float:
     """D_j(s) over the plane (4x quadrant), requiring |f| < 1 on the support
-    so that sign(D_j) = (-1)^j.  j = 0 delegates to the weighted engine,
-    j >= 1 to log_derivative_moments."""
+    so that sign(D_j) = (-1)^j.  D_0 at s < 0, where the y-mass sits next
+    to the singular endpoint, runs on the weighted engine (_box_integral,
+    closed-form inner columns); every other D_j is entry j of
+    log_derivative_moments."""
     j = _check_log_moments(params, bump, s, j, flat)
-    if j > 0:
+    if j > 0 or s >= 0.0:
         return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])
-    if s >= 0.0:
-        return 4.0 * _box_direct(params, s, cfg, bump.R1, bump.R2, bump, flat)[0]
     (value,), _, _ = _box_integral(params, np.array([s]), cfg, bump.R1, bump.R2, bump, flat)
     return 4.0 * float(value)

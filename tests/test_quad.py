@@ -234,11 +234,38 @@ def test_tanh_sinh_vector_nonfinite():
     assert np.all(errors >= 0.0)
 
 
-def test_tanh_sinh_joint_components_stop_together():
-    values, errors, evals = _tanh_sinh(_vector, 0.0, 1.0, 1e-10, SPEC, k=4, joint=True)
-    alone = [_alone(lambda x: _integrands(x)[:, c], 0.0, 1.0, 1e-10, SPEC) for c in range(4)]
-    # one shared stopping level, at least as deep as each component's own
-    assert evals % 4 == 0 and evals >= 4 * max(ev for _, _, ev in alone)
-    assert values == pytest.approx([v for v, _, _ in alone], rel=1e-9)
+def _grouped(xs, cols):
+    """Group g = cols // 4 holds the four _integrands times 2 + sin(12^g x),
+    so that the groups need different levels."""
+    x = xs[:, 0]
+    return _integrands(x)[:, cols % 4] * (2.0 + np.sin(12.0 ** (cols // 4) * x[:, None]))
+
+
+def test_tanh_sinh_groups_match_calls_on_each_group_alone():
+    # k = 12 in groups of 4: each group stops at one level, where the four
+    # components meet the rules together, and f only ever sees whole groups;
+    # every group returns what a call on it alone returns, bit for bit
+    seen = []      # (nodes of the level, cols) of every call of f
+
+    def f(xs, cols):
+        seen.append((xs.shape[0], cols.copy()))
+        return _grouped(xs, cols)
+
+    values, errors, evals = _tanh_sinh(f, 0.0, 1.0, 1e-12, SPEC, k=12, group=4)
+    total = 0
+    for g in range(3):
+        v, e, ev = _tanh_sinh(lambda xs, cols: _grouped(xs, cols + 4 * g), 0.0, 1.0, 1e-12,
+                              SPEC, k=4, group=4)
+        assert values[4 * g:4 * g + 4].tolist() == v.tolist()
+        assert errors[4 * g:4 * g + 4].tolist() == e.tolist()
+        total += ev
+    assert evals == total
+    for _, cols in seen:
+        assert np.all(np.bincount(cols // 4)[np.unique(cols // 4)] == 4)
+    # each level has its own node count: the widest level a component saw
+    deepest = [max(n for n, cols in seen if c in cols) for c in range(12)]
+    stops = [set(deepest[4 * g:4 * g + 4]) for g in range(3)]
+    assert all(len(stop) == 1 for stop in stops)
+    assert len(set.union(*stops)) == 3       # the three groups stop at three levels
     assert np.all(errors >= 0.0)
 

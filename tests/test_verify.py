@@ -169,7 +169,7 @@ def test_landau_rebuild_improves_with_J():
     errs = []
     for J in (10, 20, 40):
         rep = landau_taylor_rebuild(PRESETS["greenblatt"], BUMP, 0.5, -0.3, J,
-                                    CFG, rel_tol=1.0, flat=False)
+                                    CFG, flat=False)
         errs.append(rep.observed)
     assert errs[0] > errs[1] > errs[2]
 

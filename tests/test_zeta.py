@@ -19,7 +19,14 @@ from flatzeta.errors import (
     OutOfWindow,
     PoleHit,
 )
-from flatzeta.funcs import BumpSpec, E_flat, bump_y_increment, rho
+from flatzeta.funcs import (
+    BumpSpec,
+    E_flat,
+    bump_x_profile,
+    bump_y_increment,
+    bump_y_profile,
+    rho,
+)
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
@@ -580,13 +587,50 @@ def test_log_derivative_window():
 @pytest.mark.parametrize("s0", [0.5, -0.2])
 def test_log_derivative_moments_match_per_j(s0, flat):
     # one vector quadrature for D_0..D_12 against the moment-by-moment calls
-    # (D_0 on the weighted engine, D_j as element j of a J = j pass)
+    # (D_0 at s < 0 on the weighted engine, D_j as element j of a J = j pass)
     bump = BumpSpec(0.5, 0.5)
     moments = log_derivative_moments(GREEN, bump, s0, 12, CFG, flat=flat)
     assert moments.shape == (13,)
     for j in range(13):
         d = log_derivative_integral(GREEN, bump, s0, j, CFG, flat=flat)
         assert moments[j] == pytest.approx(d, rel=1e-10)
+
+
+def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
+    # the inner integrals of all abscissae of one outer level are one vector
+    # quadrature over (0, R2), with a group of J + 1 moments per abscissa
+    bump, J = BumpSpec(0.5, 0.25), 6
+    outer_levels, inner = [], []
+    real = zeta_mod._tanh_sinh
+
+    def tanh_sinh(f, lo, hi, *args, **kwargs):
+        if (lo, hi) == (0.0, bump.R1):
+            def counted(xs, cols):
+                outer_levels.append(xs.shape[0])
+                return f(xs, cols)
+            return real(counted, lo, hi, *args, **kwargs)
+        inner.append((lo, hi, kwargs["k"], kwargs["group"]))
+        return real(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    log_derivative_moments(GREEN, bump, 0.5, J, CFG, flat=True)
+    assert 3 <= len(outer_levels) <= 13
+    assert inner == [(0.0, bump.R2, n * (J + 1), J + 1) for n in outer_levels]
+
+
+@pytest.mark.parametrize("params", [GREEN, FamilyParams(1, 3, 2, Fraction(1, 4))],
+                         ids=["greenblatt", "1,3,2,1/4"])
+@pytest.mark.parametrize("s", [0.0, 0.05, 0.5])
+def test_log_derivative_d0_nonnegative_s_is_a_product_of_1d_integrals(params, s):
+    # with the flat term off |f| = x^a y^b, so D_0(s) = 4 I_x(s) I_y(s):
+    # two 1D quadratures of x^(a s) and y^(b s) against the bump profiles
+    bump = BumpSpec(0.5, 0.5)
+    i_x = integrate_1d(lambda x: x ** (params.a * s) * bump_x_profile(bump, x), 0.0, 0.5,
+                       tol=1e-13).value
+    i_y = integrate_1d(lambda y: y ** (params.b * s) * bump_y_profile(bump, y), 0.0, 0.5,
+                       tol=1e-13).value
+    d0 = log_derivative_integral(params, bump, s, 0, CFG, flat=False)
+    assert d0 == pytest.approx(4.0 * i_x * i_y, rel=1e-12)
 
 
 def test_log_derivative_moments_flat_on_deep_negative_s():
