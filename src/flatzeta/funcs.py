@@ -68,10 +68,10 @@ def psi(alpha: float, x):
     Uses -expm1(x log alpha)/x; for x below 1e-8 the two-term series
     -log(alpha) - x log(alpha)^2 / 2 is returned directly.
     """
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:      # NaN fails
+        raise DomainError("alpha must be positive and finite")
     arr, scalar = _as_array(x)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):           # NaN fails
         raise DomainError("x must be positive")
     la = math.log(alpha)
     small = arr < 1e-8
@@ -113,8 +113,8 @@ class BumpSpec:
     R2: float = 0.5
 
     def __post_init__(self):
-        if not (self.R1 > 0.0 and self.R2 > 0.0):
-            raise DomainError("bump half-widths must be positive")
+        if not (0.0 < self.R1 < math.inf and 0.0 < self.R2 < math.inf):   # NaN fails
+            raise DomainError("bump half-widths must be positive and finite")
 
     @property
     def amplitude(self) -> float:

@@ -12,6 +12,11 @@ built on the loop in flatzeta.zeta: one call integrates all inner columns of
 one outer level at once on a shared interval, each column, or each group of
 moment columns of one abscissa, retiring at its own level.  Every call
 refines at most MAX_LEVELS times.
+
+A `_tanh_sinh` call that declares an EndpointSpec (integrate_1d always
+does) samples lo as deep as doubles allow, for mass that hides next to lo.
+A call with endpoints None declares both ends regular and samples lo no
+deeper than hi, whose nodes round onto hi below an offset of about eps.
 """
 
 from __future__ import annotations
@@ -70,21 +75,26 @@ def _level_nodes(level: int):
 
 
 @lru_cache(maxsize=64)
-def _nodes(level: int, lo: float, hi: float):
+def _nodes(level: int, lo: float, hi: float, regular: bool):
     """The nodes refinement level `level` adds on (lo, hi), without those
     that round onto an endpoint: abscissae, weights, distances from the
     nearer endpoint, and the index and distance of the deepest node (inf
-    on an empty level).  Read-only, as calls on the same interval share
-    them."""
+    on an empty level).  With regular (both ends regular) the lo side keeps
+    only the offsets that the hi side keeps, so it is sampled no deeper
+    than rounding lets the hi end be.  Read-only, as calls on the same
+    interval share them."""
     off, w = _level_nodes(level)
-    first = 1 if level == 0 else 0      # t = 0 maps to the midpoint, once
     span = hi - lo
     x_left = lo + span * off
-    x_right = hi - span * off[first:]
+    x_right = hi - span * off
     ok_l = x_left > lo
     ok_r = x_right < hi
+    if regular:
+        ok_l &= ok_r
+    if level == 0:
+        ok_r[0] = False     # t = 0 maps to the midpoint, taken once on the left
     xs = np.concatenate([x_left[ok_l], x_right[ok_r]])
-    ws = np.concatenate([w[ok_l], w[first:][ok_r]])
+    ws = np.concatenate([w[ok_l], w[ok_r]])
     dist = np.minimum(xs - lo, hi - xs)
     xs.flags.writeable = ws.flags.writeable = dist.flags.writeable = False
     if not dist.size:
@@ -168,15 +178,22 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
 
     f(xs, cols) receives one (n, 1) column of abscissae and the indices cols
     of the m components still refining, and returns (n, m) values, in blocks
-    of at most _BLOCK_CELLS values; endpoints may declare each component's
-    own exponent.  Each component's sums run apart from the others', and it
-    retires at the first level >= 2 where it meets the stopping rules
-    (_stops), with its endpoint remainder added to its error, so it returns
-    the same value and error as a call on it alone; only the components
-    still refining are evaluated and counted.  After MAX_LEVELS levels a
-    last step below 1% of the value is accepted with a 3x error bar
-    (_capped); a component that fails that raises NonConvergence naming it.
-    Callers map per-component intervals onto one shared interval in f.
+    of at most _BLOCK_CELLS values.  Each component's sums run apart from
+    the others', and it retires at the first level >= 2 where it meets the
+    stopping rules (_stops), with its endpoint remainder added to its error,
+    so it returns the same value and error as a call on it alone; only the
+    components still refining are evaluated and counted.  After MAX_LEVELS
+    levels a last step below 1% of the value is accepted with a 3x error
+    bar (_capped); a component that fails that raises NonConvergence naming
+    it.  Callers map per-component intervals onto one shared interval in f.
+
+    An EndpointSpec declares each component's exponent at lo (0 included):
+    lo is then sampled down to offsets of _OFF_MIN, and the endpoint
+    remainder bounds the mass below the deepest node.  endpoints None
+    declares both ends regular (every component bounded and smooth up to
+    lo and hi): lo is sampled at the offsets that hi keeps, no deeper than
+    rounding lets hi be (about eps (hi - lo) from it), and the remainder
+    is 0.
 
     With group > 1 (k a multiple of it) the components retire in whole
     groups of group consecutive ones, each group at the first level where
@@ -199,7 +216,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     deep_f = np.zeros(k)           # deepest finite node, for the remainder
     beta = None if endpoints is None else np.broadcast_to(endpoints.exponent_lo, (k,))
     for level in range(MAX_LEVELS + 1):
-        xs, ws, dist, i, d = _nodes(level, lo, hi)
+        xs, ws, dist, i, d = _nodes(level, lo, hi, endpoints is None)
         # f sees blocks of whole groups, and each block is summed before the
         # next is evaluated, so that values and temporaries stay small
         step = max(1, _BLOCK_CELLS // max(xs.size, 1) // group) * group

@@ -31,7 +31,12 @@ correction of zeta_weighted, the region columns, the 2D reductions, the
 log-derivative moments) are batched into one vector _tanh_sinh call per
 piece, each column retiring at its own level.  Log-variable inner integrals
 of the region columns are clipped at log r2 - 800/X (_w_floor); below it
-the neglected mass is under e^-800 of the column.
+the neglected mass is under e^-800 of the column.  A z1 (column, sigma) pair
+clipped there whose flat factor is within e^-40 of 1 on its interval is the
+monomial column r2^X/X, with no quadrature, as the bump-weighted columns
+with a dead flat factor share one E = 0 column.  The inner integrands that
+are smooth up to both ends (_w_integrals, the bump-weighted _v_integrals)
+declare no endpoint, so their lower end is sampled no deeper than the upper.
 
 The region pieces of a whole sigma schedule at one lambda are batched as Z
 is (region_samples): on each panel of the kink cuts, z1 and z2 are one
@@ -150,6 +155,10 @@ def _v_integrals(params: FamilyParams, sigma, s_hi: np.ndarray,
     (components as in _tanh_sinh).  Each interval is mapped onto u in (0, 1)
     by v = s_hi u inside the integrand, so all components share the nodes.
 
+    Without weight, v = 0 is the declared endpoint v^((b-q)s).  A weight
+    must vanish like v^2 at 0 (the bump y-increment does), so that the
+    integrand is O(v^((b-q)s + 2)) and both ends are regular.
+
     Returns (values, errors, evaluations)."""
     sig = np.broadcast_to(sigma, s_hi.shape)
     bq = (params.b - params.q) * sig
@@ -162,7 +171,8 @@ def _v_integrals(params: FamilyParams, sigma, s_hi: np.ndarray,
             out = h * np.exp(bq[cols] * np.log(vs) + sig[cols] * np.log1p(vs**q))
         return out * weight(vs, cols) if weight is not None else out
 
-    return _tanh_sinh(f, 0.0, 1.0, tol, EndpointSpec(exponent_lo=bq), k=s_hi.size)
+    ends = EndpointSpec(exponent_lo=bq) if weight is None else None
+    return _tanh_sinh(f, 0.0, 1.0, tol, ends, k=s_hi.size)
 
 
 def _w_integrals(q: int, sigma, X, lnE: np.ndarray, w_lo: np.ndarray,
@@ -172,6 +182,8 @@ def _w_integrals(q: int, sigma, X, lnE: np.ndarray, w_lo: np.ndarray,
     s and X floats or per entry), as one vector quadrature.  Each interval is
     mapped onto u in (0, 1) by w = w_lo + (w_hi - w_lo) u inside the
     integrand, so an interval narrow against |w| samples distinct abscissae.
+    The integrand is smooth up to both ends, so u is sampled no closer to 0
+    than to 1 (endpoints None): deeper nodes would round onto w_lo.
 
     Returns (values, errors, evaluations)."""
     width = w_hi - w_lo
@@ -183,7 +195,7 @@ def _w_integrals(q: int, sigma, X, lnE: np.ndarray, w_lo: np.ndarray,
         out = width[cols] * np.exp(Xw[cols] * ws + sig[cols] * np.log1p(t))
         return out * weight(ws) if weight is not None else out
 
-    return _tanh_sinh(f, 0.0, 1.0, tol, EndpointSpec(), k=w_lo.size)
+    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=w_lo.size)
 
 
 def _c2_full(b: int, q: int, sigmas: np.ndarray):
@@ -471,13 +483,15 @@ def region_samples(params: FamilyParams, lam: float, sigmas,
         live = ln_es > -np.inf
         ln_m = np.minimum(ln_es - ln_lam, lnY2)
         out[live & (ln_m >= lnY2)] = 0.0
-        rows = np.flatnonzero(live & (ln_m < lnY2))
-        if rows.size:
-            r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
-            with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
-                lnE = q * ln_es[r]
-            out[rows] = _w_integrals(q, sig[c], Xs[c], lnE, np.maximum(ln_m[r], w_floor[c]),
-                                     lnY2, mini_tol)[0].reshape(rows.size, cols.size)
+        with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
+            lnE = q * ln_es
+        w_lo = np.maximum(ln_m[:, None], w_floor[cols])
+        # a clipped pair whose flat factor is within e^-40 of 1 keeps dead[c]
+        flat_dead = (w_lo == w_floor[cols]) & (lnE[:, None] - q * w_lo < -40.0)
+        r, c = np.nonzero((live & (ln_m < lnY2))[:, None] & ~flat_dead)
+        if r.size:
+            cc = cols[c]
+            out[r, c] = _w_integrals(q, sig[cc], Xs[cc], lnE[r], w_lo[r, c], lnY2, mini_tol)[0]
         return out * x_power(xs, cols)
 
     cuts = _kink_cuts(params, lam)

@@ -55,8 +55,9 @@ def test_psi_values():
     alpha = math.exp(-1.0)
     assert psi(alpha, 1e-12) == pytest.approx(1.0, rel=1e-10)
     assert psi(alpha, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
-    with pytest.raises(DomainError):
-        psi(0.0, 1.0)
+    for bad_alpha in (0.0, math.nan, math.inf):     # psi(inf, 1.0) would be -inf
+        with pytest.raises(DomainError):
+            psi(bad_alpha, 1.0)
     with pytest.raises(DomainError):
         psi(0.5, 0.0)
 
@@ -103,10 +104,14 @@ def test_rho_branches():
         rho(p, -1e-3)
 
 
-@pytest.mark.parametrize("fn", [e_flat, E_flat, rho])
+@pytest.mark.parametrize("fn", [
+    e_flat, E_flat, rho,
+    pytest.param(lambda _, x: psi(0.5, x), id="psi"),
+])
 @pytest.mark.parametrize("x", [math.nan, np.array([0.25, math.nan])], ids=["scalar", "array"])
 def test_nan_argument_raises_domain_error(fn, x):
-    # NaN fails the nonnegativity test instead of returning 0.0
+    # NaN fails the nonnegativity (psi: positivity) test instead of
+    # returning 0.0 or NaN
     with pytest.raises(DomainError):
         fn(P21, x)
 

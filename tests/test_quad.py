@@ -269,3 +269,27 @@ def test_tanh_sinh_groups_match_calls_on_each_group_alone():
     assert len(set.union(*stops)) == 3       # the three groups stop at three levels
     assert np.all(errors >= 0.0)
 
+
+def test_tanh_sinh_regular_ends_sample_lo_no_deeper_than_hi():
+    # endpoints None declares both ends regular: lo gets only the offsets
+    # that hi keeps (below about eps a node rounds onto hi), and the value
+    # is the declared-EndpointSpec() call's to rounding; a declared
+    # exponent, 0 included, keeps sampling lo down to _OFF_MIN
+    hi_min = min(float(off[1.0 - off < 1.0].min())
+                 for off, _ in map(quad._level_nodes, range(quad.MAX_LEVELS + 1)))
+
+    def smooth(seen):
+        def f(xs, cols):
+            seen.append(float(xs.min()))
+            x = xs[:, 0]
+            return np.stack([np.exp(x), np.cos(3.0 * x) + 2.0], axis=1)[:, cols]
+        return f
+
+    seen_regular, seen_declared = [], []
+    regular, _, _ = _tanh_sinh(smooth(seen_regular), 0.0, 1.0, 1e-13, None, k=2)
+    declared, _, _ = _tanh_sinh(smooth(seen_declared), 0.0, 1.0, 1e-13,
+                                EndpointSpec(exponent_lo=0.0), k=2)
+    assert min(seen_regular) >= hi_min
+    assert min(seen_declared) < 1e-250
+    assert np.all(np.abs(regular - declared) <= 4.0 * EPS * np.abs(declared))
+    assert regular == pytest.approx([math.e - 1.0, 2.0 + math.sin(3.0) / 3.0], rel=1e-13)

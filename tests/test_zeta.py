@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatzeta.asym import constant_L, constant_M
 from flatzeta.errors import (
@@ -451,6 +452,71 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lam):
     assert len(panels) == (2 if lam == 0.25 else 1)
 
 
+@st.composite
+def _families(draw):
+    """A valid family: 0 <= a < b <= 7, 1 <= q <= b, rational p."""
+    b = draw(st.integers(2, 7))
+    p = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    return FamilyParams(draw(st.integers(0, b - 1)), b, draw(st.integers(1, b)), p)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(params=_families(), log10_X=st.floats(-3.0, math.log10(0.5)),
+       lam=st.sampled_from([0.25, 1.0, 4.0]))
+def test_region_pieces_add_up_to_z_over_families(params, log10_X, lam):
+    # z1 + z2 = Z within the sandwich suite's slack, on seeded draws over
+    # the whole parameter space rather than the presets
+    sigma = (10.0**log10_X - 1.0) / params.b
+    z = zeta_samples(params, None, [sigma], CFG, flat=True)[0]
+    tr = region_samples(params, lam, [sigma], CFG)[0]
+    assert abs(tr.z1 + tr.z2 - z.value) <= 10.0 * (z.error + tr.error) + 1e-12 * z.value
+
+
+def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
+    # a (column, sigma) pair of z1 clipped at _w_floor, where the flat
+    # factor is within e^-40 of 1, is the monomial column r2^X/X and never
+    # reaches _w_integrals; the sigmas are the CLI's sandwich schedule
+    sigmas = make_schedule(0.125, 0.25, 4, SUP.b).sigmas
+    Xs = np.array([SUP.b * s + 1.0 for s in sigmas])
+    lnY2, q = math.log(SUP.r2), SUP.q
+    real_w, real_ts = zeta_mod._w_integrals, zeta_mod._tanh_sinh
+    sent, columns = [], []
+
+    def w_integrals(q_, sigma, X, lnE, w_lo, *args, **kwargs):
+        sent.append((np.broadcast_to(X, w_lo.shape).copy(), lnE.copy(), w_lo.copy()))
+        return real_w(q_, sigma, X, lnE, w_lo, *args, **kwargs)
+
+    def tanh_sinh(f, *args, **kwargs):
+        if f.__name__ == "z1_column":
+            def recorded(xs, cols):
+                out = f(xs, cols)
+                columns.append((xs[:, 0].copy(), cols.copy(), out.copy()))
+                return out
+            return real_ts(recorded, *args, **kwargs)
+        return real_ts(f, *args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_w_integrals", w_integrals)
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    region_samples(SUP, 1.0, sigmas, CFG)
+
+    def is_dead(X, lnE, w_lo):
+        return (w_lo == zeta_mod._w_floor(X, lnY2)) & (lnE - q * w_lo < -40.0)
+
+    assert sent and not any(is_dead(*pair).any() for pair in sent)
+    n_dead = 0
+    for x, cols, out in columns:     # a = 0: the z1 column is its inner integral
+        ln_es = zeta_mod.log_e_flat(SUP, x)[:, None]
+        with np.errstate(over="ignore"):
+            lnE = q * ln_es
+        ln_m = np.minimum(ln_es, lnY2)            # lambda = 1
+        w_lo = np.maximum(ln_m, zeta_mod._w_floor(Xs[cols], lnY2))
+        dead = (ln_m < lnY2) & is_dead(Xs[cols], lnE, w_lo)
+        expect = np.broadcast_to([math.exp(X * lnY2) / X for X in Xs[cols]], out.shape)
+        assert np.array_equal(out[dead], expect[dead])
+        n_dead += np.count_nonzero(dead)
+    assert n_dead > 0
+
+
 def test_v_integrals_match_scalar_calls_on_own_intervals():
     # each interval (0, s_hi[i]) is mapped onto (0, 1) inside the integrand;
     # every component still returns the one-component call on its own interval
@@ -458,17 +524,18 @@ def test_v_integrals_match_scalar_calls_on_own_intervals():
     bq = (GREEN.b - GREEN.q) * sigma
     s_hi = np.array([1.0, 0.37, 2.5, 1e-3, 40.0])
 
-    def weight(vs, cols):      # differs per component
-        return 1.0 + np.cos(3.0 * vs) / (1.0 + cols)
+    def weight(vs, cols):      # differs per component, and vanishes like v^2
+        return vs**2 * (1.0 + np.cos(3.0 * vs) / (1.0 + cols))
 
     for w in (None, weight):
         values, errors, _ = _v_integrals(GREEN, sigma, s_hi, w, tol=1e-12)
+        ends = EndpointSpec(exponent_lo=bq) if w is None else None
         for i, h in enumerate(s_hi):
             def f(vs, cols):
                 out = np.exp(bq * np.log(vs) + sigma * np.log1p(vs**GREEN.q))
                 return out if w is None else out * w(vs, np.array([i]))
 
-            (v,), (e,), _ = _tanh_sinh(f, 0.0, h, 1e-12, EndpointSpec(exponent_lo=bq), k=1)
+            (v,), (e,), _ = _tanh_sinh(f, 0.0, h, 1e-12, ends, k=1)
             assert abs(values[i] - v) <= 4.0 * np.finfo(float).eps * abs(v)
             assert abs(errors[i] - e) <= 4.0 * np.finfo(float).eps * abs(v)
 
@@ -683,6 +750,12 @@ NAN = float("nan")
     pytest.param(lambda: constant_M(GREEN, math.inf, CFG), id="constant_M-inf"),
     pytest.param(lambda: BumpSpec(NAN, 0.5), id="bump-R1-nan"),
     pytest.param(lambda: BumpSpec(0.5, NAN), id="bump-R2-nan"),
+    pytest.param(lambda: BumpSpec(math.inf, 0.5), id="bump-R1-inf"),
+    pytest.param(lambda: BumpSpec(0.5, math.inf), id="bump-R2-inf"),
+    pytest.param(lambda: log_derivative_moments(SUP, BumpSpec(math.inf, 0.5), 0.2, 0, CFG,
+                                                flat=False), id="log_derivative_moments-R1-inf"),
+    pytest.param(lambda: log_derivative_integral(SUP, BumpSpec(math.inf, 0.5), -0.2, 0, CFG,
+                                                 flat=False), id="log_derivative-R1-inf"),
     pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, math.inf, CFG),
                  id="log_derivative-j-inf"),
     pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, NAN, CFG),
@@ -691,9 +764,9 @@ NAN = float("nan")
                  id="log_derivative-j-fraction"),
 ])
 def test_invalid_input_raises_domain_error(call):
-    # a lambda that is not positive and finite, a NaN bump half-width and a
-    # j that is no nonnegative integer fail up front, before any quadrature
-    # runs
+    # a lambda that is not positive and finite, a bump half-width that is
+    # NaN or infinite and a j that is no nonnegative integer fail up front,
+    # before any quadrature runs
     with pytest.raises(DomainError):
         call()
 
