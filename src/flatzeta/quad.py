@@ -118,12 +118,12 @@ class QuadResult:
 class EndpointSpec:
     """Declared endpoint behavior: integrand ~ (x - lo)^exponent_lo near lo.
     The exponent, one for all components or a (k,) array of one each, must
-    exceed -1 (integrability)."""
+    exceed -1 (integrability) and may not be NaN."""
 
     exponent_lo: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.exponent_lo) <= -1.0):
+        if not np.all(np.asarray(self.exponent_lo) > -1.0):     # NaN fails
             raise DomainError("the endpoint exponent must be > -1 for integrability")
 
 

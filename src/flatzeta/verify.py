@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import OutsideDisc
+from .errors import DomainError, OutsideDisc
 from .funcs import BumpSpec, e_flat, psi, rho
 from .model import (
     DEFAULT_CONFIG,
@@ -71,7 +71,7 @@ class VerificationReport:
                 f"({self.runtime_seconds:.1f}s)")
 
 
-def _scalar_report(check_id, target, observed, rel_tol, residuals=(), t0=0.0):
+def _scalar_report(check_id, target, observed, rel_tol, residuals, t0):
     tol = rel_tol * abs(target)
     return VerificationReport(
         check_id=check_id, target=target, observed=observed, tolerance=tol,
@@ -147,7 +147,9 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
     and the assembled bracket for Z itself.  A violation counts only when an
     inequality fails by more than the combined quadrature error.  Z and the
     region pieces are each one batched call over the sigmas (zeta_samples
-    once, region_samples once per lambda)."""
+    once, region_samples once per lambda).  Needs at least one lambda."""
+    if len(lambdas) == 0:
+        raise DomainError("the sandwich check needs at least one lambda")
     t0 = time.perf_counter()
     violations = 0
     margins = []
@@ -213,11 +215,13 @@ def verify_decompositions(params: FamilyParams, lam: float, sigma: float,
 # auxiliary-function property suites
 # ---------------------------------------------------------------------------
 
-def verify_psi_and_flat(samples: int = 200, seed: int = 0) -> VerificationReport:
+def verify_psi_and_flat(samples: int, seed: int) -> VerificationReport:
     """Randomized property suite for psi_alpha and the flat exponential:
     the two-sided linear pinch of psi at 0+, decay at infinity, strict
     monotonicity, the second-order envelope of 1 - e(x) for x >= 1, and the
-    inverse-profile roundtrip rho(e(x)) = x."""
+    inverse-profile roundtrip rho(e(x)) = x, over samples >= 1 draws."""
+    if not samples >= 1:
+        raise DomainError(f"the property suite needs at least one sample, got {samples}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
@@ -326,9 +330,10 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
 
     Requires |s_target - s0| < s0 + c0 (inside the convergence disc around
     s0, whose radius is the distance to the divergence abscissa -c0).  All
-    Taylor terms share one sign, which is also asserted.  The tolerance is
-    the certified geometric tail bound computed from the last observed term
-    ratio."""
+    nonzero Taylor terms share one sign, which is also asserted.  The
+    tolerance is the certified geometric tail bound computed from the last
+    observed term ratio, so a rebuild away from s0 needs J >= 1; at
+    s_target = s0 every term past D_0 vanishes and so does the tail."""
     t0 = time.perf_counter()
     c0 = 1.0 / params.b
     if not (s0 > -c0 and s_target > -c0):      # NaN fails
@@ -338,6 +343,8 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
         raise OutsideDisc(
             f"|s_target - s0| = {abs(s_target - s0):g} >= disc radius {radius:g}")
     h = s_target - s0
+    if J == 0 and h != 0.0:
+        raise DomainError("a rebuild away from s0 needs J >= 1 for an observed term ratio")
     terms = []
     fact = 1.0
     for j, d_j in enumerate(log_derivative_moments(params, bump, s0, J, cfg, flat=flat)):
@@ -346,11 +353,14 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
         terms.append(float(d_j) * h**j / fact)
     partial = math.fsum(terms)
     direct = log_derivative_integral(params, bump, s_target, 0, cfg, flat=flat)
-    one_signed = all(t > 0.0 for t in terms) or all(t < 0.0 for t in terms)
+    live = [t for t in terms if t != 0.0]     # at h = 0 only D_0 is nonzero
+    one_signed = all(t > 0.0 for t in live) or all(t < 0.0 for t in live)
     err = abs(partial - direct) / abs(direct)
-    ratio = abs(terms[-1] / terms[-2]) if len(terms) > 1 and terms[-2] != 0.0 else 0.5
-    ratio = min(ratio, 0.999)
-    tail = abs(terms[-1]) * ratio / (1.0 - ratio)
+    if h != 0.0 and terms[-2] != 0.0:
+        ratio = min(abs(terms[-1] / terms[-2]), 0.999)
+        tail = abs(terms[-1]) * ratio / (1.0 - ratio)
+    else:       # every term past D_0 vanishes, or h^j underflowed
+        tail = 0.0
     rel_tol = max(2.0 * tail / abs(direct), 10.0 * cfg.tol_2d)
     return VerificationReport(
         check_id="landau_taylor_rebuild", target=0.0, observed=err,

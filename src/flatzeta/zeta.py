@@ -16,12 +16,11 @@ evaluated from logs with scipy's hyp2f1 wherever Y^q/E fits in a double.
 Further out, substituting y = e(x) v against the crossover scale
 e(x) = E(x)^(1/q) gives the exact
 
-    inner(x) = Y^X (1 - (e(x)/Y)^X) / X  +  e(x)^X (C1 + C2(inf)),
-    X = b sigma + 1,
+    inner(x) = Y^X (1 - (e(x)/Y)^X) / X  +  e(x)^X K,   X = b sigma + 1,
 
-with C1 = int_0^1 v^((b-q)s) (1+v^q)^s dv (the closed form at Y = E = 1)
-and C2(inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv.  A whole sigma schedule
-is one vector quadrature over x and one of C2(inf), a component per sigma.
+with K = int_0^1 v^((b-q)s) (1+v^q)^s dv + int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv
+in Gamma functions (_k_closed).  A whole sigma schedule is one vector
+quadrature over x, a component per sigma.
 
 Region pieces, the auxiliary reductions ztilde1/ztilde2 and the proof-level
 G/H/J parts are computed by independent quadratures in scaled variables, so
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import hyp2f1
+from scipy.special import gammaln, hyp2f1, psi, zeta as hurwitz_zeta
 
 from .errors import (
     DegenerateLowerLimit,
@@ -130,7 +129,7 @@ def _check_slice(params: FamilyParams, lam: float, sigma: float) -> float:
 INNER_REL_ERR = 2e-10
 
 #: Largest q log(T/e) = log(T^q/E) for which _inner_closed is used; beyond it
-#: T^q/E nears the double range and C2(S) equals C2(inf) to double precision.
+#: T^q/E nears the double range and _inner_far is exact to double precision.
 _FAR = 700.0
 
 
@@ -148,8 +147,31 @@ def _inner_closed(b: int, q: int, sigma: float, lnT, lnE):
     return np.exp(al * lnT + sigma * lnE) / al * F
 
 
+def _k_closed(b: int, q: int, sigmas: np.ndarray) -> np.ndarray:
+    """K of the far inner column for every sigma of sigmas: the Mellin integral
+    of (1+v^q)^s continued past its pole (DLMF 5.12.3), K = -expm1(L)/X with
+    L = log(Gamma(1-t) Gamma(t-s) / Gamma(-s)), t = X/q.  gammaln loses digits
+    of L as 1/t, so for t < 1e-2 (there t/(-s) < 0.08) L is its Taylor series
+    in t, whose terms past k = 14 fall below 1e-16 of L."""
+    Xs = b * sigmas + 1.0
+    ts, ms = Xs / q, -sigmas
+    k = np.arange(2, 15)[:, None]
+    series = ts * (np.euler_gamma + psi(ms)) + np.sum(
+        ts**k / k * (hurwitz_zeta(k, 1.0) + (-1.0)**k * hurwitz_zeta(k, ms)), axis=0)
+    # 1 - t from sigma: at q = 1, 1 - X/q is 0 where X rounds to 1 next to sigma = 0
+    ln_gammas = gammaln((q - 1.0 - b * sigmas) / q) + gammaln(ms + ts) - gammaln(ms)
+    L = np.where(ts < 1e-2, series, ln_gammas)
+    return -np.expm1(L) / Xs
+
+
+def _inner_far(X, lnT, ln_e, K):
+    """_inner_closed where q log(T/e) > _FAR, e = exp(ln_e): in v = y/e the exact
+    main term plus e^X K, as the tail of K past T/e is below double precision."""
+    return np.exp(X * lnT) * -np.expm1(X * (ln_e - lnT)) / X + np.exp(X * ln_e) * K
+
+
 def _v_integrals(params: FamilyParams, sigma, s_hi: np.ndarray,
-                 weight: Optional[Callable] = None, tol: float = 1e-12):
+                 weight: Optional[Callable], tol: float):
     """int_0^{s_hi[i]} v^((b-q)s) (1+v^q)^s [weight(v, cols)] dv for every
     entry of s_hi (s = sigma, or sigma[i]), as one vector quadrature
     (components as in _tanh_sinh).  Each interval is mapped onto u in (0, 1)
@@ -198,25 +220,6 @@ def _w_integrals(q: int, sigma, X, lnE: np.ndarray, w_lo: np.ndarray,
     return _tanh_sinh(f, 0.0, 1.0, tol, None, k=w_lo.size)
 
 
-def _c2_full(b: int, q: int, sigmas: np.ndarray):
-    """C2(S=inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv for every sigma of
-    the array sigmas, in z = v^-q the integral of z^(-X/q-1) expm1(s log1p(z))
-    / q over (0, 1], as one vector quadrature.  Returns (values, errors,
-    evaluations)."""
-    X = b * sigmas + 1.0
-    a = -X / q - 1.0
-
-    def f(zs, cols):
-        small = zs < 1e-8
-        zsafe = np.where(small, 1.0, zs)
-        s, ac = sigmas[cols], a[cols]
-        full = np.power(zsafe, ac) * np.expm1(s * np.log1p(zsafe))
-        lead = s * np.power(zs, ac + 1.0)
-        return np.where(small, lead, full) / q
-
-    return _tanh_sinh(f, 0.0, 1.0, 1e-12, EndpointSpec(exponent_lo=-X / q), k=sigmas.size)
-
-
 # ---------------------------------------------------------------------------
 # pointwise integrand (public, factored log-domain form)
 # ---------------------------------------------------------------------------
@@ -250,7 +253,10 @@ def integrand(params: FamilyParams, x, y, sigma: float, *, flat: bool = True):
 
 def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> float:
     """Exact quadrant integral of x^(a s) y^(b s):
-    r1^(a s + 1) r2^(b s + 1) / ((a s + 1)(b s + 1))."""
+    r1^(a s + 1) r2^(b s + 1) / ((a s + 1)(b s + 1)), for finite sigma and
+    0 < r1, r2 < inf (NaN fails)."""
+    if not (math.isfinite(sigma) and 0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise DomainError("monomial integral needs a finite sigma and 0 < r1, r2 < inf")
     ax = a * sigma + 1.0
     bx = b * sigma + 1.0
     if ax == 0.0 or bx == 0.0 or abs(ax) < 1e-300 or abs(bx) < 1e-300:
@@ -301,10 +307,8 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
     Xs = b * sigmas + 1.0
     lnY2 = math.log(Y2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
-    c1 = _inner_closed(b, q, sigmas, 0.0, 0.0)
-    c2f, c2_err, ev = (_c2_full(b, q, sigmas) if flat
-                       else (np.zeros(k), np.zeros(k), 0))
-    state = {"ev": ev}
+    K = _k_closed(b, q, sigmas)
+    state = {"ev": 0}
     y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
     ln_dead = math.log(y_dead)
 
@@ -322,13 +326,9 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
         """int_0^Y2 y^((b-q)s)(y^q+E)^s dy per (column, sigma), weight-free."""
         with np.errstate(over="ignore"):
             near = q * (lnY2 - ln_es) <= _FAR
-        X = Xs[cols]
         out = np.empty((ln_es.size, cols.size))
         out[near] = _inner_closed(b, q, sigmas[cols], lnY2, lnE[near, None])
-        # y = e(x) v: exact main term plus e^X (C1 + C2(S)), C2(S) = C2(inf) here
-        ln_far = ln_es[~near, None]
-        out[~near] = (np.exp(X * lnY2) * -np.expm1(X * (ln_far - lnY2)) / X
-                      + np.exp(X * ln_far) * (c1[cols] + c2f[cols]))
+        out[~near] = _inner_far(Xs[cols], lnY2, ln_es[~near, None], K[cols])
         return out
 
     def inner_delta(ln_es, lnE, cols):
@@ -377,7 +377,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
 
     values, errors, ev = _tanh_sinh(column, 0.0, Y1, cfg.tol_2d,
                                     EndpointSpec(exponent_lo=params.a * sigmas), k=k)
-    errors += (_inner_rel_err(Xs) + c2_err) * np.abs(values)
+    errors += _inner_rel_err(Xs) * np.abs(values)
     return values, errors, ev + state["ev"]
 
 
@@ -459,7 +459,7 @@ def region_samples(params: FamilyParams, lam: float, sigmas,
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
 
     # inner scaled integral over the full unclipped slice, shared by all columns
-    v_unclipped = _v_integrals(params, sig, np.full(k, 1.0 / lam), tol=mini_tol)[0]
+    v_unclipped = _v_integrals(params, sig, np.full(k, 1.0 / lam), None, mini_tol)[0]
 
     def x_power(xs, cols):
         with np.errstate(divide="ignore", over="ignore"):
@@ -473,8 +473,8 @@ def region_samples(params: FamilyParams, lam: float, sigmas,
         rows = np.flatnonzero(ln_es - ln_lam > lnY2)    # the slice e(x)/lambda leaves the box
         if rows.size:
             r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
-            v[rows] = _v_integrals(params, sig[c], np.exp(lnY2 - ln_es[r]),
-                                   tol=mini_tol)[0].reshape(rows.size, cols.size)
+            v[rows] = _v_integrals(params, sig[c], np.exp(lnY2 - ln_es[r]), None,
+                                   mini_tol)[0].reshape(rows.size, cols.size)
         return eX * v * x_power(xs, cols)
 
     def z1_column(xs, cols):

@@ -2,8 +2,10 @@
 
     I(T, E) = int_0^T v^((b-q)s) (v^q + E)^s dv,   s = (X - 1) / b,
 
-for the closed form of flatzeta.zeta._inner_closed.  Not collected by pytest;
-run directly to regenerate the INNER_ORACLE rows of tests/test_zeta.py.
+for the closed form of flatzeta.zeta._inner_closed, and the constant K of
+its far branch (flatzeta.zeta._k_closed).  Not collected by pytest; run
+directly to regenerate the INNER_ORACLE and K_ORACLE rows of
+tests/test_zeta.py.
 
 Each row is computed twice: at 40 digits from the same Gauss hypergeometric
 form the engine uses,
@@ -19,6 +21,17 @@ The rows cover the worst points of a dense scipy-against-mpmath grid
 ((2,2) and (7,6) at X = 1e-5), log E down to -690, C1 (T = E = 1), the range
 e(x) > T where 2F1's argument is inside the unit disc, one X below 1e-5, and
 both sides of the engine's far-branch switch q log T - log E = 700.
+
+K = C1 + C2(inf), with C1 = int_0^1 v^((b-q)s) (1+v^q)^s dv and
+C2(inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv, is printed at 40 digits
+from its Gamma form (DLMF 5.12.3, continued past the pole at X = 0)
+
+    K = (1 - Gamma(1-t) Gamma(t-s) / Gamma(-s)) / X,   t = X/q,
+
+and checked against 30-digit quadrature of C1 + C2(inf) itself, so that
+the identity is tested, not assumed.  Its rows cover the series/gammaln
+switch of the engine at t = 1e-2 (X = 0.0099 and 0.0101 at q = 1) and X
+down to 1e-12.
 """
 import math
 from mpmath import mp, mpf
@@ -72,6 +85,35 @@ def by_quad(b, q, sigma, ln_t, ln_E):
     return mp.quad(f, pts)
 
 
+K_FAMILIES = [(2, 1), (2, 2), (3, 2), (6, 4), (7, 1), (7, 7)]
+K_XS = [0.5, 0.0101, 0.0099, 1e-5, 1e-8, 1e-12]
+
+
+def k_by_gamma(b, q, sigma):
+    s = mpf(sigma)
+    X = b * s + 1
+    t = X / q
+    return (1 - mp.gamma(1 - t) * mp.gamma(t - s) / mp.gamma(-s)) / X
+
+
+def k_by_quad(b, q, sigma):
+    s = mpf(sigma)
+    X = b * s + 1
+    al = (b - q) * s + 1
+    # C1 in u = v^al, which takes the endpoint singularity v^(al-1) away
+    c1 = mp.quad(lambda u: (1 + u**(q / al))**s, [0, 1]) / al
+    # C2(inf) in z = v^-q, q^-1 int_0^1 z^(-t-1) [(1+z)^s - 1] dz with t = X/q,
+    # then in u = z^(1-t), where the integrand [(1+z)^s - 1] / z is smooth
+    t = X / q
+
+    def c2_integrand(u):
+        z = u**(1 / (1 - t))
+        return mp.expm1(s * mp.log1p(z)) / z
+
+    c2 = mp.quad(c2_integrand, [0, 1]) / ((1 - t) * q)
+    return c1 + c2
+
+
 worst = 0
 for b, q, X, ln_t, ln_E in POINTS:
     sigma = (X - 1.0) / b
@@ -83,3 +125,16 @@ for b, q, X, ln_t, ln_E in POINTS:
     print(f"    ({b}, {q}, {X!r}, {ln_t!r}, {ln_E!r}, {mp.nstr(ref, 20)}),")
 print("2F1 at 40 digits vs quadrature at 30 digits, max relative difference:",
       mp.nstr(worst, 3))
+
+worst = 0
+for b, q in K_FAMILIES:
+    for X in K_XS:
+        sigma = (X - 1.0) / b
+        mp.dps = 30
+        ref_q = k_by_quad(b, q, sigma)
+        mp.dps = 40
+        ref = k_by_gamma(b, q, sigma)
+        worst = max(worst, abs(ref_q - ref) / abs(ref))
+        print(f"    ({b}, {q}, {X!r}, {mp.nstr(ref, 20)}),")
+print("K: Gamma form at 40 digits vs quadrature of C1 + C2(inf) at 30 digits,"
+      " max relative difference:", mp.nstr(worst, 3))

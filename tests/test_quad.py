@@ -55,6 +55,9 @@ def test_integrate_1d_rejections(monkeypatch):
         integrate_1d(lambda x: x, 1.0, 0.0)
     with pytest.raises(DomainError):
         EndpointSpec(exponent_lo=-1.0)
+    for bad in (math.nan, np.array([0.0, math.nan])):     # NaN would give error nan
+        with pytest.raises(DomainError):
+            integrate_1d(lambda x: x, 0.0, 1.0, EndpointSpec(exponent_lo=bad))
     for tol in (math.nan, 0.0, -1e-10):     # NaN would report error 0.0
         with pytest.raises(DomainError):
             integrate_1d(lambda x: x, 0.0, 1.0, tol=tol)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import flatzeta.verify as verify_mod
-from flatzeta.errors import OutsideDisc
+from flatzeta.errors import DomainError, OutsideDisc
 from flatzeta.funcs import BumpSpec
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.verify import (
@@ -129,6 +129,12 @@ def test_sandwich_flat_dead_degenerates():
     assert rep.passed
 
 
+def test_sandwich_without_lambdas_rejected():
+    # no (lambda, sigma) sample would be checked, and the report would pass
+    with pytest.raises(DomainError):
+        verify_sandwich(PRESETS["greenblatt"], [], SHORT, CFG)
+
+
 def test_decompositions_presets():
     for name in ("supercritical", "critical", "greenblatt"):
         rep = verify_decompositions(PRESETS[name], 1.0, -0.49, CFG)
@@ -150,6 +156,11 @@ def test_decompositions_strong_outer_singularity(a, b, q, p):
 def test_psi_and_flat_suite():
     rep = verify_psi_and_flat(200, seed=0)
     assert rep.passed, rep.residual_log
+
+
+def test_psi_and_flat_without_samples_rejected():
+    with pytest.raises(DomainError):
+        verify_psi_and_flat(0, 0)
 
 
 def test_LM_limits_suite():
@@ -179,6 +190,21 @@ def test_landau_trivial_at_expansion_point():
                                 CFG, flat=False)
     assert rep.passed
     assert rep.observed < 1e-8
+
+
+@pytest.mark.parametrize("J", [0, 3])
+def test_landau_at_expansion_point_has_no_tail(J):
+    # every term past D_0 vanishes at s = s0: the tolerance is the quadrature
+    # floor alone, and the zero terms do not break the one-sign check
+    rep = landau_taylor_rebuild(PRESETS["supercritical"], BUMP, 0.5, 0.5, J, CFG, flat=False)
+    assert rep.passed
+    assert rep.tolerance == 10.0 * CFG.tol_2d
+
+
+def test_landau_single_term_away_from_expansion_point_rejected():
+    # with J = 0 there is no observed term ratio to bound the tail by
+    with pytest.raises(DomainError):
+        landau_taylor_rebuild(PRESETS["supercritical"], BUMP, 0.5, 0.3, 0, CFG, flat=False)
 
 
 def test_landau_outside_disc():

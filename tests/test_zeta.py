@@ -32,10 +32,11 @@ from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
-    _c2_full,
     _from_one,
     _inner_closed,
+    _inner_far,
     _inner_rel_err,
+    _k_closed,
     _v_integrals,
     _w_integrals,
     g_pieces,
@@ -101,6 +102,47 @@ INNER_ORACLE = [
     (2, 2, 1e-05, -0.6931471805599453, -702.3862943611199, 350.57475942081151161),
     (7, 6, 0.00390625, -1.2039728043259361, -706.2238368259556, 93.868684608776192528),
     (7, 6, 0.00390625, -1.2039728043259361, -708.2238368259556, 94.078092737058432667),
+]
+
+# tests/oracle_inner.py (mpmath, 40 digits from the Gamma form, cross-checked
+# by quadrature of C1 + C2(inf)): (b, q, X, K) with s = (X-1)/b
+K_ORACLE = [
+    (2, 1, 0.5, 0.80185976526440779256),
+    (2, 1, 0.0101, 1.3684725454823863219),
+    (2, 1, 0.0099, 1.3688217977950622191),
+    (2, 1, 1e-05, 1.3862765275777489758),
+    (2, 1, 1e-08, 1.3862943432861601051),
+    (2, 1, 1e-12, 1.3862943611181072852),
+    (2, 2, 0.5, 0.80185976526440779256),
+    (2, 2, 0.0101, 0.69488162555441126289),
+    (2, 2, 0.0099, 0.69484713826322059442),
+    (2, 2, 1e-05, 0.69314889063714016245),
+    (2, 2, 1e-08, 0.69314718227001542264),
+    (2, 2, 1e-12, 0.69314718056011631264),
+    (3, 2, 0.5, 1.0632425632231359849),
+    (3, 2, 0.0101, 1.2713816226398690686),
+    (3, 2, 0.0099, 1.2715001815148719598),
+    (3, 2, 1e-05, 1.2774030490618964856),
+    (3, 2, 1e-08, 1.2774090515510984586),
+    (3, 2, 1e-12, 1.277409057559035924),
+    (6, 4, 0.5, 1.1667440299536859616),
+    (6, 4, 0.0101, 1.431720498934377581),
+    (6, 4, 0.0099, 1.4318585131677753792),
+    (6, 4, 1e-05, 1.4387209837689612045),
+    (6, 4, 1e-08, 1.4387279531419579878),
+    (6, 4, 1e-12, 1.4387279601176478984),
+    (7, 1, 0.5, 1.5904091808649320052),
+    (7, 1, 0.0101, 6.3884297629084663148),
+    (7, 1, 0.0099, 6.3958738000288099322),
+    (7, 1, 1e-05, 6.7863462288565926678),
+    (7, 1, 1e-08, 6.7867641589491836718),
+    (7, 1, 1e-12, 6.7867645772809704148),
+    (7, 7, 0.5, 0.98385980980810337792),
+    (7, 7, 0.0101, 0.96981145417433020676),
+    (7, 7, 0.0099, 0.96980602935527804458),
+    (7, 7, 1e-05, 0.96953806741007852966),
+    (7, 7, 1e-08, 0.96953779703105086035),
+    (7, 7, 1e-12, 0.96953779676042854344),
 ]
 
 
@@ -171,6 +213,15 @@ def test_zeta_quadrant_flat_off_switch():
             assert z.value == pytest.approx(cf, rel=1e-10)
 
 
+@pytest.mark.parametrize("flat", [True, False])
+def test_zeta_quadrant_next_to_sigma_zero_at_q1(flat):
+    # X = b sigma + 1 rounds to 1 and X/q to 1 at q = 1: the far columns'
+    # constant K must stay finite (the integrand is 1 to double precision)
+    p = FamilyParams(0, 3, 1, Fraction(1))
+    z = zeta_quadrant(p, -1e-17, CFG, flat=flat)
+    assert z.value == pytest.approx(monomial_closed_form(0, 3, 0.5, 0.5, -1e-17), rel=1e-14)
+
+
 def test_zeta_quadrant_monomial_oracle_grid():
     # 20-sigma grid against the closed form, flat term suppressed
     p = FamilyParams(1, 3, 2, Fraction(3), r1=0.4, r2=0.7)
@@ -219,12 +270,16 @@ def test_inner_closed_form_matches_oracle(b, q, X, lnT, lnE, ref):
     assert abs(_inner_closed(b, q, sigma, lnT, lnE) - ref) <= bound * ref
     if q * lnT - lnE > 698.0:
         # either side of the switch, the engine's far branch (exact main
-        # term plus e^X (C1 + C2(inf))) must agree within the same bound
-        ln_e = lnE / q
-        main = math.exp(X * lnT) * -math.expm1(X * (ln_e - lnT)) / X
-        c2f = _c2_full(b, q, np.array([sigma]))[0][0]
-        far = main + math.exp(X * ln_e) * (_inner_closed(b, q, sigma, 0.0, 0.0) + c2f)
+        # term plus e^X K) must agree within the same bound
+        far = _inner_far(X, lnT, lnE / q, _k_closed(b, q, np.array([sigma]))[0])
         assert abs(far - ref) <= bound * ref
+
+
+@pytest.mark.parametrize("b, q, X, ref", K_ORACLE)
+def test_k_closed_matches_oracle(b, q, X, ref):
+    # both sides of the series/gammaln switch at t = X/q = 1e-2, X down to 1e-12
+    K = _k_closed(b, q, np.array([(X - 1.0) / b]))[0]
+    assert abs(K - ref) <= 5e-14 * ref
 
 
 def test_zeta_quadrant_window():
@@ -311,9 +366,9 @@ def test_zeta_samples_match_one_sigma_calls(bump):
 
 
 @pytest.mark.parametrize("flat", [True, False])
-def test_zeta_samples_one_outer_and_one_c2_call(monkeypatch, flat):
-    # a whole schedule is one vector quadrature over x plus, with the flat
-    # term on, one vector quadrature of C2(inf)
+def test_zeta_samples_one_outer_call(monkeypatch, flat):
+    # a whole schedule is one vector quadrature over x, flat term on or off:
+    # the far columns' constant K is a closed form, not a quadrature
     calls = []
     real = zeta_mod._tanh_sinh
 
@@ -324,7 +379,7 @@ def test_zeta_samples_one_outer_and_one_c2_call(monkeypatch, flat):
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     sched = make_schedule(0.125, 0.5, 14, SUP.b)
     zeta_samples(SUP, None, sched.sigmas, CFG, flat=flat)
-    assert calls == [(0.0, 1.0, 14)] * flat + [(0.0, SUP.r1, 14)]
+    assert calls == [(0.0, SUP.r1, 14)]
 
 
 def test_ztilde1_saturated_equals_2d():
@@ -762,10 +817,18 @@ NAN = float("nan")
                  id="log_derivative-j-nan"),
     pytest.param(lambda: log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), 0.5, 1.5, CFG),
                  id="log_derivative-j-fraction"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.5, NAN), id="monomial-sigma-nan"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.5, -math.inf),
+                 id="monomial-sigma-inf"),
+    pytest.param(lambda: monomial_closed_form(0, 2, -0.5, 0.5, 0.5), id="monomial-r1-negative"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.0, -0.25), id="monomial-r2-zero"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, math.inf, -0.25), id="monomial-r2-inf"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, NAN, -0.25), id="monomial-r2-nan"),
 ])
 def test_invalid_input_raises_domain_error(call):
     # a lambda that is not positive and finite, a bump half-width that is
-    # NaN or infinite and a j that is no nonnegative integer fail up front,
+    # NaN or infinite, a j that is no nonnegative integer, and a monomial
+    # sigma that is not finite or box side outside (0, inf) fail up front,
     # before any quadrature runs
     with pytest.raises(DomainError):
         call()
