@@ -151,16 +151,18 @@ def _k_closed(b: int, q: int, sigmas: np.ndarray) -> np.ndarray:
     """K of the far inner column for every sigma of sigmas: the Mellin integral
     of (1+v^q)^s continued past its pole (DLMF 5.12.3), K = -expm1(L)/X with
     L = log(Gamma(1-t) Gamma(t-s) / Gamma(-s)), t = X/q.  gammaln loses digits
-    of L as 1/t, so for t < 1e-2 (there t/(-s) < 0.08) L is its Taylor series
-    in t, whose terms past k = 14 fall below 1e-16 of L."""
+    of L as 1/t, so where t < 1e-2 and t < 0.08 (-s) (else |L| >= log 1.08) L is
+    its Taylor series in t: convergent for t < -s, its tail past k = 14 < 1e-16 L."""
     Xs = b * sigmas + 1.0
     ts, ms = Xs / q, -sigmas
-    k = np.arange(2, 15)[:, None]
-    series = ts * (np.euler_gamma + psi(ms)) + np.sum(
-        ts**k / k * (hurwitz_zeta(k, 1.0) + (-1.0)**k * hurwitz_zeta(k, ms)), axis=0)
     # 1 - t from sigma: at q = 1, 1 - X/q is 0 where X rounds to 1 next to sigma = 0
-    ln_gammas = gammaln((q - 1.0 - b * sigmas) / q) + gammaln(ms + ts) - gammaln(ms)
-    L = np.where(ts < 1e-2, series, ln_gammas)
+    L = gammaln((q - 1.0 - b * sigmas) / q) + gammaln(ms + ts) - gammaln(ms)
+    sm = (ts < 1e-2) & (ts < 0.08 * ms)
+    if sm.any():
+        t, m, k, series = ts[sm], ms[sm], np.arange(14, 1, -1)[:, None], 0.0
+        for c in (hurwitz_zeta(k, 1.0) + (-1.0)**k * hurwitz_zeta(k, m)) / k:
+            series = (series + c) * t     # Horner: K is its one-sigma value bit for bit
+        L[sm] = (np.euler_gamma + psi(m) + series) * t
     return -np.expm1(L) / Xs
 
 

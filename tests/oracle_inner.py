@@ -30,8 +30,8 @@ from its Gamma form (DLMF 5.12.3, continued past the pole at X = 0)
 
 and checked against 30-digit quadrature of C1 + C2(inf) itself, so that
 the identity is tested, not assumed.  Its rows cover the series/gammaln
-switch of the engine at t = 1e-2 (X = 0.0099 and 0.0101 at q = 1) and X
-down to 1e-12.
+switch of the engine at t = 1e-2 (X = 0.0099 and 0.0101 at q = 1), X
+down to 1e-12, and large b, where the switch is at t = 0.08 (-s) instead.
 """
 import math
 from mpmath import mp, mpf
@@ -87,6 +87,10 @@ def by_quad(b, q, sigma, ln_t, ln_E):
 
 K_FAMILIES = [(2, 1), (2, 2), (3, 2), (6, 4), (7, 1), (7, 7)]
 K_XS = [0.5, 0.0101, 0.0099, 1e-5, 1e-8, 1e-12]
+# large b, where t/(-s) = X b / (q (1-X)) is not small at t < 1e-2, and both
+# sides of the series switch t = 0.08 (-s) (X ~ 8e-4 at b = 100, q = 1)
+K_WIDE = [(60, 60, 0.5), (60, 60, 0.59), (100, 1, 0.009), (100, 1, 0.00081),
+          (100, 1, 0.00079), (50, 1, 0.0099), (50, 1, 1e-5)]
 
 
 def k_by_gamma(b, q, sigma):
@@ -127,14 +131,13 @@ print("2F1 at 40 digits vs quadrature at 30 digits, max relative difference:",
       mp.nstr(worst, 3))
 
 worst = 0
-for b, q in K_FAMILIES:
-    for X in K_XS:
-        sigma = (X - 1.0) / b
-        mp.dps = 30
-        ref_q = k_by_quad(b, q, sigma)
-        mp.dps = 40
-        ref = k_by_gamma(b, q, sigma)
-        worst = max(worst, abs(ref_q - ref) / abs(ref))
-        print(f"    ({b}, {q}, {X!r}, {mp.nstr(ref, 20)}),")
+for b, q, X in [(b, q, X) for b, q in K_FAMILIES for X in K_XS] + K_WIDE:
+    sigma = (X - 1.0) / b
+    mp.dps = 30
+    ref_q = k_by_quad(b, q, sigma)
+    mp.dps = 40
+    ref = k_by_gamma(b, q, sigma)
+    worst = max(worst, abs(ref_q - ref) / abs(ref))
+    print(f"    ({b}, {q}, {X!r}, {mp.nstr(ref, 20)}),")
 print("K: Gamma form at 40 digits vs quadrature of C1 + C2(inf) at 30 digits,"
       " max relative difference:", mp.nstr(worst, 3))

@@ -6,6 +6,7 @@ Frozen reference values were produced by an adaptive tanh-sinh oracle run at
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,13 @@ K_ORACLE = [
     (7, 7, 1e-05, 0.96953806741007852966),
     (7, 7, 1e-08, 0.96953779703105086035),
     (7, 7, 1e-12, 0.96953779676042854344),
+    (60, 60, 0.5, 0.99977288178558433391),
+    (60, 60, 0.59, 0.99981355508021653592),
+    (100, 1, 0.009, 52.865885543595015345),
+    (100, 1, 0.00081, 92.559988782119520893),
+    (100, 1, 0.00079, 92.72999345742848099),
+    (50, 1, 0.0099, 33.635645904652978421),
+    (50, 1, 1e-05, 49.943085956954017328),
 ]
 
 
@@ -277,9 +285,29 @@ def test_inner_closed_form_matches_oracle(b, q, X, lnT, lnE, ref):
 
 @pytest.mark.parametrize("b, q, X, ref", K_ORACLE)
 def test_k_closed_matches_oracle(b, q, X, ref):
-    # both sides of the series/gammaln switch at t = X/q = 1e-2, X down to 1e-12
+    # both sides of the series/gammaln switch at t = X/q = 1e-2 and, at large b,
+    # at t = 0.08 (-s); X down to 1e-12
     K = _k_closed(b, q, np.array([(X - 1.0) / b]))[0]
     assert abs(K - ref) <= 5e-14 * ref
+
+
+def test_k_closed_batched_equals_one_sigma():
+    # a sigma's K does not depend on the other sigmas of its schedule
+    Xs = np.geomspace(1e-9, 0.05, 500)
+    for b in range(2, 8):
+        for q in range(1, b + 1):
+            sigmas = (Xs - 1.0) / b
+            K = _k_closed(b, q, sigmas)
+            one = [_k_closed(b, q, sigmas[i:i + 1])[0] for i in range(Xs.size)]
+            assert np.array_equal(K, one), (b, q)
+
+
+def test_k_closed_next_to_sigma_zero_is_quiet():
+    # the Hurwitz zeta terms overflow at -s < 1e-22; the series must not see them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = _k_closed(2, 1, np.array([-1e-30, -1e-300]))
+    assert K == pytest.approx([0.5, 0.5], rel=1e-14)
 
 
 def test_zeta_quadrant_window():
