@@ -68,7 +68,6 @@ class Case3Bounds:
     lower: float
     upper: float
     lambda_lower: float
-    lambda_upper: float
 
     def __post_init__(self):
         if not self.lower <= self.upper:
@@ -140,42 +139,43 @@ def constant_M(params: FamilyParams, lam: float,
     return first + second
 
 
-def _golden_section(fn, t_lo: float, t_hi: float, maximize: bool):
-    """Golden-section search on [t_lo, t_hi] down to 1e-6 of its width;
-    returns (t_opt, fn(t_opt))."""
+def _golden_section(fn, t_lo: float, t_hi: float):
+    """Golden-section search for the maximum of fn on [t_lo, t_hi] down to
+    1e-6 of its width; returns (t_opt, fn(t_opt))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    sign = -1.0 if maximize else 1.0
     a, b = t_lo, t_hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = sign * fn(c), sign * fn(d)
-    f_lo, f_hi = sign * fn(a), sign * fn(b)
+    fc, fd = fn(c), fn(d)
+    f_lo, f_hi = fn(a), fn(b)
     while b - a > 1e-6 * (t_hi - t_lo):
-        if fc < fd:
+        if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = sign * fn(c)
+            fc = fn(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = sign * fn(d)
+            fd = fn(d)
     t = 0.5 * (a + b)
-    ft = sign * fn(t)
-    if ft >= min(f_lo, f_hi):
+    ft = fn(t)
+    if ft <= max(f_lo, f_hi):
         raise OptimizerBracketFailure(
             "objective is monotone over the whole bracket; no interior optimum")
-    return t, sign * ft
+    return t, ft
 
 
 def case3_bounds(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG) -> Case3Bounds:
     """Bounded-regime bracket:
 
         lower = max_lambda  L/(1+lam^q)^(1/b) + M/(1+lam^-q)^(1/b)
-        upper = min_lambda  L + M
+        upper = min_lambda  L + M  =  L(1) + M(1)
 
-    The weighted objectives vanish at both bracket ends while L + M diverges
-    there, so both optima are interior; found by golden-section on log lambda
-    in [-12, 12].
+    With u = rho(lam r2), log(lam r2) = -1/(q u^p) cancels every rho' term,
+    so d(L+M)/dlam = (1 - lam^(-q/b)) b u^(1-a/b) / ((b-a) lam) (also where
+    rho saturates at r1, as rho' = 0 there): L + M is least at lam = 1.
+    The weighted objective vanishes at both bracket ends, so its optimum is
+    interior; found by golden-section on log lambda in [-12, 12].
     """
     if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
         raise WrongRegime("case-3 bounds exist only in the bounded regime")
@@ -186,14 +186,9 @@ def case3_bounds(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG) -> C
         L, M = constant_L(params, lam), constant_M(params, lam, cfg)
         return (L / (1.0 + lam**q)**(1.0 / b) + M / (1.0 + lam**(-q))**(1.0 / b))
 
-    def upper_obj(t):
-        lam = math.exp(t)
-        return constant_L(params, lam) + constant_M(params, lam, cfg)
-
-    t_max, lower = _golden_section(lower_obj, -12.0, 12.0, maximize=True)
-    t_min, upper = _golden_section(upper_obj, -12.0, 12.0, maximize=False)
-    return Case3Bounds(lower=lower, upper=upper,
-                       lambda_lower=math.exp(t_max), lambda_upper=math.exp(t_min))
+    t_max, lower = _golden_section(lower_obj, -12.0, 12.0)
+    upper = constant_L(params, 1.0) + constant_M(params, 1.0, cfg)
+    return Case3Bounds(lower=lower, upper=upper, lambda_lower=math.exp(t_max))
 
 
 def scale_sequence(params: FamilyParams, samples: Sequence[ZetaSample]) -> BlowupSequence:

@@ -233,8 +233,7 @@ def cmd_constants(args) -> int:
         doc["M_curve"] = [[lam, constant_M(params, lam, cfg.numeric)] for lam in lams]
         b3 = case3_bounds(params, cfg.numeric)
         doc["case3_bounds"] = {
-            "lower": b3.lower, "upper": b3.upper,
-            "lambda_lower": b3.lambda_lower, "lambda_upper": b3.lambda_upper,
+            "lower": b3.lower, "upper": b3.upper, "lambda_lower": b3.lambda_lower,
         }
     _emit(_json_render(doc) + "\n", args.out)
     return 0

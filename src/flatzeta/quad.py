@@ -10,8 +10,9 @@ return arrays of the same length; it runs on the one refinement loop
 `_tanh_sinh` as a call with a single component.  Iterated 2D integrals are
 built on the loop in flatzeta.zeta: one call integrates all inner columns of
 one outer level at once on a shared interval, each column, or each group of
-moment columns of one abscissa, retiring at its own level.  Every call
-refines at most MAX_LEVELS times.
+moment columns of one abscissa, retiring at its own level.  A component
+stops on one rule, its step between levels within tol of its value, and
+every call refines at most MAX_LEVELS times.
 
 A `_tanh_sinh` call that declares an EndpointSpec (integrate_1d always
 does) samples lo as deep as doubles allow, for mass that hides next to lo.
@@ -146,22 +147,6 @@ def _droppable(xs, lo, hi, beta, comps):
     return ((xs - lo) < 1e-100 * (hi - lo))[:, None] & (beta[comps] < 0.0)
 
 
-def _stops(level: int, err, prev_err, value, tol: float):
-    """The stopping rules of one refinement level >= 2, elementwise.
-
-    The step |value - previous value| must meet tol (relative).
-    From level 4 a stagnating step is also accepted: refinement stopped
-    helping (the step shrank by less than 4x) while it sits at a small
-    relative floor.  This happens when part of the mass lies below the
-    double-precision representability limit; the floor is then the error.
-    """
-    scale = np.maximum(abs(value), 1e-300)
-    met = err <= tol * scale
-    if level >= 4:
-        met = met | ((err >= 0.25 * prev_err) & (err <= 1e-3 * scale))
-    return met
-
-
 def _capped(err, value):
     """At the refinement cap a last step below 1% of the value still gives a
     usable result with an inflated (3x) error bar; this happens for pieces
@@ -179,13 +164,13 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     f(xs, cols) receives one (n, 1) column of abscissae and the indices cols
     of the m components still refining, and returns (n, m) values, in blocks
     of at most _BLOCK_CELLS values.  Each component's sums run apart from
-    the others', and it retires at the first level >= 2 where it meets the
-    stopping rules (_stops), with its endpoint remainder added to its error,
-    so it returns the same value and error as a call on it alone; only the
-    components still refining are evaluated and counted.  After MAX_LEVELS
-    levels a last step below 1% of the value is accepted with a 3x error
-    bar (_capped); a component that fails that raises NonConvergence naming
-    it.  Callers map per-component intervals onto one shared interval in f.
+    the others', and it retires at the first level >= 2 where its step
+    |value - previous value| is at most tol times |value|, with the step
+    plus its endpoint remainder as its error, so it returns the same value
+    and error as a call on it alone; only the components still refining are
+    evaluated and counted.  After MAX_LEVELS levels a last step below 1% of
+    the value is accepted with a 3x error bar (_capped); a component that
+    fails that raises NonConvergence naming it.  Callers map per-component intervals onto one shared interval in f.
 
     An EndpointSpec declares each component's exponent at lo (0 included):
     lo is then sampled down to offsets of _OFF_MIN, and the endpoint
@@ -197,7 +182,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
 
     With group > 1 (k a multiple of it) the components retire in whole
     groups of group consecutive ones, each group at the first level where
-    all of its members meet a rule, and f sees whole groups only.  It suits
+    all of its members meet tol, and f sees whole groups only.  It suits
     components that are moments of one integrand (log_derivative_moments):
     they share every node and nearly all of the cost, so an early
     retirement saves little, while the extra levels make the fast
@@ -253,9 +238,9 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
         evals += xs.size * act.size
         val = span / (1 << level) * running
         if level >= 1:
-            prev_err, err = err, np.abs(val - prev)
+            err = np.abs(val - prev)
         if level >= 2:
-            stop = _stops(level, err, prev_err, val, tol)
+            stop = err <= tol * np.maximum(abs(val), 1e-300)
             stop = np.repeat(stop.reshape(-1, group).all(axis=1), group)
             if stop.all():
                 break

@@ -329,11 +329,13 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
         sum_{j<=J} D_j(s0) (s_target - s0)^j / j!  vs  D_0(s_target).
 
     Requires |s_target - s0| < s0 + c0 (inside the convergence disc around
-    s0, whose radius is the distance to the divergence abscissa -c0).  All
-    nonzero Taylor terms share one sign, which is also asserted.  The
-    tolerance is the certified geometric tail bound computed from the last
-    observed term ratio, so a rebuild away from s0 needs J >= 1; at
-    s_target = s0 every term past D_0 vanishes and so does the tail."""
+    s0, whose radius is the distance to the divergence abscissa -c0).  As
+    D_j has sign (-1)^j, term j has sign sign(s0 - s_target)^j: the terms
+    share one sign below s0 and alternate above it, which is also asserted
+    for every nonzero term.  The tolerance is the certified geometric tail
+    bound on the term magnitudes, computed from the last observed term
+    ratio, so a rebuild away from s0 needs J >= 1; at s_target = s0 every
+    term past D_0 vanishes and so does the tail."""
     t0 = time.perf_counter()
     c0 = 1.0 / params.b
     if not (s0 > -c0 and s_target > -c0):      # NaN fails
@@ -353,8 +355,9 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
         terms.append(float(d_j) * h**j / fact)
     partial = math.fsum(terms)
     direct = log_derivative_integral(params, bump, s_target, 0, cfg, flat=flat)
-    live = [t for t in terms if t != 0.0]     # at h = 0 only D_0 is nonzero
-    one_signed = all(t > 0.0 for t in live) or all(t < 0.0 for t in live)
+    # zero terms (past D_0 at h = 0, or where h^j underflowed) carry no sign
+    signed = all(t == 0.0 or (t > 0.0) == (h < 0.0 or j % 2 == 0)
+                 for j, t in enumerate(terms))
     err = abs(partial - direct) / abs(direct)
     if h != 0.0 and terms[-2] != 0.0:
         ratio = min(abs(terms[-1] / terms[-2]), 0.999)
@@ -364,6 +367,6 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
     rel_tol = max(2.0 * tail / abs(direct), 10.0 * cfg.tol_2d)
     return VerificationReport(
         check_id="landau_taylor_rebuild", target=0.0, observed=err,
-        tolerance=rel_tol, passed=err <= rel_tol and one_signed,
+        tolerance=rel_tol, passed=err <= rel_tol and signed,
         residual_log=tuple(abs(t) for t in terms[-4:]),
         runtime_seconds=time.perf_counter() - t0)

@@ -432,8 +432,8 @@ def _w_floor(X, lnY2: float):
     (1 + ...)^s is at most 1, so the mass dropped below the clip is at most
     Y2^X e^-800 / X, under the double range relative to the column.  Without
     it the interval reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at
-    p = 6), where tanh-sinh stagnates before it resolves the mass next to
-    lnY2."""
+    p = 6), where tanh-sinh does not resolve the mass next to lnY2 within
+    its level cap."""
     return lnY2 - 800.0 / X
 
 

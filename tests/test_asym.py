@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from flatzeta.errors import DomainError, WrongRegime
-from flatzeta.model import FamilyParams, NumericConfig, PRESETS, RegimeKind, make_schedule
+from flatzeta.model import (FamilyParams, NumericConfig, PRESETS, RegimeKind, classify_regime,
+                            make_schedule)
 from flatzeta.zeta import ZetaSample
 from flatzeta.asym import (
     BlowupSequence,
@@ -124,7 +125,26 @@ def test_case3_bounds_ordering_and_endpoint_behavior():
         return constant_L(GREEN, lam) + constant_M(GREEN, lam, CFG)
     assert upper_obj(1e-6) > b3.upper
     assert upper_obj(1e6) > b3.upper
-    assert upper_obj(b3.lambda_upper) == pytest.approx(b3.upper, rel=1e-9)
+
+
+def test_case3_upper_is_least_L_plus_M_over_families():
+    # d(L+M)/dlam has the sign of 1 - lam^(-q/b), so upper = L(1) + M(1)
+    # lies below L + M on a whole lambda grid, for random bounded families
+    rng = np.random.default_rng(16)
+    lams = np.logspace(-3.0, 3.0, 25)
+    checked = 0
+    while checked < 6:
+        b = int(rng.integers(2, 8))
+        a, q = int(rng.integers(0, b)), int(rng.integers(1, b + 1))
+        p = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        params = FamilyParams(a, b, q, p, *map(float, rng.uniform(0.25, 0.5, 2)))
+        if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
+            continue
+        checked += 1
+        upper = case3_bounds(params, CFG).upper
+        for lam in lams:
+            total = constant_L(params, lam) + constant_M(params, lam, CFG)
+            assert total >= upper * (1.0 - 1e-12), (params, lam)
 
 
 def test_case3_regime_gate():

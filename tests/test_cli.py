@@ -72,6 +72,8 @@ def test_constants_regime_gating(capsys):
     doc = json.loads(out)
     assert "case3_bounds" in doc and "A" not in doc
     assert doc["case3_bounds"]["lower"] <= doc["case3_bounds"]["upper"]
+    # the upper end is L(1) + M(1), so it carries no lambda of its own
+    assert sorted(doc["case3_bounds"]) == ["lambda_lower", "lower", "upper"]
     assert len(doc["L_curve"]) == 13
 
 

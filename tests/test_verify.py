@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import flatzeta.verify as verify_mod
@@ -218,3 +219,30 @@ def test_landau_nan_point_outside_disc(s0, s_target):
     with pytest.raises(OutsideDisc):
         landau_taylor_rebuild(PRESETS["greenblatt"], BUMP, s0, s_target, 10,
                               CFG, flat=False)
+
+
+@pytest.mark.parametrize("s0, s_target", [(0.5, 0.55), (0.5, 0.7), (0.3, 0.5)])
+def test_landau_rebuild_above_expansion_point(s0, s_target):
+    # above s0 the terms D_j h^j / j! alternate, as D_j has sign (-1)^j
+    rep = landau_taylor_rebuild(PRESETS["greenblatt"], BUMP, s0, s_target, 20,
+                                CFG, flat=False)
+    assert rep.passed
+    assert rep.observed <= rep.tolerance
+
+
+@pytest.mark.parametrize("s_target", [0.3, 0.7])
+def test_landau_rebuild_rejects_a_flipped_moment(monkeypatch, s_target):
+    # one D_j of the wrong sign fails the sign pattern on either side of s0,
+    # though the last term is far too small to move the sum past tolerance
+    real = verify_mod.log_derivative_moments
+
+    def flipped(*args, **kwargs):
+        d = np.array(real(*args, **kwargs))
+        d[-1] = -d[-1]
+        return d
+
+    monkeypatch.setattr(verify_mod, "log_derivative_moments", flipped)
+    rep = landau_taylor_rebuild(PRESETS["greenblatt"], BUMP, 0.5, s_target, 20,
+                                CFG, flat=False)
+    assert rep.observed <= rep.tolerance
+    assert not rep.passed
