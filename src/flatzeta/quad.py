@@ -170,7 +170,8 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     and error as a call on it alone; only the components still refining are
     evaluated and counted.  After MAX_LEVELS levels a last step below 1% of
     the value is accepted with a 3x error bar (_capped); a component that
-    fails that raises NonConvergence naming it.  Callers map per-component intervals onto one shared interval in f.
+    fails that raises NonConvergence naming it.  Components with intervals
+    of their own are mapped by the caller onto the shared one inside f.
 
     An EndpointSpec declares each component's exponent at lo (0 included):
     lo is then sampled down to offsets of _OFF_MIN, and the endpoint

@@ -145,30 +145,30 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
         (1+lam^q)^s zt1 < Z1 < zt1,   (1+lam^-q)^s zt2 < Z2 < zt2,
 
     and the assembled bracket for Z itself.  A violation counts only when an
-    inequality fails by more than the combined quadrature error.  Z and the
-    region pieces are each one batched call over the sigmas (zeta_samples
-    once, region_samples once per lambda).  Needs at least one lambda."""
-    if len(lambdas) == 0:
-        raise DomainError("the sandwich check needs at least one lambda")
+    inequality fails by more than the combined quadrature error.  Z is one
+    batched call over the sigmas (zeta_samples) and the region pieces one
+    over every (lambda, sigma) pair (region_samples), which rejects an empty
+    lambdas before any quadrature; the margins are lambda-major."""
     t0 = time.perf_counter()
+    traces = region_samples(params, lambdas, schedule.sigmas, cfg)
+    zs = zeta_samples(params, None, schedule.sigmas, cfg, flat=True)
     violations = 0
     margins = []
     q = params.q
-    zs = zeta_samples(params, None, schedule.sigmas, cfg, flat=True)
-    for lam in lambdas:
-        for z, tr in zip(zs, region_samples(params, lam, schedule.sigmas, cfg)):
-            slack = 10.0 * (z.error + tr.error) + 1e-12 * z.value
-            lo1 = (1.0 + lam**q) ** tr.sigma * tr.ztilde1
-            lo2 = (1.0 + lam**(-q)) ** tr.sigma * tr.ztilde2
-            checks = [
-                tr.z1 - lo1, tr.ztilde1 - tr.z1,
-                tr.z2 - lo2, tr.ztilde2 - tr.z2,
-                z.value - (lo1 + lo2), (tr.ztilde1 + tr.ztilde2) - z.value,
-            ]
-            worst = min(checks)
-            margins.append(worst)
-            if worst < -slack:
-                violations += 1
+    for z, tr in zip(zs * len(lambdas), traces):
+        lam = tr.lam
+        slack = 10.0 * (z.error + tr.error) + 1e-12 * z.value
+        lo1 = (1.0 + lam**q) ** tr.sigma * tr.ztilde1
+        lo2 = (1.0 + lam**(-q)) ** tr.sigma * tr.ztilde2
+        checks = [
+            tr.z1 - lo1, tr.ztilde1 - tr.z1,
+            tr.z2 - lo2, tr.ztilde2 - tr.z2,
+            z.value - (lo1 + lo2), (tr.ztilde1 + tr.ztilde2) - z.value,
+        ]
+        worst = min(checks)
+        margins.append(worst)
+        if worst < -slack:
+            violations += 1
     return VerificationReport(
         check_id="sandwich_envelopes", target=0.0, observed=float(violations),
         tolerance=0.0, passed=violations == 0,

@@ -37,19 +37,24 @@ with a dead flat factor share one E = 0 column.  The inner integrands that
 are smooth up to both ends (_w_integrals, the bump-weighted _v_integrals)
 declare no endpoint, so their lower end is sampled no deeper than the upper.
 
-The region pieces of a whole sigma schedule at one lambda are batched as Z
-is (region_samples): on each panel of the kink cuts, z1 and z2 are one
-vector quadrature apiece over x with a component per sigma, their inner
-integrals one vector quadrature over the (column, sigma) pairs, and
-ztilde1/ztilde2 one vector 1D quadrature per interval.  region_pieces,
-ztilde1 and ztilde2 are the one-sigma calls of the batch, and every batched
-component equals its one-sigma call bit for bit.
+The region pieces of every (lambda, sigma) pair of a sandwich are batched
+as Z is (region_samples): each pair is one component of every vector
+quadrature, its x-interval mapped onto u in (0, 1) inside the integrand.
+z1 and z2 are one outer call apiece on the left piece up to the kink
+rho(lam r2) (or r1) of every pair and one on the right piece of the kinked
+pairs, their inner integrals one vector call per outer level over the
+(node, pair) columns, and v_unclipped, ztilde1 and each ztilde2 piece one
+vector call apiece.  region_pieces, ztilde1 and ztilde2 are the one-pair
+calls of the batch, and every batched component equals its one-pair call
+bit for bit.  ztilde1_2d and ztilde2_2d, the cross-checks of the 1D
+reductions, stay on their own unmapped panels of the kink cuts (_panels).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -437,110 +442,137 @@ def _w_floor(X, lnY2: float):
     return lnY2 - 800.0 / X
 
 
-def _exp_each(ts: np.ndarray) -> np.ndarray:
-    """math.exp of every entry: a per-sigma factor of a batch gets the bits
-    of the one-sigma scalar formula, which numpy's vector exp can miss by
-    an ulp."""
-    return np.array([math.exp(t) for t in ts])
-
-
-def region_samples(params: FamilyParams, lam: float, sigmas,
+def region_samples(params: FamilyParams, lams, sigmas,
                    cfg: NumericConfig = DEFAULT_CONFIG) -> list[DecompositionTrace]:
-    """region_pieces at every sigma of sigmas, as one batched quadrature:
-    on each panel of _kink_cuts, z1 and z2 are one vector quadrature apiece
-    over x with one component per sigma, and the inner integrals of one
-    outer level are one vector quadrature over the (column, sigma) pairs.
-    ztilde1/ztilde2 are one vector 1D quadrature per interval.  Each sigma
-    is a component of its own, so its trace is the one-sigma call's."""
-    Xs = np.array([_check_slice(params, lam, s) for s in sigmas])
-    sig = np.array(sigmas, dtype=float)
-    k, q = sig.size, params.q
-    lnY2, ln_lam = math.log(params.r2), math.log(lam)
+    """region_pieces at every (lambda, sigma) pair of lams x sigmas,
+    lambda-major, each pair one component of every vector call (see the
+    module docstring).  The left piece x = x1 u (x1 the kink, or r1) declares
+    x^(a s) at u = 0; the right piece x = x1 + (r1 - x1) u of the kinked
+    pairs is declared regular, so its lower end is sampled no deeper than
+    its upper one, not at the offsets far below eps that round onto the
+    kink.  An empty lams, or a lambda outside (0, inf), raises DomainError
+    before any quadrature."""
+    X_sig = [_check_window(params, s) for s in sigmas]
+    if len(lams) == 0 or not all(0.0 < v < math.inf for v in lams):     # NaN fails
+        raise DomainError("the region pieces need lambdas, each positive and finite")
+    n_sig, q = len(X_sig), params.q
+    lam = np.repeat(np.array(lams, dtype=float), n_sig)     # per pair, lambda-major
+    sig = np.tile(np.array(sigmas, dtype=float), len(lams))
+    Xs = np.tile(np.array(X_sig), len(lams))
+    k = sig.size
+    lnY2, ln_lam = math.log(params.r2), np.log(lam)
     w_floor = _w_floor(Xs, lnY2)
-    dead = _exp_each(Xs * lnY2) / Xs       # the z1 column where the flat term is dead
+    dead = np.exp(Xs * lnY2) / Xs       # the z1 column where the flat term is dead
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
+    x_kink = rho(params, lam * params.r2)
+    has_kink = (0.0 < x_kink) & (x_kink < params.r1)
+    kinked = np.flatnonzero(has_kink)
+    x1 = np.where(has_kink, x_kink, params.r1)
+    # (pairs, lo, width) of the left and right pieces, with their endpoints
+    pieces = [((np.arange(k), np.zeros(k), x1), EndpointSpec(exponent_lo=params.a * sig)),
+              ((kinked, x1[kinked], params.r1 - x1[kinked]), None)]
 
     # inner scaled integral over the full unclipped slice, shared by all columns
-    v_unclipped = _v_integrals(params, sig, np.full(k, 1.0 / lam), None, mini_tol)[0]
+    v_unclipped = _v_integrals(params, sig, 1.0 / lam, None, mini_tol)[0]
 
-    def x_power(xs, cols):
+    def mapped(piece, us, cols):
+        """Pairs, abscissae x = lo + width u and widths of the components
+        cols of a piece."""
+        pairs, lo, width = piece
+        return pairs[cols], lo[cols] + width[cols] * us, width[cols]
+
+    def x_power(xs, p):
         with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(params.a * sig[cols] * np.log(xs))
+            return np.exp(params.a * sig[p] * np.log(xs))
 
-    def z2_column(xs, cols):
-        ln_es = log_e_flat(params, xs[:, 0])
-        eX = np.where(ln_es[:, None] > -np.inf,
-                      np.exp(np.maximum(Xs[cols] * ln_es[:, None], -745.0)), 0.0)
-        v = np.tile(v_unclipped[cols], (ln_es.size, 1))
-        rows = np.flatnonzero(ln_es - ln_lam > lnY2)    # the slice e(x)/lambda leaves the box
-        if rows.size:
-            r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
-            v[rows] = _v_integrals(params, sig[c], np.exp(lnY2 - ln_es[r]), None,
-                                   mini_tol)[0].reshape(rows.size, cols.size)
-        return eX * v * x_power(xs, cols)
+    def z2_column(piece, us, cols):
+        p, xs, width = mapped(piece, us, cols)
+        ln_es = log_e_flat(params, xs)
+        eX = np.where(ln_es > -np.inf, np.exp(np.maximum(Xs[p] * ln_es, -745.0)), 0.0)
+        v = np.tile(v_unclipped[p], (ln_es.shape[0], 1))
+        r, c = np.nonzero(ln_es - ln_lam[p] > lnY2)    # the slice e(x)/lambda leaves the box
+        if r.size:
+            v[r, c] = _v_integrals(params, sig[p[c]], np.exp(lnY2 - ln_es[r, c]), None,
+                                   mini_tol)[0]
+        return width * eX * v * x_power(xs, p)
 
-    def z1_column(xs, cols):
-        ln_es = log_e_flat(params, xs[:, 0])
-        out = np.tile(dead[cols], (ln_es.size, 1))
+    def z1_column(piece, us, cols):
+        p, xs, width = mapped(piece, us, cols)
+        ln_es = log_e_flat(params, xs)
+        out = np.tile(dead[p], (ln_es.shape[0], 1))
         live = ln_es > -np.inf
-        ln_m = np.minimum(ln_es - ln_lam, lnY2)
+        ln_m = np.minimum(ln_es - ln_lam[p], lnY2)
         out[live & (ln_m >= lnY2)] = 0.0
         with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
             lnE = q * ln_es
-        w_lo = np.maximum(ln_m[:, None], w_floor[cols])
-        # a clipped pair whose flat factor is within e^-40 of 1 keeps dead[c]
-        flat_dead = (w_lo == w_floor[cols]) & (lnE[:, None] - q * w_lo < -40.0)
-        r, c = np.nonzero((live & (ln_m < lnY2))[:, None] & ~flat_dead)
+        w_lo = np.maximum(ln_m, w_floor[p])
+        # a clipped pair whose flat factor is within e^-40 of 1 keeps dead[p]
+        flat_dead = (w_lo == w_floor[p]) & (lnE - q * w_lo < -40.0)
+        r, c = np.nonzero(live & (ln_m < lnY2) & ~flat_dead)
         if r.size:
-            cc = cols[c]
-            out[r, c] = _w_integrals(q, sig[cc], Xs[cc], lnE[r], w_lo[r, c], lnY2, mini_tol)[0]
-        return out * x_power(xs, cols)
+            pc = p[c]
+            out[r, c] = _w_integrals(q, sig[pc], Xs[pc], lnE[r, c], w_lo[r, c], lnY2,
+                                     mini_tol)[0]
+        return width * out * x_power(xs, p)
 
-    cuts = _kink_cuts(params, lam)
-    z1, e1, _ = _panels(z1_column, cuts, params.a * sig, cfg, k)
-    z2, e2, _ = _panels(z2_column, cuts, params.a * sig, cfg, k)
+    def outer(column):
+        total, err = np.zeros(k), np.zeros(k)
+        for piece, ends in pieces:
+            pairs = piece[0]
+            if pairs.size:
+                v, e, _ = _tanh_sinh(partial(column, piece), 0.0, 1.0, cfg.tol_2d, ends,
+                                     k=pairs.size)
+                total[pairs] += v
+                err[pairs] += e
+        return total, err
+
+    z1, e1 = outer(z1_column)
+    z2, e2 = outer(z2_column)
     zt1 = _ztilde1_values(params, lam, sig, Xs, cfg)
     zt2 = _ztilde2_values(params, lam, sig, Xs, cfg)
-    return [DecompositionTrace(lam=lam, sigma=s, z1=float(z1[i]), z2=float(z2[i]),
-                               ztilde1=float(zt1[i]), ztilde2=float(zt2[i]),
-                               error=float(e1[i] + e2[i]))
-            for i, s in enumerate(sigmas)]
+    return [DecompositionTrace(lam=lams[i // n_sig], sigma=sigmas[i % n_sig], z1=float(z1[i]),
+                               z2=float(z2[i]), ztilde1=float(zt1[i]),
+                               ztilde2=float(zt2[i]), error=float(e1[i] + e2[i]))
+            for i in range(k)]
 
 
 def region_pieces(params: FamilyParams, lam: float, sigma: float,
                   cfg: NumericConfig = DEFAULT_CONFIG) -> DecompositionTrace:
     """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)},
-    plus the auxiliary integrals ztilde1/ztilde2, at one sigma (see
-    region_samples)."""
-    return region_samples(params, lam, [sigma], cfg)[0]
+    plus the auxiliary integrals ztilde1/ztilde2, at one (lambda, sigma)
+    (the one-pair call of region_samples)."""
+    return region_samples(params, [lam], [sigma], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
 # auxiliary 1D reductions
 # ---------------------------------------------------------------------------
 
-def _ztilde1_values(params: FamilyParams, lam: float, sig: np.ndarray, Xs: np.ndarray,
+def _ztilde1_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: np.ndarray,
                     cfg: NumericConfig) -> np.ndarray:
-    """ztilde1 at every (sigma, X) of the checked arrays sig, Xs, as one
-    vector quadrature with a component and an endpoint exponent per sigma."""
+    """ztilde1 at every pair (lam, sigma, X) of the checked arrays lam, sig,
+    Xs, as one vector quadrature with a component and an endpoint exponent
+    per pair; x = rho(lam r2) u maps each interval onto (0, 1)."""
     a = params.a
     rt2 = lam * params.r2
-    ln_rt2 = math.log(rt2)
+    ln_rt2 = np.log(rt2)
     upper = rho(params, rt2)
-    if not upper > 0.0:
-        raise DomainError(f"rho({rt2}) underflowed to 0: the ztilde1 interval is empty")
-    scale = _exp_each(Xs * ln_rt2)
+    if not np.all(upper > 0.0):
+        bad = rt2[np.argmin(upper > 0.0)]
+        raise DomainError(f"rho({bad}) underflowed to 0: the ztilde1 interval is empty")
+    scale = np.exp(Xs * ln_rt2)
 
-    def f(xs, cols):
+    def zt1(us, cols):
+        xs = upper[cols] * us
         ln_es = log_e_flat(params, xs)
         X = Xs[cols]
-        diff = scale[cols] * (-np.expm1(np.minimum(X * (ln_es - ln_rt2), 0.0)))
+        diff = scale[cols] * (-np.expm1(np.minimum(X * (ln_es - ln_rt2[cols]), 0.0)))
         with np.errstate(divide="ignore"):
-            return np.exp(a * sig[cols] * np.log(xs)) * diff
+            return upper[cols] * np.exp(a * sig[cols] * np.log(xs)) * diff
 
-    vals, _, _ = _tanh_sinh(f, 0.0, upper, cfg.tol_1d, EndpointSpec(exponent_lo=a * sig),
+    vals, _, _ = _tanh_sinh(zt1, 0.0, 1.0, cfg.tol_1d, EndpointSpec(exponent_lo=a * sig),
                             k=sig.size)
-    return _exp_each(-Xs * math.log(lam)) / Xs * vals
+    return np.exp(-Xs * np.log(lam)) / Xs * vals
 
 
 def ztilde1(params: FamilyParams, lam: float, sigma: float,
@@ -550,37 +582,47 @@ def ztilde1(params: FamilyParams, lam: float, sigma: float,
         lam^-X X^-1 int_0^rho(lam r2) x^(a s) ((lam r2)^X - e(x)^X) dx
     """
     X = _check_slice(params, lam, sigma)
-    return float(_ztilde1_values(params, lam, np.array([sigma]), np.array([X]), cfg)[0])
+    return float(_ztilde1_values(params, np.array([lam]), np.array([sigma]), np.array([X]),
+                                 cfg)[0])
 
 
-def _ztilde2_values(params: FamilyParams, lam: float, sig: np.ndarray, Xs: np.ndarray,
+def _ztilde2_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: np.ndarray,
                     cfg: NumericConfig) -> np.ndarray:
-    """ztilde2 at every (sigma, X) of the checked arrays sig, Xs: each of
-    its two pieces is one vector quadrature with a component per sigma."""
+    """ztilde2 at every pair (lam, sigma, X) of the checked arrays lam, sig,
+    Xs: each of its two pieces is one vector quadrature with a component per
+    pair, x = rho u on (0, rho) and x = rho + (r1 - rho) u on (rho, r1).
+    The second, for the pairs with rho < r1 only, is smooth at both ends and
+    declares none."""
     a, q = params.a, params.q
     rt2 = lam * params.r2
     rho_v = rho(params, rt2)
-    if rho_v == 0.0:
-        raise DegenerateLowerLimit(f"rho({rt2}) underflowed to 0")
+    if not np.all(rho_v > 0.0):
+        raise DegenerateLowerLimit(f"rho({rt2[np.argmin(rho_v > 0.0)]}) underflowed to 0")
     denom = Xs - q * sig
 
-    def f1(xs, cols):
+    def zt2_left(us, cols):
+        xs = rho_v[cols] * us
         ln_es = log_e_flat(params, xs)
         with np.errstate(divide="ignore"):
-            return np.exp(a * sig[cols] * np.log(xs) + np.maximum(Xs[cols] * ln_es, -745.0))
+            return rho_v[cols] * np.exp(a * sig[cols] * np.log(xs)
+                                        + np.maximum(Xs[cols] * ln_es, -745.0))
 
-    p1, _, _ = _tanh_sinh(f1, 0.0, rho_v, cfg.tol_1d, EndpointSpec(exponent_lo=a * sig),
-                          k=sig.size)
-    p1 *= _exp_each(-denom * math.log(lam)) / denom
-    if not rho_v < params.r1:
-        return p1
+    out, _, _ = _tanh_sinh(zt2_left, 0.0, 1.0, cfg.tol_1d, EndpointSpec(exponent_lo=a * sig),
+                           k=sig.size)
+    out *= np.exp(-denom * np.log(lam)) / denom
+    right = np.flatnonzero(rho_v < params.r1)
+    if not right.size:
+        return out
+    lo, width, s = rho_v[right], params.r1 - rho_v[right], sig[right]
 
-    def f2(xs, cols):
+    def zt2_right(us, cols):
+        xs = lo[cols] + width[cols] * us
         ln_es = log_e_flat(params, xs)
-        return np.exp(a * sig[cols] * np.log(xs) + q * sig[cols] * ln_es)
+        return width[cols] * np.exp(a * s[cols] * np.log(xs) + q * s[cols] * ln_es)
 
-    val, _, _ = _tanh_sinh(f2, rho_v, params.r1, cfg.tol_1d, EndpointSpec(), k=sig.size)
-    return p1 + _exp_each(denom * math.log(params.r2)) / denom * val
+    val, _, _ = _tanh_sinh(zt2_right, 0.0, 1.0, cfg.tol_1d, None, k=right.size)
+    out[right] += np.exp(denom[right] * math.log(params.r2)) / denom[right] * val
+    return out
 
 
 def ztilde2(params: FamilyParams, lam: float, sigma: float,
@@ -593,7 +635,8 @@ def ztilde2(params: FamilyParams, lam: float, sigma: float,
     e^(-s/x^p) finite on the second piece.
     """
     X = _check_slice(params, lam, sigma)
-    return float(_ztilde2_values(params, lam, np.array([sigma]), np.array([X]), cfg)[0])
+    return float(_ztilde2_values(params, np.array([lam]), np.array([sigma]), np.array([X]),
+                                 cfg)[0])
 
 
 def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,

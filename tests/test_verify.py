@@ -21,6 +21,7 @@ from flatzeta.verify import (
     verify_psi_and_flat,
     verify_sandwich,
 )
+from flatzeta.zeta import region_pieces, zeta_samples
 
 CFG = NumericConfig()
 BUMP = BumpSpec(0.5, 0.5)
@@ -97,10 +98,24 @@ def test_theorem21_generalizes_with_nonzero_a():
 
 
 def test_sandwich_preset_cases():
-    rep = verify_sandwich(PRESETS["greenblatt"], [0.25, 1.0, 4.0], SHORT, CFG)
+    lams = [0.25, 1.0, 4.0]
+    rep = verify_sandwich(PRESETS["greenblatt"], lams, SHORT, CFG)
     assert rep.passed
     assert rep.observed == 0.0
     assert len(rep.residual_log) == 12  # 3 lambdas x 4 sigmas
+    # lambda-major, each margin the worst envelope of its one-pair pieces
+    p = PRESETS["greenblatt"]
+    zs = zeta_samples(p, None, SHORT.sigmas, CFG, flat=True)
+    margins = []
+    for lam in lams:
+        for z in zs:
+            tr = region_pieces(p, lam, z.sigma, CFG)
+            lo1 = (1.0 + lam**p.q) ** tr.sigma * tr.ztilde1
+            lo2 = (1.0 + lam**(-p.q)) ** tr.sigma * tr.ztilde2
+            margins.append(min(tr.z1 - lo1, tr.ztilde1 - tr.z1, tr.z2 - lo2,
+                               tr.ztilde2 - tr.z2, z.value - (lo1 + lo2),
+                               (tr.ztilde1 + tr.ztilde2) - z.value))
+    assert rep.residual_log == tuple(margins)
 
 
 def test_sandwich_computes_each_z_once(monkeypatch):
@@ -111,17 +126,17 @@ def test_sandwich_computes_each_z_once(monkeypatch):
         calls.append(list(args[2]))
         return real(*args, **kwargs)
 
-    def counting_regions(params, lam, sigmas, *args, **kwargs):
-        regions.append((lam, list(sigmas)))
-        return real_regions(params, lam, sigmas, *args, **kwargs)
+    def counting_regions(params, lams, sigmas, *args, **kwargs):
+        regions.append((list(lams), list(sigmas)))
+        return real_regions(params, lams, sigmas, *args, **kwargs)
 
     monkeypatch.setattr(verify_mod, "zeta_samples", counting)
     monkeypatch.setattr(verify_mod, "region_samples", counting_regions)
     rep = verify_sandwich(PRESETS["critical"], [0.25, 1.0, 4.0], SHORT, CFG)
     assert rep.passed
     assert calls == [list(SHORT.sigmas)]      # one batch for all lambdas
-    # and one batch of region pieces per lambda
-    assert regions == [(lam, list(SHORT.sigmas)) for lam in (0.25, 1.0, 4.0)]
+    # and one batch of region pieces for every (lambda, sigma) pair
+    assert regions == [([0.25, 1.0, 4.0], list(SHORT.sigmas))]
 
 
 def test_sandwich_flat_dead_degenerates():

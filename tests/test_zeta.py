@@ -506,43 +506,58 @@ REGION_FAMILIES = [SUP, CRIT, GREEN, FamilyParams(5, 6, 4, Fraction(6)),
                    FamilyParams(0, 7, 1, Fraction(5))]
 
 
+LAMS = [0.25, 1.0, 4.0]     # the CLI's sandwich lambdas
+
+
 @pytest.mark.parametrize("params", REGION_FAMILIES,
                          ids=lambda p: f"{p.a}{p.b}{p.q}-{p.p}")
 def test_region_samples_match_one_sigma_calls(params):
-    # each sigma of a batch is a component of its own in every vector
-    # quadrature, outer and inner, so its trace is the one-sigma calls' bit
-    # for bit; the sigmas are the CLI's sandwich schedule
+    # each (lambda, sigma) pair of a batch is a component of its own in every
+    # vector quadrature, outer and inner, so its trace is the one-pair calls'
+    # bit for bit; the batch is the CLI's sandwich lambdas and schedule
     sigmas = make_schedule(0.125, 0.25, 4, params.b).sigmas
-    for lam in (0.25, 1.0, 4.0):
-        batch = region_samples(params, lam, sigmas, CFG)
-        assert [tr.sigma for tr in batch] == list(sigmas)
-        for tr in batch:
-            assert tr == region_pieces(params, lam, tr.sigma, CFG)
-            assert tr.ztilde1 == ztilde1(params, lam, tr.sigma, CFG)
-            assert tr.ztilde2 == ztilde2(params, lam, tr.sigma, CFG)
+    batch = region_samples(params, LAMS, sigmas, CFG)
+    assert [(tr.lam, tr.sigma) for tr in batch] == [(lam, s) for lam in LAMS for s in sigmas]
+    for tr in batch:
+        assert tr == region_pieces(params, tr.lam, tr.sigma, CFG)
+        assert tr.ztilde1 == ztilde1(params, tr.lam, tr.sigma, CFG)
+        assert tr.ztilde2 == ztilde2(params, tr.lam, tr.sigma, CFG)
 
 
-@pytest.mark.parametrize("lam", [0.25, 4.0], ids=["kink", "saturated"])
-def test_region_samples_one_outer_call_per_panel(monkeypatch, lam):
-    # per lambda, z1 and z2 are one vector quadrature per panel of the kink
-    # cuts, ztilde1 one and ztilde2 one per piece, each with a component per
-    # sigma; the inner integrals run on the mapped interval (0, 1)
-    calls = []
+@pytest.mark.parametrize("lams", [[0.25, 4.0], [4.0]], ids=["kink", "saturated"])
+def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
+    # every pair's interval is mapped onto (0, 1): v_unclipped is one call;
+    # z1 and z2 are one call apiece on the left piece of every pair (the
+    # x^(a s) endpoint declared) and one on the right piece of the kinked
+    # pairs (regular ends); ztilde1 is one call and ztilde2 one per piece.
+    # At SUP, lambda = 0.25 kinks inside (0, r1) and 4 saturates at r1.
+    calls, depth = [], [0]
     real = zeta_mod._tanh_sinh
 
-    def tanh_sinh(f, lo, hi, *args, **kwargs):
-        calls.append((lo, hi, kwargs.get("k")))
-        return real(f, lo, hi, *args, **kwargs)
+    def tanh_sinh(f, lo, hi, tol, ends=None, **kwargs):
+        if not depth[0]:        # not an inner call made by an outer integrand
+            calls.append((getattr(f, "func", f).__name__, lo, hi, kwargs["k"], ends is None))
+
+        def nested(*args):
+            depth[0] += 1
+            try:
+                return f(*args)
+            finally:
+                depth[0] -= 1
+
+        return real(nested, lo, hi, tol, ends, **kwargs)
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     sigmas = make_schedule(0.125, 0.25, 4, SUP.b).sigmas
-    region_samples(SUP, lam, sigmas, CFG)
-    x_rho = rho(SUP, lam * SUP.r2)
-    cuts = [0.0, x_rho, SUP.r1] if x_rho < SUP.r1 else [0.0, SUP.r1]
-    panels = [(lo, hi, 4) for lo, hi in zip(cuts, cuts[1:])]
-    ztilde = [(0.0, x_rho, 4)] * 2 + panels[1:]
-    assert [c for c in calls if c[:2] != (0.0, 1.0)] == panels * 2 + ztilde
-    assert len(panels) == (2 if lam == 0.25 else 1)
+    region_samples(SUP, lams, sigmas, CFG)
+    n, n_kink = 4 * len(lams), 4 * sum(rho(SUP, lam * SUP.r2) < SUP.r1 for lam in lams)
+    expect = [("f", n, False), ("z1_column", n, False), ("z1_column", n_kink, True),
+              ("z2_column", n, False), ("z2_column", n_kink, True),
+              ("zt1", n, False), ("zt2_left", n, False), ("zt2_right", n_kink, True)]
+    expect = [c for c in expect if c[1]]
+    assert [(name, k, regular) for name, lo, hi, k, regular in calls] == expect
+    assert all((lo, hi) == (0.0, 1.0) for _, lo, hi, _, _ in calls)
+    assert n_kink == (4 if lams == [0.25, 4.0] else 0)
 
 
 @st.composite
@@ -565,16 +580,17 @@ def test_region_pieces_add_up_to_z_over_families(params, log10_X, lam):
     # shrinks as converged misses by 5.4x and 1.2x the slack
     sigma = (10.0**log10_X - 1.0) / params.b
     z = zeta_samples(params, None, [sigma], CFG, flat=True)[0]
-    tr = region_samples(params, lam, [sigma], CFG)[0]
+    tr = region_samples(params, [lam], [sigma], CFG)[0]
     assert abs(tr.z1 + tr.z2 - z.value) <= 10.0 * (z.error + tr.error) + 1e-12 * z.value
 
 
 def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
-    # a (column, sigma) pair of z1 clipped at _w_floor, where the flat
-    # factor is within e^-40 of 1, is the monomial column r2^X/X and never
-    # reaches _w_integrals; the sigmas are the CLI's sandwich schedule
+    # a (column, pair) of z1 clipped at _w_floor, where the flat factor is
+    # within e^-40 of 1, is the monomial column r2^X/X and never reaches
+    # _w_integrals; the batch is the CLI's sandwich lambdas and schedule
     sigmas = make_schedule(0.125, 0.25, 4, SUP.b).sigmas
-    Xs = np.array([SUP.b * s + 1.0 for s in sigmas])
+    Xs = np.tile([SUP.b * s + 1.0 for s in sigmas], len(LAMS))
+    ln_lam = np.log(np.repeat(LAMS, len(sigmas)))
     lnY2, q = math.log(SUP.r2), SUP.q
     real_w, real_ts = zeta_mod._w_integrals, zeta_mod._tanh_sinh
     sent, columns = [], []
@@ -584,31 +600,34 @@ def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
         return real_w(q_, sigma, X, lnE, w_lo, *args, **kwargs)
 
     def tanh_sinh(f, *args, **kwargs):
-        if f.__name__ == "z1_column":
-            def recorded(xs, cols):
-                out = f(xs, cols)
-                columns.append((xs[:, 0].copy(), cols.copy(), out.copy()))
+        if getattr(f, "func", None) is not None and f.func.__name__ == "z1_column":
+            pairs, lo, width = f.args[0]        # the piece x = lo + width u
+
+            def recorded(us, cols):
+                out = f(us, cols)
+                xs = lo[cols] + width[cols] * us
+                columns.append((xs, pairs[cols], width[cols], out.copy()))
                 return out
             return real_ts(recorded, *args, **kwargs)
         return real_ts(f, *args, **kwargs)
 
     monkeypatch.setattr(zeta_mod, "_w_integrals", w_integrals)
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    region_samples(SUP, 1.0, sigmas, CFG)
+    region_samples(SUP, LAMS, sigmas, CFG)
 
     def is_dead(X, lnE, w_lo):
         return (w_lo == zeta_mod._w_floor(X, lnY2)) & (lnE - q * w_lo < -40.0)
 
     assert sent and not any(is_dead(*pair).any() for pair in sent)
     n_dead = 0
-    for x, cols, out in columns:     # a = 0: the z1 column is its inner integral
-        ln_es = zeta_mod.log_e_flat(SUP, x)[:, None]
+    for xs, p, width, out in columns:   # a = 0: the z1 column is width times its inner integral
+        ln_es = zeta_mod.log_e_flat(SUP, xs)
         with np.errstate(over="ignore"):
             lnE = q * ln_es
-        ln_m = np.minimum(ln_es, lnY2)            # lambda = 1
-        w_lo = np.maximum(ln_m, zeta_mod._w_floor(Xs[cols], lnY2))
-        dead = (ln_m < lnY2) & is_dead(Xs[cols], lnE, w_lo)
-        expect = np.broadcast_to([math.exp(X * lnY2) / X for X in Xs[cols]], out.shape)
+        ln_m = np.minimum(ln_es - ln_lam[p], lnY2)
+        w_lo = np.maximum(ln_m, zeta_mod._w_floor(Xs[p], lnY2))
+        dead = (ln_m < lnY2) & is_dead(Xs[p], lnE, w_lo)
+        expect = np.broadcast_to(width * (np.exp(Xs[p] * lnY2) / Xs[p]), out.shape)
         assert np.array_equal(out[dead], expect[dead])
         n_dead += np.count_nonzero(dead)
     assert n_dead > 0
@@ -826,9 +845,9 @@ NAN = float("nan")
     pytest.param(lambda: ztilde1(GREEN, NAN, -0.4, CFG), id="ztilde1-nan"),
     pytest.param(lambda: ztilde2(GREEN, NAN, -0.4, CFG), id="ztilde2-nan"),
     pytest.param(lambda: region_pieces(GREEN, math.inf, -0.4, CFG), id="region_pieces-inf"),
-    pytest.param(lambda: region_samples(GREEN, math.inf, [-0.4, -0.45], CFG),
+    pytest.param(lambda: region_samples(GREEN, [math.inf], [-0.4, -0.45], CFG),
                  id="region_samples-inf"),
-    pytest.param(lambda: region_samples(GREEN, NAN, [-0.4, -0.45], CFG),
+    pytest.param(lambda: region_samples(GREEN, [NAN], [-0.4, -0.45], CFG),
                  id="region_samples-nan"),
     pytest.param(lambda: ztilde1(GREEN, math.inf, -0.4, CFG), id="ztilde1-inf"),
     pytest.param(lambda: ztilde2(GREEN, math.inf, -0.4, CFG), id="ztilde2-inf"),
@@ -874,6 +893,18 @@ def test_invalid_input_raises_domain_error(call):
     # before any quadrature runs
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("lams", [[], [1.0, 0.0], [-1.0, 1.0], [1.0, math.inf], [NAN, 1.0]],
+                         ids=["empty", "zero", "negative", "inf", "nan"])
+def test_region_samples_rejects_bad_lambdas_before_quadrature(monkeypatch, lams):
+    # one bad lambda among valid ones fails the whole batch up front
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", no_quadrature)
+    with pytest.raises(DomainError):
+        region_samples(GREEN, lams, [-0.4, -0.45], CFG)
 
 
 @pytest.mark.parametrize("j", [0, 1, 4])
