@@ -14,7 +14,6 @@ from .errors import (
     IllConditionedFit,
     NonConvergence,
     OddQNotSupported,
-    OptimizerBracketFailure,
     OutOfWindow,
     OutsideDisc,
     PoleHit,

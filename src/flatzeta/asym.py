@@ -7,7 +7,9 @@ The three laws of Z(sigma) as sigma -> -1/b are calibrated by:
     L(lambda), M(lambda) and their optimized combinations     (bounded regime)
 
 A is evaluated from its Gamma-function closed form and L in closed form;
-M adds one 1D quadrature on (rho(lambda r2), r1).
+M adds one 1D quadrature on (rho(lambda r2), r1). The bounded bracket needs
+no search: it is L(1) + M(1) above and, below, sits at the root of its
+stationarity condition M = lambda^(q(b-1)/b) L.
 
 Limits are pulled out of a sigma-schedule by a least-squares fit whose basis
 follows the proof-level corrections: lambda^-X and X^(c X) factors expand to
@@ -28,7 +30,7 @@ from .errors import (
     DegenerateLowerLimit,
     DomainError,
     IllConditionedFit,
-    OptimizerBracketFailure,
+    NonConvergence,
     WrongRegime,
 )
 from .funcs import log_e_flat, rho
@@ -139,56 +141,53 @@ def constant_M(params: FamilyParams, lam: float,
     return first + second
 
 
-def _golden_section(fn, t_lo: float, t_hi: float):
-    """Golden-section search for the maximum of fn on [t_lo, t_hi] down to
-    1e-6 of its width; returns (t_opt, fn(t_opt))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = t_lo, t_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    f_lo, f_hi = fn(a), fn(b)
-    while b - a > 1e-6 * (t_hi - t_lo):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    t = 0.5 * (a + b)
-    ft = fn(t)
-    if ft <= max(f_lo, f_hi):
-        raise OptimizerBracketFailure(
-            "objective is monotone over the whole bracket; no interior optimum")
-    return t, ft
-
-
 def case3_bounds(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG) -> Case3Bounds:
     """Bounded-regime bracket:
 
-        lower = max_lambda  L/(1+lam^q)^(1/b) + M/(1+lam^-q)^(1/b)
+        lower = max_lambda  F = L w1 + M w2
         upper = min_lambda  L + M  =  L(1) + M(1)
 
-    With u = rho(lam r2), log(lam r2) = -1/(q u^p) cancels every rho' term,
-    so d(L+M)/dlam = (1 - lam^(-q/b)) b u^(1-a/b) / ((b-a) lam) (also where
-    rho saturates at r1, as rho' = 0 there): L + M is least at lam = 1.
-    The weighted objective vanishes at both bracket ends, so its optimum is
-    interior; found by golden-section on log lambda in [-12, 12].
+    with w1 = (1+lam^q)^(-1/b) = lam^(-q/b) w2. With u = rho(lam r2),
+    log(lam r2) = -1/(q u^p) cancels every rho' term, so
+    lam dL/dlam = D = b u^(1-a/b)/(b-a) = -lam^(q/b) lam dM/dlam (also where
+    rho saturates at r1, as rho' = 0 there): L + M is least at lam = 1, and
+    the L' and M' terms of F' cancel, leaving
+    F' = q w2 (M - lam^c L) / (b lam (1+lam^q)), c = q(b-1)/b. With
+    t = log lam, g(t) = log M - log L - c t strictly decreases (L > 0,
+    L' > 0, M' < 0), so its one root is the global maximizer, where
+    F = L (1+lam^q)^((b-1)/b). Newton's method on g from t = 0 finds it,
+    one M per step, bisecting the bracket of its iterates where it stalls.
     """
     if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
         raise WrongRegime("case-3 bounds exist only in the bounded regime")
-    q, b = params.q, params.b
+    a, b, q = params.a, params.b, params.q
+    c = q * (b - 1) / b
+    L, M = constant_L(params, 1.0), constant_M(params, 1.0, cfg)
+    upper = L + M
 
-    def lower_obj(t):
+    t, lo, hi, last = 0.0, -math.inf, math.inf, math.inf
+    for _ in range(50):
         lam = math.exp(t)
-        L, M = constant_L(params, lam), constant_M(params, lam, cfg)
-        return (L / (1.0 + lam**q)**(1.0 / b) + M / (1.0 + lam**(-q))**(1.0 / b))
-
-    t_max, lower = _golden_section(lower_obj, -12.0, 12.0)
-    upper = constant_L(params, 1.0) + constant_M(params, 1.0, cfg)
-    return Case3Bounds(lower=lower, upper=upper, lambda_lower=math.exp(t_max))
+        if not (0.0 < L < math.inf and 0.0 < M < math.inf):     # NaN fails
+            raise NonConvergence(f"case-3 lower end: L = {L}, M = {M} at lambda = {lam:g}")
+        g = math.log(M) - math.log(L) - c * t
+        lo, hi = (t, hi) if g > 0.0 else (lo, t)
+        d = b * rho(params, lam * params.r2)**(1.0 - a / b) / (b - a)
+        step = g / (d * (lam**(-q / b) / M + 1.0 / L) + c)
+        # [lo, hi] brackets the root; bisect where Newton leaves it or does not
+        # halve its step, as it can cycle across the kink where rho saturates
+        if hi - lo < math.inf and not (lo <= t + step <= hi and abs(step) <= 0.5 * abs(last)):
+            step = 0.5 * (lo + hi) - t
+        t += step
+        last = step
+        if abs(step) <= 1e-10:
+            break
+        L, M = constant_L(params, math.exp(t)), constant_M(params, math.exp(t), cfg)
+    else:
+        raise NonConvergence("case-3 lower end: Newton did not settle in 50 steps")
+    lam = math.exp(t)
+    lower = constant_L(params, lam) * (1.0 + lam**q)**((b - 1) / b)
+    return Case3Bounds(lower=lower, upper=upper, lambda_lower=lam)
 
 
 def scale_sequence(params: FamilyParams, samples: Sequence[ZetaSample]) -> BlowupSequence:

@@ -33,10 +33,6 @@ class DegenerateLowerLimit(FlatZetaError, ValueError):
     """rho(lambda*r2) underflowed to zero, leaving an unbounded integrand."""
 
 
-class OptimizerBracketFailure(FlatZetaError, RuntimeError):
-    """The scalar optimizer found a monotone objective over the whole bracket."""
-
-
 class IllConditionedFit(FlatZetaError, RuntimeError):
     """Design matrix of the limit-extraction fit is numerically singular."""
 

@@ -270,9 +270,9 @@ def test_criterion_08_property_suites():
     lm = [constant_L(green, float(l)) + constant_M(green, float(l), CFG)
           for l in lams]
     cont_ok = max(abs(v2 - v1) for v1, v2 in zip(lm, lm[1:])) < 1.0
-    # golden-section localizes lambda to ~1e-5, so the curve may dip below the
-    # reported minimum by O(curvature * 1e-10); allow that much slack
-    min_ok = all(v >= b3.upper * (1.0 - 1e-6) for v in lm)
+    # upper = L(1) + M(1) is the exact minimum of L + M, so the curve stays
+    # above it up to rounding
+    min_ok = all(v >= b3.upper * (1.0 - 1e-12) for v in lm)
     a_box = (constant_A(FamilyParams(0, 2, 2, Fraction(2), r1=0.3, r2=0.9))
              == constant_A(FamilyParams(0, 2, 2, Fraction(2), r1=0.6, r2=0.2)))
 

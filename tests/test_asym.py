@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flatzeta.errors import DomainError, WrongRegime
+import flatzeta.asym as asym_mod
+from flatzeta.errors import DomainError, NonConvergence, WrongRegime
+from flatzeta.funcs import rho
 from flatzeta.model import (FamilyParams, NumericConfig, PRESETS, RegimeKind, classify_regime,
                             make_schedule)
 from flatzeta.zeta import ZetaSample
@@ -111,15 +113,18 @@ def test_constant_M_oracle_and_limits():
     assert constant_M(GREEN, 1e-6, CFG) > 1e2 * constant_M(GREEN, 1.0, CFG)
 
 
+def _lower_objective(params, lam):
+    q, b = params.q, params.b
+    return (constant_L(params, lam) / (1.0 + lam**q)**(1.0 / b)
+            + constant_M(params, lam, CFG) / (1.0 + lam**(-q))**(1.0 / b))
+
+
 def test_case3_bounds_ordering_and_endpoint_behavior():
     b3 = case3_bounds(GREEN, CFG)
     assert 0.0 < b3.lower <= b3.upper
     # the lower objective sinks toward 0 at both bracket ends
-    def lower_obj(lam):
-        return (constant_L(GREEN, lam) / (1 + lam**2) ** 0.5
-                + constant_M(GREEN, lam, CFG) / (1 + lam**-2) ** 0.5)
-    assert lower_obj(1e-6) < 0.25 * b3.lower
-    assert lower_obj(1e6) < 0.25 * b3.lower
+    assert _lower_objective(GREEN, 1e-6) < 0.25 * b3.lower
+    assert _lower_objective(GREEN, 1e6) < 0.25 * b3.lower
     # the upper objective rises at both ends, so the minimum is interior
     def upper_obj(lam):
         return constant_L(GREEN, lam) + constant_M(GREEN, lam, CFG)
@@ -127,24 +132,73 @@ def test_case3_bounds_ordering_and_endpoint_behavior():
     assert upper_obj(1e6) > b3.upper
 
 
-def test_case3_upper_is_least_L_plus_M_over_families():
-    # d(L+M)/dlam has the sign of 1 - lam^(-q/b), so upper = L(1) + M(1)
-    # lies below L + M on a whole lambda grid, for random bounded families
+def _bounded_families(n):
+    """n seeded families of the bounded regime, r1, r2 in (0.25, 0.5)."""
     rng = np.random.default_rng(16)
-    lams = np.logspace(-3.0, 3.0, 25)
-    checked = 0
-    while checked < 6:
+    families = []
+    while len(families) < n:
         b = int(rng.integers(2, 8))
         a, q = int(rng.integers(0, b)), int(rng.integers(1, b + 1))
         p = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         params = FamilyParams(a, b, q, p, *map(float, rng.uniform(0.25, 0.5, 2)))
-        if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
-            continue
-        checked += 1
+        if classify_regime(params).kind is RegimeKind.SUBCRITICAL_FLAT:
+            families.append(params)
+    return families
+
+
+CASE3_LAMS = np.logspace(-3.0, 3.0, 25)
+
+
+def test_case3_upper_is_least_L_plus_M_over_families():
+    # d(L+M)/dlam has the sign of 1 - lam^(-q/b), so upper = L(1) + M(1)
+    # lies below L + M on a whole lambda grid, for random bounded families
+    for params in _bounded_families(6):
         upper = case3_bounds(params, CFG).upper
-        for lam in lams:
+        for lam in CASE3_LAMS:
             total = constant_L(params, lam) + constant_M(params, lam, CFG)
             assert total >= upper * (1.0 - 1e-12), (params, lam)
+
+
+# plain Newton from lam = 1 cycles across the kink of g where rho saturates
+# (lam = 5.05, just above the root at 4.53) and never settles; the bisection
+# fallback brings it home
+CASE3_KINKED = FamilyParams(12, 23, 11, Fraction(1, 32), r1=0.27, r2=0.18)
+
+
+def test_case3_lower_is_stationary_over_families():
+    # the lower end sits at the root of M = lam^(q(b-1)/b) L, where the
+    # weighted objective is largest and equals L (1 + lam^q)^((b-1)/b)
+    for params in _bounded_families(6) + [CASE3_KINKED]:
+        q, b = params.q, params.b
+        b3 = case3_bounds(params, CFG)
+        lam = b3.lambda_lower
+        L, M = constant_L(params, lam), constant_M(params, lam, CFG)
+        assert abs(M - lam**(q * (b - 1) / b) * L) <= 1e-9 * M, params
+        for grid_lam in CASE3_LAMS:
+            assert b3.lower >= _lower_objective(params, grid_lam) * (1.0 - 1e-12), (params, grid_lam)
+        assert b3.lower == pytest.approx(L * (1.0 + lam**q)**((b - 1) / b), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0, 20.0])
+def test_lambda_derivatives_of_L_and_M_in_closed_form(lam):
+    # lam dL/dlam = D = b u^(1-a/b)/(b-a) and lam dM/dlam = -lam^(-q/b) D,
+    # u = rho(lam r2); rho saturates at r1 from lam = e(r1)/r2 = 11.04 on
+    params = FamilyParams(1, 2, 2, Fraction(1, 4), r1=0.5, r2=0.05)
+    a, b, q = params.a, params.b, params.q
+    u = rho(params, lam * params.r2)
+    assert (u == params.r1) == (lam > 11.0)
+    d = b * u**(1.0 - a / b) / (b - a)
+    h = 1e-4
+    for fn, expect in ((lambda l: constant_L(params, l), d),
+                       (lambda l: constant_M(params, l, CFG), -lam**(-q / b) * d)):
+        central = (fn(lam * math.exp(h)) - fn(lam * math.exp(-h))) / (2.0 * h)
+        assert central == pytest.approx(expect, rel=1e-7)
+
+
+def test_case3_bounds_raise_on_non_finite_M(monkeypatch):
+    monkeypatch.setattr(asym_mod, "constant_M", lambda params, lam, cfg=CFG: math.nan)
+    with pytest.raises(NonConvergence):
+        case3_bounds(GREEN, CFG)
 
 
 def test_case3_regime_gate():

@@ -584,6 +584,27 @@ def test_region_pieces_add_up_to_z_over_families(params, log10_X, lam):
     assert abs(tr.z1 + tr.z2 - z.value) <= 10.0 * (z.error + tr.error) + 1e-12 * z.value
 
 
+def test_quadrant_invariants_over_families():
+    # on seeded families over the whole parameter space, 4 values of X each:
+    # 0 < Z <= the monomial closed form (the flat term only adds to f, which
+    # enters at a negative power), Z grows as X falls toward the blow-up, and
+    # flat=False meets the closed form within its reported error
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        b = int(rng.integers(2, 8))
+        a, q = int(rng.integers(0, b)), int(rng.integers(1, b + 1))
+        p = Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 7)))
+        params = FamilyParams(a, b, q, p, *map(float, rng.uniform(0.05, 0.95, 2)))
+        xs = np.sort(10.0 ** rng.uniform(-5.0, math.log10(0.5), 4))[::-1]
+        sigmas = [(X - 1.0) / b for X in xs]
+        closed = [monomial_closed_form(a, b, params.r1, params.r2, s) for s in sigmas]
+        zs = [z.value for z in zeta_samples(params, None, sigmas, CFG, flat=True)]
+        assert all(0.0 < z <= cf * (1.0 + 1e-12) for z, cf in zip(zs, closed)), params
+        assert all(z2 > z1 for z1, z2 in zip(zs, zs[1:])), params
+        for z, cf in zip(zeta_samples(params, None, sigmas, CFG, flat=False), closed):
+            assert abs(z.value - cf) <= z.error, (params, z)
+
+
 def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
     # a (column, pair) of z1 clipped at _w_floor, where the flat factor is
     # within e^-40 of 1, is the monomial column r2^X/X and never reaches
