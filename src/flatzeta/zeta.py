@@ -40,14 +40,16 @@ declare no endpoint, so their lower end is sampled no deeper than the upper.
 The region pieces of every (lambda, sigma) pair of a sandwich are batched
 as Z is (region_samples): each pair is one component of every vector
 quadrature, its x-interval mapped onto u in (0, 1) inside the integrand.
-z1 and z2 are one outer call apiece on the left piece up to the kink
-rho(lam r2) (or r1) of every pair and one on the right piece of the kinked
-pairs, their inner integrals one vector call per outer level over the
-(node, pair) columns, and v_unclipped, ztilde1 and each ztilde2 piece one
-vector call apiece.  region_pieces, ztilde1 and ztilde2 are the one-pair
-calls of the batch, and every batched component equals its one-pair call
-bit for bit.  ztilde1_2d and ztilde2_2d, the cross-checks of the 1D
-reductions, stay on their own unmapped panels of the kink cuts (_panels).
+One helper decides where the slice lambda y = e(x) kinks (_slice_pieces):
+the left piece up to rho(lam r2) (or r1) of every pair and the right piece
+of the kinked pairs.  z1 and z2 are one outer call apiece on each piece,
+their inner integrals one vector call per outer level over the (node, pair)
+columns, and v_unclipped, ztilde1 and each ztilde2 piece one vector call
+apiece.  region_pieces, ztilde1 and ztilde2 are the one-pair calls of the
+batch, and every batched component equals its one-pair call bit for bit.
+ztilde1_2d and ztilde2_2d, the cross-checks of the 1D reductions, keep
+their own integrands and inner quadratures and share only the one-pair
+slice pieces, one outer call apiece.
 """
 
 from __future__ import annotations
@@ -274,34 +276,6 @@ def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# the outer x-integral, shared by every iterated quadrature
-# ---------------------------------------------------------------------------
-
-def _panels(f, cuts, a_s, cfg: NumericConfig, k: int = 1):
-    """Sum of tanh-sinh integrals of the k components of f(xs, cols) (as in
-    _tanh_sinh) over the panels between consecutive cuts; the panel at 0
-    declares the x^(a s) endpoint, a_s one exponent or one per component.
-    An iterated integral's f evaluates all inner integrals of one outer
-    level in one vector _tanh_sinh call.
-
-    Returns (values, errors, outer evaluations), values and errors (k,)
-    arrays; inner evaluations are f's to count."""
-    total, err, evs = 0.0, 0.0, 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        ep = EndpointSpec(exponent_lo=a_s if lo == 0.0 else 0.0)
-        v, e, ev = _tanh_sinh(f, lo, hi, cfg.tol_2d, ep, k=k)
-        total, err, evs = total + v, err + e, evs + ev
-    return total, err, evs
-
-
-def _kink_cuts(params: FamilyParams, lam: float):
-    """Outer cuts 0 < [rho(lam r2)] < r1: the slice geometry kinks where
-    e(x)/lambda crosses the box top, so the kink goes on a panel boundary."""
-    x_kink = rho(params, lam * params.r2)
-    return [0.0] + ([x_kink] if 0.0 < x_kink < params.r1 else []) + [params.r1]
-
-
-# ---------------------------------------------------------------------------
 # the fast quadrant engine
 # ---------------------------------------------------------------------------
 
@@ -442,16 +416,59 @@ def _w_floor(X, lnY2: float):
     return lnY2 - 800.0 / X
 
 
+def _slice_pieces(params: FamilyParams, lam: np.ndarray, sig: np.ndarray):
+    """The x-pieces of the slice lambda y = e(x) for every pair (lam[i],
+    sig[i]), each ((pairs, lo, width), endpoints) with x = lo + width u on
+    u in (0, 1).  The slice kinks at x1 = rho(lam r2), where e(x)/lambda
+    crosses the box top, or saturates at x1 = r1.  The left piece x = x1 u
+    of every pair declares x^(a s) at u = 0; the right piece
+    x = x1 + (r1 - x1) u of the kinked pairs is declared regular, so its
+    lower end is sampled no deeper than its upper one, not at the offsets
+    far below eps that round onto the kink.  A rho that underflows to 0
+    raises DegenerateLowerLimit, before any quadrature."""
+    x1 = np.minimum(rho(params, lam * params.r2), params.r1)
+    if not np.all(x1 > 0.0):
+        raise DegenerateLowerLimit(f"rho({lam[np.argmin(x1 > 0.0)] * params.r2}) underflowed to 0")
+    kinked, k = np.flatnonzero(x1 < params.r1), sig.size
+    return [((np.arange(k), np.zeros(k), x1), EndpointSpec(exponent_lo=params.a * sig)),
+            ((kinked, x1[kinked], params.r1 - x1[kinked]), None)]
+
+
+def _one_pair(params: FamilyParams, lam: float, sigma: float):
+    """The checked arrays (lam, sig, Xs) of the one pair (lam, sigma) and
+    its slice pieces."""
+    X = _check_slice(params, lam, sigma)
+    lams, sigs = np.array([lam]), np.array([sigma])
+    return lams, sigs, np.array([X]), _slice_pieces(params, lams, sigs)
+
+
+def _mapped(piece, us, cols):
+    """Pairs, abscissae x = lo + width u and widths of the components cols
+    of a piece (pairs, lo, width)."""
+    pairs, lo, width = piece
+    return pairs[cols], lo[cols] + width[cols] * us, width[cols]
+
+
+def _on_pieces(column, pieces, tol: float, k: int):
+    """Sum over pieces of the integrals on u in (0, 1) of column(piece, us,
+    cols), one vector _tanh_sinh call per nonempty piece with a component
+    per pair of it.  Returns (values, errors), (k,) arrays over all pairs."""
+    total, err = np.zeros(k), np.zeros(k)
+    for piece, ends in pieces:
+        pairs = piece[0]
+        if pairs.size:
+            v, e, _ = _tanh_sinh(partial(column, piece), 0.0, 1.0, tol, ends, k=pairs.size)
+            total[pairs] += v
+            err[pairs] += e
+    return total, err
+
+
 def region_samples(params: FamilyParams, lams, sigmas,
                    cfg: NumericConfig = DEFAULT_CONFIG) -> list[DecompositionTrace]:
     """region_pieces at every (lambda, sigma) pair of lams x sigmas,
-    lambda-major, each pair one component of every vector call (see the
-    module docstring).  The left piece x = x1 u (x1 the kink, or r1) declares
-    x^(a s) at u = 0; the right piece x = x1 + (r1 - x1) u of the kinked
-    pairs is declared regular, so its lower end is sampled no deeper than
-    its upper one, not at the offsets far below eps that round onto the
-    kink.  An empty lams, or a lambda outside (0, inf), raises DomainError
-    before any quadrature."""
+    lambda-major, each pair one component of every vector call on the slice
+    pieces (_slice_pieces; see the module docstring).  An empty lams, or a
+    lambda outside (0, inf), raises DomainError before any quadrature."""
     X_sig = [_check_window(params, s) for s in sigmas]
     if len(lams) == 0 or not all(0.0 < v < math.inf for v in lams):     # NaN fails
         raise DomainError("the region pieces need lambdas, each positive and finite")
@@ -464,29 +481,17 @@ def region_samples(params: FamilyParams, lams, sigmas,
     w_floor = _w_floor(Xs, lnY2)
     dead = np.exp(Xs * lnY2) / Xs       # the z1 column where the flat term is dead
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
-    x_kink = rho(params, lam * params.r2)
-    has_kink = (0.0 < x_kink) & (x_kink < params.r1)
-    kinked = np.flatnonzero(has_kink)
-    x1 = np.where(has_kink, x_kink, params.r1)
-    # (pairs, lo, width) of the left and right pieces, with their endpoints
-    pieces = [((np.arange(k), np.zeros(k), x1), EndpointSpec(exponent_lo=params.a * sig)),
-              ((kinked, x1[kinked], params.r1 - x1[kinked]), None)]
+    pieces = _slice_pieces(params, lam, sig)
 
     # inner scaled integral over the full unclipped slice, shared by all columns
     v_unclipped = _v_integrals(params, sig, 1.0 / lam, None, mini_tol)[0]
-
-    def mapped(piece, us, cols):
-        """Pairs, abscissae x = lo + width u and widths of the components
-        cols of a piece."""
-        pairs, lo, width = piece
-        return pairs[cols], lo[cols] + width[cols] * us, width[cols]
 
     def x_power(xs, p):
         with np.errstate(divide="ignore", over="ignore"):
             return np.exp(params.a * sig[p] * np.log(xs))
 
     def z2_column(piece, us, cols):
-        p, xs, width = mapped(piece, us, cols)
+        p, xs, width = _mapped(piece, us, cols)
         ln_es = log_e_flat(params, xs)
         eX = np.where(ln_es > -np.inf, np.exp(np.maximum(Xs[p] * ln_es, -745.0)), 0.0)
         v = np.tile(v_unclipped[p], (ln_es.shape[0], 1))
@@ -497,7 +502,7 @@ def region_samples(params: FamilyParams, lams, sigmas,
         return width * eX * v * x_power(xs, p)
 
     def z1_column(piece, us, cols):
-        p, xs, width = mapped(piece, us, cols)
+        p, xs, width = _mapped(piece, us, cols)
         ln_es = log_e_flat(params, xs)
         out = np.tile(dead[p], (ln_es.shape[0], 1))
         live = ln_es > -np.inf
@@ -515,21 +520,10 @@ def region_samples(params: FamilyParams, lams, sigmas,
                                      mini_tol)[0]
         return width * out * x_power(xs, p)
 
-    def outer(column):
-        total, err = np.zeros(k), np.zeros(k)
-        for piece, ends in pieces:
-            pairs = piece[0]
-            if pairs.size:
-                v, e, _ = _tanh_sinh(partial(column, piece), 0.0, 1.0, cfg.tol_2d, ends,
-                                     k=pairs.size)
-                total[pairs] += v
-                err[pairs] += e
-        return total, err
-
-    z1, e1 = outer(z1_column)
-    z2, e2 = outer(z2_column)
-    zt1 = _ztilde1_values(params, lam, sig, Xs, cfg)
-    zt2 = _ztilde2_values(params, lam, sig, Xs, cfg)
+    z1, e1 = _on_pieces(z1_column, pieces, cfg.tol_2d, k)
+    z2, e2 = _on_pieces(z2_column, pieces, cfg.tol_2d, k)
+    zt1 = _ztilde1_values(params, lam, sig, Xs, pieces, cfg)
+    zt2 = _ztilde2_values(params, lam, sig, Xs, pieces, cfg)
     return [DecompositionTrace(lam=lams[i // n_sig], sigma=sigmas[i % n_sig], z1=float(z1[i]),
                                z2=float(z2[i]), ztilde1=float(zt1[i]),
                                ztilde2=float(zt2[i]), error=float(e1[i] + e2[i]))
@@ -549,29 +543,23 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
 # ---------------------------------------------------------------------------
 
 def _ztilde1_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: np.ndarray,
-                    cfg: NumericConfig) -> np.ndarray:
+                    pieces, cfg: NumericConfig) -> np.ndarray:
     """ztilde1 at every pair (lam, sigma, X) of the checked arrays lam, sig,
-    Xs, as one vector quadrature with a component and an endpoint exponent
-    per pair; x = rho(lam r2) u maps each interval onto (0, 1)."""
+    Xs, as one vector quadrature over the left slice pieces (_slice_pieces),
+    x from 0 to rho(lam r2), with a component and an endpoint exponent per
+    pair."""
     a = params.a
-    rt2 = lam * params.r2
-    ln_rt2 = np.log(rt2)
-    upper = rho(params, rt2)
-    if not np.all(upper > 0.0):
-        bad = rt2[np.argmin(upper > 0.0)]
-        raise DomainError(f"rho({bad}) underflowed to 0: the ztilde1 interval is empty")
+    ln_rt2 = np.log(lam * params.r2)
     scale = np.exp(Xs * ln_rt2)
 
-    def zt1(us, cols):
-        xs = upper[cols] * us
+    def zt1(piece, us, cols):
+        p, xs, width = _mapped(piece, us, cols)
         ln_es = log_e_flat(params, xs)
-        X = Xs[cols]
-        diff = scale[cols] * (-np.expm1(np.minimum(X * (ln_es - ln_rt2[cols]), 0.0)))
+        diff = scale[p] * (-np.expm1(np.minimum(Xs[p] * (ln_es - ln_rt2[p]), 0.0)))
         with np.errstate(divide="ignore"):
-            return upper[cols] * np.exp(a * sig[cols] * np.log(xs)) * diff
+            return width * np.exp(a * sig[p] * np.log(xs)) * diff
 
-    vals, _, _ = _tanh_sinh(zt1, 0.0, 1.0, cfg.tol_1d, EndpointSpec(exponent_lo=a * sig),
-                            k=sig.size)
+    vals = _on_pieces(zt1, pieces[:1], cfg.tol_1d, sig.size)[0]
     return np.exp(-Xs * np.log(lam)) / Xs * vals
 
 
@@ -581,48 +569,33 @@ def ztilde1(params: FamilyParams, lam: float, sigma: float,
 
         lam^-X X^-1 int_0^rho(lam r2) x^(a s) ((lam r2)^X - e(x)^X) dx
     """
-    X = _check_slice(params, lam, sigma)
-    return float(_ztilde1_values(params, np.array([lam]), np.array([sigma]), np.array([X]),
-                                 cfg)[0])
+    return float(_ztilde1_values(params, *_one_pair(params, lam, sigma), cfg)[0])
 
 
 def _ztilde2_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: np.ndarray,
-                    cfg: NumericConfig) -> np.ndarray:
+                    pieces, cfg: NumericConfig) -> np.ndarray:
     """ztilde2 at every pair (lam, sigma, X) of the checked arrays lam, sig,
-    Xs: each of its two pieces is one vector quadrature with a component per
-    pair, x = rho u on (0, rho) and x = rho + (r1 - rho) u on (rho, r1).
-    The second, for the pairs with rho < r1 only, is smooth at both ends and
-    declares none."""
+    Xs: each of its two terms is one vector quadrature over one slice piece
+    (_slice_pieces) with a component per pair, (0, rho) for every pair and
+    (rho, r1) for the pairs with rho < r1."""
     a, q = params.a, params.q
-    rt2 = lam * params.r2
-    rho_v = rho(params, rt2)
-    if not np.all(rho_v > 0.0):
-        raise DegenerateLowerLimit(f"rho({rt2[np.argmin(rho_v > 0.0)]}) underflowed to 0")
     denom = Xs - q * sig
 
-    def zt2_left(us, cols):
-        xs = rho_v[cols] * us
+    def zt2_left(piece, us, cols):
+        p, xs, width = _mapped(piece, us, cols)
         ln_es = log_e_flat(params, xs)
         with np.errstate(divide="ignore"):
-            return rho_v[cols] * np.exp(a * sig[cols] * np.log(xs)
-                                        + np.maximum(Xs[cols] * ln_es, -745.0))
+            return width * np.exp(a * sig[p] * np.log(xs) + np.maximum(Xs[p] * ln_es, -745.0))
 
-    out, _, _ = _tanh_sinh(zt2_left, 0.0, 1.0, cfg.tol_1d, EndpointSpec(exponent_lo=a * sig),
-                           k=sig.size)
-    out *= np.exp(-denom * np.log(lam)) / denom
-    right = np.flatnonzero(rho_v < params.r1)
-    if not right.size:
-        return out
-    lo, width, s = rho_v[right], params.r1 - rho_v[right], sig[right]
-
-    def zt2_right(us, cols):
-        xs = lo[cols] + width[cols] * us
+    def zt2_right(piece, us, cols):
+        p, xs, width = _mapped(piece, us, cols)
         ln_es = log_e_flat(params, xs)
-        return width[cols] * np.exp(a * s[cols] * np.log(xs) + q * s[cols] * ln_es)
+        return width * np.exp(a * sig[p] * np.log(xs) + q * sig[p] * ln_es)
 
-    val, _, _ = _tanh_sinh(zt2_right, 0.0, 1.0, cfg.tol_1d, None, k=right.size)
-    out[right] += np.exp(denom[right] * math.log(params.r2)) / denom[right] * val
-    return out
+    left = _on_pieces(zt2_left, pieces[:1], cfg.tol_1d, sig.size)[0]
+    right = _on_pieces(zt2_right, pieces[1:], cfg.tol_1d, sig.size)[0]
+    return (left * (np.exp(-denom * np.log(lam)) / denom)
+            + np.exp(denom * math.log(params.r2)) / denom * right)
 
 
 def ztilde2(params: FamilyParams, lam: float, sigma: float,
@@ -634,20 +607,20 @@ def ztilde2(params: FamilyParams, lam: float, sigma: float,
     with rho = rho(lam r2).  The lower limit rho > 0 keeps the growing factor
     e^(-s/x^p) finite on the second piece.
     """
-    X = _check_slice(params, lam, sigma)
-    return float(_ztilde2_values(params, np.array([lam]), np.array([sigma]), np.array([X]),
-                                 cfg)[0])
+    return float(_ztilde2_values(params, *_one_pair(params, lam, sigma), cfg)[0])
 
 
 def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
                cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Direct iterated quadrature of x^(a s) y^(b s) over {lambda y >= e(x)},
-    for cross-checking the 1D reduction."""
-    X = _check_slice(params, lam, sigma)
+    for cross-checking the 1D reduction: its own inner quadrature on each
+    column, on the slice pieces of ztilde1."""
+    _, _, (X,), pieces = _one_pair(params, lam, sigma)
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
     w_floor = _w_floor(X, lnY2)
 
-    def outer(xs, cols):
+    def zt1_2d(piece, us, cols):
+        _, xs, width = _mapped(piece, us, cols)
         x = xs[:, 0]
         ln_c = log_e_flat(params, x) - ln_lam
         out = np.zeros_like(x)
@@ -657,18 +630,19 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
                                     np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
         with np.errstate(divide="ignore", over="ignore"):
             out *= np.exp(params.a * sigma * np.log(x))
-        return out[:, None]
+        return width * out[:, None]
 
-    return float(_panels(outer, _kink_cuts(params, lam), params.a * sigma, cfg)[0][0])
+    return float(_on_pieces(zt1_2d, pieces, cfg.tol_2d, 1)[0][0])
 
 
 def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
                cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Direct iterated quadrature of x^(a s) y^((b-q)s) e^(-s/x^p) over
-    {lambda y < e(x)}, for cross-checking the two-piece reduction.  The inner
-    integral is v0 m^((b-q)s+1), m = min(e(x)/lambda, r2), with v0 the
-    quadrature of v^((b-q)s) over (0, 1)."""
-    _check_slice(params, lam, sigma)
+    {lambda y < e(x)}, for cross-checking the two-piece reduction, on the
+    slice pieces of ztilde2.  The inner integral is v0 m^((b-q)s+1),
+    m = min(e(x)/lambda, r2), with v0 the quadrature of v^((b-q)s) over
+    (0, 1)."""
+    *_, pieces = _one_pair(params, lam, sigma)
     a, q = params.a, params.q
     bq = (params.b - params.q) * sigma
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
@@ -679,16 +653,17 @@ def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
 
     v0 = integrate_1d(fv, 0.0, 1.0, EndpointSpec(exponent_lo=bq), cfg.tol_2d / 5.0).value
 
-    def outer(xs):
+    def zt2_2d(piece, us, cols):
+        _, xs, width = _mapped(piece, us, cols)
         ln_es = log_e_flat(params, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             ln_col = (a * sigma * np.log(xs) + q * sigma * ln_es
                       + (bq + 1.0) * np.minimum(ln_es - ln_lam, lnY2))
             # where ln e = -inf, ln_col is inf - inf; the column vanishes there
-            return np.where((ln_es > -np.inf) & (ln_col >= -740.0), np.exp(ln_col) * v0, 0.0)
+            col = np.where((ln_es > -np.inf) & (ln_col >= -740.0), np.exp(ln_col) * v0, 0.0)
+        return width * col
 
-    return float(_panels(lambda xs, cols: outer(xs[:, 0])[:, None], _kink_cuts(params, lam),
-                         a * sigma, cfg)[0][0])
+    return float(_on_pieces(zt2_2d, pieces, cfg.tol_2d, 1)[0][0])
 
 
 # ---------------------------------------------------------------------------
