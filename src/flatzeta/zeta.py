@@ -33,7 +33,11 @@ of the region columns are clipped at log r2 - 800/X (_w_floor); below it
 the neglected mass is under e^-800 of the column.  A z1 (column, sigma) pair
 clipped there whose flat factor is within e^-40 of 1 on its interval is the
 monomial column r2^X/X, with no quadrature, as the bump-weighted columns
-with a dead flat factor share one E = 0 column.  The inner integrands that
+with a dead flat factor share one E = 0 column.  The sigmas of one
+bump-weighted column share its row of the inner calls: the abscissae, the
+flat factor and the bump increment are evaluated once per (node, row) and
+only the sigma-dependent exponential per (node, sigma) (_runs), in the same
+operations, so every component keeps its bits.  The inner integrands that
 are smooth up to both ends (_w_integrals, the bump-weighted _v_integrals)
 declare no endpoint, so their lower end is sampled no deeper than the upper.
 
@@ -179,54 +183,92 @@ def _inner_far(X, lnT, ln_e, K):
     return np.exp(X * lnT) * -np.expm1(X * (ln_e - lnT)) / X + np.exp(X * ln_e) * K
 
 
-def _v_integrals(params: FamilyParams, sigma, s_hi: np.ndarray,
+def _runs(row: np.ndarray, cols: np.ndarray):
+    """The rows R of the components cols, one per run of equal rows (a
+    caller's rows come sorted, so a run is every live component of a row),
+    and each component's index into R; None where every run is one
+    component long."""
+    rc = row[cols]
+    new = np.empty(rc.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(rc[1:], rc[:-1], out=new[1:])
+    R = rc[new]
+    return R, (None if R.size == rc.size else np.cumsum(new) - 1)
+
+
+def _cells(at, coef, A, sig, B, scale, wt):
+    """scale exp(coef A + sig B) [wt] per (node, component) from the
+    per-row (n, rows) A, B, wt and (rows,) scale, gathered by at (_runs),
+    and the per-component coef and sig; in place, in that order of
+    operations, so a component's values do not depend on its row's sharing."""
+    if at is not None:
+        A, B, scale = A[:, at], B[:, at], scale[at]
+        wt = None if wt is None else wt[:, at]
+    out = coef * A
+    out += np.multiply(B, sig, out=B)
+    np.exp(out, out=out)
+    out *= scale
+    return out if wt is None else np.multiply(out, wt, out=out)
+
+
+def _v_integrals(params: FamilyParams, sigma, row: np.ndarray, s_hi: np.ndarray,
                  weight: Optional[Callable], tol: float):
-    """int_0^{s_hi[i]} v^((b-q)s) (1+v^q)^s [weight(v, cols)] dv for every
-    entry of s_hi (s = sigma, or sigma[i]), as one vector quadrature
-    (components as in _tanh_sinh).  Each interval is mapped onto u in (0, 1)
-    by v = s_hi u inside the integrand, so all components share the nodes.
+    """int_0^{s_hi[row[i]]} v^((b-q)s) (1+v^q)^s [weight(v, rows)] dv for
+    every component i of row (s = sigma, or sigma[i]), as one vector
+    quadrature (components as in _tanh_sinh).  Each interval is mapped onto
+    u in (0, 1) by v = s_hi u inside the integrand, so all components share
+    the nodes.  The components of a row share its interval and weight: v,
+    log v, log1p(v^q) and weight(v, rows) are evaluated once per live row
+    (_runs), and only h exp((b-q)s log v + s log1p(v^q)) per component.
 
     Without weight, v = 0 is the declared endpoint v^((b-q)s).  A weight
     must vanish like v^2 at 0 (the bump y-increment does), so that the
     integrand is O(v^((b-q)s + 2)) and both ends are regular.
 
     Returns (values, errors, evaluations)."""
-    sig = np.broadcast_to(sigma, s_hi.shape)
+    sig = np.broadcast_to(sigma, row.shape)
     bq = (params.b - params.q) * sig
     q = params.q
 
     def f(us, cols):
-        h = s_hi[cols]
+        R, at = _runs(row, cols)
+        h = s_hi[R]
         vs = h * us
         with np.errstate(divide="ignore"):
-            out = h * np.exp(bq[cols] * np.log(vs) + sig[cols] * np.log1p(vs**q))
-        return out * weight(vs, cols) if weight is not None else out
+            lv, l1 = np.log(vs), np.log1p(vs**q)
+        return _cells(at, bq[cols], lv, sig[cols], l1, h,
+                      None if weight is None else weight(vs, R))
 
     ends = EndpointSpec(exponent_lo=bq) if weight is None else None
-    return _tanh_sinh(f, 0.0, 1.0, tol, ends, k=s_hi.size)
+    return _tanh_sinh(f, 0.0, 1.0, tol, ends, k=row.size)
 
 
-def _w_integrals(q: int, sigma, X, lnE: np.ndarray, w_lo: np.ndarray,
+def _w_integrals(q: int, sigma, X, row: np.ndarray, lnE: np.ndarray, w_lo: np.ndarray,
                  w_hi: float, tol: float, weight=None):
-    """int_{w_lo[i]}^{w_hi} e^(X w) (1 + E_i e^(-q w))^s [weight(w)] dw for
-    every entry of w_lo (w = log y, log E_i = lnE[i], -inf for no flat term;
-    s and X floats or per entry), as one vector quadrature.  Each interval is
-    mapped onto u in (0, 1) by w = w_lo + (w_hi - w_lo) u inside the
-    integrand, so an interval narrow against |w| samples distinct abscissae.
+    """int_{w_lo[r]}^{w_hi} e^(X w) (1 + E_r e^(-q w))^s [weight(w)] dw for
+    every component i of row, r = row[i] (w = log y, log E_r = lnE[r],
+    -inf for no flat term; s and X floats or per component), as one vector
+    quadrature.  Each interval is mapped onto u in (0, 1) by
+    w = w_lo + (w_hi - w_lo) u inside the integrand, so an interval narrow
+    against |w| samples distinct abscissae.  The components of a row share
+    w, the flat factor log1p(E e^(-q w)) and weight(w), evaluated once per
+    live row (_runs); only width e^(X w + s log1p(...)) is per component.
     The integrand is smooth up to both ends, so u is sampled no closer to 0
     than to 1 (endpoints None): deeper nodes would round onto w_lo.
 
     Returns (values, errors, evaluations)."""
     width = w_hi - w_lo
-    sig, Xw = np.broadcast_to(sigma, w_lo.shape), np.broadcast_to(X, w_lo.shape)
+    sig, Xw = np.broadcast_to(sigma, row.shape), np.broadcast_to(X, row.shape)
 
     def f(us, cols):
-        ws = w_lo[cols] + width[cols] * us
-        t = np.exp(np.minimum(lnE[cols] - q * ws, 700.0))
-        out = width[cols] * np.exp(Xw[cols] * ws + sig[cols] * np.log1p(t))
-        return out * weight(ws) if weight is not None else out
+        R, at = _runs(row, cols)
+        wid = width[R]
+        ws = w_lo[R] + wid * us
+        lf = np.log1p(np.exp(np.minimum(lnE[R] - q * ws, 700.0)))
+        return _cells(at, Xw[cols], ws, sig[cols], lf, wid,
+                      None if weight is None else weight(ws))
 
-    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=w_lo.size)
+    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=row.size)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +341,8 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
     if bump is not None:
         # log-variable piece of the columns with m <= y_dead and (1 + E e^(-q w))^s
         # within 4e-18 of 1 on (y_dead, Y2): one E = 0 column per sigma
-        dead_col, _, ev = _w_integrals(q, sigmas, Xs, np.full(k, -np.inf), np.full(k, ln_dead),
-                                       lnY2, mini_tol, weight=increment)
+        dead_col, _, ev = _w_integrals(q, sigmas, Xs, np.zeros(k, dtype=int), np.array([-np.inf]),
+                                       np.array([ln_dead]), lnY2, mini_tol, weight=increment)
         state["ev"] += ev
 
     def inner_plain(ln_es, lnE, cols):
@@ -319,14 +361,19 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
         total = np.zeros((ln_es.size, cols.size))
         e_x = np.where(ln_es > -np.inf, np.exp(np.maximum(ln_es, -745.0)), 0.0)
         m = np.minimum(e_x, Y2)
+
+        def pairs(rows):    # rows x cols row-major: each pair's index into rows, its sigma
+            return np.repeat(np.arange(rows.size), cols.size), np.tile(cols, rows.size)
+
         rows = np.flatnonzero(m > y_dead)
         if rows.size:      # scaled piece over (0, m), y = e(x) v
-            r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
-            e_v = e_x[r]
-            val, _, ev = _v_integrals(params, sigmas[c], np.minimum(1.0, np.exp(lnY2 - ln_es[r])),
-                                      lambda vs, cc: bump_y_increment(bump, e_v[cc] * vs),
+            row, c = pairs(rows)
+            e_v, ln_ev = e_x[rows], ln_es[rows]
+            s_hi = np.minimum(1.0, np.exp(lnY2 - ln_ev))
+            val, _, ev = _v_integrals(params, sigmas[c], row, s_hi,
+                                      lambda vs, rr: bump_y_increment(bump, e_v[rr] * vs),
                                       mini_tol)
-            total[rows] += (np.exp(np.maximum(Xs[c] * ln_es[r], -745.0)) * val).reshape(
+            total[rows] += (np.exp(np.maximum(Xs[c] * ln_ev[row], -745.0)) * val).reshape(
                 rows.size, cols.size)
             state["ev"] += ev
         with np.errstate(divide="ignore"):
@@ -335,9 +382,9 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
         total[dead] += dead_col[cols]
         rows = np.flatnonzero((m < Y2) & ~dead)
         if rows.size:      # log-variable piece over (m, Y2)
-            r, c = np.repeat(rows, cols.size), np.tile(cols, rows.size)
-            val, _, ev = _w_integrals(q, sigmas[c], Xs[c], lnE[r], w_lo[r], lnY2, mini_tol,
-                                      weight=increment)
+            row, c = pairs(rows)
+            val, _, ev = _w_integrals(q, sigmas[c], Xs[c], row, lnE[rows], w_lo[rows], lnY2,
+                                      mini_tol, weight=increment)
             total[rows] += val.reshape(rows.size, cols.size)
             state["ev"] += ev
         return total
@@ -416,6 +463,18 @@ def _w_floor(X, lnY2: float):
     return lnY2 - 800.0 / X
 
 
+def _slice_rho(params: FamilyParams, lam):
+    """rho(lam r2), where the slice lambda y = e(x) meets the box top, for
+    lam a float or an array: the one check, shared by every slice integral
+    and the G/H/J parts, that raises DegenerateLowerLimit where it underflows
+    to 0 (lam r2 so small that the slice has no x-extent in doubles)."""
+    x1 = rho(params, lam * params.r2)
+    if not np.all(x1 > 0.0):
+        at = np.argmin(np.atleast_1d(x1) > 0.0)
+        raise DegenerateLowerLimit(f"rho({np.atleast_1d(lam)[at] * params.r2}) underflowed to 0")
+    return x1
+
+
 def _slice_pieces(params: FamilyParams, lam: np.ndarray, sig: np.ndarray):
     """The x-pieces of the slice lambda y = e(x) for every pair (lam[i],
     sig[i]), each ((pairs, lo, width), endpoints) with x = lo + width u on
@@ -425,10 +484,8 @@ def _slice_pieces(params: FamilyParams, lam: np.ndarray, sig: np.ndarray):
     x = x1 + (r1 - x1) u of the kinked pairs is declared regular, so its
     lower end is sampled no deeper than its upper one, not at the offsets
     far below eps that round onto the kink.  A rho that underflows to 0
-    raises DegenerateLowerLimit, before any quadrature."""
-    x1 = np.minimum(rho(params, lam * params.r2), params.r1)
-    if not np.all(x1 > 0.0):
-        raise DegenerateLowerLimit(f"rho({lam[np.argmin(x1 > 0.0)] * params.r2}) underflowed to 0")
+    raises DegenerateLowerLimit (_slice_rho), before any quadrature."""
+    x1 = np.minimum(_slice_rho(params, lam), params.r1)
     kinked, k = np.flatnonzero(x1 < params.r1), sig.size
     return [((np.arange(k), np.zeros(k), x1), EndpointSpec(exponent_lo=params.a * sig)),
             ((kinked, x1[kinked], params.r1 - x1[kinked]), None)]
@@ -484,7 +541,8 @@ def region_samples(params: FamilyParams, lams, sigmas,
     pieces = _slice_pieces(params, lam, sig)
 
     # inner scaled integral over the full unclipped slice, shared by all columns
-    v_unclipped = _v_integrals(params, sig, 1.0 / lam, None, mini_tol)[0]
+    v_unclipped = _v_integrals(params, sig, np.repeat(np.arange(len(lams)), n_sig),
+                               1.0 / np.array(lams, dtype=float), None, mini_tol)[0]
 
     def x_power(xs, p):
         with np.errstate(divide="ignore", over="ignore"):
@@ -497,8 +555,8 @@ def region_samples(params: FamilyParams, lams, sigmas,
         v = np.tile(v_unclipped[p], (ln_es.shape[0], 1))
         r, c = np.nonzero(ln_es - ln_lam[p] > lnY2)    # the slice e(x)/lambda leaves the box
         if r.size:
-            v[r, c] = _v_integrals(params, sig[p[c]], np.exp(lnY2 - ln_es[r, c]), None,
-                                   mini_tol)[0]
+            v[r, c] = _v_integrals(params, sig[p[c]], np.arange(r.size),
+                                   np.exp(lnY2 - ln_es[r, c]), None, mini_tol)[0]
         return width * eX * v * x_power(xs, p)
 
     def z1_column(piece, us, cols):
@@ -516,8 +574,8 @@ def region_samples(params: FamilyParams, lams, sigmas,
         r, c = np.nonzero(live & (ln_m < lnY2) & ~flat_dead)
         if r.size:
             pc = p[c]
-            out[r, c] = _w_integrals(q, sig[pc], Xs[pc], lnE[r, c], w_lo[r, c], lnY2,
-                                     mini_tol)[0]
+            out[r, c] = _w_integrals(q, sig[pc], Xs[pc], np.arange(r.size), lnE[r, c],
+                                     w_lo[r, c], lnY2, mini_tol)[0]
         return width * out * x_power(xs, p)
 
     z1, e1 = _on_pieces(z1_column, pieces, cfg.tol_2d, k)
@@ -626,7 +684,8 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
         out = np.zeros_like(x)
         sel = ln_c < lnY2
         if sel.any():     # int_c^r2 y^(X-1) dy in w = log y, c = e(x)/lambda
-            out[sel] = _w_integrals(params.q, sigma, X, np.full(np.count_nonzero(sel), -np.inf),
+            n = np.count_nonzero(sel)
+            out[sel] = _w_integrals(params.q, sigma, X, np.arange(n), np.full(n, -np.inf),
                                     np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
         with np.errstate(divide="ignore", over="ignore"):
             out *= np.exp(params.a * sigma * np.log(x))
@@ -692,7 +751,7 @@ def g_pieces(params: FamilyParams, lam: float, sigma: float,
     rt2 = lam * params.r2
     ln_rt2 = math.log(rt2)
     rt2X = math.exp(X * ln_rt2)
-    U = rho(params, rt2) * math.exp(-math.log(X) * float(1 / params.p))
+    U = _slice_rho(params, lam) * math.exp(-math.log(X) * float(1 / params.p))
 
     def e_of(us):
         ln_es = log_e_flat(params, us)
@@ -721,8 +780,7 @@ def h_pieces(params: FamilyParams, lam: float, sigma: float,
     H2 = int_1^U (q^-1 / u - u^(a s)(1 - e(u))) du, so G2 = H1 - H2."""
     X = _check_slice(params, lam, sigma)
     a, q = params.a, params.q
-    rt2 = lam * params.r2
-    rho_v = rho(params, rt2)
+    rho_v = _slice_rho(params, lam)
     p = params.p_float
     U = rho_v * math.exp(-math.log(X) / p)
     h1 = (math.log(rho_v) - math.log(X) / p) / q
@@ -744,7 +802,7 @@ def j_pieces(params: FamilyParams, lam: float, sigma: float,
     X = _check_slice(params, lam, sigma)
     a = params.a
     rt2 = lam * params.r2
-    rho_v = rho(params, rt2)
+    rho_v = _slice_rho(params, lam)
     lamX = math.exp(-X * math.log(lam))
 
     def f(xs):

@@ -389,7 +389,9 @@ def test_zeta_quadrant_error_meets_tolerance_at_small_X(b):
 @pytest.mark.parametrize("bump", [None, BumpSpec(0.5, 0.5)], ids=["quadrant", "weighted"])
 def test_zeta_samples_match_one_sigma_calls(bump):
     # each sigma of a batch is one component of the vector quadratures and
-    # returns its one-sigma call's value and error
+    # returns its one-sigma call's value and error; the weighted inner
+    # columns share their per-row factors among the sigmas of a row, and
+    # each sigma still gets its one-sigma call's bits
     eps = np.finfo(float).eps
     for params, x0, flat in (BATCH_CASES if bump is None else WEIGHTED_CASES):
         sched = make_schedule(x0, 0.5, 14, params.b)
@@ -399,8 +401,39 @@ def test_zeta_samples_match_one_sigma_calls(bump):
             one = (zeta_quadrant(params, s, CFG, flat=flat) if bump is None
                    else zeta_weighted(params, bump, s, CFG, flat=flat))
             assert (z.sigma, z.X) == (one.sigma, one.X)
-            assert abs(z.value - one.value) <= 4.0 * eps * one.value
-            assert abs(z.error - one.error) <= 4.0 * eps * one.value
+            if bump is None:
+                assert abs(z.value - one.value) <= 4.0 * eps * one.value
+                assert abs(z.error - one.error) <= 4.0 * eps * one.value
+            else:
+                assert (z.value, z.error) == (one.value, one.error)
+
+
+def test_weighted_inner_rows_share_the_bump_increment(monkeypatch):
+    # the components of one inner row (one outer abscissa, its live sigmas)
+    # share the mapped abscissae, the flat factor and the bump increment:
+    # the increment is evaluated once per (node, row), not per (node, sigma)
+    count = {"increment": 0, "cells": 0}
+    real_increment, real_tanh_sinh = zeta_mod.bump_y_increment, zeta_mod._tanh_sinh
+
+    def increment(spec, y):
+        count["increment"] += np.size(y)
+        return real_increment(spec, y)
+
+    def tanh_sinh(f, *args, **kwargs):
+        if f.__qualname__.split(".")[0] in ("_w_integrals", "_v_integrals"):
+            def counted(us, cols):
+                out = f(us, cols)
+                count["cells"] += out.size
+                return out
+            return real_tanh_sinh(counted, *args, **kwargs)
+        return real_tanh_sinh(f, *args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "bump_y_increment", increment)
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    sched = make_schedule(0.1, 0.5, 14, CRIT.b)
+    zeta_samples(CRIT, BumpSpec(0.5, 0.5), sched.sigmas, CFG, flat=True)
+    assert count["increment"] > 0
+    assert count["increment"] <= count["cells"] / 4
 
 
 @pytest.mark.parametrize("flat", [True, False])
@@ -645,9 +678,9 @@ def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
     real_w, real_ts = zeta_mod._w_integrals, zeta_mod._tanh_sinh
     sent, columns = [], []
 
-    def w_integrals(q_, sigma, X, lnE, w_lo, *args, **kwargs):
-        sent.append((np.broadcast_to(X, w_lo.shape).copy(), lnE.copy(), w_lo.copy()))
-        return real_w(q_, sigma, X, lnE, w_lo, *args, **kwargs)
+    def w_integrals(q_, sigma, X, row, lnE, w_lo, *args, **kwargs):
+        sent.append((np.broadcast_to(X, row.shape).copy(), lnE[row], w_lo[row]))
+        return real_w(q_, sigma, X, row, lnE, w_lo, *args, **kwargs)
 
     def tanh_sinh(f, *args, **kwargs):
         if getattr(f, "func", None) is not None and f.func.__name__ == "z1_column":
@@ -684,24 +717,27 @@ def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
 
 
 def test_v_integrals_match_scalar_calls_on_own_intervals():
-    # each interval (0, s_hi[i]) is mapped onto (0, 1) inside the integrand;
-    # every component still returns the one-component call on its own interval
-    sigma = (2.0 ** -8 - 1.0) / 2.0
-    bq = (GREEN.b - GREEN.q) * sigma
+    # each row's interval (0, s_hi[r]) is mapped onto (0, 1) inside the
+    # integrand, and the components of a row share its per-row factors;
+    # every component still returns the one-component call on its own
+    # interval with its own sigma
     s_hi = np.array([1.0, 0.37, 2.5, 1e-3, 40.0])
+    row = np.array([0, 1, 1, 2, 3, 3, 3, 4])
+    sigma = (np.array([8.0, 8.0, 3.0, 8.0, 8.0, 5.0, 11.0, 8.0]) ** -1 - 1.0) / 2.0
+    bq = (GREEN.b - GREEN.q) * sigma
 
-    def weight(vs, cols):      # differs per component, and vanishes like v^2
-        return vs**2 * (1.0 + np.cos(3.0 * vs) / (1.0 + cols))
+    def weight(vs, rows):      # differs per row, and vanishes like v^2
+        return vs**2 * (1.0 + np.cos(3.0 * vs) / (1.0 + rows))
 
     for w in (None, weight):
-        values, errors, _ = _v_integrals(GREEN, sigma, s_hi, w, tol=1e-12)
-        ends = EndpointSpec(exponent_lo=bq) if w is None else None
-        for i, h in enumerate(s_hi):
+        values, errors, _ = _v_integrals(GREEN, sigma, row, s_hi, w, tol=1e-12)
+        for i, (r, s, e_lo) in enumerate(zip(row, sigma, bq)):
             def f(vs, cols):
-                out = np.exp(bq * np.log(vs) + sigma * np.log1p(vs**GREEN.q))
-                return out if w is None else out * w(vs, np.array([i]))
+                out = np.exp(e_lo * np.log(vs) + s * np.log1p(vs**GREEN.q))
+                return out if w is None else out * w(vs, np.array([r]))
 
-            (v,), (e,), _ = _tanh_sinh(f, 0.0, h, 1e-12, ends, k=1)
+            ends = EndpointSpec(exponent_lo=e_lo) if w is None else None
+            (v,), (e,), _ = _tanh_sinh(f, 0.0, s_hi[r], 1e-12, ends, k=1)
             assert abs(values[i] - v) <= 4.0 * np.finfo(float).eps * abs(v)
             assert abs(errors[i] - e) <= 4.0 * np.finfo(float).eps * abs(v)
 
@@ -714,7 +750,8 @@ def test_flat_dead_bump_columns_equal_the_e0_column():
     ln_dead = lnY2 + math.log(1e-9)
     lnE = np.array([-np.inf, q * ln_dead - 40.0, q * ln_dead - 300.0])
     for X in (0.125, 2.0 ** -8, 1e-5):
-        vals, _, _ = _w_integrals(q, (X - 1.0) / 2.0, X, lnE, np.full(3, ln_dead), lnY2, 1e-10,
+        vals, _, _ = _w_integrals(q, (X - 1.0) / 2.0, X, np.arange(3), lnE,
+                                  np.full(3, ln_dead), lnY2, 1e-10,
                                   weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
         assert np.all(np.abs(vals[1:] - vals[0]) <= 4.0 * np.finfo(float).eps * abs(vals[0]))
 
@@ -973,12 +1010,15 @@ def test_nan_exponent_out_of_window(j):
     pytest.param(lambda p, lam, s: ztilde2(p, lam, s, CFG), id="ztilde2"),
     pytest.param(lambda p, lam, s: ztilde1_2d(p, lam, s, CFG), id="ztilde1_2d"),
     pytest.param(lambda p, lam, s: ztilde2_2d(p, lam, s, CFG), id="ztilde2_2d"),
+    pytest.param(lambda p, lam, s: g_pieces(p, lam, s, CFG), id="g_pieces"),
+    pytest.param(lambda p, lam, s: h_pieces(p, lam, s, CFG), id="h_pieces"),
+    pytest.param(lambda p, lam, s: j_pieces(p, lam, s, CFG), id="j_pieces"),
 ])
 def test_degenerate_lower_limit(monkeypatch, call):
     # lam r2 so tiny that rho underflows to exact zero: needs a very small p
     # so the inverse profile (1/(q |log y|))^(1/p) collapses below fp range.
-    # The slice pieces reject it once for every slice integral, before any
-    # quadrature and without a warning
+    # One check (_slice_rho) rejects it for every slice integral and every
+    # proof-level part, before any quadrature and without a warning
     def no_quadrature(*args, **kwargs):
         raise AssertionError("a quadrature ran")
 
