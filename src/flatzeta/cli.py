@@ -285,7 +285,8 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
         if classify_regime(params).kind is RegimeKind.SUBCRITICAL_FLAT:
             reports.append(verify_LM_limits(params, numeric))
     if suite in ("landau", "all"):
-        reports.append(landau_taylor_rebuild(params, bump, 0.5, -0.3, 40,
+        # the target inside the window (-1/b, 0) for every b: -0.3 at b = 2
+        reports.append(landau_taylor_rebuild(params, bump, 0.5, -0.6 / params.b, 40,
                                              numeric, flat=False))
     if plot_path and plot_doc:
         Path(plot_path).write_text(plot_doc, encoding="utf-8", newline="")

@@ -10,7 +10,7 @@ return arrays of the same length; it runs on the one refinement loop
 `_tanh_sinh` as a call with a single component.  Iterated 2D integrals are
 built on the loop in flatzeta.zeta: one call integrates all inner columns of
 one outer level at once on a shared interval, each column, or each group of
-moment columns of one abscissa, retiring at its own level.  A component
+moment columns of one inner row, retiring at its own level.  A component
 stops on one rule, its step between levels within tol of its value, and
 every call refines at most MAX_LEVELS times.
 

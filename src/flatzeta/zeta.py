@@ -26,9 +26,14 @@ Region pieces, the auxiliary reductions ztilde1/ztilde2 and the proof-level
 G/H/J parts are computed by independent quadratures in scaled variables, so
 the identity checks compare the closed-form Z with quadratures.  In every
 iterated integral the inner integrals of one outer level (the bump-weighted
-correction of zeta_weighted, the region columns, the 2D reductions, the
-log-derivative moments) are batched into one vector _tanh_sinh call per
-piece, each column retiring at its own level.  Log-variable inner integrals
+correction of zeta_weighted, the region columns, the 2D reductions) are
+batched into one vector _tanh_sinh call per piece, each column retiring at
+its own level.  The log-derivative moments share more: their inner
+y-moments of log f_y see x only through log E(x), so each distinct log E
+is one row of moments, computed once per call, and the outer column
+recombines the rows binomially in a log x; without the flat term every
+abscissa shares the E = 0 row, and the pass is one inner and one outer 1D
+quadrature (log_derivative_moments).  Log-variable inner integrals
 of the region columns are clipped at log r2 - 800/X (_w_floor); below it
 the neglected mass is under e^-800 of the column.  A z1 (column, sigma) pair
 clipped there whose flat factor is within e^-40 of 1 on its interval is the
@@ -64,6 +69,7 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln, hyp2f1, psi, zeta as hurwitz_zeta
 
 from .errors import (
@@ -83,7 +89,7 @@ from .funcs import (
     rho,
 )
 from .model import DEFAULT_CONFIG, FamilyParams, NumericConfig
-from .quad import EndpointSpec, _tanh_sinh, integrate_1d
+from .quad import _OFF_MIN, EndpointSpec, _tanh_sinh, integrate_1d
 
 
 @dataclass(frozen=True)
@@ -840,48 +846,77 @@ def _check_log_moments(params: FamilyParams, bump: BumpSpec, s: float, j,
 def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: int,
                            cfg: NumericConfig = DEFAULT_CONFIG, *,
                            flat: bool = True) -> np.ndarray:
-    """D_0(s), ..., D_J(s) over the plane (4x quadrant) as one array, from a
-    single iterated quadrature whose integrands are the J + 1 columns
-    |f|^s (log|f|)^j phi on shared nodes.  The J + 1 moments of one abscissa
-    are one group of the vector calls (see _tanh_sinh), so they stop
-    refining together, once every moment has converged; the inner integrals
-    of all abscissae of an outer level are one call with a group each.
-    Requires |f| < 1 on the support, so that sign(D_j) = (-1)^j."""
+    """D_0(s), ..., D_J(s) over the plane (4x quadrant) as one array.  As
+    |f| = x^a f_y with f_y = y^(b-q) (y^q + E(x)), the binomial theorem gives
+
+        D_j = int x^(a s) phi_x sum_k C(j, k) (a log x)^(j-k) N_k(E(x)) dx,
+        N_k(E) = int_0^R2 f_y^s (log f_y)^k phi_y dy,
+
+    so the inner integrals see x only through log E(x).  Each distinct
+    log E is one row N_0..N_J, computed once per call and kept in a dict
+    local to it; the rows new to an outer level are one vector _tanh_sinh
+    call with a group of J + 1 moments per row, which stop refining
+    together, and the outer column recombines them.  A flat term below
+    e^-40 of y^q at every inner node is lost in rounding, so such a row is
+    the E = 0 row, as is every row without the flat term: the pass is then
+    one inner and one outer 1D quadrature.  Requires |f| < 1 on the
+    support, so that sign(D_j) = (-1)^j.  Where also x <= 1 and f_y <= 1
+    (R1 <= 1 and R2^(b-q) (R2^q + E(R1)) <= 1), a log x <= 0 and
+    log f_y <= 0, so every recombined term has the sign (-1)^j and the sum
+    cancels nothing."""
     J = _check_log_moments(params, bump, s, J, flat)
     a, b, q, G = params.a, params.b, params.q, J + 1
-    # where E(x) is far below y^q the integrand goes as y^(b s) (log|f|)^j
+    # where E(x) is far below y^q the integrand goes as y^(b s) (log f_y)^k
     ep_y = EndpointSpec(exponent_lo=b * s if s < 0 else 0.0)
+    # log E below this keeps E under e^-40 y^q down to the deepest inner node
+    # (offset _OFF_MIN), where it moves log f_y by under 5e-18: the E = 0 row
+    ln_dead = q * math.log(bump.R2 * _OFF_MIN) - 40.0
+    fact = np.cumprod(np.maximum(np.arange(G), 1.0))      # j!
+    rows: dict[float, np.ndarray] = {}      # log E -> N_0..N_J
+
+    def fy(lnE, ys, cols):      # whole groups: the moments of the rows cols[::G] // G
+        lny = np.log(ys[:, 0])
+        ln_fy = (b - q) * lny + np.logaddexp(q * lny, lnE[cols[::G] // G, None])
+        # (log f_y)^k f_y^s phi_y per (row, k, node): each power is one product
+        # of contiguous rows, and the (node, component) values _tanh_sinh sums
+        # are a transposed view.  The products may overflow at the deepest
+        # nodes next to a singular endpoint, which _tanh_sinh drops
+        pows = np.empty((ln_fy.shape[0], G, lny.size))
+        pows[:, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, G):
+                np.multiply(pows[:, k - 1], ln_fy, out=pows[:, k])
+            pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0]))[:, None]
+        return pows.reshape(-1, lny.size).T
 
     def column(xs, cols):      # cols is every moment: the one group
         x = xs[:, 0]
         ln_es = log_e_flat(params, x) if flat else np.full_like(x, -np.inf)
         with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
             lnE = q * ln_es
+        lnE[lnE < ln_dead] = -np.inf
+        keys, at = np.unique(lnE, return_inverse=True)
+        keys = keys.tolist()
+        fresh = [k for k in keys if k not in rows]
+        if fresh:
+            vals = _tanh_sinh(partial(fy, np.array(fresh)), 0.0, bump.R2, cfg.tol_2d / 5.0,
+                              ep_y, k=len(fresh) * G, group=G)[0]
+            rows.update(zip(fresh, vals.reshape(-1, G)))
+        n_k = np.array([rows[k] for k in keys])[at]
         lnx = np.log(x)
-
-        def fy(ys, cols):      # whole groups: the moments of the abscissae i
-            i = cols[::G] // G
-            lny = np.log(ys[:, 0])[:, None]
-            ln_fy = (b - q) * lny + np.logaddexp(q * lny, lnE[i])    # log|f| - a log x
-            pows = np.empty(ln_fy.shape + (G,))
-            pows[..., 0] = 1.0
-            pows[..., 1:] = (a * lnx[i] + ln_fy)[..., None]
-            # (log|f|)^j, the products np.vander takes; they may overflow at the
-            # deepest nodes next to a singular endpoint, which _tanh_sinh drops
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply.accumulate(pows[..., 1:], axis=-1, out=pows[..., 1:])
-                pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0])[:, None])[..., None]
-            return pows.reshape(ys.shape[0], -1)
-
-        vals = _tanh_sinh(fy, 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y, k=x.size * G,
-                          group=G)[0].reshape(x.size, G)
-        # x^(a s) is kept out of fy: where it falls below the normal range the
-        # inner values would carry its rounding noise, and refinement would
-        # chase that noise to the level cap
-        with np.errstate(over="ignore"):
-            vals *= np.exp(a * s * lnx)[:, None]
-        vals *= bump_x_profile(bump, x)[:, None]
-        return vals
+        with np.errstate(over="ignore", invalid="ignore"):
+            if a:
+                # D_j = N_j + j! sum_{d>=1} t_d N_(j-d) / (j-d)!, t_d = (a log x)^d / d!:
+                # a Cauchy product, summed by einsum over a sliding window of the
+                # zero-padded N_k / k!, a strided view, so no (n, G, G) copy is made
+                t = (a * lnx)[:, None] / np.arange(1.0, G)
+                np.multiply.accumulate(t, axis=1, out=t)
+                m_k = np.zeros((x.size, 2 * J))
+                m_k[:, J:] = n_k[:, :J] / fact[:J]
+                n_k += np.einsum("xji,xi->xj", sliding_window_view(m_k, J, axis=1),
+                                 t[:, ::-1]) * fact
+            n_k *= (np.exp(a * s * lnx) * bump_x_profile(bump, x))[:, None]
+        return n_k
 
     vals, _, _ = _tanh_sinh(column, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
                             k=G, group=G)

@@ -134,6 +134,17 @@ def test_verify_landau_suite(capsys):
     assert code == 0
 
 
+def test_verify_all_reaches_landau_at_b4(capsys):
+    # the landau target -0.6/b lies inside the window (-1/b, 0) at every b:
+    # a fixed -0.3 sits at or below -1/b for b >= 4, where the rebuild
+    # raised and the reports of the other suites were lost with it
+    code, out = run_cli(["verify", "--a", "1", "--b", "4", "--q", "2", "--p", "3/2",
+                         "--suite", "all"], capsys=capsys)
+    assert code == 0
+    landau = json.loads(out)["checks"][-1]
+    assert landau["id"] == "landau_taylor_rebuild" and landau["passed"]
+
+
 def test_verify_json_byte_identical(capsys):
     args = ["verify", "--preset", "greenblatt", "--suite", "landau"]
     _, out1 = run_cli(args, capsys=capsys)

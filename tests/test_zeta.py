@@ -867,25 +867,65 @@ def test_log_derivative_moments_match_per_j(s0, flat):
 
 
 def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
-    # the inner integrals of all abscissae of one outer level are one vector
-    # quadrature over (0, R2), with a group of J + 1 moments per abscissa
+    # the inner moments see x only through log E(x): one group of J + 1 per
+    # distinct row, computed once per call.  Without the flat term every
+    # abscissa shares the E = 0 row, so one inner call serves every outer
+    # level; with it each outer level makes one call for its rows not seen
+    # before, a flat term below e^-40 y^q at every inner node being the E = 0 row
     bump, J = BumpSpec(0.5, 0.25), 6
-    outer_levels, inner = [], []
+    ln_dead = GREEN.q * math.log(bump.R2 * zeta_mod._OFF_MIN) - 40.0
     real = zeta_mod._tanh_sinh
 
-    def tanh_sinh(f, lo, hi, *args, **kwargs):
-        if (lo, hi) == (0.0, bump.R1):
-            def counted(xs, cols):
-                outer_levels.append(xs.shape[0])
-                return f(xs, cols)
-            return real(counted, lo, hi, *args, **kwargs)
-        inner.append((lo, hi, kwargs["k"], kwargs["group"]))
-        return real(f, lo, hi, *args, **kwargs)
+    def calls(flat):
+        seen, expected, inner = set(), [], []
 
-    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    log_derivative_moments(GREEN, bump, 0.5, J, CFG, flat=True)
-    assert 3 <= len(outer_levels) <= 13
-    assert inner == [(0.0, bump.R2, n * (J + 1), J + 1) for n in outer_levels]
+        def tanh_sinh(f, lo, hi, *args, **kwargs):
+            if (lo, hi) == (0.0, bump.R1):
+                def counted(xs, cols):
+                    lnE = (GREEN.q * zeta_mod.log_e_flat(GREEN, xs[:, 0]) if flat
+                           else np.full(len(xs), -np.inf))
+                    rows = set(np.where(lnE < ln_dead, -np.inf, lnE).tolist()) - seen
+                    seen.update(rows)
+                    expected.append(len(rows) * (J + 1))
+                    return f(xs, cols)
+                return real(counted, lo, hi, *args, **kwargs)
+            assert (lo, hi, kwargs["group"]) == (0.0, bump.R2, J + 1)
+            inner.append(kwargs["k"])
+            return real(f, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+        log_derivative_moments(GREEN, bump, 0.5, J, CFG, flat=flat)
+        assert 3 <= len(expected) <= 13
+        return seen, expected, inner
+
+    _, _, inner = calls(False)
+    assert inner == [J + 1]
+    seen, expected, inner = calls(True)
+    assert inner == expected and all(k > 0 for k in inner)
+    assert -np.inf in seen      # the deepest abscissae share the E = 0 row
+
+
+@pytest.mark.parametrize("params,bump", [
+    (GREEN, BumpSpec(0.5, 0.5)),
+    (FamilyParams(1, 3, 2, Fraction(1, 4)), BumpSpec(0.5, 0.5)),
+    (FamilyParams(0, 2, 2, Fraction(2)), BumpSpec(0.5, 0.5)),
+    (GREEN, BumpSpec(1.5, 0.2)),
+], ids=["greenblatt", "1,3,2,1/4", "0,2,2,2", "greenblatt-R1=1.5"])
+def test_log_derivative_moments_flat_on_against_weighted_engine(params, bump):
+    # the flat-on moments at s0 < 0 against the weighted engine's D_0
+    # (_box_integral, closed-form inner columns): D_0 itself, D_1 and D_2
+    # against central differences.  On R1 = 1.5 a log x changes sign, so the
+    # recombined terms of one moment differ in sign
+    s0, h = -0.6 / params.b, 1e-4
+    moments = log_derivative_moments(params, bump, s0, 2, CFG, flat=True)
+
+    def d0(s):
+        return log_derivative_integral(params, bump, s, 0, CFG, flat=True)
+
+    up, mid, dn = d0(s0 + h), d0(s0), d0(s0 - h)
+    assert moments[0] == pytest.approx(mid, rel=1e-9)
+    assert moments[1] == pytest.approx((up - dn) / (2.0 * h), rel=1e-6)
+    assert moments[2] == pytest.approx((up - 2.0 * mid + dn) / h**2, rel=1e-4)
 
 
 @pytest.mark.parametrize("params", [GREEN, FamilyParams(1, 3, 2, Fraction(1, 4))],
@@ -903,8 +943,30 @@ def test_log_derivative_d0_nonnegative_s_is_a_product_of_1d_integrals(params, s)
     assert d0 == pytest.approx(4.0 * i_x * i_y, rel=1e-12)
 
 
+def test_log_derivative_moments_flat_off_are_binomial_sums_of_1d_moments():
+    # with the flat term off D_j = 4 sum_k C(j, k) M_(j-k) N_k over the 1D
+    # moments M_d of x^(a s) (a log x)^d phi_x and N_k of y^(b s) (b log y)^k
+    # phi_y.  At a = 6, J = 70 the powers of a log x + log f_y overflow at
+    # inner nodes far above the dropped deepest ones unless a log x stays
+    # out of the inner integrand
+    params, bump, s, J = FamilyParams(6, 7, 2, Fraction(1, 4)), BumpSpec(0.5, 0.5), -0.1, 70
+
+    def moments(c, R, profile):     # one 1D quadrature per d, as one vector call
+        def f(us, ds):      # the powers overflow at the deepest nodes, which are dropped
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.exp(c * s * np.log(us)) * (c * np.log(us)) ** ds * profile(bump, us)
+        return _tanh_sinh(f, 0.0, R, 1e-13, EndpointSpec(c * s), k=J + 1)[0].tolist()
+
+    m = moments(params.a, bump.R1, bump_x_profile)
+    n = moments(params.b, bump.R2, bump_y_profile)
+    ref = [4.0 * math.fsum(math.comb(j, k) * m[j - k] * n[k] for k in range(j + 1))
+           for j in range(J + 1)]
+    got = log_derivative_moments(params, bump, s, J, CFG, flat=False)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
 def test_log_derivative_moments_flat_on_deep_negative_s():
-    # q = b: the inner y-integrand goes as y^(b s) (log|f|)^j where E(x) is
+    # q = b: the inner y-integrand goes as y^(b s) (log f_y)^k where E(x) is
     # far below y^q, and its powers overflow at the deepest nodes
     bump = BumpSpec(0.5, 0.5)
     moments = log_derivative_moments(GREEN, bump, -0.3, 40, CFG, flat=True)
