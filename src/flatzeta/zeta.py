@@ -28,23 +28,28 @@ the identity checks compare the closed-form Z with quadratures.  In every
 iterated integral the inner integrals of one outer level (the bump-weighted
 correction of zeta_weighted, the region columns, the 2D reductions) are
 batched into one vector _tanh_sinh call per piece, each column retiring at
-its own level.  The log-derivative moments share more: their inner
+its own level.  The bump-weighted correction of a (column, sigma),
+int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is one scaled piece in
+y = e(x) v over v in (0, R2/e) (_increment_columns), so an outer level
+makes one inner call.  The columns with log E below q log y_dead - 40,
+y_dead = 1e-9 R2, are the one E = 0 column, the scaled column at that
+threshold (_ln_E_dead).  The log-derivative moments share more: their inner
 y-moments of log f_y see x only through log E(x), so each distinct log E
 is one row of moments, computed once per call, and the outer column
 recombines the rows binomially in a log x; without the flat term every
 abscissa shares the E = 0 row, and the pass is one inner and one outer 1D
-quadrature (log_derivative_moments).  Log-variable inner integrals
-of the region columns are clipped at log r2 - 800/X (_w_floor); below it
-the neglected mass is under e^-800 of the column.  A z1 (column, sigma) pair
-clipped there whose flat factor is within e^-40 of 1 on its interval is the
-monomial column r2^X/X, with no quadrature, as the bump-weighted columns
-with a dead flat factor share one E = 0 column.  The sigmas of one
-bump-weighted column share its row of the inner calls: the abscissae, the
-flat factor and the bump increment are evaluated once per (node, row) and
-only the sigma-dependent exponential per (node, sigma) (_runs), in the same
-operations, so every component keeps its bits.  The inner integrands that
-are smooth up to both ends (_w_integrals, the bump-weighted _v_integrals)
-declare no endpoint, so their lower end is sampled no deeper than the upper.
+quadrature (log_derivative_moments).  The log variable w = log y stays for
+the unweighted z1 columns and ztilde1_2d (_w_integrals), clipped at
+log r2 - 800/X (_w_floor); below it the neglected mass is under e^-800 of
+the column.  A z1 (column, sigma) pair clipped there whose flat factor is
+within e^-40 of 1 on its interval is the monomial column r2^X/X, with no
+quadrature.  The sigmas of one bump-weighted column share its row of the
+inner call: the abscissae, the flat factor and the bump increment are
+evaluated once per (node, row) and only the sigma-dependent exponential per
+(node, sigma) (_runs), in the same operations, so every component keeps its
+bits.  The inner integrands that are smooth up to both ends (_w_integrals,
+the bump-weighted _v_integrals) declare no endpoint, so their lower end is
+sampled no deeper than the upper.
 
 The region pieces of every (lambda, sigma) pair of a sandwich are batched
 as Z is (region_samples): each pair is one component of every vector
@@ -226,6 +231,9 @@ def _v_integrals(params: FamilyParams, sigma, row: np.ndarray, s_hi: np.ndarray,
     the nodes.  The components of a row share its interval and weight: v,
     log v, log1p(v^q) and weight(v, rows) are evaluated once per live row
     (_runs), and only h exp((b-q)s log v + s log1p(v^q)) per component.
+    Where q log v > 700 (_FAR), as s_hi = R2/e reaches 1e9 or more in the
+    bump-weighted columns, v^q leaves the double range and log1p(v^q) is
+    q log v, exact in double there; elsewhere it keeps its bits.
 
     Without weight, v = 0 is the declared endpoint v^((b-q)s).  A weight
     must vanish like v^2 at 0 (the bump y-increment does), so that the
@@ -240,8 +248,10 @@ def _v_integrals(params: FamilyParams, sigma, row: np.ndarray, s_hi: np.ndarray,
         R, at = _runs(row, cols)
         h = s_hi[R]
         vs = h * us
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             lv, l1 = np.log(vs), np.log1p(vs**q)
+        big = lv > _FAR / q      # v^q past e^700: log1p(v^q) is q log v in double
+        l1[big] = q * lv[big]
         return _cells(at, bq[cols], lv, sig[cols], l1, h,
                       None if weight is None else weight(vs, R))
 
@@ -250,15 +260,15 @@ def _v_integrals(params: FamilyParams, sigma, row: np.ndarray, s_hi: np.ndarray,
 
 
 def _w_integrals(q: int, sigma, X, row: np.ndarray, lnE: np.ndarray, w_lo: np.ndarray,
-                 w_hi: float, tol: float, weight=None):
-    """int_{w_lo[r]}^{w_hi} e^(X w) (1 + E_r e^(-q w))^s [weight(w)] dw for
+                 w_hi: float, tol: float):
+    """int_{w_lo[r]}^{w_hi} e^(X w) (1 + E_r e^(-q w))^s dw for
     every component i of row, r = row[i] (w = log y, log E_r = lnE[r],
     -inf for no flat term; s and X floats or per component), as one vector
     quadrature.  Each interval is mapped onto u in (0, 1) by
     w = w_lo + (w_hi - w_lo) u inside the integrand, so an interval narrow
     against |w| samples distinct abscissae.  The components of a row share
-    w, the flat factor log1p(E e^(-q w)) and weight(w), evaluated once per
-    live row (_runs); only width e^(X w + s log1p(...)) is per component.
+    w and the flat factor log1p(E e^(-q w)), evaluated once per live row
+    (_runs); only width e^(X w + s log1p(...)) is per component.
     The integrand is smooth up to both ends, so u is sampled no closer to 0
     than to 1 (endpoints None): deeper nodes would round onto w_lo.
 
@@ -271,10 +281,34 @@ def _w_integrals(q: int, sigma, X, row: np.ndarray, lnE: np.ndarray, w_lo: np.nd
         wid = width[R]
         ws = w_lo[R] + wid * us
         lf = np.log1p(np.exp(np.minimum(lnE[R] - q * ws, 700.0)))
-        return _cells(at, Xw[cols], ws, sig[cols], lf, wid,
-                      None if weight is None else weight(ws))
+        return _cells(at, Xw[cols], ws, sig[cols], lf, wid, None)
 
     return _tanh_sinh(f, 0.0, 1.0, tol, None, k=row.size)
+
+
+def _ln_E_dead(q: int, R2: float) -> float:
+    """log E0 = q log y_dead - 40, y_dead = 1e-9 R2: the bump-weighted columns
+    with log E < log E0 are the one E = 0 column, the column at E0 itself.
+    Above y_dead such a flat term moves (y^q + E)^s by under 4e-18, and below
+    it the bump increment, about -(y/R2)^2, is under 1e-18."""
+    return q * math.log(R2 * 1e-9) - 40.0
+
+
+def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, row: np.ndarray,
+                       ln_e: np.ndarray, tol: float):
+    """int_0^R2 y^((b-q)s) (y^q + E)^s [phi_y(y) - 1] dy, R2 = bump.R2, for
+    every component i of row, E = e^q with log e = ln_e[row[i]] and s = sigma
+    (or sigma[i]): in y = e v the column e^X int_0^(R2/e) v^((b-q)s) (1+v^q)^s
+    [phi_y(e v) - 1] dv, as one _v_integrals call.  The bump increment
+    phi_y - 1 vanishes like y^2 at 0 and the integrand is bounded at R2/e,
+    so both ends are regular; the flat factor's bend at v ~ 1 sits next to
+    the lower end, where tanh-sinh clusters its nodes.  Returns (values,
+    evaluations)."""
+    X = params.b * sigma + 1.0
+    e = np.exp(ln_e)
+    val, _, ev = _v_integrals(params, sigma, row, np.exp(math.log(bump.R2) - ln_e),
+                              lambda vs, rr: bump_y_increment(bump, e[rr] * vs), tol)
+    return np.exp(X * ln_e[row]) * val, ev
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +372,11 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
     K = _k_closed(b, q, sigmas)
     state = {"ev": 0}
-    y_dead = Y2 * 1e-9     # below this the bump y-increment is negligible
-    ln_dead = math.log(y_dead)
-
-    def increment(ws):
-        return bump_y_increment(bump, np.exp(ws))
 
     if bump is not None:
-        # log-variable piece of the columns with m <= y_dead and (1 + E e^(-q w))^s
-        # within 4e-18 of 1 on (y_dead, Y2): one E = 0 column per sigma
-        dead_col, _, ev = _w_integrals(q, sigmas, Xs, np.zeros(k, dtype=int), np.array([-np.inf]),
-                                       np.array([ln_dead]), lnY2, mini_tol, weight=increment)
+        ln_E0 = _ln_E_dead(q, Y2)
+        dead_col, ev = _increment_columns(params, bump, sigmas, np.zeros(k, dtype=int),
+                                          np.array([ln_E0 / q]), mini_tol)
         state["ev"] += ev
 
     def inner_plain(ln_es, lnE, cols):
@@ -362,36 +390,16 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
 
     def inner_delta(ln_es, lnE, cols):
         """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy per (column,
-        sigma): a scaled piece over (0, m) and a log-variable piece over
-        (m, Y2), m = min(e(x), Y2), each one vector quadrature over the pairs."""
-        total = np.zeros((ln_es.size, cols.size))
-        e_x = np.where(ln_es > -np.inf, np.exp(np.maximum(ln_es, -745.0)), 0.0)
-        m = np.minimum(e_x, Y2)
-
-        def pairs(rows):    # rows x cols row-major: each pair's index into rows, its sigma
-            return np.repeat(np.arange(rows.size), cols.size), np.tile(cols, rows.size)
-
-        rows = np.flatnonzero(m > y_dead)
-        if rows.size:      # scaled piece over (0, m), y = e(x) v
-            row, c = pairs(rows)
-            e_v, ln_ev = e_x[rows], ln_es[rows]
-            s_hi = np.minimum(1.0, np.exp(lnY2 - ln_ev))
-            val, _, ev = _v_integrals(params, sigmas[c], row, s_hi,
-                                      lambda vs, rr: bump_y_increment(bump, e_v[rr] * vs),
-                                      mini_tol)
-            total[rows] += (np.exp(np.maximum(Xs[c] * ln_ev[row], -745.0)) * val).reshape(
-                rows.size, cols.size)
-            state["ev"] += ev
-        with np.errstate(divide="ignore"):
-            w_lo = np.maximum(np.log(m), ln_dead)
-        dead = (w_lo == ln_dead) & (lnE - q * ln_dead < -40.0)
-        total[dead] += dead_col[cols]
-        rows = np.flatnonzero((m < Y2) & ~dead)
-        if rows.size:      # log-variable piece over (m, Y2)
-            row, c = pairs(rows)
-            val, _, ev = _w_integrals(q, sigmas[c], Xs[c], row, lnE[rows], w_lo[rows], lnY2,
-                                      mini_tol, weight=increment)
-            total[rows] += val.reshape(rows.size, cols.size)
+        sigma): the E = 0 column where log E < log E0, and one scaled vector
+        quadrature over the other pairs (_increment_columns)."""
+        total = np.empty((ln_es.size, cols.size))
+        dead = lnE < ln_E0
+        total[dead] = dead_col[cols]
+        rows = np.flatnonzero(~dead)
+        if rows.size:      # rows x cols row-major: each pair's index into rows, its sigma
+            row, c = np.repeat(np.arange(rows.size), cols.size), np.tile(cols, rows.size)
+            val, ev = _increment_columns(params, bump, sigmas[c], row, ln_es[rows], mini_tol)
+            total[rows] = val.reshape(rows.size, cols.size)
             state["ev"] += ev
         return total
 

@@ -32,6 +32,22 @@ and checked against 30-digit quadrature of C1 + C2(inf) itself, so that
 the identity is tested, not assumed.  Its rows cover the series/gammaln
 switch of the engine at t = 1e-2 (X = 0.0099 and 0.0101 at q = 1), X
 down to 1e-12, and large b, where the switch is at t = 0.08 (-s) instead.
+
+The bump-weighted correction column of flatzeta.zeta._increment_columns,
+
+    D(E, s) = int_0^R2 y^((b-q)s) (y^q + E)^s (phi_y(y) - 1) dy,
+    phi_y(y) - 1 = expm1(u^2/(u^2 - 1)),   u = y/R2,   R2 = 1/2,
+
+is printed for the DELTA_ORACLE rows at 40 digits, by quadrature in y on
+(0, m), m = min(e, R2), e = E^(1/q), and in w = log y on (log m, log R2)
+split every 5 units, and checked against 30 digits in the other order of
+variables: in w down to log m - 60 (the mass below it is under e^-120 of
+the column, as the increment goes like y^2) split every 2 units.  The
+inputs are the double values b, q, X and log e; s is formed in double as
+the engine forms it.  The rows cover e/R2 in {2, 0.5, 1e-3, 1e-8} and e
+just above the engine's dead threshold log E0 = q log(1e-9 R2) - 40, X
+in {1/8, 2^-8, 1e-5, 1e-10}, b > q and q = b, and q = 40, where v^q of the
+scaled column leaves the double range.
 """
 import math
 from mpmath import mp, mpf
@@ -141,3 +157,64 @@ for b, q, X in [(b, q, X) for b, q in K_FAMILIES for X in K_XS] + K_WIDE:
     print(f"    ({b}, {q}, {X!r}, {mp.nstr(ref, 20)}),")
 print("K: Gamma form at 40 digits vs quadrature of C1 + C2(inf) at 30 digits,"
       " max relative difference:", mp.nstr(worst, 3))
+
+
+R2 = 0.5
+D_FAMILIES = [(3, 2), (6, 4), (2, 2), (40, 40)]
+D_XS = [0.125, 2.0**-8, 1e-5, 1e-10]
+
+
+def d_ln_es(q):
+    """log e of the rows: e/R2 in {2, 0.5, 1e-3, 1e-8} and e just above the
+    dead threshold, log E = log E0 + 0.01."""
+    ln_E0 = q * math.log(R2 * 1e-9) - 40.0
+    return [math.log(R2 * r) for r in (2.0, 0.5, 1e-3, 1e-8)] + [(ln_E0 + 0.01) / q]
+
+
+def d_integrand(b, q, s, ln_E):
+    R = mpf(R2)
+
+    def f(y):
+        u2 = (y / R)**2
+        return mp.exp((b - q) * s * mp.log(y) + s * mp.log(y**q + mp.exp(ln_E))) * \
+            mp.expm1(u2 / (u2 - 1))
+    return f
+
+
+def d_by_y_then_w(b, q, sigma, ln_e):
+    s, ln_e = mpf(sigma), mpf(ln_e)
+    f = d_integrand(b, q, s, q * ln_e)
+    ln_m = min(ln_e, mp.log(R2))
+    total = mp.quad(f, [0, mp.exp(ln_m)])
+    pts = [ln_m]
+    while pts[-1] + 5 < mp.log(R2):
+        pts.append(pts[-1] + 5)
+    if pts[-1] < mp.log(R2):
+        pts.append(mp.log(R2))
+    return total + mp.quad(lambda w: f(mp.exp(w)) * mp.exp(w), pts)
+
+
+def d_by_w(b, q, sigma, ln_e):
+    s, ln_e = mpf(sigma), mpf(ln_e)
+    f = d_integrand(b, q, s, q * ln_e)
+    ln_R = mp.log(R2)
+    pts = [min(ln_e, ln_R) - 60]
+    while pts[-1] + 2 < ln_R:
+        pts.append(pts[-1] + 2)
+    pts.append(ln_R)
+    return mp.quad(lambda w: f(mp.exp(w)) * mp.exp(w), pts)
+
+
+worst = 0
+for b, q in D_FAMILIES:
+    for X in D_XS:
+        sigma = (X - 1.0) / b
+        for ln_e in d_ln_es(q):
+            mp.dps = 30
+            ref_w = d_by_w(b, q, sigma, ln_e)
+            mp.dps = 40
+            ref = d_by_y_then_w(b, q, sigma, ln_e)
+            worst = max(worst, abs(ref_w - ref) / abs(ref))
+            print(f"    ({b}, {q}, {X!r}, {ln_e!r}, {mp.nstr(ref, 20)}),")
+print("D: y then w at 40 digits vs w alone at 30 digits, max relative difference:",
+      mp.nstr(worst, 3))

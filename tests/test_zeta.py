@@ -34,12 +34,13 @@ from flatzeta.quad import EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     _from_one,
+    _increment_columns,
     _inner_closed,
     _inner_far,
     _inner_rel_err,
     _k_closed,
+    _ln_E_dead,
     _v_integrals,
-    _w_integrals,
     g_pieces,
     h_pieces,
     integrand,
@@ -59,6 +60,7 @@ from flatzeta.zeta import (
 )
 
 CFG = NumericConfig()
+MINI_TOL = min(1e-11, CFG.tol_2d * 1e-3)     # the inner tolerance of the weighted engine
 SUP = PRESETS["supercritical"]     # (0,2,2,2)
 CRIT = PRESETS["critical"]         # (0,2,2,1)
 GREEN = PRESETS["greenblatt"]      # (1,2,2,1/4)
@@ -151,6 +153,94 @@ K_ORACLE = [
     (100, 1, 0.00079, 92.72999345742848099),
     (50, 1, 0.0099, 33.635645904652978421),
     (50, 1, 1e-05, 49.943085956954017328),
+]
+
+# tests/oracle_inner.py (mpmath, 40 digits in y then w = log y, cross-checked
+# at 30 digits in w alone): (b, q, X, log e, D) with s = (X-1)/b, R2 = 1/2 and
+# D = int_0^R2 y^((b-q)s) (y^q + e^q)^s (phi_y(y) - 1) dy, the bump-weighted
+# correction column; log e in {log 1, log(R2/2), log(R2 1e-3), log(R2 1e-8)}
+# and just above the dead threshold (log E0 + 0.01)/q
+DELTA_ORACLE = [
+    (3, 2, 0.125, 0.0, -0.25800598306543043597),
+    (3, 2, 0.125, -1.3862943611198906, -0.43468380083204805074),
+    (3, 2, 0.125, -7.600902459542082, -0.50778195753306422549),
+    (3, 2, 0.125, -19.11382792451231, -0.50778327432405315672),
+    (3, 2, 0.125, -41.411413017506355, -0.50778327432405335519),
+    (3, 2, 0.00390625, 0.0, -0.267863616602537789),
+    (3, 2, 0.00390625, -1.3862943611198906, -0.48627510874335671393),
+    (3, 2, 0.00390625, -7.600902459542082, -0.58410369070185548881),
+    (3, 2, 0.00390625, -19.11382792451231, -0.58410610634747704813),
+    (3, 2, 0.00390625, -41.411413017506355, -0.58410610634747765216),
+    (3, 2, 1e-05, 0.0, -0.26818819913690604223),
+    (3, 2, 1e-05, -1.3862943611198906, -0.48804075700608634614),
+    (3, 2, 1e-05, -7.600902459542082, -0.5867721809810280936),
+    (3, 2, 1e-05, -19.11382792451231, -0.58677464637003548626),
+    (3, 2, 1e-05, -41.411413017506355, -0.58677464637003611651),
+    (3, 2, 1e-10, 0.0, -0.26818903279797107125),
+    (3, 2, 1e-10, -1.3862943611198906, -0.48804529748324270895),
+    (3, 2, 1e-10, -7.600902459542082, -0.58677904802552618865),
+    (3, 2, 1e-10, -19.11382792451231, -0.58678151354368990198),
+    (3, 2, 1e-10, -41.411413017506355, -0.58678151354369053229),
+    (6, 4, 0.125, 0.0, -0.26722677628192047661),
+    (6, 4, 0.125, -1.3862943611198906, -0.47001236631979379304),
+    (6, 4, 0.125, -7.600902459542082, -0.50778320264427395043),
+    (6, 4, 0.125, -19.11382792451231, -0.50778327432405335349),
+    (6, 4, 0.125, -31.413913017506356, -0.50778327432405335519),
+    (6, 4, 0.00390625, 0.0, -0.27872148543007799706),
+    (6, 4, 0.00390625, -1.3862943611198906, -0.53161085609774468542),
+    (6, 4, 0.00390625, -7.600902459542082, -0.58410589802015874278),
+    (6, 4, 0.00390625, -19.11382792451231, -0.58410610634747763225),
+    (6, 4, 0.00390625, -31.413913017506356, -0.58410610634747765216),
+    (6, 4, 1e-05, 0.0, -0.27910042151545810117),
+    (6, 4, 1e-05, -1.3862943611198906, -0.53373019725469922192),
+    (6, 4, 1e-05, -7.600902459542082, -0.58677443079598596904),
+    (6, 4, 1e-05, -19.11382792451231, -0.58677464637003609496),
+    (6, 4, 1e-05, -31.413913017506356, -0.58677464637003611651),
+    (6, 4, 1e-10, 0.0, -0.27910139481456590726),
+    (6, 4, 1e-10, -1.3862943611198906, -0.53373564819568474243),
+    (6, 4, 1e-10, -7.600902459542082, -0.5867812979507226294),
+    (6, 4, 1e-10, -19.11382792451231, -0.58678151354369051073),
+    (6, 4, 1e-10, -31.413913017506356, -0.58678151354369053229),
+    (2, 2, 0.125, 0.0, -0.18669518727838752446),
+    (2, 2, 0.125, -1.3862943611198906, -0.40450191039712260087),
+    (2, 2, 0.125, -7.600902459542082, -0.50778131154092035231),
+    (2, 2, 0.125, -19.11382792451231, -0.50778327432405302554),
+    (2, 2, 0.125, -41.411413017506355, -0.50778327432405332295),
+    (2, 2, 0.00390625, 0.0, -0.18515550683953012891),
+    (2, 2, 0.00390625, -1.3862943611198906, -0.44734094434260074492),
+    (2, 2, 0.00390625, -7.600902459542082, -0.58410252344613165332),
+    (2, 2, 0.00390625, -19.11382792451231, -0.58410610634747674999),
+    (2, 2, 0.00390625, -41.411413017506355, -0.58410610634747765216),
+    (2, 2, 1e-05, 0.0, -0.18510621346267949874),
+    (2, 2, 1e-05, -1.3862943611198906, -0.44879598804142982934),
+    (2, 2, 1e-05, -7.600902459542082, -0.58677099041350146312),
+    (2, 2, 1e-05, -19.11382792451231, -0.58677464637003517535),
+    (2, 2, 1e-05, -41.411413017506355, -0.58677464637003611651),
+    (2, 2, 1e-10, 0.0, -0.18510608696872955983),
+    (2, 2, 1e-10, -1.3862943611198906, -0.44879972886426969788),
+    (2, 2, 1e-10, -7.600902459542082, -0.58677785739749997647),
+    (2, 2, 1e-10, -19.11382792451231, -0.58678151354368962915),
+    (2, 2, 1e-10, -41.411413017506355, -0.58678151354369057041),
+    (40, 40, 0.125, 0.0, -0.19827491939053071372),
+    (40, 40, 0.125, -1.3862943611198906, -0.47756013393382677392),
+    (40, 40, 0.125, -7.600902459542082, -0.5077832209039739265),
+    (40, 40, 0.125, -19.11382792451231, -0.50778327432405328944),
+    (40, 40, 0.125, -22.416163017506356, -0.5077832743240532907),
+    (40, 40, 0.00390625, 0.0, -0.19827491939053068017),
+    (40, 40, 0.00390625, -1.3862943611198906, -0.54101783134912996926),
+    (40, 40, 0.00390625, -7.600902459542082, -0.58410594452212814711),
+    (40, 40, 0.00390625, -19.11382792451231, -0.58410610634747763669),
+    (40, 40, 0.00390625, -22.416163017506356, -0.58410610634747765214),
+    (40, 40, 1e-05, 0.0, -0.19827491939053067909),
+    (40, 40, 1e-05, -1.3862943611198906, -0.54320100544699580205),
+    (40, 40, 1e-05, -7.600902459542082, -0.58677447870459922232),
+    (40, 40, 1e-05, -19.11382792451231, -0.58677464637003609975),
+    (40, 40, 1e-05, -22.416163017506356, -0.58677464637003611649),
+    (40, 40, 1e-10, 0.0, -0.19827491939053067909),
+    (40, 40, 1e-10, -1.3862943611198906, -0.54320662054409407327),
+    (40, 40, 1e-10, -7.600902459542082, -0.58678134586299937125),
+    (40, 40, 1e-10, -19.11382792451231, -0.58678151354369059177),
+    (40, 40, 1e-10, -22.416163017506356, -0.58678151354369060851),
 ]
 
 
@@ -291,6 +381,23 @@ def test_k_closed_matches_oracle(b, q, X, ref):
     assert abs(K - ref) <= 5e-14 * ref
 
 
+@pytest.mark.parametrize("b, q", sorted({row[:2] for row in DELTA_ORACLE}))
+def test_increment_columns_match_oracle(b, q):
+    # the bump-weighted correction column is one scaled integral in y = e v
+    # over (0, R2/e): e above R2, e next to the threshold of the E = 0 column,
+    # b > q and q = b, and q = 40, where v^q passes the double range
+    rows = [row for row in DELTA_ORACLE if row[:2] == (b, q)]
+    sigma = np.array([(X - 1.0) / b for _, _, X, _, _ in rows])
+    ln_e = np.array([row[3] for row in rows])
+    ref = np.array([row[4] for row in rows])
+    assert np.all(ln_e > _ln_E_dead(q, 0.5) / q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, _ = _increment_columns(FamilyParams(0, b, q, Fraction(2)), BumpSpec(0.5, 0.5),
+                                     sigma, np.arange(len(rows)), ln_e, MINI_TOL)
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
+
+
 def test_k_closed_batched_equals_one_sigma():
     # a sigma's K does not depend on the other sigmas of its schedule
     Xs = np.geomspace(1e-9, 0.05, 500)
@@ -420,7 +527,7 @@ def test_weighted_inner_rows_share_the_bump_increment(monkeypatch):
         return real_increment(spec, y)
 
     def tanh_sinh(f, *args, **kwargs):
-        if f.__qualname__.split(".")[0] in ("_w_integrals", "_v_integrals"):
+        if f.__qualname__.split(".")[0] == "_v_integrals":
             def counted(us, cols):
                 out = f(us, cols)
                 count["cells"] += out.size
@@ -667,6 +774,48 @@ def test_quadrant_invariants_over_families():
             assert abs(z.value - cf) <= z.error, (params, z)
 
 
+# zeta_weighted at X = 0.1, 1e-3, 1e-5 on (0,b,b,2), default box and bump, as
+# the two-piece inner columns (log variable above e(x)) computed them
+LARGE_Q_WEIGHTED = {
+    40: (2.7569984192889034, 34.84893767764607, 353.91922555327267),
+    60: (2.3405855571631253, 28.55127342656885, 289.07168919990977),
+}
+
+
+@pytest.mark.parametrize("b", sorted(LARGE_Q_WEIGHTED))
+def test_weighted_z_at_large_q(b):
+    # at q = b = 40 and 60 the scaled increment column reaches v^q past the
+    # double range (R2/e up to 2.7e9); log1p(v^q) must stay finite there
+    params = FamilyParams(0, b, b, Fraction(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for X, ref in zip((0.1, 1e-3, 1e-5), LARGE_Q_WEIGHTED[b]):
+            z = zeta_weighted(params, BumpSpec(), (X - 1.0) / b, CFG)
+            assert abs(z.value - ref) <= z.error, (X, z)
+
+
+def test_weighted_invariants_over_families():
+    # as 0 <= phi <= 1 and phi < 1 off the origin, 0 < Z_w < 4 Z over the
+    # bump's box, on seeded families with even q <= b <= 60 and X down to
+    # 1e-8, boxes with R2 < e(R1) included (rows with e(x) > R2)
+    rng = np.random.default_rng(11)
+    wide = 0
+    for _ in range(40):
+        q = 2 * int(rng.integers(1, 31))
+        b = int(rng.integers(q, 61))
+        a = int(rng.integers(0, b))
+        p = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5)))
+        bump = BumpSpec(*map(float, rng.uniform(0.05, 0.95, 2)))
+        params = FamilyParams(a, b, q, p)
+        box = FamilyParams(a, b, q, p, r1=bump.R1, r2=bump.R2)
+        wide += bump.R2 < E_flat(params, bump.R1) ** (1.0 / q)
+        sigmas = [(X - 1.0) / b for X in np.sort(10.0 ** rng.uniform(-8.0, -1.0, 4))]
+        zw = zeta_samples(params, bump, sigmas, CFG, flat=True)
+        zq = zeta_samples(box, None, sigmas, CFG, flat=True)
+        assert all(0.0 < w.value < 4.0 * z.value for w, z in zip(zw, zq)), (params, bump)
+    assert wide >= 10
+
+
 def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
     # a (column, pair) of z1 clipped at _w_floor, where the flat factor is
     # within e^-40 of 1, is the monomial column r2^X/X and never reaches
@@ -743,22 +892,29 @@ def test_v_integrals_match_scalar_calls_on_own_intervals():
 
 
 def test_flat_dead_bump_columns_equal_the_e0_column():
-    # on (y_dead, Y2) with log E - q log y_dead < -40 the flat factor is 1
-    # to within 4e-18, so the weighted engine shares one E = 0 column per
-    # sigma among all such columns: each equals it to rounding
-    bump, q, lnY2 = BumpSpec(0.5, 0.5), 2, math.log(0.5)
-    ln_dead = lnY2 + math.log(1e-9)
-    lnE = np.array([-np.inf, q * ln_dead - 40.0, q * ln_dead - 300.0])
-    for X in (0.125, 2.0 ** -8, 1e-5):
-        vals, _, _ = _w_integrals(q, (X - 1.0) / 2.0, X, np.arange(3), lnE,
-                                  np.full(3, ln_dead), lnY2, 1e-10,
-                                  weight=lambda ws: bump_y_increment(bump, np.exp(ws)))
-        assert np.all(np.abs(vals[1:] - vals[0]) <= 4.0 * np.finfo(float).eps * abs(vals[0]))
+    # every bump-weighted column with log E below log E0 = q log(1e-9 R2) - 40
+    # is the one E = 0 column, the scaled column at E0 itself: it meets an
+    # independent quadrature of y^(b s) (phi_y - 1) on (0, R2), and the scaled
+    # columns at and below the threshold meet it
+    bump = BumpSpec(0.5, 0.5)
+    for b, q in ((2, 2), (3, 2), (40, 40)):
+        params = FamilyParams(0, b, q, Fraction(2))
+        ln_E0 = _ln_E_dead(q, bump.R2)
+        for X in (0.125, 2.0 ** -8, 1e-5, 1e-10):
+            s = (X - 1.0) / b
+            (e0_col,), _ = _increment_columns(params, bump, s, np.zeros(1, dtype=int),
+                                              np.array([ln_E0 / q]), MINI_TOL)
+            ref = integrate_1d(lambda ys: np.exp(b * s * np.log(ys)) * bump_y_increment(bump, ys),
+                               0.0, bump.R2, EndpointSpec(exponent_lo=b * s + 2.0), 1e-13).value
+            assert abs(e0_col - ref) <= 1e-12 * abs(ref)
+            ln_E = ln_E0 - np.array([0.0, 5.0, 300.0])
+            cols, _ = _increment_columns(params, bump, s, np.arange(3), ln_E / q, MINI_TOL)
+            assert np.all(np.abs(cols - e0_col) <= 1e-12 * abs(e0_col))
 
 
 def test_zeta_weighted_batches_inner_columns(monkeypatch):
-    # the inner integrals of one outer level are a few vector calls (the
-    # bump's scaled and log-variable pieces), not one call per abscissa
+    # the inner integrals of one outer level are one vector call (the scaled
+    # increment column of every live (row, sigma)), not one call per abscissa
     count = {"levels": 0, "inner": 0}
     real_tanh_sinh, real_ln_e = zeta_mod._tanh_sinh, zeta_mod.log_e_flat
 
@@ -776,7 +932,7 @@ def test_zeta_weighted_batches_inner_columns(monkeypatch):
     zw = zeta_weighted(CRIT, BumpSpec(0.5, 0.5), (X - 1.0) / 2.0, CFG)
     assert zw.value == pytest.approx(ORACLE_W_CRIT_X2M8, rel=1e-9)
     assert count["levels"] >= 3
-    assert count["inner"] <= 3 * count["levels"]
+    assert count["inner"] <= count["levels"]
 
 
 def test_region_pieces_flat_dead():
