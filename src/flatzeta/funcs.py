@@ -124,6 +124,8 @@ class BumpSpec:
 def _bump_1d(u):
     """exp(1/(u^2 - 1)) on |u| < 1, 0 outside (one factor of the product bump)."""
     arr = np.asarray(u, dtype=float)
+    if np.isnan(arr).any():      # NaN would read as outside the support
+        raise DomainError("the bump's argument must not be NaN")
     inside = np.abs(arr) < 1.0
     t = np.where(inside, arr, 0.0)
     with np.errstate(divide="ignore"):
@@ -159,6 +161,8 @@ def bump_y_increment(spec: BumpSpec, y):
     exp(1 + 1/(u^2 - 1)) = exp(u^2/(u^2 - 1)), u = y/R2, so the increment is
     expm1(u^2/(u^2 - 1)); it behaves like -u^2 near 0 and reaches -1 at |u| = 1."""
     ya, ys = _as_array(y)
+    if np.isnan(ya).any():       # NaN would read as outside the support
+        raise DomainError("y must not be NaN")
     u2 = (ya / spec.R2) ** 2
     inside = u2 < 1.0
     u2s = np.where(inside, u2, 0.0)

@@ -12,7 +12,12 @@ built on the loop in flatzeta.zeta: one call integrates all inner columns of
 one outer level at once on a shared interval, each column, or each group of
 moment columns of one inner row, retiring at its own level.  A component
 stops on one rule, its step between levels within tol of its value, and
-every call refines at most MAX_LEVELS times.
+every call refines at most MAX_LEVELS times.  As that rule retires nothing
+before level 2, the first integrand call (per block of components) takes
+the nodes of levels 0, 1 and 2 together and each later call one level: the
+same nodes as one call per level, so the same values and evaluation counts,
+in fewer and larger calls.  In an iterated integral outer levels 0-2 then
+make one inner call instead of three.
 
 A `_tanh_sinh` call that declares an EndpointSpec (integrate_1d always
 does) samples lo as deep as doubles allow, for mass that hides next to lo.
@@ -147,6 +152,41 @@ def _droppable(xs, lo, hi, beta, comps):
     return ((xs - lo) < 1e-100 * (hi - lo))[:, None] & (beta[comps] < 0.0)
 
 
+def _level_sums(fs, nodes, lo, hi, beta, comps, deep_d, deep_f):
+    """Sum of w * f per component over the nodes of one level (_nodes), fs
+    their (n, m) values for the components comps.  Updates deep_d and deep_f,
+    the distance and |f| of each component's deepest finite node, in place.
+
+    A declared integrable endpoint singularity may overflow pointwise at the
+    deepest nodes even though its weighted contribution is negligible; those
+    nodes are dropped (the endpoint remainder accounts for them).  Anything
+    non-finite away from a declared singular endpoint is a real failure and
+    raises NonConvergence naming its component."""
+    xs, ws, dist, i, d = nodes
+    good = np.isfinite(fs)
+    if good.all():
+        if d < deep_d.max():        # this level samples deeper
+            deeper = d < deep_d
+            deep_d[:] = np.where(deeper, d, deep_d)
+            deep_f[:] = np.where(deeper, np.abs(fs[i]), deep_f)
+    else:
+        bad = ~good & ~_droppable(xs, lo, hi, beta, comps)
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r} "
+                                 f"(component {comps[c]})")
+        fs = np.where(good, fs, 0.0)
+        dist_c = np.where(good, dist[:, None], np.inf)
+        near = dist_c.argmin(axis=0)
+        cols = np.arange(fs.shape[1])
+        deeper = dist_c[near, cols] < deep_d
+        deep_d[:] = np.where(deeper, dist_c[near, cols], deep_d)
+        deep_f[:] = np.where(deeper, np.abs(fs[near, cols]), deep_f)
+    # one dot product per component on its own contiguous row, so its sum
+    # does not depend on the components beside it
+    return np.vecdot(np.ascontiguousarray(fs.T), ws)
+
+
 def _capped(err, value):
     """At the refinement cap a last step below 1% of the value still gives a
     usable result with an inflated (3x) error bar; this happens for pieces
@@ -163,8 +203,13 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
 
     f(xs, cols) receives one (n, 1) column of abscissae and the indices cols
     of the m components still refining, and returns (n, m) values, in blocks
-    of at most _BLOCK_CELLS values.  Each component's sums run apart from
-    the others', and it retires at the first level >= 2 where its step
+    of at most _BLOCK_CELLS values.  The first call per block gets the nodes
+    of levels 0, 1 and 2 in level order, each later call those of one level:
+    no component can retire before level 2, so this evaluates exactly the
+    nodes of one call per level.  Each level is summed, tracked for its
+    deepest node and checked for non-finite values on its own rows of the
+    result (_level_sums), in level order.  Each component's sums run apart
+    from the others', and it retires at the first level >= 2 where its step
     |value - previous value| is at most tol times |value|, with the step
     plus its endpoint remainder as its error, so it returns the same value
     and error as a call on it alone; only the components still refining are
@@ -202,41 +247,28 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     deep_f = np.zeros(k)           # deepest finite node, for the remainder
     beta = None if endpoints is None else np.broadcast_to(endpoints.exponent_lo, (k,))
     for level in range(MAX_LEVELS + 1):
-        xs, ws, dist, i, d = _nodes(level, lo, hi, endpoints is None)
-        # f sees blocks of whole groups, and each block is summed before the
-        # next is evaluated, so that values and temporaries stay small
-        step = max(1, _BLOCK_CELLS // max(xs.size, 1) // group) * group
-        for j in range(0, act.size, step):
-            blk = slice(j, j + step)
-            fs = np.asarray(f(xs[:, None], act[blk]), dtype=float)
-            good = np.isfinite(fs)
-            if good.all():
-                if d < deep_d[blk].max():        # this level samples deeper
-                    deeper = d < deep_d[blk]
-                    deep_d[blk] = np.where(deeper, d, deep_d[blk])
-                    deep_f[blk] = np.where(deeper, np.abs(fs[i]), deep_f[blk])
-            else:
-                # A declared integrable endpoint singularity may overflow
-                # pointwise at the deepest nodes even though its weighted
-                # contribution is negligible; drop those nodes (the endpoint
-                # remainder accounts for them).  Anything non-finite away from
-                # a declared singular endpoint is a real failure.
-                bad = ~good & ~_droppable(xs, lo, hi, beta, act[blk])
-                if bad.any():
-                    r, c = np.argwhere(bad)[0]
-                    raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r} "
-                                         f"(component {act[blk][c]})")
-                fs = np.where(good, fs, 0.0)
-                dist_c = np.where(good, dist[:, None], np.inf)
-                near = dist_c.argmin(axis=0)
-                cols = np.arange(fs.shape[1])
-                deeper = dist_c[near, cols] < deep_d[blk]
-                deep_d[blk] = np.where(deeper, dist_c[near, cols], deep_d[blk])
-                deep_f[blk] = np.where(deeper, np.abs(fs[near, cols]), deep_f[blk])
-            # one dot product per component on its own contiguous row, so its
-            # sum does not depend on the components beside it
-            running[blk] += np.vecdot(np.ascontiguousarray(fs.T), ws)
-        evals += xs.size * act.size
+        if level == 0 or level > 2:
+            # one call per block for levels 0-2, as no component can retire
+            # before level 2, then one call per level
+            first = level
+            parts = [_nodes(lv, lo, hi, endpoints is None)
+                     for lv in range(level, max(level, 2) + 1)]
+            xs = np.concatenate([part[0] for part in parts]) if level == 0 else parts[0][0]
+            sums = np.empty((len(parts), act.size))
+            # f sees blocks of whole groups, and each block is summed before
+            # the next is evaluated, so that values and temporaries stay small
+            step = max(1, _BLOCK_CELLS // max(xs.size, 1) // group) * group
+            for j in range(0, act.size, step):
+                blk = slice(j, j + step)
+                fs = np.asarray(f(xs[:, None], act[blk]), dtype=float)
+                start = 0
+                for r, part in enumerate(parts):     # each level on its own rows
+                    n = part[0].size
+                    sums[r, blk] = _level_sums(fs[start:start + n], part, lo, hi, beta,
+                                               act[blk], deep_d[blk], deep_f[blk])
+                    start += n
+            evals += xs.size * act.size
+        running += sums[level - first]
         val = span / (1 << level) * running
         if level >= 1:
             err = np.abs(val - prev)

@@ -49,7 +49,10 @@ evaluated once per (node, row) and only the sigma-dependent exponential per
 (node, sigma) (_runs), in the same operations, so every component keeps its
 bits.  The inner integrands that are smooth up to both ends (_w_integrals,
 the bump-weighted _v_integrals) declare no endpoint, so their lower end is
-sampled no deeper than the upper.
+sampled no deeper than the upper.  The x-bump underflows to exactly 0 past
+1 - x/R1 ~ 6.7e-4, where the outer rule puts many nodes: the bump-weighted
+columns and the moment columns are 0 there, and build no inner column or
+row.
 
 The region pieces of every (lambda, sigma) pair of a sandwich are batched
 as Z is (region_samples): each pair is one component of every vector
@@ -317,7 +320,8 @@ def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, row: np.ndar
 
 def integrand(params: FamilyParams, x, y, sigma: float, *, flat: bool = True):
     """|f(x,y)|^sigma on the open quadrant, in the factored form
-    x^(a s) y^((b-q) s) (y^q + E(x))^s.
+    x^(a s) y^((b-q) s) (y^q + E(x))^s, for finite x, y > 0 and a finite
+    sigma (DomainError otherwise).
 
     All powers go through logarithms and one exponential, so the value stays
     well scaled even where E underflows; with E cut off to zero this reduces
@@ -327,8 +331,9 @@ def integrand(params: FamilyParams, x, y, sigma: float, *, flat: bool = True):
     ya = np.asarray(y, dtype=float)
     scalar = xa.ndim == 0 and ya.ndim == 0
     xa, ya = np.atleast_1d(xa), np.atleast_1d(ya)
-    if np.any(xa <= 0.0) or np.any(ya <= 0.0):
-        raise DomainError("integrand requires the open quadrant x, y > 0")
+    if not (np.all((0.0 < xa) & (xa < math.inf)) and np.all((0.0 < ya) & (ya < math.inf))
+            and np.all(np.isfinite(sigma))):      # NaN fails
+        raise DomainError("integrand requires finite x, y > 0 and a finite sigma")
     lnx, lny = np.log(xa), np.log(ya)
     if flat:
         E = np.asarray(E_flat(params, xa), dtype=float)
@@ -365,7 +370,9 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
                   Y1: float, Y2: float, bump: Optional[BumpSpec], flat: bool):
     """Integral over (0,Y1)x(0,Y2) of the integrand, optionally bump-weighted,
     for every sigma < 0 of the array sigmas, as one vector quadrature over x
-    with one component per sigma.  Returns (values, errors, evaluations)."""
+    with one component per sigma.  Bump-weighted, an outer node where the
+    x-bump is exactly 0 has the column 0 and builds no inner column.
+    Returns (values, errors, evaluations)."""
     b, q, k = params.b, params.q, sigmas.size
     Xs = b * sigmas + 1.0
     lnY2 = math.log(Y2)
@@ -413,11 +420,19 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
             out += inner_delta(ln_es, lnE, cols)
         with np.errstate(divide="ignore", over="ignore"):
             out *= np.exp(params.a * sigmas[cols] * np.log(xs))
-        if bump is not None:
-            out *= bump_x_profile(bump, xs)
         return out
 
-    values, errors, ev = _tanh_sinh(column, 0.0, Y1, cfg.tol_2d,
+    def weighted(xs, cols):
+        """column times the x-bump, 0 with no inner columns where the bump
+        is exactly 0: it underflows past 1 - x/R1 ~ 6.7e-4, where the outer
+        rule puts many of its nodes."""
+        phi = bump_x_profile(bump, xs[:, 0])
+        live = phi > 0.0
+        out = np.zeros((xs.shape[0], cols.size))
+        out[live] = column(xs[live], cols) * phi[live, None]
+        return out
+
+    values, errors, ev = _tanh_sinh(column if bump is None else weighted, 0.0, Y1, cfg.tol_2d,
                                     EndpointSpec(exponent_lo=params.a * sigmas), k=k)
     errors += _inner_rel_err(Xs) * np.abs(values)
     return values, errors, ev + state["ev"]
@@ -864,10 +879,11 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
     log E is one row N_0..N_J, computed once per call and kept in a dict
     local to it; the rows new to an outer level are one vector _tanh_sinh
     call with a group of J + 1 moments per row, which stop refining
-    together, and the outer column recombines them.  A flat term below
-    e^-40 of y^q at every inner node is lost in rounding, so such a row is
-    the E = 0 row, as is every row without the flat term: the pass is then
-    one inner and one outer 1D quadrature.  Requires |f| < 1 on the
+    together, and the outer column recombines them.  An outer node where
+    the x-bump is exactly 0 has the column 0 and adds no row.  A flat term
+    below e^-40 of y^q at every inner node is lost in rounding, so such a
+    row is the E = 0 row, as is every row without the flat term: the pass
+    is then one inner and one outer 1D quadrature.  Requires |f| < 1 on the
     support, so that sign(D_j) = (-1)^j.  Where also x <= 1 and f_y <= 1
     (R1 <= 1 and R2^(b-q) (R2^q + E(R1)) <= 1), a log x <= 0 and
     log f_y <= 0, so every recombined term has the sign (-1)^j and the sum
@@ -898,7 +914,10 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
         return pows.reshape(-1, lny.size).T
 
     def column(xs, cols):      # cols is every moment: the one group
-        x = xs[:, 0]
+        # no rows where the x-bump is exactly 0 (past 1 - x/R1 ~ 6.7e-4)
+        phi = bump_x_profile(bump, xs[:, 0])
+        live = phi > 0.0
+        x = xs[live, 0]
         ln_es = log_e_flat(params, x) if flat else np.full_like(x, -np.inf)
         with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
             lnE = q * ln_es
@@ -923,8 +942,10 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
                 m_k[:, J:] = n_k[:, :J] / fact[:J]
                 n_k += np.einsum("xji,xi->xj", sliding_window_view(m_k, J, axis=1),
                                  t[:, ::-1]) * fact
-            n_k *= (np.exp(a * s * lnx) * bump_x_profile(bump, x))[:, None]
-        return n_k
+            n_k *= (np.exp(a * s * lnx) * phi[live])[:, None]
+        out = np.zeros((xs.shape[0], G))
+        out[live] = n_k
+        return out
 
     vals, _, _ = _tanh_sinh(column, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
                             k=G, group=G)

@@ -1,6 +1,7 @@
 """Quadrature engines: closed forms, oracles, error-estimate honesty."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,12 @@ def _integrands(x):
 def _vector(xs, cols):
     """The (n, m) values of the components cols on the column xs."""
     return _integrands(xs[:, 0])[:, cols]
+
+
+def _smooth(x):
+    """Four integrands smooth up to both ends of (0, 2)."""
+    return np.stack([np.exp(x), np.cos(3.0 * x) + 2.0, 1.0 / (1.0 + x * x), np.sqrt(1.0 + x)],
+                    axis=-1)
 
 
 def _alone(f, lo, hi, tol, spec=None):
@@ -296,3 +303,75 @@ def test_tanh_sinh_regular_ends_sample_lo_no_deeper_than_hi():
     assert min(seen_declared) < 1e-250
     assert np.all(np.abs(regular - declared) <= 4.0 * EPS * np.abs(declared))
     assert regular == pytest.approx([math.e - 1.0, 2.0 + math.sin(3.0) / 3.0], rel=1e-13)
+
+
+# values and errors of the components 0-3, and the evaluations, of the calls
+# of test_tanh_sinh_first_call_spans_levels_0_to_2, frozen from the loop that
+# made one integrand call per level
+FIRST_CALL_FROZEN = {
+    ("declared", 1): ([2.82842712474619], [4.440892098500626e-15], 74),
+    ("declared", 1024): ([2.82842712474619, 6.6876855256219745, 16.144278186953443,
+                          0.6415070371175711],
+                         [4.440892098500626e-15, 9.338180927977696e-147, 1.1368683772161603e-12,
+                          2.220446049250313e-16], 113664),
+    ("regular", 1): ([6.389056098930649], [0.0], 101),
+    ("regular", 1024): ([6.389056098930649, 3.906861500600357, 1.1071487177940902,
+                         2.7974349484710874],
+                        [0.0, 8.881784197001252e-16, 1.9317880628477724e-14,
+                         4.440892098500626e-16], 103424),
+}
+
+
+@pytest.mark.parametrize("k", [1, 1024])
+@pytest.mark.parametrize("ends", ["declared", "regular"])
+def test_tanh_sinh_first_call_spans_levels_0_to_2(ends, k):
+    # no component can retire before level 2, so the first integrand call
+    # per block gets the nodes of levels 0, 1 and 2 in level order, and each
+    # later call one level; at k = 1024 every level is split into blocks of
+    # components.  Values, errors and evaluations stay those of one call per
+    # level, bit for bit
+    fn, spec = (_integrands, SPEC) if ends == "declared" else (_smooth, None)
+    calls = []
+
+    def f(xs, cols):
+        calls.append((xs[:, 0], cols))
+        return fn(xs[:, 0])[:, cols % 4]
+
+    values, errors, evals = _tanh_sinh(f, 0.0, 2.0, 1e-13, spec, k=k)
+    rounds = []      # [nodes, blocks of components] of each refinement step
+    for xs, cols in calls:
+        if rounds and np.array_equal(xs, rounds[-1][0]):
+            rounds[-1][1].append(cols)
+        else:
+            rounds.append([xs, [cols]])
+    levels = [quad._nodes(lv, 0.0, 2.0, spec is None)[0] for lv in range(quad.MAX_LEVELS + 1)]
+    assert 2 <= len(rounds) <= quad.MAX_LEVELS - 1
+    active = set(range(k))
+    for (xs, blocks), want in zip(rounds, [np.concatenate(levels[:3])] + levels[3:]):
+        assert xs.tolist() == want.tolist()
+        comps = np.concatenate(blocks).tolist()     # each step's refining components
+        assert comps == sorted(comps) and set(comps) <= active
+        active = set(comps)
+    assert np.concatenate(rounds[0][1]).tolist() == list(range(k))
+    assert all(xs.size * cols.size <= _BLOCK_CELLS for xs, cols in calls)
+    assert (len(rounds[0][1]) > 1) == (k > 1)
+    assert evals == sum(xs.size * cols.size for xs, cols in calls)
+    value, error, ev = FIRST_CALL_FROZEN[ends, k]
+    assert evals == ev
+    for c in range(len(value)):
+        assert values[c::4].tolist() == [value[c]] * values[c::4].size
+        assert errors[c::4].tolist() == [error[c]] * errors[c::4].size
+
+
+def test_tanh_sinh_nonfinite_at_a_level_1_node_names_its_component():
+    # a NaN at a level-1 node, away from the declared singular end, arrives
+    # in the first call with levels 0 and 2 and still fails, naming the
+    # component and the node
+    node = float(quad._nodes(1, 0.0, 1.0, False)[0][0])
+
+    def f(xs, cols):
+        x = xs[:, 0]
+        return np.stack([x**-0.5, np.where(x == node, np.nan, x)], axis=1)[:, cols]
+
+    with pytest.raises(NonConvergence, match=re.escape(f"x={node!r} (component 1)")):
+        _tanh_sinh(f, 0.0, 1.0, 1e-10, SPEC, k=2)

@@ -24,13 +24,14 @@ from flatzeta.errors import (
 from flatzeta.funcs import (
     BumpSpec,
     E_flat,
+    bump_eval,
     bump_x_profile,
     bump_y_increment,
     bump_y_profile,
     rho,
 )
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
-from flatzeta.quad import EndpointSpec, _tanh_sinh, integrate_1d
+from flatzeta.quad import MAX_LEVELS, EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     _from_one,
@@ -1027,7 +1028,9 @@ def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
     # distinct row, computed once per call.  Without the flat term every
     # abscissa shares the E = 0 row, so one inner call serves every outer
     # level; with it each outer level makes one call for its rows not seen
-    # before, a flat term below e^-40 y^q at every inner node being the E = 0 row
+    # before, a flat term below e^-40 y^q at every inner node being the E = 0 row.
+    # Rows come only from the nodes where the x-bump is not exactly 0, and
+    # levels 0-2 are one outer call
     bump, J = BumpSpec(0.5, 0.25), 6
     ln_dead = GREEN.q * math.log(bump.R2 * zeta_mod._OFF_MIN) - 40.0
     real = zeta_mod._tanh_sinh
@@ -1038,8 +1041,10 @@ def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
         def tanh_sinh(f, lo, hi, *args, **kwargs):
             if (lo, hi) == (0.0, bump.R1):
                 def counted(xs, cols):
-                    lnE = (GREEN.q * zeta_mod.log_e_flat(GREEN, xs[:, 0]) if flat
-                           else np.full(len(xs), -np.inf))
+                    x = xs[:, 0]
+                    x = x[bump_x_profile(bump, x) > 0.0]   # no rows where the x-bump is 0
+                    lnE = (GREEN.q * zeta_mod.log_e_flat(GREEN, x) if flat
+                           else np.full(len(x), -np.inf))
                     rows = set(np.where(lnE < ln_dead, -np.inf, lnE).tolist()) - seen
                     seen.update(rows)
                     expected.append(len(rows) * (J + 1))
@@ -1051,7 +1056,7 @@ def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
 
         monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
         log_derivative_moments(GREEN, bump, 0.5, J, CFG, flat=flat)
-        assert 3 <= len(expected) <= 13
+        assert 1 <= len(expected) <= MAX_LEVELS - 1
         return seen, expected, inner
 
     _, _, inner = calls(False)
@@ -1059,6 +1064,86 @@ def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
     seen, expected, inner = calls(True)
     assert inner == expected and all(k > 0 for k in inner)
     assert -np.inf in seen      # the deepest abscissae share the E = 0 row
+
+
+@pytest.mark.parametrize("engine", ["weighted", "moments"])
+def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
+    # past 1 - x/R1 ~ 6.7e-4 the x-bump underflows to exactly 0, and the
+    # outer rule puts many nodes there: their columns are 0, and neither
+    # _box_integral nor the flat-on moments build an inner column for them.
+    # Every column built starts from log e(x), so the abscissae that reach
+    # log_e_flat are those of the columns built
+    bump = BumpSpec(0.5, 0.25)
+    outer, built = [], []
+    real_tanh_sinh, real_log_e = zeta_mod._tanh_sinh, zeta_mod.log_e_flat
+
+    def tanh_sinh(f, lo, hi, *args, **kwargs):
+        if (lo, hi) == (0.0, bump.R1):
+            def seen(xs, cols):
+                outer.append(xs[:, 0])
+                return f(xs, cols)
+            return real_tanh_sinh(seen, lo, hi, *args, **kwargs)
+        return real_tanh_sinh(f, lo, hi, *args, **kwargs)
+
+    def log_e_flat(params, x):
+        built.append(np.asarray(x))
+        return real_log_e(params, x)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    monkeypatch.setattr(zeta_mod, "log_e_flat", log_e_flat)
+    if engine == "weighted":
+        zeta_samples(GREEN, bump, [-0.3, -0.45, -0.49], CFG, flat=True)
+    else:
+        log_derivative_moments(GREEN, bump, 0.5, 6, CFG)
+    outer, built = np.concatenate(outer), np.concatenate(built)
+    phi = bump_x_profile(bump, outer)
+    assert np.count_nonzero(phi == 0.0) >= 10       # the outer rule samples the dead end
+    assert np.all(bump_x_profile(bump, built) > 0.0)
+    assert sorted(built.tolist()) == sorted(outer[phi > 0.0].tolist())
+
+
+# Weighted Z (value, error) at X = 1/2, 2^-8 and 1e-5 over the default bump,
+# and greenblatt's flat-on D_0..D_40 at s = -0.2, frozen from the engine that
+# built the inner columns at every outer node and then multiplied by the x-bump
+WEIGHTED_FROZEN = {
+    "supercritical": [(1.2693703869130082, 2.3924065217850578e-08),
+                      (71.21814591502907, 3.6266893201486203e-07),
+                      (1576.123463451423, 3.72293211491216e-07)],
+    "critical": [(1.0110694567913372, 3.4077305550056087e-10),
+                 (10.09504668320249, 3.7410256439666556e-09),
+                 (22.04663695617095, 2.1259597471781537e-06)],
+    "greenblatt": [(1.0063736632104323, 6.912838770136702e-10),
+                   (4.500302929154185, 3.975362717211409e-08),
+                   (4.606792524955104, 1.9162954294442942e-08)],
+}
+MOMENTS_J40_FROZEN = [
+    0.8057608442943824, -3.48417123717452, 18.71444743531818, -128.62913413504253,
+    1132.1071758272665, -12479.886687078342, 167520.513225718, -2674101.327580536,
+    49882787.425558835, -1073055317.2227967, 26323744061.817783, -728945423510.8933,
+    22567125905884.695, -774030590987002.1, 2.9168998605494256e+16, -1.1986832402950597e+18,
+    5.335938780582548e+19, -2.557947339953807e+21, 1.3137410577364383e+23,
+    -7.196156533825802e+24, 4.1872850872140586e+26, -2.579124173209616e+28,
+    1.6763115305703065e+30, -1.146457841519867e+32, 8.22967637668468e+33,
+    -6.186346778441482e+35, 4.859694219040281e+37, -3.981824396380342e+39,
+    3.397019751858631e+41, -3.012741525952047e+43, 2.7735254970481398e+45,
+    -2.64676398701547e+47, 2.614928330474762e+49, -2.6714846604506865e+51,
+    2.8191287826273288e+53, -3.0697172672787606e+55, 3.445743371053613e+57,
+    -3.9835827294974876e+59, 4.739139968521418e+61, -5.797084077093203e+63,
+    7.2857289238921605e+65,
+]
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_FROZEN))
+def test_weighted_z_keeps_its_bits_without_zero_weight_columns(name):
+    params = PRESETS[name]
+    sigmas = [(X - 1.0) / params.b for X in (0.5, 2.0**-8, 1e-5)]
+    got = zeta_samples(params, BumpSpec(0.5, 0.5), sigmas, CFG, flat=True)
+    assert [(z.value, z.error) for z in got] == WEIGHTED_FROZEN[name]
+
+
+def test_flat_on_moments_keep_their_bits_without_zero_weight_rows():
+    moments = log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), -0.2, 40, CFG)
+    assert moments.tolist() == MOMENTS_J40_FROZEN
 
 
 @pytest.mark.parametrize("params,bump", [
@@ -1190,12 +1275,28 @@ NAN = float("nan")
     pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.0, -0.25), id="monomial-r2-zero"),
     pytest.param(lambda: monomial_closed_form(0, 2, 0.5, math.inf, -0.25), id="monomial-r2-inf"),
     pytest.param(lambda: monomial_closed_form(0, 2, 0.5, NAN, -0.25), id="monomial-r2-nan"),
+    pytest.param(lambda: bump_eval(BumpSpec(), NAN, 0.1), id="bump_eval-x-nan"),
+    pytest.param(lambda: bump_eval(BumpSpec(), 0.1, NAN), id="bump_eval-y-nan"),
+    pytest.param(lambda: bump_x_profile(BumpSpec(), np.array([0.1, NAN])),
+                 id="bump_x_profile-nan"),
+    pytest.param(lambda: bump_y_profile(BumpSpec(), NAN), id="bump_y_profile-nan"),
+    pytest.param(lambda: bump_y_increment(BumpSpec(), np.array([NAN, 0.1])),
+                 id="bump_y_increment-nan"),
+    pytest.param(lambda: integrand(GREEN, 0.3, math.inf, -0.4), id="integrand-y-inf"),
+    pytest.param(lambda: integrand(GREEN, math.inf, 0.2, -0.4), id="integrand-x-inf"),
+    pytest.param(lambda: integrand(GREEN, NAN, 0.2, -0.4), id="integrand-x-nan"),
+    pytest.param(lambda: integrand(GREEN, 0.3, np.array([0.2, NAN]), -0.4),
+                 id="integrand-y-nan"),
+    pytest.param(lambda: integrand(GREEN, 0.3, 0.2, NAN), id="integrand-sigma-nan"),
+    pytest.param(lambda: integrand(GREEN, 0.3, 0.2, -math.inf), id="integrand-sigma-inf"),
 ])
 def test_invalid_input_raises_domain_error(call):
     # a lambda that is not positive and finite, a bump half-width that is
-    # NaN or infinite, a j that is no nonnegative integer, and a monomial
-    # sigma that is not finite or box side outside (0, inf) fail up front,
-    # before any quadrature runs
+    # NaN or infinite, a j that is no nonnegative integer, a monomial
+    # sigma that is not finite or box side outside (0, inf), a NaN bump
+    # argument (it would read as outside the support) and an integrand
+    # point or sigma that is not finite fail up front, before any
+    # quadrature runs
     with pytest.raises(DomainError):
         call()
 
