@@ -34,11 +34,14 @@ y = e(x) v over v in (0, R2/e) (_increment_columns), so an outer level
 makes one inner call.  The columns with log E below q log y_dead - 40,
 y_dead = 1e-9 R2, are the one E = 0 column, the scaled column at that
 threshold (_ln_E_dead).  The log-derivative moments share more: their inner
-y-moments of log f_y see x only through log E(x), so each distinct log E
-is one row of moments, computed once per call, and the outer column
-recombines the rows binomially in a log x; without the flat term every
-abscissa shares the E = 0 row, and the pass is one inner and one outer 1D
-quadrature (log_derivative_moments).  The log variable w = log y stays for
+y-moments of log f_y see x only through log E(x), and every row with a
+flat term lost in rounding is the one E = 0 row.  The outer call
+integrates the x-moments (a log x)^d / d!, convolved binomially with that
+row after the quadrature, and, with the flat term on, the excess of each
+live row over it, one row per distinct log E, computed once per call and
+recombined binomially in a log x at the live nodes alone; without the flat
+term the pass is one inner and one outer 1D quadrature
+(log_derivative_moments).  The log variable w = log y stays for
 the unweighted z1 columns and ztilde1_2d (_w_integrals), clipped at
 log r2 - 800/X (_w_floor); below it the neglected mass is under e^-800 of
 the column.  A z1 (column, sigma) pair clipped there whose flat factor is
@@ -875,19 +878,34 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
         D_j = int x^(a s) phi_x sum_k C(j, k) (a log x)^(j-k) N_k(E(x)) dx,
         N_k(E) = int_0^R2 f_y^s (log f_y)^k phi_y dy,
 
-    so the inner integrals see x only through log E(x).  Each distinct
-    log E is one row N_0..N_J, computed once per call and kept in a dict
-    local to it; the rows new to an outer level are one vector _tanh_sinh
-    call with a group of J + 1 moments per row, which stop refining
-    together, and the outer column recombines them.  An outer node where
-    the x-bump is exactly 0 has the column 0 and adds no row.  A flat term
-    below e^-40 of y^q at every inner node is lost in rounding, so such a
-    row is the E = 0 row, as is every row without the flat term: the pass
-    is then one inner and one outer 1D quadrature.  Requires |f| < 1 on the
-    support, so that sign(D_j) = (-1)^j.  Where also x <= 1 and f_y <= 1
-    (R1 <= 1 and R2^(b-q) (R2^q + E(R1)) <= 1), a log x <= 0 and
-    log f_y <= 0, so every recombined term has the sign (-1)^j and the sum
-    cancels nothing."""
+    so the inner integrals see x only through log E(x).  A flat term below
+    e^-40 of y^q at every inner node is lost in rounding, so such a row is
+    the E = 0 row N0, as is every row without the flat term.  Split each
+    row as N0 + (N - N0):
+
+        D_j = j! sum_d M_d N0_(j-d) / (j-d)!  +  L_j,
+        M_d = int x^(a s) phi_x (a log x)^d / d! dx,
+        L_j = int x^(a s) phi_x sum_k C(j, k) (a log x)^(j-k) (N_k(E(x)) - N0_k) dx.
+
+    N0 is one inner _tanh_sinh call with a group of J + 1 moments, made
+    first; the outer column gives the x-moments M_d, one cumulative product
+    per node, and the binomial convolution with N0 follows the quadrature.
+    L_j is 0 at every dead node and continuous across the dead/live
+    boundary; it is carried as J + 1 more outer components only where a
+    row can be live, with the flat term on.  Each live log E is one row
+    N_0..N_J, computed once per call and kept in a dict local to it: the
+    rows new to an outer level are one vector _tanh_sinh call with a group
+    of J + 1 moments per row, which stop refining together, and only at
+    live nodes does the column recombine N - N0 binomially in a log x.  An
+    outer node where the x-bump is exactly 0 has the column 0 and adds no
+    row.
+
+    Requires |f| < 1 on the support, so that sign(D_j) = (-1)^j.  Where
+    also x <= 1 and f_y <= 1 (R1 <= 1 and R2^(b-q) (R2^q + E(R1)) <= 1),
+    a log x <= 0 and log f_y <= 0, so M_d has the sign (-1)^d, N0_k the
+    sign (-1)^k and every term of the convolution the sign (-1)^j: it
+    cancels nothing.  L_j is a correction from the live band, where the
+    flat term lifts f_y above y^b."""
     J = _check_log_moments(params, bump, s, J, flat)
     a, b, q, G = params.a, params.b, params.q, J + 1
     # where E(x) is far below y^q the integrand goes as y^(b s) (log f_y)^k
@@ -896,7 +914,6 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
     # (offset _OFF_MIN), where it moves log f_y by under 5e-18: the E = 0 row
     ln_dead = q * math.log(bump.R2 * _OFF_MIN) - 40.0
     fact = np.cumprod(np.maximum(np.arange(G), 1.0))      # j!
-    rows: dict[float, np.ndarray] = {}      # log E -> N_0..N_J
 
     def fy(lnE, ys, cols):      # whole groups: the moments of the rows cols[::G] // G
         lny = np.log(ys[:, 0])
@@ -913,43 +930,65 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
             pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0]))[:, None]
         return pows.reshape(-1, lny.size).T
 
-    def column(xs, cols):      # cols is every moment: the one group
-        # no rows where the x-bump is exactly 0 (past 1 - x/R1 ~ 6.7e-4)
-        phi = bump_x_profile(bump, xs[:, 0])
-        live = phi > 0.0
-        x = xs[live, 0]
-        ln_es = log_e_flat(params, x) if flat else np.full_like(x, -np.inf)
-        with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
-            lnE = q * ln_es
-        lnE[lnE < ln_dead] = -np.inf
-        keys, at = np.unique(lnE, return_inverse=True)
+    def inner(lnEs):      # the rows N_0..N_J of the log E of lnEs
+        vals = _tanh_sinh(partial(fy, np.array(lnEs)), 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y,
+                          k=len(lnEs) * G, group=G)[0]
+        return vals.reshape(-1, G)
+
+    n0 = inner([-np.inf])[0]
+    rows: dict[float, np.ndarray] = {}      # live log E -> N_0..N_J - N0
+
+    def excess(x, w, t):
+        """The L_j integrand at the nodes x, with w = x^(a s) phi_x and the
+        (n, J) powers t_d = (a log x)^d / d!, d = 1..J."""
+        out = np.zeros((x.size, G))
+        with np.errstate(over="ignore"):
+            lnE = q * log_e_flat(params, x)
+        live = lnE >= ln_dead
+        if not live.any():
+            return out
+        keys, at = np.unique(lnE[live], return_inverse=True)
         keys = keys.tolist()
         fresh = [k for k in keys if k not in rows]
         if fresh:
-            vals = _tanh_sinh(partial(fy, np.array(fresh)), 0.0, bump.R2, cfg.tol_2d / 5.0,
-                              ep_y, k=len(fresh) * G, group=G)[0]
-            rows.update(zip(fresh, vals.reshape(-1, G)))
-        n_k = np.array([rows[k] for k in keys])[at]
-        lnx = np.log(x)
+            rows.update(zip(fresh, inner(fresh) - n0))
+        dn = np.array([rows[k] for k in keys])[at]
         with np.errstate(over="ignore", invalid="ignore"):
             if a:
-                # D_j = N_j + j! sum_{d>=1} t_d N_(j-d) / (j-d)!, t_d = (a log x)^d / d!:
+                # L_j = dN_j + j! sum_{d>=1} t_d dN_(j-d) / (j-d)!, t_d = (a log x)^d / d!:
                 # a Cauchy product, summed by einsum over a sliding window of the
-                # zero-padded N_k / k!, a strided view, so no (n, G, G) copy is made
-                t = (a * lnx)[:, None] / np.arange(1.0, G)
-                np.multiply.accumulate(t, axis=1, out=t)
-                m_k = np.zeros((x.size, 2 * J))
-                m_k[:, J:] = n_k[:, :J] / fact[:J]
-                n_k += np.einsum("xji,xi->xj", sliding_window_view(m_k, J, axis=1),
-                                 t[:, ::-1]) * fact
-            n_k *= (np.exp(a * s * lnx) * phi[live])[:, None]
-        out = np.zeros((xs.shape[0], G))
-        out[live] = n_k
+                # zero-padded dN_k / k!, a strided view, so no (n, G, G) copy is made
+                m_k = np.zeros((dn.shape[0], 2 * J))
+                m_k[:, J:] = dn[:, :J] / fact[:J]
+                dn += np.einsum("xji,xi->xj", sliding_window_view(m_k, J, axis=1),
+                                t[live, ::-1]) * fact
+            out[live] = dn * w[live, None]
         return out
 
+    def column(xs, cols):      # cols is every component: the one group
+        # nothing where the x-bump is exactly 0 (past 1 - x/R1 ~ 6.7e-4)
+        phi = bump_x_profile(bump, xs[:, 0])
+        on = phi > 0.0
+        x = xs[on, 0]
+        lnx = np.log(x)
+        out = np.zeros((xs.shape[0], cols.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # t_d = (a log x)^d / d!, d = 0..J, as one cumulative product
+            t = np.empty((x.size, G))
+            t[:, 0] = 1.0
+            t[:, 1:] = (a * lnx)[:, None] / np.arange(1.0, G)
+            np.multiply.accumulate(t, axis=1, out=t)
+            w = np.exp(a * s * lnx) * phi[on]
+            out[on, :G] = t * w[:, None]
+        if flat:
+            out[on, G:] = excess(x, w, t[:, 1:])
+        return out
+
+    k = 2 * G if flat else G
     vals, _, _ = _tanh_sinh(column, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
-                            k=G, group=G)
-    return 4.0 * vals
+                            k=k, group=k)
+    conv = fact * np.convolve(vals[:G], n0 / fact)[:G]
+    return 4.0 * (conv + vals[G:] if flat else conv)
 
 
 def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: int,

@@ -1024,30 +1024,36 @@ def test_log_derivative_moments_match_per_j(s0, flat):
 
 
 def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
-    # the inner moments see x only through log E(x): one group of J + 1 per
-    # distinct row, computed once per call.  Without the flat term every
-    # abscissa shares the E = 0 row, so one inner call serves every outer
-    # level; with it each outer level makes one call for its rows not seen
-    # before, a flat term below e^-40 y^q at every inner node being the E = 0 row.
-    # Rows come only from the nodes where the x-bump is not exactly 0, and
-    # levels 0-2 are one outer call
+    # D_j = j! sum_d M_d N0_(j-d) / (j-d)! + L_j: the E = 0 row N0 is one inner
+    # call with a group of J + 1, made first.  Without the flat term the outer
+    # call integrates the J + 1 x-moments M_d alone, so the pass is one inner
+    # and one outer call.  With it the outer call carries J + 1 more
+    # components, the excess L of the live rows, and each outer level makes
+    # one inner call for its live rows not seen before, a flat term below
+    # e^-40 y^q at every inner node being the E = 0 row.  Rows come only
+    # from the nodes where the x-bump is not exactly 0, and levels 0-2 are
+    # one outer call
     bump, J = BumpSpec(0.5, 0.25), 6
     ln_dead = GREEN.q * math.log(bump.R2 * zeta_mod._OFF_MIN) - 40.0
     real = zeta_mod._tanh_sinh
 
     def calls(flat):
-        seen, expected, inner = set(), [], []
+        seen, levels, expected, inner, outer = set(), [], [], [], []
 
         def tanh_sinh(f, lo, hi, *args, **kwargs):
             if (lo, hi) == (0.0, bump.R1):
+                outer.append((kwargs["k"], kwargs["group"]))
+
                 def counted(xs, cols):
                     x = xs[:, 0]
                     x = x[bump_x_profile(bump, x) > 0.0]   # no rows where the x-bump is 0
-                    lnE = (GREEN.q * zeta_mod.log_e_flat(GREEN, x) if flat
-                           else np.full(len(x), -np.inf))
-                    rows = set(np.where(lnE < ln_dead, -np.inf, lnE).tolist()) - seen
+                    with np.errstate(over="ignore"):
+                        lnE = GREEN.q * zeta_mod.log_e_flat(GREEN, x)
+                    rows = set(lnE[lnE >= ln_dead].tolist()) - seen
                     seen.update(rows)
-                    expected.append(len(rows) * (J + 1))
+                    levels.append(len(rows))
+                    if rows:
+                        expected.append(len(rows) * (J + 1))
                     return f(xs, cols)
                 return real(counted, lo, hi, *args, **kwargs)
             assert (lo, hi, kwargs["group"]) == (0.0, bump.R2, J + 1)
@@ -1056,14 +1062,50 @@ def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
 
         monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
         log_derivative_moments(GREEN, bump, 0.5, J, CFG, flat=flat)
-        assert 1 <= len(expected) <= MAX_LEVELS - 1
-        return seen, expected, inner
+        assert 1 <= len(levels) <= MAX_LEVELS - 1
+        return seen, expected, inner, outer
 
-    _, _, inner = calls(False)
-    assert inner == [J + 1]
-    seen, expected, inner = calls(True)
-    assert inner == expected and all(k > 0 for k in inner)
-    assert -np.inf in seen      # the deepest abscissae share the E = 0 row
+    _, _, inner, outer = calls(False)
+    assert inner == [J + 1] and outer == [(J + 1, J + 1)]
+    seen, expected, inner, outer = calls(True)
+    assert outer == [(2 * (J + 1), 2 * (J + 1))]
+    assert inner == [J + 1] + expected and len(expected) >= 1
+    assert -np.inf not in seen      # the dead nodes add no row
+
+
+def test_log_derivative_moments_recombine_only_at_live_nodes(monkeypatch):
+    # the x-moments need no per-node recombination: the sliding-window Cauchy
+    # product of N - N0 runs only at outer nodes with a live row, at most
+    # once per outer call, and never without the flat term
+    bump = BumpSpec(0.5, 0.25)
+    ln_dead = GREEN.q * math.log(bump.R2 * zeta_mod._OFF_MIN) - 40.0
+    real_tanh_sinh, real_window = zeta_mod._tanh_sinh, zeta_mod.sliding_window_view
+    windows, live = [], []
+
+    def tanh_sinh(f, lo, hi, *args, **kwargs):
+        if (lo, hi) == (0.0, bump.R1):
+            def counted(xs, cols):
+                x = xs[:, 0]
+                x = x[bump_x_profile(bump, x) > 0.0]
+                with np.errstate(over="ignore"):
+                    live.append(np.count_nonzero(GREEN.q * zeta_mod.log_e_flat(GREEN, x)
+                                                 >= ln_dead))
+                return f(xs, cols)
+            return real_tanh_sinh(counted, lo, hi, *args, **kwargs)
+        return real_tanh_sinh(f, lo, hi, *args, **kwargs)
+
+    def window(*args, **kwargs):
+        windows.append(args[0].shape[0])      # the nodes recombined
+        return real_window(*args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    monkeypatch.setattr(zeta_mod, "sliding_window_view", window)
+    log_derivative_moments(GREEN, bump, 0.5, 40, CFG, flat=False)
+    assert windows == []
+    live.clear()
+    log_derivative_moments(GREEN, bump, 0.5, 40, CFG, flat=True)
+    assert 1 <= len(windows) <= len(live)
+    assert sum(windows) == sum(live)
 
 
 @pytest.mark.parametrize("engine", ["weighted", "moments"])
@@ -1103,8 +1145,10 @@ def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
 
 
 # Weighted Z (value, error) at X = 1/2, 2^-8 and 1e-5 over the default bump,
-# and greenblatt's flat-on D_0..D_40 at s = -0.2, frozen from the engine that
-# built the inner columns at every outer node and then multiplied by the x-bump
+# frozen from the engine that built the inner columns at every outer node and
+# then multiplied by the x-bump; greenblatt's flat-on D_0..D_40 at s = -0.2,
+# frozen from the x-moments convolved with the E = 0 row plus the live excess
+# (within 1.3e-10 relative of the per-node recombination of every row)
 WEIGHTED_FROZEN = {
     "supercritical": [(1.2693703869130082, 2.3924065217850578e-08),
                       (71.21814591502907, 3.6266893201486203e-07),
@@ -1117,19 +1161,19 @@ WEIGHTED_FROZEN = {
                    (4.606792524955104, 1.9162954294442942e-08)],
 }
 MOMENTS_J40_FROZEN = [
-    0.8057608442943824, -3.48417123717452, 18.71444743531818, -128.62913413504253,
-    1132.1071758272665, -12479.886687078342, 167520.513225718, -2674101.327580536,
-    49882787.425558835, -1073055317.2227967, 26323744061.817783, -728945423510.8933,
-    22567125905884.695, -774030590987002.1, 2.9168998605494256e+16, -1.1986832402950597e+18,
-    5.335938780582548e+19, -2.557947339953807e+21, 1.3137410577364383e+23,
-    -7.196156533825802e+24, 4.1872850872140586e+26, -2.579124173209616e+28,
-    1.6763115305703065e+30, -1.146457841519867e+32, 8.22967637668468e+33,
-    -6.186346778441482e+35, 4.859694219040281e+37, -3.981824396380342e+39,
-    3.397019751858631e+41, -3.012741525952047e+43, 2.7735254970481398e+45,
-    -2.64676398701547e+47, 2.614928330474762e+49, -2.6714846604506865e+51,
-    2.8191287826273288e+53, -3.0697172672787606e+55, 3.445743371053613e+57,
-    -3.9835827294974876e+59, 4.739139968521418e+61, -5.797084077093203e+63,
-    7.2857289238921605e+65,
+    0.8057608442943827, -3.48417123717452, 18.714447435318192, -128.6291341350427,
+    1132.10717582727, -12479.886687078397, 167520.51322571747, -2674101.327580571,
+    49882787.425559044, -1073055317.2228088, 26323744061.816895, -728945423510.875,
+    22567125905885.0, -774030590986944.0, 2.916899860549632e+16, -1.19868324029517e+18,
+    5.335938780582484e+19, -2.557947339953706e+21, 1.3137410577365653e+23,
+    -7.196156533825575e+24, 4.187285087214696e+26, -2.579124173209043e+28,
+    1.6763115305703504e+30, -1.1464578415205293e+32, 8.229676376681946e+33,
+    -6.18634677844248e+35, 4.8596942190386525e+37, -3.981824396380418e+39,
+    3.3970197518635665e+41, -3.0127415259547544e+43, 2.7735254970499547e+45,
+    -2.646763987016071e+47, 2.614928330474134e+49, -2.671484660452576e+51,
+    2.8191287826297843e+53, -3.069717267303933e+55, 3.445743371105817e+57,
+    -3.9835827295512573e+59, 4.739139968483448e+61, -5.79708407675045e+63,
+    7.285728922995712e+65,
 ]
 
 
@@ -1187,23 +1231,31 @@ def test_log_derivative_d0_nonnegative_s_is_a_product_of_1d_integrals(params, s)
 def test_log_derivative_moments_flat_off_are_binomial_sums_of_1d_moments():
     # with the flat term off D_j = 4 sum_k C(j, k) M_(j-k) N_k over the 1D
     # moments M_d of x^(a s) (a log x)^d phi_x and N_k of y^(b s) (b log y)^k
-    # phi_y.  At a = 6, J = 70 the powers of a log x + log f_y overflow at
-    # inner nodes far above the dropped deepest ones unless a log x stays
-    # out of the inner integrand
-    params, bump, s, J = FamilyParams(6, 7, 2, Fraction(1, 4)), BumpSpec(0.5, 0.5), -0.1, 70
-
-    def moments(c, R, profile):     # one 1D quadrature per d, as one vector call
+    # phi_y, each its own component of a 1e-13 quadrature.  Over a grid of
+    # (a < b, s, J) on the default box and on R1 = 1.5, where a log x changes
+    # sign, so the odd x-moments cancel in part; and at a = 6, J = 70, where
+    # the powers of a log x + log f_y would overflow at inner nodes far above
+    # the dropped deepest ones unless a log x stays out of the inner integrand
+    def moments(c, s, J, R, profile, bump):     # one vector call, a component per d
         def f(us, ds):      # the powers overflow at the deepest nodes, which are dropped
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.exp(c * s * np.log(us)) * (c * np.log(us)) ** ds * profile(bump, us)
         return _tanh_sinh(f, 0.0, R, 1e-13, EndpointSpec(c * s), k=J + 1)[0].tolist()
 
-    m = moments(params.a, bump.R1, bump_x_profile)
-    n = moments(params.b, bump.R2, bump_y_profile)
-    ref = [4.0 * math.fsum(math.comb(j, k) * m[j - k] * n[k] for k in range(j + 1))
-           for j in range(J + 1)]
-    got = log_derivative_moments(params, bump, s, J, CFG, flat=False)
-    np.testing.assert_allclose(got, ref, rtol=1e-12)
+    cases = [(a, b, s, bump, (0, 1, 40))
+             for bump in (BumpSpec(0.5, 0.5), BumpSpec(1.5, 0.5))
+             for a in (0, 1, 3) for b in (2, 3, 7) if a < b for s in (0.5, 0.05, -0.5 / b)]
+    cases.append((6, 7, -0.1, BumpSpec(0.5, 0.5), (70,)))
+    for a, b, s, bump, Js in cases:
+        params, top = FamilyParams(a, b, 2, Fraction(1, 3)), max(Js)
+        m = moments(a, s, top, bump.R1, bump_x_profile, bump)
+        n = moments(b, s, top, bump.R2, bump_y_profile, bump)
+        ref = [4.0 * math.fsum(math.comb(j, k) * m[j - k] * n[k] for k in range(j + 1))
+               for j in range(top + 1)]
+        for J in Js:
+            got = log_derivative_moments(params, bump, s, J, CFG, flat=False)
+            np.testing.assert_allclose(got, ref[:J + 1], rtol=1e-12,
+                                       err_msg=f"a={a} b={b} s={s} R1={bump.R1} J={J}")
 
 
 def test_log_derivative_moments_flat_on_deep_negative_s():
