@@ -109,6 +109,14 @@ def _nodes(level: int, lo: float, hi: float, regular: bool):
     return xs, ws, dist, i, float(dist[i])
 
 
+@lru_cache(maxsize=64)
+def _first_abscissae(lo: float, hi: float, regular: bool):
+    """The abscissae of _nodes levels 0-2 in level order, read-only."""
+    xs = np.concatenate([_nodes(lv, lo, hi, regular)[0] for lv in range(3)])
+    xs.flags.writeable = False
+    return xs
+
+
 @dataclass(frozen=True)
 class QuadResult:
     value: float
@@ -152,38 +160,42 @@ def _droppable(xs, lo, hi, beta, comps):
     return ((xs - lo) < 1e-100 * (hi - lo))[:, None] & (beta[comps] < 0.0)
 
 
-def _level_sums(fs, nodes, lo, hi, beta, comps, deep_d, deep_f):
+def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
     """Sum of w * f per component over the nodes of one level (_nodes), fs
-    their (n, m) values for the components comps.  Updates deep_d and deep_f,
-    the distance and |f| of each component's deepest finite node, in place.
+    their (n, m) values for the components comps; with declared endpoints
+    (beta not None) updates deep, the (2, m) distance and |f| of each
+    component's deepest finite node, in place.
 
-    A declared integrable endpoint singularity may overflow pointwise at the
-    deepest nodes even though its weighted contribution is negligible; those
-    nodes are dropped (the endpoint remainder accounts for them).  Anything
-    non-finite away from a declared singular endpoint is a real failure and
-    raises NonConvergence naming its component."""
+    Every weight is > 0, so the values are scanned only where a sum is not
+    finite.  A declared integrable endpoint singularity may overflow
+    pointwise at the deepest nodes even though its weighted contribution is
+    negligible; those nodes are dropped (the endpoint remainder accounts for
+    them).  Anything non-finite away from a declared singular endpoint is a
+    real failure and raises NonConvergence naming its component."""
     xs, ws, dist, i, d = nodes
+    # one dot product per component on its own contiguous row, so its sum
+    # does not depend on the components beside it
+    sums = np.vecdot(np.ascontiguousarray(fs.T), ws)
+    if np.isfinite(sums).all():
+        if beta is not None and d < math.inf:      # the level has nodes
+            deeper = d < deep[0]        # where it samples deeper
+            np.copyto(deep[0], d, where=deeper)
+            np.copyto(deep[1], np.abs(fs[i]), where=deeper)
+        return sums
     good = np.isfinite(fs)
-    if good.all():
-        if d < deep_d.max():        # this level samples deeper
-            deeper = d < deep_d
-            deep_d[:] = np.where(deeper, d, deep_d)
-            deep_f[:] = np.where(deeper, np.abs(fs[i]), deep_f)
-    else:
-        bad = ~good & ~_droppable(xs, lo, hi, beta, comps)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r} "
-                                 f"(component {comps[c]})")
-        fs = np.where(good, fs, 0.0)
+    bad = ~good & ~_droppable(xs, lo, hi, beta, comps)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r} "
+                             f"(component {comps[c]})")
+    fs = np.where(good, fs, 0.0)
+    if beta is not None:
         dist_c = np.where(good, dist[:, None], np.inf)
         near = dist_c.argmin(axis=0)
         cols = np.arange(fs.shape[1])
-        deeper = dist_c[near, cols] < deep_d
-        deep_d[:] = np.where(deeper, dist_c[near, cols], deep_d)
-        deep_f[:] = np.where(deeper, np.abs(fs[near, cols]), deep_f)
-    # one dot product per component on its own contiguous row, so its sum
-    # does not depend on the components beside it
+        deeper = dist_c[near, cols] < deep[0]
+        np.copyto(deep[0], dist_c[near, cols], where=deeper)
+        np.copyto(deep[1], np.abs(fs[near, cols]), where=deeper)
     return np.vecdot(np.ascontiguousarray(fs.T), ws)
 
 
@@ -206,17 +218,19 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     of at most _BLOCK_CELLS values.  The first call per block gets the nodes
     of levels 0, 1 and 2 in level order, each later call those of one level:
     no component can retire before level 2, so this evaluates exactly the
-    nodes of one call per level.  Each level is summed, tracked for its
-    deepest node and checked for non-finite values on its own rows of the
-    result (_level_sums), in level order.  Each component's sums run apart
-    from the others', and it retires at the first level >= 2 where its step
-    |value - previous value| is at most tol times |value|, with the step
-    plus its endpoint remainder as its error, so it returns the same value
-    and error as a call on it alone; only the components still refining are
-    evaluated and counted.  After MAX_LEVELS levels a last step below 1% of
-    the value is accepted with a 3x error bar (_capped); a component that
-    fails that raises NonConvergence naming it.  Components with intervals
-    of their own are mapped by the caller onto the shared one inside f.
+    nodes of one call per level.  Each level is summed on its own rows of
+    the result, in level order, and its values are scanned for non-finite
+    ones only where a sum is not finite; with an EndpointSpec each level is
+    also tracked for its deepest node (_level_sums).  Each component's sums
+    run apart from the others', and it retires at the first level >= 2
+    where its step |value - previous value| is at most tol times |value|,
+    with the step plus its endpoint remainder as its error, so it returns
+    the same value and error as a call on it alone; only the components
+    still refining are evaluated and counted.  After MAX_LEVELS levels a
+    last step below 1% of the value is accepted with a 3x error bar
+    (_capped); a component that fails that raises NonConvergence naming it.
+    Components with intervals of their own are mapped by the caller onto
+    the shared one inside f.
 
     An EndpointSpec declares each component's exponent at lo (0 included):
     lo is then sampled down to offsets of _OFF_MIN, and the endpoint
@@ -239,21 +253,22 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     value = np.zeros(k)    # results, filled in as components retire
     error = np.zeros(k)
     evals = 0
-    # state of the components still refining, compacted as they retire
+    regular = endpoints is None
+    beta = None if regular else np.full(k, endpoints.exponent_lo, dtype=float)
+    # the components still refining and their state, one row each (sum of
+    # w * f over all retained nodes so far, last step, distance and |f| of
+    # the deepest finite node), compacted with one index as they retire
     act = np.arange(k)
-    running = np.zeros(k)  # sum of w * f over all retained nodes so far
-    err = np.full(k, np.inf)
-    deep_d = np.full(k, np.inf)    # distance and |f| of each component's
-    deep_f = np.zeros(k)           # deepest finite node, for the remainder
-    beta = None if endpoints is None else np.broadcast_to(endpoints.exponent_lo, (k,))
+    state = np.zeros((4, k))
+    state[1:3] = np.inf
+    running, err, deep_d, deep_f = state
     for level in range(MAX_LEVELS + 1):
         if level == 0 or level > 2:
             # one call per block for levels 0-2, as no component can retire
             # before level 2, then one call per level
             first = level
-            parts = [_nodes(lv, lo, hi, endpoints is None)
-                     for lv in range(level, max(level, 2) + 1)]
-            xs = np.concatenate([part[0] for part in parts]) if level == 0 else parts[0][0]
+            parts = [_nodes(lv, lo, hi, regular) for lv in range(level, max(level, 2) + 1)]
+            xs = _first_abscissae(lo, hi, regular) if level == 0 else parts[0][0]
             sums = np.empty((len(parts), act.size))
             # f sees blocks of whole groups, and each block is summed before
             # the next is evaluated, so that values and temporaries stay small
@@ -265,26 +280,27 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
                 for r, part in enumerate(parts):     # each level on its own rows
                     n = part[0].size
                     sums[r, blk] = _level_sums(fs[start:start + n], part, lo, hi, beta,
-                                               act[blk], deep_d[blk], deep_f[blk])
+                                               act[blk], state[2:, blk])
                     start += n
             evals += xs.size * act.size
         running += sums[level - first]
         val = span / (1 << level) * running
-        if level >= 1:
-            err = np.abs(val - prev)
         if level >= 2:
+            np.abs(val - prev, out=err)
             stop = err <= tol * np.maximum(abs(val), 1e-300)
-            stop = np.repeat(stop.reshape(-1, group).all(axis=1), group)
-            if stop.all():
+            if group > 1:
+                stop = np.repeat(stop.reshape(-1, group).all(axis=1), group)
+            n_stop = np.count_nonzero(stop)
+            if n_stop == stop.size:
                 break
-            if stop.any():
+            if n_stop:
                 done = act[stop]
+                _, e, d, fd = state[:, stop]
                 value[done] = val[stop]
-                error[done] = err[stop] + _endpoint_remainder(deep_f[stop], deep_d[stop],
-                                                              beta, done)
+                error[done] = e + _endpoint_remainder(fd, d, beta, done)
                 live = ~stop
-                act, running, val, err, deep_d, deep_f = (
-                    a[live] for a in (act, running, val, err, deep_d, deep_f))
+                act, val, state = act[live], val[live], state[:, live]
+                running, err, deep_d, deep_f = state
         prev = val
     else:
         loose = _capped(err, val)

@@ -62,11 +62,13 @@ as Z is (region_samples): each pair is one component of every vector
 quadrature, its x-interval mapped onto u in (0, 1) inside the integrand.
 One helper decides where the slice lambda y = e(x) kinks (_slice_pieces):
 the left piece up to rho(lam r2) (or r1) of every pair and the right piece
-of the kinked pairs.  z1 and z2 are one outer call apiece on each piece,
-their inner integrals one vector call per outer level over the (node, pair)
-columns, and v_unclipped, ztilde1 and each ztilde2 piece one vector call
-apiece.  region_pieces, ztilde1 and ztilde2 are the one-pair calls of the
-batch, and every batched component equals its one-pair call bit for bit.
+of the kinked pairs.  z2 is one outer call on each piece and z1 one on the
+left piece alone, as right of the kink {lambda y >= e(x)} has no part
+inside the box; their inner integrals are one vector call per outer level
+over the (node, pair) columns, and v_unclipped, ztilde1 and each ztilde2
+piece one vector call apiece.  region_pieces, ztilde1 and ztilde2 are the
+one-pair calls of the batch, and every batched component equals its
+one-pair call bit for bit.
 ztilde1_2d and ztilde2_2d, the cross-checks of the 1D reductions, keep
 their own integrands and inner quadratures and share only the one-pair
 slice pieces, one outer call apiece.
@@ -610,7 +612,8 @@ def region_samples(params: FamilyParams, lams, sigmas,
                                      w_lo[r, c], lnY2, mini_tol)[0]
         return width * out * x_power(xs, p)
 
-    z1, e1 = _on_pieces(z1_column, pieces, cfg.tol_2d, k)
+    # right of the kink e(x)/lambda > r2: {lambda y >= e(x)} misses the box
+    z1, e1 = _on_pieces(z1_column, pieces[:1], cfg.tol_2d, k)
     z2, e2 = _on_pieces(z2_column, pieces, cfg.tol_2d, k)
     zt1 = _ztilde1_values(params, lam, sig, Xs, pieces, cfg)
     zt2 = _ztilde2_values(params, lam, sig, Xs, pieces, cfg)
@@ -918,15 +921,15 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
     def fy(lnE, ys, cols):      # whole groups: the moments of the rows cols[::G] // G
         lny = np.log(ys[:, 0])
         ln_fy = (b - q) * lny + np.logaddexp(q * lny, lnE[cols[::G] // G, None])
-        # (log f_y)^k f_y^s phi_y per (row, k, node): each power is one product
-        # of contiguous rows, and the (node, component) values _tanh_sinh sums
-        # are a transposed view.  The products may overflow at the deepest
-        # nodes next to a singular endpoint, which _tanh_sinh drops
+        # (log f_y)^k f_y^s phi_y per (row, k, node), the powers one product
+        # accumulated over k; the (node, component) values _tanh_sinh sums are
+        # a transposed view.  The products may overflow at the deepest nodes
+        # next to a singular endpoint, which _tanh_sinh drops
         pows = np.empty((ln_fy.shape[0], G, lny.size))
         pows[:, 0] = 1.0
+        pows[:, 1:] = ln_fy[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, G):
-                np.multiply(pows[:, k - 1], ln_fy, out=pows[:, k])
+            np.multiply.accumulate(pows, axis=1, out=pows)
             pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0]))[:, None]
         return pows.reshape(-1, lny.size).T
 

@@ -122,10 +122,11 @@ def _alone(f, lo, hi, tol, spec=None):
 
 
 def test_tanh_sinh_vector_matches_k1_calls():
-    # each component retires where a call on it alone stops, so it returns
-    # that call's value and error up to the rounding of the sums; only the
-    # components still refining are evaluated and counted
-    for hi in (1.0, 3.0):
+    # each component retires where a call on it alone stops, and its sums
+    # run apart from the others', so it returns that call's value and error
+    # bit for bit; only the components still refining are evaluated and
+    # counted
+    for hi in (1.0, 2.0, 3.0):
         lh = math.log(hi)
         for tol in (1e-6, 1e-10, 1e-13):
             values, errors, evals = _tanh_sinh(_vector, 0.0, hi, tol, SPEC, k=4)
@@ -133,8 +134,7 @@ def test_tanh_sinh_vector_matches_k1_calls():
             total = 0
             for c in range(4):
                 v, e, ev = _alone(lambda x: _integrands(x)[:, c], 0.0, hi, tol, SPEC)
-                assert abs(values[c] - v) <= 4.0 * EPS * abs(v)
-                assert abs(errors[c] - e) <= 4.0 * EPS * abs(v)
+                assert (values[c], errors[c]) == (v, e)
                 total += ev
             assert evals == total
             if tol == 1e-13:
@@ -158,8 +158,7 @@ def test_tanh_sinh_per_component_exponents(betas):
     for c, beta in enumerate(betas):
         v, e, ev = _alone(lambda x: x ** beta, 0.0, 1.0, 1e-10,
                           EndpointSpec(exponent_lo=float(beta)))
-        assert abs(values[c] - v) <= 4.0 * EPS * abs(v)
-        assert abs(errors[c] - e) <= 4.0 * EPS * abs(v)
+        assert (values[c], errors[c]) == (v, e)
         assert abs(v - 1.0 / (1.0 + beta)) <= e
         total += ev
     assert evals == total
@@ -180,19 +179,61 @@ def test_tanh_sinh_interval_without_nodes():
 
 def test_tanh_sinh_vector_wide_levels_in_blocks():
     # 1024 components: f gets blocks of at most _BLOCK_CELLS values, and
-    # every component still returns its lone call's result
-    cells = []
+    # every component still returns its lone call's result bit for bit
+    for hi in (1.0, 2.0, 3.0):
+        for tol in (1e-6, 1e-10, 1e-13):
+            cells = []
+
+            def f(xs, cols):
+                cells.append(xs.shape[0] * len(cols))
+                return _vector(xs, cols % 4)
+
+            values, errors, evals = _tanh_sinh(f, 0.0, hi, tol, SPEC, k=1024)
+            assert max(cells) > _BLOCK_CELLS // 2 and max(cells) <= _BLOCK_CELLS
+            total = 0
+            for c in range(4):
+                v, e, ev = _alone(lambda x: _integrands(x)[:, c], 0.0, hi, tol, SPEC)
+                assert values[c::4].tolist() == [v] * 256
+                assert errors[c::4].tolist() == [e] * 256
+                total += 256 * ev
+            assert evals == total
+
+
+# six integrands on (0, 1) with the declared exponents BETAS_6; 0 and 2
+# overflow to inf below an offset of 1e-200, where those nodes are dropped
+BETAS_6 = np.array([-0.5, 0.0, -0.75, -0.5, 0.0, -0.75])
+
+
+def _six(x):
+    with np.errstate(divide="ignore"):
+        return np.stack([np.where(x < 1e-200, np.inf, x**-0.5), np.exp(x),
+                         np.where(x < 1e-200, np.inf, x**-0.75 * (1.0 + x)),
+                         x**-0.5 * np.cos(3.0 * x), np.log(x) ** 2, x**-0.75], axis=-1)
+
+
+def test_tanh_sinh_wide_call_with_exponents_and_dropped_nodes_matches_lone_calls():
+    # 1200 components in blocks, each with its own declared exponent, some
+    # dropping overflowing nodes next to lo: each one's value and error, and
+    # the evaluations, equal those of its lone call bit for bit
+    blocks = {}      # nodes of each refinement step -> its blocks of components
 
     def f(xs, cols):
-        cells.append(xs.shape[0] * len(cols))
-        return _vector(xs, cols % 4)
+        blocks.setdefault((xs.shape[0], float(xs[0, 0])), []).append(cols.size)
+        return _six(xs[:, 0])[:, cols % 6]
 
-    values, errors, _ = _tanh_sinh(f, 0.0, 2.0, 1e-13, SPEC, k=1024)
-    assert max(cells) > _BLOCK_CELLS // 2 and max(cells) <= _BLOCK_CELLS
-    for c in range(4):
-        v, e, _ = _alone(lambda x: _integrands(x)[:, c], 0.0, 2.0, 1e-13, SPEC)
-        assert np.all(np.abs(values[c::4] - v) <= 4.0 * EPS * abs(v))
-        assert np.all(np.abs(errors[c::4] - e) <= 4.0 * EPS * abs(v))
+    k = 1200
+    values, errors, evals = _tanh_sinh(f, 0.0, 1.0, 1e-12,
+                                       EndpointSpec(exponent_lo=BETAS_6[np.arange(k) % 6]), k=k)
+    assert len(blocks) >= 3 and all(len(sizes) > 1 for sizes in blocks.values())
+    total = 0
+    for c, beta in enumerate(BETAS_6):
+        v, e, ev = _alone(lambda x: _six(x)[:, c], 0.0, 1.0, 1e-12,
+                          EndpointSpec(exponent_lo=float(beta)))
+        assert values[c::6].tolist() == [v] * (k // 6)
+        assert errors[c::6].tolist() == [e] * (k // 6)
+        total += k // 6 * ev
+    assert evals == total
+    assert values[0] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_tanh_sinh_vector_evaluates_active_components_only():
@@ -242,6 +283,14 @@ def test_tanh_sinh_vector_nonfinite():
     values, errors, _ = _tanh_sinh(at_endpoint, 0.0, 1.0, 1e-10, SPEC, k=2)
     assert values == pytest.approx([2.0, 1.0], rel=1e-9)
     assert np.all(errors >= 0.0)
+
+    def regular(xs, cols):   # both ends regular, a NaN in component 2 mid-interval
+        x = xs[:, 0]
+        return np.stack([np.exp(x), np.cos(x), np.where(np.abs(x - 0.5) < 0.1, np.nan, x)],
+                        axis=1)[:, cols]
+
+    with pytest.raises(NonConvergence, match="component 2"):
+        _tanh_sinh(regular, 0.0, 1.0, 1e-10, None, k=3)
 
 
 def _grouped(xs, cols):

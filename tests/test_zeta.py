@@ -690,8 +690,9 @@ def test_region_samples_match_one_sigma_calls(params):
 def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
     # every pair's interval is mapped onto (0, 1): v_unclipped is one call;
     # z1 and z2 are one call apiece on the left piece of every pair (the
-    # x^(a s) endpoint declared) and one on the right piece of the kinked
-    # pairs (regular ends); ztilde1 is one call and ztilde2 one per piece.
+    # x^(a s) endpoint declared), z2 one more on the right piece of the
+    # kinked pairs (regular ends), where z1's region misses the box;
+    # ztilde1 is one call and ztilde2 one per piece.
     # ztilde1_2d and ztilde2_2d run on the same one-pair pieces, one outer
     # call apiece.  At SUP, lambda = 0.25 kinks inside (0, r1) and 4
     # saturates at r1.
@@ -715,7 +716,7 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
     sigmas = make_schedule(0.125, 0.25, 4, SUP.b).sigmas
     region_samples(SUP, lams, sigmas, CFG)
     n, n_kink = 4 * len(lams), 4 * sum(rho(SUP, lam * SUP.r2) < SUP.r1 for lam in lams)
-    expect = [("f", n, False), ("z1_column", n, False), ("z1_column", n_kink, True),
+    expect = [("f", n, False), ("z1_column", n, False),
               ("z2_column", n, False), ("z2_column", n_kink, True),
               ("zt1", n, False), ("zt2_left", n, False), ("zt2_right", n_kink, True)]
     expect = [c for c in expect if c[1]]
