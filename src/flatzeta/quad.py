@@ -162,9 +162,9 @@ def _droppable(xs, lo, hi, beta, comps):
 
 def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
     """Sum of w * f per component over the nodes of one level (_nodes), fs
-    their (n, m) values for the components comps; with declared endpoints
-    (beta not None) updates deep, the (2, m) distance and |f| of each
-    component's deepest finite node, in place.
+    their (n, m) values for the components comps; unless deep is None
+    updates deep, the (2, m) distance and |f| of each component's deepest
+    finite node, in place.
 
     Every weight is > 0, so the values are scanned only where a sum is not
     finite.  A declared integrable endpoint singularity may overflow
@@ -177,7 +177,7 @@ def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
     # does not depend on the components beside it
     sums = np.vecdot(np.ascontiguousarray(fs.T), ws)
     if np.isfinite(sums).all():
-        if beta is not None and d < math.inf:      # the level has nodes
+        if deep is not None and d < math.inf:      # the level has nodes
             deeper = d < deep[0]        # where it samples deeper
             np.copyto(deep[0], d, where=deeper)
             np.copyto(deep[1], np.abs(fs[i]), where=deeper)
@@ -189,7 +189,7 @@ def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
         raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r} "
                              f"(component {comps[c]})")
     fs = np.where(good, fs, 0.0)
-    if beta is not None:
+    if deep is not None:
         dist_c = np.where(good, dist[:, None], np.inf)
         near = dist_c.argmin(axis=0)
         cols = np.arange(fs.shape[1])
@@ -220,13 +220,14 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     no component can retire before level 2, so this evaluates exactly the
     nodes of one call per level.  Each level is summed on its own rows of
     the result, in level order, and its values are scanned for non-finite
-    ones only where a sum is not finite; with an EndpointSpec each level is
-    also tracked for its deepest node (_level_sums).  Each component's sums
-    run apart from the others', and it retires at the first level >= 2
-    where its step |value - previous value| is at most tol times |value|,
-    with the step plus its endpoint remainder as its error, so it returns
-    the same value and error as a call on it alone; only the components
-    still refining are evaluated and counted.  After MAX_LEVELS levels a
+    ones only where a sum is not finite; with an EndpointSpec each level that
+    can sample a component deeper is also tracked for its deepest node
+    (_level_sums).  Each component's sums run apart from the others', and
+    it retires at the first level >= 2 where its step |value - previous
+    value| is at most tol times |value|, with the step plus its endpoint
+    remainder as its error, so it returns the same value and error as a
+    call on it alone; only the components still refining are evaluated and
+    counted.  After MAX_LEVELS levels a
     last step below 1% of the value is accepted with a 3x error bar
     (_capped); a component that fails that raises NonConvergence naming it.
     Components with intervals of their own are mapped by the caller onto
@@ -279,11 +280,19 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
                 start = 0
                 for r, part in enumerate(parts):     # each level on its own rows
                     n = part[0].size
+                    deep = None if beta is None else state[2:, blk]
+                    # the deepest nodes of levels 1-3 (t = 5.5, 5.75, 5.875) lie
+                    # above level 0's t = 6 unless rounding or a non-finite
+                    # value dropped it: skip where no component can go deeper
+                    if deep is not None and 0 < first + r < 4 and part[4] >= deep[0].max():
+                        deep = None
                     sums[r, blk] = _level_sums(fs[start:start + n], part, lo, hi, beta,
-                                               act[blk], state[2:, blk])
+                                               act[blk], deep)
                     start += n
             evals += xs.size * act.size
         running += sums[level - first]
+        if not level:
+            continue        # the first step is taken at level 2, from level 1
         val = span / (1 << level) * running
         if level >= 2:
             np.abs(val - prev, out=err)

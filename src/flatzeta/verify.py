@@ -275,37 +275,49 @@ def verify_psi_and_flat(samples: int, seed: int) -> VerificationReport:
 
 def verify_LM_limits(params: FamilyParams,
                      cfg: NumericConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Trend checks for L and M at extreme lambda.
+    """L and M on both sides of the saturation point lam_sat = e(r1)/r2, at
+    lam = lo 1e-6, lo 1e-3, 1, hi 1e3 and hi 1e6 (lo = min(lam_sat, 1),
+    hi = max(lam_sat, 1)), checked against the family's exact laws in lam.
 
-    M decays like a power of lambda at infinity and diverges like a power at
-    zero, so factor-100 checks apply; L only decays/grows logarithmically
-    (like 1/|log lambda| and log lambda), so it gets monotone-trend checks
-    with factor-2 decay and factor-10 growth.  The four weighted forms all
-    vanish at their respective ends."""
+    Above lam_sat rho(lam r2) = r1, so M lam^(q/b) and
+    L - r1^(1-a/b)/(1-a/b) log lam are constant.  Below it
+    log(lam r2) = -1/(q rho^p) makes L proportional to rho^(1-a/b-p), so
+    L (q log(1/(lam r2)))^g is constant, g = (1-a/b)/p - 1.  Each constant
+    must hold to 1e-12 relative over its points.  L rises and M falls with
+    lam, both stay positive, and the weighted forms L (1+lam^q)^(-1/b) and
+    M (1+lam^-q)^(-1/b), which vanish at both ends, rise then fall."""
     t0 = time.perf_counter()
-    q, b = params.q, params.b
-    lam_lo, lam_mid_lo, lam_mid_hi, lam_hi = 1e-6, 1e-3, 1e3, 1e6
-    L = {lam: constant_L(params, lam) for lam in (lam_lo, lam_mid_lo, 1.0, lam_mid_hi, lam_hi)}
-    M = {lam: constant_M(params, lam, cfg) for lam in (lam_lo, lam_mid_lo, 1.0, lam_mid_hi, lam_hi)}
+    a, b, q = params.a, params.b, params.q
+    e_r1 = e_flat(params, params.r1)
+    lo, hi = min(e_r1 / params.r2, 1.0), max(e_r1 / params.r2, 1.0)
+    lams = (lo * 1e-6, lo * 1e-3, 1.0, hi * 1e3, hi * 1e6)
+    L = [constant_L(params, lam) for lam in lams]
+    M = [constant_M(params, lam, cfg) for lam in lams]
+    up = [i for i, lam in enumerate(lams) if lam * params.r2 >= e_r1]     # rho's test
+    down = [i for i in range(len(lams)) if i not in up]
+    c, g = params.r1**(1.0 - a / b) / (1.0 - a / b), (1.0 - a / b) / params.p_float - 1.0
+    m_up = [M[i] * lams[i]**(q / b) for i in up]
+    l_up = [L[i] - c * math.log(lams[i]) for i in up]
+    l_down = [L[i] * (q * math.log(1.0 / (lams[i] * params.r2)))**g for i in down]
 
-    def wL(lam):
-        return L[lam] / (1.0 + lam**q) ** (1.0 / b)
+    def constant(values, scale):
+        return max(values) - min(values) <= 1e-12 * scale
 
-    def wM(lam):
-        return M[lam] / (1.0 + lam**(-q)) ** (1.0 / b)
+    def rise_fall(w):
+        k = w.index(max(w))
+        return (0 < k < len(w) - 1 and all(u < v for u, v in zip(w[:k], w[1:k + 1]))
+                and all(u > v for u, v in zip(w[k:], w[k + 1:])))
 
     checks = {
-        "L_to_zero_trend": L[lam_lo] < L[lam_mid_lo] < L[1.0],
-        "L_to_zero_factor": L[lam_lo] <= 0.5 * L[1.0],
-        "L_to_inf_trend": L[lam_hi] > L[lam_mid_hi] > L[1.0],
-        "L_to_inf_factor": L[lam_hi] >= 10.0 * L[1.0],
-        "M_to_inf_zero": M[lam_hi] <= 1e-2 * M[1.0],
-        "M_to_zero_inf": M[lam_lo] >= 1e2 * M[1.0],
-        "wL_zero_at_inf": wL(lam_hi) <= 1e-2 * wL(1.0),
-        "wL_zero_at_zero": wL(lam_lo) <= 0.5 * wL(1.0),
-        "wM_zero_at_inf": wM(lam_hi) <= 1e-2 * wM(1.0),
-        "wM_zero_at_zero": wM(lam_lo) <= 1e-2 * wM(1.0),
-        "all_positive": all(v > 0.0 for v in list(L.values()) + list(M.values())),
+        "M_power_above_saturation": constant(m_up, max(m_up)),
+        # L - c log lambda may sit near 0: its rounding scales with L
+        "L_log_above_saturation": constant(l_up, max(L[i] for i in up)),
+        "L_power_of_log_below_saturation": constant(l_down, max(l_down)),
+        "L_rises": all(u < v for u, v in zip(L, L[1:])),
+        "M_falls": all(u > v for u, v in zip(M, M[1:])),
+        "wL_rise_fall": rise_fall([v / (1.0 + lam**q)**(1.0 / b) for v, lam in zip(L, lams)]),
+        "wM_rise_fall": rise_fall([v / (1.0 + lam**-q)**(1.0 / b) for v, lam in zip(M, lams)]),
+        "all_positive": all(v > 0.0 for v in L + M),
     }
     failed = [k for k, ok in checks.items() if not ok]
     return VerificationReport(

@@ -32,8 +32,11 @@ its own level.  The bump-weighted correction of a (column, sigma),
 int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is one scaled piece in
 y = e(x) v over v in (0, R2/e) (_increment_columns), so an outer level
 makes one inner call.  The columns with log E below q log y_dead - 40,
-y_dead = 1e-9 R2, are the one E = 0 column, the scaled column at that
-threshold (_ln_E_dead).  The log-derivative moments share more: their inner
+y_dead = 1e-9 R2 (_ln_E_dead), are the one E = 0 column, whose correction
+int_0^R2 y^(b s) (phi_y - 1) dy is one plain-y call (_dead_column).  Without
+the flat term every column is that E = 0 column, C = Y2^X/X [+ correction],
+so the box integral is C times one x-quadrature of x^(a s) [phi_x], with no
+inner column at all.  The log-derivative moments share more: their inner
 y-moments of log f_y see x only through log E(x), and every row with a
 flat term lost in rounding is the one E = 0 row.  The outer call
 integrates the x-moments (a log x)^d / d!, convolved binomially with that
@@ -296,10 +299,23 @@ def _w_integrals(q: int, sigma, X, row: np.ndarray, lnE: np.ndarray, w_lo: np.nd
 
 def _ln_E_dead(q: int, R2: float) -> float:
     """log E0 = q log y_dead - 40, y_dead = 1e-9 R2: the bump-weighted columns
-    with log E < log E0 are the one E = 0 column, the column at E0 itself.
-    Above y_dead such a flat term moves (y^q + E)^s by under 4e-18, and below
-    it the bump increment, about -(y/R2)^2, is under 1e-18."""
+    with log E < log E0 are the one E = 0 column (_dead_column).  Above
+    y_dead such a flat term moves (y^q + E)^s by under 4e-18, and below it
+    the bump increment, about -(y/R2)^2, is under 1e-18."""
     return q * math.log(R2 * 1e-9) - 40.0
+
+
+def _dead_column(bump: BumpSpec, bs: np.ndarray, tol: float):
+    """int_0^R2 y^(b s) [phi_y(y) - 1] dy, R2 = bump.R2, for every b s of bs:
+    the bump correction of the E = 0 column, one regular vector quadrature
+    in plain y (the increment vanishes like y^2 at 0, so the integrand is
+    bounded there).  Returns (values, evaluations)."""
+    def f(ys, cols):
+        y = ys[:, 0]
+        return np.exp(np.log(y)[:, None] * bs[cols]) * bump_y_increment(bump, y)[:, None]
+
+    val, _, ev = _tanh_sinh(f, 0.0, bump.R2, tol, None, k=bs.size)
+    return val, ev
 
 
 def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, row: np.ndarray,
@@ -375,21 +391,40 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
                   Y1: float, Y2: float, bump: Optional[BumpSpec], flat: bool):
     """Integral over (0,Y1)x(0,Y2) of the integrand, optionally bump-weighted,
     for every sigma < 0 of the array sigmas, as one vector quadrature over x
-    with one component per sigma.  Bump-weighted, an outer node where the
-    x-bump is exactly 0 has the column 0 and builds no inner column.
-    Returns (values, errors, evaluations)."""
+    with one component per sigma.  Without the flat term every column is the
+    E = 0 column C = Y2^X/X [+ _dead_column], so the integral is C times one
+    quadrature of x^(a s) [phi_x], C multiplied in after it.  Bump-weighted,
+    an outer node where the x-bump is exactly 0 has the column 0 and builds
+    no inner column.  Returns (values, errors, evaluations)."""
     b, q, k = params.b, params.q, sigmas.size
     Xs = b * sigmas + 1.0
     lnY2 = math.log(Y2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
-    K = _k_closed(b, q, sigmas)
     state = {"ev": 0}
-
     if bump is not None:
-        ln_E0 = _ln_E_dead(q, Y2)
-        dead_col, ev = _increment_columns(params, bump, sigmas, np.zeros(k, dtype=int),
-                                          np.array([ln_E0 / q]), mini_tol)
-        state["ev"] += ev
+        dead_col, state["ev"] = _dead_column(bump, b * sigmas, mini_tol)
+
+    def x_power(xs, cols):
+        with np.errstate(over="ignore"):
+            return np.exp(params.a * sigmas[cols] * np.log(xs))
+
+    if not flat:
+        C = np.exp(Xs * lnY2) / Xs
+        if bump is not None:
+            C += dead_col
+
+        def fx(xs, cols):
+            out = x_power(xs, cols)
+            return out if bump is None else out * bump_x_profile(bump, xs)
+
+        values, errors, ev = _tanh_sinh(fx, 0.0, Y1, cfg.tol_2d,
+                                        EndpointSpec(exponent_lo=params.a * sigmas), k=k)
+        values *= C
+        errors *= np.abs(C)
+        errors += _inner_rel_err(Xs) * np.abs(values)
+        return values, errors, ev + state["ev"]
+
+    K = _k_closed(b, q, sigmas)
 
     def inner_plain(ln_es, lnE, cols):
         """int_0^Y2 y^((b-q)s)(y^q+E)^s dy per (column, sigma), weight-free."""
@@ -405,7 +440,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
         sigma): the E = 0 column where log E < log E0, and one scaled vector
         quadrature over the other pairs (_increment_columns)."""
         total = np.empty((ln_es.size, cols.size))
-        dead = lnE < ln_E0
+        dead = lnE < _ln_E_dead(q, Y2)
         total[dead] = dead_col[cols]
         rows = np.flatnonzero(~dead)
         if rows.size:      # rows x cols row-major: each pair's index into rows, its sigma
@@ -416,15 +451,13 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
         return total
 
     def column(xs, cols):
-        x = xs[:, 0]
-        ln_es = log_e_flat(params, x) if flat else np.full_like(x, -np.inf)
+        ln_es = log_e_flat(params, xs[:, 0])
         with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
             lnE = q * ln_es
         out = inner_plain(ln_es, lnE, cols)
         if bump is not None:
             out += inner_delta(ln_es, lnE, cols)
-        with np.errstate(divide="ignore", over="ignore"):
-            out *= np.exp(params.a * sigmas[cols] * np.log(xs))
+        out *= x_power(xs, cols)
         return out
 
     def weighted(xs, cols):
@@ -999,9 +1032,10 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
                             flat: bool = True) -> float:
     """D_j(s) over the plane (4x quadrant), requiring |f| < 1 on the support
     so that sign(D_j) = (-1)^j.  D_0 at s < 0, where the y-mass sits next
-    to the singular endpoint, runs on the weighted engine (_box_integral,
-    closed-form inner columns); every other D_j is entry j of
-    log_derivative_moments."""
+    to the singular endpoint, runs on the weighted engine (_box_integral):
+    with the flat term, on closed-form inner columns; without it, as the
+    E = 0 column (y^(b s) taken analytically) times one x-quadrature.  Every
+    other D_j is entry j of log_derivative_moments."""
     j = _check_log_moments(params, bump, s, j, flat)
     if j > 0 or s >= 0.0:
         return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])

@@ -4,8 +4,8 @@
 
 for the closed form of flatzeta.zeta._inner_closed, and the constant K of
 its far branch (flatzeta.zeta._k_closed).  Not collected by pytest; run
-directly to regenerate the INNER_ORACLE and K_ORACLE rows of
-tests/test_zeta.py.
+directly to regenerate the INNER_ORACLE, K_ORACLE, DELTA_ORACLE and
+E0_ORACLE rows of tests/test_zeta.py.
 
 Each row is computed twice: at 40 digits from the same Gauss hypergeometric
 form the engine uses,
@@ -48,6 +48,17 @@ the engine forms it.  The rows cover e/R2 in {2, 0.5, 1e-3, 1e-8} and e
 just above the engine's dead threshold log E0 = q log(1e-9 R2) - 40, X
 in {1/8, 2^-8, 1e-5, 1e-10}, b > q and q = b, and q = 40, where v^q of the
 scaled column leaves the double range.
+
+The E = 0 column of the flat-off (and flat-dead) bump-weighted engine,
+
+    C(s) = R2^X / X + D0(s),   D0(s) = int_0^R2 y^(b s) (phi_y(y) - 1) dy,
+
+takes y^(b s) analytically in R2^X / X; D0, computed by
+flatzeta.zeta._dead_column, is printed for the E0_ORACLE rows at 30 digits
+by quadrature in y on (0, R2), and checked against 30 digits in w = log y
+down to log R2 - 60 (the mass below it is under e^-120 of D0) split every
+2 units.  The rows cover b in {2, 3, 7} and s in {-1/b + 1e-4, -0.6/b,
+-0.01}, s the double value.
 """
 import math
 from mpmath import mp, mpf
@@ -217,4 +228,33 @@ for b, q in D_FAMILIES:
             worst = max(worst, abs(ref_w - ref) / abs(ref))
             print(f"    ({b}, {q}, {X!r}, {ln_e!r}, {mp.nstr(ref, 20)}),")
 print("D: y then w at 40 digits vs w alone at 30 digits, max relative difference:",
+      mp.nstr(worst, 3))
+
+
+E0_SIGMAS = [(b, s) for b in (2, 3, 7) for s in (-1.0 / b + 1e-4, -0.6 / b, -0.01)]
+
+
+def e0_integrand(b, s):
+    R = mpf(R2)
+
+    def f(y):
+        u2 = (y / R)**2
+        return mp.exp(b * s * mp.log(y)) * mp.expm1(u2 / (u2 - 1))
+    return f
+
+
+worst = 0
+mp.dps = 30
+for b, sigma in E0_SIGMAS:
+    f = e0_integrand(b, mpf(sigma))
+    ref = mp.quad(f, [0, R2])
+    ln_R = mp.log(R2)
+    pts = [ln_R - 60]
+    while pts[-1] + 2 < ln_R:
+        pts.append(pts[-1] + 2)
+    pts.append(ln_R)
+    ref_w = mp.quad(lambda w: f(mp.exp(w)) * mp.exp(w), pts)
+    worst = max(worst, abs(ref_w - ref) / abs(ref))
+    print(f"    ({b}, {sigma!r}, {mp.nstr(ref, 20)}),")
+print("D0: y at 30 digits vs w = log y at 30 digits, max relative difference:",
       mp.nstr(worst, 3))

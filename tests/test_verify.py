@@ -184,6 +184,38 @@ def test_LM_limits_suite():
     assert rep.passed, rep.residual_log
 
 
+# bounded families on which fixed factors of lambda failed: each decays or
+# grows in lambda with its own exponents (M like lambda^(-q/b), L like
+# (log 1/lambda)^(-g) with g = 1/7 at (3,7,2,1/2))
+LM_FAMILIES = [FamilyParams(3, 7, 2, Fraction(1, 2)), FamilyParams(0, 3, 2, Fraction(5, 6)),
+               FamilyParams(1, 4, 3, Fraction(1, 3), r1=0.3, r2=0.45),
+               FamilyParams(0, 2, 1, Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("params", LM_FAMILIES, ids=["3,7,2,1/2", "0,3,2,5/6",
+                                                     "1,4,3,1/3-box", "0,2,1,1/3"])
+def test_LM_limits_follow_the_family_exponents(params, monkeypatch):
+    rep = verify_LM_limits(params, CFG)
+    assert rep.passed, rep.residual_log
+    lams = []
+    real_L, real_M = verify_mod.constant_L, verify_mod.constant_M
+    monkeypatch.setattr(verify_mod, "constant_L", lambda p, lam: lams.append(lam) or real_L(p, lam))
+    verify_LM_limits(params, CFG)
+    e_r1 = verify_mod.e_flat(params, params.r1)
+    # L off by 1e-3 at any one lambda breaks its constant on that side, and so
+    # does M above the saturation point, where M lambda^(q/b) is constant
+    for lam0 in lams:
+        monkeypatch.setattr(verify_mod, "constant_L",
+                            lambda p, lam, l0=lam0: real_L(p, lam) * (1.0 + 1e-3 * (lam == l0)))
+        assert not verify_LM_limits(params, CFG).passed, lam0
+        monkeypatch.setattr(verify_mod, "constant_L", real_L)
+        if lam0 * params.r2 >= e_r1:
+            monkeypatch.setattr(verify_mod, "constant_M", lambda p, lam, cfg, l0=lam0:
+                                real_M(p, lam, cfg) * (1.0 + 1e-3 * (lam == l0)))
+            assert verify_LM_limits(params, CFG).residual_log == ("M_power_above_saturation",)
+            monkeypatch.setattr(verify_mod, "constant_M", real_M)
+
+
 def test_landau_rebuild_certified_tolerance():
     rep = landau_taylor_rebuild(PRESETS["greenblatt"], BUMP, 0.5, -0.3, 40,
                                 CFG, flat=False)

@@ -34,6 +34,7 @@ from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import MAX_LEVELS, EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
+    _dead_column,
     _from_one,
     _increment_columns,
     _inner_closed,
@@ -244,6 +245,21 @@ DELTA_ORACLE = [
     (40, 40, 1e-10, -22.416163017506356, -0.58678151354369060851),
 ]
 
+# tests/oracle_inner.py (mpmath, 30 digits in y, cross-checked at 30 digits in
+# w = log y): (b, s, D0) with R2 = 1/2 and D0 = int_0^R2 y^(b s) (phi_y(y) - 1) dy,
+# the bump correction of the E = 0 column C = R2^X/X + D0
+E0_ORACLE = [
+    (2, -0.4999, -0.58664418655201725484),
+    (2, -0.3, -0.37333570037935173322),
+    (2, -0.01, -0.20236464807296990575),
+    (3, -0.3332333333333333, -0.58657553706135019294),
+    (3, -0.19999999999999998, -0.37333570037935172187),
+    (3, -0.01, -0.20444416024830179048),
+    (7, -0.14275714285714286, -0.5863010326594865534),
+    (7, -0.08571428571428572, -0.37333570037935174457),
+    (7, -0.01, -0.21300012846119740274),
+]
+
 
 def test_integrand_monomial_reduction():
     # x below the flat cutoff: reduces exactly to x^(a s) y^(b s)
@@ -397,6 +413,22 @@ def test_increment_columns_match_oracle(b, q):
         vals, _ = _increment_columns(FamilyParams(0, b, q, Fraction(2)), BumpSpec(0.5, 0.5),
                                      sigma, np.arange(len(rows)), ln_e, MINI_TOL)
     assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("b", sorted({row[0] for row in E0_ORACLE}))
+def test_dead_column_matches_oracle(b):
+    # the E = 0 column's bump correction, one plain-y vector call over the
+    # sigmas of b, next to the pole (s = -1/b + 1e-4), inside and near 0;
+    # each sigma is its own component and keeps its one-sigma bits
+    rows = [row for row in E0_ORACLE if row[0] == b]
+    bs = np.array([b * s for _, s, _ in rows])
+    ref = np.array([d for *_, d in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, _ = _dead_column(BumpSpec(0.5, 0.5), bs, MINI_TOL)
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
+    assert vals.tolist() == [_dead_column(BumpSpec(0.5, 0.5), bs[i:i + 1], MINI_TOL)[0][0]
+                             for i in range(bs.size)]
 
 
 def test_k_closed_batched_equals_one_sigma():
@@ -895,17 +927,17 @@ def test_v_integrals_match_scalar_calls_on_own_intervals():
 
 def test_flat_dead_bump_columns_equal_the_e0_column():
     # every bump-weighted column with log E below log E0 = q log(1e-9 R2) - 40
-    # is the one E = 0 column, the scaled column at E0 itself: it meets an
-    # independent quadrature of y^(b s) (phi_y - 1) on (0, R2), and the scaled
-    # columns at and below the threshold meet it
+    # is the one E = 0 column, one plain-y quadrature of y^(b s) (phi_y - 1)
+    # on (0, R2): it meets an independent quadrature that declares the
+    # exponent b s + 2 at 0, and the scaled columns at and below the
+    # threshold meet it
     bump = BumpSpec(0.5, 0.5)
     for b, q in ((2, 2), (3, 2), (40, 40)):
         params = FamilyParams(0, b, q, Fraction(2))
         ln_E0 = _ln_E_dead(q, bump.R2)
         for X in (0.125, 2.0 ** -8, 1e-5, 1e-10):
             s = (X - 1.0) / b
-            (e0_col,), _ = _increment_columns(params, bump, s, np.zeros(1, dtype=int),
-                                              np.array([ln_E0 / q]), MINI_TOL)
+            (e0_col,), _ = _dead_column(bump, np.array([b * s]), MINI_TOL)
             ref = integrate_1d(lambda ys: np.exp(b * s * np.log(ys)) * bump_y_increment(bump, ys),
                                0.0, bump.R2, EndpointSpec(exponent_lo=b * s + 2.0), 1e-13).value
             assert abs(e0_col - ref) <= 1e-12 * abs(ref)
@@ -1147,12 +1179,13 @@ def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
 
 # Weighted Z (value, error) at X = 1/2, 2^-8 and 1e-5 over the default bump,
 # frozen from the engine that built the inner columns at every outer node and
-# then multiplied by the x-bump; greenblatt's flat-on D_0..D_40 at s = -0.2,
+# then multiplied by the x-bump (supercritical's first two values from the
+# plain-y E = 0 column, a move of 5.5e-16 and 2e-16 relative); greenblatt's flat-on D_0..D_40 at s = -0.2,
 # frozen from the x-moments convolved with the E = 0 row plus the live excess
 # (within 1.3e-10 relative of the per-node recombination of every row)
 WEIGHTED_FROZEN = {
-    "supercritical": [(1.2693703869130082, 2.3924065217850578e-08),
-                      (71.21814591502907, 3.6266893201486203e-07),
+    "supercritical": [(1.2693703869130075, 2.3924065439895183e-08),
+                      (71.21814591502906, 3.6266893201486203e-07),
                       (1576.123463451423, 3.72293211491216e-07)],
     "critical": [(1.0110694567913372, 3.4077305550056087e-10),
                  (10.09504668320249, 3.7410256439666556e-09),
@@ -1216,15 +1249,22 @@ def test_log_derivative_moments_flat_on_against_weighted_engine(params, bump):
 
 @pytest.mark.parametrize("params", [GREEN, FamilyParams(1, 3, 2, Fraction(1, 4))],
                          ids=["greenblatt", "1,3,2,1/4"])
-@pytest.mark.parametrize("s", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("s", [0.0, 0.05, 0.5, -0.01,
+                               pytest.param(lambda b: -0.6 / b, id="-0.6/b"),
+                               pytest.param(lambda b: -1.0 / b + 1e-4, id="-1/b+1e-4")])
 def test_log_derivative_d0_nonnegative_s_is_a_product_of_1d_integrals(params, s):
-    # with the flat term off |f| = x^a y^b, so D_0(s) = 4 I_x(s) I_y(s):
-    # two 1D quadratures of x^(a s) and y^(b s) against the bump profiles
-    bump = BumpSpec(0.5, 0.5)
+    # with the flat term off |f| = x^a y^b, so D_0(s) = 4 I_x(s) I_y(s): a 1D
+    # quadrature of x^(a s) against the x-bump, and I_y = R2^X/X plus one of
+    # y^(b s) (phi_y - 1), X = b s + 1, with y^(b s) taken analytically.
+    # s >= 0 runs on the moment pass, s < 0 on the factored box integral,
+    # down to s = -1/b + 1e-4, where I_y ~ 1/X
+    s = s(params.b) if callable(s) else s
+    bump, X = BumpSpec(0.5, 0.5), params.b * s + 1.0
     i_x = integrate_1d(lambda x: x ** (params.a * s) * bump_x_profile(bump, x), 0.0, 0.5,
-                       tol=1e-13).value
-    i_y = integrate_1d(lambda y: y ** (params.b * s) * bump_y_profile(bump, y), 0.0, 0.5,
-                       tol=1e-13).value
+                       EndpointSpec(exponent_lo=params.a * s), tol=1e-13).value
+    i_y = 0.5**X / X + integrate_1d(lambda y: y ** (params.b * s) * bump_y_increment(bump, y),
+                                    0.0, 0.5, EndpointSpec(exponent_lo=params.b * s + 2.0),
+                                    tol=1e-13).value
     d0 = log_derivative_integral(params, bump, s, 0, CFG, flat=False)
     assert d0 == pytest.approx(4.0 * i_x * i_y, rel=1e-12)
 
