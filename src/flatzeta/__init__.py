@@ -60,14 +60,9 @@ from .zeta import (
     log_derivative_integral,
     log_derivative_moments,
     monomial_closed_form,
-    region_pieces,
     region_samples,
-    zeta_quadrant,
     zeta_samples,
-    zeta_weighted,
-    ztilde1,
     ztilde1_2d,
-    ztilde2,
     ztilde2_2d,
 )
 from .asym import (

@@ -198,9 +198,7 @@ def scale_sequence(params: FamilyParams, samples: Sequence[ZetaSample]) -> Blowu
         bounded:       S_k = Z_k
     """
     regime = classify_regime(params)
-    xs = tuple(s.X for s in samples)
-    sigmas = tuple(s.sigma for s in samples)
-    schedule = SigmaSchedule(sigmas=sigmas, xs=xs, b=params.b)
+    schedule = SigmaSchedule(tuple(s.X for s in samples), params.b)
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         kappa = regime.blowup_exponent
         scaled = tuple(s.X**kappa * s.value for s in samples)

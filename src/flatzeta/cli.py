@@ -204,7 +204,7 @@ def _emit(text: str, out_path: str | None):
 def cmd_compute(args) -> int:
     cfg = _build_config(args)
     flat = args.flat != "off"
-    samples = zeta_samples(cfg.params, None, cfg.schedule().sigmas, cfg.numeric, flat=flat)
+    samples = zeta_samples(cfg.params, None, cfg.schedule().xs, cfg.numeric, flat=flat)
     seq = scale_sequence(cfg.params, samples)
     rows = ["sigma,X,Z,scaled,err"]
     for s, sc in zip(samples, seq.scaled_values):
@@ -263,7 +263,7 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
                        passed=abs(report.observed - target) <= report.tolerance)
 
     if suite in ("thm31", "all"):
-        samples = (zeta_samples(params, None, sched.sigmas, numeric, flat=True)
+        samples = (zeta_samples(params, None, sched.xs, numeric, flat=True)
                    if plot_path else None)
         rep = verify_blowup_law(params, None, sched, numeric, samples)
         rep = maybe_expect(maybe_expect(rep, "A"), "limit")
@@ -279,7 +279,7 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
         short = make_schedule(0.125, 0.25, 4, params.b)
         reports.append(verify_sandwich(params, [0.25, 1.0, 4.0], short, numeric))
     if suite in ("decomp", "all"):
-        reports.append(verify_decompositions(params, 1.0, -0.98 / params.b, numeric))
+        reports.append(verify_decompositions(params, 1.0, 0.02, numeric))
     if suite in ("lemmas", "all"):
         reports.append(verify_psi_and_flat(200, 0))
         if classify_regime(params).kind is RegimeKind.SUBCRITICAL_FLAT:

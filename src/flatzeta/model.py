@@ -69,10 +69,6 @@ class FamilyParams:
     def a_over_b(self) -> Fraction:
         return Fraction(self.a, self.b)
 
-    def sigma_window(self) -> tuple[float, float]:
-        """Open interval of sigma where the quadrant integral converges."""
-        return (-1.0 / self.b, 0.0)
-
 
 class RegimeKind(enum.Enum):
     SUPERCRITICAL_FLAT = "SupercriticalFlat"
@@ -124,31 +120,26 @@ def newton_distance(a: int, b: int) -> NewtonDistance:
 
 @dataclass(frozen=True)
 class SigmaSchedule:
-    """A schedule of sigma_k in (-1/b, 0) approaching -1/b, i.e. X_k = b*sigma_k + 1
-    strictly decreasing to 0."""
+    """A schedule of X_k = b*sigma_k + 1 in (0, 1), strictly decreasing to 0,
+    i.e. sigma_k = (X_k - 1)/b in (-1/b, 0) approaching -1/b."""
 
-    sigmas: tuple[float, ...]
     xs: tuple[float, ...]
     b: int
 
     def __post_init__(self):
-        if len(self.sigmas) < 4:
-            raise DomainError(f"schedule needs at least 4 points, got {len(self.sigmas)}")
-        if len(self.sigmas) != len(self.xs):
-            raise DomainError("sigma/X length mismatch")
-        if any(x <= 0.0 for x in self.xs):
-            raise DomainError("all X_k must be positive")
+        if len(self.xs) < 4:
+            raise DomainError(f"schedule needs at least 4 points, got {len(self.xs)}")
+        if not all(0.0 < x < 1.0 for x in self.xs):      # NaN fails
+            raise DomainError("every X_k must lie in (0, 1)")
         if any(x2 >= x1 for x1, x2 in zip(self.xs, self.xs[1:])):
             raise DomainError("X_k must be strictly decreasing")
-        if max(self.sigmas) >= 0.0:
-            raise DomainError("largest sigma must be negative")
 
     def __len__(self) -> int:
-        return len(self.sigmas)
+        return len(self.xs)
 
 
 def make_schedule(x_start: float, ratio: float, count: int, b: int) -> SigmaSchedule:
-    """Geometric schedule X_k = x_start * ratio^k, sigma_k = (X_k - 1)/b.
+    """Geometric schedule X_k = x_start * ratio^k.
 
     Proof-level correction terms scale like X log X, so geometric spacing in X
     gives a well-conditioned extrapolation later on.
@@ -159,9 +150,7 @@ def make_schedule(x_start: float, ratio: float, count: int, b: int) -> SigmaSche
         raise DomainError(f"need X_start in (0,1), got {x_start}")
     if count < 4:
         raise DomainError(f"need count >= 4, got {count}")
-    xs = tuple(x_start * ratio**k for k in range(count))
-    sigmas = tuple((x - 1.0) / b for x in xs)
-    return SigmaSchedule(sigmas=sigmas, xs=xs, b=b)
+    return SigmaSchedule(tuple(x_start * ratio**k for k in range(count)), b)
 
 
 #: Default schedule shape: geometric in X with ratio 1/2, 14 points from X = 2^-3.

@@ -36,9 +36,7 @@ from .zeta import (
     j_pieces,
     log_derivative_integral,
     log_derivative_moments,
-    region_pieces,
     region_samples,
-    zeta_quadrant,
     zeta_samples,
     ztilde1_2d,
     ztilde2_2d,
@@ -104,7 +102,7 @@ def verify_blowup_law(params: FamilyParams, bump: Optional[BumpSpec],
         ("thm31", 1.0, (0.02, 0.05)) if bump is None else ("thm21", 4.0, (0.05, 0.07)))
     kind = classify_regime(params).kind
     if samples is None:
-        samples = zeta_samples(params, bump, schedule.sigmas, cfg, flat=True)
+        samples = zeta_samples(params, bump, schedule.xs, cfg, flat=True)
     seq = scale_sequence(params, samples)
     if kind is RegimeKind.SUPERCRITICAL_FLAT:
         limit, unc = extract_limit(seq)
@@ -140,18 +138,19 @@ def verify_blowup_law(params: FamilyParams, bump: Optional[BumpSpec],
 def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
                     schedule: SigmaSchedule,
                     cfg: NumericConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """At every (lambda, sigma) sample, check the strict two-sided envelopes
+    """At every (lambda, X) pair of lambdas x schedule, check the strict
+    two-sided envelopes
 
         (1+lam^q)^s zt1 < Z1 < zt1,   (1+lam^-q)^s zt2 < Z2 < zt2,
 
     and the assembled bracket for Z itself.  A violation counts only when an
     inequality fails by more than the combined quadrature error.  Z is one
-    batched call over the sigmas (zeta_samples) and the region pieces one
-    over every (lambda, sigma) pair (region_samples), which rejects an empty
+    batched call over the Xs (zeta_samples) and the region pieces one
+    over every (lambda, X) pair (region_samples), which rejects an empty
     lambdas before any quadrature; the margins are lambda-major."""
     t0 = time.perf_counter()
-    traces = region_samples(params, lambdas, schedule.sigmas, cfg)
-    zs = zeta_samples(params, None, schedule.sigmas, cfg, flat=True)
+    traces = region_samples(params, lambdas, schedule.xs, cfg)
+    zs = zeta_samples(params, None, schedule.xs, cfg, flat=True)
     violations = 0
     margins = []
     q = params.q
@@ -175,33 +174,32 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
         residual_log=tuple(margins), runtime_seconds=time.perf_counter() - t0)
 
 
-def verify_decompositions(params: FamilyParams, lam: float, sigma: float,
+def verify_decompositions(params: FamilyParams, lam: float, X: float,
                           cfg: NumericConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Relative residuals of the additivity Z = Z1 + Z2, the 1D reductions
-    against direct iterated quadrature, and the regime-matched proof splits
-    (G-sum, H-difference, J-sum); all must fall below 1e-5."""
+    """Relative residuals at (lam, X) of the additivity Z = Z1 + Z2, the 1D
+    reductions against direct iterated quadrature, and the regime-matched
+    proof splits (G-sum, H-difference, J-sum); all must fall below 1e-5."""
     t0 = time.perf_counter()
-    X = params.b * sigma + 1.0
-    z = zeta_quadrant(params, sigma, cfg)
-    tr = region_pieces(params, lam, sigma, cfg)
+    (z,) = zeta_samples(params, None, [X], cfg, flat=True)
+    (tr,) = region_samples(params, [lam], [X], cfg)
     resid = {}
     resid["additivity"] = abs(z.value - (tr.z1 + tr.z2)) / z.value
-    zt1_2d = ztilde1_2d(params, lam, sigma, cfg)
+    zt1_2d = ztilde1_2d(params, lam, X, cfg)
     resid["ztilde1_reduction"] = abs(tr.ztilde1 - zt1_2d) / tr.ztilde1
-    zt2_2d = ztilde2_2d(params, lam, sigma, cfg)
+    zt2_2d = ztilde2_2d(params, lam, X, cfg)
     scale2 = max(abs(tr.ztilde2), 1e-300)
     resid["ztilde2_reduction"] = abs(tr.ztilde2 - zt2_2d) / scale2
     kind = classify_regime(params).kind
     if kind is RegimeKind.SUPERCRITICAL_FLAT:
-        g1, g2, g3 = g_pieces(params, lam, sigma, cfg)
-        pref = lam**(-X) * X**(-1.0 + (1.0 + params.a * sigma) / params.p_float)
+        g1, g2, g3 = g_pieces(params, lam, X, cfg)
+        pref = lam**(-X) * X**(-1.0 + (1.0 + params.a * z.sigma) / params.p_float)
         resid["g_sum"] = abs(tr.ztilde1 - pref * (g1 + g2 + g3)) / tr.ztilde1
     elif kind is RegimeKind.CRITICAL_FLAT:
-        _, g2, _ = g_pieces(params, lam, sigma, cfg)
-        h1, h2 = h_pieces(params, lam, sigma, cfg)
+        _, g2, _ = g_pieces(params, lam, X, cfg)
+        h1, h2 = h_pieces(params, lam, X, cfg)
         resid["h_split"] = abs(g2 - (h1 - h2)) / max(abs(g2), 1e-300)
     else:
-        j1, j2 = j_pieces(params, lam, sigma, cfg)
+        j1, j2 = j_pieces(params, lam, X, cfg)
         resid["j_sum"] = abs(tr.ztilde1 - (j1 + j2)) / tr.ztilde1
     worst = max(resid.values())
     return VerificationReport(

@@ -19,14 +19,21 @@ e(x) = E(x)^(1/q) gives the exact
     inner(x) = Y^X (1 - (e(x)/Y)^X) / X  +  e(x)^X K,   X = b sigma + 1,
 
 with K = int_0^1 v^((b-q)s) (1+v^q)^s dv + int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv
-in Gamma functions (_k_closed).  A whole sigma schedule is one vector
-quadrature over x, a component per sigma.
+in Gamma functions (_k_closed).  A whole schedule is one vector quadrature
+over x, a component per X.
+
+X = b sigma + 1 in (0, 1) is the input of every evaluator of Z, of the
+region pieces and of the proof-level parts: the caller's X is used as given
+and sigma = (X - 1)/b is derived from it once (_check_window), exact to
+rounding as sigma is O(1/b).  Rebuilding X from sigma would lose eps/X of
+it, 1e-4 relative at X = 1e-12.  Only the log-derivative integrals, whose
+variable s runs past 0, take s.
 
 Region pieces, the auxiliary reductions ztilde1/ztilde2 and the proof-level
 G/H/J parts are computed by independent quadratures in scaled variables, so
 the identity checks compare the closed-form Z with quadratures.  In every
 iterated integral the inner integrals of one outer level (the bump-weighted
-correction of zeta_weighted, the region columns, the 2D reductions) are
+correction of the bump-weighted Z, the region columns, the 2D reductions) are
 batched into one vector _tanh_sinh call per piece, each column retiring at
 its own level.  The bump-weighted correction of a (column, sigma),
 int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is one scaled piece in
@@ -60,8 +67,8 @@ sampled no deeper than the upper.  The x-bump underflows to exactly 0 past
 columns and the moment columns are 0 there, and build no inner column or
 row.
 
-The region pieces of every (lambda, sigma) pair of a sandwich are batched
-as Z is (region_samples): each pair is one component of every vector
+The region pieces of every (lambda, X) pair of a sandwich are batched as Z
+is (region_samples): each pair is one component of every vector
 quadrature, its x-interval mapped onto u in (0, 1) inside the integrand.
 One helper decides where the slice lambda y = e(x) kinks (_slice_pieces):
 the left piece up to rho(lam r2) (or r1) of every pair and the right piece
@@ -69,9 +76,8 @@ of the kinked pairs.  z2 is one outer call on each piece and z1 one on the
 left piece alone, as right of the kink {lambda y >= e(x)} has no part
 inside the box; their inner integrals are one vector call per outer level
 over the (node, pair) columns, and v_unclipped, ztilde1 and each ztilde2
-piece one vector call apiece.  region_pieces, ztilde1 and ztilde2 are the
-one-pair calls of the batch, and every batched component equals its
-one-pair call bit for bit.
+piece one vector call apiece.  A pair's trace does not depend on the other
+pairs of its batch: the one-pair batch gives it bit for bit.
 ztilde1_2d and ztilde2_2d, the cross-checks of the 1D reductions, keep
 their own integrands and inner quadratures and share only the one-pair
 slice pieces, one outer call apiece.
@@ -110,7 +116,8 @@ from .quad import _OFF_MIN, EndpointSpec, _tanh_sinh, integrate_1d
 
 @dataclass(frozen=True)
 class ZetaSample:
-    """One evaluation of Z at a sigma in the convergence window."""
+    """One evaluation of Z at an X = b sigma + 1 in (0, 1): X is the caller's,
+    sigma = (X - 1)/b is derived from it."""
 
     sigma: float
     X: float
@@ -120,10 +127,12 @@ class ZetaSample:
 
 @dataclass(frozen=True)
 class DecompositionTrace:
-    """Region pieces and auxiliary integrals at one (lambda, sigma)."""
+    """Region pieces and auxiliary integrals at one (lambda, X), X the
+    caller's and sigma = (X - 1)/b derived from it."""
 
     lam: float
     sigma: float
+    X: float
     z1: float
     z2: float
     ztilde1: float
@@ -135,20 +144,22 @@ class DecompositionTrace:
 # window / shared scalars
 # ---------------------------------------------------------------------------
 
-def _check_window(params: FamilyParams, sigma: float) -> float:
-    lo, hi = params.sigma_window()
-    if not lo < sigma < hi:
-        raise OutOfWindow(f"sigma={sigma} outside ({lo}, {hi})")
-    return params.b * sigma + 1.0
+def _check_window(params: FamilyParams, X: float) -> float:
+    """sigma = (X - 1)/b after checking 0 < X < 1 (NaN fails), the window
+    -1/b < sigma < 0.  sigma is O(1/b), so it is exact to rounding; X is
+    never rebuilt from it."""
+    if not 0.0 < X < 1.0:
+        raise OutOfWindow(f"X={X} outside (0, 1)")
+    return (X - 1.0) / params.b
 
 
-def _check_slice(params: FamilyParams, lam: float, sigma: float) -> float:
-    """X = b sigma + 1 for the slice lambda y = e(x), after checking sigma
-    against the window and 0 < lambda < inf (NaN fails)."""
-    X = _check_window(params, sigma)
+def _check_slice(params: FamilyParams, lam: float, X: float) -> float:
+    """sigma for the slice lambda y = e(x), after checking X against the
+    window and 0 < lambda < inf (NaN fails)."""
+    sigma = _check_window(params, X)
     if not 0.0 < lam < math.inf:
         raise DomainError("lambda must be positive and finite")
-    return X
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +191,16 @@ def _inner_closed(b: int, q: int, sigma: float, lnT, lnE):
     return np.exp(al * lnT + sigma * lnE) / al * F
 
 
-def _k_closed(b: int, q: int, sigmas: np.ndarray) -> np.ndarray:
-    """K of the far inner column for every sigma of sigmas: the Mellin integral
-    of (1+v^q)^s continued past its pole (DLMF 5.12.3), K = -expm1(L)/X with
-    L = log(Gamma(1-t) Gamma(t-s) / Gamma(-s)), t = X/q.  gammaln loses digits
-    of L as 1/t, so where t < 1e-2 and t < 0.08 (-s) (else |L| >= log 1.08) L is
-    its Taylor series in t: convergent for t < -s, its tail past k = 14 < 1e-16 L."""
-    Xs = b * sigmas + 1.0
+def _k_closed(q: int, sigmas: np.ndarray, Xs: np.ndarray) -> np.ndarray:
+    """K of the far inner column for every (sigma, X) of sigmas, Xs: the
+    Mellin integral of (1+v^q)^s continued past its pole (DLMF 5.12.3),
+    K = -expm1(L)/X with L = log(Gamma(1-t) Gamma(t-s) / Gamma(-s)),
+    t = X/q, 1 - t taken from X itself (at q = 1 and X = 1 - 2^-k it is 2^-k
+    exactly).  gammaln loses digits of L as 1/t, so where t < 1e-2 and
+    t < 0.08 (-s) (else |L| >= log 1.08) L is its Taylor series in t:
+    convergent for t < -s, its tail past k = 14 < 1e-16 L."""
     ts, ms = Xs / q, -sigmas
-    # 1 - t from sigma: at q = 1, 1 - X/q is 0 where X rounds to 1 next to sigma = 0
-    L = gammaln((q - 1.0 - b * sigmas) / q) + gammaln(ms + ts) - gammaln(ms)
+    L = gammaln(1.0 - ts) + gammaln(ms + ts) - gammaln(ms)
     sm = (ts < 1e-2) & (ts < 0.08 * ms)
     if sm.any():
         t, m, k, series = ts[sm], ms[sm], np.arange(14, 1, -1)[:, None], 0.0
@@ -318,17 +329,17 @@ def _dead_column(bump: BumpSpec, bs: np.ndarray, tol: float):
     return val, ev
 
 
-def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, row: np.ndarray,
+def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.ndarray,
                        ln_e: np.ndarray, tol: float):
     """int_0^R2 y^((b-q)s) (y^q + E)^s [phi_y(y) - 1] dy, R2 = bump.R2, for
-    every component i of row, E = e^q with log e = ln_e[row[i]] and s = sigma
-    (or sigma[i]): in y = e v the column e^X int_0^(R2/e) v^((b-q)s) (1+v^q)^s
-    [phi_y(e v) - 1] dv, as one _v_integrals call.  The bump increment
+    every component i of row, E = e^q with log e = ln_e[row[i]] and (s, X)
+    = (sigma, X), or (sigma[i], X[i]): in y = e v the column
+    e^X int_0^(R2/e) v^((b-q)s) (1+v^q)^s [phi_y(e v) - 1] dv, as one
+    _v_integrals call.  The bump increment
     phi_y - 1 vanishes like y^2 at 0 and the integrand is bounded at R2/e,
     so both ends are regular; the flat factor's bend at v ~ 1 sits next to
     the lower end, where tanh-sinh clusters its nodes.  Returns (values,
     evaluations)."""
-    X = params.b * sigma + 1.0
     e = np.exp(ln_e)
     val, _, ev = _v_integrals(params, sigma, row, np.exp(math.log(bump.R2) - ln_e),
                               lambda vs, rr: bump_y_increment(bump, e[rr] * vs), tol)
@@ -387,17 +398,18 @@ def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> 
 # the fast quadrant engine
 # ---------------------------------------------------------------------------
 
-def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
-                  Y1: float, Y2: float, bump: Optional[BumpSpec], flat: bool):
+def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
+                  cfg: NumericConfig, Y1: float, Y2: float, bump: Optional[BumpSpec],
+                  flat: bool):
     """Integral over (0,Y1)x(0,Y2) of the integrand, optionally bump-weighted,
-    for every sigma < 0 of the array sigmas, as one vector quadrature over x
-    with one component per sigma.  Without the flat term every column is the
-    E = 0 column C = Y2^X/X [+ _dead_column], so the integral is C times one
-    quadrature of x^(a s) [phi_x], C multiplied in after it.  Bump-weighted,
+    for every (sigma < 0, X = b sigma + 1) of the arrays sigmas, Xs, as one
+    vector quadrature over x with one component per sigma.  Without the flat
+    term every column is the E = 0 column C = Y2^X/X [+ _dead_column], so
+    the integral is C times one quadrature of x^(a s) [phi_x], C multiplied
+    in after it, and no error term of _inner_closed enters.  Bump-weighted,
     an outer node where the x-bump is exactly 0 has the column 0 and builds
     no inner column.  Returns (values, errors, evaluations)."""
     b, q, k = params.b, params.q, sigmas.size
-    Xs = b * sigmas + 1.0
     lnY2 = math.log(Y2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
     state = {"ev": 0}
@@ -421,10 +433,13 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
                                         EndpointSpec(exponent_lo=params.a * sigmas), k=k)
         values *= C
         errors *= np.abs(C)
-        errors += _inner_rel_err(Xs) * np.abs(values)
+        # the last step misses the rounding of the x-sum, of C and of their
+        # product, a few eps (at most 3.4 eps against the closed form on
+        # 2400 random flat-off samples)
+        errors += 16.0 * np.finfo(float).eps * np.abs(values)
         return values, errors, ev + state["ev"]
 
-    K = _k_closed(b, q, sigmas)
+    K = _k_closed(q, sigmas, Xs)
 
     def inner_plain(ln_es, lnE, cols):
         """int_0^Y2 y^((b-q)s)(y^q+E)^s dy per (column, sigma), weight-free."""
@@ -445,7 +460,8 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
         rows = np.flatnonzero(~dead)
         if rows.size:      # rows x cols row-major: each pair's index into rows, its sigma
             row, c = np.repeat(np.arange(rows.size), cols.size), np.tile(cols, rows.size)
-            val, ev = _increment_columns(params, bump, sigmas[c], row, ln_es[rows], mini_tol)
+            val, ev = _increment_columns(params, bump, sigmas[c], Xs[c], row, ln_es[rows],
+                                         mini_tol)
             total[rows] = val.reshape(rows.size, cols.size)
             state["ev"] += ev
         return total
@@ -476,43 +492,29 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, cfg: NumericConfig,
     return values, errors, ev + state["ev"]
 
 
-def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], sigmas,
+def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], Xs,
                  cfg: NumericConfig, *, flat: bool) -> list[ZetaSample]:
-    """zeta_quadrant (bump None) or zeta_weighted at every sigma of sigmas,
-    as one batched quadrature: each sigma is one component of the vector
-    quadratures, so its sample is the one-sigma call's value and error."""
+    """Z at every X = b sigma + 1 of Xs, as one batched quadrature: each X is
+    one component of the vector quadratures, so its sample does not depend
+    on the other Xs.  Raises OutOfWindow unless 0 < X < 1 for every X.
+
+    bump None gives Z(sigma) over the quadrant box [0, r1] x [0, r2],
+    strictly positive.  A bump gives the full-plane integral of |f|^sigma
+    against it, as 4x the quadrant over [0, R1] x [0, R2]: it needs q even,
+    so that |f(x, y)| = |f(|x|, |y|)|, and its support inside (-1, 1)^2.
+    With flat=False the perturbation is suppressed and the integral reduces
+    to the pure monomial."""
     if bump is not None:
         if params.q % 2 != 0:
             raise OddQNotSupported(f"q={params.q} is odd; quadrant symmetry fails")
         if bump.R1 >= 1.0 or bump.R2 >= 1.0:
             raise DomainError("bump support must lie inside (-1,1)^2")
-    Xs = [_check_window(params, s) for s in sigmas]
+    sigmas = [_check_window(params, X) for X in Xs]
     Y1, Y2, scale = (params.r1, params.r2, 1.0) if bump is None else (bump.R1, bump.R2, 4.0)
-    values, errors, _ = _box_integral(params, np.array(sigmas, dtype=float), cfg, Y1, Y2,
-                                      bump, flat)
-    return [ZetaSample(sigma=s, X=X, value=scale * float(v), error=scale * float(e))
+    values, errors, _ = _box_integral(params, np.array(sigmas), np.array(Xs, dtype=float),
+                                      cfg, Y1, Y2, bump, flat)
+    return [ZetaSample(sigma=float(s), X=float(X), value=scale * float(v), error=scale * float(e))
             for s, X, v, e in zip(sigmas, Xs, values, errors)]
-
-
-def zeta_quadrant(params: FamilyParams, sigma: float,
-                  cfg: NumericConfig = DEFAULT_CONFIG, *, flat: bool = True) -> ZetaSample:
-    """Z(sigma) over the quadrant box [0, r1] x [0, r2].
-
-    Raises OutOfWindow unless -1/b < sigma < 0; strictly positive on success.
-    With flat=False the perturbation is suppressed and the integral reduces to
-    the pure monomial.
-    """
-    return zeta_samples(params, None, [sigma], cfg, flat=flat)[0]
-
-
-def zeta_weighted(params: FamilyParams, bump: BumpSpec, sigma: float,
-                  cfg: NumericConfig = DEFAULT_CONFIG, *, flat: bool = True) -> ZetaSample:
-    """Full-plane integral of |f|^sigma against the bump, as 4x the quadrant.
-
-    Needs q even so that |f(x, y)| = |f(|x|, |y|)| and the quadrant symmetry
-    holds; the bump support must sit inside (-1, 1)^2.
-    """
-    return zeta_samples(params, bump, [sigma], cfg, flat=flat)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +560,10 @@ def _slice_pieces(params: FamilyParams, lam: np.ndarray, sig: np.ndarray):
             ((kinked, x1[kinked], params.r1 - x1[kinked]), None)]
 
 
-def _one_pair(params: FamilyParams, lam: float, sigma: float):
-    """The checked arrays (lam, sig, Xs) of the one pair (lam, sigma) and
-    its slice pieces."""
-    X = _check_slice(params, lam, sigma)
-    lams, sigs = np.array([lam]), np.array([sigma])
-    return lams, sigs, np.array([X]), _slice_pieces(params, lams, sigs)
+def _one_pair(params: FamilyParams, lam: float, X: float):
+    """The checked sigma of the one pair (lam, X) and its slice pieces."""
+    sigma = _check_slice(params, lam, X)
+    return sigma, _slice_pieces(params, np.array([lam]), np.array([sigma]))
 
 
 def _mapped(piece, us, cols):
@@ -587,19 +587,23 @@ def _on_pieces(column, pieces, tol: float, k: int):
     return total, err
 
 
-def region_samples(params: FamilyParams, lams, sigmas,
+def region_samples(params: FamilyParams, lams, Xs,
                    cfg: NumericConfig = DEFAULT_CONFIG) -> list[DecompositionTrace]:
-    """region_pieces at every (lambda, sigma) pair of lams x sigmas,
-    lambda-major, each pair one component of every vector call on the slice
-    pieces (_slice_pieces; see the module docstring).  An empty lams, or a
-    lambda outside (0, inf), raises DomainError before any quadrature."""
-    X_sig = [_check_window(params, s) for s in sigmas]
+    """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)},
+    plus the auxiliary integrals ztilde1/ztilde2 (_ztilde1_values,
+    _ztilde2_values), at every (lambda, X) pair of lams x Xs, lambda-major,
+    each pair one component of every vector call on the slice pieces
+    (_slice_pieces; see the module docstring), so a pair's trace does not
+    depend on the other pairs.  An X outside (0, 1) raises OutOfWindow, and
+    an empty lams, or a lambda outside (0, inf), DomainError, before any
+    quadrature."""
+    sigmas = [_check_window(params, X) for X in Xs]
     if len(lams) == 0 or not all(0.0 < v < math.inf for v in lams):     # NaN fails
         raise DomainError("the region pieces need lambdas, each positive and finite")
-    n_sig, q = len(X_sig), params.q
+    n_sig, q = len(sigmas), params.q
     lam = np.repeat(np.array(lams, dtype=float), n_sig)     # per pair, lambda-major
-    sig = np.tile(np.array(sigmas, dtype=float), len(lams))
-    Xs = np.tile(np.array(X_sig), len(lams))
+    sig = np.tile(np.array(sigmas), len(lams))
+    Xs = np.tile(np.array(Xs, dtype=float), len(lams))
     k = sig.size
     lnY2, ln_lam = math.log(params.r2), np.log(lam)
     w_floor = _w_floor(Xs, lnY2)
@@ -650,18 +654,10 @@ def region_samples(params: FamilyParams, lams, sigmas,
     z2, e2 = _on_pieces(z2_column, pieces, cfg.tol_2d, k)
     zt1 = _ztilde1_values(params, lam, sig, Xs, pieces, cfg)
     zt2 = _ztilde2_values(params, lam, sig, Xs, pieces, cfg)
-    return [DecompositionTrace(lam=lams[i // n_sig], sigma=sigmas[i % n_sig], z1=float(z1[i]),
-                               z2=float(z2[i]), ztilde1=float(zt1[i]),
+    return [DecompositionTrace(lam=lams[i // n_sig], sigma=float(sig[i]), X=float(Xs[i]),
+                               z1=float(z1[i]), z2=float(z2[i]), ztilde1=float(zt1[i]),
                                ztilde2=float(zt2[i]), error=float(e1[i] + e2[i]))
             for i in range(k)]
-
-
-def region_pieces(params: FamilyParams, lam: float, sigma: float,
-                  cfg: NumericConfig = DEFAULT_CONFIG) -> DecompositionTrace:
-    """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)},
-    plus the auxiliary integrals ztilde1/ztilde2, at one (lambda, sigma)
-    (the one-pair call of region_samples)."""
-    return region_samples(params, [lam], [sigma], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +666,13 @@ def region_pieces(params: FamilyParams, lam: float, sigma: float,
 
 def _ztilde1_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: np.ndarray,
                     pieces, cfg: NumericConfig) -> np.ndarray:
-    """ztilde1 at every pair (lam, sigma, X) of the checked arrays lam, sig,
-    Xs, as one vector quadrature over the left slice pieces (_slice_pieces),
-    x from 0 to rho(lam r2), with a component and an endpoint exponent per
-    pair."""
+    """The 1D form of the monomial integral over the region {lambda y >= e(x)},
+
+        lam^-X X^-1 int_0^rho(lam r2) x^(a s) ((lam r2)^X - e(x)^X) dx,
+
+    at every pair (lam, sigma, X) of the checked arrays lam, sig, Xs, as one
+    vector quadrature over the left slice pieces (_slice_pieces), with a
+    component and an endpoint exponent per pair."""
     a = params.a
     ln_rt2 = np.log(lam * params.r2)
     scale = np.exp(Xs * ln_rt2)
@@ -689,21 +688,18 @@ def _ztilde1_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: 
     return np.exp(-Xs * np.log(lam)) / Xs * vals
 
 
-def ztilde1(params: FamilyParams, lam: float, sigma: float,
-            cfg: NumericConfig = DEFAULT_CONFIG) -> float:
-    """1D form of the monomial integral over the region {lambda y >= e(x)}:
-
-        lam^-X X^-1 int_0^rho(lam r2) x^(a s) ((lam r2)^X - e(x)^X) dx
-    """
-    return float(_ztilde1_values(params, *_one_pair(params, lam, sigma), cfg)[0])
-
-
 def _ztilde2_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: np.ndarray,
                     pieces, cfg: NumericConfig) -> np.ndarray:
-    """ztilde2 at every pair (lam, sigma, X) of the checked arrays lam, sig,
-    Xs: each of its two terms is one vector quadrature over one slice piece
-    (_slice_pieces) with a component per pair, (0, rho) for every pair and
-    (rho, r1) for the pairs with rho < r1."""
+    """The two-piece 1D reduction of the flat-side auxiliary integral,
+
+        (X - q s)^-1 [ lam^-(X-qs) int_0^rho x^(a s) e(x)^X dx
+                       + r2^(X-qs) int_rho^r1 x^(a s) e^(-s/x^p) dx ],
+
+    rho = rho(lam r2), at every pair (lam, sigma, X) of the checked arrays
+    lam, sig, Xs: each of its two terms is one vector quadrature over one
+    slice piece (_slice_pieces) with a component per pair, (0, rho) for every
+    pair and (rho, r1) for the pairs with rho < r1.  The lower limit rho > 0
+    keeps the growing factor e^(-s/x^p) finite on the second piece."""
     a, q = params.a, params.q
     denom = Xs - q * sig
 
@@ -724,24 +720,12 @@ def _ztilde2_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: 
             + np.exp(denom * math.log(params.r2)) / denom * right)
 
 
-def ztilde2(params: FamilyParams, lam: float, sigma: float,
-            cfg: NumericConfig = DEFAULT_CONFIG) -> float:
-    """Two-piece 1D reduction of the flat-side auxiliary integral:
-
-        (X - q s)^-1 [ lam^-(X-qs) int_0^rho x^(a s) e(x)^X dx
-                       + r2^(X-qs) int_rho^r1 x^(a s) e^(-s/x^p) dx ],
-    with rho = rho(lam r2).  The lower limit rho > 0 keeps the growing factor
-    e^(-s/x^p) finite on the second piece.
-    """
-    return float(_ztilde2_values(params, *_one_pair(params, lam, sigma), cfg)[0])
-
-
-def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
+def ztilde1_2d(params: FamilyParams, lam: float, X: float,
                cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Direct iterated quadrature of x^(a s) y^(b s) over {lambda y >= e(x)},
     for cross-checking the 1D reduction: its own inner quadrature on each
     column, on the slice pieces of ztilde1."""
-    _, _, (X,), pieces = _one_pair(params, lam, sigma)
+    sigma, pieces = _one_pair(params, lam, X)
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
     w_floor = _w_floor(X, lnY2)
 
@@ -762,14 +746,14 @@ def ztilde1_2d(params: FamilyParams, lam: float, sigma: float,
     return float(_on_pieces(zt1_2d, pieces, cfg.tol_2d, 1)[0][0])
 
 
-def ztilde2_2d(params: FamilyParams, lam: float, sigma: float,
+def ztilde2_2d(params: FamilyParams, lam: float, X: float,
                cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Direct iterated quadrature of x^(a s) y^((b-q)s) e^(-s/x^p) over
     {lambda y < e(x)}, for cross-checking the two-piece reduction, on the
     slice pieces of ztilde2.  The inner integral is v0 m^((b-q)s+1),
     m = min(e(x)/lambda, r2), with v0 the quadrature of v^((b-q)s) over
     (0, 1)."""
-    *_, pieces = _one_pair(params, lam, sigma)
+    sigma, pieces = _one_pair(params, lam, X)
     a, q = params.a, params.q
     bq = (params.b - params.q) * sigma
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
@@ -806,7 +790,7 @@ def _from_one(f, U: float, cfg: NumericConfig) -> float:
     return val if U > 1.0 else -val
 
 
-def g_pieces(params: FamilyParams, lam: float, sigma: float,
+def g_pieces(params: FamilyParams, lam: float, X: float,
              cfg: NumericConfig = DEFAULT_CONFIG):
     """G1, G2, G3 after the rescaling u = X^(-1/p) x:
 
@@ -814,7 +798,7 @@ def g_pieces(params: FamilyParams, lam: float, sigma: float,
         G2 = int_1^U u^(a s)(1 - e(u)) du,      U = rho(rt2) / X^(1/p)
         G3 = (rt2^X - 1) int_1^U u^(a s) du
     """
-    X = _check_slice(params, lam, sigma)
+    sigma = _check_slice(params, lam, X)
     a = params.a
     rt2 = lam * params.r2
     ln_rt2 = math.log(rt2)
@@ -842,11 +826,11 @@ def g_pieces(params: FamilyParams, lam: float, sigma: float,
     return g1, g2, g3
 
 
-def h_pieces(params: FamilyParams, lam: float, sigma: float,
+def h_pieces(params: FamilyParams, lam: float, X: float,
              cfg: NumericConfig = DEFAULT_CONFIG):
     """Critical-regime split of G2: H1 = q^-1 (log rho(rt2) - p^-1 log X) and
     H2 = int_1^U (q^-1 / u - u^(a s)(1 - e(u))) du, so G2 = H1 - H2."""
-    X = _check_slice(params, lam, sigma)
+    sigma = _check_slice(params, lam, X)
     a, q = params.a, params.q
     rho_v = _slice_rho(params, lam)
     p = params.p_float
@@ -860,14 +844,14 @@ def h_pieces(params: FamilyParams, lam: float, sigma: float,
     return h1, _from_one(f, U, cfg)
 
 
-def j_pieces(params: FamilyParams, lam: float, sigma: float,
+def j_pieces(params: FamilyParams, lam: float, X: float,
              cfg: NumericConfig = DEFAULT_CONFIG):
     """Subcritical split of the 1D reduction:
 
         J1 = lam^-X int_0^rho x^(a s) (1 - e(x)^X)/X dx
         J2 = lam^-X (rt2^X - 1)/X int_0^rho x^(a s) dx
     """
-    X = _check_slice(params, lam, sigma)
+    sigma = _check_slice(params, lam, X)
     a = params.a
     rt2 = lam * params.r2
     rho_v = _slice_rho(params, lam)
@@ -1039,5 +1023,6 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
     j = _check_log_moments(params, bump, s, j, flat)
     if j > 0 or s >= 0.0:
         return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])
-    (value,), _, _ = _box_integral(params, np.array([s]), cfg, bump.R1, bump.R2, bump, flat)
+    (value,), _, _ = _box_integral(params, np.array([s]), np.array([params.b * s + 1.0]), cfg,
+                                   bump.R1, bump.R2, bump, flat)
     return 4.0 * float(value)

@@ -7,7 +7,7 @@ from mpmath import mp, mpf, exp, log, quad, sqrt, gamma, pi
 
 t0 = time.time()
 
-# ---- zeta_quadrant (0,2,2,2), r=(1/2,1/2), sigma=-0.4 :: plain-y inner ----
+# ---- quadrant Z (0,2,2,2), r=(1/2,1/2), sigma=-0.4 :: plain-y inner ----
 mp.dps = 40
 a, b, q, p = 0, 2, 2, 2
 r1 = r2 = mpf(1) / 2
@@ -28,7 +28,7 @@ def inner_plain(x):
 
 
 Z_sup = quad(inner_plain, [mpf(0), mpf("0.02"), mpf("0.08"), mpf("0.2"), r1])
-print("zeta_quadrant(0,2,2,2; -0.4) =", mp.nstr(Z_sup, 25), flush=True)
+print("Z(0,2,2,2; -0.4) =", mp.nstr(Z_sup, 25), flush=True)
 print("elapsed", time.time() - t0, flush=True)
 
 # ---- ztilde1 (0,2,2,2), lam=1, sigma=-0.45 ----
@@ -106,7 +106,7 @@ for (aa, bb, qq, pp) in [(1, 7, 1, (7, 8)), (2, 7, 2, (3, 4)), (5, 7, 2, (1, 3))
     print(f"A({aa},{bb},{qq},{pp[0]}/{pp[1]}) = {mp.nstr(vals[1], 21)}  "
           f"(30 vs 40 digits: {mp.nstr(abs(vals[0] - vals[1]) / vals[1], 3)})", flush=True)
 
-# ---- zeta_weighted (0,2,2,2), bump R=(1/2,1/2), sigma=-0.49 :: w-space inner ----
+# ---- weighted Z (0,2,2,2), bump R=(1/2,1/2), sigma=-0.49 :: w-space inner ----
 mp.dps = 25
 a, b, q, p = 0, 2, 2, 2
 R1 = R2 = mpf(1) / 2
@@ -143,6 +143,6 @@ def inner_w(x):
 t1 = time.time()
 W = 4 * quad(lambda x: x**(a * sigma) * phix(x) * inner_w(x),
              [mpf(0), mpf("0.02"), mpf("0.08"), mpf("0.2"), R1])
-print("zeta_weighted(0,2,2,2; bump .5, -0.49) =", mp.nstr(W, 20), flush=True)
+print("Z_weighted(0,2,2,2; bump .5, -0.49) =", mp.nstr(W, 20), flush=True)
 print("weighted took", time.time() - t1, flush=True)
 print("total", time.time() - t0, flush=True)

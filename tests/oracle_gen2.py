@@ -5,7 +5,7 @@ from mpmath import mp, mpf, exp, log, quad
 
 t0 = time.time()
 
-# ---- zeta_weighted (0,2,2,1), bump R=(1/2,1/2), X = 2^-8 ----
+# ---- weighted Z (0,2,2,1), bump R=(1/2,1/2), X = 2^-8 ----
 mp.dps = 25
 a, b, q, p = 0, 2, 2, 1
 R1 = R2 = mpf(1) / 2
@@ -43,10 +43,10 @@ def inner_w(x):
 
 W = 4 * quad(lambda x: x**(a * sigma) * phix(x) * inner_w(x),
              [mpf(0), mpf("1e-6"), mpf("1e-3"), mpf("0.02"), mpf("0.1"), R1])
-print("zeta_weighted(0,2,2,1; bump .5, X=2^-8) =", mp.nstr(W, 20), flush=True)
+print("Z_weighted(0,2,2,1; bump .5, X=2^-8) =", mp.nstr(W, 20), flush=True)
 print("elapsed", time.time() - t0, flush=True)
 
-# ---- zeta_quadrant (1,2,2,1/4), r=(1/2,1/2), sigma=-0.45 :: plain-y inner ----
+# ---- quadrant Z (1,2,2,1/4), r=(1/2,1/2), sigma=-0.45 :: plain-y inner ----
 mp.dps = 60
 a, b, q = 1, 2, 2
 p = mpf(1) / 4
@@ -70,5 +70,5 @@ def inner_plain(x):
 t1 = time.time()
 Zg = quad(inner_plain, [mpf(0), mpf("1e-8"), mpf("1e-4"), mpf("0.01"),
                         mpf("0.1"), r1])
-print("zeta_quadrant(1,2,2,1/4; -0.45) =", mp.nstr(Zg, 25), flush=True)
+print("Z(1,2,2,1/4; -0.45) =", mp.nstr(Zg, 25), flush=True)
 print("elapsed", time.time() - t1, "total", time.time() - t0, flush=True)

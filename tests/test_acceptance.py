@@ -29,12 +29,9 @@ from flatzeta.zeta import (
     log_derivative_integral,
     log_derivative_moments,
     monomial_closed_form,
-    region_pieces,
-    zeta_quadrant,
-    zeta_weighted,
-    ztilde1,
+    region_samples,
+    zeta_samples,
     ztilde1_2d,
-    ztilde2,
     ztilde2_2d,
     g_pieces,
     j_pieces,
@@ -63,9 +60,7 @@ def _report(num, name, passed, detail):
 
 
 def _samples(params, weighted=False):
-    if weighted:
-        return [zeta_weighted(params, BUMP, s, CFG) for s in SCHEDULE.sigmas]
-    return [zeta_quadrant(params, s, CFG) for s in SCHEDULE.sigmas]
+    return zeta_samples(params, BUMP if weighted else None, SCHEDULE.xs, CFG, flat=True)
 
 
 def test_criterion_01_supercritical_power_law():
@@ -171,8 +166,8 @@ def test_criterion_05_sandwich_randomized():
         lam = float(10.0 ** rng.uniform(-2.0, 2.0))
         X = float(rng.uniform(0.05, 0.95))
         sigma = (X - 1.0) / b
-        z = zeta_quadrant(params, sigma, CFG)
-        tr = region_pieces(params, lam, sigma, CFG)
+        (z,) = zeta_samples(params, None, [X], CFG, flat=True)
+        (tr,) = region_samples(params, [lam], [X], CFG)
         slack = 10.0 * (z.error + tr.error) + 1e-12 * z.value
         lo1 = (1.0 + lam**q) ** sigma * tr.ztilde1
         lo2 = (1.0 + lam**-q) ** sigma * tr.ztilde2
@@ -201,24 +196,24 @@ def test_criterion_06_decomposition_identities():
                              ("greenblatt", 1.0, -0.49)):
         params = PRESETS[name]
         X = params.b * sigma + 1.0
-        z = zeta_quadrant(params, sigma, CFG)
-        tr = region_pieces(params, lam, sigma, CFG)
+        (z,) = zeta_samples(params, None, [X], CFG, flat=True)
+        (tr,) = region_samples(params, [lam], [X], CFG)
         resids[f"{name}/additivity"] = abs(z.value - (tr.z1 + tr.z2)) / z.value
-        zt1_2d = ztilde1_2d(params, lam, sigma, CFG)
+        zt1_2d = ztilde1_2d(params, lam, X, CFG)
         resids[f"{name}/zt1-reduction"] = abs(tr.ztilde1 - zt1_2d) / tr.ztilde1
-        zt2_2d = ztilde2_2d(params, lam, sigma, CFG)
+        zt2_2d = ztilde2_2d(params, lam, X, CFG)
         resids[f"{name}/zt2-two-piece"] = (abs(tr.ztilde2 - zt2_2d)
                                            / max(abs(tr.ztilde2), 1e-300))
     params = PRESETS["supercritical"]
     sigma = -0.49
     X = params.b * sigma + 1.0
-    g1, g2, g3 = g_pieces(params, 1.0, sigma, CFG)
+    g1, g2, g3 = g_pieces(params, 1.0, X, CFG)
     pref = X ** (-1.0 + (1.0 + params.a * sigma) / params.p_float)
-    zt1 = ztilde1(params, 1.0, sigma, CFG)
+    zt1 = region_samples(params, [1.0], [X], CFG)[0].ztilde1
     resids["supercritical/g-sum"] = abs(zt1 - pref * (g1 + g2 + g3)) / zt1
     params = PRESETS["greenblatt"]
-    j1, j2 = j_pieces(params, 1.0, sigma, CFG)
-    zt1 = ztilde1(params, 1.0, sigma, CFG)
+    j1, j2 = j_pieces(params, 1.0, X, CFG)
+    zt1 = region_samples(params, [1.0], [X], CFG)[0].ztilde1
     resids["greenblatt/j-sum"] = abs(zt1 - (j1 + j2)) / zt1
     worst = max(resids.values())
     ok = worst < tol
@@ -235,7 +230,7 @@ def test_criterion_07_monomial_oracle_grid():
     params = FamilyParams(1, 2, 2, Fraction(2), r1=1e-4, r2=0.5)
     worst = 0.0
     for sigma in np.linspace(-0.495, -0.01, 20):
-        z = zeta_quadrant(params, float(sigma), CFG)
+        (z,) = zeta_samples(params, None, [params.b * float(sigma) + 1.0], CFG, flat=True)
         cf = monomial_closed_form(1, 2, 1e-4, 0.5, float(sigma))
         worst = max(worst, abs(z.value - cf) / cf)
     ok = worst < 1e-8
@@ -390,7 +385,7 @@ def test_criterion_10_nonpolar_signature():
     t0 = time.perf_counter()
     params = PRESETS["supercritical"]
     kappa = classify_regime(params).blowup_exponent
-    samples = [zeta_quadrant(params, s, CFG) for s in SCHEDULE.sigmas[-4:]]
+    samples = zeta_samples(params, None, SCHEDULE.xs[-4:], CFG, flat=True)
     lx = np.array([math.log(s.X) for s in samples])
     ly = np.array([math.log(s.value) for s in samples])
     A = np.column_stack([np.ones_like(lx), lx])

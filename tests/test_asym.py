@@ -272,8 +272,8 @@ def test_blowup_sequence_validation():
 def test_case3_example_values_bracket_the_limit():
     # The extrapolation target of the raw sequence must live in the bracket;
     # checked end to end (this is the bounded-regime law at desk scale).
-    from flatzeta.zeta import zeta_quadrant
+    from flatzeta.zeta import zeta_samples
     sched = make_schedule(0.125, 0.5, 8, GREEN.b)
-    zs = [zeta_quadrant(GREEN, s, CFG).value for s in sched.sigmas]
+    zs = [z.value for z in zeta_samples(GREEN, None, sched.xs, CFG, flat=True)]
     b3 = case3_bounds(GREEN, CFG)
     assert b3.lower <= zs[-1] <= b3.upper

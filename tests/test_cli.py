@@ -13,7 +13,7 @@ import pytest
 from flatzeta import cli, verify
 from flatzeta.cli import RunConfig, main
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS
-from flatzeta.zeta import monomial_closed_form, zeta_quadrant, zeta_samples
+from flatzeta.zeta import monomial_closed_form, zeta_samples
 from fractions import Fraction
 
 
@@ -36,6 +36,20 @@ def test_compute_row_count_and_header(capsys):
         sigma, X, Z, scaled, err = map(float, line.split(","))
         assert X == pytest.approx(2.0 * sigma + 1.0, abs=1e-15)
         assert Z > 0.0
+
+
+@pytest.mark.parametrize("b", [3, 7])
+def test_compute_x_column_is_the_schedule_x(capsys, b):
+    # X is the engine's input: row k holds the schedule's X_k = X0 ratio^k
+    # bit for bit and sigma = (X - 1)/b, where rebuilding X as b sigma + 1
+    # would lose eps/X of it (1e-10 relative at X = 1e-6, b = 3)
+    code, out = run_cli(["compute", "--a", "1", "--b", str(b), "--q", "2", "--p", "3/2",
+                         "--schedule", "geo:1e-6,0.5,14"], capsys=capsys)
+    assert code == 0
+    for k, line in enumerate(out.strip().split("\n")[1:]):
+        sigma, X, *_ = map(float, line.split(","))
+        assert X == 1e-6 * 0.5**k
+        assert sigma == (X - 1.0) / b
 
 
 def test_compute_flat_off_matches_closed_form(capsys):
@@ -116,7 +130,7 @@ def test_verify_thm31_plot_reuses_samples(tmp_path, capsys, monkeypatch):
                        "--plot", str(plot)], capsys=capsys)
     assert code == 0
     # one batch over the 14 points of the default schedule, shared by the plot
-    assert [len(sigmas) for sigmas in calls] == [14]
+    assert [len(xs) for xs in calls] == [14]
     assert hashlib.sha256(plot.read_bytes()).hexdigest() == GREEN_THM31_SVG_SHA256
 
 
@@ -212,8 +226,9 @@ def test_config_file_cli(tmp_path, capsys):
     assert code == 0
     rows = out.strip().split("\n")
     assert len(rows) == 5
-    sigma, _, Z, _, _ = map(float, rows[1].split(","))
-    z = zeta_quadrant(FamilyParams(0, 2, 2, Fraction(1), r1=0.3, r2=0.5), sigma)
+    _, X, Z, _, _ = map(float, rows[1].split(","))
+    (z,) = zeta_samples(FamilyParams(0, 2, 2, Fraction(1), r1=0.3, r2=0.5), None, [X],
+                        NumericConfig(), flat=True)
     assert Z == z.value
 
 

@@ -21,7 +21,7 @@ from flatzeta.verify import (
     verify_psi_and_flat,
     verify_sandwich,
 )
-from flatzeta.zeta import region_pieces, zeta_samples
+from flatzeta.zeta import region_samples, zeta_samples
 
 CFG = NumericConfig()
 BUMP = BumpSpec(0.5, 0.5)
@@ -105,11 +105,11 @@ def test_sandwich_preset_cases():
     assert len(rep.residual_log) == 12  # 3 lambdas x 4 sigmas
     # lambda-major, each margin the worst envelope of its one-pair pieces
     p = PRESETS["greenblatt"]
-    zs = zeta_samples(p, None, SHORT.sigmas, CFG, flat=True)
+    zs = zeta_samples(p, None, SHORT.xs, CFG, flat=True)
     margins = []
     for lam in lams:
         for z in zs:
-            tr = region_pieces(p, lam, z.sigma, CFG)
+            (tr,) = region_samples(p, [lam], [z.X], CFG)
             lo1 = (1.0 + lam**p.q) ** tr.sigma * tr.ztilde1
             lo2 = (1.0 + lam**(-p.q)) ** tr.sigma * tr.ztilde2
             margins.append(min(tr.z1 - lo1, tr.ztilde1 - tr.z1, tr.z2 - lo2,
@@ -126,17 +126,17 @@ def test_sandwich_computes_each_z_once(monkeypatch):
         calls.append(list(args[2]))
         return real(*args, **kwargs)
 
-    def counting_regions(params, lams, sigmas, *args, **kwargs):
-        regions.append((list(lams), list(sigmas)))
-        return real_regions(params, lams, sigmas, *args, **kwargs)
+    def counting_regions(params, lams, xs, *args, **kwargs):
+        regions.append((list(lams), list(xs)))
+        return real_regions(params, lams, xs, *args, **kwargs)
 
     monkeypatch.setattr(verify_mod, "zeta_samples", counting)
     monkeypatch.setattr(verify_mod, "region_samples", counting_regions)
     rep = verify_sandwich(PRESETS["critical"], [0.25, 1.0, 4.0], SHORT, CFG)
     assert rep.passed
-    assert calls == [list(SHORT.sigmas)]      # one batch for all lambdas
-    # and one batch of region pieces for every (lambda, sigma) pair
-    assert regions == [([0.25, 1.0, 4.0], list(SHORT.sigmas))]
+    assert calls == [list(SHORT.xs)]      # one batch for all lambdas
+    # and one batch of region pieces for every (lambda, X) pair
+    assert regions == [([0.25, 1.0, 4.0], list(SHORT.xs))]
 
 
 def test_sandwich_flat_dead_degenerates():
@@ -153,7 +153,7 @@ def test_sandwich_without_lambdas_rejected():
 
 def test_decompositions_presets():
     for name in ("supercritical", "critical", "greenblatt"):
-        rep = verify_decompositions(PRESETS[name], 1.0, -0.49, CFG)
+        rep = verify_decompositions(PRESETS[name], 1.0, PRESETS[name].b * -0.49 + 1.0, CFG)
         assert rep.passed, rep
         assert rep.observed < 1e-5
 
@@ -164,7 +164,8 @@ def test_decompositions_strong_outer_singularity(a, b, q, p):
     # before the log-variable integrals were clipped; no numpy warning either
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = verify_decompositions(FamilyParams(a, b, q, Fraction(p)), 1.0, -0.98 / b, CFG)
+        rep = verify_decompositions(FamilyParams(a, b, q, Fraction(p)), 1.0,
+                                    b * (-0.98 / b) + 1.0, CFG)
     assert rep.passed, rep
     assert rep.tolerance == 1e-5
 

@@ -40,6 +40,7 @@ from flatzeta.zeta import (
     _inner_closed,
     _inner_far,
     _inner_rel_err,
+    _check_window,
     _k_closed,
     _ln_E_dead,
     _v_integrals,
@@ -50,14 +51,9 @@ from flatzeta.zeta import (
     log_derivative_integral,
     log_derivative_moments,
     monomial_closed_form,
-    region_pieces,
     region_samples,
-    zeta_quadrant,
     zeta_samples,
-    zeta_weighted,
-    ztilde1,
     ztilde1_2d,
-    ztilde2,
     ztilde2_2d,
 )
 
@@ -315,7 +311,7 @@ def test_zeta_quadrant_flat_suppressed_matches_closed_form():
     # 1/(q x^p) = 1/(2 x^2) >= 5e7 on (0, 1e-4]: the flat term is cutoff-dead
     p = FamilyParams(1, 2, 2, Fraction(2), r1=1e-4, r2=0.5)
     for sigma in (-0.45, -0.25, -0.1):
-        z = zeta_quadrant(p, sigma, CFG)
+        (z,) = zeta_samples(p, None, [p.b * sigma + 1.0], CFG, flat=True)
         cf = monomial_closed_form(1, 2, 1e-4, 0.5, sigma)
         assert z.value == pytest.approx(cf, rel=1e-8)
 
@@ -323,18 +319,19 @@ def test_zeta_quadrant_flat_suppressed_matches_closed_form():
 def test_zeta_quadrant_flat_off_switch():
     for params in (SUP, GREEN):
         for sigma in (-0.45, -0.2):
-            z = zeta_quadrant(params, sigma, CFG, flat=False)
+            (z,) = zeta_samples(params, None, [params.b * sigma + 1.0], CFG, flat=False)
             cf = monomial_closed_form(params.a, params.b, params.r1, params.r2, sigma)
             assert z.value == pytest.approx(cf, rel=1e-10)
 
 
 @pytest.mark.parametrize("flat", [True, False])
 def test_zeta_quadrant_next_to_sigma_zero_at_q1(flat):
-    # X = b sigma + 1 rounds to 1 and X/q to 1 at q = 1: the far columns'
-    # constant K must stay finite (the integrand is 1 to double precision)
-    p = FamilyParams(0, 3, 1, Fraction(1))
-    z = zeta_quadrant(p, -1e-17, CFG, flat=flat)
-    assert z.value == pytest.approx(monomial_closed_form(0, 3, 0.5, 0.5, -1e-17), rel=1e-14)
+    # X = 1 - 2^-53, the largest X in the window, and X/q next to 1 at q = 1:
+    # the far columns' constant K must stay finite (the integrand is 1 to
+    # double precision)
+    p, X = FamilyParams(0, 3, 1, Fraction(1)), 1.0 - 2.0**-53
+    (z,) = zeta_samples(p, None, [X], CFG, flat=flat)
+    assert z.value == pytest.approx(p.r1 * p.r2**X / X, rel=1e-14)
 
 
 def test_zeta_quadrant_monomial_oracle_grid():
@@ -342,19 +339,19 @@ def test_zeta_quadrant_monomial_oracle_grid():
     p = FamilyParams(1, 3, 2, Fraction(3), r1=0.4, r2=0.7)
     sigmas = np.linspace(-0.32, -0.01, 20)
     for s in sigmas:
-        z = zeta_quadrant(p, float(s), CFG, flat=False)
+        (z,) = zeta_samples(p, None, [p.b * float(s) + 1.0], CFG, flat=False)
         cf = monomial_closed_form(3 * 0 + p.a, p.b, p.r1, p.r2, float(s))
         assert abs(z.value - cf) / cf < 1e-8
 
 
 def test_zeta_quadrant_frozen_oracle():
-    z = zeta_quadrant(SUP, -0.4, CFG)
+    (z,) = zeta_samples(SUP, None, [SUP.b * -0.4 + 1.0], CFG, flat=True)
     assert z.value == pytest.approx(ORACLE_Z_SUP_04, rel=1e-9)
     assert z.X == pytest.approx(0.2, abs=1e-15)
 
 
 def test_zeta_quadrant_frozen_oracle_bounded_regime():
-    z = zeta_quadrant(GREEN, -0.45, CFG)
+    (z,) = zeta_samples(GREEN, None, [GREEN.b * -0.45 + 1.0], CFG, flat=True)
     assert z.value == pytest.approx(ORACLE_Z_GREEN_045, rel=1e-10)
     assert abs(z.value - ORACLE_Z_GREEN_045) <= 10.0 * z.error
 
@@ -375,7 +372,8 @@ def test_zeta_quadrant_matches_nested_1d_integrand():
 
     r = integrate_1d(lambda xs: np.array([column(x) for x in xs]), 0.0, 0.5,
                      EndpointSpec(exponent_lo=GREEN.a * sigma), tol=1e-8)
-    assert r.value == pytest.approx(zeta_quadrant(GREEN, sigma, CFG).value, rel=1e-6)
+    (z,) = zeta_samples(GREEN, None, [GREEN.b * sigma + 1.0], CFG, flat=True)
+    assert r.value == pytest.approx(z.value, rel=1e-6)
 
 
 @pytest.mark.parametrize("b, q, X, lnT, lnE, ref", INNER_ORACLE)
@@ -386,15 +384,15 @@ def test_inner_closed_form_matches_oracle(b, q, X, lnT, lnE, ref):
     if q * lnT - lnE > 698.0:
         # either side of the switch, the engine's far branch (exact main
         # term plus e^X K) must agree within the same bound
-        far = _inner_far(X, lnT, lnE / q, _k_closed(b, q, np.array([sigma]))[0])
+        far = _inner_far(X, lnT, lnE / q, _k_closed(q, np.array([sigma]), np.array([X]))[0])
         assert abs(far - ref) <= bound * ref
 
 
 @pytest.mark.parametrize("b, q, X, ref", K_ORACLE)
 def test_k_closed_matches_oracle(b, q, X, ref):
     # both sides of the series/gammaln switch at t = X/q = 1e-2 and, at large b,
-    # at t = 0.08 (-s); X down to 1e-12
-    K = _k_closed(b, q, np.array([(X - 1.0) / b]))[0]
+    # at t = 0.08 (-s); X down to 1e-12, the oracle's X itself
+    K = _k_closed(q, np.array([(X - 1.0) / b]), np.array([X]))[0]
     assert abs(K - ref) <= 5e-14 * ref
 
 
@@ -404,14 +402,15 @@ def test_increment_columns_match_oracle(b, q):
     # over (0, R2/e): e above R2, e next to the threshold of the E = 0 column,
     # b > q and q = b, and q = 40, where v^q passes the double range
     rows = [row for row in DELTA_ORACLE if row[:2] == (b, q)]
-    sigma = np.array([(X - 1.0) / b for _, _, X, _, _ in rows])
+    X = np.array([row[2] for row in rows])
+    sigma = (X - 1.0) / b
     ln_e = np.array([row[3] for row in rows])
     ref = np.array([row[4] for row in rows])
     assert np.all(ln_e > _ln_E_dead(q, 0.5) / q)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         vals, _ = _increment_columns(FamilyParams(0, b, q, Fraction(2)), BumpSpec(0.5, 0.5),
-                                     sigma, np.arange(len(rows)), ln_e, MINI_TOL)
+                                     sigma, X, np.arange(len(rows)), ln_e, MINI_TOL)
     assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
 
 
@@ -437,59 +436,116 @@ def test_k_closed_batched_equals_one_sigma():
     for b in range(2, 8):
         for q in range(1, b + 1):
             sigmas = (Xs - 1.0) / b
-            K = _k_closed(b, q, sigmas)
-            one = [_k_closed(b, q, sigmas[i:i + 1])[0] for i in range(Xs.size)]
+            K = _k_closed(q, sigmas, Xs)
+            one = [_k_closed(q, sigmas[i:i + 1], Xs[i:i + 1])[0] for i in range(Xs.size)]
             assert np.array_equal(K, one), (b, q)
 
 
 def test_k_closed_next_to_sigma_zero_is_quiet():
-    # the Hurwitz zeta terms overflow at -s < 1e-22; the series must not see them
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        K = _k_closed(2, 1, np.array([-1e-30, -1e-300]))
-    assert K == pytest.approx([0.5, 0.5], rel=1e-14)
+    # at q = 1 and X = 1 - 2^-k, 1 - t = 1 - X/q = 2^-k exactly, where 1 - t
+    # rebuilt from sigma would round to 0; K -> 1 - 1/b as -s = 2^-k / b -> 0,
+    # and the Hurwitz zeta terms of the series, which overflow at -s < 1e-22,
+    # stay out of it (t ~ 1)
+    Xs = 1.0 - 2.0 ** -np.array([40.0, 52.0, 53.0])
+    for b in (2, 3, 7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = _k_closed(1, (Xs - 1.0) / b, Xs)
+        assert K == pytest.approx(1.0 - 1.0 / b, rel=1e-11)
 
 
 def test_zeta_quadrant_window():
+    # sigma = -1/b and sigma = 0 are X = 0 and X = 1
     with pytest.raises(OutOfWindow):
-        zeta_quadrant(SUP, -0.5, CFG)
+        zeta_samples(SUP, None, [0.0], CFG, flat=True)
     with pytest.raises(OutOfWindow):
-        zeta_quadrant(SUP, 0.0, CFG)
+        zeta_samples(SUP, None, [1.0], CFG, flat=True)
+
+
+@pytest.mark.parametrize("X", [0.0, 1.0, -0.25, -2.0, math.nan],
+                         ids=["0", "1", "-0.25", "-2", "nan"])
+def test_x_outside_the_window_is_rejected_before_quadrature(monkeypatch, X):
+    # X = b sigma + 1 must lie in (0, 1) (NaN fails): -0.25 is sigma = -1.25/b,
+    # below the window, though as a sigma it would lie inside (-1/b, 0) at b = 3
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", no_quadrature)
+    p = FamilyParams(1, 3, 2, Fraction(3, 2))
+    with pytest.raises(OutOfWindow):
+        _check_window(p, X)
+    with pytest.raises(OutOfWindow):
+        zeta_samples(p, None, [0.5, X], CFG, flat=True)
+    with pytest.raises(OutOfWindow):
+        zeta_samples(p, BumpSpec(0.5, 0.5), [X], CFG, flat=False)
+    with pytest.raises(OutOfWindow):
+        region_samples(p, [1.0], [X, 0.5], CFG)
+
+
+@pytest.mark.parametrize("b", [3, 7])
+def test_samples_hold_the_callers_x_bit_for_bit(b):
+    # X is the engine's input: every sample holds the caller's X bit for bit
+    # and sigma = (X - 1)/b; X rebuilt as b sigma + 1 would be off by eps/X
+    # relative, 1e-4 at X = 1e-12
+    xs = [0.5 * 0.1**k for k in range(12)] + [1e-12]
+    params = FamilyParams(1, b, 2, Fraction(3, 2))
+    for flat in (True, False):
+        for z, X in zip(zeta_samples(params, None, xs, CFG, flat=flat), xs):
+            assert z.X == X and z.sigma == (X - 1.0) / b
+    for tr, X in zip(region_samples(params, [1.0], xs[::4], CFG), xs[::4]):
+        assert tr.X == X and tr.sigma == (X - 1.0) / b
+
+
+@pytest.mark.parametrize("fam, x0", [((1, 2, 2, 2), 0.125), ((1, 3, 2, Fraction(3, 2)), 1e-6),
+                                     ((0, 7, 1, 5), 0.8192)], ids=["1222", "1323/2", "0715"])
+def test_flat_off_error_bounds_the_actual_error(fam, x0):
+    # without the flat term Z is r1^(a s + 1) r2^X / ((a s + 1) X), built
+    # here from the sample's own X (monomial_closed_form would rebuild X from
+    # sigma and be off by eps/X); the reported error covers the actual one
+    # and is a quadrature error, not a bound on a hyp2f1 call the path does
+    # not make
+    a, b, q, p = fam
+    params = FamilyParams(a, b, q, Fraction(p))
+    for z in zeta_samples(params, None, make_schedule(x0, 0.5, 14, b).xs, CFG, flat=False):
+        ax = a * z.sigma + 1.0
+        exact = params.r1**ax * params.r2**z.X / (ax * z.X)
+        assert abs(z.value - exact) <= z.error <= 1e-12 * z.value, z
 
 
 def test_zeta_monotone_decreasing_in_sigma():
     sigmas = np.linspace(-0.49, -0.05, 12)
     for params in (SUP, CRIT, GREEN):
-        vals = [zeta_quadrant(params, float(s), CFG).value for s in sigmas]
+        vals = [zeta_samples(params, None, [params.b * float(s) + 1.0], CFG, flat=True)[0].value
+                for s in sigmas]
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
 
 def test_zeta_weighted_below_quadrant_bound():
     bump = BumpSpec(0.5, 0.5)
-    zw = zeta_weighted(CRIT, bump, -0.4, CFG)
-    zq = zeta_quadrant(CRIT, -0.4, CFG)
+    X = CRIT.b * -0.4 + 1.0
+    (zw,) = zeta_samples(CRIT, bump, [X], CFG, flat=True)
+    (zq,) = zeta_samples(CRIT, None, [X], CFG, flat=True)
     assert 0.0 < zw.value < 4.0 * zq.value
 
 
 def test_zeta_weighted_frozen_oracle():
-    zw = zeta_weighted(SUP, BumpSpec(0.5, 0.5), -0.49, CFG)
+    (zw,) = zeta_samples(SUP, BumpSpec(0.5, 0.5), [SUP.b * -0.49 + 1.0], CFG, flat=True)
     assert zw.value == pytest.approx(ORACLE_W_SUP_049, rel=1e-8)
 
 
 def test_zeta_weighted_frozen_oracle_deep_X():
     # X = 2^-8: most of the inner mass sits below double precision; the
     # analytic main-term assembly must still track the 20-digit oracle
-    X = 2.0 ** -8
-    zw = zeta_weighted(CRIT, BumpSpec(0.5, 0.5), (X - 1.0) / 2.0, CFG)
+    (zw,) = zeta_samples(CRIT, BumpSpec(0.5, 0.5), [2.0 ** -8], CFG, flat=True)
     assert zw.value == pytest.approx(ORACLE_W_CRIT_X2M8, rel=1e-9)
 
 
 def test_zeta_weighted_odd_q_rejected():
     p = FamilyParams(0, 3, 1, Fraction(2))
     with pytest.raises(OddQNotSupported):
-        zeta_weighted(p, BumpSpec(0.5, 0.5), -0.2, CFG)
+        zeta_samples(p, BumpSpec(0.5, 0.5), [p.b * -0.2 + 1.0], CFG, flat=True)
     with pytest.raises(OddQNotSupported):
-        zeta_samples(p, BumpSpec(0.5, 0.5), [-0.2, -0.3], CFG, flat=True)
+        zeta_samples(p, BumpSpec(0.5, 0.5), [p.b * -0.2 + 1.0, p.b * -0.3 + 1.0], CFG, flat=True)
 
 
 def _seeded_family(seed: int, even_q: bool) -> FamilyParams:
@@ -522,7 +578,8 @@ def test_zeta_quadrant_error_meets_tolerance_at_small_X(b):
     # (0,b,1,5) at X = 1e-4: the outer quadrature converges to tol_2d; a
     # step that no longer shrinks, accepted as converged, reports 0.83 on
     # Z ~ 1850
-    z = zeta_quadrant(FamilyParams(0, b, 1, Fraction(5)), (1e-4 - 1.0) / b, CFG)
+    (z,) = zeta_samples(FamilyParams(0, b, 1, Fraction(5)), None, [b * ((1e-4 - 1.0) / b) + 1.0],
+                        CFG, flat=True)
     assert z.error <= 100.0 * CFG.tol_2d * z.value
 
 
@@ -535,11 +592,10 @@ def test_zeta_samples_match_one_sigma_calls(bump):
     eps = np.finfo(float).eps
     for params, x0, flat in (BATCH_CASES if bump is None else WEIGHTED_CASES):
         sched = make_schedule(x0, 0.5, 14, params.b)
-        batch = zeta_samples(params, bump, sched.sigmas, CFG, flat=flat)
+        batch = zeta_samples(params, bump, sched.xs, CFG, flat=flat)
         assert len(batch) == 14
-        for s, z in zip(sched.sigmas, batch):
-            one = (zeta_quadrant(params, s, CFG, flat=flat) if bump is None
-                   else zeta_weighted(params, bump, s, CFG, flat=flat))
+        for X, z in zip(sched.xs, batch):
+            (one,) = zeta_samples(params, bump, [X], CFG, flat=flat)
             assert (z.sigma, z.X) == (one.sigma, one.X)
             if bump is None:
                 assert abs(z.value - one.value) <= 4.0 * eps * one.value
@@ -571,7 +627,7 @@ def test_weighted_inner_rows_share_the_bump_increment(monkeypatch):
     monkeypatch.setattr(zeta_mod, "bump_y_increment", increment)
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     sched = make_schedule(0.1, 0.5, 14, CRIT.b)
-    zeta_samples(CRIT, BumpSpec(0.5, 0.5), sched.sigmas, CFG, flat=True)
+    zeta_samples(CRIT, BumpSpec(0.5, 0.5), sched.xs, CFG, flat=True)
     assert count["increment"] > 0
     assert count["increment"] <= count["cells"] / 4
 
@@ -589,20 +645,21 @@ def test_zeta_samples_one_outer_call(monkeypatch, flat):
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     sched = make_schedule(0.125, 0.5, 14, SUP.b)
-    zeta_samples(SUP, None, sched.sigmas, CFG, flat=flat)
+    zeta_samples(SUP, None, sched.xs, CFG, flat=flat)
     assert calls == [(0.0, SUP.r1, 14)]
 
 
 def test_ztilde1_saturated_equals_2d():
     # lam r2 = 2 >= e(r1): saturation branch, upper limit rho = r1
-    lam = 2.0 / CRIT.r2
-    v1 = ztilde1(CRIT, lam, -0.4, CFG)
-    v2 = ztilde1_2d(CRIT, lam, -0.4, CFG)
+    lam, X = 2.0 / CRIT.r2, CRIT.b * -0.4 + 1.0
+    v1 = region_samples(CRIT, [lam], [X], CFG)[0].ztilde1
+    v2 = ztilde1_2d(CRIT, lam, X, CFG)
     assert v1 == pytest.approx(v2, rel=1e-6)
 
 
 def test_ztilde1_frozen_oracle():
-    assert ztilde1(SUP, 1.0, -0.45, CFG) == pytest.approx(ORACLE_ZT1_SUP_045, rel=1e-10)
+    (tr,) = region_samples(SUP, [1.0], [SUP.b * -0.45 + 1.0], CFG)
+    assert tr.ztilde1 == pytest.approx(ORACLE_ZT1_SUP_045, rel=1e-10)
 
 
 def test_ztilde1_flat_suppressed_exact():
@@ -612,22 +669,25 @@ def test_ztilde1_flat_suppressed_exact():
     lam = 1.0
     # e == 0 on the domain: lam^-X X^-1 (lam r2)^X int_0^r1 x^(a s) dx exactly
     expect = lam**-X / X * (lam * p.r2) ** X * p.r1 ** (p.a * sigma + 1.0) / (p.a * sigma + 1.0)
-    assert ztilde1(p, lam, sigma, CFG) == pytest.approx(expect, rel=1e-10)
+    assert region_samples(p, [lam], [X], CFG)[0].ztilde1 == pytest.approx(expect, rel=1e-10)
 
 
 def test_ztilde2_frozen_oracle():
-    assert ztilde2(CRIT, 4.0, -0.49, CFG) == pytest.approx(ORACLE_ZT2_CRIT_L4_049, rel=1e-9)
+    (tr,) = region_samples(CRIT, [4.0], [CRIT.b * -0.49 + 1.0], CFG)
+    assert tr.ztilde2 == pytest.approx(ORACLE_ZT2_CRIT_L4_049, rel=1e-9)
 
 
 def test_ztilde2_vanishes_when_flat_dead():
     p = FamilyParams(1, 2, 2, Fraction(2), r1=1e-4, r2=0.5)
-    assert ztilde2(p, 1.0, -0.3, CFG) == pytest.approx(0.0, abs=1e-300)
+    (tr,) = region_samples(p, [1.0], [p.b * -0.3 + 1.0], CFG)
+    assert tr.ztilde2 == pytest.approx(0.0, abs=1e-300)
 
 
 def test_ztilde2_matches_2d():
     for params, lam, sigma in ((GREEN, 1.0, -0.45), (CRIT, 0.5, -0.3), (SUP, 2.0, -0.45)):
-        v1 = ztilde2(params, lam, sigma, CFG)
-        v2 = ztilde2_2d(params, lam, sigma, CFG)
+        X = params.b * sigma + 1.0
+        v1 = region_samples(params, [lam], [X], CFG)[0].ztilde2
+        v2 = ztilde2_2d(params, lam, X, CFG)
         assert v1 == pytest.approx(v2, rel=1e-5)
 
 
@@ -645,10 +705,12 @@ def test_ztilde_reductions_match_2d_over_families():
         params = FamilyParams(a, b, q, p, *map(float, rng.uniform(0.05, 0.95, 2)))
         lam = float(10.0 ** rng.uniform(-2.0, 2.0))
         sigma = (10.0 ** rng.uniform(-3.0, math.log10(0.5)) - 1.0) / b
+        X = b * sigma + 1.0
         n_kinked += rho(params, lam * params.r2) < params.r1
-        for one, two in ((ztilde1, ztilde1_2d), (ztilde2, ztilde2_2d)):
-            v1, v2 = one(params, lam, sigma, CFG), two(params, lam, sigma, CFG)
-            assert abs(v1 - v2) <= 1e-8 * abs(v1), (params, lam, sigma, one.__name__)
+        (tr,) = region_samples(params, [lam], [X], CFG)
+        for v1, two in ((tr.ztilde1, ztilde1_2d), (tr.ztilde2, ztilde2_2d)):
+            v2 = two(params, lam, X, CFG)
+            assert abs(v1 - v2) <= 1e-8 * abs(v1), (params, lam, X, two.__name__)
     assert 0 < n_kinked < 60
 
 
@@ -656,7 +718,7 @@ def test_ztilde_reductions_match_2d_over_families():
 @pytest.mark.parametrize("lam", [0.0, -1.0])
 def test_ztilde_2d_rejects_nonpositive_lambda(fn, lam):
     with pytest.raises(DomainError, match="lambda must be positive"):
-        fn(CRIT, lam, -0.4, CFG)
+        fn(CRIT, lam, CRIT.b * -0.4 + 1.0, CFG)
 
 
 def test_region_pieces_additivity_and_sandwich():
@@ -665,8 +727,9 @@ def test_region_pieces_additivity_and_sandwich():
         for _ in range(3):
             lam = float(10.0 ** rng.uniform(-1.5, 1.5))
             sigma = float(rng.uniform(-0.47, -0.06))
-            z = zeta_quadrant(params, sigma, CFG)
-            tr = region_pieces(params, lam, sigma, CFG)
+            X = params.b * sigma + 1.0
+            (z,) = zeta_samples(params, None, [X], CFG, flat=True)
+            (tr,) = region_samples(params, [lam], [X], CFG)
             assert z.value == pytest.approx(tr.z1 + tr.z2, rel=1e-6)
             lo1 = (1.0 + lam**params.q) ** sigma * tr.ztilde1
             lo2 = (1.0 + lam ** -params.q) ** sigma * tr.ztilde2
@@ -681,17 +744,19 @@ def test_region_pieces_strong_outer_singularity_against_oracle():
     # columns' log-variable integrals would reach down to log e(x) ~ -1e15
     # without the clip at log Y2 - 800/X, and lost 4.2e-4 of Z there
     p = FamilyParams(5, 6, 4, Fraction(6))
+    X = 6 * (-0.98 / 6) + 1.0
     for lam in (0.25, 1.0, 4.0):
-        tr = region_pieces(p, lam, -0.98 / 6, CFG)
+        (tr,) = region_samples(p, [lam], [X], CFG)
         assert abs(tr.z1 + tr.z2 - ORACLE_Z_5646) <= 1e-10 * ORACLE_Z_5646
-    assert zeta_quadrant(p, -0.98 / 6, CFG).value == pytest.approx(ORACLE_Z_5646, rel=1e-10)
+    (z,) = zeta_samples(p, None, [X], CFG, flat=True)
+    assert z.value == pytest.approx(ORACLE_Z_5646, rel=1e-10)
 
 
 @pytest.mark.parametrize("fam", sorted(ORACLE_Z1_Z2))
 def test_region_pieces_separately_against_oracle(fam):
     a, b, q, p = fam
     z1, z2 = ORACLE_Z1_Z2[fam]
-    tr = region_pieces(FamilyParams(a, b, q, Fraction(p)), 1.0, -0.98 / b, CFG)
+    (tr,) = region_samples(FamilyParams(a, b, q, Fraction(p)), [1.0], [b * (-0.98 / b) + 1.0], CFG)
     assert tr.z1 == pytest.approx(z1, rel=1e-10)
     assert tr.z2 == pytest.approx(z2, rel=1e-10)
 
@@ -708,14 +773,13 @@ LAMS = [0.25, 1.0, 4.0]     # the CLI's sandwich lambdas
 def test_region_samples_match_one_sigma_calls(params):
     # each (lambda, sigma) pair of a batch is a component of its own in every
     # vector quadrature, outer and inner, so its trace is the one-pair calls'
-    # bit for bit; the batch is the CLI's sandwich lambdas and schedule
-    sigmas = make_schedule(0.125, 0.25, 4, params.b).sigmas
-    batch = region_samples(params, LAMS, sigmas, CFG)
-    assert [(tr.lam, tr.sigma) for tr in batch] == [(lam, s) for lam in LAMS for s in sigmas]
+    # bit for bit, ztilde1 and ztilde2 included; the batch is the CLI's
+    # sandwich lambdas and schedule
+    xs = make_schedule(0.125, 0.25, 4, params.b).xs
+    batch = region_samples(params, LAMS, xs, CFG)
+    assert [(tr.lam, tr.X) for tr in batch] == [(lam, X) for lam in LAMS for X in xs]
     for tr in batch:
-        assert tr == region_pieces(params, tr.lam, tr.sigma, CFG)
-        assert tr.ztilde1 == ztilde1(params, tr.lam, tr.sigma, CFG)
-        assert tr.ztilde2 == ztilde2(params, tr.lam, tr.sigma, CFG)
+        assert tr == region_samples(params, [tr.lam], [tr.X], CFG)[0]
 
 
 @pytest.mark.parametrize("lams", [[0.25, 4.0], [4.0]], ids=["kink", "saturated"])
@@ -745,8 +809,8 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
         return real(nested, lo, hi, tol, ends, **kwargs)
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    sigmas = make_schedule(0.125, 0.25, 4, SUP.b).sigmas
-    region_samples(SUP, lams, sigmas, CFG)
+    xs = make_schedule(0.125, 0.25, 4, SUP.b).xs
+    region_samples(SUP, lams, xs, CFG)
     n, n_kink = 4 * len(lams), 4 * sum(rho(SUP, lam * SUP.r2) < SUP.r1 for lam in lams)
     expect = [("f", n, False), ("z1_column", n, False),
               ("z2_column", n, False), ("z2_column", n_kink, True),
@@ -759,7 +823,7 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
         kinked = rho(SUP, lam * SUP.r2) < SUP.r1
         for fn, name in ((ztilde1_2d, "zt1_2d"), (ztilde2_2d, "zt2_2d")):
             calls.clear()
-            fn(SUP, lam, sigmas[0], CFG)
+            fn(SUP, lam, xs[0], CFG)
             assert calls == [(name, 0.0, 1.0, 1, False)] + kinked * [(name, 0.0, 1.0, 1, True)]
 
 
@@ -781,9 +845,9 @@ def test_region_pieces_add_up_to_z_over_families(params, log10_X, lam):
     # the whole parameter space rather than the presets; the examples sit
     # at small X and large lambda, where accepting a z1 step that no longer
     # shrinks as converged misses by 5.4x and 1.2x the slack
-    sigma = (10.0**log10_X - 1.0) / params.b
-    z = zeta_samples(params, None, [sigma], CFG, flat=True)[0]
-    tr = region_samples(params, [lam], [sigma], CFG)[0]
+    X = params.b * ((10.0**log10_X - 1.0) / params.b) + 1.0
+    (z,) = zeta_samples(params, None, [X], CFG, flat=True)
+    (tr,) = region_samples(params, [lam], [X], CFG)
     assert abs(tr.z1 + tr.z2 - z.value) <= 10.0 * (z.error + tr.error) + 1e-12 * z.value
 
 
@@ -800,11 +864,13 @@ def test_quadrant_invariants_over_families():
         params = FamilyParams(a, b, q, p, *map(float, rng.uniform(0.05, 0.95, 2)))
         xs = np.sort(10.0 ** rng.uniform(-5.0, math.log10(0.5), 4))[::-1]
         sigmas = [(X - 1.0) / b for X in xs]
+        # the X that closed form builds from each sigma, so the two agree on X
+        xs = [b * s + 1.0 for s in sigmas]
         closed = [monomial_closed_form(a, b, params.r1, params.r2, s) for s in sigmas]
-        zs = [z.value for z in zeta_samples(params, None, sigmas, CFG, flat=True)]
+        zs = [z.value for z in zeta_samples(params, None, xs, CFG, flat=True)]
         assert all(0.0 < z <= cf * (1.0 + 1e-12) for z, cf in zip(zs, closed)), params
         assert all(z2 > z1 for z1, z2 in zip(zs, zs[1:])), params
-        for z, cf in zip(zeta_samples(params, None, sigmas, CFG, flat=False), closed):
+        for z, cf in zip(zeta_samples(params, None, xs, CFG, flat=False), closed):
             assert abs(z.value - cf) <= z.error, (params, z)
 
 
@@ -824,7 +890,7 @@ def test_weighted_z_at_large_q(b):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for X, ref in zip((0.1, 1e-3, 1e-5), LARGE_Q_WEIGHTED[b]):
-            z = zeta_weighted(params, BumpSpec(), (X - 1.0) / b, CFG)
+            (z,) = zeta_samples(params, BumpSpec(), [b * ((X - 1.0) / b) + 1.0], CFG, flat=True)
             assert abs(z.value - ref) <= z.error, (X, z)
 
 
@@ -843,9 +909,9 @@ def test_weighted_invariants_over_families():
         params = FamilyParams(a, b, q, p)
         box = FamilyParams(a, b, q, p, r1=bump.R1, r2=bump.R2)
         wide += bump.R2 < E_flat(params, bump.R1) ** (1.0 / q)
-        sigmas = [(X - 1.0) / b for X in np.sort(10.0 ** rng.uniform(-8.0, -1.0, 4))]
-        zw = zeta_samples(params, bump, sigmas, CFG, flat=True)
-        zq = zeta_samples(box, None, sigmas, CFG, flat=True)
+        xs = [b * ((X - 1.0) / b) + 1.0 for X in np.sort(10.0 ** rng.uniform(-8.0, -1.0, 4))]
+        zw = zeta_samples(params, bump, xs, CFG, flat=True)
+        zq = zeta_samples(box, None, xs, CFG, flat=True)
         assert all(0.0 < w.value < 4.0 * z.value for w, z in zip(zw, zq)), (params, bump)
     assert wide >= 10
 
@@ -854,9 +920,9 @@ def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
     # a (column, pair) of z1 clipped at _w_floor, where the flat factor is
     # within e^-40 of 1, is the monomial column r2^X/X and never reaches
     # _w_integrals; the batch is the CLI's sandwich lambdas and schedule
-    sigmas = make_schedule(0.125, 0.25, 4, SUP.b).sigmas
-    Xs = np.tile([SUP.b * s + 1.0 for s in sigmas], len(LAMS))
-    ln_lam = np.log(np.repeat(LAMS, len(sigmas)))
+    xs = make_schedule(0.125, 0.25, 4, SUP.b).xs
+    Xs = np.tile(xs, len(LAMS))
+    ln_lam = np.log(np.repeat(LAMS, len(xs)))
     lnY2, q = math.log(SUP.r2), SUP.q
     real_w, real_ts = zeta_mod._w_integrals, zeta_mod._tanh_sinh
     sent, columns = [], []
@@ -879,7 +945,7 @@ def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
 
     monkeypatch.setattr(zeta_mod, "_w_integrals", w_integrals)
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    region_samples(SUP, LAMS, sigmas, CFG)
+    region_samples(SUP, LAMS, xs, CFG)
 
     def is_dead(X, lnE, w_lo):
         return (w_lo == zeta_mod._w_floor(X, lnY2)) & (lnE - q * w_lo < -40.0)
@@ -942,7 +1008,7 @@ def test_flat_dead_bump_columns_equal_the_e0_column():
                                0.0, bump.R2, EndpointSpec(exponent_lo=b * s + 2.0), 1e-13).value
             assert abs(e0_col - ref) <= 1e-12 * abs(ref)
             ln_E = ln_E0 - np.array([0.0, 5.0, 300.0])
-            cols, _ = _increment_columns(params, bump, s, np.arange(3), ln_E / q, MINI_TOL)
+            cols, _ = _increment_columns(params, bump, s, X, np.arange(3), ln_E / q, MINI_TOL)
             assert np.all(np.abs(cols - e0_col) <= 1e-12 * abs(e0_col))
 
 
@@ -962,8 +1028,7 @@ def test_zeta_weighted_batches_inner_columns(monkeypatch):
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     monkeypatch.setattr(zeta_mod, "log_e_flat", ln_e)
-    X = 2.0 ** -8
-    zw = zeta_weighted(CRIT, BumpSpec(0.5, 0.5), (X - 1.0) / 2.0, CFG)
+    (zw,) = zeta_samples(CRIT, BumpSpec(0.5, 0.5), [2.0 ** -8], CFG, flat=True)
     assert zw.value == pytest.approx(ORACLE_W_CRIT_X2M8, rel=1e-9)
     assert count["levels"] >= 3
     assert count["inner"] <= count["levels"]
@@ -971,8 +1036,9 @@ def test_zeta_weighted_batches_inner_columns(monkeypatch):
 
 def test_region_pieces_flat_dead():
     p = FamilyParams(1, 2, 2, Fraction(2), r1=1e-4, r2=0.5)
-    tr = region_pieces(p, 1.0, -0.3, CFG)
-    z = zeta_quadrant(p, -0.3, CFG)
+    X = p.b * -0.3 + 1.0
+    (tr,) = region_samples(p, [1.0], [X], CFG)
+    (z,) = zeta_samples(p, None, [X], CFG, flat=True)
     assert tr.z2 == pytest.approx(0.0, abs=1e-300)
     assert tr.z1 == pytest.approx(z.value, rel=1e-9)
 
@@ -980,16 +1046,16 @@ def test_region_pieces_flat_dead():
 def test_g_identity_supercritical():
     lam, sigma = 1.0, -0.49
     X = SUP.b * sigma + 1.0
-    zt1 = ztilde1(SUP, lam, sigma, CFG)
-    g1, g2, g3 = g_pieces(SUP, lam, sigma, CFG)
+    zt1 = region_samples(SUP, [lam], [X], CFG)[0].ztilde1
+    g1, g2, g3 = g_pieces(SUP, lam, X, CFG)
     pref = lam**-X * X ** (-1.0 + (1.0 + SUP.a * sigma) / SUP.p_float)
     assert zt1 == pytest.approx(pref * (g1 + g2 + g3), rel=1e-9)
 
 
 def test_h_identity_critical():
-    lam, sigma = 1.0, -0.49
-    _, g2, _ = g_pieces(CRIT, lam, sigma, CFG)
-    h1, h2 = h_pieces(CRIT, lam, sigma, CFG)
+    lam, X = 1.0, CRIT.b * -0.49 + 1.0
+    _, g2, _ = g_pieces(CRIT, lam, X, CFG)
+    h1, h2 = h_pieces(CRIT, lam, X, CFG)
     assert g2 == pytest.approx(h1 - h2, rel=1e-9)
 
 
@@ -1002,16 +1068,16 @@ def test_g2_h2_integral_from_one():
 
 
 def test_j_identity_subcritical():
-    lam, sigma = 1.0, -0.49
-    zt1 = ztilde1(GREEN, lam, sigma, CFG)
-    j1, j2 = j_pieces(GREEN, lam, sigma, CFG)
+    lam, X = 1.0, GREEN.b * -0.49 + 1.0
+    zt1 = region_samples(GREEN, [lam], [X], CFG)[0].ztilde1
+    j1, j2 = j_pieces(GREEN, lam, X, CFG)
     assert zt1 == pytest.approx(j1 + j2, rel=1e-9)
 
 
 def test_log_derivative_j0_is_weighted():
     bump = BumpSpec(0.5, 0.5)
     d0 = log_derivative_integral(GREEN, bump, -0.3, 0, CFG, flat=True)
-    zw = zeta_weighted(GREEN, bump, -0.3, CFG)
+    (zw,) = zeta_samples(GREEN, bump, [GREEN.b * -0.3 + 1.0], CFG, flat=True)
     assert d0 == pytest.approx(zw.value, rel=1e-9)
 
 
@@ -1167,7 +1233,8 @@ def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     monkeypatch.setattr(zeta_mod, "log_e_flat", log_e_flat)
     if engine == "weighted":
-        zeta_samples(GREEN, bump, [-0.3, -0.45, -0.49], CFG, flat=True)
+        zeta_samples(GREEN, bump, [GREEN.b * s + 1.0 for s in (-0.3, -0.45, -0.49)], CFG,
+                     flat=True)
     else:
         log_derivative_moments(GREEN, bump, 0.5, 6, CFG)
     outer, built = np.concatenate(outer), np.concatenate(built)
@@ -1214,8 +1281,8 @@ MOMENTS_J40_FROZEN = [
 @pytest.mark.parametrize("name", sorted(WEIGHTED_FROZEN))
 def test_weighted_z_keeps_its_bits_without_zero_weight_columns(name):
     params = PRESETS[name]
-    sigmas = [(X - 1.0) / params.b for X in (0.5, 2.0**-8, 1e-5)]
-    got = zeta_samples(params, BumpSpec(0.5, 0.5), sigmas, CFG, flat=True)
+    xs = [params.b * ((X - 1.0) / params.b) + 1.0 for X in (0.5, 2.0**-8, 1e-5)]
+    got = zeta_samples(params, BumpSpec(0.5, 0.5), xs, CFG, flat=True)
     assert [(z.value, z.error) for z in got] == WEIGHTED_FROZEN[name]
 
 
@@ -1324,25 +1391,27 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: region_pieces(GREEN, NAN, -0.4, CFG), id="region_pieces-nan"),
-    pytest.param(lambda: ztilde1(GREEN, NAN, -0.4, CFG), id="ztilde1-nan"),
-    pytest.param(lambda: ztilde2(GREEN, NAN, -0.4, CFG), id="ztilde2-nan"),
-    pytest.param(lambda: region_pieces(GREEN, math.inf, -0.4, CFG), id="region_pieces-inf"),
-    pytest.param(lambda: region_samples(GREEN, [math.inf], [-0.4, -0.45], CFG),
+    pytest.param(lambda: region_samples(GREEN, [NAN], [0.2], CFG), id="region_pieces-nan"),
+    pytest.param(lambda: region_samples(GREEN, [NAN], [0.2], CFG)[0].ztilde1, id="ztilde1-nan"),
+    pytest.param(lambda: region_samples(GREEN, [NAN], [0.2], CFG)[0].ztilde2, id="ztilde2-nan"),
+    pytest.param(lambda: region_samples(GREEN, [math.inf], [0.2], CFG), id="region_pieces-inf"),
+    pytest.param(lambda: region_samples(GREEN, [math.inf], [0.2, 0.1], CFG),
                  id="region_samples-inf"),
-    pytest.param(lambda: region_samples(GREEN, [NAN], [-0.4, -0.45], CFG),
+    pytest.param(lambda: region_samples(GREEN, [NAN], [0.2, 0.1], CFG),
                  id="region_samples-nan"),
-    pytest.param(lambda: ztilde1(GREEN, math.inf, -0.4, CFG), id="ztilde1-inf"),
-    pytest.param(lambda: ztilde2(GREEN, math.inf, -0.4, CFG), id="ztilde2-inf"),
-    pytest.param(lambda: ztilde1_2d(GREEN, NAN, -0.4, CFG), id="ztilde1_2d-nan"),
-    pytest.param(lambda: ztilde2_2d(GREEN, NAN, -0.4, CFG), id="ztilde2_2d-nan"),
-    pytest.param(lambda: g_pieces(SUP, NAN, -0.4, CFG), id="g_pieces-nan"),
-    pytest.param(lambda: g_pieces(SUP, 0.0, -0.4, CFG), id="g_pieces-zero"),
-    pytest.param(lambda: g_pieces(SUP, math.inf, -0.4, CFG), id="g_pieces-inf"),
-    pytest.param(lambda: h_pieces(CRIT, NAN, -0.4, CFG), id="h_pieces-nan"),
-    pytest.param(lambda: h_pieces(CRIT, -1.0, -0.4, CFG), id="h_pieces-negative"),
-    pytest.param(lambda: j_pieces(GREEN, NAN, -0.4, CFG), id="j_pieces-nan"),
-    pytest.param(lambda: j_pieces(GREEN, 0.0, -0.4, CFG), id="j_pieces-zero"),
+    pytest.param(lambda: region_samples(GREEN, [math.inf], [0.2], CFG)[0].ztilde1,
+                 id="ztilde1-inf"),
+    pytest.param(lambda: region_samples(GREEN, [math.inf], [0.2], CFG)[0].ztilde2,
+                 id="ztilde2-inf"),
+    pytest.param(lambda: ztilde1_2d(GREEN, NAN, 0.2, CFG), id="ztilde1_2d-nan"),
+    pytest.param(lambda: ztilde2_2d(GREEN, NAN, 0.2, CFG), id="ztilde2_2d-nan"),
+    pytest.param(lambda: g_pieces(SUP, NAN, 0.2, CFG), id="g_pieces-nan"),
+    pytest.param(lambda: g_pieces(SUP, 0.0, 0.2, CFG), id="g_pieces-zero"),
+    pytest.param(lambda: g_pieces(SUP, math.inf, 0.2, CFG), id="g_pieces-inf"),
+    pytest.param(lambda: h_pieces(CRIT, NAN, 0.2, CFG), id="h_pieces-nan"),
+    pytest.param(lambda: h_pieces(CRIT, -1.0, 0.2, CFG), id="h_pieces-negative"),
+    pytest.param(lambda: j_pieces(GREEN, NAN, 0.2, CFG), id="j_pieces-nan"),
+    pytest.param(lambda: j_pieces(GREEN, 0.0, 0.2, CFG), id="j_pieces-zero"),
     pytest.param(lambda: constant_L(GREEN, NAN), id="constant_L-nan"),
     pytest.param(lambda: constant_M(GREEN, NAN, CFG), id="constant_M-nan"),
     pytest.param(lambda: constant_L(GREEN, math.inf), id="constant_L-inf"),
@@ -1403,7 +1472,7 @@ def test_region_samples_rejects_bad_lambdas_before_quadrature(monkeypatch, lams)
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", no_quadrature)
     with pytest.raises(DomainError):
-        region_samples(GREEN, lams, [-0.4, -0.45], CFG)
+        region_samples(GREEN, lams, [0.2, 0.1], CFG)
 
 
 @pytest.mark.parametrize("j", [0, 1, 4])
@@ -1417,14 +1486,14 @@ def test_nan_exponent_out_of_window(j):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda p, lam, s: region_samples(p, [1.0, lam], [s], CFG), id="region_samples"),
-    pytest.param(lambda p, lam, s: ztilde1(p, lam, s, CFG), id="ztilde1"),
-    pytest.param(lambda p, lam, s: ztilde2(p, lam, s, CFG), id="ztilde2"),
-    pytest.param(lambda p, lam, s: ztilde1_2d(p, lam, s, CFG), id="ztilde1_2d"),
-    pytest.param(lambda p, lam, s: ztilde2_2d(p, lam, s, CFG), id="ztilde2_2d"),
-    pytest.param(lambda p, lam, s: g_pieces(p, lam, s, CFG), id="g_pieces"),
-    pytest.param(lambda p, lam, s: h_pieces(p, lam, s, CFG), id="h_pieces"),
-    pytest.param(lambda p, lam, s: j_pieces(p, lam, s, CFG), id="j_pieces"),
+    pytest.param(lambda p, lam, X: region_samples(p, [1.0, lam], [X], CFG), id="region_samples"),
+    pytest.param(lambda p, lam, X: region_samples(p, [lam], [X], CFG)[0].ztilde1, id="ztilde1"),
+    pytest.param(lambda p, lam, X: region_samples(p, [lam], [X], CFG)[0].ztilde2, id="ztilde2"),
+    pytest.param(lambda p, lam, X: ztilde1_2d(p, lam, X, CFG), id="ztilde1_2d"),
+    pytest.param(lambda p, lam, X: ztilde2_2d(p, lam, X, CFG), id="ztilde2_2d"),
+    pytest.param(lambda p, lam, X: g_pieces(p, lam, X, CFG), id="g_pieces"),
+    pytest.param(lambda p, lam, X: h_pieces(p, lam, X, CFG), id="h_pieces"),
+    pytest.param(lambda p, lam, X: j_pieces(p, lam, X, CFG), id="j_pieces"),
 ])
 def test_degenerate_lower_limit(monkeypatch, call):
     # lam r2 so tiny that rho underflows to exact zero: needs a very small p
@@ -1438,4 +1507,4 @@ def test_degenerate_lower_limit(monkeypatch, call):
     monkeypatch.setattr(zeta_mod, "integrate_1d", no_quadrature)
     p = FamilyParams(0, 2, 2, Fraction(1, 150), r1=0.5, r2=0.5)
     with pytest.raises(DegenerateLowerLimit):
-        call(p, 1e-300, -0.3)
+        call(p, 1e-300, p.b * -0.3 + 1.0)
