@@ -6,21 +6,29 @@ The quadrant integral
     E(x) = exp(-1/x^p),   s = sigma in (-1/b, 0),
 
 is dominated near sigma = -1/b by y-mass that sits far below double
-precision, so the inner integral is never attacked by quadrature.  It has
-the closed form (DLMF 15.6.1)
+precision, so the inner integral is never attacked by quadrature.  It is
+Y^al / al  E^s  2F1(-s, al/q; 1 + al/q; -z), al = (b-q) s + 1, z = Y^q / E
+(DLMF 15.6.1), summed as one of two series.  Where z <= 2, the Pfaff form
+(DLMF 15.8.1)
 
-    inner(x) = Y^al / al  E^s  2F1(-s, al/q; 1 + al/q; -Y^q / E),
-    al = (b-q) s + 1,
+    inner(x) = Y^al (Y^q + E)^s / al  sum_n c_n w^n,   w = z/(1+z) <= 2/3,
 
-evaluated from logs with scipy's hyp2f1 wherever Y^q/E fits in a double.
+with c_0 = 1, c_(n+1) = c_n (n - s)/(n + 1 + al/q), every term positive.
 Further out, substituting y = e(x) v against the crossover scale
 e(x) = E(x)^(1/q) gives the exact
 
-    inner(x) = Y^X (1 - (e(x)/Y)^X) / X  +  e(x)^X K,   X = b sigma + 1,
+    inner(x) = Y^X [(1 - (e(x)/Y)^X) / X - sum_n C(s, n) z^-n / (q n - X)]
+               + e(x)^X K,   X = b sigma + 1,
 
 with K = int_0^1 v^((b-q)s) (1+v^q)^s dv + int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv
-in Gamma functions (_k_closed).  A whole schedule is one vector quadrature
-over x, a component per X.
+in Gamma functions (_k_closed); the sum, the binomial series of
+(1 + v^-q)^s past Y/e, is dropped where log z >= 40.  The coefficients
+depend on sigma alone and the powers w^n, z^-n on x alone: one coefficient
+table per schedule (_inner_tables), one power row per outer node and one
+dot product per (node, sigma) (_inner_columns), with no special function
+evaluated per cell.  Neither series loses digits as X -> 0, so one
+constant, INNER_REL_ERR, bounds the column's relative error at every X.
+A whole schedule is one vector quadrature over x, a component per X.
 
 X = b sigma + 1 in (0, 1) is the input of every evaluator of Z, of the
 region pieces and of the proof-level parts: the caller's X is used as given
@@ -92,7 +100,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln, hyp2f1, psi, zeta as hurwitz_zeta
+from scipy.special import gammaln, psi, zeta as hurwitz_zeta
 
 from .errors import (
     DegenerateLowerLimit,
@@ -166,29 +174,25 @@ def _check_slice(params: FamilyParams, lam: float, X: float) -> float:
 # the unweighted inner column in closed form; batched v- and w-integrals
 # ---------------------------------------------------------------------------
 
-#: Relative error bound of one closed-form inner column (_inner_closed) for
-#: X >= 1e-5, from the 40-digit mpmath values frozen in tests/test_zeta.py
-#: (worst measured 8.8e-11).  scipy's hyp2f1 loses digits as 1/X when
-#: X -> 0, so below X = 1e-5 the bound grows as 1e-5 / X (_inner_rel_err).
-INNER_REL_ERR = 2e-10
+#: Relative error bound of one closed-form inner column (_inner_columns),
+#: uniform in X: 5.8x the worst error, 3.5e-14, of a 1200-cell sweep against
+#: 40-digit mpmath over X in [1e-12, 0.99] (python tests/oracle_inner.py
+#: sweep).  The worst cells have log z > 400, where the column moves by
+#: about eps log z / q with the rounding of sigma = (X - 1)/b.
+INNER_REL_ERR = 2e-13
 
-#: Largest q log(T/e) = log(T^q/E) for which _inner_closed is used; beyond it
-#: T^q/E nears the double range and _inner_far is exact to double precision.
-_FAR = 700.0
+#: The near series of _inner_columns runs where log z <= log 2, so that
+#: w = z/(1+z) <= 2/3.  Its terms are positive with c_n <= 1 = c_0, so the
+#: terms past _NEAR_TERMS sum to under 3 (2/3)^100 < 1e-17 of it.
+_LN_Z_NEAR = math.log(2.0)
+_NEAR_TERMS = 100
 
-
-def _inner_rel_err(X):
-    return INNER_REL_ERR * np.maximum(1.0, 1e-5 / X)
-
-
-def _inner_closed(b: int, q: int, sigma: float, lnT, lnE):
-    """int_0^T v^((b-q)s) (v^q + E)^s dv
-        = T^al / al  E^s  2F1(-s, al/q; 1 + al/q; -T^q/E),   al = (b-q)s + 1,
-    (DLMF 15.6.1) from log T and log E, elementwise over arrays; needs
-    q log T - log E <= _FAR."""
-    al = (b - q) * sigma + 1.0
-    F = hyp2f1(-sigma, al / q, 1.0 + al / q, -np.exp(q * lnT - lnE))
-    return np.exp(al * lnT + sigma * lnE) / al * F
+#: The far tail sum_(n >= 1) C(s, n) z^-n / (q n - X) of _inner_columns, with
+#: |C(s, n)| <= 1 and z > 2, is cut after _TAIL_TERMS terms (the rest is
+#: under 2^-56 / 56, 2.5e-19, of the main term) and dropped where
+#: log z >= _LN_Z_TAIL (its first term is under e^-40 / b there).
+_TAIL_TERMS = 56
+_LN_Z_TAIL = 40.0
 
 
 def _k_closed(q: int, sigmas: np.ndarray, Xs: np.ndarray) -> np.ndarray:
@@ -210,10 +214,80 @@ def _k_closed(q: int, sigmas: np.ndarray, Xs: np.ndarray) -> np.ndarray:
     return -np.expm1(L) / Xs
 
 
-def _inner_far(X, lnT, ln_e, K):
-    """_inner_closed where q log(T/e) > _FAR, e = exp(ln_e): in v = y/e the exact
-    main term plus e^X K, as the tail of K past T/e is below double precision."""
-    return np.exp(X * lnT) * -np.expm1(X * (ln_e - lnT)) / X + np.exp(X * ln_e) * K
+#: Layout of a row of _inner_tables: s, X, A, B, then the near and the tail
+#: coefficients.
+_NEAR = slice(4, 4 + _NEAR_TERMS)
+_TAIL = slice(4 + _NEAR_TERMS, 4 + _NEAR_TERMS + _TAIL_TERMS)
+
+
+def _inner_tables(b: int, q: int, lnY: float, sigmas: np.ndarray,
+                  Xs: np.ndarray) -> np.ndarray:
+    """One row per (sigma, X) of sigmas, Xs of everything _inner_columns
+    needs that does not depend on the node: s, X, A = Y^X K and
+    B = Y^X (K - 1/X) (K from _k_closed), and the coefficients
+
+        near (_NEAR):  Y^al / al  c_n,   c_0 = 1,  c_(n+1) = c_n (n - s) / (n + 1 + al/q),
+        tail (_TAIL):  Y^X C(s, n) / (q n - X),   n = 1.._TAIL_TERMS,
+
+    al = (b-q)s + 1, each series a cumulative product along its row; a row
+    depends on its own (sigma, X) alone."""
+    K = _k_closed(q, sigmas, Xs)
+    YX, al = np.exp(Xs * lnY), (b - q) * sigmas + 1.0
+    s = sigmas[:, None]
+    tab = np.empty((sigmas.size, _TAIL.stop))
+    tab[:, 0], tab[:, 1], tab[:, 2], tab[:, 3] = sigmas, Xs, YX * K, YX * (K - 1.0 / Xs)
+    c = tab[:, _NEAR]
+    c[:, 0] = 1.0
+    n = np.arange(_NEAR_TERMS - 1.0)
+    c[:, 1:] = (n - s) / (n + 1.0 + (al / q)[:, None])
+    np.multiply.accumulate(c, axis=1, out=c)
+    c *= (np.exp(al * lnY) / al)[:, None]
+    m = np.arange(_TAIL_TERMS)      # C(s, n) = prod_(m < n) (s - m) / (m + 1)
+    tab[:, _TAIL] = (np.multiply.accumulate((s - m) / (m + 1.0), axis=1)
+                     * (YX[:, None] / (q * (m + 1.0) - Xs[:, None])))
+    return tab
+
+
+def _inner_columns(q: int, lnY: float, ln_es: np.ndarray, lnE: np.ndarray,
+                   tab: np.ndarray) -> np.ndarray:
+    """int_0^Y v^((b-q)s) (v^q + E)^s dv for every node (log e = ln_es,
+    log E = lnE = q ln_es, -inf for E = 0) and every component (a row of
+    _inner_tables), as an (nodes, components) array.  With z = Y^q/E and
+    al = (b-q)s + 1:
+
+        z <= 2:  Y^al (Y^q + E)^s / al  sum_n c_n w^n,   w = z/(1+z) <= 2/3,
+
+    the Pfaff form (DLMF 15.8.1) of 2F1(-s, al/q; 1 + al/q; -z) (DLMF
+    15.6.1), every term positive; and, in v = y/e against the crossover
+    e = E^(1/q), with K the integral to infinity continued past its pole,
+
+        z > 2:   Y^X [(1 - (e/Y)^X)/X - sum_n C(s, n) z^-n / (q n - X)] + e^X K
+               = A + expm1(X log(e/Y)) B - sum_n (tail)_n z^-n,
+
+    the binomial series of (1 + v^-q)^s past Y/e (the 1/z expansion behind
+    DLMF 15.8.2), its tail dropped where log z >= 40.  Neither form
+    subtracts nearly equal terms as X -> 0 (at q = 1, C(s, 1)/(1 - X) is
+    -1/b to rounding), so the error does not grow as X -> 0.
+    The powers w^n and z^-n are one row per node and the coefficients one
+    row per component; each cell is one np.vecdot of two contiguous rows,
+    so its value does not depend on the other nodes or components."""
+    s, X, A, B = tab[:, 0], tab[:, 1], tab[:, 2], tab[:, 3]
+    lz = q * lnY - lnE          # log z per node, inf where E = 0
+    out = np.multiply.outer(ln_es - lnY, X)
+    np.expm1(out, out=out)
+    out *= B
+    out += A
+    near = lz <= _LN_Z_NEAR
+    tail = np.flatnonzero(~near & (lz < _LN_Z_TAIL))
+    near = np.flatnonzero(near)
+    if tail.size:
+        zn = np.exp(np.multiply.outer(lz[tail], -np.arange(1.0, _TAIL_TERMS + 1.0)))
+        out[tail] -= np.vecdot(zn[:, None, :], tab[:, _TAIL])
+    if near.size:      # log w = -log(1 + 1/z), finite however small z is
+        wn = np.exp(np.multiply.outer(np.logaddexp(0.0, -lz[near]), -np.arange(_NEAR_TERMS)))
+        pw = np.exp(np.multiply.outer(np.logaddexp(q * lnY, lnE[near]), s))
+        out[near] = pw * np.vecdot(wn[:, None, :], tab[:, _NEAR])
+    return out
 
 
 def _runs(row: np.ndarray, cols: np.ndarray):
@@ -253,7 +327,7 @@ def _v_integrals(params: FamilyParams, sigma, row: np.ndarray, s_hi: np.ndarray,
     the nodes.  The components of a row share its interval and weight: v,
     log v, log1p(v^q) and weight(v, rows) are evaluated once per live row
     (_runs), and only h exp((b-q)s log v + s log1p(v^q)) per component.
-    Where q log v > 700 (_FAR), as s_hi = R2/e reaches 1e9 or more in the
+    Where q log v > 700, as s_hi = R2/e reaches 1e9 or more in the
     bump-weighted columns, v^q leaves the double range and log1p(v^q) is
     q log v, exact in double there; elsewhere it keeps its bits.
 
@@ -272,7 +346,7 @@ def _v_integrals(params: FamilyParams, sigma, row: np.ndarray, s_hi: np.ndarray,
         vs = h * us
         with np.errstate(divide="ignore", over="ignore"):
             lv, l1 = np.log(vs), np.log1p(vs**q)
-        big = lv > _FAR / q      # v^q past e^700: log1p(v^q) is q log v in double
+        big = lv > 700.0 / q      # v^q past e^700: log1p(v^q) is q log v in double
         l1[big] = q * lv[big]
         return _cells(at, bq[cols], lv, sig[cols], l1, h,
                       None if weight is None else weight(vs, R))
@@ -379,19 +453,19 @@ def integrand(params: FamilyParams, x, y, sigma: float, *, flat: bool = True):
     return float(out[0]) if scalar else out
 
 
-def monomial_closed_form(a: int, b: int, r1: float, r2: float, sigma: float) -> float:
-    """Exact quadrant integral of x^(a s) y^(b s):
-    r1^(a s + 1) r2^(b s + 1) / ((a s + 1)(b s + 1)), for finite sigma and
-    0 < r1, r2 < inf (NaN fails)."""
-    if not (math.isfinite(sigma) and 0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
-        raise DomainError("monomial integral needs a finite sigma and 0 < r1, r2 < inf")
-    ax = a * sigma + 1.0
-    bx = b * sigma + 1.0
-    if ax == 0.0 or bx == 0.0 or abs(ax) < 1e-300 or abs(bx) < 1e-300:
-        raise PoleHit(f"monomial integral has a pole at sigma={sigma}")
-    if ax < 0.0 or bx < 0.0:
+def monomial_closed_form(a: int, b: int, r1: float, r2: float, X: float) -> float:
+    """Exact quadrant integral of x^(a s) y^(b s) at X = b s + 1:
+    r1^(a s + 1) r2^X / ((a s + 1) X), s = (X - 1)/b, for finite X and
+    0 < r1, r2 < inf (NaN fails).  X is used as given, as the engine uses
+    it, so the two agree to rounding at every X."""
+    if not (math.isfinite(X) and 0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise DomainError("monomial integral needs a finite X and 0 < r1, r2 < inf")
+    ax = a * ((X - 1.0) / b) + 1.0
+    if ax == 0.0 or X == 0.0 or abs(ax) < 1e-300 or abs(X) < 1e-300:
+        raise PoleHit(f"monomial integral has a pole at X={X}")
+    if ax < 0.0 or X < 0.0:
         raise OutOfWindow("monomial integral diverges (exponent <= -1)")
-    return r1**ax * r2**bx / (ax * bx)
+    return r1**ax * r2**X / (ax * X)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +480,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
     vector quadrature over x with one component per sigma.  Without the flat
     term every column is the E = 0 column C = Y2^X/X [+ _dead_column], so
     the integral is C times one quadrature of x^(a s) [phi_x], C multiplied
-    in after it, and no error term of _inner_closed enters.  Bump-weighted,
+    in after it, and no error term of _inner_columns enters.  Bump-weighted,
     an outer node where the x-bump is exactly 0 has the column 0 and builds
     no inner column.  Returns (values, errors, evaluations)."""
     b, q, k = params.b, params.q, sigmas.size
@@ -439,16 +513,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
         errors += 16.0 * np.finfo(float).eps * np.abs(values)
         return values, errors, ev + state["ev"]
 
-    K = _k_closed(q, sigmas, Xs)
-
-    def inner_plain(ln_es, lnE, cols):
-        """int_0^Y2 y^((b-q)s)(y^q+E)^s dy per (column, sigma), weight-free."""
-        with np.errstate(over="ignore"):
-            near = q * (lnY2 - ln_es) <= _FAR
-        out = np.empty((ln_es.size, cols.size))
-        out[near] = _inner_closed(b, q, sigmas[cols], lnY2, lnE[near, None])
-        out[~near] = _inner_far(Xs[cols], lnY2, ln_es[~near, None], K[cols])
-        return out
+    tab = _inner_tables(b, q, lnY2, sigmas, Xs)
 
     def inner_delta(ln_es, lnE, cols):
         """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy per (column,
@@ -470,7 +535,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
         ln_es = log_e_flat(params, xs[:, 0])
         with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
             lnE = q * ln_es
-        out = inner_plain(ln_es, lnE, cols)
+        out = _inner_columns(q, lnY2, ln_es, lnE, tab[cols])
         if bump is not None:
             out += inner_delta(ln_es, lnE, cols)
         out *= x_power(xs, cols)
@@ -488,7 +553,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
 
     values, errors, ev = _tanh_sinh(column if bump is None else weighted, 0.0, Y1, cfg.tol_2d,
                                     EndpointSpec(exponent_lo=params.a * sigmas), k=k)
-    errors += _inner_rel_err(Xs) * np.abs(values)
+    errors += INNER_REL_ERR * np.abs(values)
     return values, errors, ev + state["ev"]
 
 

@@ -2,13 +2,16 @@
 
     I(T, E) = int_0^T v^((b-q)s) (v^q + E)^s dv,   s = (X - 1) / b,
 
-for the closed form of flatzeta.zeta._inner_closed, and the constant K of
-its far branch (flatzeta.zeta._k_closed).  Not collected by pytest; run
+for the two series of flatzeta.zeta._inner_columns, and the constant K of
+their far form (flatzeta.zeta._k_closed).  Not collected by pytest; run
 directly to regenerate the INNER_ORACLE, K_ORACLE, DELTA_ORACLE and
-E0_ORACLE rows of tests/test_zeta.py.
+E0_ORACLE rows of tests/test_zeta.py, or as
 
-Each row is computed twice: at 40 digits from the same Gauss hypergeometric
-form the engine uses,
+    python tests/oracle_inner.py sweep [cells] [seed]
+
+to measure the engine's inner column against mpmath on random cells (below).
+
+Each row is computed twice: at 40 digits from the Gauss hypergeometric form
 
     I = T^al / al  E^s  2F1(-s, al/q; 1 + al/q; -T^q/E),   al = (b-q)s + 1,
 
@@ -19,8 +22,20 @@ values b, q, X, log T and log E; s is formed in double as the engine forms it.
 
 The rows cover the worst points of a dense scipy-against-mpmath grid
 ((2,2) and (7,6) at X = 1e-5), log E down to -690, C1 (T = E = 1), the range
-e(x) > T where 2F1's argument is inside the unit disc, one X below 1e-5, and
-both sides of the engine's far-branch switch q log T - log E = 700.
+e(x) > T where 2F1's argument is inside the unit disc, X below 1e-5 down to
+1e-12, log z = q log T - log E on both sides of 700, where T^q/E nears the
+double range, z below 1e-308, and both sides of the engine's two switches:
+z = 2 (near series against far form) and log z = 40 (far tail kept against
+dropped), at q < b and at q = b = 40.
+
+The sweep draws cells (b, q, X, log T, log z) from a seeded generator: X
+log-uniform in [1e-12, 0.99], T in [0.05, 1], and a third each with
+z <= 2, 2 < z < e^40 and e^40 <= z < e^745.  It compares the engine's
+column with the 2F1 form at 40 digits twice, with s the double the engine
+forms and with s = (X - 1)/b exact from the double X (the two references
+differ by up to about eps log z / q), checks the 40-digit values against 50
+digits, and prints the worst relative error of each branch.
+zeta.INNER_REL_ERR is set at 5x or more the worst of a 1200-cell sweep.
 
 K = C1 + C2(inf), with C1 = int_0^1 v^((b-q)s) (1+v^q)^s dv and
 C2(inf) = int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv, is printed at 40 digits
@@ -61,6 +76,7 @@ down to log R2 - 60 (the mass below it is under e^-120 of D0) split every
 -0.01}, s the double value.
 """
 import math
+import sys
 from mpmath import mp, mpf
 
 LN_HALF = math.log(0.5)
@@ -86,6 +102,31 @@ POINTS = [
     (2, 2, 1e-5, LN_HALF, 2 * LN_HALF - 701.0),
     (7, 6, 2.0**-8, math.log(0.3), 6 * math.log(0.3) - 699.0),
     (7, 6, 2.0**-8, math.log(0.3), 6 * math.log(0.3) - 701.0),
+    # either side of z = 2 and of log z = 40
+    (3, 2, 2.0**-8, LN_HALF, 2 * LN_HALF - math.log(2.0) + 0.01),
+    (3, 2, 2.0**-8, LN_HALF, 2 * LN_HALF - math.log(2.0) - 0.01),
+    (7, 6, 1e-10, math.log(0.3), 6 * math.log(0.3) - math.log(2.0) + 0.01),
+    (7, 6, 1e-10, math.log(0.3), 6 * math.log(0.3) - math.log(2.0) - 0.01),
+    (2, 2, 1e-5, LN_HALF, 2 * LN_HALF - 39.99),
+    (2, 2, 1e-5, LN_HALF, 2 * LN_HALF - 40.01),
+    (7, 1, 0.5, math.log(0.45), math.log(0.45) - 39.99),
+    (7, 1, 0.5, math.log(0.45), math.log(0.45) - 40.01),
+    # X = 1e-12 on each branch
+    (2, 2, 1e-12, LN_HALF, 2 * LN_HALF - 0.5),
+    (2, 2, 1e-12, LN_HALF, 2 * LN_HALF - 20.0),
+    (2, 2, 1e-12, LN_HALF, 2 * LN_HALF - 400.0),
+    (7, 1, 1e-12, math.log(0.3), math.log(0.3) - 600.0),
+    # q = b = 40, al = 1, on each branch and next to each switch
+    (40, 40, 1e-5, LN_HALF, 40 * LN_HALF - 0.5),
+    (40, 40, 1e-5, LN_HALF, 40 * LN_HALF - math.log(2.0) - 0.01),
+    (40, 40, 1e-5, LN_HALF, 40 * LN_HALF - 20.0),
+    (40, 40, 1e-5, LN_HALF, 40 * LN_HALF - 40.01),
+    (40, 40, 0.5, LN_HALF, 40 * LN_HALF - 300.0),
+    # X next to q = 1, where the first tail coefficient C(s, 1)/(q - X) = -1/b
+    # takes s and q - X from X itself
+    (3, 1, 1.0 - 2.0**-30, LN_HALF, LN_HALF - 1.0),
+    # z = T^q/E below 1e-308, where 1/z overflows
+    (40, 40, 1e-5, math.log(1e-8), -1.0),
 ]
 
 
@@ -110,6 +151,55 @@ def by_quad(b, q, sigma, ln_t, ln_E):
     if pts[-1] < ln_t:
         pts.append(ln_t)
     return mp.quad(f, pts)
+
+
+SWEEP_FAMILIES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (5, 4), (6, 4),
+                  (7, 1), (7, 2), (7, 6), (7, 7), (40, 2), (40, 40)]
+
+
+def sweep(cells=1200, seed=28):
+    """The engine's inner column against 40-digit mpmath on random cells."""
+    import os
+    import numpy as np
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+    from flatzeta.zeta import _inner_columns, _inner_tables
+
+    rng = np.random.default_rng(seed)
+    worst = {"near": [0.0] * 3, "tail": [0.0] * 3, "far": [0.0] * 3}
+    for i in range(cells):
+        b, q = SWEEP_FAMILIES[rng.integers(len(SWEEP_FAMILIES))]
+        X = 10.0 ** rng.uniform(-12.0, math.log10(0.99))
+        ln_t = math.log(rng.uniform(0.05, 1.0))
+        branch = ("near", "tail", "far")[i % 3]
+        if branch == "near":
+            ln_z = rng.uniform(max(q * ln_t, -10.0), math.log(2.0))
+        elif branch == "tail":
+            ln_z = rng.uniform(math.log(2.0), 40.0)
+        else:
+            ln_z = rng.uniform(40.0, 745.0)
+        ln_E = min(q * ln_t - ln_z, 0.0)
+        sigma = (X - 1.0) / b
+        tab = _inner_tables(b, q, ln_t, np.array([sigma]), np.array([X]))
+        got = _inner_columns(q, ln_t, np.array([ln_E / q]), np.array([ln_E]), tab)[0, 0]
+        mp.dps = 40
+        ref_s = by_2f1(b, q, sigma, ln_t, ln_E)
+        ref_x = by_2f1(b, q, (mpf(X) - 1) / b, ln_t, ln_E)
+        mp.dps = 50
+        ref_50 = by_2f1(b, q, (mpf(X) - 1) / b, ln_t, ln_E)
+        w = worst[branch]
+        w[0] = max(w[0], float(abs(got - ref_s) / ref_s))
+        w[1] = max(w[1], float(abs(got - ref_x) / ref_x))
+        w[2] = max(w[2], float(abs(ref_50 - ref_x) / ref_x))
+    print(f"{cells} cells, seed {seed}; worst relative error of the engine against 40 digits"
+          " (s in double, s exact from X), and of 40 against 50 digits:")
+    for branch, (e_s, e_x, e_mp) in worst.items():
+        print(f"  {branch}: {e_s:.3g}  {e_x:.3g}  {e_mp:.3g}")
+    print("  all:", f"{max(max(w[:2]) for w in worst.values()):.3g}")
+
+
+if sys.argv[1:2] == ["sweep"]:
+    sweep(*(int(v) for v in sys.argv[2:]))
+    sys.exit()
 
 
 K_FAMILIES = [(2, 1), (2, 2), (3, 2), (6, 4), (7, 1), (7, 7)]

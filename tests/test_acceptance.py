@@ -230,8 +230,9 @@ def test_criterion_07_monomial_oracle_grid():
     params = FamilyParams(1, 2, 2, Fraction(2), r1=1e-4, r2=0.5)
     worst = 0.0
     for sigma in np.linspace(-0.495, -0.01, 20):
-        (z,) = zeta_samples(params, None, [params.b * float(sigma) + 1.0], CFG, flat=True)
-        cf = monomial_closed_form(1, 2, 1e-4, 0.5, float(sigma))
+        X = params.b * float(sigma) + 1.0
+        (z,) = zeta_samples(params, None, [X], CFG, flat=True)
+        cf = monomial_closed_form(1, 2, 1e-4, 0.5, X)
         worst = max(worst, abs(z.value - cf) / cf)
     ok = worst < 1e-8
     _report(7, "monomial-oracle", ok,

@@ -58,7 +58,7 @@ def test_compute_flat_off_matches_closed_form(capsys):
     assert code == 0
     for line in out.strip().split("\n")[1:]:
         sigma, X, Z, scaled, err = map(float, line.split(","))
-        cf = monomial_closed_form(1, 2, 0.5, 0.5, sigma)
+        cf = monomial_closed_form(1, 2, 0.5, 0.5, X)
         assert Z == pytest.approx(cf, rel=1e-8)
 
 

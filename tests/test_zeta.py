@@ -34,12 +34,12 @@ from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import MAX_LEVELS, EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
+    INNER_REL_ERR,
     _dead_column,
     _from_one,
     _increment_columns,
-    _inner_closed,
-    _inner_far,
-    _inner_rel_err,
+    _inner_columns,
+    _inner_tables,
     _check_window,
     _k_closed,
     _ln_E_dead,
@@ -81,7 +81,9 @@ ORACLE_Z1_Z2 = {
 }
 
 # tests/oracle_inner.py (mpmath, 40 digits, cross-checked by quadrature):
-# (b, q, X, log T, log E, int_0^T v^((b-q)s) (v^q + E)^s dv) with s = (X-1)/b
+# (b, q, X, log T, log E, int_0^T v^((b-q)s) (v^q + E)^s dv) with s = (X-1)/b;
+# from the 21st row on, both sides of z = T^q/E = 2 and of log z = 40, X = 1e-12,
+# q = b = 40, X next to q = 1, and z below 1e-308
 INNER_ORACLE = [
     (2, 2, 1e-05, -0.10536051565782628, -1.0, 1.1857673522716047025),
     (7, 6, 1e-05, -0.6931471805599453, -5.0, 1.280511871054687574),
@@ -103,6 +105,25 @@ INNER_ORACLE = [
     (2, 2, 1e-05, -0.6931471805599453, -702.3862943611199, 350.57475942081151161),
     (7, 6, 0.00390625, -1.2039728043259361, -706.2238368259556, 93.868684608776192528),
     (7, 6, 0.00390625, -1.2039728043259361, -708.2238368259556, 94.078092737058432667),
+    (3, 2, 0.00390625, -0.6931471805599453, -2.069441541679836, 1.6828687489944338307),
+    (3, 2, 0.00390625, -0.6931471805599453, -2.0894415416798355, 1.691519618421190258),
+    (7, 6, 1e-10, -1.2039728043259361, -7.906984006515563, 1.2555984107166557723),
+    (7, 6, 1e-10, -1.2039728043259361, -7.926984006515562, 1.2587441493618056029),
+    (2, 2, 1e-05, -0.6931471805599453, -41.37629436111989, 20.68586805846513717),
+    (2, 2, 1e-05, -0.6931471805599453, -41.396294361119885, 20.695865920063958426),
+    (7, 1, 0.5, -0.7985076962177716, -40.78850769621777, 1.34164078593070855),
+    (7, 1, 0.5, -0.7985076962177716, -40.80850769621777, 1.3416407859363718379),
+    (2, 2, 1e-12, -0.6931471805599453, -1.8862943611198906, 1.0686734510325332378),
+    (2, 2, 1e-12, -0.6931471805599453, -21.38629436111989, 10.693147181011062856),
+    (2, 2, 1e-12, -0.6931471805599453, -401.3862943611199, 200.69314716028282745),
+    (7, 1, 1e-12, -1.2039728043259361, -601.203972804326, 606.7867643924671067),
+    (40, 40, 1e-05, -0.6931471805599453, -28.225887222397812, 1.0118153917677742787),
+    (40, 40, 1e-05, -0.6931471805599453, -28.429034402957758, 1.0168387629202541757),
+    (40, 40, 1e-05, -0.6931471805599453, -47.725887222397816, 1.4989736602937791861),
+    (40, 40, 1e-05, -0.6931471805599453, -67.7358872223978, 1.9992114429992045541),
+    (40, 40, 0.5, -0.6931471805599453, -327.72588722239783, 1.397575530710300721),
+    (3, 1, 0.9999999990686774, -0.6931471805599453, -1.6931471805599454, 0.50000000066481809393),
+    (40, 40, 1e-05, -18.420680743952367, -1.0, 1.0253148641956789713e-8),
 ]
 
 # tests/oracle_inner.py (mpmath, 40 digits from the Gamma form, cross-checked
@@ -299,28 +320,36 @@ def test_integrand_rejects_boundary():
 
 
 def test_monomial_closed_form():
-    # (1,2,1/2,1/2,-1/4) -> (8/3) (1/2)^(5/4)
-    v = monomial_closed_form(1, 2, 0.5, 0.5, -0.25)
+    # (a,b,r1,r2,X) = (1,2,1/2,1/2,1/2), sigma = -1/4 -> (8/3) (1/2)^(5/4)
+    v = monomial_closed_form(1, 2, 0.5, 0.5, 0.5)
     assert v == pytest.approx(8.0 / 3.0 * 0.5**1.25, rel=1e-15)
-    assert monomial_closed_form(0, 2, 1.0, 1.0, -0.25) == pytest.approx(2.0, rel=1e-15)
+    assert monomial_closed_form(0, 2, 1.0, 1.0, 0.5) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(PoleHit):
-        monomial_closed_form(1, 2, 0.5, 0.5, -0.5)
+        monomial_closed_form(1, 2, 0.5, 0.5, 0.0)
+    # X is used as given: rebuilt from sigma it would lose eps/X, 1e-4
+    # relative at X = 1e-12
+    X = 1e-12
+    ax = (X - 1.0) / 3 + 1.0
+    assert monomial_closed_form(1, 3, 0.5, 0.5, X) == pytest.approx(
+        0.5**ax * 0.5**X / (ax * X), rel=4e-16)
 
 
 def test_zeta_quadrant_flat_suppressed_matches_closed_form():
     # 1/(q x^p) = 1/(2 x^2) >= 5e7 on (0, 1e-4]: the flat term is cutoff-dead
     p = FamilyParams(1, 2, 2, Fraction(2), r1=1e-4, r2=0.5)
     for sigma in (-0.45, -0.25, -0.1):
-        (z,) = zeta_samples(p, None, [p.b * sigma + 1.0], CFG, flat=True)
-        cf = monomial_closed_form(1, 2, 1e-4, 0.5, sigma)
+        X = p.b * sigma + 1.0
+        (z,) = zeta_samples(p, None, [X], CFG, flat=True)
+        cf = monomial_closed_form(1, 2, 1e-4, 0.5, X)
         assert z.value == pytest.approx(cf, rel=1e-8)
 
 
 def test_zeta_quadrant_flat_off_switch():
     for params in (SUP, GREEN):
         for sigma in (-0.45, -0.2):
-            (z,) = zeta_samples(params, None, [params.b * sigma + 1.0], CFG, flat=False)
-            cf = monomial_closed_form(params.a, params.b, params.r1, params.r2, sigma)
+            X = params.b * sigma + 1.0
+            (z,) = zeta_samples(params, None, [X], CFG, flat=False)
+            cf = monomial_closed_form(params.a, params.b, params.r1, params.r2, X)
             assert z.value == pytest.approx(cf, rel=1e-10)
 
 
@@ -339,8 +368,9 @@ def test_zeta_quadrant_monomial_oracle_grid():
     p = FamilyParams(1, 3, 2, Fraction(3), r1=0.4, r2=0.7)
     sigmas = np.linspace(-0.32, -0.01, 20)
     for s in sigmas:
-        (z,) = zeta_samples(p, None, [p.b * float(s) + 1.0], CFG, flat=False)
-        cf = monomial_closed_form(3 * 0 + p.a, p.b, p.r1, p.r2, float(s))
+        X = p.b * float(s) + 1.0
+        (z,) = zeta_samples(p, None, [X], CFG, flat=False)
+        cf = monomial_closed_form(p.a, p.b, p.r1, p.r2, X)
         assert abs(z.value - cf) / cf < 1e-8
 
 
@@ -376,16 +406,17 @@ def test_zeta_quadrant_matches_nested_1d_integrand():
     assert r.value == pytest.approx(z.value, rel=1e-6)
 
 
+def _inner_column(b, q, X, lnT, lnE):
+    """The engine's inner column at one (node, X), as _box_integral makes it."""
+    tab = _inner_tables(b, q, lnT, np.array([(X - 1.0) / b]), np.array([X]))
+    return _inner_columns(q, lnT, np.array([lnE / q]), np.array([lnE]), tab)[0, 0]
+
+
 @pytest.mark.parametrize("b, q, X, lnT, lnE, ref", INNER_ORACLE)
 def test_inner_closed_form_matches_oracle(b, q, X, lnT, lnE, ref):
-    sigma = (X - 1.0) / b
-    bound = _inner_rel_err(X)
-    assert abs(_inner_closed(b, q, sigma, lnT, lnE) - ref) <= bound * ref
-    if q * lnT - lnE > 698.0:
-        # either side of the switch, the engine's far branch (exact main
-        # term plus e^X K) must agree within the same bound
-        far = _inner_far(X, lnT, lnE / q, _k_closed(q, np.array([sigma]), np.array([X]))[0])
-        assert abs(far - ref) <= bound * ref
+    # one bound at every X down to 1e-12: neither series of the column
+    # divides by a small difference
+    assert abs(_inner_column(b, q, X, lnT, lnE) - ref) <= INNER_REL_ERR * ref
 
 
 @pytest.mark.parametrize("b, q, X, ref", K_ORACLE)
@@ -499,16 +530,14 @@ def test_samples_hold_the_callers_x_bit_for_bit(b):
 @pytest.mark.parametrize("fam, x0", [((1, 2, 2, 2), 0.125), ((1, 3, 2, Fraction(3, 2)), 1e-6),
                                      ((0, 7, 1, 5), 0.8192)], ids=["1222", "1323/2", "0715"])
 def test_flat_off_error_bounds_the_actual_error(fam, x0):
-    # without the flat term Z is r1^(a s + 1) r2^X / ((a s + 1) X), built
-    # here from the sample's own X (monomial_closed_form would rebuild X from
-    # sigma and be off by eps/X); the reported error covers the actual one
-    # and is a quadrature error, not a bound on a hyp2f1 call the path does
-    # not make
+    # without the flat term Z is r1^(a s + 1) r2^X / ((a s + 1) X) at the
+    # sample's own X; the reported error covers the actual one and is a
+    # quadrature error, not a bound on the inner columns the path does not
+    # build
     a, b, q, p = fam
     params = FamilyParams(a, b, q, Fraction(p))
     for z in zeta_samples(params, None, make_schedule(x0, 0.5, 14, b).xs, CFG, flat=False):
-        ax = a * z.sigma + 1.0
-        exact = params.r1**ax * params.r2**z.X / (ax * z.X)
+        exact = monomial_closed_form(a, b, params.r1, params.r2, z.X)
         assert abs(z.value - exact) <= z.error <= 1e-12 * z.value, z
 
 
@@ -586,22 +615,17 @@ def test_zeta_quadrant_error_meets_tolerance_at_small_X(b):
 @pytest.mark.parametrize("bump", [None, BumpSpec(0.5, 0.5)], ids=["quadrant", "weighted"])
 def test_zeta_samples_match_one_sigma_calls(bump):
     # each sigma of a batch is one component of the vector quadratures and
-    # returns its one-sigma call's value and error; the weighted inner
-    # columns share their per-row factors among the sigmas of a row, and
-    # each sigma still gets its one-sigma call's bits
-    eps = np.finfo(float).eps
+    # returns its one-sigma call's value and error bit for bit: an inner
+    # column is one np.vecdot of a node's power row and the sigma's
+    # coefficient row, and the weighted inner columns share their per-row
+    # factors among the sigmas of a row in the same operations
     for params, x0, flat in (BATCH_CASES if bump is None else WEIGHTED_CASES):
         sched = make_schedule(x0, 0.5, 14, params.b)
         batch = zeta_samples(params, bump, sched.xs, CFG, flat=flat)
         assert len(batch) == 14
         for X, z in zip(sched.xs, batch):
             (one,) = zeta_samples(params, bump, [X], CFG, flat=flat)
-            assert (z.sigma, z.X) == (one.sigma, one.X)
-            if bump is None:
-                assert abs(z.value - one.value) <= 4.0 * eps * one.value
-                assert abs(z.error - one.error) <= 4.0 * eps * one.value
-            else:
-                assert (z.value, z.error) == (one.value, one.error)
+            assert (z.sigma, z.X, z.value, z.error) == (one.sigma, one.X, one.value, one.error)
 
 
 def test_weighted_inner_rows_share_the_bump_increment(monkeypatch):
@@ -862,11 +886,8 @@ def test_quadrant_invariants_over_families():
         a, q = int(rng.integers(0, b)), int(rng.integers(1, b + 1))
         p = Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 7)))
         params = FamilyParams(a, b, q, p, *map(float, rng.uniform(0.05, 0.95, 2)))
-        xs = np.sort(10.0 ** rng.uniform(-5.0, math.log10(0.5), 4))[::-1]
-        sigmas = [(X - 1.0) / b for X in xs]
-        # the X that closed form builds from each sigma, so the two agree on X
-        xs = [b * s + 1.0 for s in sigmas]
-        closed = [monomial_closed_form(a, b, params.r1, params.r2, s) for s in sigmas]
+        xs = np.sort(10.0 ** rng.uniform(-5.0, math.log10(0.5), 4))[::-1].tolist()
+        closed = [monomial_closed_form(a, b, params.r1, params.r2, X) for X in xs]
         zs = [z.value for z in zeta_samples(params, None, xs, CFG, flat=True)]
         assert all(0.0 < z <= cf * (1.0 + 1e-12) for z, cf in zip(zs, closed)), params
         assert all(z2 > z1 for z1, z2 in zip(zs, zs[1:])), params
@@ -1245,21 +1266,21 @@ def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
 
 
 # Weighted Z (value, error) at X = 1/2, 2^-8 and 1e-5 over the default bump,
-# frozen from the engine that built the inner columns at every outer node and
-# then multiplied by the x-bump (supercritical's first two values from the
-# plain-y E = 0 column, a move of 5.5e-16 and 2e-16 relative); greenblatt's flat-on D_0..D_40 at s = -0.2,
+# frozen from the engine whose unweighted inner columns are the near series
+# and the far form of _inner_columns (each value within 2.8e-3 of its error of
+# the hyp2f1 columns before them); greenblatt's flat-on D_0..D_40 at s = -0.2,
 # frozen from the x-moments convolved with the E = 0 row plus the live excess
 # (within 1.3e-10 relative of the per-node recombination of every row)
 WEIGHTED_FROZEN = {
-    "supercritical": [(1.2693703869130075, 2.3924065439895183e-08),
-                      (71.21814591502906, 3.6266893201486203e-07),
-                      (1576.123463451423, 3.72293211491216e-07)],
-    "critical": [(1.0110694567913372, 3.4077305550056087e-10),
-                 (10.09504668320249, 3.7410256439666556e-09),
-                 (22.04663695617095, 2.1259597471781537e-06)],
-    "greenblatt": [(1.0063736632104323, 6.912838770136702e-10),
-                   (4.500302929154185, 3.975362717211409e-08),
-                   (4.606792524955104, 1.9162954294442942e-08)],
+    "supercritical": [(1.2693703869130077, 2.3670445236589966e-08),
+                      (71.21814591502901, 3.484395890936034e-07),
+                      (1576.1234634514487, 5.738237925013444e-08)],
+    "critical": [(1.0110694567913376, 1.3876115598904675e-10),
+                 (10.095046683202456, 1.724017553094404e-09),
+                 (22.046636956191044, 2.121557301803011e-06)],
+    "greenblatt": [(1.0063736632104323, 4.902108631934356e-10),
+                   (4.500302929154126, 3.885441246798548e-08),
+                   (4.6067925250080854, 1.8240748784719106e-08)],
 }
 MOMENTS_J40_FROZEN = [
     0.8057608442943827, -3.48417123717452, 18.714447435318192, -128.6291341350427,
@@ -1430,13 +1451,13 @@ NAN = float("nan")
                  id="log_derivative-j-nan"),
     pytest.param(lambda: log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), 0.5, 1.5, CFG),
                  id="log_derivative-j-fraction"),
-    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.5, NAN), id="monomial-sigma-nan"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.5, NAN), id="monomial-X-nan"),
     pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.5, -math.inf),
-                 id="monomial-sigma-inf"),
-    pytest.param(lambda: monomial_closed_form(0, 2, -0.5, 0.5, 0.5), id="monomial-r1-negative"),
-    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.0, -0.25), id="monomial-r2-zero"),
-    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, math.inf, -0.25), id="monomial-r2-inf"),
-    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, NAN, -0.25), id="monomial-r2-nan"),
+                 id="monomial-X-inf"),
+    pytest.param(lambda: monomial_closed_form(0, 2, -0.5, 0.5, 2.0), id="monomial-r1-negative"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.0, 0.5), id="monomial-r2-zero"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, math.inf, 0.5), id="monomial-r2-inf"),
+    pytest.param(lambda: monomial_closed_form(0, 2, 0.5, NAN, 0.5), id="monomial-r2-nan"),
     pytest.param(lambda: bump_eval(BumpSpec(), NAN, 0.1), id="bump_eval-x-nan"),
     pytest.param(lambda: bump_eval(BumpSpec(), 0.1, NAN), id="bump_eval-y-nan"),
     pytest.param(lambda: bump_x_profile(BumpSpec(), np.array([0.1, NAN])),
