@@ -48,23 +48,20 @@ _OFF_MIN = 1e-305
 #: roughly doubles the node count).
 MAX_LEVELS = 12
 
-_LEVEL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 #: Most (node, component) values one integrand call of _tanh_sinh
 #: computes; wider levels are evaluated in blocks of components.
 _BLOCK_CELLS = 1 << 14
 
 
+@lru_cache
 def _level_nodes(level: int):
     """New trapezoid nodes introduced at refinement level `level`.
 
-    Returns (off, w) with off the distance of the mapped abscissa from the
-    nearer endpoint of the unit interval and w the map derivative dg/dt, both
-    evaluated in underflow-safe form.  Level 0 holds t = 0, 1, 2, ...; level
-    L >= 1 holds the odd multiples of 2^-L.
+    Returns (off, w), read-only, with off the distance of the mapped abscissa
+    from the nearer endpoint of the unit interval and w the map derivative
+    dg/dt, both evaluated in underflow-safe form.  Level 0 holds t = 0, 1,
+    2, ...; level L >= 1 holds the odd multiples of 2^-L.
     """
-    cached = _LEVEL_CACHE.get(level)
-    if cached is not None:
-        return cached
     h = 1.0 / (1 << level)
     if level == 0:
         ts = np.arange(0.0, _T_MAX, 1.0)
@@ -75,9 +72,9 @@ def _level_nodes(level: int):
     off = em / (1.0 + em)                      # (1 - tanh u)/2, no cancellation
     w = _PI_2 * np.cosh(ts) * 2.0 * em / (1.0 + em) ** 2   # dg/dt = (pi/4) cosh t sech^2 u
     keep = (off > _OFF_MIN) & (w > 0.0) & np.isfinite(w)
-    entry = (off[keep], w[keep])
-    _LEVEL_CACHE[level] = entry
-    return entry
+    off, w = off[keep], w[keep]
+    off.flags.writeable = w.flags.writeable = False
+    return off, w
 
 
 @lru_cache(maxsize=64)

@@ -8,24 +8,16 @@ The quadrant integral
 is dominated near sigma = -1/b by y-mass that sits far below double
 precision, so the inner integral is never attacked by quadrature.  It is
 Y^al / al  E^s  2F1(-s, al/q; 1 + al/q; -z), al = (b-q) s + 1, z = Y^q / E
-(DLMF 15.6.1), summed as one of two series.  Where z <= 2, the Pfaff form
-(DLMF 15.8.1)
-
-    inner(x) = Y^al (Y^q + E)^s / al  sum_n c_n w^n,   w = z/(1+z) <= 2/3,
-
-with c_0 = 1, c_(n+1) = c_n (n - s)/(n + 1 + al/q), every term positive.
-Further out, substituting y = e(x) v against the crossover scale
-e(x) = E(x)^(1/q) gives the exact
-
-    inner(x) = Y^X [(1 - (e(x)/Y)^X) / X - sum_n C(s, n) z^-n / (q n - X)]
-               + e(x)^X K,   X = b sigma + 1,
-
-with K = int_0^1 v^((b-q)s) (1+v^q)^s dv + int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv
-in Gamma functions (_k_closed); the sum, the binomial series of
-(1 + v^-q)^s past Y/e, is dropped where log z >= 40.  The coefficients
-depend on sigma alone and the powers w^n, z^-n on x alone: one coefficient
-table per schedule (_inner_tables), one power row per outer node and one
-dot product per (node, sigma) (_inner_columns), with no special function
+(DLMF 15.6.1), summed as one of two series (_inner_columns): where z <= 2
+the Pfaff form (DLMF 15.8.1) in powers of w = z/(1+z), every term positive;
+further out, in y = e(x) v against the crossover scale e(x) = E(x)^(1/q),
+the binomial series of (1 + v^-q)^s past Y/e in powers of 1/z, dropped
+where log z >= 40, plus e(x)^X K, X = b sigma + 1, with
+K = int_0^1 v^((b-q)s) (1+v^q)^s dv + int_1^inf v^(X-1) [(1+v^-q)^s - 1] dv
+from two log-Gamma differences in numpy alone (_k_closed).  The
+coefficients depend on sigma alone and the powers on x alone: one
+coefficient table per schedule (_inner_tables), one power row per outer
+node and one dot product per (node, sigma), with no special function
 evaluated per cell.  Neither series loses digits as X -> 0, so one
 constant, INNER_REL_ERR, bounds the column's relative error at every X.
 A whole schedule is one vector quadrature over x, a component per X.
@@ -100,7 +92,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln, psi, zeta as hurwitz_zeta
 
 from .errors import (
     DegenerateLowerLimit,
@@ -195,23 +186,34 @@ _TAIL_TERMS = 56
 _LN_Z_TAIL = 40.0
 
 
+#: Stirling's series of log Gamma (DLMF 5.11.1): c_k = B_2k / (2k (2k-1)),
+#: k = 1..8, taken at m + _SHIFT >= 8, where the first omitted term is < 1e-16.
+_STIRLING = np.array([1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+                      -691 / 360360, 1 / 156, -3617 / 122400])
+_SHIFT = 8
+
+
 def _k_closed(q: int, sigmas: np.ndarray, Xs: np.ndarray) -> np.ndarray:
     """K of the far inner column for every (sigma, X) of sigmas, Xs: the
     Mellin integral of (1+v^q)^s continued past its pole (DLMF 5.12.3),
-    K = -expm1(L)/X with L = log(Gamma(1-t) Gamma(t-s) / Gamma(-s)),
-    t = X/q, 1 - t taken from X itself (at q = 1 and X = 1 - 2^-k it is 2^-k
-    exactly).  gammaln loses digits of L as 1/t, so where t < 1e-2 and
-    t < 0.08 (-s) (else |L| >= log 1.08) L is its Taylor series in t:
-    convergent for t < -s, its tail past k = 14 < 1e-16 L."""
-    ts, ms = Xs / q, -sigmas
-    L = gammaln(1.0 - ts) + gammaln(ms + ts) - gammaln(ms)
-    sm = (ts < 1e-2) & (ts < 0.08 * ms)
-    if sm.any():
-        t, m, k, series = ts[sm], ms[sm], np.arange(14, 1, -1)[:, None], 0.0
-        for c in (hurwitz_zeta(k, 1.0) + (-1.0)**k * hurwitz_zeta(k, m)) / k:
-            series = (series + c) * t     # Horner: K is its one-sigma value bit for bit
-        L[sm] = (np.euler_gamma + psi(m) + series) * t
-    return -np.expm1(L) / Xs
+    K = -expm1(L)/X, L = log(Gamma(1-t) Gamma(t-s) / Gamma(-s)), t = X/q.
+    L = D(1, -t) + D(-s, t) with D(m, t) = log Gamma(m+t) - log Gamma(m),
+    shifted to M = m + _SHIFT (DLMF 5.5.1), where Stirling's series gives
+
+        D = (M - 1/2) log1p(t/M) + t log(M+t) - t
+            + sum_k c_k M^(1-2k) expm1((1-2k) log1p(t/M)) - sum_(j < 8) log1p(t/(m+j)):
+
+    every term a log1p or expm1 of t, so nothing cancels as t -> 0.  1 - t
+    is taken from X in log1p(-t) (at q = 1 and X = 1 - 2^-k it is 2^-k
+    exactly).  Each reduction is along a row: K is its one-sigma value."""
+    ts, n = Xs / q, Xs.size
+    m, t = np.concatenate([np.ones(n), -sigmas]), np.concatenate([-ts, ts])
+    M, k = m + _SHIFT, -1.0 - 2.0 * np.arange(_STIRLING.size)
+    u = np.log1p(t / M)
+    D = ((M - 0.5) * u + t * np.log(M + t) - t
+         + np.vecdot(np.expm1(np.multiply.outer(u, k)) * np.power.outer(M, k), _STIRLING)
+         - np.log1p(t[:, None] / np.add.outer(m, np.arange(_SHIFT))).sum(axis=1))
+    return -np.expm1(D[:n] + D[n:]) / Xs
 
 
 #: Layout of a row of _inner_tables: s, X, A, B, then the near and the tail

@@ -44,9 +44,10 @@ from its Gamma form (DLMF 5.12.3, continued past the pole at X = 0)
     K = (1 - Gamma(1-t) Gamma(t-s) / Gamma(-s)) / X,   t = X/q,
 
 and checked against 30-digit quadrature of C1 + C2(inf) itself, so that
-the identity is tested, not assumed.  Its rows cover the series/gammaln
-switch of the engine at t = 1e-2 (X = 0.0099 and 0.0101 at q = 1), X
-down to 1e-12, and large b, where the switch is at t = 0.08 (-s) instead.
+the identity is tested, not assumed.  Its rows cover X down to 1e-12,
+where L = log(Gamma(1-t) Gamma(t-s) / Gamma(-s)) is O(t), X = 0.0099 and
+0.0101 at q = 1, large b, where t/(-s) is not small, and t -> 1 at q = 1
+(X up to 1 - 2^-20), next to the pole of Gamma(1-t).
 
 The bump-weighted correction column of flatzeta.zeta._increment_columns,
 
@@ -204,10 +205,11 @@ if sys.argv[1:2] == ["sweep"]:
 
 K_FAMILIES = [(2, 1), (2, 2), (3, 2), (6, 4), (7, 1), (7, 7)]
 K_XS = [0.5, 0.0101, 0.0099, 1e-5, 1e-8, 1e-12]
-# large b, where t/(-s) = X b / (q (1-X)) is not small at t < 1e-2, and both
-# sides of the series switch t = 0.08 (-s) (X ~ 8e-4 at b = 100, q = 1)
+# large b, where t/(-s) = X b / (q (1-X)) is not small at t < 1e-2, and
+# t = X/q -> 1 at q = 1, next to the pole of Gamma(1-t)
 K_WIDE = [(60, 60, 0.5), (60, 60, 0.59), (100, 1, 0.009), (100, 1, 0.00081),
           (100, 1, 0.00079), (50, 1, 0.0099), (50, 1, 1e-5)]
+K_NEAR_ONE = [(b, 1, X) for b in (2, 7) for X in (0.9, 0.999, 1.0 - 2.0**-20)]
 
 
 def k_by_gamma(b, q, sigma):
@@ -248,7 +250,7 @@ print("2F1 at 40 digits vs quadrature at 30 digits, max relative difference:",
       mp.nstr(worst, 3))
 
 worst = 0
-for b, q, X in [(b, q, X) for b, q in K_FAMILIES for X in K_XS] + K_WIDE:
+for b, q, X in [(b, q, X) for b, q in K_FAMILIES for X in K_XS] + K_WIDE + K_NEAR_ONE:
     sigma = (X - 1.0) / b
     mp.dps = 30
     ref_q = k_by_quad(b, q, sigma)

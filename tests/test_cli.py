@@ -249,3 +249,21 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["one_over_pq"] == 0.5
+
+
+@pytest.mark.parametrize("argv", [["compute", "--preset", "critical"],
+                                  ["verify", "--preset", "greenblatt", "--suite", "all"]],
+                         ids=["compute", "verify"])
+def test_runs_without_scipy(argv, capsys):
+    # scipy is not a runtime dependency: importing the CLI loads no scipy
+    # module, and with every scipy import made to fail the command exits 0
+    # and prints what it prints in this process
+    script = ("import sys\n"
+              "import flatzeta.cli\n"
+              "assert 'scipy' not in sys.modules, 'flatzeta.cli imports scipy'\n"
+              "sys.modules['scipy'] = None\n"
+              f"sys.exit(flatzeta.cli.main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
