@@ -11,8 +11,9 @@ return arrays of the same length; it runs on the one refinement loop
 built on the loop in flatzeta.zeta: one call integrates all inner columns of
 one outer level at once on a shared interval, each column, or each group of
 moment columns of one inner row, retiring at its own level.  A component
-stops on one rule, its step between levels within tol of its value, and
-every call refines at most MAX_LEVELS times.  As that rule retires nothing
+stops on one rule, its step between levels within tol of its value (tol
+one for all components or one per component), and every call refines at
+most MAX_LEVELS times.  As that rule retires nothing
 before level 2, the first integrand call (per block of components) takes
 the nodes of levels 0, 1 and 2 together and each later call one level: the
 same nodes as one call per level, so the same values and evaluation counts,
@@ -204,7 +205,7 @@ def _capped(err, value):
     return ~(err <= 1e-2 * np.maximum(abs(value), 1e-300))
 
 
-def _tanh_sinh(f, lo: float, hi: float, tol: float,
+def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
                endpoints: Optional[EndpointSpec] = None, *, k: int, group: int = 1):
     """Core refinement loop on the finite interval (lo, hi): integrates k
     components on shared nodes.  Returns (value, error, evaluations), value
@@ -221,14 +222,15 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
     can sample a component deeper is also tracked for its deepest node
     (_level_sums).  Each component's sums run apart from the others', and
     it retires at the first level >= 2 where its step |value - previous
-    value| is at most tol times |value|, with the step plus its endpoint
+    value| is at most its tol times |value|, with the step plus its endpoint
     remainder as its error, so it returns the same value and error as a
     call on it alone; only the components still refining are evaluated and
     counted.  After MAX_LEVELS levels a
     last step below 1% of the value is accepted with a 3x error bar
     (_capped); a component that fails that raises NonConvergence naming it.
     Components with intervals of their own are mapped by the caller onto
-    the shared one inside f.
+    the shared one inside f.  tol, one for all components or a (k,) array
+    of one each, must be finite and > 0 (DomainError before f is called).
 
     An EndpointSpec declares each component's exponent at lo (0 included):
     lo is then sampled down to offsets of _OFF_MIN, and the endpoint
@@ -240,13 +242,16 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
 
     With group > 1 (k a multiple of it) the components retire in whole
     groups of group consecutive ones, each group at the first level where
-    all of its members meet tol, and f sees whole groups only.  It suits
+    all of its members meet their tol, and f sees whole groups only.  It suits
     components that are moments of one integrand (log_derivative_moments):
     they share every node and nearly all of the cost, so an early
     retirement saves little, while the extra levels make the fast
     components more accurate.  A group returns what a call on it alone
     returns.
     """
+    tols = np.full(k, tol, dtype=float)
+    if not np.all(np.isfinite(tols) & (tols > 0.0)):      # NaN fails
+        raise DomainError(f"need a finite tol > 0 for every component, got {tol}")
     span = hi - lo
     value = np.zeros(k)    # results, filled in as components retire
     error = np.zeros(k)
@@ -293,7 +298,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
         val = span / (1 << level) * running
         if level >= 2:
             np.abs(val - prev, out=err)
-            stop = err <= tol * np.maximum(abs(val), 1e-300)
+            stop = err <= tols * np.maximum(abs(val), 1e-300)
             if group > 1:
                 stop = np.repeat(stop.reshape(-1, group).all(axis=1), group)
             n_stop = np.count_nonzero(stop)
@@ -305,7 +310,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
                 value[done] = val[stop]
                 error[done] = e + _endpoint_remainder(fd, d, beta, done)
                 live = ~stop
-                act, val, state = act[live], val[live], state[:, live]
+                act, val, state, tols = act[live], val[live], state[:, live], tols[live]
                 running, err, deep_d, deep_f = state
         prev = val
     else:
@@ -313,7 +318,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float,
         if loose.any():
             c = int(np.argmax(loose))
             raise NonConvergence(
-                f"tanh-sinh did not reach tol={tol:g} within {MAX_LEVELS} levels "
+                f"tanh-sinh did not reach tol={tols[c]:g} within {MAX_LEVELS} levels "
                 f"(component {act[c]}: last value {val[c]:.6g}, last step {err[c]:.3g})")
         err = 3.0 * err
     value[act] = val
@@ -340,15 +345,13 @@ def integrate_1d(f, lo: float, hi: float, endpoints: Optional[EndpointSpec] = No
 
     Raises
     ------
-    DomainError      on a bad interval, a tolerance that is not > 0 (NaN
-                     included) or a non-integrable declared exponent.
+    DomainError      on a bad interval, a tolerance that is not finite and
+                     > 0 (NaN included) or a non-integrable declared exponent.
     NonConvergence   when MAX_LEVELS levels leave the last step above 1% of
                      the value.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"need finite lo < hi, got ({lo}, {hi})")
-    if not tol > 0.0:
-        raise DomainError(f"need tol > 0, got {tol}")
     if endpoints is None:
         endpoints = EndpointSpec()
     (value,), (err,), evals = _tanh_sinh(lambda xs, cols: np.asarray(f(xs[:, 0]))[:, None],

@@ -40,18 +40,24 @@ int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is one scaled piece in
 y = e(x) v over v in (0, R2/e) (_increment_columns), so an outer level
 makes one inner call.  The columns with log E below q log y_dead - 40,
 y_dead = 1e-9 R2 (_ln_E_dead), are the one E = 0 column, whose correction
-int_0^R2 y^(b s) (phi_y - 1) dy is one plain-y call (_dead_column).  Without
-the flat term every column is that E = 0 column, C = Y2^X/X [+ correction],
-so the box integral is C times one x-quadrature of x^(a s) [phi_x], with no
-inner column at all.  The log-derivative moments share more: their inner
+int_0^R2 y^(b s) (phi_y - 1) dy is R2^X F(b s) (_dead_column), with
+F(c) = int_0^1 u^c (phi(u) - 1) du of the normalized 1D bump phi(u) =
+exp(u^2/(u^2 - 1)), one regular vector call on the unit interval
+(_bump_moments).  Without the flat term every column is that E = 0 column,
+C = Y2^X/X [+ R2^X F(b s)], so the box integral is C times the
+x-integral of x^(a s) [phi_x], with no inner column at all; bump-weighted,
+that integral is R1^(a s + 1) (1/(a s + 1) + F(a s)), and both F of every
+sigma are one call.  The log-derivative moments share more: their inner
 y-moments of log f_y see x only through log E(x), and every row with a
 flat term lost in rounding is the one E = 0 row.  The outer call
 integrates the x-moments (a log x)^d / d!, convolved binomially with that
 row after the quadrature, and, with the flat term on, the excess of each
 live row over it, one row per distinct log E, computed once per call and
-recombined binomially in a log x at the live nodes alone; without the flat
-term the pass is one inner and one outer 1D quadrature
-(log_derivative_moments).  The log variable w = log y stays for
+recombined binomially in a log x at the live nodes alone.  Without the
+flat term the E = 0 row and the x-moments are one call on u in (0, 1),
+two groups at y = R2 u and x = R1 u, each with its own tol
+(log_derivative_moments), so a flat-off Landau rebuild is two vector
+calls, that pass and the D_0 call of F.  The log variable w = log y stays for
 the unweighted z1 columns and ztilde1_2d (_w_integrals), clipped at
 log r2 - 800/X (_w_floor); below it the neglected mass is under e^-800 of
 the column.  A z1 (column, sigma) pair clipped there whose flat factor is
@@ -392,17 +398,32 @@ def _ln_E_dead(q: int, R2: float) -> float:
     return q * math.log(R2 * 1e-9) - 40.0
 
 
-def _dead_column(bump: BumpSpec, bs: np.ndarray, tol: float):
-    """int_0^R2 y^(b s) [phi_y(y) - 1] dy, R2 = bump.R2, for every b s of bs:
-    the bump correction of the E = 0 column, one regular vector quadrature
-    in plain y (the increment vanishes like y^2 at 0, so the integrand is
-    bounded there).  Returns (values, evaluations)."""
-    def f(ys, cols):
-        y = ys[:, 0]
-        return np.exp(np.log(y)[:, None] * bs[cols]) * bump_y_increment(bump, y)[:, None]
+#: The bump of half-widths 1: its y-increment at u is phi(u) - 1, with
+#: phi(u) = exp(u^2/(u^2 - 1)) both bump_x_profile(R1 u) and
+#: bump_y_profile(R2 u) of every bump.
+_UNIT_BUMP = BumpSpec(1.0, 1.0)
 
-    val, _, ev = _tanh_sinh(f, 0.0, bump.R2, tol, None, k=bs.size)
-    return val, ev
+
+def _bump_moments(cs: np.ndarray, tol: float):
+    """F(c) = int_0^1 u^c [phi(u) - 1] du, phi(u) = exp(u^2/(u^2 - 1)) the
+    normalized 1D bump factor, for every c > -1 of cs, as one regular vector
+    quadrature at tol.  The increment vanishes like u^2
+    at 0, so the integrand is bounded there.  On a half-width R the bump
+    correction of a power is int_0^R t^c [phi(t/R) - 1] dt = R^(c+1) F(c).
+    Returns (values, errors, evaluations)."""
+    def f(us, cols):
+        u = us[:, 0]
+        return np.exp(np.log(u)[:, None] * cs[cols]) * bump_y_increment(_UNIT_BUMP, u)[:, None]
+
+    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=cs.size)
+
+
+def _dead_column(bump: BumpSpec, bs: np.ndarray, tol: float):
+    """int_0^R2 y^(b s) [phi_y(y) - 1] dy = R2^(b s + 1) F(b s), R2 =
+    bump.R2, for every b s of bs: the bump correction of the E = 0 column,
+    with F of _bump_moments.  Returns (values, evaluations)."""
+    F, _, ev = _bump_moments(bs, tol)
+    return np.exp((bs + 1.0) * math.log(bump.R2)) * F, ev
 
 
 def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.ndarray,
@@ -479,41 +500,48 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
                   flat: bool):
     """Integral over (0,Y1)x(0,Y2) of the integrand, optionally bump-weighted,
     for every (sigma < 0, X = b sigma + 1) of the arrays sigmas, Xs, as one
-    vector quadrature over x with one component per sigma.  Without the flat
-    term every column is the E = 0 column C = Y2^X/X [+ _dead_column], so
-    the integral is C times one quadrature of x^(a s) [phi_x], C multiplied
-    in after it, and no error term of _inner_columns enters.  Bump-weighted,
-    an outer node where the x-bump is exactly 0 has the column 0 and builds
-    no inner column.  Returns (values, errors, evaluations)."""
+    vector quadrature over x with one component per sigma.  Bump-weighted,
+    (Y1, Y2) is the bump's (R1, R2), and the bump correction of the E = 0
+    column int_0^Y2 y^(b s) [phi_y(y) - 1] dy is Y2^X F(b s) (_bump_moments).
+    Without the flat term every column is the E = 0 column C = Y2^X/X
+    [+ Y2^X F(b s)], so the integral is C times one quadrature of x^(a s),
+    C multiplied in after it, and no error term of _inner_columns enters;
+    bump-weighted, that quadrature is I_x = Y1^(a s + 1) (1/(a s + 1) +
+    F(a s)), and both F of every sigma are one call with 2k components.
+    With the flat term, bump-weighted, an outer node where the x-bump is
+    exactly 0 has the column 0 and builds no inner column.  Returns
+    (values, errors, evaluations)."""
     b, q, k = params.b, params.q, sigmas.size
+    ax = params.a * sigmas
     lnY2 = math.log(Y2)
     mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
-    state = {"ev": 0}
-    if bump is not None:
-        dead_col, state["ev"] = _dead_column(bump, b * sigmas, mini_tol)
 
     def x_power(xs, cols):
         with np.errstate(over="ignore"):
-            return np.exp(params.a * sigmas[cols] * np.log(xs))
+            return np.exp(ax[cols] * np.log(xs))
 
     if not flat:
-        C = np.exp(Xs * lnY2) / Xs
-        if bump is not None:
-            C += dead_col
-
-        def fx(xs, cols):
-            out = x_power(xs, cols)
-            return out if bump is None else out * bump_x_profile(bump, xs)
-
-        values, errors, ev = _tanh_sinh(fx, 0.0, Y1, cfg.tol_2d,
-                                        EndpointSpec(exponent_lo=params.a * sigmas), k=k)
+        if bump is None:
+            C = np.exp(Xs * lnY2) / Xs
+            values, errors, ev = _tanh_sinh(x_power, 0.0, Y1, cfg.tol_2d,
+                                            EndpointSpec(exponent_lo=ax), k=k)
+        else:
+            F, F_err, ev = _bump_moments(np.concatenate([b * sigmas, ax]), mini_tol)
+            C = np.exp(Xs * lnY2) * (1.0 / Xs + F[:k])
+            x_scale = np.exp((ax + 1.0) * math.log(Y1))
+            values = x_scale * (1.0 / (ax + 1.0) + F[k:])
+            errors = x_scale * F_err[k:]
         values *= C
         errors *= np.abs(C)
         # the last step misses the rounding of the x-sum, of C and of their
         # product, a few eps (at most 3.4 eps against the closed form on
         # 2400 random flat-off samples)
         errors += 16.0 * np.finfo(float).eps * np.abs(values)
-        return values, errors, ev + state["ev"]
+        return values, errors, ev
+
+    state = {"ev": 0}
+    if bump is not None:
+        dead_col, state["ev"] = _dead_column(bump, b * sigmas, mini_tol)
 
     tab = _inner_tables(b, q, lnY2, sigmas, Xs)
 
@@ -554,7 +582,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
         return out
 
     values, errors, ev = _tanh_sinh(column if bump is None else weighted, 0.0, Y1, cfg.tol_2d,
-                                    EndpointSpec(exponent_lo=params.a * sigmas), k=k)
+                                    EndpointSpec(exponent_lo=ax), k=k)
     errors += INNER_REL_ERR * np.abs(values)
     return values, errors, ev + state["ev"]
 
@@ -974,18 +1002,24 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
         M_d = int x^(a s) phi_x (a log x)^d / d! dx,
         L_j = int x^(a s) phi_x sum_k C(j, k) (a log x)^(j-k) (N_k(E(x)) - N0_k) dx.
 
-    N0 is one inner _tanh_sinh call with a group of J + 1 moments, made
-    first; the outer column gives the x-moments M_d, one cumulative product
-    per node, and the binomial convolution with N0 follows the quadrature.
-    L_j is 0 at every dead node and continuous across the dead/live
-    boundary; it is carried as J + 1 more outer components only where a
-    row can be live, with the flat term on.  Each live log E is one row
-    N_0..N_J, computed once per call and kept in a dict local to it: the
-    rows new to an outer level are one vector _tanh_sinh call with a group
-    of J + 1 moments per row, which stop refining together, and only at
-    live nodes does the column recombine N - N0 binomially in a log x.  An
-    outer node where the x-bump is exactly 0 has the column 0 and adds no
-    row.
+    The outer column gives the x-moments M_d, one cumulative product per
+    node, and the binomial convolution with N0 follows the quadrature.
+    Without the flat term L_j = 0, and N0 and M_d are one _tanh_sinh call
+    on u in (0, 1) with k = 2(J + 1) in two groups of J + 1 moments: N0 at
+    y = R2 u at tol_2d/5 with the endpoint exponent of y^(b s), M_d at
+    x = R1 u at tol_2d with that of x^(a s), each group retiring as a call
+    on its own interval would; R2 and R1 multiply the sums after the
+    quadrature, so every node's values are those of y and x themselves.
+    With the flat term N0 is one inner call with a group of J + 1 moments,
+    made first, and the outer call on (0, R1) carries M_d and L_j.  L_j is
+    0 at every dead node and continuous across the dead/live boundary; it
+    is carried as J + 1 more outer components where a row can be live.
+    Each live log E is one row N_0..N_J, computed once per call and kept in
+    a dict local to it: the rows new to an outer level are one vector
+    _tanh_sinh call with a group of J + 1 moments per row, which stop
+    refining together, and only at live nodes does the column recombine
+    N - N0 binomially in a log x.  An outer node where the x-bump is
+    exactly 0 has the column 0 and adds no row.
 
     Requires |f| < 1 on the support, so that sign(D_j) = (-1)^j.  Where
     also x <= 1 and f_y <= 1 (R1 <= 1 and R2^(b-q) (R2^q + E(R1)) <= 1),
@@ -1022,6 +1056,45 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
                           k=len(lnEs) * G, group=G)[0]
         return vals.reshape(-1, G)
 
+    def column(xs, cols):      # the J + 1 x-moments, then L_j with the flat term
+        # nothing where the x-bump is exactly 0 (past 1 - x/R1 ~ 6.7e-4)
+        phi = bump_x_profile(bump, xs[:, 0])
+        on = phi > 0.0
+        x = xs[on, 0]
+        lnx = np.log(x)
+        out = np.zeros((xs.shape[0], cols.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # t_d = (a log x)^d / d!, d = 0..J, as one cumulative product
+            t = np.empty((x.size, G))
+            t[:, 0] = 1.0
+            t[:, 1:] = (a * lnx)[:, None] / np.arange(1.0, G)
+            np.multiply.accumulate(t, axis=1, out=t)
+            w = np.exp(a * s * lnx) * phi[on]
+            out[on, :G] = t * w[:, None]
+        if flat:
+            out[on, G:] = excess(x, w, t[:, 1:])
+        return out
+
+    if not flat:
+        # N0 on y = R2 u (group 0, at tol/5) and the x-moments on x = R1 u
+        # (group 1, at tol) as one call on u in (0, 1) with two groups, each
+        # retiring as a call on its own interval would; the interval lengths
+        # R2 and R1 multiply the sums after the quadrature
+        dead = np.array([-np.inf])
+
+        def both(us, cols):      # whole groups: N0 (cols < G) and/or the x-moments
+            n = G if cols[0] < G else 0
+            parts = [fy(dead, bump.R2 * us, cols[:n])] if n else []
+            if cols.size > n:
+                parts.append(column(bump.R1 * us, cols[n:]))
+            return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+        vals, _, _ = _tanh_sinh(both, 0.0, 1.0, np.repeat([cfg.tol_2d / 5.0, cfg.tol_2d], G),
+                                EndpointSpec(exponent_lo=np.repeat([ep_y.exponent_lo, a * s], G)),
+                                k=2 * G, group=G)
+        n0, m = bump.R2 * vals[:G], bump.R1 * vals[G:]
+        return 4.0 * fact * np.convolve(m, n0 / fact)[:G]
+
     n0 = inner([-np.inf])[0]
     rows: dict[float, np.ndarray] = {}      # live log E -> N_0..N_J - N0
 
@@ -1052,30 +1125,9 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
             out[live] = dn * w[live, None]
         return out
 
-    def column(xs, cols):      # cols is every component: the one group
-        # nothing where the x-bump is exactly 0 (past 1 - x/R1 ~ 6.7e-4)
-        phi = bump_x_profile(bump, xs[:, 0])
-        on = phi > 0.0
-        x = xs[on, 0]
-        lnx = np.log(x)
-        out = np.zeros((xs.shape[0], cols.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # t_d = (a log x)^d / d!, d = 0..J, as one cumulative product
-            t = np.empty((x.size, G))
-            t[:, 0] = 1.0
-            t[:, 1:] = (a * lnx)[:, None] / np.arange(1.0, G)
-            np.multiply.accumulate(t, axis=1, out=t)
-            w = np.exp(a * s * lnx) * phi[on]
-            out[on, :G] = t * w[:, None]
-        if flat:
-            out[on, G:] = excess(x, w, t[:, 1:])
-        return out
-
-    k = 2 * G if flat else G
     vals, _, _ = _tanh_sinh(column, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
-                            k=k, group=k)
-    conv = fact * np.convolve(vals[:G], n0 / fact)[:G]
-    return 4.0 * (conv + vals[G:] if flat else conv)
+                            k=2 * G, group=2 * G)
+    return 4.0 * (fact * np.convolve(vals[:G], n0 / fact)[:G] + vals[G:])
 
 
 def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: int,
@@ -1085,8 +1137,10 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
     so that sign(D_j) = (-1)^j.  D_0 at s < 0, where the y-mass sits next
     to the singular endpoint, runs on the weighted engine (_box_integral):
     with the flat term, on closed-form inner columns; without it, as the
-    E = 0 column (y^(b s) taken analytically) times one x-quadrature.  Every
-    other D_j is entry j of log_derivative_moments."""
+    E = 0 column R2^X (1/X + F(b s)) times R1^(a s + 1) (1/(a s + 1) +
+    F(a s)), both powers taken analytically and both F one regular call
+    with 2 components (_bump_moments).  Every other D_j is entry j of
+    log_derivative_moments."""
     j = _check_log_moments(params, bump, s, j, flat)
     if j > 0 or s >= 0.0:
         return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])

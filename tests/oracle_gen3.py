@@ -21,7 +21,18 @@ positive 1D integrals when h < 0.  The moments peak near x ~ e^(-k/1.5) and
 y ~ e^(-m/2), so the intervals are split at every decade down to 1e-60; the
 endpoint singularities x^-0.3 and y^-0.6 of D_0(-0.3) are split the same way.
 Both precisions must agree to the digits frozen in tests/test_acceptance.py.
+
+`python tests/oracle_gen3.py F` runs bump_moments instead, which prints the rows of F_ORACLE in tests/test_zeta.py: the bump
+correction of a power on the unit interval,
+
+    F(c) = int_0^1 u^c (phi1(u) - 1) du,   phi1(u) = exp(u^2/(u^2 - 1)),
+
+which flatzeta.zeta._bump_moments computes and which scales to any
+half-width R as int_0^R t^c (phi1(t/R) - 1) dt = R^(c+1) F(c).  The rows
+cover c in {-1 + 1e-4, -0.6, -0.3, 0, 0.5}, c the double value, at 30
+digits, checked against 40.
 """
+import sys
 import time
 from mpmath import mp, mpf, exp, log, quad, factorial, fsum
 
@@ -58,17 +69,50 @@ def oracle(dps):
     return P, D0, (D0 - P) / D0, all(t > 0 for t in terms)
 
 
-t0 = time.time()
-results = {}
-for dps in (30, 40):
-    P, D0, r, one_signed = oracle(dps)
-    results[dps] = (P, D0, r)
-    print(f"dps={dps}: P{J}(-0.3) =", mp.nstr(P, 20), flush=True)
-    print(f"dps={dps}: D_0(-0.3) =", mp.nstr(D0, 20), flush=True)
-    print(f"dps={dps}: r{J} = (D_0 - P{J}) / D_0 =", mp.nstr(r, 12), flush=True)
-    print(f"dps={dps}: all {J + 1} Taylor terms positive:", one_signed, flush=True)
-    print("elapsed", time.time() - t0, flush=True)
-mp.dps = 40
-print("dps 30 vs 40, max relative difference:",
-      mp.nstr(max(abs(x30 - x40) / abs(x40)
-                  for x30, x40 in zip(results[30], results[40])), 3))
+#: the exponents of bump_moments, as doubles
+F_CS = (-1.0 + 1e-4, -0.6, -0.3, 0.0, 0.5)
+
+
+def bump_moments(dps):
+    """[(c, F(c))] for the c of F_CS at dps digits, c taken from its double."""
+    mp.dps = dps
+    pts = [mpf(0)] + [mpf(10) ** -n for n in range(30, 0, -1)] + [
+        mpf("0.5"), mpf("0.9"), mpf("0.99"), mpf(1)]
+    rows = []
+    for c in F_CS:
+        c = mpf(c)
+        rows.append((c, quad(lambda u: u**c * (exp(u * u / (u * u - 1)) - 1), pts)))
+    return rows
+
+
+def taylor_main():
+    t0 = time.time()
+    results = {}
+    for dps in (30, 40):
+        P, D0, r, one_signed = oracle(dps)
+        results[dps] = (P, D0, r)
+        print(f"dps={dps}: P{J}(-0.3) =", mp.nstr(P, 20), flush=True)
+        print(f"dps={dps}: D_0(-0.3) =", mp.nstr(D0, 20), flush=True)
+        print(f"dps={dps}: r{J} = (D_0 - P{J}) / D_0 =", mp.nstr(r, 12), flush=True)
+        print(f"dps={dps}: all {J + 1} Taylor terms positive:", one_signed, flush=True)
+        print("elapsed", time.time() - t0, flush=True)
+    mp.dps = 40
+    print("dps 30 vs 40, max relative difference:",
+          mp.nstr(max(abs(x30 - x40) / abs(x40)
+                      for x30, x40 in zip(results[30], results[40])), 3))
+
+
+def f_main():
+    rows30, rows40 = bump_moments(30), bump_moments(40)
+    mp.dps = 40
+    print("max relative difference, 30 vs 40 digits:",
+          mp.nstr(max(abs(f30 - f40) / abs(f40) for (_, f30), (_, f40) in zip(rows30, rows40)), 3))
+    for (c, f) in rows30:
+        print(f"    ({float(c)!r}, {mp.nstr(f, 30, min_fixed=-3, max_fixed=3)!r}),")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["F"]:
+        f_main()
+    else:
+        taylor_main()

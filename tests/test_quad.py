@@ -329,6 +329,53 @@ def test_tanh_sinh_groups_match_calls_on_each_group_alone():
     assert np.all(errors >= 0.0)
 
 
+def test_tanh_sinh_per_component_tol():
+    # a (k,) tol gives each component its own stopping rule: it returns its
+    # lone call's value and error at its tol bit for bit, and so does each
+    # group of a grouped call at the tol of its members; only the components
+    # still refining are evaluated and counted
+    tols = np.array([1e-6, 1e-13, 1e-9, 1e-4])
+    values, errors, evals = _tanh_sinh(_vector, 0.0, 2.0, tols, SPEC, k=4)
+    total = 0
+    for c in range(4):
+        v, e, ev = _alone(lambda x: _integrands(x)[:, c], 0.0, 2.0, float(tols[c]), SPEC)
+        assert (values[c], errors[c]) == (v, e)
+        total += ev
+    assert evals == total
+    group_tols = np.array([1e-12, 1e-6, 1e-9])
+    values, errors, evals = _tanh_sinh(_grouped, 0.0, 1.0, np.repeat(group_tols, 4), SPEC,
+                                       k=12, group=4)
+    total = 0
+    for g in range(3):
+        v, e, ev = _tanh_sinh(lambda xs, cols: _grouped(xs, cols + 4 * g), 0.0, 1.0,
+                              float(group_tols[g]), SPEC, k=4, group=4)
+        assert values[4 * g:4 * g + 4].tolist() == v.tolist()
+        assert errors[4 * g:4 * g + 4].tolist() == e.tolist()
+        total += ev
+    assert evals == total
+
+
+def test_tanh_sinh_tol_rejections_and_cap_message(monkeypatch):
+    # every tol entry must be finite and > 0, checked before f is called;
+    # at the cap the message names the stuck component's own tol
+    def never(xs, cols):
+        raise AssertionError("f called")
+
+    for bad in (math.nan, math.inf, 0.0, -1e-10, np.array([1e-10, math.nan]),
+                np.array([1e-10, math.inf]), np.array([0.0, 1e-10])):
+        with pytest.raises(DomainError):
+            _tanh_sinh(never, 0.0, 1.0, bad, SPEC, k=2)
+    monkeypatch.setattr(quad, "MAX_LEVELS", 5)
+
+    def f(xs, cols):
+        with np.errstate(over="ignore", invalid="ignore"):
+            wild = np.sin(1e6 / xs[:, 0]) / xs[:, 0]
+        return np.stack([np.exp(xs[:, 0]), wild], axis=1)[:, cols]
+
+    with pytest.raises(NonConvergence, match=re.escape("tol=2.5e-13 within 5 levels (component 1")):
+        _tanh_sinh(f, 0.0, 1.0, np.array([1e-6, 2.5e-13]), k=2)
+
+
 def test_tanh_sinh_regular_ends_sample_lo_no_deeper_than_hi():
     # endpoints None declares both ends regular: lo gets only the offsets
     # that hi keeps (below about eps a node rounds onto hi), and the value

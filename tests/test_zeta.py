@@ -35,6 +35,7 @@ from flatzeta.quad import MAX_LEVELS, EndpointSpec, _tanh_sinh, integrate_1d
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     INNER_REL_ERR,
+    _bump_moments,
     _dead_column,
     _from_one,
     _increment_columns,
@@ -283,6 +284,17 @@ E0_ORACLE = [
     (7, -0.01, -0.21300012846119740274),
 ]
 
+# tests/oracle_gen3.py F (mpmath, 30 digits, checked against 40): (c, F(c)) with
+# F(c) = int_0^1 u^c (exp(u^2/(u^2 - 1)) - 1) du, the bump correction of a
+# power on the unit interval; on a half-width R it is R^(c+1) F(c)
+F_ORACLE = [
+    (-0.9999, -0.586753514646773142688736855233),
+    (-0.6, -0.492619410024493639879224334247),
+    (-0.3, -0.439508519766538105696705439337),
+    (0.0, -0.396549838781061912331881001835),
+    (0.5, -0.34064117775579847810564455764),
+]
+
 
 def test_integrand_monomial_reduction():
     # x below the flat cutoff: reduces exactly to x^(a s) y^(b s)
@@ -466,6 +478,19 @@ def test_dead_column_matches_oracle(b):
     assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
     assert vals.tolist() == [_dead_column(BumpSpec(0.5, 0.5), bs[i:i + 1], MINI_TOL)[0][0]
                              for i in range(bs.size)]
+
+
+def test_bump_moments_match_oracle():
+    # F(c) for every c of F_ORACLE as one regular vector call on (0, 1), next
+    # to the pole (c = -1 + 1e-4) and inside; each c keeps its one-c bits
+    cs = np.array([c for c, _ in F_ORACLE])
+    ref = np.array([f for _, f in F_ORACLE])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, errors, _ = _bump_moments(cs, MINI_TOL)
+    assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref))
+    assert np.all(errors <= 1e-13 * np.abs(ref))
+    assert vals.tolist() == [_bump_moments(cs[i:i + 1], MINI_TOL)[0][0] for i in range(cs.size)]
 
 
 def test_k_closed_batched_equals_one_sigma():
@@ -1151,23 +1176,26 @@ def test_log_derivative_moments_match_per_j(s0, flat):
 
 
 def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
-    # D_j = j! sum_d M_d N0_(j-d) / (j-d)! + L_j: the E = 0 row N0 is one inner
-    # call with a group of J + 1, made first.  Without the flat term the outer
-    # call integrates the J + 1 x-moments M_d alone, so the pass is one inner
-    # and one outer call.  With it the outer call carries J + 1 more
-    # components, the excess L of the live rows, and each outer level makes
-    # one inner call for its live rows not seen before, a flat term below
-    # e^-40 y^q at every inner node being the E = 0 row.  Rows come only
-    # from the nodes where the x-bump is not exactly 0, and levels 0-2 are
-    # one outer call
+    # D_j = j! sum_d M_d N0_(j-d) / (j-d)! + L_j.  Without the flat term the
+    # E = 0 row N0 and the J + 1 x-moments M_d are one call on u in (0, 1),
+    # two groups of J + 1 at y = R2 u and x = R1 u.  With it N0 is one inner
+    # call with a group of J + 1, made first; the outer call carries J + 1
+    # more components, the excess L of the live rows, and each outer level
+    # makes one inner call for its live rows not seen before, a flat term
+    # below e^-40 y^q at every inner node being the E = 0 row.  Rows come
+    # only from the nodes where the x-bump is not exactly 0, and levels 0-2
+    # are one outer call
     bump, J = BumpSpec(0.5, 0.25), 6
     ln_dead = GREEN.q * math.log(bump.R2 * zeta_mod._OFF_MIN) - 40.0
     real = zeta_mod._tanh_sinh
 
     def calls(flat):
-        seen, levels, expected, inner, outer = set(), [], [], [], []
+        seen, levels, expected, inner, outer, unit = set(), [], [], [], [], []
 
         def tanh_sinh(f, lo, hi, *args, **kwargs):
+            if (lo, hi) == (0.0, 1.0):
+                unit.append((kwargs["k"], kwargs["group"]))
+                return real(f, lo, hi, *args, **kwargs)
             if (lo, hi) == (0.0, bump.R1):
                 outer.append((kwargs["k"], kwargs["group"]))
 
@@ -1189,15 +1217,30 @@ def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
 
         monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
         log_derivative_moments(GREEN, bump, 0.5, J, CFG, flat=flat)
-        assert 1 <= len(levels) <= MAX_LEVELS - 1
-        return seen, expected, inner, outer
+        return seen, expected, inner, outer, unit, levels
 
-    _, _, inner, outer = calls(False)
-    assert inner == [J + 1] and outer == [(J + 1, J + 1)]
-    seen, expected, inner, outer = calls(True)
-    assert outer == [(2 * (J + 1), 2 * (J + 1))]
+    _, _, inner, outer, unit, _ = calls(False)
+    assert unit == [(2 * (J + 1), J + 1)] and inner == outer == []
+    seen, expected, inner, outer, unit, levels = calls(True)
+    assert 1 <= len(levels) <= MAX_LEVELS - 1
+    assert unit == [] and outer == [(2 * (J + 1), 2 * (J + 1))]
     assert inner == [J + 1] + expected and len(expected) >= 1
     assert -np.inf not in seen      # the dead nodes add no row
+
+
+def test_log_derivative_d0_flat_off_negative_s_is_one_call_with_two_components(monkeypatch):
+    # D_0 at s < 0 without the flat term is C I_x, C = R2^X (1/X + F(b s))
+    # and I_x = R1^(a s + 1) (1/(a s + 1) + F(a s)): both F are one regular
+    # call on (0, 1), and no other quadrature runs
+    real, seen = zeta_mod._tanh_sinh, []
+
+    def tanh_sinh(f, lo, hi, tol, endpoints=None, **kwargs):
+        seen.append((lo, hi, endpoints, kwargs["k"]))
+        return real(f, lo, hi, tol, endpoints, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    log_derivative_integral(GREEN, BumpSpec(0.3, 0.45), -0.3, 0, CFG, flat=False)
+    assert seen == [(0.0, 1.0, None, 2)]
 
 
 def test_log_derivative_moments_recombine_only_at_live_nodes(monkeypatch):
@@ -1342,26 +1385,42 @@ def test_log_derivative_moments_flat_on_against_weighted_engine(params, bump):
     assert moments[2] == pytest.approx((up - 2.0 * mid + dn) / h**2, rel=1e-4)
 
 
-@pytest.mark.parametrize("params", [GREEN, FamilyParams(1, 3, 2, Fraction(1, 4))],
-                         ids=["greenblatt", "1,3,2,1/4"])
-@pytest.mark.parametrize("s", [0.0, 0.05, 0.5, -0.01,
-                               pytest.param(lambda b: -0.6 / b, id="-0.6/b"),
-                               pytest.param(lambda b: -1.0 / b + 1e-4, id="-1/b+1e-4")])
-def test_log_derivative_d0_nonnegative_s_is_a_product_of_1d_integrals(params, s):
+def _d0_is_a_product_of_1d_integrals(params, s, bump):
     # with the flat term off |f| = x^a y^b, so D_0(s) = 4 I_x(s) I_y(s): a 1D
     # quadrature of x^(a s) against the x-bump, and I_y = R2^X/X plus one of
     # y^(b s) (phi_y - 1), X = b s + 1, with y^(b s) taken analytically.
     # s >= 0 runs on the moment pass, s < 0 on the factored box integral,
     # down to s = -1/b + 1e-4, where I_y ~ 1/X
     s = s(params.b) if callable(s) else s
-    bump, X = BumpSpec(0.5, 0.5), params.b * s + 1.0
-    i_x = integrate_1d(lambda x: x ** (params.a * s) * bump_x_profile(bump, x), 0.0, 0.5,
+    R1, R2, X = bump.R1, bump.R2, params.b * s + 1.0
+    i_x = integrate_1d(lambda x: x ** (params.a * s) * bump_x_profile(bump, x), 0.0, R1,
                        EndpointSpec(exponent_lo=params.a * s), tol=1e-13).value
-    i_y = 0.5**X / X + integrate_1d(lambda y: y ** (params.b * s) * bump_y_increment(bump, y),
-                                    0.0, 0.5, EndpointSpec(exponent_lo=params.b * s + 2.0),
-                                    tol=1e-13).value
+    i_y = R2**X / X + integrate_1d(lambda y: y ** (params.b * s) * bump_y_increment(bump, y),
+                                   0.0, R2, EndpointSpec(exponent_lo=params.b * s + 2.0),
+                                   tol=1e-13).value
     d0 = log_derivative_integral(params, bump, s, 0, CFG, flat=False)
     assert d0 == pytest.approx(4.0 * i_x * i_y, rel=1e-12)
+
+
+D0_PARAMS = pytest.mark.parametrize("params", [GREEN, FamilyParams(1, 3, 2, Fraction(1, 4))],
+                                    ids=["greenblatt", "1,3,2,1/4"])
+D0_S = pytest.mark.parametrize("s", [0.0, 0.05, 0.5, -0.01,
+                                     pytest.param(lambda b: -0.6 / b, id="-0.6/b"),
+                                     pytest.param(lambda b: -1.0 / b + 1e-4, id="-1/b+1e-4")])
+
+
+@D0_PARAMS
+@D0_S
+def test_log_derivative_d0_nonnegative_s_is_a_product_of_1d_integrals(params, s):
+    _d0_is_a_product_of_1d_integrals(params, s, BumpSpec(0.5, 0.5))
+
+
+@D0_PARAMS
+@D0_S
+def test_log_derivative_d0_is_a_product_of_1d_integrals_on_a_non_dyadic_box(params, s):
+    # at R = 1/2 the map u -> R u of the unit-interval quadratures is exact;
+    # only a non-dyadic box with R1 != R2 checks the factors R^(c+1)
+    _d0_is_a_product_of_1d_integrals(params, s, BumpSpec(0.3, 0.45))
 
 
 def test_log_derivative_moments_flat_off_are_binomial_sums_of_1d_moments():
