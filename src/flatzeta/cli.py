@@ -287,7 +287,7 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
     if suite in ("landau", "all"):
         # the target inside the window (-1/b, 0) for every b: -0.3 at b = 2
         reports.append(landau_taylor_rebuild(params, bump, 0.5, -0.6 / params.b, 40,
-                                             numeric, flat=False))
+                                             numeric, flat=True))
     if plot_path and plot_doc:
         Path(plot_path).write_text(plot_doc, encoding="utf-8", newline="")
     doc = {

@@ -29,23 +29,24 @@ rounding as sigma is O(1/b).  Rebuilding X from sigma would lose eps/X of
 it, 1e-4 relative at X = 1e-12.  Only the log-derivative integrals, whose
 variable s runs past 0, take s.
 
-Region pieces, the auxiliary reductions ztilde1/ztilde2 and the proof-level
-G/H/J parts are computed by independent quadratures in scaled variables, so
-the identity checks compare the closed-form Z with quadratures.  In every
-iterated integral the inner integrals of one outer level (the bump-weighted
-correction of the bump-weighted Z, the region columns, the 2D reductions) are
-batched into one vector _tanh_sinh call per piece, each column retiring at
-its own level.  The bump-weighted correction of a (column, sigma),
-int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is one scaled piece in
-y = e(x) v over v in (0, R2/e) (_increment_columns), so an outer level
-makes one inner call.  The columns with log E below q log y_dead - 40,
-y_dead = 1e-9 R2 (_ln_E_dead), are the one E = 0 column, whose correction
-int_0^R2 y^(b s) (phi_y - 1) dy is R2^X F(b s) (_dead_column), with
-F(c) = int_0^1 u^c (phi(u) - 1) du of the normalized 1D bump phi(u) =
-exp(u^2/(u^2 - 1)), one regular vector call on the unit interval
-(_bump_moments).  Without the flat term every column is that E = 0 column,
-C = Y2^X/X [+ R2^X F(b s)], so the box integral is C times the
-x-integral of x^(a s) [phi_x], with no inner column at all; bump-weighted,
+The region pieces z1 and z2 take their columns from the same series as Z;
+the auxiliary reductions ztilde1/ztilde2 and the proof-level G/H/J parts
+are computed by independent quadratures in scaled variables, so the
+identity checks compare the closed-form columns with quadratures.  In every
+iterated integral that keeps an inner quadrature (the bump-weighted
+correction of the bump-weighted Z, the 2D reductions) the inner integrals
+of one outer level are batched into one vector _tanh_sinh call per piece,
+each column retiring at its own level.  The bump-weighted correction of a
+(column, sigma), int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is one
+scaled piece in y = e(x) v over v in (0, R2/e) (_increment_columns), so an
+outer level makes one inner call.  The columns with log E below
+q log y_dead - 40, y_dead = 1e-9 R2 (_ln_E_dead), are the one E = 0
+column, whose correction int_0^R2 y^(b s) (phi_y - 1) dy is R2^X F(b s)
+(_dead_column), with F(c) = int_0^1 u^c (phi(u) - 1) du of the normalized
+1D bump phi(u) = exp(u^2/(u^2 - 1)), one regular vector call on the unit
+interval (_bump_moments).  Without the flat term every column is that
+E = 0 column, C = Y2^X/X [+ R2^X F(b s)], so the box integral is C times
+the x-integral of x^(a s) [phi_x], with no inner column at all; bump-weighted,
 that integral is R1^(a s + 1) (1/(a s + 1) + F(a s)), and both F of every
 sigma are one call.  The log-derivative moments share more: their inner
 y-moments of log f_y see x only through log E(x), and every row with a
@@ -57,36 +58,40 @@ recombined binomially in a log x at the live nodes alone.  Without the
 flat term the E = 0 row and the x-moments are one call on u in (0, 1),
 two groups at y = R2 u and x = R1 u, each with its own tol
 (log_derivative_moments), so a flat-off Landau rebuild is two vector
-calls, that pass and the D_0 call of F.  The log variable w = log y stays for
-the unweighted z1 columns and ztilde1_2d (_w_integrals), clipped at
-log r2 - 800/X (_w_floor); below it the neglected mass is under e^-800 of
-the column.  A z1 (column, sigma) pair clipped there whose flat factor is
-within e^-40 of 1 on its interval is the monomial column r2^X/X, with no
-quadrature.  The sigmas of one bump-weighted column share its row of the
-inner call: the abscissae, the flat factor and the bump increment are
-evaluated once per (node, row) and only the sigma-dependent exponential per
-(node, sigma) (_runs), in the same operations, so every component keeps its
-bits.  The inner integrands that are smooth up to both ends (_w_integrals,
-the bump-weighted _v_integrals) declare no endpoint, so their lower end is
-sampled no deeper than the upper.  The x-bump underflows to exactly 0 past
-1 - x/R1 ~ 6.7e-4, where the outer rule puts many nodes: the bump-weighted
-columns and the moment columns are 0 there, and build no inner column or
-row.
+calls, that pass and the D_0 call of F.  The sigmas of one bump-weighted
+column share its row of the inner call: the abscissae and the flat factor
+are evaluated once per (node, row), the bump increment at y = R2 u once per
+node, and only the sigma-dependent exponential per (node, sigma) (_runs),
+in the same operations, so every component keeps its bits.  The inner
+integrands that are smooth up to both ends (_increment_columns and the
+log-variable columns of ztilde1_2d, _w_integrals) declare no endpoint, so
+their lower end is sampled no deeper than the upper.  The x-bump
+underflows to exactly 0 past 1 - x/R1 ~ 6.7e-4, where the outer rule puts
+many nodes: the bump-weighted columns and the moment columns are 0 there,
+and build no inner column or row.
 
 The region pieces of every (lambda, X) pair of a sandwich are batched as Z
 is (region_samples): each pair is one component of every vector
 quadrature, its x-interval mapped onto u in (0, 1) inside the integrand.
 One helper decides where the slice lambda y = e(x) kinks (_slice_pieces):
 the left piece up to rho(lam r2) (or r1) of every pair and the right piece
-of the kinked pairs.  z2 is one outer call on each piece and z1 one on the
-left piece alone, as right of the kink {lambda y >= e(x)} has no part
-inside the box; their inner integrals are one vector call per outer level
-over the (node, pair) columns, and v_unclipped, ztilde1 and each ztilde2
-piece one vector call apiece.  A pair's trace does not depend on the other
-pairs of its batch: the one-pair batch gives it bit for bit.
-ztilde1_2d and ztilde2_2d, the cross-checks of the 1D reductions, keep
-their own integrands and inner quadratures and share only the one-pair
-slice pieces, one outer call apiece.
+of the kinked pairs.  Their columns need no inner quadrature: in y = e v,
+with V(T) = int_0^T v^((b-q)s) (1+v^q)^s dv, the part of the quadrant
+column C below the slice is e^X V(1/lambda), so where e(x)/lambda < r2
+z2's column is e^X V(1/lambda) and z1's C - e^X V(1/lambda), and elsewhere
+z2's is C and z1's 0.  V(1/lambda) is _inner_columns at E = 1 from a table
+at Y = 1/lambda, one per distinct lambda and X, and C the quadrant column,
+one _inner_columns call per distinct lambda of an outer level, as the pairs
+of one lambda share their x-nodes.  z1 and z2 are one outer call with two
+components per pair on the left piece, and z2 one more on the right piece,
+as right of the kink {lambda y >= e(x)} has no part inside the box;
+ztilde1 and each ztilde2 piece are one vector call apiece.  A pair's trace
+does not depend on the other pairs of its batch: the one-pair batch gives
+it bit for bit.  ztilde1_2d and ztilde2_2d, the cross-checks of the 1D
+reductions, keep their own integrands and inner quadratures and share only
+the one-pair slice pieces, one outer call apiece; the log-variable columns
+of ztilde1_2d are clipped at log r2 - 800/X (_w_floor), below which the
+neglected mass is under e^-800 of the column.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -133,7 +138,8 @@ class ZetaSample:
 @dataclass(frozen=True)
 class DecompositionTrace:
     """Region pieces and auxiliary integrals at one (lambda, X), X the
-    caller's and sigma = (X - 1)/b derived from it."""
+    caller's and sigma = (X - 1)/b derived from it; error bounds z1 and z2
+    together (region_samples)."""
 
     lam: float
     sigma: float
@@ -168,7 +174,7 @@ def _check_slice(params: FamilyParams, lam: float, X: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the unweighted inner column in closed form; batched v- and w-integrals
+# the unweighted inner column in closed form; batched w- and increment integrals
 # ---------------------------------------------------------------------------
 
 #: Relative error bound of one closed-form inner column (_inner_columns),
@@ -311,83 +317,21 @@ def _runs(row: np.ndarray, cols: np.ndarray):
     return R, (None if R.size == rc.size else np.cumsum(new) - 1)
 
 
-def _cells(at, coef, A, sig, B, scale, wt):
-    """scale exp(coef A + sig B) [wt] per (node, component) from the
-    per-row (n, rows) A, B, wt and (rows,) scale, gathered by at (_runs),
-    and the per-component coef and sig; in place, in that order of
-    operations, so a component's values do not depend on its row's sharing."""
-    if at is not None:
-        A, B, scale = A[:, at], B[:, at], scale[at]
-        wt = None if wt is None else wt[:, at]
-    out = coef * A
-    out += np.multiply(B, sig, out=B)
-    np.exp(out, out=out)
-    out *= scale
-    return out if wt is None else np.multiply(out, wt, out=out)
-
-
-def _v_integrals(params: FamilyParams, sigma, row: np.ndarray, s_hi: np.ndarray,
-                 weight: Optional[Callable], tol: float):
-    """int_0^{s_hi[row[i]]} v^((b-q)s) (1+v^q)^s [weight(v, rows)] dv for
-    every component i of row (s = sigma, or sigma[i]), as one vector
-    quadrature (components as in _tanh_sinh).  Each interval is mapped onto
-    u in (0, 1) by v = s_hi u inside the integrand, so all components share
-    the nodes.  The components of a row share its interval and weight: v,
-    log v, log1p(v^q) and weight(v, rows) are evaluated once per live row
-    (_runs), and only h exp((b-q)s log v + s log1p(v^q)) per component.
-    Where q log v > 700, as s_hi = R2/e reaches 1e9 or more in the
-    bump-weighted columns, v^q leaves the double range and log1p(v^q) is
-    q log v, exact in double there; elsewhere it keeps its bits.
-
-    Without weight, v = 0 is the declared endpoint v^((b-q)s).  A weight
-    must vanish like v^2 at 0 (the bump y-increment does), so that the
-    integrand is O(v^((b-q)s + 2)) and both ends are regular.
-
-    Returns (values, errors, evaluations)."""
-    sig = np.broadcast_to(sigma, row.shape)
-    bq = (params.b - params.q) * sig
-    q = params.q
-
-    def f(us, cols):
-        R, at = _runs(row, cols)
-        h = s_hi[R]
-        vs = h * us
-        with np.errstate(divide="ignore", over="ignore"):
-            lv, l1 = np.log(vs), np.log1p(vs**q)
-        big = lv > 700.0 / q      # v^q past e^700: log1p(v^q) is q log v in double
-        l1[big] = q * lv[big]
-        return _cells(at, bq[cols], lv, sig[cols], l1, h,
-                      None if weight is None else weight(vs, R))
-
-    ends = EndpointSpec(exponent_lo=bq) if weight is None else None
-    return _tanh_sinh(f, 0.0, 1.0, tol, ends, k=row.size)
-
-
-def _w_integrals(q: int, sigma, X, row: np.ndarray, lnE: np.ndarray, w_lo: np.ndarray,
-                 w_hi: float, tol: float):
-    """int_{w_lo[r]}^{w_hi} e^(X w) (1 + E_r e^(-q w))^s dw for
-    every component i of row, r = row[i] (w = log y, log E_r = lnE[r],
-    -inf for no flat term; s and X floats or per component), as one vector
-    quadrature.  Each interval is mapped onto u in (0, 1) by
-    w = w_lo + (w_hi - w_lo) u inside the integrand, so an interval narrow
-    against |w| samples distinct abscissae.  The components of a row share
-    w and the flat factor log1p(E e^(-q w)), evaluated once per live row
-    (_runs); only width e^(X w + s log1p(...)) is per component.
+def _w_integrals(X: float, w_lo: np.ndarray, w_hi: float, tol: float):
+    """int_{w_lo[i]}^{w_hi} e^(X w) dw for every i, as one vector quadrature
+    (w = log y: the column int y^(X-1) dy of ztilde1_2d).  Each interval is
+    mapped onto u in (0, 1) by w = w_lo + (w_hi - w_lo) u inside the
+    integrand, so an interval narrow against |w| samples distinct abscissae.
     The integrand is smooth up to both ends, so u is sampled no closer to 0
     than to 1 (endpoints None): deeper nodes would round onto w_lo.
 
     Returns (values, errors, evaluations)."""
     width = w_hi - w_lo
-    sig, Xw = np.broadcast_to(sigma, row.shape), np.broadcast_to(X, row.shape)
 
     def f(us, cols):
-        R, at = _runs(row, cols)
-        wid = width[R]
-        ws = w_lo[R] + wid * us
-        lf = np.log1p(np.exp(np.minimum(lnE[R] - q * ws, 700.0)))
-        return _cells(at, Xw[cols], ws, sig[cols], lf, wid, None)
+        return np.exp(X * (w_lo[cols] + width[cols] * us)) * width[cols]
 
-    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=row.size)
+    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=w_lo.size)
 
 
 def _ln_E_dead(q: int, R2: float) -> float:
@@ -431,15 +375,42 @@ def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.n
     """int_0^R2 y^((b-q)s) (y^q + E)^s [phi_y(y) - 1] dy, R2 = bump.R2, for
     every component i of row, E = e^q with log e = ln_e[row[i]] and (s, X)
     = (sigma, X), or (sigma[i], X[i]): in y = e v the column
-    e^X int_0^(R2/e) v^((b-q)s) (1+v^q)^s [phi_y(e v) - 1] dv, as one
-    _v_integrals call.  The bump increment
-    phi_y - 1 vanishes like y^2 at 0 and the integrand is bounded at R2/e,
+    e^X int_0^(R2/e) v^((b-q)s) (1+v^q)^s [phi_y(e v) - 1] dv, as one vector
+    quadrature on u in (0, 1), v = (R2/e) u, so that y = R2 u and every
+    component shares the nodes.  The bump increment phi_y(R2 u) - 1 is one
+    value per node; the components of a row share v, log v and log1p(v^q),
+    evaluated once per live row (_runs), and only
+    h exp((b-q)s log v + s log1p(v^q)), h = R2/e, is per component, in the
+    same operations whatever the row's sharing, so every component keeps its
+    bits.  Where q log v > 700, as R2/e reaches 1e9 or more, v^q leaves the
+    double range and log1p(v^q) is q log v, exact in double there.  The
+    increment vanishes like y^2 at 0 and the integrand is bounded at R2/e,
     so both ends are regular; the flat factor's bend at v ~ 1 sits next to
     the lower end, where tanh-sinh clusters its nodes.  Returns (values,
     evaluations)."""
-    e = np.exp(ln_e)
-    val, _, ev = _v_integrals(params, sigma, row, np.exp(math.log(bump.R2) - ln_e),
-                              lambda vs, rr: bump_y_increment(bump, e[rr] * vs), tol)
+    sig = np.broadcast_to(sigma, row.shape)
+    bq = (params.b - params.q) * sig
+    q = params.q
+    s_hi = np.exp(math.log(bump.R2) - ln_e)
+
+    def f(us, cols):
+        R, at = _runs(row, cols)
+        h = s_hi[R]
+        vs = h * us
+        with np.errstate(divide="ignore", over="ignore"):
+            lv, l1 = np.log(vs), np.log1p(vs**q)
+        big = lv > 700.0 / q      # v^q past e^700: log1p(v^q) is q log v in double
+        l1[big] = q * lv[big]
+        if at is not None:
+            lv, l1, h = lv[:, at], l1[:, at], h[at]
+        out = bq[cols] * lv
+        out += np.multiply(l1, sig[cols], out=l1)
+        np.exp(out, out=out)
+        out *= h
+        out *= bump_y_increment(_UNIT_BUMP, us)
+        return out
+
+    val, _, ev = _tanh_sinh(f, 0.0, 1.0, tol, None, k=row.size)
     return np.exp(X * ln_e[row]) * val, ev
 
 
@@ -616,14 +587,12 @@ def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], Xs,
 # region pieces along lambda*y = e(x)
 # ---------------------------------------------------------------------------
 
-def _w_floor(X, lnY2: float):
-    """Lower clip of the log-variable integrals int^lnY2 e^(X w)(1 + ...)^s dw
-    of the region columns (X a float or an array).  For s < 0 the factor
-    (1 + ...)^s is at most 1, so the mass dropped below the clip is at most
-    Y2^X e^-800 / X, under the double range relative to the column.  Without
-    it the interval reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at
-    p = 6), where tanh-sinh does not resolve the mass next to lnY2 within
-    its level cap."""
+def _w_floor(X: float, lnY2: float) -> float:
+    """Lower clip of the log-variable columns int^lnY2 e^(X w) dw of
+    ztilde1_2d.  The mass dropped below it is at most Y2^X e^-800 / X, under
+    the double range relative to the column.  Without it the interval
+    reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at p = 6), where
+    tanh-sinh does not resolve the mass next to lnY2 within its level cap."""
     return lnY2 - 800.0 / X
 
 
@@ -671,7 +640,8 @@ def _mapped(piece, us, cols):
 def _on_pieces(column, pieces, tol: float, k: int):
     """Sum over pieces of the integrals on u in (0, 1) of column(piece, us,
     cols), one vector _tanh_sinh call per nonempty piece with a component
-    per pair of it.  Returns (values, errors), (k,) arrays over all pairs."""
+    per index of its first array (the pairs, or other indices into the k
+    results).  Returns (values, errors), (k,) arrays over all indices."""
     total, err = np.zeros(k), np.zeros(k)
     for piece, ends in pieces:
         pairs = piece[0]
@@ -689,69 +659,66 @@ def region_samples(params: FamilyParams, lams, Xs,
     _ztilde2_values), at every (lambda, X) pair of lams x Xs, lambda-major,
     each pair one component of every vector call on the slice pieces
     (_slice_pieces; see the module docstring), so a pair's trace does not
-    depend on the other pairs.  An X outside (0, 1) raises OutOfWindow, and
-    an empty lams, or a lambda outside (0, inf), DomainError, before any
-    quadrature."""
+    depend on the other pairs.  The columns are closed forms: with
+    V(T) = int_0^T v^((b-q)s) (1+v^q)^s dv and C(x) the quadrant column on
+    (0, r2) (_inner_columns), z2's column is e^X V(1/lambda) and z1's
+    C - e^X V(1/lambda) where the slice e(x)/lambda is below r2, and C and 0
+    where it is not, decided per node.  The error is the x-quadratures' plus
+    the columns' share INNER_REL_ERR (z1 + 3 z2), as C and e^X V each carry
+    INNER_REL_ERR and z1 is their difference.  An X outside (0, 1)
+    raises OutOfWindow, and an empty lams, or a lambda outside (0, inf),
+    DomainError, before any quadrature."""
     sigmas = [_check_window(params, X) for X in Xs]
     if len(lams) == 0 or not all(0.0 < v < math.inf for v in lams):     # NaN fails
         raise DomainError("the region pieces need lambdas, each positive and finite")
-    n_sig, q = len(sigmas), params.q
-    lam = np.repeat(np.array(lams, dtype=float), n_sig)     # per pair, lambda-major
-    sig = np.tile(np.array(sigmas), len(lams))
-    Xs = np.tile(np.array(Xs, dtype=float), len(lams))
-    k = sig.size
-    lnY2, ln_lam = math.log(params.r2), np.log(lam)
-    w_floor = _w_floor(Xs, lnY2)
-    dead = np.exp(Xs * lnY2) / Xs       # the z1 column where the flat term is dead
-    mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
+    n_sig, b, q = len(sigmas), params.b, params.q
+    sig1, X1 = np.array(sigmas), np.array(Xs, dtype=float)
+    lam_set, grp = np.unique(np.array(lams, dtype=float), return_inverse=True)
+    grp = np.repeat(grp, n_sig)     # per pair, lambda-major: its lambda in lam_set
+    lam = lam_set[grp]
+    sig, Xs = np.tile(sig1, len(lams)), np.tile(X1, len(lams))
+    k, row = sig.size, np.arange(sig.size) % n_sig      # row: the pair's sigma
+    lnY2, ln_lam = math.log(params.r2), np.log(lam_set)
+    tab = _inner_tables(b, q, lnY2, sig1, X1)
+    # V(1/lambda) per (lambda, sigma): _inner_columns at E = 1 on (0, 1/lambda)
+    zero = np.zeros(1)
+    V = np.array([_inner_columns(q, -t, zero, zero, _inner_tables(b, q, -t, sig1, X1))[0]
+                  for t in ln_lam])[grp, row]
     pieces = _slice_pieces(params, lam, sig)
 
-    # inner scaled integral over the full unclipped slice, shared by all columns
-    v_unclipped = _v_integrals(params, sig, np.repeat(np.arange(len(lams)), n_sig),
-                               1.0 / np.array(lams, dtype=float), None, mini_tol)[0]
-
-    def x_power(xs, p):
+    def columns(piece, us, cols):
+        """Component c < k is z1 of pair c, c >= k z2 of pair c - k."""
+        c, xs, width = _mapped(piece, us, cols)
+        p = c % k
+        out = np.empty(xs.shape)
+        for g in np.unique(grp[p]):     # the pairs of one lambda share their nodes
+            j = np.flatnonzero(grp[p] == g)
+            pj, at = np.unique(p[j], return_inverse=True)   # z1 and z2 share C
+            ln_es = log_e_flat(params, xs[:, j[0]])
+            with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
+                lnE = q * ln_es
+            C = _inner_columns(q, lnY2, ln_es, lnE, tab[row[pj]])
+            eV = np.exp(np.multiply.outer(ln_es, Xs[pj])) * V[pj]
+            inside = (ln_es - ln_lam[g] < lnY2)[:, None]
+            out[:, j] = np.where(c[j] < k, np.where(inside, C - eV, 0.0)[:, at],
+                                 np.where(inside, eV, C)[:, at])
         with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(params.a * sig[p] * np.log(xs))
+            out *= np.exp(params.a * sig[p] * np.log(xs))
+        return width * out
 
-    def z2_column(piece, us, cols):
-        p, xs, width = _mapped(piece, us, cols)
-        ln_es = log_e_flat(params, xs)
-        eX = np.where(ln_es > -np.inf, np.exp(np.maximum(Xs[p] * ln_es, -745.0)), 0.0)
-        v = np.tile(v_unclipped[p], (ln_es.shape[0], 1))
-        r, c = np.nonzero(ln_es - ln_lam[p] > lnY2)    # the slice e(x)/lambda leaves the box
-        if r.size:
-            v[r, c] = _v_integrals(params, sig[p[c]], np.arange(r.size),
-                                   np.exp(lnY2 - ln_es[r, c]), None, mini_tol)[0]
-        return width * eX * v * x_power(xs, p)
-
-    def z1_column(piece, us, cols):
-        p, xs, width = _mapped(piece, us, cols)
-        ln_es = log_e_flat(params, xs)
-        out = np.tile(dead[p], (ln_es.shape[0], 1))
-        live = ln_es > -np.inf
-        ln_m = np.minimum(ln_es - ln_lam[p], lnY2)
-        out[live & (ln_m >= lnY2)] = 0.0
-        with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
-            lnE = q * ln_es
-        w_lo = np.maximum(ln_m, w_floor[p])
-        # a clipped pair whose flat factor is within e^-40 of 1 keeps dead[p]
-        flat_dead = (w_lo == w_floor[p]) & (lnE - q * w_lo < -40.0)
-        r, c = np.nonzero(live & (ln_m < lnY2) & ~flat_dead)
-        if r.size:
-            pc = p[c]
-            out[r, c] = _w_integrals(q, sig[pc], Xs[pc], np.arange(r.size), lnE[r, c],
-                                     w_lo[r, c], lnY2, mini_tol)[0]
-        return width * out * x_power(xs, p)
-
-    # right of the kink e(x)/lambda > r2: {lambda y >= e(x)} misses the box
-    z1, e1 = _on_pieces(z1_column, pieces[:1], cfg.tol_2d, k)
-    z2, e2 = _on_pieces(z2_column, pieces, cfg.tol_2d, k)
+    # z1 and z2 on the left piece, z2 alone on the right one: right of the
+    # kink e(x)/lambda > r2, {lambda y >= e(x)} misses the box
+    (left, ends), (right, _) = pieces
+    both = (np.arange(2 * k), np.tile(left[1], 2), np.tile(left[2], 2))
+    z, err = _on_pieces(columns, [(both, EndpointSpec(exponent_lo=np.tile(ends.exponent_lo, 2))),
+                                  ((right[0] + k, right[1], right[2]), None)], cfg.tol_2d, 2 * k)
+    z1, z2 = z[:k], z[k:]
+    err = err[:k] + err[k:] + INNER_REL_ERR * (np.abs(z1) + 3.0 * np.abs(z2))
     zt1 = _ztilde1_values(params, lam, sig, Xs, pieces, cfg)
     zt2 = _ztilde2_values(params, lam, sig, Xs, pieces, cfg)
     return [DecompositionTrace(lam=lams[i // n_sig], sigma=float(sig[i]), X=float(Xs[i]),
                                z1=float(z1[i]), z2=float(z2[i]), ztilde1=float(zt1[i]),
-                               ztilde2=float(zt2[i]), error=float(e1[i] + e2[i]))
+                               ztilde2=float(zt2[i]), error=float(err[i]))
             for i in range(k)]
 
 
@@ -831,9 +798,7 @@ def ztilde1_2d(params: FamilyParams, lam: float, X: float,
         out = np.zeros_like(x)
         sel = ln_c < lnY2
         if sel.any():     # int_c^r2 y^(X-1) dy in w = log y, c = e(x)/lambda
-            n = np.count_nonzero(sel)
-            out[sel] = _w_integrals(params.q, sigma, X, np.arange(n), np.full(n, -np.inf),
-                                    np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
+            out[sel] = _w_integrals(X, np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
         with np.errstate(divide="ignore", over="ignore"):
             out *= np.exp(params.a * sigma * np.log(x))
         return width * out[:, None]

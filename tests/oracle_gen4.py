@@ -2,8 +2,7 @@
 with a/b >= 0.8 and large p, for tests/test_zeta.py.  Not collected by
 pytest; run directly to regenerate.
 
-For (a,b,q,p) in {(5,6,4,6), (4,5,2,5)}, r1 = r2 = 1/2, lambda = 1 and
-s = -0.98/b (X = b s + 1 = 0.02),
+For each case (a,b,q,p), r1, lambda, X of CASES (r2 = 1/2, s = (X - 1)/b),
 
     z2 = int_0^r1 x^(a s) I2(x) dx,    z1 = int_0^r1 x^(a s) (I(x) - I2(x)) dx,
 
@@ -20,22 +19,30 @@ T^q/E is large the 2F1 is taken through its transformation to argument
 thirteen digits.  The outer integrals are split at the kink and at decades
 of x.  Both precisions must agree to the digits frozen in
 tests/test_zeta.py.
+
+At r1 = r2 = 1/2 the slice of (5,6,4,6) stays below the box top (e(r1) =
+e^-16) for every lambda above 2.3e-7, so the kinked case lambda = 1/4 takes
+r1 = 0.9, where e(x)/lambda meets r2 at x = 0.703; lambda = 4 saturates at
+r1, and X = 1e-6 takes the case next to the blow-up.
 """
 import time
 from mpmath import mp, mpf, exp, gamma, hyp2f1
 
-FAMILIES = [(5, 6, 4, 6), (4, 5, 2, 5)]
-LAM = 1
-R = "0.5"
+# ((a, b, q, p), r1, lambda, X)
+CASES = [((5, 6, 4, 6), "0.5", "1", "0.02"), ((4, 5, 2, 5), "0.5", "1", "0.02"),
+         ((5, 6, 4, 6), "0.9", "0.25", "0.02"), ((5, 6, 4, 6), "0.5", "4", "0.02"),
+         ((5, 6, 4, 6), "0.5", "1", "1e-6")]
+R2 = "0.5"
 
 
-def pieces(a, b, q, p, dps):
+def pieces(fam, r1, lam, X, dps):
     mp.dps = dps
-    s = mpf(-98) / (100 * b)
-    X = b * s + 1
+    a, b, q, p = fam
+    X = mpf(X)
+    s = (X - 1) / b
     al = (b - q) * s + 1
-    r1 = r2 = mpf(R)
-    lam = mpf(LAM)
+    r1, r2 = mpf(r1), mpf(R2)
+    lam = mpf(lam)
 
     def closed(T, E):
         Z = T**q / E
@@ -59,11 +66,13 @@ def pieces(a, b, q, p, dps):
             return whole, e**X * V
         return whole, whole
 
-    # e(x)/lambda = r2 at x_kink; split there and at decades below
-    x_kink = (-1 / (q * mp.log(lam * r2))) ** (mpf(1) / p)
-    pts = [mpf(0), mpf("1e-3"), mpf("1e-2"), mpf("0.05"), mpf("0.1"), mpf("0.2")]
-    pts += sorted(set([x_kink, mpf("0.3"), mpf("0.4"), r1]) - set(pts))
-    pts = [x for x in pts if x <= r1]
+    # e(x)/lambda = r2 at x_kink (where lambda r2 < 1); split there and at
+    # decades below
+    pts = {mpf(0), mpf("1e-3"), mpf("1e-2"), mpf("0.05"), mpf("0.1"), mpf("0.2"), mpf("0.3"),
+           mpf("0.4"), mpf("0.6"), mpf("0.8"), r1}
+    if lam * r2 < 1:
+        pts.add((-1 / (q * mp.log(lam * r2))) ** (mpf(1) / p))
+    pts = sorted(x for x in pts if x <= r1)
     z2 = mp.quad(lambda x: x**(a * s) * inner(x)[1], pts)
     # z1 as the monomial integral minus a remainder that vanishes like e(x)^X
     # at x = 0, where x^(a s) is nearly non-integrable
@@ -74,14 +83,14 @@ def pieces(a, b, q, p, dps):
 
 
 t0 = time.time()
-for fam in FAMILIES:
+for case in CASES:
     results = {}
     for dps in (30, 40):
-        z1, z2 = pieces(*fam, dps)
+        z1, z2 = pieces(*case, dps)
         results[dps] = (z1, z2)
-        print(f"{fam} dps={dps}: z1 =", mp.nstr(z1, 20), " z2 =", mp.nstr(z2, 20),
+        print(f"{case} dps={dps}: z1 =", mp.nstr(z1, 20), " z2 =", mp.nstr(z2, 20),
               " z1 + z2 =", mp.nstr(z1 + z2, 20), flush=True)
         print("elapsed", round(time.time() - t0, 1), flush=True)
     mp.dps = 40
-    print(f"{fam} dps 30 vs 40, max relative difference:",
+    print(f"{case} dps 30 vs 40, max relative difference:",
           mp.nstr(max(abs(u - v) / abs(v) for u, v in zip(results[30], results[40])), 3))

@@ -148,6 +148,22 @@ def test_verify_landau_suite(capsys):
     assert code == 0
 
 
+def test_verify_landau_sees_the_flat_term(capsys):
+    # the CLI rebuilds the flat-on integral, so the three b = 2 presets report
+    # three observed values: critical (0,2,2,1) and supercritical (0,2,2,2)
+    # differ in p alone, which the flat-off rebuild of the monomial y^2 did not
+    # see (both read 1.747e-4 there), and greenblatt (1,2,2,1/4) differs from
+    # both
+    observed = []
+    for preset in ("greenblatt", "critical", "supercritical"):
+        code, out = run_cli(["verify", "--preset", preset, "--suite", "landau"], capsys=capsys)
+        assert code == 0
+        (check,) = json.loads(out)["checks"]
+        assert check["id"] == "landau_taylor_rebuild" and check["passed"]
+        observed.append(check["observed"])
+    assert len(set(observed)) == 3
+
+
 def test_verify_all_reaches_landau_at_b4(capsys):
     # the landau target -0.6/b lies inside the window (-1/b, 0) at every b:
     # a fixed -0.3 sits at or below -1/b for b >= 4, where the rebuild

@@ -44,7 +44,6 @@ from flatzeta.zeta import (
     _check_window,
     _k_closed,
     _ln_E_dead,
-    _v_integrals,
     g_pieces,
     h_pieces,
     integrand,
@@ -74,11 +73,15 @@ ORACLE_Z_GREEN_045 = 1.3496269881465771
 # Z(-0.98/6) at (a,b,q,p) = (5,6,4,6): mpmath at 30 digits, the monomial
 # integral minus int x^(a s) (lim - inner(x)) dx with the closed-form inner
 ORACLE_Z_5646 = 230.899148425969296
-# tests/oracle_gen4.py (mpmath, 30 and 40 digits agree to 7e-31): z1 and z2
-# at lambda = 1, sigma = -0.98/b, r1 = r2 = 1/2
+# tests/oracle_gen4.py (mpmath, 30 and 40 digits agree to 5e-30): z1 and z2
+# at (a, b, q, p, r1, lambda, X), r2 = 1/2; at r1 = 0.9 lambda = 1/4 kinks
+# at x = 0.703, and lambda = 4 saturates at r1
 ORACLE_Z1_Z2 = {
-    (5, 6, 4, 6): (230.71981734912613696, 0.17933107684338404357),
-    (4, 5, 2, 5): (189.39281881502831239, 0.33786652067315064151),
+    (5, 6, 4, 6, 0.5, 1.0, 0.02): (230.71981734912613696, 0.17933107684338404357),
+    (4, 5, 2, 5, 0.5, 1.0, 0.02): (189.39281881502831239, 0.33786652067315064151),
+    (5, 6, 4, 6, 0.9, 0.25, 0.02): (231.87021132236659346, 1.5396671239404006957),
+    (5, 6, 4, 6, 0.5, 4.0, 0.02): (230.82731514458499913, 0.071833281384521874908),
+    (5, 6, 4, 6, 0.5, 1.0, 1e-6): (3999445.3054427851359, 1.9811578586148937865),
 }
 
 # tests/oracle_inner.py (mpmath, 40 digits, cross-checked by quadrature):
@@ -662,20 +665,25 @@ def test_zeta_samples_match_one_sigma_calls(bump):
 
 def test_weighted_inner_rows_share_the_bump_increment(monkeypatch):
     # the components of one inner row (one outer abscissa, its live sigmas)
-    # share the mapped abscissae, the flat factor and the bump increment:
-    # the increment is evaluated once per (node, row), not per (node, sigma)
-    count = {"increment": 0, "cells": 0}
+    # share the mapped abscissae and the flat factor, and every component
+    # the bump increment at y = R2 u: inside the scaled columns it is
+    # evaluated once per node, not per (node, row) or (node, sigma)
+    count = {"increment": 0, "cells": 0, "nodes": 0}
+    inside = [False]
     real_increment, real_tanh_sinh = zeta_mod.bump_y_increment, zeta_mod._tanh_sinh
 
     def increment(spec, y):
-        count["increment"] += np.size(y)
+        count["increment"] += inside[0] * np.size(y)
         return real_increment(spec, y)
 
     def tanh_sinh(f, *args, **kwargs):
-        if f.__qualname__.split(".")[0] == "_v_integrals":
+        if f.__qualname__.split(".")[0] == "_increment_columns":
             def counted(us, cols):
+                inside[0] = True
                 out = f(us, cols)
+                inside[0] = False
                 count["cells"] += out.size
+                count["nodes"] += us.shape[0]
                 return out
             return real_tanh_sinh(counted, *args, **kwargs)
         return real_tanh_sinh(f, *args, **kwargs)
@@ -685,6 +693,7 @@ def test_weighted_inner_rows_share_the_bump_increment(monkeypatch):
     sched = make_schedule(0.1, 0.5, 14, CRIT.b)
     zeta_samples(CRIT, BumpSpec(0.5, 0.5), sched.xs, CFG, flat=True)
     assert count["increment"] > 0
+    assert count["increment"] == count["nodes"]
     assert count["increment"] <= count["cells"] / 4
 
 
@@ -796,9 +805,8 @@ def test_region_pieces_additivity_and_sandwich():
 
 
 def test_region_pieces_strong_outer_singularity_against_oracle():
-    # a s near -1 with the flat term alive only near the box edge: the z1
-    # columns' log-variable integrals would reach down to log e(x) ~ -1e15
-    # without the clip at log Y2 - 800/X, and lost 4.2e-4 of Z there
+    # a s near -1 with the flat term alive only near the box edge, where
+    # log e(x) reaches -1e15: z1 + z2 meets Z's oracle at every lambda
     p = FamilyParams(5, 6, 4, Fraction(6))
     X = 6 * (-0.98 / 6) + 1.0
     for lam in (0.25, 1.0, 4.0):
@@ -808,11 +816,13 @@ def test_region_pieces_strong_outer_singularity_against_oracle():
     assert z.value == pytest.approx(ORACLE_Z_5646, rel=1e-10)
 
 
-@pytest.mark.parametrize("fam", sorted(ORACLE_Z1_Z2))
+@pytest.mark.parametrize("fam", list(ORACLE_Z1_Z2))
 def test_region_pieces_separately_against_oracle(fam):
-    a, b, q, p = fam
+    a, b, q, p, r1, lam, X = fam
     z1, z2 = ORACLE_Z1_Z2[fam]
-    (tr,) = region_samples(FamilyParams(a, b, q, Fraction(p)), [1.0], [b * (-0.98 / b) + 1.0], CFG)
+    params = FamilyParams(a, b, q, Fraction(p), r1=r1)
+    assert (rho(params, lam * params.r2) < r1) == (lam == 0.25)
+    (tr,) = region_samples(params, [lam], [X], CFG)
     assert tr.z1 == pytest.approx(z1, rel=1e-10)
     assert tr.z2 == pytest.approx(z2, rel=1e-10)
 
@@ -840,47 +850,66 @@ def test_region_samples_match_one_sigma_calls(params):
 
 @pytest.mark.parametrize("lams", [[0.25, 4.0], [4.0]], ids=["kink", "saturated"])
 def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
-    # every pair's interval is mapped onto (0, 1): v_unclipped is one call;
-    # z1 and z2 are one call apiece on the left piece of every pair (the
-    # x^(a s) endpoint declared), z2 one more on the right piece of the
-    # kinked pairs (regular ends), where z1's region misses the box;
-    # ztilde1 is one call and ztilde2 one per piece.
+    # every pair's interval is mapped onto (0, 1): z1 and z2 of every pair are
+    # one call with 2k components on the left piece (the x^(a s) endpoint
+    # declared), z2 one more on the right piece of the kinked pairs (regular
+    # ends), where z1's region misses the box; ztilde1 is one call and
+    # ztilde2 one per piece.  No call is nested: the columns are closed
+    # forms, one _inner_columns call per lambda of an integrand call, and
+    # V(1/lambda) one more per lambda before the quadratures.
     # ztilde1_2d and ztilde2_2d run on the same one-pair pieces, one outer
     # call apiece.  At SUP, lambda = 0.25 kinks inside (0, r1) and 4
     # saturates at r1.
-    calls, depth = [], [0]
-    real = zeta_mod._tanh_sinh
+    calls, depth, level_calls, outside = [], [0], [], [0]
+    real, real_inner = zeta_mod._tanh_sinh, zeta_mod._inner_columns
 
     def tanh_sinh(f, lo, hi, tol, ends=None, **kwargs):
-        if not depth[0]:        # not an inner call made by an outer integrand
-            calls.append((getattr(f, "func", f).__name__, lo, hi, kwargs["k"], ends is None))
+        name = getattr(f, "func", f).__name__
+        calls.append((name, lo, hi, kwargs["k"], ends is None, depth[0]))
 
-        def nested(*args):
+        def nested(us, cols):
             depth[0] += 1
+            level_calls.append([name, kwargs["k"], cols, 0])
             try:
-                return f(*args)
+                return f(us, cols)
             finally:
                 depth[0] -= 1
 
         return real(nested, lo, hi, tol, ends, **kwargs)
 
+    def inner_columns(*args):
+        if depth[0]:
+            level_calls[-1][3] += 1
+        else:
+            outside[0] += 1
+        return real_inner(*args)
+
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    monkeypatch.setattr(zeta_mod, "_inner_columns", inner_columns)
     xs = make_schedule(0.125, 0.25, 4, SUP.b).xs
     region_samples(SUP, lams, xs, CFG)
     n, n_kink = 4 * len(lams), 4 * sum(rho(SUP, lam * SUP.r2) < SUP.r1 for lam in lams)
-    expect = [("f", n, False), ("z1_column", n, False),
-              ("z2_column", n, False), ("z2_column", n_kink, True),
+    expect = [("columns", 2 * n, False), ("columns", n_kink, True),
               ("zt1", n, False), ("zt2_left", n, False), ("zt2_right", n_kink, True)]
     expect = [c for c in expect if c[1]]
-    assert [(name, k, regular) for name, lo, hi, k, regular in calls] == expect
-    assert all((lo, hi) == (0.0, 1.0) for _, lo, hi, _, _ in calls)
+    assert [(name, k, regular) for name, lo, hi, k, regular, _ in calls] == expect
+    assert all((lo, hi) == (0.0, 1.0) and not d for _, lo, hi, _, _, d in calls)
     assert n_kink == (4 if lams == [0.25, 4.0] else 0)
+    assert outside[0] == len(lams)
+    for name, k, cols, made in level_calls:
+        if name != "columns":
+            assert made == 0
+        elif k == 2 * n:        # component c is z1 (c < n) or z2 of pair c % n
+            assert made == len(np.unique((cols % n) // 4))
+        else:                   # the kinked pairs, all of lambda = 0.25
+            assert made == 1
     for lam in lams:
         kinked = rho(SUP, lam * SUP.r2) < SUP.r1
         for fn, name in ((ztilde1_2d, "zt1_2d"), (ztilde2_2d, "zt2_2d")):
             calls.clear()
             fn(SUP, lam, xs[0], CFG)
-            assert calls == [(name, 0.0, 1.0, 1, False)] + kinked * [(name, 0.0, 1.0, 1, True)]
+            assert [c[:5] for c in calls if not c[5]] == (
+                [(name, 0.0, 1.0, 1, False)] + kinked * [(name, 0.0, 1.0, 1, True)])
 
 
 @st.composite
@@ -969,79 +998,32 @@ def test_weighted_invariants_over_families():
     assert wide >= 10
 
 
-def test_region_samples_dead_z1_pairs_skip_the_quadrature(monkeypatch):
-    # a (column, pair) of z1 clipped at _w_floor, where the flat factor is
-    # within e^-40 of 1, is the monomial column r2^X/X and never reaches
-    # _w_integrals; the batch is the CLI's sandwich lambdas and schedule
-    xs = make_schedule(0.125, 0.25, 4, SUP.b).xs
-    Xs = np.tile(xs, len(LAMS))
-    ln_lam = np.log(np.repeat(LAMS, len(xs)))
-    lnY2, q = math.log(SUP.r2), SUP.q
-    real_w, real_ts = zeta_mod._w_integrals, zeta_mod._tanh_sinh
-    sent, columns = [], []
-
-    def w_integrals(q_, sigma, X, row, lnE, w_lo, *args, **kwargs):
-        sent.append((np.broadcast_to(X, row.shape).copy(), lnE[row], w_lo[row]))
-        return real_w(q_, sigma, X, row, lnE, w_lo, *args, **kwargs)
-
-    def tanh_sinh(f, *args, **kwargs):
-        if getattr(f, "func", None) is not None and f.func.__name__ == "z1_column":
-            pairs, lo, width = f.args[0]        # the piece x = lo + width u
-
-            def recorded(us, cols):
-                out = f(us, cols)
-                xs = lo[cols] + width[cols] * us
-                columns.append((xs, pairs[cols], width[cols], out.copy()))
-                return out
-            return real_ts(recorded, *args, **kwargs)
-        return real_ts(f, *args, **kwargs)
-
-    monkeypatch.setattr(zeta_mod, "_w_integrals", w_integrals)
-    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    region_samples(SUP, LAMS, xs, CFG)
-
-    def is_dead(X, lnE, w_lo):
-        return (w_lo == zeta_mod._w_floor(X, lnY2)) & (lnE - q * w_lo < -40.0)
-
-    assert sent and not any(is_dead(*pair).any() for pair in sent)
-    n_dead = 0
-    for xs, p, width, out in columns:   # a = 0: the z1 column is width times its inner integral
-        ln_es = zeta_mod.log_e_flat(SUP, xs)
-        with np.errstate(over="ignore"):
-            lnE = q * ln_es
-        ln_m = np.minimum(ln_es - ln_lam[p], lnY2)
-        w_lo = np.maximum(ln_m, zeta_mod._w_floor(Xs[p], lnY2))
-        dead = (ln_m < lnY2) & is_dead(Xs[p], lnE, w_lo)
-        expect = np.broadcast_to(width * (np.exp(Xs[p] * lnY2) / Xs[p]), out.shape)
-        assert np.array_equal(out[dead], expect[dead])
-        n_dead += np.count_nonzero(dead)
-    assert n_dead > 0
-
-
-def test_v_integrals_match_scalar_calls_on_own_intervals():
-    # each row's interval (0, s_hi[r]) is mapped onto (0, 1) inside the
-    # integrand, and the components of a row share its per-row factors;
-    # every component still returns the one-component call on its own
-    # interval with its own sigma
-    s_hi = np.array([1.0, 0.37, 2.5, 1e-3, 40.0])
+def test_increment_columns_match_scalar_calls_on_own_intervals():
+    # each row's interval (0, R2/e) is mapped onto (0, 1) inside the
+    # integrand, the components of a row share its per-row factors and all
+    # share the bump increment at y = R2 u; every component still returns
+    # its one-component call bit for bit, and a plain quadrature of its
+    # own over v in (0, R2/e) with the increment at y = e v, with its own
+    # sigma, to rounding
+    bump = BumpSpec(0.5, 0.5)
+    ln_e = np.log(np.array([0.5, 0.37, 2.5, 1e-3, 40.0]))
     row = np.array([0, 1, 1, 2, 3, 3, 3, 4])
-    sigma = (np.array([8.0, 8.0, 3.0, 8.0, 8.0, 5.0, 11.0, 8.0]) ** -1 - 1.0) / 2.0
-    bq = (GREEN.b - GREEN.q) * sigma
+    X = np.array([8.0, 8.0, 3.0, 8.0, 8.0, 5.0, 11.0, 8.0]) ** -1
+    sigma = (X - 1.0) / GREEN.b
+    values, ev = _increment_columns(GREEN, bump, sigma, X, row, ln_e, 1e-12)
+    assert ev > 0
+    for i, (r, s) in enumerate(zip(row, sigma)):
+        (one,), _ = _increment_columns(GREEN, bump, s, X[i], np.array([0]), ln_e[r:r + 1], 1e-12)
+        assert values[i] == one
+        e = math.exp(ln_e[r])
 
-    def weight(vs, rows):      # differs per row, and vanishes like v^2
-        return vs**2 * (1.0 + np.cos(3.0 * vs) / (1.0 + rows))
+        def f(vs, cols):
+            return (np.exp((GREEN.b - GREEN.q) * s * np.log(vs) + s * np.log1p(vs**GREEN.q))
+                    * bump_y_increment(bump, e * vs))
 
-    for w in (None, weight):
-        values, errors, _ = _v_integrals(GREEN, sigma, row, s_hi, w, tol=1e-12)
-        for i, (r, s, e_lo) in enumerate(zip(row, sigma, bq)):
-            def f(vs, cols):
-                out = np.exp(e_lo * np.log(vs) + s * np.log1p(vs**GREEN.q))
-                return out if w is None else out * w(vs, np.array([r]))
-
-            ends = EndpointSpec(exponent_lo=e_lo) if w is None else None
-            (v,), (e,), _ = _tanh_sinh(f, 0.0, s_hi[r], 1e-12, ends, k=1)
-            assert abs(values[i] - v) <= 4.0 * np.finfo(float).eps * abs(v)
-            assert abs(errors[i] - e) <= 4.0 * np.finfo(float).eps * abs(v)
+        (v,), (err,), _ = _tanh_sinh(f, 0.0, bump.R2 / e, 1e-12, None, k=1)
+        v *= math.exp(X[i] * ln_e[r])
+        assert abs(values[i] - v) <= 8.0 * np.finfo(float).eps * abs(v)
 
 
 def test_flat_dead_bump_columns_equal_the_e0_column():
@@ -1318,16 +1300,19 @@ def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
 # Weighted Z (value, error) at X = 1/2, 2^-8 and 1e-5 over the default bump,
 # frozen from the engine whose unweighted inner columns are the near series
 # and the far form of _inner_columns (each value within 2.8e-3 of its error of
-# the hyp2f1 columns before them); greenblatt's flat-on D_0..D_40 at s = -0.2,
-# frozen from the x-moments convolved with the E = 0 row plus the live excess
-# (within 1.3e-10 relative of the per-node recombination of every row)
+# the hyp2f1 columns before them) and whose scaled columns take the bump
+# increment once per node at y = R2 u (values within 2.3e-16 and errors
+# within 1.6e-6 relative of it once per row at y = e (R2/e) u); greenblatt's
+# flat-on D_0..D_40 at s = -0.2, frozen from the x-moments convolved with the
+# E = 0 row plus the live excess (within 1.3e-10 relative of the per-node
+# recombination of every row)
 WEIGHTED_FROZEN = {
-    "supercritical": [(1.2693703869130077, 2.3670445236589966e-08),
+    "supercritical": [(1.269370386913008, 2.3670445236589966e-08),
                       (71.21814591502901, 3.484395890936034e-07),
                       (1576.1234634514487, 5.738237925013444e-08)],
-    "critical": [(1.0110694567913376, 1.3876115598904675e-10),
+    "critical": [(1.0110694567913376, 1.3876137803365167e-10),
                  (10.095046683202456, 1.724017553094404e-09),
-                 (22.046636956191044, 2.121557301803011e-06)],
+                 (22.04663695619104, 2.121557301803011e-06)],
     "greenblatt": [(1.0063736632104323, 4.902108631934356e-10),
                    (4.500302929154126, 3.885441246798548e-08),
                    (4.6067925250080854, 1.8240748784719106e-08)],
