@@ -226,7 +226,9 @@ def extract_limit(seq: BlowupSequence) -> tuple[float, float]:
     Model: S = S_inf + c1 X log X + c2 X, plus X^kappa (power regime) or
     1/|log X| (log regime) correction columns.  Fits the smallest-X points,
     all but the 4 largest and at least 6; the reported uncertainty combines
-    the rms residual with the shift under dropping the largest fitted X.
+    the rms residual with the shift under dropping the largest fitted X.  A
+    fit with no more points than basis columns interpolates, its residual
+    says nothing, and its uncertainty is inf.
     """
     xs_all = np.asarray(seq.schedule.xs, dtype=float)
     ss_all = np.asarray(seq.scaled_values, dtype=float)
@@ -245,10 +247,7 @@ def extract_limit(seq: BlowupSequence) -> tuple[float, float]:
         return coef[0], float(np.sqrt(np.mean(resid**2)))
 
     limit, rms = solve(xs, ss)
-    k = _fit_basis(seq, xs).shape[1]
-    drop = 0.0
-    if n_fit - 1 > k:
-        limit_drop, _ = solve(xs[:-1], ss[:-1])
-        drop = abs(limit - limit_drop)
-    uncertainty = rms + drop
-    return float(limit), float(uncertainty)
+    if n_fit <= _fit_basis(seq, xs).shape[1]:
+        return float(limit), math.inf
+    limit_drop, _ = solve(xs[:-1], ss[:-1])
+    return float(limit), float(rms + abs(limit - limit_drop))

@@ -13,12 +13,15 @@ one outer level at once on a shared interval, each column, or each group of
 moment columns of one inner row, retiring at its own level.  A component
 stops on one rule, its step between levels within tol of its value (tol
 one for all components or one per component), and every call refines at
-most MAX_LEVELS times.  As that rule retires nothing
-before level 2, the first integrand call (per block of components) takes
-the nodes of levels 0, 1 and 2 together and each later call one level: the
-same nodes as one call per level, so the same values and evaluation counts,
-in fewer and larger calls.  In an iterated integral outer levels 0-2 then
-make one inner call instead of three.
+most MAX_LEVELS times.  That rule retires nothing before level 2, and as
+the error roughly squares at each level, at the tols in use (1e-7 to
+1e-11) few components retire before level 4.  So the first integrand call
+(per block of components) takes the nodes of levels 0 to 4 together and
+each later call one level.  Components still retire level by level, so
+values and errors are those of one call per level, in fewer and larger
+calls; a component that retires at level 2 or 3 is evaluated up to level 4
+anyway.  In an iterated integral outer levels 0-4 then make one inner call
+instead of five.
 
 A `_tanh_sinh` call that declares an EndpointSpec (integrate_1d always
 does) samples lo as deep as doubles allow, for mass that hides next to lo.
@@ -52,6 +55,15 @@ MAX_LEVELS = 12
 #: Most (node, component) values one integrand call of _tanh_sinh
 #: computes; wider levels are evaluated in blocks of components.
 _BLOCK_CELLS = 1 << 14
+
+#: Last refinement level of the first integrand call per block of
+#: components: levels 0 to _FIRST_SPAN go in one call, each later level in
+#: a call of its own.  At the tols in use (1e-7 to 1e-11) few components
+#: retire before level 4 (under one in ten in the schedule and verify
+#: bench workloads, none in landau), and those that do are evaluated up to
+#: level 4 anyway; a span of 5 would waste level 5 on the Landau moments,
+#: which all retire at level 4.
+_FIRST_SPAN = 4
 
 
 @lru_cache
@@ -108,9 +120,9 @@ def _nodes(level: int, lo: float, hi: float, regular: bool):
 
 
 @lru_cache(maxsize=64)
-def _first_abscissae(lo: float, hi: float, regular: bool):
-    """The abscissae of _nodes levels 0-2 in level order, read-only."""
-    xs = np.concatenate([_nodes(lv, lo, hi, regular)[0] for lv in range(3)])
+def _first_abscissae(lo: float, hi: float, regular: bool, last: int):
+    """The abscissae of _nodes levels 0-last in level order, read-only."""
+    xs = np.concatenate([_nodes(lv, lo, hi, regular)[0] for lv in range(last + 1)])
     xs.flags.writeable = False
     return xs
 
@@ -160,16 +172,18 @@ def _droppable(xs, lo, hi, beta, comps):
 
 def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
     """Sum of w * f per component over the nodes of one level (_nodes), fs
-    their (n, m) values for the components comps; unless deep is None
-    updates deep, the (2, m) distance and |f| of each component's deepest
-    finite node, in place.
+    their (n, m) values for the components comps, and the failures: None,
+    or the (m,) row of each component's first failed value (-1: none);
+    unless deep is None updates deep, the (2, m) distance and |f| of each
+    component's deepest finite node, in place.
 
     Every weight is > 0, so the values are scanned only where a sum is not
     finite.  A declared integrable endpoint singularity may overflow
     pointwise at the deepest nodes even though its weighted contribution is
     negligible; those nodes are dropped (the endpoint remainder accounts for
     them).  Anything non-finite away from a declared singular endpoint is a
-    real failure and raises NonConvergence naming its component."""
+    real failure, left to the caller to raise (_raise_failed) once its
+    component reaches the level."""
     xs, ws, dist, i, d = nodes
     # one dot product per component on its own contiguous row, so its sum
     # does not depend on the components beside it
@@ -179,13 +193,10 @@ def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
             deeper = d < deep[0]        # where it samples deeper
             np.copyto(deep[0], d, where=deeper)
             np.copyto(deep[1], np.abs(fs[i]), where=deeper)
-        return sums
+        return sums, None
     good = np.isfinite(fs)
     bad = ~good & ~_droppable(xs, lo, hi, beta, comps)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise NonConvergence(f"integrand non-finite near x={float(xs[r])!r} "
-                             f"(component {comps[c]})")
+    failed = np.where(bad.any(axis=0), bad.argmax(axis=0), -1) if bad.any() else None
     fs = np.where(good, fs, 0.0)
     if deep is not None:
         dist_c = np.where(good, dist[:, None], np.inf)
@@ -194,7 +205,18 @@ def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
         deeper = dist_c[near, cols] < deep[0]
         np.copyto(deep[0], dist_c[near, cols], where=deeper)
         np.copyto(deep[1], np.abs(fs[near, cols]), where=deeper)
-    return np.vecdot(np.ascontiguousarray(fs.T), ws)
+    return np.vecdot(np.ascontiguousarray(fs.T), ws), failed
+
+
+def _raise_failed(failed, xs, comps):
+    """Raise NonConvergence naming the first failed value (_level_sums) of
+    the components comps on the nodes xs, by row and then by component, if
+    there is one."""
+    rows = np.where(failed < 0, xs.size, failed)
+    c = int(np.argmin(rows))
+    if rows[c] < xs.size:
+        raise NonConvergence(f"integrand non-finite near x={float(xs[rows[c]])!r} "
+                             f"(component {comps[c]})")
 
 
 def _capped(err, value):
@@ -214,18 +236,23 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
     f(xs, cols) receives one (n, 1) column of abscissae and the indices cols
     of the m components still refining, and returns (n, m) values, in blocks
     of at most _BLOCK_CELLS values.  The first call per block gets the nodes
-    of levels 0, 1 and 2 in level order, each later call those of one level:
-    no component can retire before level 2, so this evaluates exactly the
-    nodes of one call per level.  Each level is summed on its own rows of
-    the result, in level order, and its values are scanned for non-finite
-    ones only where a sum is not finite; with an EndpointSpec each level that
-    can sample a component deeper is also tracked for its deepest node
-    (_level_sums).  Each component's sums run apart from the others', and
-    it retires at the first level >= 2 where its step |value - previous
-    value| is at most its tol times |value|, with the step plus its endpoint
-    remainder as its error, so it returns the same value and error as a
-    call on it alone; only the components still refining are evaluated and
-    counted.  After MAX_LEVELS levels a
+    of levels 0 to _FIRST_SPAN in level order, each later call those of one
+    level.  Each level is summed on its own rows of the result, in level
+    order, and its values are scanned for non-finite ones only where a sum
+    is not finite; with an EndpointSpec each level that can sample a
+    component deeper is also tracked for its deepest node (_level_sums).
+    Levels 3 to _FIRST_SPAN of the first call keep their sums, deepest
+    nodes and failures by component until the loop reaches them, and then
+    apply them to the components still refining only: a non-finite value
+    at a level a component never reaches does not raise.  Each component's
+    sums run apart from the others', and it retires at the first level >= 2
+    where its step |value - previous value| is at most its tol times
+    |value|, with the step plus its endpoint remainder as its error, so it
+    returns the same value and error as a call on it alone, and as a call
+    whose first integrand call spans levels 0-2.  Only the components still
+    refining are evaluated, and the evaluations count every value computed:
+    a component that retires at level 2 or 3 counts the nodes of levels 0
+    to _FIRST_SPAN.  After MAX_LEVELS levels a
     last step below 1% of the value is accepted with a 3x error bar
     (_capped); a component that fails that raises NonConvergence naming it.
     Components with intervals of their own are mapped by the caller onto
@@ -265,14 +292,20 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
     state = np.zeros((4, k))
     state[1:3] = np.inf
     running, err, deep_d, deep_f = state
+    # levels 3 to _FIRST_SPAN of the first call, until the loop reaches
+    # each: its deepest finite nodes (2, k) and failures (k,) by component
+    pending = {}
     for level in range(MAX_LEVELS + 1):
-        if level == 0 or level > 2:
-            # one call per block for levels 0-2, as no component can retire
-            # before level 2, then one call per level
+        if level == 0 or level > _FIRST_SPAN:
+            # one call per block for levels 0 to _FIRST_SPAN, then one per level
             first = level
-            parts = [_nodes(lv, lo, hi, regular) for lv in range(level, max(level, 2) + 1)]
-            xs = _first_abscissae(lo, hi, regular) if level == 0 else parts[0][0]
+            parts = [_nodes(lv, lo, hi, regular)
+                     for lv in range(level, (level or _FIRST_SPAN) + 1)]
+            xs = _first_abscissae(lo, hi, regular, _FIRST_SPAN) if level == 0 else parts[0][0]
             sums = np.empty((len(parts), act.size))
+            for lv in range(max(first, 2) + 1, first + len(parts)):
+                pending[lv] = (None if beta is None else np.full((2, k), np.inf),
+                               np.full(k, -1))
             # f sees blocks of whole groups, and each block is summed before
             # the next is evaluated, so that values and temporaries stay small
             step = max(1, _BLOCK_CELLS // max(xs.size, 1) // group) * group
@@ -280,18 +313,36 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
                 blk = slice(j, j + step)
                 fs = np.asarray(f(xs[:, None], act[blk]), dtype=float)
                 start = 0
-                for r, part in enumerate(parts):     # each level on its own rows
+                for lv, part in enumerate(parts, first):     # each level on its own rows
                     n = part[0].size
-                    deep = None if beta is None else state[2:, blk]
+                    # every component reaches levels 0-2, so their deepest
+                    # nodes and failures are taken at once; those of a later
+                    # level of the first call wait in pending (block
+                    # positions are component indices there, as act is all)
+                    deep = None if beta is None else (
+                        state[2:, blk] if lv not in pending else pending[lv][0][:, blk])
                     # the deepest nodes of levels 1-3 (t = 5.5, 5.75, 5.875) lie
                     # above level 0's t = 6 unless rounding or a non-finite
                     # value dropped it: skip where no component can go deeper
-                    if deep is not None and 0 < first + r < 4 and part[4] >= deep[0].max():
+                    if deep is not None and 0 < lv < 4 and part[4] >= state[2, blk].max():
                         deep = None
-                    sums[r, blk] = _level_sums(fs[start:start + n], part, lo, hi, beta,
-                                               act[blk], deep)
+                    sums[lv - first, blk], failed = _level_sums(
+                        fs[start:start + n], part, lo, hi, beta, act[blk], deep)
+                    if failed is not None:
+                        if lv not in pending:
+                            _raise_failed(failed, part[0], act[blk])
+                        pending[lv][1][blk] = failed
                     start += n
             evals += xs.size * act.size
+        elif level in pending:
+            # reached: only the components still refining see the level
+            cand, failed = pending.pop(level)
+            _raise_failed(failed[act], parts[level - first][0], act)
+            if cand is not None:
+                cand_d, cand_f = cand[:, act]
+                deeper = cand_d < deep_d
+                np.copyto(deep_d, cand_d, where=deeper)
+                np.copyto(deep_f, cand_f, where=deeper)
         running += sums[level - first]
         if not level:
             continue        # the first step is taken at level 2, from level 1
@@ -311,6 +362,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
                 error[done] = e + _endpoint_remainder(fd, d, beta, done)
                 live = ~stop
                 act, val, state, tols = act[live], val[live], state[:, live], tols[live]
+                sums = sums[:, live]
                 running, err, deep_d, deep_f = state
         prev = val
     else:

@@ -262,6 +262,39 @@ def test_extract_limit_log_basis():
     assert limit == pytest.approx(0.5, abs=1e-9)
 
 
+def _off_basis(params, xs):
+    """The sequence on xs whose scaled values carry an x^2 term, which no
+    basis has, next to the limit 1.25 (power regime: SUP, log regime: CRIT)."""
+    if params is SUP:
+        svals = [1.25 - 0.4 * x**0.5 + 3.0 * x * x for x in xs]
+        raw = [s / x**0.5 for s, x in zip(svals, xs)]
+    else:
+        svals = [1.25 + 0.3 / abs(math.log(x)) + 3.0 * x * x for x in xs]
+        raw = [s * abs(math.log(x)) for s, x in zip(svals, xs)]
+    return scale_sequence(params, _fake_samples(2, xs, raw))
+
+
+@pytest.mark.parametrize("params", [SUP, CRIT], ids=["power", "log"])
+def test_extract_limit_interpolating_fit_has_inf_uncertainty(params):
+    # 4 points on the 4 basis columns interpolate: the residual is 0 however
+    # far the limit is off, so the uncertainty is inf, not about 1e-16
+    limit, unc = extract_limit(_off_basis(params, [2.0 ** (-3 - k) for k in range(4)]))
+    assert math.isfinite(limit) and abs(limit - 1.25) > 1e-6
+    assert unc == math.inf
+
+
+@pytest.mark.parametrize("params", [SUP, CRIT], ids=["power", "log"])
+def test_extract_limit_five_points_take_the_drop_one_shift(params):
+    # with 5 points the fit without the largest X still holds one point per
+    # column, and the shift of the limit under that drop enters the
+    # uncertainty on top of the rms residual
+    xs = [2.0 ** (-3 - k) for k in range(5)]
+    limit, unc = extract_limit(_off_basis(params, xs))
+    limit4, _ = extract_limit(_off_basis(params, xs[1:]))
+    assert abs(limit - limit4) > 1e-9
+    assert unc >= abs(limit - limit4)
+
+
 def test_blowup_sequence_validation():
     xs = [0.125, 0.0625]
     with pytest.raises(DomainError):

@@ -200,13 +200,14 @@ def test_tanh_sinh_vector_wide_levels_in_blocks():
 
 
 # six integrands on (0, 1) with the declared exponents BETAS_6; 0 and 2
-# overflow to inf below an offset of 1e-200, where those nodes are dropped
+# overflow to inf below an offset of 1e-200, where those nodes are dropped,
+# and 1 oscillates, refining to level 7 at tol 1e-12
 BETAS_6 = np.array([-0.5, 0.0, -0.75, -0.5, 0.0, -0.75])
 
 
 def _six(x):
     with np.errstate(divide="ignore"):
-        return np.stack([np.where(x < 1e-200, np.inf, x**-0.5), np.exp(x),
+        return np.stack([np.where(x < 1e-200, np.inf, x**-0.5), np.sin(200.0 * x) + 2.0,
                          np.where(x < 1e-200, np.inf, x**-0.75 * (1.0 + x)),
                          x**-0.5 * np.cos(3.0 * x), np.log(x) ** 2, x**-0.75], axis=-1)
 
@@ -214,7 +215,8 @@ def _six(x):
 def test_tanh_sinh_wide_call_with_exponents_and_dropped_nodes_matches_lone_calls():
     # 1200 components in blocks, each with its own declared exponent, some
     # dropping overflowing nodes next to lo: each one's value and error, and
-    # the evaluations, equal those of its lone call bit for bit
+    # the evaluations, equal those of its lone call bit for bit.  Levels 0-4,
+    # 5, 6 and 7 are each split into blocks
     blocks = {}      # nodes of each refinement step -> its blocks of components
 
     def f(xs, cols):
@@ -402,14 +404,16 @@ def test_tanh_sinh_regular_ends_sample_lo_no_deeper_than_hi():
 
 
 # values and errors of the components 0-3, and the evaluations, of the calls
-# of test_tanh_sinh_first_call_spans_levels_0_to_2, frozen from the loop that
-# made one integrand call per level
+# of test_tanh_sinh_first_call_spans_levels_0_to_4; values and errors frozen
+# from the loop that made one integrand call per level.  The evaluations
+# count the nodes of levels 0-4 for every component: at k = 1, declared,
+# the component retires at level 3 (74 evaluations with one call per level)
 FIRST_CALL_FROZEN = {
-    ("declared", 1): ([2.82842712474619], [4.440892098500626e-15], 74),
+    ("declared", 1): ([2.82842712474619], [4.440892098500626e-15], 148),
     ("declared", 1024): ([2.82842712474619, 6.6876855256219745, 16.144278186953443,
                           0.6415070371175711],
                          [4.440892098500626e-15, 9.338180927977696e-147, 1.1368683772161603e-12,
-                          2.220446049250313e-16], 113664),
+                          2.220446049250313e-16], 151552),
     ("regular", 1): ([6.389056098930649], [0.0], 101),
     ("regular", 1024): ([6.389056098930649, 3.906861500600357, 1.1071487177940902,
                          2.7974349484710874],
@@ -420,12 +424,12 @@ FIRST_CALL_FROZEN = {
 
 @pytest.mark.parametrize("k", [1, 1024])
 @pytest.mark.parametrize("ends", ["declared", "regular"])
-def test_tanh_sinh_first_call_spans_levels_0_to_2(ends, k):
-    # no component can retire before level 2, so the first integrand call
-    # per block gets the nodes of levels 0, 1 and 2 in level order, and each
-    # later call one level; at k = 1024 every level is split into blocks of
-    # components.  Values, errors and evaluations stay those of one call per
-    # level, bit for bit
+def test_tanh_sinh_first_call_spans_levels_0_to_4(ends, k):
+    # few components retire before level 4, so the first integrand call per
+    # block gets the nodes of levels 0 to 4 in level order, and each later
+    # call one level; at k = 1024 every level is split into blocks of
+    # components.  Values and errors stay those of one call per level, bit
+    # for bit, and the evaluations count every node evaluated
     fn, spec = (_integrands, SPEC) if ends == "declared" else (_smooth, None)
     calls = []
 
@@ -441,9 +445,12 @@ def test_tanh_sinh_first_call_spans_levels_0_to_2(ends, k):
         else:
             rounds.append([xs, [cols]])
     levels = [quad._nodes(lv, 0.0, 2.0, spec is None)[0] for lv in range(quad.MAX_LEVELS + 1)]
-    assert 2 <= len(rounds) <= quad.MAX_LEVELS - 1
+    # every component retires by level 4: the first call per block is all
+    # (test_tanh_sinh_wide_call_with_exponents_and_dropped_nodes_matches_lone_calls
+    # has later calls in blocks)
+    assert len(rounds) == 1
     active = set(range(k))
-    for (xs, blocks), want in zip(rounds, [np.concatenate(levels[:3])] + levels[3:]):
+    for (xs, blocks), want in zip(rounds, [np.concatenate(levels[:5])] + levels[5:]):
         assert xs.tolist() == want.tolist()
         comps = np.concatenate(blocks).tolist()     # each step's refining components
         assert comps == sorted(comps) and set(comps) <= active
@@ -461,7 +468,7 @@ def test_tanh_sinh_first_call_spans_levels_0_to_2(ends, k):
 
 def test_tanh_sinh_nonfinite_at_a_level_1_node_names_its_component():
     # a NaN at a level-1 node, away from the declared singular end, arrives
-    # in the first call with levels 0 and 2 and still fails, naming the
+    # in the first call with levels 0 and 2-4 and still fails, naming the
     # component and the node
     node = float(quad._nodes(1, 0.0, 1.0, False)[0][0])
 
@@ -471,3 +478,111 @@ def test_tanh_sinh_nonfinite_at_a_level_1_node_names_its_component():
 
     with pytest.raises(NonConvergence, match=re.escape(f"x={node!r} (component 1)")):
         _tanh_sinh(f, 0.0, 1.0, 1e-10, SPEC, k=2)
+
+
+def _by_span(monkeypatch, fn, lo, hi, tol, spec=None, *, k, group=1):
+    """_tanh_sinh(fn, ...) with the first call per block spanning levels 0-2
+    and levels 0-4, which must agree: returns the (values, errors) lists or
+    the NonConvergence message, and each component's retirement level (the
+    span-2 steps it takes part in, plus 1).  Each run's evaluations equal
+    the summed cells of its integrand calls."""
+    out = []
+    for span in (2, 4):
+        monkeypatch.setattr(quad, "_FIRST_SPAN", span)
+        cells, steps = [], {}
+
+        def f(xs, cols):
+            cells.append(xs.shape[0] * cols.size)
+            steps.setdefault((xs.shape[0], float(xs[0, 0])), []).append(cols)
+            return fn(xs[:, 0], cols)
+
+        try:
+            values, errors, evals = _tanh_sinh(f, lo, hi, tol, spec, k=k, group=group)
+        except NonConvergence as exc:
+            out.append(str(exc))
+        else:
+            assert evals == sum(cells)
+            out.append((values.tolist(), errors.tolist()))
+        if span == 2:
+            level = np.ones(k, dtype=int)
+            for blocks in steps.values():
+                level[np.concatenate(blocks)] += 1
+    assert out[0] == out[1]
+    return out[0], level
+
+
+# eight integrands on (0, 1), their tols and declared exponents: at either
+# kind of end they retire at levels 2, 3, 4, 5, 6, 7 and past 7
+def _eight(x, cols):
+    return np.stack([np.exp(x), np.exp(x), np.exp(x), np.sin(40.0 * x) + 2.0,
+                     np.sin(100.0 * x) + 2.0, np.sin(200.0 * x) + 2.0, x**-0.5,
+                     np.sin(1000.0 * x) + 2.0], axis=-1)[:, cols % 8]
+
+
+TOLS_8 = np.array([1e-2, 1e-8, 1e-12, 1e-8, 1e-8, 1e-10, 1e-10, 1e-10])
+BETAS_8 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0])
+
+
+@pytest.mark.parametrize("group", [1, 2])
+@pytest.mark.parametrize("ends", ["declared", "regular"])
+def test_tanh_sinh_first_span_does_not_change_results(monkeypatch, ends, group):
+    # the first call per block evaluates levels 0-4 but retires and tracks
+    # each component level by level: 800 components in blocks, on a tol
+    # each, give what a first call of levels 0-2 gives, bit for bit
+    k = 800
+    spec = EndpointSpec(exponent_lo=BETAS_8[np.arange(k) % 8]) if ends == "declared" else None
+    (values, _), level = _by_span(monkeypatch, _eight, 0.0, 1.0, TOLS_8[np.arange(k) % 8], spec,
+                                  k=k, group=group)
+    if group == 1:
+        assert set(level[:8]) >= {2, 3, 4, 5, 6, 7} and level[:8].max() > 7
+    assert values[5] == pytest.approx(2.0 + (1.0 - math.cos(200.0)) / 200.0, rel=1e-10)
+
+
+def test_tanh_sinh_first_span_capped_and_failing(monkeypatch):
+    # at a cap of 5 levels a component accepted with its 3x error bar, and
+    # one that fails, naming itself, beside components that retire early
+    monkeypatch.setattr(quad, "MAX_LEVELS", 5)
+
+    def f(x, cols):
+        with np.errstate(over="ignore", invalid="ignore"):
+            wild = np.sin(1e6 / x) / x
+        return np.stack([np.exp(x), np.exp(x), np.sin(100.0 * x) + 2.0, wild], axis=-1)[:, cols]
+
+    tols = np.array([1e-2, 1e-8, 1e-8, 1e-6])
+    (_, errors), level = _by_span(monkeypatch, f, 0.0, 1.0, tols[:3], k=3)
+    assert level.tolist() == [2, 3, 5] and errors[2] > 1e-8 * 2.0
+    message, _ = _by_span(monkeypatch, f, 0.0, 1.0, tols, k=4)
+    assert "within 5 levels (component 3" in message
+
+
+def test_tanh_sinh_first_span_keeps_the_retirement_level_deepest_node(monkeypatch):
+    # x^-0.99 overflows below 1e-250 and retires at level 2 at tol 0.5: its
+    # endpoint remainder comes from the deepest finite node of levels 0-2,
+    # not from level 3's deeper one, which the first call also evaluates
+    def f(x, cols):
+        with np.errstate(divide="ignore"):
+            return np.where(x < 1e-250, np.inf, x**-0.99)[:, None]
+
+    (_, errors), level = _by_span(monkeypatch, f, 0.0, 1.0, 0.5, EndpointSpec(-0.99), k=1)
+    assert level.tolist() == [2]
+    assert errors[0] == pytest.approx(0.9468, abs=1e-4)
+
+
+def test_tanh_sinh_first_span_nan_at_a_level_3_node(monkeypatch):
+    # a NaN at an interior level-3 node fails only a component that reaches
+    # level 3: the one that retires at level 2 never sees it
+    xs = quad._nodes(3, 0.0, 1.0, True)[0]
+    node = float(xs[np.argmin(np.abs(xs - 0.3))])
+
+    def f(nan_in):
+        def fn(x, cols):
+            ys = np.stack([np.exp(x), np.sin(40.0 * x) + 2.0], axis=-1)
+            ys[x == node, nan_in] = np.nan
+            return ys[:, cols]
+        return fn
+
+    tols = np.array([1e-2, 1e-8])
+    (values, _), level = _by_span(monkeypatch, f(0), 0.0, 1.0, tols, k=2)
+    assert level.tolist() == [2, 5] and np.isfinite(values).all()
+    message, _ = _by_span(monkeypatch, f(1), 0.0, 1.0, tols, k=2)
+    assert message == f"integrand non-finite near x={node!r} (component 1)"

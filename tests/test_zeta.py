@@ -1049,7 +1049,8 @@ def test_flat_dead_bump_columns_equal_the_e0_column():
 
 def test_zeta_weighted_batches_inner_columns(monkeypatch):
     # the inner integrals of one outer level are one vector call (the scaled
-    # increment column of every live (row, sigma)), not one call per abscissa
+    # increment column of every live (row, sigma)), not one call per abscissa;
+    # the first outer call takes levels 0-4, and later ones one level each
     count = {"levels": 0, "inner": 0}
     real_tanh_sinh, real_ln_e = zeta_mod._tanh_sinh, zeta_mod.log_e_flat
 
@@ -1065,7 +1066,7 @@ def test_zeta_weighted_batches_inner_columns(monkeypatch):
     monkeypatch.setattr(zeta_mod, "log_e_flat", ln_e)
     (zw,) = zeta_samples(CRIT, BumpSpec(0.5, 0.5), [2.0 ** -8], CFG, flat=True)
     assert zw.value == pytest.approx(ORACLE_W_CRIT_X2M8, rel=1e-9)
-    assert count["levels"] >= 3
+    assert count["levels"] >= 2       # an outer call after the first one
     assert count["inner"] <= count["levels"]
 
 
@@ -1165,7 +1166,7 @@ def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
     # more components, the excess L of the live rows, and each outer level
     # makes one inner call for its live rows not seen before, a flat term
     # below e^-40 y^q at every inner node being the E = 0 row.  Rows come
-    # only from the nodes where the x-bump is not exactly 0, and levels 0-2
+    # only from the nodes where the x-bump is not exactly 0, and levels 0-4
     # are one outer call
     bump, J = BumpSpec(0.5, 0.25), 6
     ln_dead = GREEN.q * math.log(bump.R2 * zeta_mod._OFF_MIN) - 40.0
