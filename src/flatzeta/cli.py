@@ -93,7 +93,8 @@ def _csv_field(s: str) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one invocation needs; round-trips through key=value files.
-    Unknown keys in a file are ignored."""
+    An unknown key in a file is a ValueError, except out_dir, formats and
+    flat_cutoff, which older versions wrote and which are ignored."""
 
     params: FamilyParams
     schedule_spec: tuple[float, float, int] = DEFAULT_SCHEDULE
@@ -129,6 +130,10 @@ class RunConfig:
                 raise ValueError(f"bad config line: {raw!r}")
             k, v = line.split("=", 1)
             kv[k.strip()] = v.strip()
+        unknown = kv.keys() - {"a", "b", "q", "p", "r1", "r2", "schedule", "tol_1d", "tol_2d",
+                               "out_dir", "formats", "flat_cutoff"}
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         params = FamilyParams(
             a=int(kv["a"]), b=int(kv["b"]), q=int(kv["q"]),
             p=parse_rational(kv["p"]),
@@ -254,6 +259,11 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
     bump = BumpSpec(0.5, 0.5)
     reports: list[VerificationReport] = []
     plot_doc = None
+    # only thm31 reads a target; a key no check reads would look like a pass
+    unread = expects.keys() - ({"A", "limit"} if suite in ("thm31", "all") else set())
+    if unread:
+        raise ValueError(f"--expect {', '.join(sorted(unread))}: "
+                         f"no check of --suite {suite} reads it")
 
     def maybe_expect(report: VerificationReport, key: str) -> VerificationReport:
         if key not in expects:

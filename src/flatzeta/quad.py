@@ -17,11 +17,13 @@ most MAX_LEVELS times.  That rule retires nothing before level 2, and as
 the error roughly squares at each level, at the tols in use (1e-7 to
 1e-11) few components retire before level 4.  So the first integrand call
 (per block of components) takes the nodes of levels 0 to 4 together and
-each later call one level.  Components still retire level by level, so
-values and errors are those of one call per level, in fewer and larger
-calls; a component that retires at level 2 or 3 is evaluated up to level 4
-anyway.  In an iterated integral outer levels 0-4 then make one inner call
-instead of five.
+each later call one level.  One rule holds for every level of every call:
+its sums, failures and deepest nodes are held by component until the loop
+reaches the level, and apply to the components still refining only.  So
+components retire level by level, with the values and errors of one call
+per level, in fewer and larger calls; a component that retires at level 2
+or 3 is evaluated up to level 4 anyway.  In an iterated integral outer
+levels 0-4 then make one inner call instead of five.
 
 A `_tanh_sinh` call that declares an EndpointSpec (integrate_1d always
 does) samples lo as deep as doubles allow, for mass that hides next to lo.
@@ -58,11 +60,12 @@ _BLOCK_CELLS = 1 << 14
 
 #: Last refinement level of the first integrand call per block of
 #: components: levels 0 to _FIRST_SPAN go in one call, each later level in
-#: a call of its own.  At the tols in use (1e-7 to 1e-11) few components
-#: retire before level 4 (under one in ten in the schedule and verify
-#: bench workloads, none in landau), and those that do are evaluated up to
-#: level 4 anyway; a span of 5 would waste level 5 on the Landau moments,
-#: which all retire at level 4.
+#: a call of its own, and the loop reads every level when it reaches it,
+#: whichever call evaluated it.  At the tols in use (1e-7 to 1e-11) few
+#: components retire before level 4 (under one in ten in the schedule and
+#: verify bench workloads, none in landau), and those that do are evaluated
+#: up to level 4 anyway; a span of 5 would waste level 5 on the Landau
+#: moments, which all retire at level 4.
 _FIRST_SPAN = 4
 
 
@@ -119,14 +122,6 @@ def _nodes(level: int, lo: float, hi: float, regular: bool):
     return xs, ws, dist, i, float(dist[i])
 
 
-@lru_cache(maxsize=64)
-def _first_abscissae(lo: float, hi: float, regular: bool, last: int):
-    """The abscissae of _nodes levels 0-last in level order, read-only."""
-    xs = np.concatenate([_nodes(lv, lo, hi, regular)[0] for lv in range(last + 1)])
-    xs.flags.writeable = False
-    return xs
-
-
 @dataclass(frozen=True)
 class QuadResult:
     value: float
@@ -170,12 +165,13 @@ def _droppable(xs, lo, hi, beta, comps):
     return ((xs - lo) < 1e-100 * (hi - lo))[:, None] & (beta[comps] < 0.0)
 
 
-def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
+def _level_sums(fs, nodes, lo, hi, beta, comps, sums, failed, deep):
     """Sum of w * f per component over the nodes of one level (_nodes), fs
-    their (n, m) values for the components comps, and the failures: None,
-    or the (m,) row of each component's first failed value (-1: none);
-    unless deep is None updates deep, the (2, m) distance and |f| of each
-    component's deepest finite node, in place.
+    their (n, m) values for the components comps, into sums (m,); the row
+    of each component's first failed value into failed (m,), left as it
+    is where none; unless deep is None, the distance and |f| of each
+    component's deepest finite node into deep (2, m), left at inf where
+    none.  The three are the block's slices of the call's arrays.
 
     Every weight is > 0, so the values are scanned only where a sum is not
     finite.  A declared integrable endpoint singularity may overflow
@@ -187,35 +183,32 @@ def _level_sums(fs, nodes, lo, hi, beta, comps, deep):
     xs, ws, dist, i, d = nodes
     # one dot product per component on its own contiguous row, so its sum
     # does not depend on the components beside it
-    sums = np.vecdot(np.ascontiguousarray(fs.T), ws)
+    sums[:] = np.vecdot(np.ascontiguousarray(fs.T), ws)
     if np.isfinite(sums).all():
         if deep is not None and d < math.inf:      # the level has nodes
-            deeper = d < deep[0]        # where it samples deeper
-            np.copyto(deep[0], d, where=deeper)
-            np.copyto(deep[1], np.abs(fs[i]), where=deeper)
-        return sums, None
+            deep[0] = d
+            deep[1] = np.abs(fs[i])
+        return
     good = np.isfinite(fs)
     bad = ~good & ~_droppable(xs, lo, hi, beta, comps)
-    failed = np.where(bad.any(axis=0), bad.argmax(axis=0), -1) if bad.any() else None
+    np.copyto(failed, bad.argmax(axis=0), where=bad.any(axis=0))
     fs = np.where(good, fs, 0.0)
     if deep is not None:
         dist_c = np.where(good, dist[:, None], np.inf)
         near = dist_c.argmin(axis=0)
         cols = np.arange(fs.shape[1])
-        deeper = dist_c[near, cols] < deep[0]
-        np.copyto(deep[0], dist_c[near, cols], where=deeper)
-        np.copyto(deep[1], np.abs(fs[near, cols]), where=deeper)
-    return np.vecdot(np.ascontiguousarray(fs.T), ws), failed
+        deep[0] = dist_c[near, cols]
+        deep[1] = np.abs(fs[near, cols])
+    sums[:] = np.vecdot(np.ascontiguousarray(fs.T), ws)
 
 
 def _raise_failed(failed, xs, comps):
     """Raise NonConvergence naming the first failed value (_level_sums) of
     the components comps on the nodes xs, by row and then by component, if
-    there is one."""
-    rows = np.where(failed < 0, xs.size, failed)
-    c = int(np.argmin(rows))
-    if rows[c] < xs.size:
-        raise NonConvergence(f"integrand non-finite near x={float(xs[rows[c]])!r} "
+    there is one (a row of xs.size or more is none)."""
+    c = failed.argmin()
+    if failed[c] < xs.size:
+        raise NonConvergence(f"integrand non-finite near x={float(xs[failed[c]])!r} "
                              f"(component {comps[c]})")
 
 
@@ -239,12 +232,14 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
     of levels 0 to _FIRST_SPAN in level order, each later call those of one
     level.  Each level is summed on its own rows of the result, in level
     order, and its values are scanned for non-finite ones only where a sum
-    is not finite; with an EndpointSpec each level that can sample a
-    component deeper is also tracked for its deepest node (_level_sums).
-    Levels 3 to _FIRST_SPAN of the first call keep their sums, deepest
-    nodes and failures by component until the loop reaches them, and then
-    apply them to the components still refining only: a non-finite value
-    at a level a component never reaches does not raise.  Each component's
+    is not finite; with an EndpointSpec each level is also tracked for each
+    component's deepest finite node (_level_sums).  Every level keeps its
+    sums, failures and deepest nodes by component, one row per level of
+    the call, until the loop reaches it, and then applies them to the
+    components still refining only: a non-finite value at a level a
+    component never reaches does not raise, and the first failure raised
+    is the first by level, then by node row, then by component, however
+    the level was split into blocks.  Each component's
     sums run apart from the others', and it retires at the first level >= 2
     where its step |value - previous value| is at most its tol times
     |value|, with the step plus its endpoint remainder as its error, so it
@@ -292,20 +287,17 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
     state = np.zeros((4, k))
     state[1:3] = np.inf
     running, err, deep_d, deep_f = state
-    # levels 3 to _FIRST_SPAN of the first call, until the loop reaches
-    # each: its deepest finite nodes (2, k) and failures (k,) by component
-    pending = {}
     for level in range(MAX_LEVELS + 1):
         if level == 0 or level > _FIRST_SPAN:
-            # one call per block for levels 0 to _FIRST_SPAN, then one per level
+            # one call per block for levels 0 to _FIRST_SPAN, then one per
+            # level; one row per level of its sums, failures and deepest nodes
             first = level
             parts = [_nodes(lv, lo, hi, regular)
                      for lv in range(level, (level or _FIRST_SPAN) + 1)]
-            xs = _first_abscissae(lo, hi, regular, _FIRST_SPAN) if level == 0 else parts[0][0]
+            xs = parts[0][0] if len(parts) == 1 else np.concatenate([p[0] for p in parts])
             sums = np.empty((len(parts), act.size))
-            for lv in range(max(first, 2) + 1, first + len(parts)):
-                pending[lv] = (None if beta is None else np.full((2, k), np.inf),
-                               np.full(k, -1))
+            failed = np.full((len(parts), act.size), xs.size)   # none yet
+            cand = None if beta is None else np.full((len(parts), 2, act.size), np.inf)
             # f sees blocks of whole groups, and each block is summed before
             # the next is evaluated, so that values and temporaries stay small
             step = max(1, _BLOCK_CELLS // max(xs.size, 1) // group) * group
@@ -313,37 +305,21 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
                 blk = slice(j, j + step)
                 fs = np.asarray(f(xs[:, None], act[blk]), dtype=float)
                 start = 0
-                for lv, part in enumerate(parts, first):     # each level on its own rows
+                for r, part in enumerate(parts):     # each level on its own rows
                     n = part[0].size
-                    # every component reaches levels 0-2, so their deepest
-                    # nodes and failures are taken at once; those of a later
-                    # level of the first call wait in pending (block
-                    # positions are component indices there, as act is all)
-                    deep = None if beta is None else (
-                        state[2:, blk] if lv not in pending else pending[lv][0][:, blk])
-                    # the deepest nodes of levels 1-3 (t = 5.5, 5.75, 5.875) lie
-                    # above level 0's t = 6 unless rounding or a non-finite
-                    # value dropped it: skip where no component can go deeper
-                    if deep is not None and 0 < lv < 4 and part[4] >= state[2, blk].max():
-                        deep = None
-                    sums[lv - first, blk], failed = _level_sums(
-                        fs[start:start + n], part, lo, hi, beta, act[blk], deep)
-                    if failed is not None:
-                        if lv not in pending:
-                            _raise_failed(failed, part[0], act[blk])
-                        pending[lv][1][blk] = failed
+                    _level_sums(fs[start:start + n], part, lo, hi, beta, act[blk],
+                                sums[r, blk], failed[r, blk],
+                                None if cand is None else cand[r, :, blk])
                     start += n
             evals += xs.size * act.size
-        elif level in pending:
-            # reached: only the components still refining see the level
-            cand, failed = pending.pop(level)
-            _raise_failed(failed[act], parts[level - first][0], act)
-            if cand is not None:
-                cand_d, cand_f = cand[:, act]
-                deeper = cand_d < deep_d
-                np.copyto(deep_d, cand_d, where=deeper)
-                np.copyto(deep_f, cand_f, where=deeper)
-        running += sums[level - first]
+        # reached: only the components still refining see the level
+        r = level - first
+        _raise_failed(failed[r], parts[r][0], act)
+        if cand is not None:
+            deeper = cand[r, 0] < deep_d
+            np.copyto(deep_d, cand[r, 0], where=deeper)
+            np.copyto(deep_f, cand[r, 1], where=deeper)
+        running += sums[r]
         if not level:
             continue        # the first step is taken at level 2, from level 1
         val = span / (1 << level) * running
@@ -362,7 +338,9 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
                 error[done] = e + _endpoint_remainder(fd, d, beta, done)
                 live = ~stop
                 act, val, state, tols = act[live], val[live], state[:, live], tols[live]
-                sums = sums[:, live]
+                sums, failed = sums[:, live], failed[:, live]
+                if cand is not None:
+                    cand = cand[:, :, live]
                 running, err, deep_d, deep_f = state
         prev = val
     else:

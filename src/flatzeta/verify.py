@@ -331,7 +331,7 @@ def verify_LM_limits(params: FamilyParams,
 def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
                           s_target: float, J: int,
                           cfg: NumericConfig = DEFAULT_CONFIG, *,
-                          flat: bool = False) -> VerificationReport:
+                          flat: bool) -> VerificationReport:
     """Rebuild the weighted integral at s_target from its derivative moments
     at s0, all computed in one log_derivative_moments pass, and compare with
     a direct D_0(s_target) (log_derivative_integral):

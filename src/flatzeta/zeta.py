@@ -418,7 +418,7 @@ def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.n
 # pointwise integrand (public, factored log-domain form)
 # ---------------------------------------------------------------------------
 
-def integrand(params: FamilyParams, x, y, sigma: float, *, flat: bool = True):
+def integrand(params: FamilyParams, x, y, sigma: float, *, flat: bool):
     """|f(x,y)|^sigma on the open quadrant, in the factored form
     x^(a s) y^((b-q) s) (y^q + E(x))^s, for finite x, y > 0 and a finite
     sigma (DomainError otherwise).
@@ -951,7 +951,7 @@ def _check_log_moments(params: FamilyParams, bump: BumpSpec, s: float, j,
 
 def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: int,
                            cfg: NumericConfig = DEFAULT_CONFIG, *,
-                           flat: bool = True) -> np.ndarray:
+                           flat: bool) -> np.ndarray:
     """D_0(s), ..., D_J(s) over the plane (4x quadrant) as one array.  As
     |f| = x^a f_y with f_y = y^(b-q) (y^q + E(x)), the binomial theorem gives
 
@@ -1097,7 +1097,7 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
 
 def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: int,
                             cfg: NumericConfig = DEFAULT_CONFIG, *,
-                            flat: bool = True) -> float:
+                            flat: bool) -> float:
     """D_j(s) over the plane (4x quadrant), requiring |f| < 1 on the support
     so that sign(D_j) = (-1)^j.  D_0 at s < 0, where the y-mass sits next
     to the singular endpoint, runs on the weighted engine (_box_integral):

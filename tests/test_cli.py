@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from flatzeta import cli, verify
+from flatzeta import zeta as zeta_mod
 from flatzeta.cli import RunConfig, main
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS
 from flatzeta.zeta import monomial_closed_form, zeta_samples
@@ -142,6 +143,29 @@ def test_verify_expect_injection_fails(capsys):
     assert not doc["checks"][0]["passed"]
 
 
+@pytest.mark.parametrize("suite, key", [("thm21", "A"), ("thm31", "B")])
+def test_verify_expect_that_no_check_reads_is_a_config_error(monkeypatch, capsys, suite, key):
+    # only thm31 reads a target (A or limit): any other key would leave
+    # every check as it was and exit 0, so the injected failure looks like
+    # a pass; it is rejected before any quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature before the --expect check")
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", no_quadrature)
+    code = main(["verify", "--preset", "supercritical", "--suite", suite,
+                 "--expect", f"{key}=2.0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"config error: --expect {key}: no check of --suite {suite} reads it" in err
+
+
+def test_verify_all_expect_injection_still_fails(capsys):
+    code, out = run_cli(["verify", "--preset", "supercritical", "--suite", "all",
+                         "--expect", "A=2.0"], capsys=capsys)
+    assert code == 1
+    assert not json.loads(out)["checks"][0]["passed"]
+
+
 def test_verify_landau_suite(capsys):
     code, out = run_cli(["verify", "--preset", "greenblatt", "--suite", "landau"],
                         capsys=capsys)
@@ -226,6 +250,14 @@ def test_config_round_trip(tmp_path):
     old = text + "flat_cutoff=600\n"
     assert RunConfig.from_text(old) == cfg
     assert RunConfig.from_text(old).numeric == NumericConfig()
+
+
+def test_config_file_unknown_key_is_a_config_error(tmp_path, capsys):
+    # a misspelt tol_2d would otherwise run at the default 1e-7 and exit 0
+    path = tmp_path / "typo.cfg"
+    path.write_text("a=0\nb=2\nq=2\np=1/1\ntol2d=1e-12\n", encoding="utf-8")
+    assert main(["compute", "--config", str(path)]) == 2
+    assert "config error: unknown config key(s): tol2d" in capsys.readouterr().err
 
 
 def test_config_file_cli(tmp_path, capsys):

@@ -586,3 +586,23 @@ def test_tanh_sinh_first_span_nan_at_a_level_3_node(monkeypatch):
     assert level.tolist() == [2, 5] and np.isfinite(values).all()
     message, _ = _by_span(monkeypatch, f(1), 0.0, 1.0, tols, k=2)
     assert message == f"integrand non-finite near x={node!r} (component 1)"
+
+
+@pytest.mark.parametrize("block_cells", [_BLOCK_CELLS, 64])
+def test_tanh_sinh_failure_named_does_not_depend_on_the_block_size(monkeypatch, block_cells):
+    # NaNs at a level-2 node of component 0 and at a level-0 node of
+    # component 1: the first failed level is named, then its first row and
+    # component, whether the two components share a block or not
+    node_2 = float(quad._nodes(2, 0.0, 1.0, True)[0][5])
+    node_0 = float(quad._nodes(0, 0.0, 1.0, True)[0][3])
+    monkeypatch.setattr(quad, "_BLOCK_CELLS", block_cells)
+
+    def f(xs, cols):
+        x = xs[:, 0]
+        ys = np.stack([np.where(x == node_2, np.nan, np.exp(x)),
+                       np.where(x == node_0, np.nan, np.exp(x))], axis=1)
+        return ys[:, cols]
+
+    with pytest.raises(NonConvergence) as exc:
+        _tanh_sinh(f, 0.0, 1.0, 1e-10, k=2)
+    assert str(exc.value) == f"integrand non-finite near x={node_0!r} (component 1)"

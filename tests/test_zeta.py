@@ -302,18 +302,18 @@ F_ORACLE = [
 def test_integrand_monomial_reduction():
     # x below the flat cutoff: reduces exactly to x^(a s) y^(b s)
     p = FamilyParams(0, 2, 2, Fraction(1))
-    assert integrand(p, 1e-8, 0.25, -0.25) == pytest.approx(0.25 ** -0.5, rel=1e-15)
+    assert integrand(p, 1e-8, 0.25, -0.25, flat=True) == pytest.approx(0.25 ** -0.5, rel=1e-15)
 
 
 def test_integrand_crossover_point():
     # y^2 = E(x) at x=1/2, y=e^-1 for (0,2,2,1): value (2 e^-2)^(-1/2) = e/sqrt(2)
     p = FamilyParams(0, 2, 2, Fraction(1))
-    v = integrand(p, 0.5, math.exp(-1.0), -0.5)
+    v = integrand(p, 0.5, math.exp(-1.0), -0.5, flat=True)
     assert v == pytest.approx(math.e / math.sqrt(2.0), rel=1e-14)
 
 
 def test_integrand_matches_literal_form():
-    v = integrand(GREEN, 0.3, 0.2, -0.45)
+    v = integrand(GREEN, 0.3, 0.2, -0.45, flat=True)
     literal = abs(0.3 * 0.2**2 + 0.3 * math.exp(-1.0 / 0.3**0.25)) ** -0.45
     assert v == pytest.approx(literal, rel=1e-12)
 
@@ -332,12 +332,12 @@ def test_integrand_matches_literal_randomized():
         y = float(rng.uniform(0.05, 0.5))
         sigma = float(rng.uniform(-1.0 / b + 0.01, -0.01))
         lit = (x**a * y**b + x**a * y ** (b - q) * math.exp(-1.0 / x**float(p))) ** sigma
-        assert integrand(params, x, y, sigma) == pytest.approx(lit, rel=1e-12)
+        assert integrand(params, x, y, sigma, flat=True) == pytest.approx(lit, rel=1e-12)
 
 
 def test_integrand_rejects_boundary():
     with pytest.raises(Exception):
-        integrand(SUP, 0.0, 0.5, -0.4)
+        integrand(SUP, 0.0, 0.5, -0.4, flat=True)
 
 
 def test_monomial_closed_form():
@@ -417,7 +417,7 @@ def test_zeta_quadrant_matches_nested_1d_integrand():
     def column(x):
         c = math.exp(-1.0 / (2.0 * x**0.25))
         cuts = [0.0] + ([c] if 0.0 < c < 0.5 else []) + [0.5]
-        return sum(integrate_1d(lambda ys: integrand(GREEN, x, ys, sigma), lo, hi,
+        return sum(integrate_1d(lambda ys: integrand(GREEN, x, ys, sigma, flat=True), lo, hi,
                                 ep_y if lo == 0.0 else None, tol=1e-9).value
                    for lo, hi in zip(cuts, cuts[1:]))
 
@@ -1290,7 +1290,7 @@ def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
         zeta_samples(GREEN, bump, [GREEN.b * s + 1.0 for s in (-0.3, -0.45, -0.49)], CFG,
                      flat=True)
     else:
-        log_derivative_moments(GREEN, bump, 0.5, 6, CFG)
+        log_derivative_moments(GREEN, bump, 0.5, 6, CFG, flat=True)
     outer, built = np.concatenate(outer), np.concatenate(built)
     phi = bump_x_profile(bump, outer)
     assert np.count_nonzero(phi == 0.0) >= 10       # the outer rule samples the dead end
@@ -1344,7 +1344,7 @@ def test_weighted_z_keeps_its_bits_without_zero_weight_columns(name):
 
 
 def test_flat_on_moments_keep_their_bits_without_zero_weight_rows():
-    moments = log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), -0.2, 40, CFG)
+    moments = log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), -0.2, 40, CFG, flat=True)
     assert moments.tolist() == MOMENTS_J40_FROZEN
 
 
@@ -1453,11 +1453,11 @@ def test_log_derivative_moments_flat_on_deep_negative_s():
 def test_log_derivative_moments_rejections():
     bump = BumpSpec(0.5, 0.5)
     with pytest.raises(DomainError):
-        log_derivative_moments(GREEN, bump, 0.5, -1, CFG)
+        log_derivative_moments(GREEN, bump, 0.5, -1, CFG, flat=True)
     with pytest.raises(OutOfWindow):
-        log_derivative_moments(GREEN, bump, -0.5, 4, CFG)
+        log_derivative_moments(GREEN, bump, -0.5, 4, CFG, flat=True)
     with pytest.raises(OddQNotSupported):
-        log_derivative_moments(FamilyParams(0, 2, 1, Fraction(2)), bump, 0.5, 4, CFG)
+        log_derivative_moments(FamilyParams(0, 2, 1, Fraction(2)), bump, 0.5, 4, CFG, flat=True)
 
 
 NAN = float("nan")
@@ -1497,11 +1497,14 @@ NAN = float("nan")
                                                 flat=False), id="log_derivative_moments-R1-inf"),
     pytest.param(lambda: log_derivative_integral(SUP, BumpSpec(math.inf, 0.5), -0.2, 0, CFG,
                                                  flat=False), id="log_derivative-R1-inf"),
-    pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, math.inf, CFG),
+    pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, math.inf, CFG,
+                                                 flat=True),
                  id="log_derivative-j-inf"),
-    pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, NAN, CFG),
+    pytest.param(lambda: log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), 0.5, NAN, CFG,
+                                                 flat=True),
                  id="log_derivative-j-nan"),
-    pytest.param(lambda: log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), 0.5, 1.5, CFG),
+    pytest.param(lambda: log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), 0.5, 1.5, CFG,
+                                                flat=True),
                  id="log_derivative-j-fraction"),
     pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.5, NAN), id="monomial-X-nan"),
     pytest.param(lambda: monomial_closed_form(0, 2, 0.5, 0.5, -math.inf),
@@ -1517,13 +1520,14 @@ NAN = float("nan")
     pytest.param(lambda: bump_y_profile(BumpSpec(), NAN), id="bump_y_profile-nan"),
     pytest.param(lambda: bump_y_increment(BumpSpec(), np.array([NAN, 0.1])),
                  id="bump_y_increment-nan"),
-    pytest.param(lambda: integrand(GREEN, 0.3, math.inf, -0.4), id="integrand-y-inf"),
-    pytest.param(lambda: integrand(GREEN, math.inf, 0.2, -0.4), id="integrand-x-inf"),
-    pytest.param(lambda: integrand(GREEN, NAN, 0.2, -0.4), id="integrand-x-nan"),
-    pytest.param(lambda: integrand(GREEN, 0.3, np.array([0.2, NAN]), -0.4),
+    pytest.param(lambda: integrand(GREEN, 0.3, math.inf, -0.4, flat=True), id="integrand-y-inf"),
+    pytest.param(lambda: integrand(GREEN, math.inf, 0.2, -0.4, flat=True), id="integrand-x-inf"),
+    pytest.param(lambda: integrand(GREEN, NAN, 0.2, -0.4, flat=True), id="integrand-x-nan"),
+    pytest.param(lambda: integrand(GREEN, 0.3, np.array([0.2, NAN]), -0.4, flat=True),
                  id="integrand-y-nan"),
-    pytest.param(lambda: integrand(GREEN, 0.3, 0.2, NAN), id="integrand-sigma-nan"),
-    pytest.param(lambda: integrand(GREEN, 0.3, 0.2, -math.inf), id="integrand-sigma-inf"),
+    pytest.param(lambda: integrand(GREEN, 0.3, 0.2, NAN, flat=True), id="integrand-sigma-nan"),
+    pytest.param(lambda: integrand(GREEN, 0.3, 0.2, -math.inf, flat=True),
+                 id="integrand-sigma-inf"),
 ])
 def test_invalid_input_raises_domain_error(call):
     # a lambda that is not positive and finite, a bump half-width that is
@@ -1552,9 +1556,9 @@ def test_region_samples_rejects_bad_lambdas_before_quadrature(monkeypatch, lams)
 def test_nan_exponent_out_of_window(j):
     # a NaN s fails the window test s > -c0 instead of reaching a quadrature
     with pytest.raises(OutOfWindow):
-        log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), NAN, j, CFG)
+        log_derivative_integral(GREEN, BumpSpec(0.5, 0.5), NAN, j, CFG, flat=True)
     with pytest.raises(OutOfWindow):
-        log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), NAN, j, CFG)
+        log_derivative_moments(GREEN, BumpSpec(0.5, 0.5), NAN, j, CFG, flat=True)
 
 
 @pytest.mark.filterwarnings("error")
