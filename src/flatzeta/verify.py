@@ -5,7 +5,6 @@ rebuild of the weighted integral from its derivative moments."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -60,21 +59,13 @@ class VerificationReport:
     tolerance: float
     passed: bool
     residual_log: tuple = ()
-    runtime_seconds: float = 0.0
-
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (f"[{status}] {self.check_id}: observed={self.observed:.8g} "
-                f"target={self.target} tol={self.tolerance:.3g} "
-                f"({self.runtime_seconds:.1f}s)")
 
 
-def _scalar_report(check_id, target, observed, rel_tol, residuals, t0):
+def _scalar_report(check_id, target, observed, rel_tol, residuals):
     tol = rel_tol * abs(target)
     return VerificationReport(
         check_id=check_id, target=target, observed=observed, tolerance=tol,
-        passed=abs(observed - target) <= tol, residual_log=tuple(residuals),
-        runtime_seconds=time.perf_counter() - t0)
+        passed=abs(observed - target) <= tol, residual_log=tuple(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +88,6 @@ def verify_blowup_law(params: FamilyParams, bump: Optional[BumpSpec],
 
     samples, when given, are the zeta_samples values along the schedule,
     computed once by a caller that also needs them."""
-    t0 = time.perf_counter()
     name, factor, (tol_power, tol_log) = (
         ("thm31", 1.0, (0.02, 0.05)) if bump is None else ("thm21", 4.0, (0.05, 0.07)))
     kind = classify_regime(params).kind
@@ -107,11 +97,11 @@ def verify_blowup_law(params: FamilyParams, bump: Optional[BumpSpec],
     if kind is RegimeKind.SUPERCRITICAL_FLAT:
         limit, unc = extract_limit(seq)
         return _scalar_report(f"{name}_power_law", factor * constant_A(params), limit,
-                              tol_power, residuals=(unc,), t0=t0)
+                              tol_power, residuals=(unc,))
     if kind is RegimeKind.CRITICAL_FLAT:
         limit, unc = extract_limit(seq)
         return _scalar_report(f"{name}_log_law", factor / (params.p_float * params.q), limit,
-                              tol_log, residuals=(unc,), t0=t0)
+                              tol_log, residuals=(unc,))
     zs = [s.value for s in samples]
     diffs = [zs[i + 1] - zs[i] for i in range(len(zs) - 1)]
     monotone = (all(d > 0.0 for d in diffs)
@@ -128,7 +118,7 @@ def verify_blowup_law(params: FamilyParams, bump: Optional[BumpSpec],
         check_id = "thm21_bounded_limit"
     return VerificationReport(
         check_id=check_id, target=target, observed=zs[-1], tolerance=tol, passed=passed,
-        residual_log=tuple(diffs), runtime_seconds=time.perf_counter() - t0)
+        residual_log=tuple(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +138,6 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
     batched call over the Xs (zeta_samples) and the region pieces one
     over every (lambda, X) pair (region_samples), which rejects an empty
     lambdas before any quadrature; the margins are lambda-major."""
-    t0 = time.perf_counter()
     traces = region_samples(params, lambdas, schedule.xs, cfg)
     zs = zeta_samples(params, None, schedule.xs, cfg, flat=True)
     violations = 0
@@ -171,7 +160,7 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
     return VerificationReport(
         check_id="sandwich_envelopes", target=0.0, observed=float(violations),
         tolerance=0.0, passed=violations == 0,
-        residual_log=tuple(margins), runtime_seconds=time.perf_counter() - t0)
+        residual_log=tuple(margins))
 
 
 def verify_decompositions(params: FamilyParams, lam: float, X: float,
@@ -179,7 +168,6 @@ def verify_decompositions(params: FamilyParams, lam: float, X: float,
     """Relative residuals at (lam, X) of the additivity Z = Z1 + Z2, the 1D
     reductions against direct iterated quadrature, and the regime-matched
     proof splits (G-sum, H-difference, J-sum); all must fall below 1e-5."""
-    t0 = time.perf_counter()
     (z,) = zeta_samples(params, None, [X], cfg, flat=True)
     (tr,) = region_samples(params, [lam], [X], cfg)
     resid = {}
@@ -205,8 +193,7 @@ def verify_decompositions(params: FamilyParams, lam: float, X: float,
     return VerificationReport(
         check_id="decomposition_identities", target=0.0, observed=worst,
         tolerance=1e-5, passed=worst <= 1e-5,
-        residual_log=tuple(sorted(resid.items())),
-        runtime_seconds=time.perf_counter() - t0)
+        residual_log=tuple(sorted(resid.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +207,6 @@ def verify_psi_and_flat(samples: int, seed: int) -> VerificationReport:
     inverse-profile roundtrip rho(e(x)) = x, over samples >= 1 draws."""
     if not samples >= 1:
         raise DomainError(f"the property suite needs at least one sample, got {samples}")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     from fractions import Fraction
@@ -268,7 +254,7 @@ def verify_psi_and_flat(samples: int, seed: int) -> VerificationReport:
     return VerificationReport(
         check_id="psi_and_flat_properties", target=0.0,
         observed=float(len(failures)), tolerance=0.0, passed=not failures,
-        residual_log=tuple(failures[:10]), runtime_seconds=time.perf_counter() - t0)
+        residual_log=tuple(failures[:10]))
 
 
 def verify_LM_limits(params: FamilyParams,
@@ -284,7 +270,6 @@ def verify_LM_limits(params: FamilyParams,
     must hold to 1e-12 relative over its points.  L rises and M falls with
     lam, both stay positive, and the weighted forms L (1+lam^q)^(-1/b) and
     M (1+lam^-q)^(-1/b), which vanish at both ends, rise then fall."""
-    t0 = time.perf_counter()
     a, b, q = params.a, params.b, params.q
     e_r1 = e_flat(params, params.r1)
     lo, hi = min(e_r1 / params.r2, 1.0), max(e_r1 / params.r2, 1.0)
@@ -320,8 +305,7 @@ def verify_LM_limits(params: FamilyParams,
     failed = [k for k, ok in checks.items() if not ok]
     return VerificationReport(
         check_id="LM_lambda_limits", target=0.0, observed=float(len(failed)),
-        tolerance=0.0, passed=not failed, residual_log=tuple(failed),
-        runtime_seconds=time.perf_counter() - t0)
+        tolerance=0.0, passed=not failed, residual_log=tuple(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +330,6 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
     bound on the term magnitudes, computed from the last observed term
     ratio, so a rebuild away from s0 needs J >= 1; at s_target = s0 every
     term past D_0 vanishes and so does the tail."""
-    t0 = time.perf_counter()
     c0 = 1.0 / params.b
     if not (s0 > -c0 and s_target > -c0):      # NaN fails
         raise OutsideDisc(f"expansion needs both points above -c0 = {-c0}")
@@ -378,5 +361,4 @@ def landau_taylor_rebuild(params: FamilyParams, bump: BumpSpec, s0: float,
     return VerificationReport(
         check_id="landau_taylor_rebuild", target=0.0, observed=err,
         tolerance=rel_tol, passed=err <= rel_tol and signed,
-        residual_log=tuple(abs(t) for t in terms[-4:]),
-        runtime_seconds=time.perf_counter() - t0)
+        residual_log=tuple(abs(t) for t in terms[-4:]))

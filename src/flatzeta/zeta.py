@@ -50,22 +50,22 @@ the x-integral of x^(a s) [phi_x], with no inner column at all; bump-weighted,
 that integral is R1^(a s + 1) (1/(a s + 1) + F(a s)), and both F of every
 sigma are one call.  The log-derivative moments share more: their inner
 y-moments of log f_y see x only through log E(x), and every row with a
-flat term lost in rounding is the one E = 0 row.  The outer call
-integrates the x-moments (a log x)^d / d!, convolved binomially with that
-row after the quadrature, and, with the flat term on, the excess of each
-live row over it, one row per distinct log E, computed once per call and
-recombined binomially in a log x at the live nodes alone.  Without the
-flat term the E = 0 row and the x-moments are one call on u in (0, 1),
-two groups at y = R2 u and x = R1 u, each with its own tol
-(log_derivative_moments), so a flat-off Landau rebuild is two vector
-calls, that pass and the D_0 call of F.  The sigmas of one bump-weighted
-column share its row of the inner call: the abscissae and the flat factor
-are evaluated once per (node, row), the bump increment at y = R2 u once per
-node, and only the sigma-dependent exponential per (node, sigma) (_runs),
-in the same operations, so every component keeps its bits.  The inner
-integrands that are smooth up to both ends (_increment_columns and the
-log-variable columns of ztilde1_2d, _w_integrals) declare no endpoint, so
-their lower end is sampled no deeper than the upper.  The x-bump
+flat term lost in rounding is the one E = 0 row.  That row and the
+x-moments (a log x)^d / d! are one call on u in (0, 1), two groups at
+y = R2 u and x = R1 u, each with its own tol, convolved binomially after
+the quadrature (log_derivative_moments), so a flat-off Landau rebuild is
+two vector calls, that pass and the D_0 call of F.  With the flat term on
+one more outer call integrates the excess of each live row over the E = 0
+row, the rows of one outer level one inner call on the same y = R2 u map,
+recombined binomially in a log x at the live nodes alone.  The sigmas of
+one bump-weighted column share its row of the inner call: the abscissae
+and the flat factor are evaluated once per (node, row), the bump increment
+at y = R2 u once per node, and only the sigma-dependent exponential per
+(node, sigma) (_runs), in the same operations, so every component keeps
+its bits.  The inner integrands that are smooth up to both ends
+(_increment_columns and the log-variable columns of ztilde1_2d,
+_w_integrals) declare no endpoint, so their lower end is sampled no
+deeper than the upper.  The x-bump
 underflows to exactly 0 past 1 - x/R1 ~ 6.7e-4, where the outer rule puts
 many nodes: the bump-weighted columns and the moment columns are 0 there,
 and build no inner column or row.
@@ -967,24 +967,23 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
         M_d = int x^(a s) phi_x (a log x)^d / d! dx,
         L_j = int x^(a s) phi_x sum_k C(j, k) (a log x)^(j-k) (N_k(E(x)) - N0_k) dx.
 
-    The outer column gives the x-moments M_d, one cumulative product per
+    N0 and M_d are one _tanh_sinh call on u in (0, 1) with k = 2(J + 1) in
+    two groups of J + 1 moments: N0 at y = R2 u at tol_2d/5 with the
+    endpoint exponent of y^(b s), M_d at x = R1 u at tol_2d with that of
+    x^(a s), each group retiring as a call on its own interval would; R2
+    and R1 multiply the sums after the quadrature, so every node's values
+    are those of y and x themselves.  M_d is one cumulative product per
     node, and the binomial convolution with N0 follows the quadrature.
-    Without the flat term L_j = 0, and N0 and M_d are one _tanh_sinh call
-    on u in (0, 1) with k = 2(J + 1) in two groups of J + 1 moments: N0 at
-    y = R2 u at tol_2d/5 with the endpoint exponent of y^(b s), M_d at
-    x = R1 u at tol_2d with that of x^(a s), each group retiring as a call
-    on its own interval would; R2 and R1 multiply the sums after the
-    quadrature, so every node's values are those of y and x themselves.
-    With the flat term N0 is one inner call with a group of J + 1 moments,
-    made first, and the outer call on (0, R1) carries M_d and L_j.  L_j is
-    0 at every dead node and continuous across the dead/live boundary; it
-    is carried as J + 1 more outer components where a row can be live.
-    Each live log E is one row N_0..N_J, computed once per call and kept in
-    a dict local to it: the rows new to an outer level are one vector
-    _tanh_sinh call with a group of J + 1 moments per row, which stop
-    refining together, and only at live nodes does the column recombine
-    N - N0 binomially in a log x.  An outer node where the x-bump is
-    exactly 0 has the column 0 and adds no row.
+    Without the flat term L_j = 0.  With it L_j is one more call on
+    (0, R1), a group of J + 1 components, 0 at every dead node and
+    continuous across the dead/live boundary.  Each call of its integrand
+    makes one inner call for the rows N_0..N_J of its live nodes, a group
+    of J + 1 moments per node on the same y = R2 u map as N0, so N - N0
+    compares values taken on one node set; only at live nodes does the
+    column recombine N - N0 binomially in a log x.  Where the x-bump is
+    exactly 0 both x integrands are 0 and no row is built.  With no live
+    node L_j is exactly 0, and the moments are those without the flat term
+    bit for bit.
 
     Requires |f| < 1 on the support, so that sign(D_j) = (-1)^j.  Where
     also x <= 1 and f_y <= 1 (R1 <= 1 and R2^(b-q) (R2^q + E(R1)) <= 1),
@@ -1001,8 +1000,9 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
     ln_dead = q * math.log(bump.R2 * _OFF_MIN) - 40.0
     fact = np.cumprod(np.maximum(np.arange(G), 1.0))      # j!
 
-    def fy(lnE, ys, cols):      # whole groups: the moments of the rows cols[::G] // G
-        lny = np.log(ys[:, 0])
+    def fy(lnE, us, cols):      # whole groups: the rows cols[::G] // G at y = R2 u
+        ys = bump.R2 * us[:, 0]
+        lny = np.log(ys)
         ln_fy = (b - q) * lny + np.logaddexp(q * lny, lnE[cols[::G] // G, None])
         # (log f_y)^k f_y^s phi_y per (row, k, node), the powers one product
         # accumulated over k; the (node, component) values _tanh_sinh sums are
@@ -1013,86 +1013,68 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
         pows[:, 1:] = ln_fy[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply.accumulate(pows, axis=1, out=pows)
-            pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys[:, 0]))[:, None]
+            pows *= (np.exp(s * ln_fy) * bump_y_profile(bump, ys))[:, None]
         return pows.reshape(-1, lny.size).T
 
-    def inner(lnEs):      # the rows N_0..N_J of the log E of lnEs
-        vals = _tanh_sinh(partial(fy, np.array(lnEs)), 0.0, bump.R2, cfg.tol_2d / 5.0, ep_y,
-                          k=len(lnEs) * G, group=G)[0]
-        return vals.reshape(-1, G)
-
-    def column(xs, cols):      # the J + 1 x-moments, then L_j with the flat term
-        # nothing where the x-bump is exactly 0 (past 1 - x/R1 ~ 6.7e-4)
-        phi = bump_x_profile(bump, xs[:, 0])
+    def x_powers(x):
+        """Where the x-bump is not exactly 0 (not past 1 - x/R1 ~ 6.7e-4):
+        that mask, t_d = (a log x)^d / d!, d = 0..J, as one cumulative
+        product, and w = x^(a s) phi_x."""
+        phi = bump_x_profile(bump, x)
         on = phi > 0.0
-        x = xs[on, 0]
-        lnx = np.log(x)
-        out = np.zeros((xs.shape[0], cols.size))
+        lnx = np.log(x[on])
         with np.errstate(over="ignore", invalid="ignore"):
-            # t_d = (a log x)^d / d!, d = 0..J, as one cumulative product
-            t = np.empty((x.size, G))
+            t = np.empty((lnx.size, G))
             t[:, 0] = 1.0
             t[:, 1:] = (a * lnx)[:, None] / np.arange(1.0, G)
             np.multiply.accumulate(t, axis=1, out=t)
             w = np.exp(a * s * lnx) * phi[on]
-            out[on, :G] = t * w[:, None]
-        if flat:
-            out[on, G:] = excess(x, w, t[:, 1:])
-        return out
+        return on, t, w
 
-    if not flat:
-        # N0 on y = R2 u (group 0, at tol/5) and the x-moments on x = R1 u
-        # (group 1, at tol) as one call on u in (0, 1) with two groups, each
-        # retiring as a call on its own interval would; the interval lengths
-        # R2 and R1 multiply the sums after the quadrature
-        dead = np.array([-np.inf])
+    dead = np.array([-np.inf])
 
-        def both(us, cols):      # whole groups: N0 (cols < G) and/or the x-moments
-            n = G if cols[0] < G else 0
-            parts = [fy(dead, bump.R2 * us, cols[:n])] if n else []
-            if cols.size > n:
-                parts.append(column(bump.R1 * us, cols[n:]))
-            return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    def both(us, cols):      # whole groups: N0 (cols < G) and/or the x-moments
+        parts = [fy(dead, us, cols[:G])] if cols[0] < G else []
+        if cols[-1] >= G:
+            on, t, w = x_powers(bump.R1 * us[:, 0])
+            m = np.zeros((us.shape[0], G))
+            with np.errstate(over="ignore", invalid="ignore"):
+                m[on] = t * w[:, None]
+            parts.append(m)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-        vals, _, _ = _tanh_sinh(both, 0.0, 1.0, np.repeat([cfg.tol_2d / 5.0, cfg.tol_2d], G),
-                                EndpointSpec(exponent_lo=np.repeat([ep_y.exponent_lo, a * s], G)),
-                                k=2 * G, group=G)
-        n0, m = bump.R2 * vals[:G], bump.R1 * vals[G:]
-        return 4.0 * fact * np.convolve(m, n0 / fact)[:G]
+    vals, _, _ = _tanh_sinh(both, 0.0, 1.0, np.repeat([cfg.tol_2d / 5.0, cfg.tol_2d], G),
+                            EndpointSpec(exponent_lo=np.repeat([ep_y.exponent_lo, a * s], G)),
+                            k=2 * G, group=G)
+    n0, m = bump.R2 * vals[:G], bump.R1 * vals[G:]
 
-    n0 = inner([-np.inf])[0]
-    rows: dict[float, np.ndarray] = {}      # live log E -> N_0..N_J - N0
-
-    def excess(x, w, t):
-        """The L_j integrand at the nodes x, with w = x^(a s) phi_x and the
-        (n, J) powers t_d = (a log x)^d / d!, d = 1..J."""
+    def excess(xs, cols):      # the L_j integrand
+        x = xs[:, 0]
+        on, t, w = x_powers(x)
         out = np.zeros((x.size, G))
         with np.errstate(over="ignore"):
-            lnE = q * log_e_flat(params, x)
+            lnE = q * log_e_flat(params, x[on])
         live = lnE >= ln_dead
         if not live.any():
             return out
-        keys, at = np.unique(lnE[live], return_inverse=True)
-        keys = keys.tolist()
-        fresh = [k for k in keys if k not in rows]
-        if fresh:
-            rows.update(zip(fresh, inner(fresh) - n0))
-        dn = np.array([rows[k] for k in keys])[at]
+        lnE = lnE[live]
+        dn = bump.R2 * _tanh_sinh(partial(fy, lnE), 0.0, 1.0, cfg.tol_2d / 5.0, ep_y,
+                                  k=lnE.size * G, group=G)[0].reshape(-1, G) - n0
         with np.errstate(over="ignore", invalid="ignore"):
             if a:
-                # L_j = dN_j + j! sum_{d>=1} t_d dN_(j-d) / (j-d)!, t_d = (a log x)^d / d!:
-                # a Cauchy product, summed by einsum over a sliding window of the
+                # L_j = dN_j + j! sum_{d>=1} t_d dN_(j-d) / (j-d)!: a Cauchy
+                # product, summed by einsum over a sliding window of the
                 # zero-padded dN_k / k!, a strided view, so no (n, G, G) copy is made
                 m_k = np.zeros((dn.shape[0], 2 * J))
                 m_k[:, J:] = dn[:, :J] / fact[:J]
                 dn += np.einsum("xji,xi->xj", sliding_window_view(m_k, J, axis=1),
-                                t[live, ::-1]) * fact
-            out[live] = dn * w[live, None]
+                                t[live, :0:-1]) * fact
+            out[np.flatnonzero(on)[live]] = dn * w[live, None]
         return out
 
-    vals, _, _ = _tanh_sinh(column, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
-                            k=2 * G, group=2 * G)
-    return 4.0 * (fact * np.convolve(vals[:G], n0 / fact)[:G] + vals[G:])
+    L = (_tanh_sinh(excess, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
+                    k=G, group=G)[0] if flat else 0.0)
+    return 4.0 * (fact * np.convolve(m, n0 / fact)[:G] + L)
 
 
 def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: int,

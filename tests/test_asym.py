@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import flatzeta.asym as asym_mod
-from flatzeta.errors import DomainError, NonConvergence, WrongRegime
+from flatzeta.errors import DegenerateLowerLimit, DomainError, NonConvergence, WrongRegime
 from flatzeta.funcs import rho
 from flatzeta.model import (FamilyParams, NumericConfig, PRESETS, RegimeKind, classify_regime,
                             make_schedule)
@@ -111,6 +111,13 @@ def test_constant_M_oracle_and_limits():
     assert constant_M(GREEN, lam, CFG) == pytest.approx(expect, rel=1e-12)
     # lam small: M explodes
     assert constant_M(GREEN, 1e-6, CFG) > 1e2 * constant_M(GREEN, 1.0, CFG)
+
+
+def test_constant_M_raises_where_rho_underflows():
+    # at p = 1/200, lam r2 = 5e-301 puts rho(lam r2) = (q log(1/(lam r2)))^-200
+    # far below the double range: the lower limit of M's integral is 0
+    with pytest.raises(DegenerateLowerLimit, match="underflowed"):
+        constant_M(FamilyParams(0, 2, 2, Fraction(1, 200)), 1e-300, CFG)
 
 
 def _lower_objective(params, lam):

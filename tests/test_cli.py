@@ -143,6 +143,17 @@ def test_verify_expect_injection_fails(capsys):
     assert not doc["checks"][0]["passed"]
 
 
+def test_verify_numeric_failure_exits_1(capsys):
+    # at ratio 1 - 1e-7 the 14 X of the schedule lie within 1.3e-6 of 0.5,
+    # so the limit extraction's design matrix is singular to rounding: it
+    # raises IllConditionedFit, reported on stderr
+    code = main(["verify", "--preset", "supercritical", "--suite", "thm31",
+                 "--schedule", "geo:0.5,0.9999999,14"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("numeric failure: IllConditionedFit: ")
+
+
 @pytest.mark.parametrize("suite, key", [("thm21", "A"), ("thm31", "B")])
 def test_verify_expect_that_no_check_reads_is_a_config_error(monkeypatch, capsys, suite, key):
     # only thm31 reads a target (A or limit): any other key would leave

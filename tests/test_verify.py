@@ -1,6 +1,7 @@
 """Verification-suite behavior: reports are pure data, checks pass on the
 canonical parameter sets, gates fire on wrong input."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -143,6 +144,22 @@ def test_sandwich_flat_dead_degenerates():
     p = FamilyParams(1, 2, 2, Fraction(2), r1=1e-4, r2=0.5)
     rep = verify_sandwich(p, [1.0], SHORT, CFG)
     assert rep.passed
+
+
+def test_sandwich_counts_a_violation(monkeypatch):
+    # each z1 lifted 1% above its ztilde1 breaks Z1 < zt1 by far more than
+    # the quadrature error, so every (lambda, X) pair counts as a violation
+    p, lams = PRESETS["greenblatt"], [0.25, 1.0, 4.0]
+    rep = verify_sandwich(p, lams, SHORT, CFG)
+    assert rep.observed == 0.0 and rep.passed is True
+    real = verify_mod.region_samples
+
+    def lifted(*args, **kwargs):
+        return [dataclasses.replace(tr, z1=1.01 * tr.ztilde1) for tr in real(*args, **kwargs)]
+
+    monkeypatch.setattr(verify_mod, "region_samples", lifted)
+    rep = verify_sandwich(p, lams, SHORT, CFG)
+    assert rep.passed is False and rep.observed == len(rep.residual_log) == 12
 
 
 def test_sandwich_without_lambdas_rejected():
