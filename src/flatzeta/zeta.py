@@ -37,14 +37,17 @@ iterated integral that keeps an inner quadrature (the bump-weighted
 correction of the bump-weighted Z, the 2D reductions) the inner integrals
 of one outer level are batched into one vector _tanh_sinh call per piece,
 each column retiring at its own level.  The bump-weighted correction of a
-(column, sigma), int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is one
-scaled piece in y = e(x) v over v in (0, R2/e) (_increment_columns), so an
-outer level makes one inner call.  The columns with log E below
-q log y_dead - 40, y_dead = 1e-9 R2 (_ln_E_dead), are the one E = 0
-column, whose correction int_0^R2 y^(b s) (phi_y - 1) dy is R2^X F(b s)
-(_dead_column), with F(c) = int_0^1 u^c (phi(u) - 1) du of the normalized
-1D bump phi(u) = exp(u^2/(u^2 - 1)), one regular vector call on the unit
-interval (_bump_moments).  Without the flat term every column is that
+(column, sigma), Delta = int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is
+one scaled piece in y = e(x) v over v in (0, R2/e) (_increment_columns), so
+an outer level makes one inner call.  Delta is added to the closed-form
+column C and |Delta| <= |D|, D its E = 0 value, so it stops at tol
+max(mini_tol, tau C/|D|), tau = tol_2d/100, and the error of Z carries the
+share (tau/Phi)|Z|, Phi the bump's mass (_box_integral).  The columns with
+log E below q log y_dead - 40, y_dead = 1e-9 R2 (_ln_E_dead), are the one
+E = 0 column, whose correction int_0^R2 y^(b s) (phi_y - 1) dy is
+R2^X F(b s) (_dead_column), with F(c) = int_0^1 u^c (phi(u) - 1) du of the
+normalized 1D bump phi(u) = exp(u^2/(u^2 - 1)), one regular vector call on
+the unit interval (_bump_moments).  Without the flat term every column is that
 E = 0 column, C = Y2^X/X [+ R2^X F(b s)], so the box integral is C times
 the x-integral of x^(a s) [phi_x], with no inner column at all; bump-weighted,
 that integral is R1^(a s + 1) (1/(a s + 1) + F(a s)), and both F of every
@@ -57,12 +60,13 @@ the quadrature (log_derivative_moments), so a flat-off Landau rebuild is
 two vector calls, that pass and the D_0 call of F.  With the flat term on
 one more outer call integrates the excess of each live row over the E = 0
 row, the rows of one outer level one inner call on the same y = R2 u map,
-recombined binomially in a log x at the live nodes alone.  The sigmas of
-one bump-weighted column share its row of the inner call: the abscissae
-and the flat factor are evaluated once per (node, row), the bump increment
-at y = R2 u once per node, and only the sigma-dependent exponential per
-(node, sigma) (_runs), in the same operations, so every component keeps
-its bits.  The inner integrands that are smooth up to both ends
+recombined binomially in a log x at the live nodes alone.
+The sigmas of one bump-weighted column share its row of the inner call:
+the exponent G = (b-q) log v + log1p(v^q) and the scaled increment
+h (phi_y - 1) are formed once per (node, row), the increment at y = R2 u
+once per node, and each (node, sigma) cell is one product, one exp and one
+product (_runs), in the same operations, so every component keeps its
+bits.  The inner integrands that are smooth up to both ends
 (_increment_columns and the log-variable columns of ztilde1_2d,
 _w_integrals) declare no endpoint, so their lower end is sampled no
 deeper than the upper.  The x-bump
@@ -80,7 +84,9 @@ with V(T) = int_0^T v^((b-q)s) (1+v^q)^s dv, the part of the quadrant
 column C below the slice is e^X V(1/lambda), so where e(x)/lambda < r2
 z2's column is e^X V(1/lambda) and z1's C - e^X V(1/lambda), and elsewhere
 z2's is C and z1's 0.  V(1/lambda) is _inner_columns at E = 1 from a table
-at Y = 1/lambda, one per distinct lambda and X, and C the quadrant column,
+at Y = 1/lambda, one per distinct lambda and X, all from one
+_inner_tables call with the quadrant table (K and the coefficient products
+made once), and C the quadrant column,
 one _inner_columns call per distinct lambda of an outer level, as the pairs
 of one lambda share their x-nodes.  z1 and z2 are one outer call with two
 components per pair on the left piece, and z2 one more on the right piece,
@@ -234,8 +240,7 @@ _NEAR = slice(4, 4 + _NEAR_TERMS)
 _TAIL = slice(4 + _NEAR_TERMS, 4 + _NEAR_TERMS + _TAIL_TERMS)
 
 
-def _inner_tables(b: int, q: int, lnY: float, sigmas: np.ndarray,
-                  Xs: np.ndarray) -> np.ndarray:
+def _inner_tables(b: int, q: int, lnY, sigmas: np.ndarray, Xs: np.ndarray) -> np.ndarray:
     """One row per (sigma, X) of sigmas, Xs of everything _inner_columns
     needs that does not depend on the node: s, X, A = Y^X K and
     B = Y^X (K - 1/X) (K from _k_closed), and the coefficients
@@ -244,21 +249,23 @@ def _inner_tables(b: int, q: int, lnY: float, sigmas: np.ndarray,
         tail (_TAIL):  Y^X C(s, n) / (q n - X),   n = 1.._TAIL_TERMS,
 
     al = (b-q)s + 1, each series a cumulative product along its row; a row
-    depends on its own (sigma, X) alone."""
+    depends on its own (sigma, X) alone.  For an array of lnY, one table per
+    lnY along a leading axis, from one K and one pair of products."""
+    lnY = np.asarray(lnY, dtype=float)[..., None]
     K = _k_closed(q, sigmas, Xs)
     YX, al = np.exp(Xs * lnY), (b - q) * sigmas + 1.0
     s = sigmas[:, None]
-    tab = np.empty((sigmas.size, _TAIL.stop))
-    tab[:, 0], tab[:, 1], tab[:, 2], tab[:, 3] = sigmas, Xs, YX * K, YX * (K - 1.0 / Xs)
-    c = tab[:, _NEAR]
+    tab = np.empty(YX.shape + (_TAIL.stop,))
+    tab[..., 0], tab[..., 1], tab[..., 2], tab[..., 3] = sigmas, Xs, YX * K, YX * (K - 1.0 / Xs)
+    c = np.empty((sigmas.size, _NEAR_TERMS))
     c[:, 0] = 1.0
     n = np.arange(_NEAR_TERMS - 1.0)
     c[:, 1:] = (n - s) / (n + 1.0 + (al / q)[:, None])
     np.multiply.accumulate(c, axis=1, out=c)
-    c *= (np.exp(al * lnY) / al)[:, None]
+    tab[..., _NEAR] = c * (np.exp(al * lnY) / al)[..., None]
     m = np.arange(_TAIL_TERMS)      # C(s, n) = prod_(m < n) (s - m) / (m + 1)
-    tab[:, _TAIL] = (np.multiply.accumulate((s - m) / (m + 1.0), axis=1)
-                     * (YX[:, None] / (q * (m + 1.0) - Xs[:, None])))
+    tab[..., _TAIL] = (np.multiply.accumulate((s - m) / (m + 1.0), axis=1)
+                       * (YX[..., None] / (q * (m + 1.0) - Xs[:, None])))
     return tab
 
 
@@ -347,6 +354,10 @@ def _ln_E_dead(q: int, R2: float) -> float:
 #: bump_y_profile(R2 u) of every bump.
 _UNIT_BUMP = BumpSpec(1.0, 1.0)
 
+#: Phi = int_0^1 phi(u) du = 1 + F(0), the mass of the normalized 1D bump
+#: (30-digit mpmath).
+_BUMP_MASS = 0.6034501612189381
+
 
 def _bump_moments(cs: np.ndarray, tol: float):
     """F(c) = int_0^1 u^c [phi(u) - 1] du, phi(u) = exp(u^2/(u^2 - 1)) the
@@ -371,26 +382,27 @@ def _dead_column(bump: BumpSpec, bs: np.ndarray, tol: float):
 
 
 def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.ndarray,
-                       ln_e: np.ndarray, tol: float):
+                       ln_e: np.ndarray, tol: float | np.ndarray):
     """int_0^R2 y^((b-q)s) (y^q + E)^s [phi_y(y) - 1] dy, R2 = bump.R2, for
     every component i of row, E = e^q with log e = ln_e[row[i]] and (s, X)
     = (sigma, X), or (sigma[i], X[i]): in y = e v the column
     e^X int_0^(R2/e) v^((b-q)s) (1+v^q)^s [phi_y(e v) - 1] dv, as one vector
     quadrature on u in (0, 1), v = (R2/e) u, so that y = R2 u and every
-    component shares the nodes.  The bump increment phi_y(R2 u) - 1 is one
-    value per node; the components of a row share v, log v and log1p(v^q),
-    evaluated once per live row (_runs), and only
-    h exp((b-q)s log v + s log1p(v^q)), h = R2/e, is per component, in the
-    same operations whatever the row's sharing, so every component keeps its
-    bits.  Where q log v > 700, as R2/e reaches 1e9 or more, v^q leaves the
-    double range and log1p(v^q) is q log v, exact in double there.  The
-    increment vanishes like y^2 at 0 and the integrand is bounded at R2/e,
-    so both ends are regular; the flat factor's bend at v ~ 1 sits next to
-    the lower end, where tanh-sinh clusters its nodes.  Returns (values,
+    component shares the nodes.  tol is one for all components or one each
+    (_box_integral gives each the tol of its column).  The bump increment
+    phi_y(R2 u) - 1 is one value per node; the components of a row share
+    G = (b-q) log v + log1p(v^q) and h (phi_y - 1), h = R2/e, formed once
+    per live row (_runs), and each component's cell is exp(s G) h (phi_y - 1),
+    one product, one exp and one product, in the same operations whatever
+    the row's sharing, so every component keeps its bits.  Where
+    q log v > 700, as R2/e reaches 1e9 or more, v^q leaves the double range
+    and log1p(v^q) is q log v, exact in double there.  The increment
+    vanishes like y^2 at 0 and the integrand is bounded at R2/e, so both
+    ends are regular; the flat factor's bend at v ~ 1 sits next to the lower
+    end, where tanh-sinh clusters its nodes.  Returns (values,
     evaluations)."""
     sig = np.broadcast_to(sigma, row.shape)
-    bq = (params.b - params.q) * sig
-    q = params.q
+    bq, q = params.b - params.q, params.q
     s_hi = np.exp(math.log(bump.R2) - ln_e)
 
     def f(us, cols):
@@ -398,16 +410,16 @@ def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.n
         h = s_hi[R]
         vs = h * us
         with np.errstate(divide="ignore", over="ignore"):
-            lv, l1 = np.log(vs), np.log1p(vs**q)
+            lv, G = np.log(vs), np.log1p(vs**q)
         big = lv > 700.0 / q      # v^q past e^700: log1p(v^q) is q log v in double
-        l1[big] = q * lv[big]
+        G[big] = q * lv[big]
+        G += bq * lv              # G = (b-q) log v + log1p(v^q) per (node, row)
+        hd = h * bump_y_increment(_UNIT_BUMP, us)
         if at is not None:
-            lv, l1, h = lv[:, at], l1[:, at], h[at]
-        out = bq[cols] * lv
-        out += np.multiply(l1, sig[cols], out=l1)
+            G, hd = G[:, at], hd[:, at]
+        out = np.multiply(G, sig[cols], out=G)
         np.exp(out, out=out)
-        out *= h
-        out *= bump_y_increment(_UNIT_BUMP, us)
+        out *= hd
         return out
 
     val, _, ev = _tanh_sinh(f, 0.0, 1.0, tol, None, k=row.size)
@@ -480,12 +492,21 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
     bump-weighted, that quadrature is I_x = Y1^(a s + 1) (1/(a s + 1) +
     F(a s)), and both F of every sigma are one call with 2k components.
     With the flat term, bump-weighted, an outer node where the x-bump is
-    exactly 0 has the column 0 and builds no inner column.  Returns
-    (values, errors, evaluations)."""
+    exactly 0 has the column 0 and builds no inner column, and each other
+    (node, sigma) adds to its closed-form column C the correction Delta of
+    _increment_columns at tol max(mini_tol, tau C/|D|), tau = tol_2d/100,
+    D = Y2^X F(b s) the E = 0 correction.  As (y^q+E)^s <= y^(q s) and
+    phi_y - 1 <= 0, |Delta| <= |D|, so Delta's step is at most tau C (and
+    mini_tol |Delta| <= tau C/10 where mini_tol is the larger, |Delta| <= C
+    as W = C + Delta >= 0).  Both y^((b-q)s) (y^q+E)^s and phi_y fall on
+    (0, Y2), so by Chebyshev's integral inequality W >= Phi C, Phi =
+    _BUMP_MASS, and the steps add at most (tau/Phi) W per column: the error
+    carries (tau/Phi)|Z| besides INNER_REL_ERR |Z| and the x-quadrature's
+    step.  Returns (values, errors, evaluations)."""
     b, q, k = params.b, params.q, sigmas.size
     ax = params.a * sigmas
     lnY2 = math.log(Y2)
-    mini_tol = min(1e-11, cfg.tol_2d * 1e-3)
+    mini_tol, tau = min(1e-11, cfg.tol_2d * 1e-3), cfg.tol_2d * 1e-2
 
     def x_power(xs, cols):
         with np.errstate(over="ignore"):
@@ -516,18 +537,20 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
 
     tab = _inner_tables(b, q, lnY2, sigmas, Xs)
 
-    def inner_delta(ln_es, lnE, cols):
+    def inner_delta(ln_es, lnE, cols, C):
         """int_0^Y2 y^((b-q)s)(y^q+E)^s [phi_y(y) - phi_y(0)] dy per (column,
-        sigma): the E = 0 column where log E < log E0, and one scaled vector
-        quadrature over the other pairs (_increment_columns)."""
+        sigma), C the closed-form columns: the E = 0 column where log E <
+        log E0, and one scaled vector quadrature over the other pairs
+        (_increment_columns), each at tol max(mini_tol, tau C/|D|), D the
+        sigma's E = 0 correction."""
         total = np.empty((ln_es.size, cols.size))
         dead = lnE < _ln_E_dead(q, Y2)
         total[dead] = dead_col[cols]
         rows = np.flatnonzero(~dead)
         if rows.size:      # rows x cols row-major: each pair's index into rows, its sigma
             row, c = np.repeat(np.arange(rows.size), cols.size), np.tile(cols, rows.size)
-            val, ev = _increment_columns(params, bump, sigmas[c], Xs[c], row, ln_es[rows],
-                                         mini_tol)
+            tol = np.maximum(mini_tol, tau * C[rows].ravel() / np.abs(dead_col[c]))
+            val, ev = _increment_columns(params, bump, sigmas[c], Xs[c], row, ln_es[rows], tol)
             total[rows] = val.reshape(rows.size, cols.size)
             state["ev"] += ev
         return total
@@ -538,7 +561,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
             lnE = q * ln_es
         out = _inner_columns(q, lnY2, ln_es, lnE, tab[cols])
         if bump is not None:
-            out += inner_delta(ln_es, lnE, cols)
+            out += inner_delta(ln_es, lnE, cols, out)
         out *= x_power(xs, cols)
         return out
 
@@ -554,7 +577,8 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
 
     values, errors, ev = _tanh_sinh(column if bump is None else weighted, 0.0, Y1, cfg.tol_2d,
                                     EndpointSpec(exponent_lo=ax), k=k)
-    errors += INNER_REL_ERR * np.abs(values)
+    share = INNER_REL_ERR if bump is None else INNER_REL_ERR + tau / _BUMP_MASS
+    errors += share * np.abs(values)
     return values, errors, ev + state["ev"]
 
 
@@ -679,11 +703,11 @@ def region_samples(params: FamilyParams, lams, Xs,
     sig, Xs = np.tile(sig1, len(lams)), np.tile(X1, len(lams))
     k, row = sig.size, np.arange(sig.size) % n_sig      # row: the pair's sigma
     lnY2, ln_lam = math.log(params.r2), np.log(lam_set)
-    tab = _inner_tables(b, q, lnY2, sig1, X1)
+    tab, *tabs = _inner_tables(b, q, np.concatenate([[lnY2], -ln_lam]), sig1, X1)
     # V(1/lambda) per (lambda, sigma): _inner_columns at E = 1 on (0, 1/lambda)
     zero = np.zeros(1)
-    V = np.array([_inner_columns(q, -t, zero, zero, _inner_tables(b, q, -t, sig1, X1))[0]
-                  for t in ln_lam])[grp, row]
+    V = np.array([_inner_columns(q, -t, zero, zero, tab_t)[0]
+                  for t, tab_t in zip(ln_lam, tabs)])[grp, row]
     pieces = _slice_pieces(params, lam, sig)
 
     def columns(piece, us, cols):

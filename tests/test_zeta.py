@@ -496,6 +496,12 @@ def test_bump_moments_match_oracle():
     assert vals.tolist() == [_bump_moments(cs[i:i + 1], MINI_TOL)[0][0] for i in range(cs.size)]
 
 
+def test_bump_mass_is_one_plus_f_at_zero():
+    # Phi = int_0^1 phi = 1 + F(0), the mass in the weighted error's share,
+    # within the one rounding of 1 + F(0)
+    assert abs(zeta_mod._BUMP_MASS - (1.0 + dict(F_ORACLE)[0.0])) <= math.ulp(zeta_mod._BUMP_MASS)
+
+
 def test_k_closed_batched_equals_one_sigma():
     # a sigma's K does not depend on the other sigmas of its schedule
     Xs = np.geomspace(1e-9, 0.05, 500)
@@ -695,6 +701,54 @@ def test_weighted_inner_rows_share_the_bump_increment(monkeypatch):
     assert count["increment"] > 0
     assert count["increment"] == count["nodes"]
     assert count["increment"] <= count["cells"] / 4
+
+
+#: Evaluations of the correction columns (_increment_columns) in one
+#: bump-weighted default schedule per preset, when every column ran to
+#: MINI_TOL of its own value
+INNER_EVALS_AT_MINI_TOL = {"critical": 210917, "greenblatt": 181888, "supercritical": 231014}
+
+
+@pytest.mark.parametrize("name", sorted(INNER_EVALS_AT_MINI_TOL))
+def test_correction_columns_stop_at_their_column_tolerance(monkeypatch, name):
+    # each correction column Delta stops at tol max(MINI_TOL, tau C/|D|),
+    # tau = tol_2d / 100, as |Delta| <= |D| and it is added to C: as the
+    # tanh-sinh error about squares per level, nearly every column stops a
+    # level sooner, at about half the evaluations
+    evals = [0]
+    real = zeta_mod._tanh_sinh
+
+    def tanh_sinh(f, *args, **kwargs):
+        values, errors, ev = real(f, *args, **kwargs)
+        if f.__qualname__.split(".")[0] == "_increment_columns":
+            evals[0] += ev
+        return values, errors, ev
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    params = PRESETS[name]
+    zeta_samples(params, BumpSpec(0.5, 0.5), make_schedule(0.125, 0.5, 14, params.b).xs, CFG,
+                 flat=True)
+    assert 0 < evals[0] <= 0.55 * INNER_EVALS_AT_MINI_TOL[name]
+
+
+@pytest.mark.parametrize("params, bump, sched", [
+    (FamilyParams(0, 40, 40, Fraction(2)), BumpSpec(0.2, 0.95), (0.3, 0.25, 12)),
+    (CRIT, BumpSpec(0.5, 0.5), (0.125, 0.5, 14)),
+    (GREEN, BumpSpec(0.9, 0.3), (1e-3, 0.25, 12)),
+], ids=["q40", "critical", "greenblatt"])
+def test_weighted_error_counts_the_inner_share(params, bump, sched):
+    # the correction columns' steps are at most tau C <= (tau/Phi) W (W >=
+    # Phi C by Chebyshev's integral inequality), so the error carries
+    # (tau/Phi)|Z|: default samples meet those of tol_2d = 1e-10 (tau =
+    # 1e-12) within it.  On q40 at X = 0.001171875 the two differ by 5x the
+    # error without the share
+    xs = make_schedule(*sched, params.b).xs
+    got = zeta_samples(params, bump, xs, CFG, flat=True)
+    ref = zeta_samples(params, bump, xs, NumericConfig(tol_2d=1e-10), flat=True)
+    share = CFG.tol_2d * 1e-2 / zeta_mod._BUMP_MASS
+    for z, r in zip(got, ref):
+        assert z.error >= share * z.value
+        assert abs(z.value - r.value) <= z.error, (z, r)
 
 
 @pytest.mark.parametrize("flat", [True, False])
@@ -1308,22 +1362,30 @@ def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
 # and the far form of _inner_columns (each value within 2.8e-3 of its error of
 # the hyp2f1 columns before them) and whose scaled columns take the bump
 # increment once per node at y = R2 u (values within 2.3e-16 and errors
-# within 1.6e-6 relative of it once per row at y = e (R2/e) u); greenblatt's
+# within 1.6e-6 relative of it once per row at y = e (R2/e) u), refrozen
+# when each correction column stopped at tol max(MINI_TOL, tau C/|D|) and the
+# errors took the share (tau/Phi)|Z| (every value within 4.5e-16 relative of
+# WEIGHTED_BEFORE_SHARE, the values before); greenblatt's
 # flat-on D_0..D_40 at s = -0.2, frozen from the x-moments convolved with the
 # E = 0 row plus the live excess (within 1.3e-10 relative of the per-node
 # recombination of every row), refrozen when N0 and the x-moments became the
 # flat-off call and the live excess a call of its own (within 1.7e-12
 # relative of the values before, at j = 36)
 WEIGHTED_FROZEN = {
-    "supercritical": [(1.269370386913008, 2.3670445236589966e-08),
-                      (71.21814591502901, 3.484395890936034e-07),
-                      (1576.1234634514487, 5.738237925013444e-08)],
-    "critical": [(1.0110694567913376, 1.3876137803365167e-10),
-                 (10.095046683202456, 1.724017553094404e-09),
-                 (22.04663695619104, 2.121557301803011e-06)],
-    "greenblatt": [(1.0063736632104323, 4.902108631934356e-10),
-                   (4.500302929154126, 3.885441246798548e-08),
-                   (4.6067925250080854, 1.8240748784719106e-08)],
+    "supercritical": [(1.269370386913008, 2.577396673428738e-08),
+                      (71.21814591502901, 4.664578621704919e-07),
+                      (1576.1234634514487, 2.66923595845502e-06)],
+    "critical": [(1.0110694567913379, 1.814242671715022e-09),
+                 (10.095046683202456, 1.845289979054544e-08),
+                 (22.04663695619104, 2.1580916146146245e-06)],
+    "greenblatt": [(1.0063736632104328, 2.1579105803956154e-09),
+                   (4.500302929154127, 4.631203402212302e-08),
+                   (4.606792525008087, 2.587483826064634e-08)],
+}
+WEIGHTED_BEFORE_SHARE = {
+    "supercritical": [1.269370386913008, 71.21814591502901, 1576.1234634514487],
+    "critical": [1.0110694567913376, 10.095046683202456, 22.04663695619104],
+    "greenblatt": [1.0063736632104323, 4.500302929154126, 4.6067925250080854],
 }
 MOMENTS_J40_FROZEN = [
     0.8057608442943831, -3.4841712371745253, 18.71444743531822, -128.62913413504293,
@@ -1347,6 +1409,7 @@ def test_weighted_z_keeps_its_bits_without_zero_weight_columns(name):
     xs = [params.b * ((X - 1.0) / params.b) + 1.0 for X in (0.5, 2.0**-8, 1e-5)]
     got = zeta_samples(params, BumpSpec(0.5, 0.5), xs, CFG, flat=True)
     assert [(z.value, z.error) for z in got] == WEIGHTED_FROZEN[name]
+    assert all(abs(z.value - v) <= z.error for z, v in zip(got, WEIGHTED_BEFORE_SHARE[name]))
 
 
 def test_flat_on_moments_keep_their_bits_without_zero_weight_rows():
