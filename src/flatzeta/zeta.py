@@ -46,21 +46,23 @@ share (tau/Phi)|Z|, Phi the bump's mass (_box_integral).  The columns with
 log E below q log y_dead - 40, y_dead = 1e-9 R2 (_ln_E_dead), are the one
 E = 0 column, whose correction int_0^R2 y^(b s) (phi_y - 1) dy is
 R2^X F(b s) (_dead_column), with F(c) = int_0^1 u^c (phi(u) - 1) du of the
-normalized 1D bump phi(u) = exp(u^2/(u^2 - 1)), one regular vector call on
-the unit interval (_bump_moments).  Without the flat term every column is that
-E = 0 column, C = Y2^X/X [+ R2^X F(b s)], so the box integral is C times
-the x-integral of x^(a s) [phi_x], with no inner column at all; bump-weighted,
-that integral is R1^(a s + 1) (1/(a s + 1) + F(a s)), and both F of every
-sigma are one call.  The log-derivative moments share more: their inner
-y-moments of log f_y see x only through log E(x), and every row with a
-flat term lost in rounding is the one E = 0 row.  That row and the
-x-moments (a log x)^d / d! are one call on u in (0, 1), two groups at
-y = R2 u and x = R1 u, each with its own tol, convolved binomially after
-the quadrature (log_derivative_moments), so a flat-off Landau rebuild is
-two vector calls, that pass and the D_0 call of F.  With the flat term on
-one more outer call integrates the excess of each live row over the E = 0
-row, the rows of one outer level one inner call on the same y = R2 u map,
-recombined binomially in a log x at the live nodes alone.
+normalized 1D bump phi(u) = exp(u^2/(u^2 - 1)), a Taylor series around
+c = -1/4 with coefficients frozen from mpmath, within 2e-14 relative on
+[-1, 1/2] (_bump_moments): no quadrature.  Without the flat term every
+column is that E = 0 column, C = Y2^X/X [+ R2^X F(b s)], so the box
+integral is C times the x-integral of x^(a s) [phi_x], with no inner column
+at all; bump-weighted, that integral is R1^(a s + 1) (1/(a s + 1) + F(a s)),
+and the box integral needs no quadrature either.  The log-derivative
+moments share more: their inner y-moments of log f_y see x only through
+log E(x), and every row with a flat term lost in rounding is the one E = 0
+row.  That row and the x-moments (a log x)^d / d! are one call on u in
+(0, 1), two groups at y = R2 u and x = R1 u, each with its own tol,
+convolved binomially after the quadrature (log_derivative_moments), so a
+flat-off Landau rebuild at s < 0 is that one vector call, its direct D_0
+two values of F.  With the flat term on one more outer call integrates
+the excess of each live row over the E = 0 row, the rows of one outer level
+one inner call on the same y = R2 u map, recombined binomially in a log x at
+the live nodes alone.
 The sigmas of one bump-weighted column share its row of the inner call:
 the exponent G = (b-q) log v + log1p(v^q) and the scaled increment
 h (phi_y - 1) are formed once per (node, row), the increment at y = R2 u
@@ -359,26 +361,57 @@ _UNIT_BUMP = BumpSpec(1.0, 1.0)
 _BUMP_MASS = 0.6034501612189381
 
 
-def _bump_moments(cs: np.ndarray, tol: float):
+#: F(c) = int_0^1 u^c [phi(u) - 1] du as its Taylor series around c0 =
+#: _F_C0, f_k = (1/k!) int_0^1 u^c0 (log u)^k [phi(u) - 1] du for k < 32
+#: (40-digit mpmath, checked against 50: tests/oracle_gen3.py F).  As
+#: |phi - 1| <= min(1, u^2/(1 - u^2)) <= 2 u^2, |f_k| <= 2/(c0 + 3)^(k+1), so
+#: for c in [-1, 1/2], rho = |c - c0|/(c0 + 3) <= 3/11, the terms past the
+#: 32nd sum to under 2 rho^32 / ((c0 + 3)(1 - rho)) < 9e-19, under 3e-18 of
+#: |F(c)| >= |F(1/2)| > 0.34.
+_F_C0 = -0.25
+_F_TAYLOR = (
+    -0.43173021808155543, 0.15287556086186121, -0.05286711766880698, 0.018512089807059182,
+    -0.00657381909326501, 0.0023571002366731984, -0.0008501577387275913, 0.0003076958030116633,
+    -0.00011158631007696442, 4.051348022282982e-05, -1.4718905497151058e-05, 5.349546460597509e-06,
+    -1.9447053840723466e-06, 7.070428395409895e-07, -2.570806803116889e-07, 9.347845615024255e-08,
+    -3.39910240251794e-08, 1.2360132103420025e-08, -4.494542926884695e-09, 1.6343686034552676e-09,
+    -5.943136156275551e-10, 2.16113570488679e-10, -7.858665363825874e-11, 2.8576944062384262e-11,
+    -1.039161162350915e-11, 3.778766936979879e-12, -1.3740968730253831e-12, 4.996715491459151e-13,
+    -1.816987365029794e-13, 6.607226600012299e-14, -2.402627816252395e-14, 8.736828342109894e-15,
+)
+
+#: Relative error bound of _bump_moments on [-1, 1/2].  f_k has the sign
+#: -(-1)^k, so sum_k |f_k| |h|^k = |F(c0 - |h|)| <= |F(-1)| < 1.73 |F(c)|,
+#: h = c - c0; Horner's rule with the rounded f_k is within gamma_63 < 7e-15
+#: of that sum, the rounding of h moves F by under |F'| |h| eps/2 <= 0.4
+#: eps/2, and the truncation adds 3e-18 |F|: under 1.3e-14 |F| in all.
+_F_REL_ERR = 2e-14
+
+
+def _bump_moments(cs: np.ndarray) -> np.ndarray:
     """F(c) = int_0^1 u^c [phi(u) - 1] du, phi(u) = exp(u^2/(u^2 - 1)) the
-    normalized 1D bump factor, for every c > -1 of cs, as one regular vector
-    quadrature at tol.  The increment vanishes like u^2
-    at 0, so the integrand is bounded there.  On a half-width R the bump
-    correction of a power is int_0^R t^c [phi(t/R) - 1] dt = R^(c+1) F(c).
-    Returns (values, errors, evaluations)."""
-    def f(us, cols):
-        u = us[:, 0]
-        return np.exp(np.log(u)[:, None] * cs[cols]) * bump_y_increment(_UNIT_BUMP, u)[:, None]
+    normalized 1D bump factor, for every c of the 1D array cs, from its
+    Taylor series _F_TAYLOR within _F_REL_ERR |F(c)|.  The series is
+    certified on [-1, 1/2] alone: any other c (NaN too) raises DomainError.
+    Each c is summed by Horner's rule on its own, in double, so its value
+    does not depend on the other cs.  On a half-width R the bump correction
+    of a power is int_0^R t^c [phi(t/R) - 1] dt = R^(c+1) F(c)."""
+    out = np.empty(cs.size)
+    for i, c in enumerate(cs.tolist()):
+        if not -1.0 <= c <= 0.5:      # NaN fails
+            raise DomainError(f"F(c) is certified for c in [-1, 1/2] only, got c={c}")
+        h, acc = c - _F_C0, 0.0
+        for f in reversed(_F_TAYLOR):
+            acc = acc * h + f
+        out[i] = acc
+    return out
 
-    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=cs.size)
 
-
-def _dead_column(bump: BumpSpec, bs: np.ndarray, tol: float):
+def _dead_column(bump: BumpSpec, bs: np.ndarray) -> np.ndarray:
     """int_0^R2 y^(b s) [phi_y(y) - 1] dy = R2^(b s + 1) F(b s), R2 =
     bump.R2, for every b s of bs: the bump correction of the E = 0 column,
-    with F of _bump_moments.  Returns (values, evaluations)."""
-    F, _, ev = _bump_moments(bs, tol)
-    return np.exp((bs + 1.0) * math.log(bump.R2)) * F, ev
+    with F of _bump_moments."""
+    return np.exp((bs + 1.0) * math.log(bump.R2)) * _bump_moments(bs)
 
 
 def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.ndarray,
@@ -490,7 +523,8 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
     [+ Y2^X F(b s)], so the integral is C times one quadrature of x^(a s),
     C multiplied in after it, and no error term of _inner_columns enters;
     bump-weighted, that quadrature is I_x = Y1^(a s + 1) (1/(a s + 1) +
-    F(a s)), and both F of every sigma are one call with 2k components.
+    F(a s)), so no quadrature runs, and the error is that of both F,
+    _F_REL_ERR |F| each, carried through C I_x.
     With the flat term, bump-weighted, an outer node where the x-bump is
     exactly 0 has the column 0 and builds no inner column, and each other
     (node, sigma) adds to its closed-form column C the correction Delta of
@@ -502,7 +536,7 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
     (0, Y2), so by Chebyshev's integral inequality W >= Phi C, Phi =
     _BUMP_MASS, and the steps add at most (tau/Phi) W per column: the error
     carries (tau/Phi)|Z| besides INNER_REL_ERR |Z| and the x-quadrature's
-    step.  Returns (values, errors, evaluations)."""
+    step.  Returns (values, errors)."""
     b, q, k = params.b, params.q, sigmas.size
     ax = params.a * sigmas
     lnY2 = math.log(Y2)
@@ -515,25 +549,26 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
     if not flat:
         if bump is None:
             C = np.exp(Xs * lnY2) / Xs
-            values, errors, ev = _tanh_sinh(x_power, 0.0, Y1, cfg.tol_2d,
-                                            EndpointSpec(exponent_lo=ax), k=k)
+            values, errors, _ = _tanh_sinh(x_power, 0.0, Y1, cfg.tol_2d,
+                                           EndpointSpec(exponent_lo=ax), k=k)
+            values *= C
+            errors *= np.abs(C)
         else:
-            F, F_err, ev = _bump_moments(np.concatenate([b * sigmas, ax]), mini_tol)
-            C = np.exp(Xs * lnY2) * (1.0 / Xs + F[:k])
-            x_scale = np.exp((ax + 1.0) * math.log(Y1))
-            values = x_scale * (1.0 / (ax + 1.0) + F[k:])
-            errors = x_scale * F_err[k:]
-        values *= C
-        errors *= np.abs(C)
+            F = _bump_moments(np.concatenate([b * sigmas, ax]))
+            dF = _F_REL_ERR * np.abs(F)
+            Y2X, Y1ax = np.exp(Xs * lnY2), np.exp((ax + 1.0) * math.log(Y1))
+            C = Y2X * (1.0 / Xs + F[:k])
+            I_x = Y1ax * (1.0 / (ax + 1.0) + F[k:])
+            values = I_x * C
+            errors = np.abs(C) * Y1ax * dF[k:] + np.abs(I_x) * Y2X * dF[:k]
         # the last step misses the rounding of the x-sum, of C and of their
         # product, a few eps (at most 3.4 eps against the closed form on
         # 2400 random flat-off samples)
         errors += 16.0 * np.finfo(float).eps * np.abs(values)
-        return values, errors, ev
+        return values, errors
 
-    state = {"ev": 0}
     if bump is not None:
-        dead_col, state["ev"] = _dead_column(bump, b * sigmas, mini_tol)
+        dead_col = _dead_column(bump, b * sigmas)
 
     tab = _inner_tables(b, q, lnY2, sigmas, Xs)
 
@@ -550,9 +585,8 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
         if rows.size:      # rows x cols row-major: each pair's index into rows, its sigma
             row, c = np.repeat(np.arange(rows.size), cols.size), np.tile(cols, rows.size)
             tol = np.maximum(mini_tol, tau * C[rows].ravel() / np.abs(dead_col[c]))
-            val, ev = _increment_columns(params, bump, sigmas[c], Xs[c], row, ln_es[rows], tol)
+            val, _ = _increment_columns(params, bump, sigmas[c], Xs[c], row, ln_es[rows], tol)
             total[rows] = val.reshape(rows.size, cols.size)
-            state["ev"] += ev
         return total
 
     def column(xs, cols):
@@ -575,11 +609,11 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
         out[live] = column(xs[live], cols) * phi[live, None]
         return out
 
-    values, errors, ev = _tanh_sinh(column if bump is None else weighted, 0.0, Y1, cfg.tol_2d,
-                                    EndpointSpec(exponent_lo=ax), k=k)
+    values, errors, _ = _tanh_sinh(column if bump is None else weighted, 0.0, Y1, cfg.tol_2d,
+                                   EndpointSpec(exponent_lo=ax), k=k)
     share = INNER_REL_ERR if bump is None else INNER_REL_ERR + tau / _BUMP_MASS
     errors += share * np.abs(values)
-    return values, errors, ev + state["ev"]
+    return values, errors
 
 
 def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], Xs,
@@ -601,8 +635,8 @@ def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], Xs,
             raise DomainError("bump support must lie inside (-1,1)^2")
     sigmas = [_check_window(params, X) for X in Xs]
     Y1, Y2, scale = (params.r1, params.r2, 1.0) if bump is None else (bump.R1, bump.R2, 4.0)
-    values, errors, _ = _box_integral(params, np.array(sigmas), np.array(Xs, dtype=float),
-                                      cfg, Y1, Y2, bump, flat)
+    values, errors = _box_integral(params, np.array(sigmas), np.array(Xs, dtype=float),
+                                   cfg, Y1, Y2, bump, flat)
     return [ZetaSample(sigma=float(s), X=float(X), value=scale * float(v), error=scale * float(e))
             for s, X, v, e in zip(sigmas, Xs, values, errors)]
 
@@ -1109,12 +1143,12 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
     to the singular endpoint, runs on the weighted engine (_box_integral):
     with the flat term, on closed-form inner columns; without it, as the
     E = 0 column R2^X (1/X + F(b s)) times R1^(a s + 1) (1/(a s + 1) +
-    F(a s)), both powers taken analytically and both F one regular call
-    with 2 components (_bump_moments).  Every other D_j is entry j of
-    log_derivative_moments."""
+    F(a s)), both powers taken analytically and both F from their Taylor
+    series (_bump_moments), with no quadrature.  Every other D_j is entry
+    j of log_derivative_moments."""
     j = _check_log_moments(params, bump, s, j, flat)
     if j > 0 or s >= 0.0:
         return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])
-    (value,), _, _ = _box_integral(params, np.array([s]), np.array([params.b * s + 1.0]), cfg,
-                                   bump.R1, bump.R2, bump, flat)
+    (value,), _ = _box_integral(params, np.array([s]), np.array([params.b * s + 1.0]), cfg,
+                                bump.R1, bump.R2, bump, flat)
     return 4.0 * float(value)

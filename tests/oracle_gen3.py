@@ -22,16 +22,27 @@ y ~ e^(-m/2), so the intervals are split at every decade down to 1e-60; the
 endpoint singularities x^-0.3 and y^-0.6 of D_0(-0.3) are split the same way.
 Both precisions must agree to the digits frozen in tests/test_acceptance.py.
 
-`python tests/oracle_gen3.py F` runs bump_moments instead, which prints the rows of F_ORACLE in tests/test_zeta.py: the bump
+`python tests/oracle_gen3.py F` runs bump_moments and bump_taylor instead.
+bump_moments prints the rows of F_ORACLE in tests/test_zeta.py: the bump
 correction of a power on the unit interval,
 
     F(c) = int_0^1 u^c (phi1(u) - 1) du,   phi1(u) = exp(u^2/(u^2 - 1)),
 
-which flatzeta.zeta._bump_moments computes and which scales to any
-half-width R as int_0^R t^c (phi1(t/R) - 1) dt = R^(c+1) F(c).  The rows
-cover c in {-1 + 1e-4, -0.6, -0.3, 0, 0.5}, c the double value, at 30
-digits, checked against 40.
+which scales to any half-width R as int_0^R t^c (phi1(t/R) - 1) dt =
+R^(c+1) F(c).  The rows cover c in {-1 + 1e-4, -0.6, -0.3, 0, 0.5}, c the
+double value, at 30 digits, checked against 40.  bump_taylor prints the
+F_TERMS coefficients of the Taylor series of F around c0 = -1/4,
+
+    f_k = (1/k!) int_0^1 u^c0 (log u)^k (phi1(u) - 1) du,
+
+at 40 digits, checked against 50: flatzeta.zeta._bump_moments sums that
+series, frozen in flatzeta.zeta._F_TAYLOR.  `python tests/oracle_gen3.py F
+--check` also compares each frozen coefficient with the double nearest its
+40-digit value and exits with status 1 where they differ by more than one
+ulp (it imports flatzeta, so run it with the package installed or on
+PYTHONPATH; about two minutes).
 """
+import math
 import sys
 import time
 from mpmath import mp, mpf, exp, log, quad, factorial, fsum
@@ -73,18 +84,6 @@ def oracle(dps):
 F_CS = (-1.0 + 1e-4, -0.6, -0.3, 0.0, 0.5)
 
 
-def bump_moments(dps):
-    """[(c, F(c))] for the c of F_CS at dps digits, c taken from its double."""
-    mp.dps = dps
-    pts = [mpf(0)] + [mpf(10) ** -n for n in range(30, 0, -1)] + [
-        mpf("0.5"), mpf("0.9"), mpf("0.99"), mpf(1)]
-    rows = []
-    for c in F_CS:
-        c = mpf(c)
-        rows.append((c, quad(lambda u: u**c * (exp(u * u / (u * u - 1)) - 1), pts)))
-    return rows
-
-
 def taylor_main():
     t0 = time.time()
     results = {}
@@ -102,17 +101,60 @@ def taylor_main():
                       for x30, x40 in zip(results[30], results[40])), 3))
 
 
-def f_main():
+#: the expansion point and the number of terms of F's Taylor series
+F_C0 = "-0.25"
+F_TERMS = 32
+
+
+def bump_pts():
+    return [mpf(0)] + [mpf(10) ** -n for n in range(30, 0, -1)] + [
+        mpf("0.5"), mpf("0.9"), mpf("0.99"), mpf(1)]
+
+
+def bump_moments(dps):
+    """[(c, F(c))] for the c of F_CS at dps digits, c taken from its double."""
+    mp.dps = dps
+    rows = []
+    for c in F_CS:
+        c = mpf(c)
+        rows.append((c, quad(lambda u: u**c * (exp(u * u / (u * u - 1)) - 1), bump_pts())))
+    return rows
+
+
+def bump_taylor(dps):
+    """[f_0, ..., f_(F_TERMS - 1)], the Taylor coefficients of F around F_C0,
+    at dps digits.  The k-th integrand peaks near u = e^(-k/(c0 + 3)), above
+    1e-5 for every k, inside the decades of bump_pts."""
+    mp.dps = dps
+    c0 = mpf(F_C0)
+    return [quad(lambda u: u**c0 * log(u) ** k * (exp(u * u / (u * u - 1)) - 1), bump_pts())
+            / factorial(k) for k in range(F_TERMS)]
+
+
+def f_main(check):
     rows30, rows40 = bump_moments(30), bump_moments(40)
     mp.dps = 40
-    print("max relative difference, 30 vs 40 digits:",
+    print("F(c), max relative difference, 30 vs 40 digits:",
           mp.nstr(max(abs(f30 - f40) / abs(f40) for (_, f30), (_, f40) in zip(rows30, rows40)), 3))
     for (c, f) in rows30:
         print(f"    ({float(c)!r}, {mp.nstr(f, 30, min_fixed=-3, max_fixed=3)!r}),")
-
+    taylor40, taylor50 = bump_taylor(40), bump_taylor(50)
+    mp.dps = 50
+    spread = max(abs(f40 - f50) / abs(f50) for f40, f50 in zip(taylor40, taylor50))
+    print(f"f_k around c0 = {F_C0}, max relative difference, 40 vs 50 digits:", mp.nstr(spread, 3))
+    for f in taylor40:
+        print(f"    {mp.nstr(f, 40)}  # {float(f)!r}")
+    if check:
+        from flatzeta.zeta import _F_C0, _F_TAYLOR
+        if spread > mpf(10) ** -30 or _F_C0 != float(mpf(F_C0)) or len(_F_TAYLOR) != F_TERMS:
+            sys.exit("the coefficients are not settled at 40 digits, or c0 or the term count differ")
+        bad = [k for k, f in enumerate(taylor40) if abs(_F_TAYLOR[k] - float(f)) > math.ulp(float(f))]
+        if bad:
+            sys.exit(f"frozen _F_TAYLOR differs from the regenerated coefficients by over one ulp at k = {bad}")
+        print(f"frozen _F_TAYLOR: all {F_TERMS} coefficients within one ulp of the regenerated ones")
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["F"]:
-        f_main()
+    if sys.argv[1:2] == ["F"]:
+        f_main(check=sys.argv[2:] == ["--check"])
     else:
         taylor_main()

@@ -9,6 +9,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -469,37 +470,81 @@ def test_increment_columns_match_oracle(b, q):
 
 @pytest.mark.parametrize("b", sorted({row[0] for row in E0_ORACLE}))
 def test_dead_column_matches_oracle(b):
-    # the E = 0 column's bump correction, one plain-y vector call over the
-    # sigmas of b, next to the pole (s = -1/b + 1e-4), inside and near 0;
-    # each sigma is its own component and keeps its one-sigma bits
+    # the E = 0 column's bump correction R2^X F(b s) over the sigmas of b,
+    # next to the pole (s = -1/b + 1e-4), inside and near 0; each sigma
+    # keeps its one-sigma bits
     rows = [row for row in E0_ORACLE if row[0] == b]
     bs = np.array([b * s for _, s, _ in rows])
     ref = np.array([d for *_, d in rows])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        vals, _ = _dead_column(BumpSpec(0.5, 0.5), bs, MINI_TOL)
-    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
-    assert vals.tolist() == [_dead_column(BumpSpec(0.5, 0.5), bs[i:i + 1], MINI_TOL)[0][0]
+        vals = _dead_column(BumpSpec(0.5, 0.5), bs)
+    assert np.all(np.abs(vals - ref) <= 2e-15 * np.abs(ref))
+    assert vals.tolist() == [_dead_column(BumpSpec(0.5, 0.5), bs[i:i + 1])[0]
                              for i in range(bs.size)]
 
 
+def _bump_moments_by_quadrature(cs, tol):
+    """F(c) for every c of cs as one regular vector tanh-sinh call on (0, 1):
+    the increment phi(u) - 1 vanishes like u^2 at 0, so the integrand is
+    bounded there.  An independent reference for the series of _bump_moments."""
+    def f(us, cols):
+        u = us[:, 0]
+        return np.exp(np.log(u)[:, None] * cs[cols]) * bump_y_increment(BumpSpec(1.0, 1.0), u)[:, None]
+
+    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=cs.size)
+
+
 def test_bump_moments_match_oracle():
-    # F(c) for every c of F_ORACLE as one regular vector call on (0, 1), next
-    # to the pole (c = -1 + 1e-4) and inside; each c keeps its one-c bits
+    # F(c) from its Taylor series for every c of F_ORACLE, next to the pole
+    # (c = -1 + 1e-4) and up to the certified end 1/2, within the documented
+    # bound; each c is summed on its own and keeps its one-c bits
     cs = np.array([c for c, _ in F_ORACLE])
     ref = np.array([f for _, f in F_ORACLE])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        vals, errors, _ = _bump_moments(cs, MINI_TOL)
-    assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref))
-    assert np.all(errors <= 1e-13 * np.abs(ref))
-    assert vals.tolist() == [_bump_moments(cs[i:i + 1], MINI_TOL)[0][0] for i in range(cs.size)]
+    vals = _bump_moments(cs)
+    assert np.all(np.abs(vals - ref) <= zeta_mod._F_REL_ERR * np.abs(ref))
+    assert vals.tolist() == [_bump_moments(cs[i:i + 1])[0] for i in range(cs.size)]
+    assert _bump_moments(cs[::-1]).tolist() == vals[::-1].tolist()
+
+
+def test_bump_moments_match_quadrature():
+    # the series against an independent vector quadrature at tol 1e-13, on
+    # 200 c in (-1, 1/2]
+    cs = np.linspace(-1.0, 0.5, 201)[1:]
+    ref, _, _ = _bump_moments_by_quadrature(cs, 1e-13)
+    assert np.all(np.abs(_bump_moments(cs) - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_bump_moments_reject_c_outside_certified_interval():
+    # the truncation bound holds on [-1, 1/2] alone
+    assert np.all(np.isfinite(_bump_moments(np.array([-1.0, 0.5]))))
+    for c in (np.nextafter(-1.0, -2.0), np.nextafter(0.5, 1.0), -3.0, 2.0, math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            _bump_moments(np.array([-0.5, c]))
 
 
 def test_bump_mass_is_one_plus_f_at_zero():
     # Phi = int_0^1 phi = 1 + F(0), the mass in the weighted error's share,
-    # within the one rounding of 1 + F(0)
-    assert abs(zeta_mod._BUMP_MASS - (1.0 + dict(F_ORACLE)[0.0])) <= math.ulp(zeta_mod._BUMP_MASS)
+    # within the one rounding of 1 + F(0), from the oracle and from the series
+    for f0 in (dict(F_ORACLE)[0.0], _bump_moments(np.array([0.0]))[0]):
+        assert abs(zeta_mod._BUMP_MASS - (1.0 + f0)) <= math.ulp(zeta_mod._BUMP_MASS)
+
+
+def test_flat_off_bump_z_error_covers_both_f_factors():
+    # (a, b) = (1, 2) at X = 0.4 puts both F of the flat-off weighted Z on
+    # F_ORACLE rows: b s = -0.6 and a s = -0.3.  Z = 4 Y1^(a s + 1) (1/(a s +
+    # 1) + F(a s)) Y2^X (1/X + F(b s)) exactly; the error carries the
+    # series' bound of both F, and is not loose by more than 1000x
+    params, bump, X = FamilyParams(1, 2, 2, Fraction(2)), BumpSpec(0.3, 0.45), 0.4
+    (z,) = zeta_samples(params, bump, [X], CFG, flat=False)
+    assert (z.sigma * params.b, z.sigma * params.a) == (-0.6, -0.3)
+    F = dict(F_ORACLE)
+    with mpmath.workdps(30):
+        ax1, mX = 1 + mpmath.mpf(z.sigma), mpmath.mpf(X)
+        oracle = float(4 * mpmath.mpf(bump.R1) ** ax1 * (1 / ax1 + F[-0.3])
+                       * mpmath.mpf(bump.R2) ** mX * (1 / mX + F[-0.6]))
+    miss = abs(z.value - oracle)
+    assert miss <= z.error <= 1000.0 * max(miss, 4.0 * np.finfo(float).eps * abs(z.value))
 
 
 def test_k_closed_batched_equals_one_sigma():
@@ -1092,7 +1137,7 @@ def test_flat_dead_bump_columns_equal_the_e0_column():
         ln_E0 = _ln_E_dead(q, bump.R2)
         for X in (0.125, 2.0 ** -8, 1e-5, 1e-10):
             s = (X - 1.0) / b
-            (e0_col,), _ = _dead_column(bump, np.array([b * s]), MINI_TOL)
+            (e0_col,) = _dead_column(bump, np.array([b * s]))
             ref = integrate_1d(lambda ys: np.exp(b * s * np.log(ys)) * bump_y_increment(bump, ys),
                                0.0, bump.R2, EndpointSpec(exponent_lo=b * s + 2.0), 1e-13).value
             assert abs(e0_col - ref) <= 1e-12 * abs(ref)
@@ -1270,10 +1315,10 @@ def test_flat_on_moments_without_a_live_row_are_the_flat_off_moments():
     assert on.tolist() == off.tolist()
 
 
-def test_log_derivative_d0_flat_off_negative_s_is_one_call_with_two_components(monkeypatch):
+def test_log_derivative_d0_flat_off_negative_s_runs_no_quadrature(monkeypatch):
     # D_0 at s < 0 without the flat term is C I_x, C = R2^X (1/X + F(b s))
-    # and I_x = R1^(a s + 1) (1/(a s + 1) + F(a s)): both F are one regular
-    # call on (0, 1), and no other quadrature runs
+    # and I_x = R1^(a s + 1) (1/(a s + 1) + F(a s)): both F come from their
+    # Taylor series, and no quadrature runs
     real, seen = zeta_mod._tanh_sinh, []
 
     def tanh_sinh(f, lo, hi, tol, endpoints=None, **kwargs):
@@ -1282,7 +1327,7 @@ def test_log_derivative_d0_flat_off_negative_s_is_one_call_with_two_components(m
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     log_derivative_integral(GREEN, BumpSpec(0.3, 0.45), -0.3, 0, CFG, flat=False)
-    assert seen == [(0.0, 1.0, None, 2)]
+    assert seen == []
 
 
 def test_log_derivative_moments_recombine_only_at_live_nodes(monkeypatch):
