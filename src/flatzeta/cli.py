@@ -84,12 +84,6 @@ def _json_render(obj, indent=0) -> str:
     return json.dumps(obj)
 
 
-def _csv_field(s: str) -> str:
-    if any(c in s for c in ',"\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one invocation needs; round-trips through key=value files.
@@ -213,8 +207,7 @@ def cmd_compute(args) -> int:
     seq = scale_sequence(cfg.params, samples)
     rows = ["sigma,X,Z,scaled,err"]
     for s, sc in zip(samples, seq.scaled_values):
-        rows.append(",".join(_csv_field(_f17(v))
-                             for v in (s.sigma, s.X, s.value, sc, s.error)))
+        rows.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (s.sigma, s.X, s.value, sc, s.error))
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 

@@ -57,9 +57,11 @@ moments share more: their inner y-moments of log f_y see x only through
 log E(x), and every row with a flat term lost in rounding is the one E = 0
 row.  That row and the x-moments (a log x)^d / d! are one call on u in
 (0, 1), two groups at y = R2 u and x = R1 u, each with its own tol,
-convolved binomially after the quadrature (log_derivative_moments), so a
-flat-off Landau rebuild at s < 0 is that one vector call, its direct D_0
-two values of F.  With the flat term on one more outer call integrates
+convolved binomially after the quadrature (log_derivative_moments); at
+a = 0 the x-moments are R1 (Phi, 0, ..., 0) and the call is the row's group
+alone.  Without the flat term a direct D_0 at b s <= 1/2 is two values of
+F, so a flat-off Landau rebuild to such a target is that one vector call.
+With the flat term on one more outer call integrates
 the excess of each live row over the E = 0 row, the rows of one outer level
 one inner call on the same y = R2 u map, recombined binomially in a log x at
 the live nodes alone.
@@ -369,6 +371,9 @@ _BUMP_MASS = 0.6034501612189381
 #: 32nd sum to under 2 rho^32 / ((c0 + 3)(1 - rho)) < 9e-19, under 3e-18 of
 #: |F(c)| >= |F(1/2)| > 0.34.
 _F_C0 = -0.25
+#: The upper end of [-1, _F_C_HI], where the series is certified: a
+#: flat-off D_0 at b s <= _F_C_HI is two values of F (log_derivative_integral).
+_F_C_HI = 0.5
 _F_TAYLOR = (
     -0.43173021808155543, 0.15287556086186121, -0.05286711766880698, 0.018512089807059182,
     -0.00657381909326501, 0.0023571002366731984, -0.0008501577387275913, 0.0003076958030116633,
@@ -398,7 +403,7 @@ def _bump_moments(cs: np.ndarray) -> np.ndarray:
     of a power is int_0^R t^c [phi(t/R) - 1] dt = R^(c+1) F(c)."""
     out = np.empty(cs.size)
     for i, c in enumerate(cs.tolist()):
-        if not -1.0 <= c <= 0.5:      # NaN fails
+        if not -1.0 <= c <= _F_C_HI:      # NaN fails
             raise DomainError(f"F(c) is certified for c in [-1, 1/2] only, got c={c}")
         h, acc = c - _F_C0, 0.0
         for f in reversed(_F_TAYLOR):
@@ -432,8 +437,7 @@ def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.n
     and log1p(v^q) is q log v, exact in double there.  The increment
     vanishes like y^2 at 0 and the integrand is bounded at R2/e, so both
     ends are regular; the flat factor's bend at v ~ 1 sits next to the lower
-    end, where tanh-sinh clusters its nodes.  Returns (values,
-    evaluations)."""
+    end, where tanh-sinh clusters its nodes.  Returns the values."""
     sig = np.broadcast_to(sigma, row.shape)
     bq, q = params.b - params.q, params.q
     s_hi = np.exp(math.log(bump.R2) - ln_e)
@@ -455,8 +459,8 @@ def _increment_columns(params: FamilyParams, bump: BumpSpec, sigma, X, row: np.n
         out *= hd
         return out
 
-    val, _, ev = _tanh_sinh(f, 0.0, 1.0, tol, None, k=row.size)
-    return np.exp(X * ln_e[row]) * val, ev
+    val, _, _ = _tanh_sinh(f, 0.0, 1.0, tol, None, k=row.size)
+    return np.exp(X * ln_e[row]) * val
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +519,11 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
                   cfg: NumericConfig, Y1: float, Y2: float, bump: Optional[BumpSpec],
                   flat: bool):
     """Integral over (0,Y1)x(0,Y2) of the integrand, optionally bump-weighted,
-    for every (sigma < 0, X = b sigma + 1) of the arrays sigmas, Xs, as one
-    vector quadrature over x with one component per sigma.  Bump-weighted,
+    for every (sigma, X = b sigma + 1) of the arrays sigmas, Xs, as one
+    vector quadrature over x with one component per sigma: sigma < 0, or,
+    bump-weighted without the flat term, any sigma in (-1/b, _F_C_HI/b],
+    where both F below are certified (log_derivative_integral's D_0 at
+    s >= 0).  Bump-weighted,
     (Y1, Y2) is the bump's (R1, R2), and the bump correction of the E = 0
     column int_0^Y2 y^(b s) [phi_y(y) - 1] dy is Y2^X F(b s) (_bump_moments).
     Without the flat term every column is the E = 0 column C = Y2^X/X
@@ -585,8 +592,8 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
         if rows.size:      # rows x cols row-major: each pair's index into rows, its sigma
             row, c = np.repeat(np.arange(rows.size), cols.size), np.tile(cols, rows.size)
             tol = np.maximum(mini_tol, tau * C[rows].ravel() / np.abs(dead_col[c]))
-            val, _ = _increment_columns(params, bump, sigmas[c], Xs[c], row, ln_es[rows], tol)
-            total[rows] = val.reshape(rows.size, cols.size)
+            total[rows] = _increment_columns(params, bump, sigmas[c], Xs[c], row, ln_es[rows],
+                                             tol).reshape(rows.size, cols.size)
         return total
 
     def column(xs, cols):
@@ -1031,7 +1038,11 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
     x^(a s), each group retiring as a call on its own interval would; R2
     and R1 multiply the sums after the quadrature, so every node's values
     are those of y and x themselves.  M_d is one cumulative product per
-    node, and the binomial convolution with N0 follows the quadrature.
+    node, and the binomial convolution with N0 follows the quadrature.  At
+    a = 0 the x-moments need no quadrature: (a log x)^d = 0 for d >= 1 and
+    M_0 = R1 Phi, Phi = _BUMP_MASS, so the call is the N0 group alone, k =
+    J + 1, and N0 keeps its bits (a group returns what a call on it alone
+    returns).
     Without the flat term L_j = 0.  With it L_j is one more call on
     (0, R1), a group of J + 1 components, 0 at every dead node and
     continuous across the dead/live boundary.  Each call of its integrand
@@ -1101,10 +1112,12 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
             parts.append(m)
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    vals, _, _ = _tanh_sinh(both, 0.0, 1.0, np.repeat([cfg.tol_2d / 5.0, cfg.tol_2d], G),
-                            EndpointSpec(exponent_lo=np.repeat([ep_y.exponent_lo, a * s], G)),
-                            k=2 * G, group=G)
-    n0, m = bump.R2 * vals[:G], bump.R1 * vals[G:]
+    # at a = 0, (a log x)^d = 0 for d >= 1 and M_0 = R1 Phi: N0's group alone
+    k = 2 * G if a else G
+    vals, _, _ = _tanh_sinh(both, 0.0, 1.0, np.repeat([cfg.tol_2d / 5.0, cfg.tol_2d], G)[:k],
+                            EndpointSpec(exponent_lo=np.repeat([ep_y.exponent_lo, a * s], G)[:k]),
+                            k=k, group=G)
+    n0, m = bump.R2 * vals[:G], bump.R1 * (vals[G:] if a else np.r_[_BUMP_MASS, np.zeros(J)])
 
     def excess(xs, cols):      # the L_j integrand
         x = xs[:, 0]
@@ -1139,15 +1152,17 @@ def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: i
                             cfg: NumericConfig = DEFAULT_CONFIG, *,
                             flat: bool) -> float:
     """D_j(s) over the plane (4x quadrant), requiring |f| < 1 on the support
-    so that sign(D_j) = (-1)^j.  D_0 at s < 0, where the y-mass sits next
-    to the singular endpoint, runs on the weighted engine (_box_integral):
-    with the flat term, on closed-form inner columns; without it, as the
-    E = 0 column R2^X (1/X + F(b s)) times R1^(a s + 1) (1/(a s + 1) +
+    so that sign(D_j) = (-1)^j.  D_0 runs on the weighted engine
+    (_box_integral) with the flat term at s < 0, where the y-mass sits next
+    to the singular endpoint, on closed-form inner columns; without it
+    wherever F is certified, b s <= _F_C_HI = 1/2 with s >= 0 included, as
+    the E = 0 column R2^X (1/X + F(b s)) times R1^(a s + 1) (1/(a s + 1) +
     F(a s)), both powers taken analytically and both F from their Taylor
-    series (_bump_moments), with no quadrature.  Every other D_j is entry
-    j of log_derivative_moments."""
+    series (_bump_moments), with no quadrature.  Every other D_j (j > 0,
+    and D_0 with the flat term at s >= 0 or without it past b s = 1/2) is
+    entry j of log_derivative_moments."""
     j = _check_log_moments(params, bump, s, j, flat)
-    if j > 0 or s >= 0.0:
+    if j > 0 or (s >= 0.0 if flat else params.b * s > _F_C_HI):
         return float(log_derivative_moments(params, bump, s, j, cfg, flat=flat)[j])
     (value,), _ = _box_integral(params, np.array([s]), np.array([params.b * s + 1.0]), cfg,
                                 bump.R1, bump.R2, bump, flat)

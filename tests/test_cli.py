@@ -12,8 +12,9 @@ import pytest
 
 from flatzeta import cli, verify
 from flatzeta import zeta as zeta_mod
+from flatzeta.asym import scale_sequence
 from flatzeta.cli import RunConfig, main
-from flatzeta.model import FamilyParams, NumericConfig, PRESETS
+from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.zeta import monomial_closed_form, zeta_samples
 from fractions import Fraction
 
@@ -61,6 +62,26 @@ def test_compute_flat_off_matches_closed_form(capsys):
         sigma, X, Z, scaled, err = map(float, line.split(","))
         cf = monomial_closed_form(1, 2, 0.5, 0.5, X)
         assert Z == pytest.approx(cf, rel=1e-8)
+
+
+@pytest.mark.parametrize("flat", ["on", "off"])
+def test_compute_csv_floats_parse_back_to_the_samples(capsys, flat):
+    # each row is the five fields in %.17g, which round-trips every double:
+    # every CSV float parses back to its ZetaSample field (and scaled value)
+    # bit for bit, and no field is quoted
+    schedule = (0.125, 0.5, 14)
+    code, out = run_cli(["compute", "--preset", "critical", "--flat", flat,
+                         "--schedule", "geo:%r,%r,%d" % schedule], capsys=capsys)
+    assert code == 0
+    params = PRESETS["critical"]
+    samples = zeta_samples(params, None, make_schedule(*schedule, params.b).xs, NumericConfig(),
+                           flat=flat == "on")
+    seq = scale_sequence(params, samples)
+    lines = out.split("\n")
+    assert lines[-1] == "" and len(lines) == len(samples) + 2
+    for line, s, sc in zip(lines[1:-1], samples, seq.scaled_values):
+        assert '"' not in line
+        assert list(map(float, line.split(","))) == [s.sigma, s.X, s.value, sc, s.error]
 
 
 def test_compute_deterministic_output(capsys):

@@ -33,6 +33,7 @@ from flatzeta.funcs import (
 )
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import MAX_LEVELS, EndpointSpec, _tanh_sinh, integrate_1d
+from flatzeta.verify import landau_taylor_rebuild
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     INNER_REL_ERR,
@@ -463,8 +464,8 @@ def test_increment_columns_match_oracle(b, q):
     assert np.all(ln_e > _ln_E_dead(q, 0.5) / q)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        vals, _ = _increment_columns(FamilyParams(0, b, q, Fraction(2)), BumpSpec(0.5, 0.5),
-                                     sigma, X, np.arange(len(rows)), ln_e, MINI_TOL)
+        vals = _increment_columns(FamilyParams(0, b, q, Fraction(2)), BumpSpec(0.5, 0.5),
+                                  sigma, X, np.arange(len(rows)), ln_e, MINI_TOL)
     assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
 
 
@@ -1109,10 +1110,9 @@ def test_increment_columns_match_scalar_calls_on_own_intervals():
     row = np.array([0, 1, 1, 2, 3, 3, 3, 4])
     X = np.array([8.0, 8.0, 3.0, 8.0, 8.0, 5.0, 11.0, 8.0]) ** -1
     sigma = (X - 1.0) / GREEN.b
-    values, ev = _increment_columns(GREEN, bump, sigma, X, row, ln_e, 1e-12)
-    assert ev > 0
+    values = _increment_columns(GREEN, bump, sigma, X, row, ln_e, 1e-12)
     for i, (r, s) in enumerate(zip(row, sigma)):
-        (one,), _ = _increment_columns(GREEN, bump, s, X[i], np.array([0]), ln_e[r:r + 1], 1e-12)
+        (one,) = _increment_columns(GREEN, bump, s, X[i], np.array([0]), ln_e[r:r + 1], 1e-12)
         assert values[i] == one
         e = math.exp(ln_e[r])
 
@@ -1142,7 +1142,7 @@ def test_flat_dead_bump_columns_equal_the_e0_column():
                                0.0, bump.R2, EndpointSpec(exponent_lo=b * s + 2.0), 1e-13).value
             assert abs(e0_col - ref) <= 1e-12 * abs(ref)
             ln_E = ln_E0 - np.array([0.0, 5.0, 300.0])
-            cols, _ = _increment_columns(params, bump, s, X, np.arange(3), ln_E / q, MINI_TOL)
+            cols = _increment_columns(params, bump, s, X, np.arange(3), ln_E / q, MINI_TOL)
             assert np.all(np.abs(cols - e0_col) <= 1e-12 * abs(e0_col))
 
 
@@ -1257,6 +1257,42 @@ def test_log_derivative_moments_match_per_j(s0, flat):
         assert moments[j] == pytest.approx(d, rel=1e-10)
 
 
+def _moment_calls(monkeypatch, params, bump, J, flat):
+    """The (k, group) of the _tanh_sinh calls of one log_derivative_moments
+    pass at s = 0.5: on u in (0, 1) before the L_j call (unit), the L_j call
+    on (0, R1) (outer) and the calls made inside its levels (inner); with
+    the (k, group) each level of L_j should give its inner call (expected)
+    and each level's live node count (levels)."""
+    G = J + 1
+    ln_dead = params.q * math.log(bump.R2 * zeta_mod._OFF_MIN) - 40.0
+    real = zeta_mod._tanh_sinh
+    unit, outer, inner, expected, levels = [], [], [], [], []
+
+    def tanh_sinh(f, lo, hi, *args, **kwargs):
+        if (lo, hi) == (0.0, bump.R1):
+            outer.append((kwargs["k"], kwargs["group"]))
+
+            def counted(xs, cols):
+                x = xs[:, 0]
+                x = x[bump_x_profile(bump, x) > 0.0]   # no rows where the x-bump is 0
+                with np.errstate(over="ignore"):
+                    lnE = params.q * zeta_mod.log_e_flat(params, x)
+                live = np.count_nonzero(lnE >= ln_dead)
+                levels.append(live)
+                if live:
+                    expected.append((live * G, G))
+                return f(xs, cols)
+            return real(counted, lo, hi, *args, **kwargs)
+        assert (lo, hi) == (0.0, 1.0)
+        (inner if outer else unit).append((kwargs["k"], kwargs["group"]))
+        return real(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    log_derivative_moments(params, bump, 0.5, J, CFG, flat=flat)
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", real)
+    return unit, outer, inner, expected, levels
+
+
 def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
     # D_j = j! sum_d M_d N0_(j-d) / (j-d)! + L_j.  With the flat term on or
     # off the E = 0 row N0 and the J + 1 x-moments M_d are one call on u in
@@ -1268,41 +1304,71 @@ def test_log_derivative_moments_one_inner_call_per_outer_level(monkeypatch):
     # x-bump is not exactly 0.  Levels 0-4 are one outer call
     bump, J = BumpSpec(0.5, 0.25), 6
     G = J + 1
-    ln_dead = GREEN.q * math.log(bump.R2 * zeta_mod._OFF_MIN) - 40.0
-    real = zeta_mod._tanh_sinh
-
-    def calls(flat):
-        unit, outer, inner, expected, levels = [], [], [], [], []
-
-        def tanh_sinh(f, lo, hi, *args, **kwargs):
-            if (lo, hi) == (0.0, bump.R1):
-                outer.append((kwargs["k"], kwargs["group"]))
-
-                def counted(xs, cols):
-                    x = xs[:, 0]
-                    x = x[bump_x_profile(bump, x) > 0.0]   # no rows where the x-bump is 0
-                    with np.errstate(over="ignore"):
-                        lnE = GREEN.q * zeta_mod.log_e_flat(GREEN, x)
-                    live = np.count_nonzero(lnE >= ln_dead)
-                    levels.append(live)
-                    if live:
-                        expected.append((live * G, G))
-                    return f(xs, cols)
-                return real(counted, lo, hi, *args, **kwargs)
-            assert (lo, hi) == (0.0, 1.0)
-            (inner if outer else unit).append((kwargs["k"], kwargs["group"]))
-            return real(f, lo, hi, *args, **kwargs)
-
-        monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-        log_derivative_moments(GREEN, bump, 0.5, J, CFG, flat=flat)
-        return unit, outer, inner, expected, levels
-
-    unit, outer, inner, _, _ = calls(False)
+    unit, outer, inner, _, _ = _moment_calls(monkeypatch, GREEN, bump, J, False)
     assert unit == [(2 * G, G)] and outer == inner == []
-    unit, outer, inner, expected, levels = calls(True)
+    unit, outer, inner, expected, levels = _moment_calls(monkeypatch, GREEN, bump, J, True)
     assert 1 <= len(levels) <= MAX_LEVELS - 1
     assert unit == [(2 * G, G)] and outer == [(G, G)]
     assert inner == expected and len(expected) >= 1
+
+
+def test_log_derivative_moments_at_a0_integrate_the_e0_row_alone(monkeypatch):
+    # at a = 0 the x-moments are M_0 = R1 Phi and M_d = 0 for d >= 1, with no
+    # quadrature: the first call is the E = 0 row alone, one group of J + 1,
+    # for both flat settings.  With the flat term L_j is still one outer call
+    # with one inner call per level for its live nodes
+    params, bump, J = FamilyParams(0, 2, 2, Fraction(1, 4)), BumpSpec(0.5, 0.25), 6
+    G = J + 1
+    unit, outer, inner, _, _ = _moment_calls(monkeypatch, params, bump, J, False)
+    assert unit == [(G, G)] and outer == inner == []
+    unit, outer, inner, expected, _ = _moment_calls(monkeypatch, params, bump, J, True)
+    assert unit == [(G, G)] and outer == [(G, G)]
+    assert inner == expected and len(expected) >= 1
+
+
+def test_flat_off_moments_at_a0_are_the_e0_row_times_the_bump_mass(monkeypatch):
+    # with the flat term off and a = 0, D_j = 4 R1 Phi N0_j: the convolution
+    # adds exact zeros to its one product, so D_j is that product to a few
+    # roundings, with N0_j = R2 times the one call's sum
+    bump, J, eps = BumpSpec(0.3, 0.45), 20, np.finfo(float).eps
+    real, sums = zeta_mod._tanh_sinh, []
+
+    def tanh_sinh(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sums.append(out[0])
+        return out
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    for params in (FamilyParams(0, 3, 2, Fraction(2)), FamilyParams(0, 2, 2, Fraction(1, 4))):
+        for s in (0.5, 0.05, -0.6 / params.b):
+            sums.clear()
+            got = log_derivative_moments(params, bump, s, J, CFG, flat=False)
+            (n0,) = sums
+            ref = 4.0 * bump.R1 * zeta_mod._BUMP_MASS * (bump.R2 * n0)
+            assert np.all(np.abs(got - ref) <= 4.0 * eps * np.abs(ref)), (params, s)
+
+
+@pytest.mark.parametrize("params, s_target", [(GREEN, -0.3), (GREEN, 0.25),
+                                              (FamilyParams(0, 3, 2, Fraction(2)), -0.2),
+                                              (FamilyParams(0, 3, 2, Fraction(2)), 1.0 / 6.0)],
+                         ids=["a1-below0", "a1-at-bs-half", "a0-below0", "a0-at-bs-half"])
+def test_flat_off_landau_rebuild_is_one_vector_call(monkeypatch, params, s_target):
+    # with b s_target <= 1/2 the direct D_0 is two values of F, so a flat-off
+    # rebuild makes one _tanh_sinh call, the moment pass: the E = 0 row and
+    # the x-moments, two groups of J + 1, at a > 0, and the E = 0 row alone
+    # at a = 0
+    J, real, seen = 12, zeta_mod._tanh_sinh, []
+
+    def tanh_sinh(*args, **kwargs):
+        seen.append((kwargs["k"], kwargs.get("group", 1)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    assert params.b * s_target <= 0.5
+    report = landau_taylor_rebuild(params, BumpSpec(0.5, 0.5), 0.5, s_target, J, CFG, flat=False)
+    assert report.passed
+    G = J + 1
+    assert seen == ([(2 * G, G)] if params.a else [(G, G)])
 
 
 def test_flat_on_moments_without_a_live_row_are_the_flat_off_moments():
@@ -1316,18 +1382,24 @@ def test_flat_on_moments_without_a_live_row_are_the_flat_off_moments():
 
 
 def test_log_derivative_d0_flat_off_negative_s_runs_no_quadrature(monkeypatch):
-    # D_0 at s < 0 without the flat term is C I_x, C = R2^X (1/X + F(b s))
-    # and I_x = R1^(a s + 1) (1/(a s + 1) + F(a s)): both F come from their
-    # Taylor series, and no quadrature runs
+    # D_0 without the flat term is C I_x, C = R2^X (1/X + F(b s)) and I_x =
+    # R1^(a s + 1) (1/(a s + 1) + F(a s)): wherever both F come from their
+    # Taylor series, b s <= 1/2 with s >= 0 included, no quadrature runs.
+    # Past b s = 1/2 D_0 is the J = 0 moment pass, one call of two
+    # one-moment groups
     real, seen = zeta_mod._tanh_sinh, []
 
     def tanh_sinh(f, lo, hi, tol, endpoints=None, **kwargs):
-        seen.append((lo, hi, endpoints, kwargs["k"]))
+        seen.append((lo, hi, kwargs["k"], kwargs.get("group", 1)))
         return real(f, lo, hi, tol, endpoints, **kwargs)
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    log_derivative_integral(GREEN, BumpSpec(0.3, 0.45), -0.3, 0, CFG, flat=False)
+    bump, s_max = BumpSpec(0.3, 0.45), 0.5 / GREEN.b
+    for s in (-0.3, 0.0, 0.05, s_max):
+        log_derivative_integral(GREEN, bump, s, 0, CFG, flat=False)
     assert seen == []
+    log_derivative_integral(GREEN, bump, math.nextafter(s_max, 1.0), 0, CFG, flat=False)
+    assert seen == [(0.0, 1.0, 2, 1)]
 
 
 def test_log_derivative_moments_recombine_only_at_live_nodes(monkeypatch):
