@@ -10,16 +10,17 @@ from typing import Optional, Sequence
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 24, 48
+_YLABEL = "scaled Z"
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def convergence_svg(xs: Sequence[float], ss: Sequence[float],
-                    target: Optional[float] = None,
-                    title: str = "", ylabel: str = "scaled Z") -> str:
-    """Scatter+line plot of S_k against log10(X_k) with an optional target line."""
+def convergence_svg(xs: Sequence[float], ss: Sequence[float], target: Optional[float],
+                    title: str) -> str:
+    """Scatter+line plot of S_k against log10(X_k), with a target line unless
+    target is None."""
     lx = [math.log10(x) for x in xs]
     ys = list(ss)
     y_all = ys + ([target] if target is not None else [])
@@ -61,7 +62,7 @@ def convergence_svg(xs: Sequence[float], ss: Sequence[float],
     parts.append(f'<text x="{_W // 2}" y="{_H - 10}" text-anchor="middle" font-size="11" '
                  f'font-family="monospace">log10 X</text>')
     parts.append(f'<text x="14" y="{_H // 2}" text-anchor="middle" font-size="11" '
-                 f'font-family="monospace" transform="rotate(-90 14 {_H // 2})">{ylabel}</text>')
+                 f'font-family="monospace" transform="rotate(-90 14 {_H // 2})">{_YLABEL}</text>')
     if target is not None:
         parts.append(f'<path d="M {px(x_lo)} {py(target):.2f} L {px(x_hi)} {py(target):.2f}" '
                      'stroke="#c33" stroke-dasharray="6 3" fill="none"/>')

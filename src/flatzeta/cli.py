@@ -150,7 +150,10 @@ def _parse_schedule(spec: str) -> tuple[float, float, int]:
     return (float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def _add_param_args(sp):
+def _add_param_args(sp, tuning):
+    """The family flags, --config and --out, and those of --schedule,
+    --tol-1d and --tol-2d that the subcommand reads (tuning), so that a
+    flag it would ignore is a usage error."""
     sp.add_argument("--preset", choices=sorted(PRESETS),
                     help="canonical parameter set (overridden by explicit flags)")
     sp.add_argument("--a", type=int)
@@ -160,16 +163,19 @@ def _add_param_args(sp):
                     help="flat decay rate, rational NUM/DEN or integer")
     sp.add_argument("--r1", type=float)
     sp.add_argument("--r2", type=float)
-    sp.add_argument("--schedule", type=str, help="geo:X0,RATIO,COUNT")
-    sp.add_argument("--tol-1d", type=float, dest="tol_1d")
-    sp.add_argument("--tol-2d", type=float, dest="tol_2d")
+    if "schedule" in tuning:
+        sp.add_argument("--schedule", type=str, help="geo:X0,RATIO,COUNT")
+    for tol in ("tol_1d", "tol_2d"):
+        if tol in tuning:
+            sp.add_argument("--" + tol.replace("_", "-"), type=float, dest=tol)
     sp.add_argument("--config", type=str, help="key=value config file")
     sp.add_argument("--out", type=str, help="write the report here as well as stdout")
 
 
 def _given(args, *names) -> dict:
-    """The flags among names that were set on the command line."""
-    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+    """The flags among names that the subcommand has and that were set on
+    the command line."""
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
 def _build_config(args) -> RunConfig:
@@ -184,7 +190,8 @@ def _build_config(args) -> RunConfig:
         cfg = RunConfig(params=FamilyParams(**params))
     else:
         raise ValueError("need --preset, --config, or all of --a --b --q --p")
-    schedule = {"schedule_spec": _parse_schedule(args.schedule)} if args.schedule else {}
+    spec = getattr(args, "schedule", None)
+    schedule = {"schedule_spec": _parse_schedule(spec)} if spec else {}
     return replace(cfg, params=replace(cfg.params, **params),
                    numeric=replace(cfg.numeric, **_given(args, "tol_1d", "tol_2d")),
                    **schedule)
@@ -275,7 +282,7 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
             seq = scale_sequence(params, samples)
             target = rep.target if isinstance(rep.target, float) else None
             plot_doc = convergence_svg(seq.schedule.xs, seq.scaled_values, target,
-                                       title=f"scaled Z along the schedule ({rep.check_id})")
+                                       f"scaled Z along the schedule ({rep.check_id})")
     if suite in ("thm21", "all"):
         reports.append(verify_blowup_law(params, bump, sched, numeric))
     if suite in ("sandwich", "all"):
@@ -333,17 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("compute", help="tabulate Z along a sigma schedule (CSV)")
-    _add_param_args(sp)
+    _add_param_args(sp, ("schedule", "tol_2d"))
     sp.add_argument("--flat", choices=("on", "off"), default="on",
                     help="off suppresses the flat term (pure monomial mode)")
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("constants", help="regime-applicable closed-form constants (JSON)")
-    _add_param_args(sp)
+    _add_param_args(sp, ("tol_1d",))
     sp.set_defaults(fn=cmd_constants)
 
     sp = sub.add_parser("verify", help="run verification suites (JSON report)")
-    _add_param_args(sp)
+    _add_param_args(sp, ("schedule", "tol_1d", "tol_2d"))
     sp.add_argument("--suite", choices=SUITES, default="all")
     sp.add_argument("--expect", action="append", metavar="NAME=VALUE",
                     help="override a check target (for failure injection)")

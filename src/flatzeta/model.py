@@ -87,7 +87,7 @@ class Regime:
 
     kind: RegimeKind
     epsilon0: Fraction
-    blowup_exponent: float | None = None
+    blowup_exponent: float | None
 
 
 def classify_regime(params: FamilyParams) -> Regime:

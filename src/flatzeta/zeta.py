@@ -49,14 +49,13 @@ R2^X F(b s) (_dead_column), with F(c) = int_0^1 u^c (phi(u) - 1) du of the
 normalized 1D bump phi(u) = exp(u^2/(u^2 - 1)), a Taylor series around
 c = -1/4 with coefficients frozen from mpmath, within 2e-14 relative on
 [-1, 1/2] (_bump_moments): no quadrature.  Without the flat term every
-column is that E = 0 column, C = Y2^X/X [+ R2^X F(b s)], so the box
-integral is C times the x-integral of x^(a s) [phi_x], with no inner column
-at all; bump-weighted, that integral is R1^(a s + 1) (1/(a s + 1) + F(a s)),
-and the box integral needs no quadrature either.  The log-derivative
-moments share more: their inner y-moments of log f_y see x only through
-log E(x), and every row with a flat term lost in rounding is the one E = 0
-row.  That row and the x-moments (a log x)^d / d! are one call on u in
-(0, 1), two groups at y = R2 u and x = R1 u, each with its own tol,
+column is that E = 0 column, C = Y2^X (1/X [+ F(b s)]), and the x-integral
+of x^(a s) [phi_x] is Y1^(a s + 1) (1/(a s + 1) [+ F(a s)]), the F terms
+with a bump alone, so the box integral is their product: no quadrature.
+The log-derivative moments share more: their inner y-moments of log f_y
+see x only through log E(x), and every row with a flat term lost in
+rounding is the one E = 0 row.  That row and the x-moments (a log x)^d / d!
+are one call on u in (0, 1), two groups at y = R2 u and x = R1 u, each with its own tol,
 convolved binomially after the quadrature (log_derivative_moments); at
 a = 0 the x-moments are R1 (Phi, 0, ..., 0) and the call is the row's group
 alone.  Without the flat term a direct D_0 at b s <= 1/2 is two values of
@@ -92,12 +91,13 @@ at Y = 1/lambda, one per distinct lambda and X, all from one
 _inner_tables call with the quadrant table (K and the coefficient products
 made once), and C the quadrant column,
 one _inner_columns call per distinct lambda of an outer level, as the pairs
-of one lambda share their x-nodes.  z1 and z2 are one outer call with two
-components per pair on the left piece, and z2 one more on the right piece,
-as right of the kink {lambda y >= e(x)} has no part inside the box;
-ztilde1 and each ztilde2 piece are one vector call apiece.  A pair's trace
-does not depend on the other pairs of its batch: the one-pair batch gives
-it bit for bit.  ztilde1_2d and ztilde2_2d, the cross-checks of the 1D
+of one lambda share their x-nodes.  The 1D reductions ztilde1 and ztilde2
+share the pass: z1, z2, ztilde1 and ztilde2's first term are one outer call
+with four components per pair on the left piece, and z2 and ztilde2's
+second term one more on the right piece, as right of the kink
+{lambda y >= e(x)} has no part inside the box.  A pair's trace does not
+depend on the other pairs of its batch: the one-pair batch gives it bit
+for bit.  ztilde1_2d and ztilde2_2d, the cross-checks of the 1D
 reductions, keep their own integrands and inner quadratures and share only
 the one-pair slice pieces, one outer call apiece; the log-variable columns
 of ztilde1_2d are clipped at log r2 - 800/X (_w_floor), below which the
@@ -526,12 +526,12 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
     s >= 0).  Bump-weighted,
     (Y1, Y2) is the bump's (R1, R2), and the bump correction of the E = 0
     column int_0^Y2 y^(b s) [phi_y(y) - 1] dy is Y2^X F(b s) (_bump_moments).
-    Without the flat term every column is the E = 0 column C = Y2^X/X
-    [+ Y2^X F(b s)], so the integral is C times one quadrature of x^(a s),
-    C multiplied in after it, and no error term of _inner_columns enters;
-    bump-weighted, that quadrature is I_x = Y1^(a s + 1) (1/(a s + 1) +
-    F(a s)), so no quadrature runs, and the error is that of both F,
-    _F_REL_ERR |F| each, carried through C I_x.
+    Without the flat term every column is the E = 0 column
+    C = Y2^X (1/X [+ F(b s)]) and the x-integral of x^(a s) [phi_x] is
+    I_x = Y1^(a s + 1) (1/(a s + 1) [+ F(a s)]), the F terms with a bump
+    alone, so the integral is C I_x: no quadrature runs, no error term of
+    _inner_columns enters, and the error is that of both F, _F_REL_ERR |F|
+    each, carried through C I_x, plus the rounding of the product.
     With the flat term, bump-weighted, an outer node where the x-bump is
     exactly 0 has the column 0 and builds no inner column, and each other
     (node, sigma) adds to its closed-form column C the correction Delta of
@@ -549,28 +549,17 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
     lnY2 = math.log(Y2)
     mini_tol, tau = min(1e-11, cfg.tol_2d * 1e-3), cfg.tol_2d * 1e-2
 
-    def x_power(xs, cols):
-        with np.errstate(over="ignore"):
-            return np.exp(ax[cols] * np.log(xs))
-
-    if not flat:
-        if bump is None:
-            C = np.exp(Xs * lnY2) / Xs
-            values, errors, _ = _tanh_sinh(x_power, 0.0, Y1, cfg.tol_2d,
-                                           EndpointSpec(exponent_lo=ax), k=k)
-            values *= C
-            errors *= np.abs(C)
-        else:
-            F = _bump_moments(np.concatenate([b * sigmas, ax]))
-            dF = _F_REL_ERR * np.abs(F)
-            Y2X, Y1ax = np.exp(Xs * lnY2), np.exp((ax + 1.0) * math.log(Y1))
-            C = Y2X * (1.0 / Xs + F[:k])
-            I_x = Y1ax * (1.0 / (ax + 1.0) + F[k:])
-            values = I_x * C
-            errors = np.abs(C) * Y1ax * dF[k:] + np.abs(I_x) * Y2X * dF[:k]
-        # the last step misses the rounding of the x-sum, of C and of their
-        # product, a few eps (at most 3.4 eps against the closed form on
-        # 2400 random flat-off samples)
+    if not flat:       # the F terms enter only with a bump
+        F = np.zeros(2 * k) if bump is None else _bump_moments(np.concatenate([b * sigmas, ax]))
+        dF = _F_REL_ERR * np.abs(F)
+        Y2X, Y1ax = np.exp(Xs * lnY2), np.exp((ax + 1.0) * math.log(Y1))
+        C = Y2X * (1.0 / Xs + F[:k])
+        I_x = Y1ax * (1.0 / (ax + 1.0) + F[k:])
+        values = I_x * C
+        errors = np.abs(C) * Y1ax * dF[k:] + np.abs(I_x) * Y2X * dF[:k]
+        # the rounding of C, I_x and their product, a few eps (at most 2.3
+        # eps against the closed form on 2400 random flat-off samples, X
+        # down to 1e-12)
         errors += 16.0 * np.finfo(float).eps * np.abs(values)
         return values, errors
 
@@ -603,7 +592,8 @@ def _box_integral(params: FamilyParams, sigmas: np.ndarray, Xs: np.ndarray,
         out = _inner_columns(q, lnY2, ln_es, lnE, tab[cols])
         if bump is not None:
             out += inner_delta(ln_es, lnE, cols, out)
-        out *= x_power(xs, cols)
+        with np.errstate(over="ignore"):
+            out *= np.exp(ax[cols] * np.log(xs))
         return out
 
     def weighted(xs, cols):
@@ -702,16 +692,19 @@ def _mapped(piece, us, cols):
     return pairs[cols], lo[cols] + width[cols] * us, width[cols]
 
 
-def _on_pieces(column, pieces, tol: float, k: int):
+def _on_pieces(column, pieces, tol, k: int):
     """Sum over pieces of the integrals on u in (0, 1) of column(piece, us,
     cols), one vector _tanh_sinh call per nonempty piece with a component
     per index of its first array (the pairs, or other indices into the k
-    results).  Returns (values, errors), (k,) arrays over all indices."""
+    results), at tol, one value or a (k,) array of one per index.  Returns
+    (values, errors), (k,) arrays over all indices."""
     total, err = np.zeros(k), np.zeros(k)
+    tols = np.broadcast_to(tol, (k,))
     for piece, ends in pieces:
         pairs = piece[0]
         if pairs.size:
-            v, e, _ = _tanh_sinh(partial(column, piece), 0.0, 1.0, tol, ends, k=pairs.size)
+            v, e, _ = _tanh_sinh(partial(column, piece), 0.0, 1.0, tols[pairs], ends,
+                                 k=pairs.size)
             total[pairs] += v
             err[pairs] += e
     return total, err
@@ -719,24 +712,32 @@ def _on_pieces(column, pieces, tol: float, k: int):
 
 def region_samples(params: FamilyParams, lams, Xs,
                    cfg: NumericConfig = DEFAULT_CONFIG) -> list[DecompositionTrace]:
-    """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)},
-    plus the auxiliary integrals ztilde1/ztilde2 (_ztilde1_values,
-    _ztilde2_values), at every (lambda, X) pair of lams x Xs, lambda-major,
-    each pair one component of every vector call on the slice pieces
-    (_slice_pieces; see the module docstring), so a pair's trace does not
-    depend on the other pairs.  The columns are closed forms: with
-    V(T) = int_0^T v^((b-q)s) (1+v^q)^s dv and C(x) the quadrant column on
-    (0, r2) (_inner_columns), z2's column is e^X V(1/lambda) and z1's
-    C - e^X V(1/lambda) where the slice e(x)/lambda is below r2, and C and 0
-    where it is not, decided per node.  The error is the x-quadratures' plus
-    the columns' share INNER_REL_ERR (z1 + 3 z2), as C and e^X V each carry
-    INNER_REL_ERR and z1 is their difference.  An X outside (0, 1)
-    raises OutOfWindow, and an empty lams, or a lambda outside (0, inf),
-    DomainError, before any quadrature."""
+    """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)}
+    and their 1D reductions
+
+        ztilde1 = lam^-X X^-1 int_0^rho x^(a s) ((lam r2)^X - e(x)^X) dx,
+        ztilde2 = (X - q s)^-1 [ lam^-(X-qs) int_0^rho x^(a s) e(x)^X dx
+                                 + r2^(X-qs) int_rho^r1 x^(a s) e^(-s/x^p) dx ],
+
+    rho = rho(lam r2) or r1, at every (lambda, X) pair of lams x Xs,
+    lambda-major, in one pass over the slice pieces (_slice_pieces; see the
+    module docstring): z1 and z2 at tol_2d, the three integrals of the
+    reductions at tol_1d, each a component of its own, so a pair's trace
+    does not depend on the other pairs.  The lower limit rho > 0 keeps the
+    growing factor e^(-s/x^p) finite on the right piece.  The columns of z1
+    and z2 are closed forms: with V(T) = int_0^T v^((b-q)s) (1+v^q)^s dv
+    and C(x) the quadrant column on (0, r2) (_inner_columns), z2's column
+    is e^X V(1/lambda) and z1's C - e^X V(1/lambda) where the slice
+    e(x)/lambda is below r2, and C and 0 where it is not, decided per node.
+    The error bounds z1 and z2: the x-quadratures' plus the columns' share
+    INNER_REL_ERR (z1 + 3 z2), as C and e^X V each carry INNER_REL_ERR and
+    z1 is their difference.  An X outside (0, 1) raises OutOfWindow, and
+    an empty lams, or a lambda outside (0, inf), DomainError, before any
+    quadrature."""
     sigmas = [_check_window(params, X) for X in Xs]
     if len(lams) == 0 or not all(0.0 < v < math.inf for v in lams):     # NaN fails
         raise DomainError("the region pieces need lambdas, each positive and finite")
-    n_sig, b, q = len(sigmas), params.b, params.q
+    n_sig, a, b, q = len(sigmas), params.a, params.b, params.q
     sig1, X1 = np.array(sigmas), np.array(Xs, dtype=float)
     lam_set, grp = np.unique(np.array(lams, dtype=float), return_inverse=True)
     grp = np.repeat(grp, n_sig)     # per pair, lambda-major: its lambda in lam_set
@@ -749,11 +750,11 @@ def region_samples(params: FamilyParams, lams, Xs,
     zero = np.zeros(1)
     V = np.array([_inner_columns(q, -t, zero, zero, tab_t)[0]
                   for t, tab_t in zip(ln_lam, tabs)])[grp, row]
-    pieces = _slice_pieces(params, lam, sig)
+    ln_rt2 = np.log(lam * params.r2)
+    scale = np.exp(Xs * ln_rt2)
 
-    def columns(piece, us, cols):
-        """Component c < k is z1 of pair c, c >= k z2 of pair c - k."""
-        c, xs, width = _mapped(piece, us, cols)
+    def z_columns(c, xs, width):
+        """c < k is z1 of pair c, c >= k z2 of pair c - k."""
         p = c % k
         out = np.empty(xs.shape)
         for g in np.unique(grp[p]):     # the pairs of one lambda share their nodes
@@ -768,19 +769,53 @@ def region_samples(params: FamilyParams, lams, Xs,
             out[:, j] = np.where(c[j] < k, np.where(inside, C - eV, 0.0)[:, at],
                                  np.where(inside, eV, C)[:, at])
         with np.errstate(divide="ignore", over="ignore"):
-            out *= np.exp(params.a * sig[p] * np.log(xs))
+            out *= np.exp(a * sig[p] * np.log(xs))
         return width * out
 
-    # z1 and z2 on the left piece, z2 alone on the right one: right of the
-    # kink e(x)/lambda > r2, {lambda y >= e(x)} misses the box
-    (left, ends), (right, _) = pieces
-    both = (np.arange(2 * k), np.tile(left[1], 2), np.tile(left[2], 2))
-    z, err = _on_pieces(columns, [(both, EndpointSpec(exponent_lo=np.tile(ends.exponent_lo, 2))),
-                                  ((right[0] + k, right[1], right[2]), None)], cfg.tol_2d, 2 * k)
-    z1, z2 = z[:k], z[k:]
-    err = err[:k] + err[k:] + INNER_REL_ERR * (np.abs(z1) + 3.0 * np.abs(z2))
-    zt1 = _ztilde1_values(params, lam, sig, Xs, pieces, cfg)
-    zt2 = _ztilde2_values(params, lam, sig, Xs, pieces, cfg)
+    def zt1(p, xs, width):
+        ln_es = log_e_flat(params, xs)
+        diff = scale[p] * (-np.expm1(np.minimum(Xs[p] * (ln_es - ln_rt2[p]), 0.0)))
+        with np.errstate(divide="ignore"):
+            return width * np.exp(a * sig[p] * np.log(xs)) * diff
+
+    def zt2_left(p, xs, width):
+        ln_es = log_e_flat(params, xs)
+        with np.errstate(divide="ignore"):
+            return width * np.exp(a * sig[p] * np.log(xs) + np.maximum(Xs[p] * ln_es, -745.0))
+
+    def zt2_right(p, xs, width):
+        ln_es = log_e_flat(params, xs)
+        return width * np.exp(a * sig[p] * np.log(xs) + q * sig[p] * ln_es)
+
+    def columns(piece, us, cols):
+        """Component c is, of pair c % k, z1 or z2 for c < 2k, then
+        ztilde1's integrand and ztilde2's on the left and on the right
+        piece, each kind formed on its own components alone."""
+        c, xs, width = _mapped(piece, us, cols)
+        out = np.empty(xs.shape)
+        for lo, hi, f in ((0, 2, z_columns), (2, 3, zt1), (3, 4, zt2_left), (4, 5, zt2_right)):
+            at = np.flatnonzero((lo * k <= c) & (c < hi * k))
+            if at.size:
+                out[:, at] = f(c[at] - lo * k, xs[:, at], width[at])
+        return out
+
+    # z1, z2, ztilde1 and ztilde2's first term on the left piece; z2 and
+    # ztilde2's second term on the right one, where e(x)/lambda > r2 and
+    # {lambda y >= e(x)} misses the box
+    (left, ends), (right, _) = _slice_pieces(params, lam, sig)
+    kinked = right[0]
+    tol = np.repeat([cfg.tol_2d, cfg.tol_1d], [2 * k, 3 * k])
+    z, err = _on_pieces(columns, [
+        ((np.arange(4 * k), np.tile(left[1], 4), np.tile(left[2], 4)),
+         EndpointSpec(exponent_lo=np.tile(ends.exponent_lo, 4))),
+        ((np.concatenate([kinked + k, kinked + 4 * k]), np.tile(right[1], 2),
+          np.tile(right[2], 2)), None)], tol, 5 * k)
+    z1, z2, i1, i2_left, i2_right = z.reshape(5, k)
+    err = err[:k] + err[k:2 * k] + INNER_REL_ERR * (np.abs(z1) + 3.0 * np.abs(z2))
+    zt1 = np.exp(-Xs * np.log(lam)) / Xs * i1
+    denom = Xs - q * sig
+    zt2 = (i2_left * (np.exp(-denom * np.log(lam)) / denom)
+           + np.exp(denom * math.log(params.r2)) / denom * i2_right)
     return [DecompositionTrace(lam=lams[i // n_sig], sigma=float(sig[i]), X=float(Xs[i]),
                                z1=float(z1[i]), z2=float(z2[i]), ztilde1=float(zt1[i]),
                                ztilde2=float(zt2[i]), error=float(err[i]))
@@ -790,62 +825,6 @@ def region_samples(params: FamilyParams, lams, Xs,
 # ---------------------------------------------------------------------------
 # auxiliary 1D reductions
 # ---------------------------------------------------------------------------
-
-def _ztilde1_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: np.ndarray,
-                    pieces, cfg: NumericConfig) -> np.ndarray:
-    """The 1D form of the monomial integral over the region {lambda y >= e(x)},
-
-        lam^-X X^-1 int_0^rho(lam r2) x^(a s) ((lam r2)^X - e(x)^X) dx,
-
-    at every pair (lam, sigma, X) of the checked arrays lam, sig, Xs, as one
-    vector quadrature over the left slice pieces (_slice_pieces), with a
-    component and an endpoint exponent per pair."""
-    a = params.a
-    ln_rt2 = np.log(lam * params.r2)
-    scale = np.exp(Xs * ln_rt2)
-
-    def zt1(piece, us, cols):
-        p, xs, width = _mapped(piece, us, cols)
-        ln_es = log_e_flat(params, xs)
-        diff = scale[p] * (-np.expm1(np.minimum(Xs[p] * (ln_es - ln_rt2[p]), 0.0)))
-        with np.errstate(divide="ignore"):
-            return width * np.exp(a * sig[p] * np.log(xs)) * diff
-
-    vals = _on_pieces(zt1, pieces[:1], cfg.tol_1d, sig.size)[0]
-    return np.exp(-Xs * np.log(lam)) / Xs * vals
-
-
-def _ztilde2_values(params: FamilyParams, lam: np.ndarray, sig: np.ndarray, Xs: np.ndarray,
-                    pieces, cfg: NumericConfig) -> np.ndarray:
-    """The two-piece 1D reduction of the flat-side auxiliary integral,
-
-        (X - q s)^-1 [ lam^-(X-qs) int_0^rho x^(a s) e(x)^X dx
-                       + r2^(X-qs) int_rho^r1 x^(a s) e^(-s/x^p) dx ],
-
-    rho = rho(lam r2), at every pair (lam, sigma, X) of the checked arrays
-    lam, sig, Xs: each of its two terms is one vector quadrature over one
-    slice piece (_slice_pieces) with a component per pair, (0, rho) for every
-    pair and (rho, r1) for the pairs with rho < r1.  The lower limit rho > 0
-    keeps the growing factor e^(-s/x^p) finite on the second piece."""
-    a, q = params.a, params.q
-    denom = Xs - q * sig
-
-    def zt2_left(piece, us, cols):
-        p, xs, width = _mapped(piece, us, cols)
-        ln_es = log_e_flat(params, xs)
-        with np.errstate(divide="ignore"):
-            return width * np.exp(a * sig[p] * np.log(xs) + np.maximum(Xs[p] * ln_es, -745.0))
-
-    def zt2_right(piece, us, cols):
-        p, xs, width = _mapped(piece, us, cols)
-        ln_es = log_e_flat(params, xs)
-        return width * np.exp(a * sig[p] * np.log(xs) + q * sig[p] * ln_es)
-
-    left = _on_pieces(zt2_left, pieces[:1], cfg.tol_1d, sig.size)[0]
-    right = _on_pieces(zt2_right, pieces[1:], cfg.tol_1d, sig.size)[0]
-    return (left * (np.exp(-denom * np.log(lam)) / denom)
-            + np.exp(denom * math.log(params.r2)) / denom * right)
-
 
 def ztilde1_2d(params: FamilyParams, lam: float, X: float,
                cfg: NumericConfig = DEFAULT_CONFIG) -> float:

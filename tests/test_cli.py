@@ -248,6 +248,32 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("compute", "--tol-1d", "1e-9"),
+    ("constants", "--schedule", "geo:0.125,0.5,4"),
+    ("constants", "--tol-2d", "1e-6"),
+], ids=["compute-tol-1d", "constants-schedule", "constants-tol-2d"])
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command, flag, value):
+    # compute reads tol_2d alone, constants tol_1d alone (through M) and no
+    # schedule: a flag that would change nothing is rejected, not ignored
+    assert main([command, "--preset", "greenblatt", flag, value]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_tuning_flags_reach_the_config():
+    def config(*argv):
+        return cli._build_config(cli.build_parser().parse_args(argv))
+
+    assert config("compute", "--preset", "critical", "--tol-2d", "1e-6",
+                  "--schedule", "geo:0.125,0.5,4") == RunConfig(
+        PRESETS["critical"], (0.125, 0.5, 4), NumericConfig(tol_2d=1e-6))
+    assert config("constants", "--preset", "critical", "--tol-1d", "1e-9").numeric == \
+        NumericConfig(tol_1d=1e-9)
+    assert config("verify", "--preset", "critical", "--tol-1d", "1e-9", "--tol-2d", "1e-6",
+                  "--schedule", "geo:0.125,0.5,4") == RunConfig(
+        PRESETS["critical"], (0.125, 0.5, 4), NumericConfig(tol_1d=1e-9, tol_2d=1e-6))
+
+
 def test_zero_denominator_in_p_is_a_usage_error(tmp_path, capsys):
     assert main(["constants", "--a", "0", "--b", "2", "--q", "2", "--p", "1/0"]) == 2
     assert "invalid parse_rational value: '1/0'" in capsys.readouterr().err

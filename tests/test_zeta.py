@@ -5,6 +5,7 @@ Frozen reference values were produced by an adaptive tanh-sinh oracle run at
 25-40 significant digits (mpmath) before the engine was tuned against them.
 """
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -799,8 +800,9 @@ def test_weighted_error_counts_the_inner_share(params, bump, sched):
 
 @pytest.mark.parametrize("flat", [True, False])
 def test_zeta_samples_one_outer_call(monkeypatch, flat):
-    # a whole schedule is one vector quadrature over x, flat term on or off:
-    # the far columns' constant K is a closed form, not a quadrature
+    # a whole schedule is one vector quadrature over x with the flat term on
+    # (the far columns' constant K is a closed form, not a quadrature), and
+    # none with it off, where the box integral is the product C I_x
     calls = []
     real = zeta_mod._tanh_sinh
 
@@ -811,7 +813,7 @@ def test_zeta_samples_one_outer_call(monkeypatch, flat):
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     sched = make_schedule(0.125, 0.5, 14, SUP.b)
     zeta_samples(SUP, None, sched.xs, CFG, flat=flat)
-    assert calls == [(0.0, SUP.r1, 14)]
+    assert calls == flat * [(0.0, SUP.r1, 14)]
 
 
 def test_ztilde1_saturated_equals_2d():
@@ -950,13 +952,14 @@ def test_region_samples_match_one_sigma_calls(params):
 
 @pytest.mark.parametrize("lams", [[0.25, 4.0], [4.0]], ids=["kink", "saturated"])
 def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
-    # every pair's interval is mapped onto (0, 1): z1 and z2 of every pair are
-    # one call with 2k components on the left piece (the x^(a s) endpoint
-    # declared), z2 one more on the right piece of the kinked pairs (regular
-    # ends), where z1's region misses the box; ztilde1 is one call and
-    # ztilde2 one per piece.  No call is nested: the columns are closed
-    # forms, one _inner_columns call per lambda of an integrand call, and
-    # V(1/lambda) one more per lambda before the quadratures.
+    # every pair's interval is mapped onto (0, 1): z1, z2, ztilde1 and
+    # ztilde2's first term of every pair are one call with 4k components on
+    # the left piece (the x^(a s) endpoint declared), z2 and ztilde2's second
+    # term one more on the right piece of the kinked pairs (regular ends),
+    # where z1's region misses the box.  No call is nested: the columns are
+    # closed forms, one _inner_columns call per lambda of the z1/z2
+    # components of an integrand call, and V(1/lambda) one more per lambda
+    # before the quadratures.
     # ztilde1_2d and ztilde2_2d run on the same one-pair pieces, one outer
     # call apiece.  At SUP, lambda = 0.25 kinks inside (0, r1) and 4
     # saturates at r1.
@@ -989,20 +992,18 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
     xs = make_schedule(0.125, 0.25, 4, SUP.b).xs
     region_samples(SUP, lams, xs, CFG)
     n, n_kink = 4 * len(lams), 4 * sum(rho(SUP, lam * SUP.r2) < SUP.r1 for lam in lams)
-    expect = [("columns", 2 * n, False), ("columns", n_kink, True),
-              ("zt1", n, False), ("zt2_left", n, False), ("zt2_right", n_kink, True)]
+    expect = [("columns", 4 * n, False), ("columns", 2 * n_kink, True)]
     expect = [c for c in expect if c[1]]
     assert [(name, k, regular) for name, lo, hi, k, regular, _ in calls] == expect
     assert all((lo, hi) == (0.0, 1.0) and not d for _, lo, hi, _, _, d in calls)
     assert n_kink == (4 if lams == [0.25, 4.0] else 0)
     assert outside[0] == len(lams)
     for name, k, cols, made in level_calls:
-        if name != "columns":
-            assert made == 0
-        elif k == 2 * n:        # component c is z1 (c < n) or z2 of pair c % n
-            assert made == len(np.unique((cols % n) // 4))
-        else:                   # the kinked pairs, all of lambda = 0.25
-            assert made == 1
+        if k == 4 * n:      # component c is z1, z2, ztilde1, ztilde2 of pair c % n
+            z = cols[cols < 2 * n]
+            assert made == len(np.unique((z % n) // 4))
+        else:               # z2 and ztilde2 of the kinked pairs, all of lambda = 0.25
+            assert made == (cols < n_kink).any()
     for lam in lams:
         kinked = rho(SUP, lam * SUP.r2) < SUP.r1
         for fn, name in ((ztilde1_2d, "zt1_2d"), (ztilde2_2d, "zt2_2d")):
@@ -1010,6 +1011,56 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
             fn(SUP, lam, xs[0], CFG)
             assert [c[:5] for c in calls if not c[5]] == (
                 [(name, 0.0, 1.0, 1, False)] + kinked * [(name, 0.0, 1.0, 1, True)])
+
+
+# every field of the region traces, frozen before the four kinds of region
+# component became one call per slice piece: SUP at a kinked (0.25) and a
+# saturated (4) lambda, (5,6,4,6), a/b >= 0.8 with p = 6, at lambda = 1, and
+# greenblatt at lambda = 1, whose ztilde1 moves if its integrand's factors
+# are multiplied in another order (SUP's x^(a s) is 1 at a = 0)
+REGION_CASES = {
+    "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4, SUP.b).xs),
+    "(5,6,4,6)": (FamilyParams(5, 6, 4, Fraction(6)), [1.0], [0.02]),
+    "greenblatt": (GREEN, [1.0], [0.5, 0.125, 0.03125]),
+}
+REGION_FROZEN = {
+    "supercritical": [
+        (0.25, -0.4375, 0.125, 1.9828629600786027, 0.3970923031754635, 1.9851451560361888,
+         0.7065400933477529, 1.2013989475877502e-11),
+        (0.25, -0.484375, 0.03125, 5.315282765987876, 0.6589110914658614, 5.319329239386738,
+         1.236072746600457, 8.458807373478044e-10),
+        (0.25, -0.49609375, 0.0078125, 12.278333856948535, 0.8348230744658919,
+         12.283605474843414, 1.5865722772694328, 1.966130407988516e-08),
+        (0.25, -0.4990234375, 0.001953125, 26.38806131922152, 0.9360463696280226,
+         26.394053169596123, 1.7847498381449103, 4.148442760780688e-07),
+        (4.0, -0.4375, 0.125, 2.336116072313052, 0.04383919094101424, 2.4777950260821733,
+         0.044231858003929904, 1.0742675480944621e-11),
+        (4.0, -0.484375, 0.03125, 5.897610441650002, 0.07658341580373337, 6.176979436021257,
+         0.07734294295965308, 8.438035350140547e-10),
+        (4.0, -0.49609375, 0.0078125, 13.014901530800977, 0.09825540061344817,
+         13.383998343285281, 0.09925346316691128, 1.1300377169105198e-08),
+        (4.0, -0.4990234375, 0.001953125, 27.213596214971513, 0.1105114738781087,
+         27.631803022136868, 0.11164066789654142, 4.41390504079656e-07),
+    ],
+    "(5,6,4,6)": [
+        (1.0, -0.16333333333333333, 0.02, 230.71981734912612, 0.17933107684338434,
+         230.72385116872115, 0.18270592968301202, 1.0560438474092284e-07),
+    ],
+    "greenblatt": [
+        (1.0, -0.25, 0.5, 0.0872845001123719, 0.47600006946566953, 0.09683086748134899,
+         0.5066664566411828, 2.9007422790727147e-09),
+        (1.0, -0.4375, 0.125, 0.3256732267255509, 0.9353481104231094, 0.3739430569313268,
+         1.042532825779368, 1.9798674877426024e-08),
+        (1.0, -0.484375, 0.03125, 0.5169355011034895, 1.145220174041033, 0.5903494165367529,
+         1.2911434280226952, 2.2318010757692678e-08),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGION_FROZEN))
+def test_region_samples_keep_their_bits(name):
+    got = region_samples(*REGION_CASES[name], CFG)
+    assert [dataclasses.astuple(tr) for tr in got] == REGION_FROZEN[name]
 
 
 @st.composite
