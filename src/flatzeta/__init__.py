@@ -62,8 +62,7 @@ from .zeta import (
     monomial_closed_form,
     region_samples,
     zeta_samples,
-    ztilde1_2d,
-    ztilde2_2d,
+    ztilde_2d,
 )
 from .asym import (
     BlowupSequence,

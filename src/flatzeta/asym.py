@@ -35,7 +35,6 @@ from .errors import (
 )
 from .funcs import log_e_flat, rho
 from .model import (
-    DEFAULT_CONFIG,
     FamilyParams,
     NumericConfig,
     Regime,
@@ -111,7 +110,7 @@ def constant_L(params: FamilyParams, lam: float) -> float:
 
 
 def constant_M(params: FamilyParams, lam: float,
-               cfg: NumericConfig = DEFAULT_CONFIG) -> float:
+               cfg: NumericConfig) -> float:
     """Limit of the flat-side auxiliary integral:
 
         M = b^2/(q(b-a)) lam^(-q/b) rho(lam r2)^(1-a/b)
@@ -141,7 +140,7 @@ def constant_M(params: FamilyParams, lam: float,
     return first + second
 
 
-def case3_bounds(params: FamilyParams, cfg: NumericConfig = DEFAULT_CONFIG) -> Case3Bounds:
+def case3_bounds(params: FamilyParams, cfg: NumericConfig) -> Case3Bounds:
     """Bounded-regime bracket:
 
         lower = max_lambda  F = L w1 + M w2

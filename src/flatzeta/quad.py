@@ -253,6 +253,8 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
     Components with intervals of their own are mapped by the caller onto
     the shared one inside f.  tol, one for all components or a (k,) array
     of one each, must be finite and > 0 (DomainError before f is called).
+    With k = 0 f is not called: the values and errors are empty and the
+    evaluations 0.
 
     An EndpointSpec declares each component's exponent at lo (0 included):
     lo is then sampled down to offsets of _OFF_MIN, and the endpoint
@@ -274,6 +276,8 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float | np.ndarray,
     tols = np.full(k, tol, dtype=float)
     if not np.all(np.isfinite(tols) & (tols > 0.0)):      # NaN fails
         raise DomainError(f"need a finite tol > 0 for every component, got {tol}")
+    if not k:
+        return np.zeros(0), np.zeros(0), 0
     span = hi - lo
     value = np.zeros(k)    # results, filled in as components retire
     error = np.zeros(k)

@@ -37,8 +37,7 @@ from .zeta import (
     log_derivative_moments,
     region_samples,
     zeta_samples,
-    ztilde1_2d,
-    ztilde2_2d,
+    ztilde_2d,
 )
 
 Target = Union[float, tuple[float, float]]
@@ -73,7 +72,7 @@ def _scalar_report(check_id, target, observed, rel_tol, residuals):
 # ---------------------------------------------------------------------------
 
 def verify_blowup_law(params: FamilyParams, bump: Optional[BumpSpec],
-                      schedule: SigmaSchedule, cfg: NumericConfig = DEFAULT_CONFIG,
+                      schedule: SigmaSchedule, cfg: NumericConfig,
                       samples: Optional[Sequence[ZetaSample]] = None) -> VerificationReport:
     """Check the regime-appropriate blow-up law of Z along the schedule:
     power scaling to A, log scaling to 1/(pq), or monotone growth with
@@ -127,7 +126,7 @@ def verify_blowup_law(params: FamilyParams, bump: Optional[BumpSpec],
 
 def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
                     schedule: SigmaSchedule,
-                    cfg: NumericConfig = DEFAULT_CONFIG) -> VerificationReport:
+                    cfg: NumericConfig) -> VerificationReport:
     """At every (lambda, X) pair of lambdas x schedule, check the strict
     two-sided envelopes
 
@@ -164,7 +163,7 @@ def verify_sandwich(params: FamilyParams, lambdas: Sequence[float],
 
 
 def verify_decompositions(params: FamilyParams, lam: float, X: float,
-                          cfg: NumericConfig = DEFAULT_CONFIG) -> VerificationReport:
+                          cfg: NumericConfig) -> VerificationReport:
     """Relative residuals at (lam, X) of the additivity Z = Z1 + Z2, the 1D
     reductions against direct iterated quadrature, and the regime-matched
     proof splits (G-sum, H-difference, J-sum); all must fall below 1e-5."""
@@ -172,9 +171,8 @@ def verify_decompositions(params: FamilyParams, lam: float, X: float,
     (tr,) = region_samples(params, [lam], [X], cfg)
     resid = {}
     resid["additivity"] = abs(z.value - (tr.z1 + tr.z2)) / z.value
-    zt1_2d = ztilde1_2d(params, lam, X, cfg)
+    zt1_2d, zt2_2d = ztilde_2d(params, lam, X, cfg)
     resid["ztilde1_reduction"] = abs(tr.ztilde1 - zt1_2d) / tr.ztilde1
-    zt2_2d = ztilde2_2d(params, lam, X, cfg)
     scale2 = max(abs(tr.ztilde2), 1e-300)
     resid["ztilde2_reduction"] = abs(tr.ztilde2 - zt2_2d) / scale2
     kind = classify_regime(params).kind
@@ -258,7 +256,7 @@ def verify_psi_and_flat(samples: int, seed: int) -> VerificationReport:
 
 
 def verify_LM_limits(params: FamilyParams,
-                     cfg: NumericConfig = DEFAULT_CONFIG) -> VerificationReport:
+                     cfg: NumericConfig) -> VerificationReport:
     """L and M on both sides of the saturation point lam_sat = e(r1)/r2, at
     lam = lo 1e-6, lo 1e-3, 1, hi 1e3 and hi 1e6 (lo = min(lam_sat, 1),
     hi = max(lam_sat, 1)), checked against the family's exact laws in lam.

@@ -70,7 +70,7 @@ h (phi_y - 1) are formed once per (node, row), the increment at y = R2 u
 once per node, and each (node, sigma) cell is one product, one exp and one
 product (_runs), in the same operations, so every component keeps its
 bits.  The inner integrands that are smooth up to both ends
-(_increment_columns and the log-variable columns of ztilde1_2d,
+(_increment_columns and the log-variable columns of ztilde_2d's zt1,
 _w_integrals) declare no endpoint, so their lower end is sampled no
 deeper than the upper.  The x-bump
 underflows to exactly 0 past 1 - x/R1 ~ 6.7e-4, where the outer rule puts
@@ -97,11 +97,13 @@ with four components per pair on the left piece, and z2 and ztilde2's
 second term one more on the right piece, as right of the kink
 {lambda y >= e(x)} has no part inside the box.  A pair's trace does not
 depend on the other pairs of its batch: the one-pair batch gives it bit
-for bit.  ztilde1_2d and ztilde2_2d, the cross-checks of the 1D
-reductions, keep their own integrands and inner quadratures and share only
-the one-pair slice pieces, one outer call apiece; the log-variable columns
-of ztilde1_2d are clipped at log r2 - 800/X (_w_floor), below which the
-neglected mass is under e^-800 of the column.
+for bit.  ztilde_2d, the 2D cross-checks (zt1, zt2) of the 1D reductions,
+is one pass over the one-pair slice pieces: one outer call with both
+components on the left piece and one with zt2's alone on the right piece
+of a kinked slice.  Each keeps its own integrand and inner quadrature,
+formed on its own component alone, so each value is a lone call's bit for
+bit; the log-variable columns of zt1 are clipped at log r2 - 800/X
+(_w_floor), below which the neglected mass is under e^-800 of the column.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ from .funcs import (
     log_e_flat,
     rho,
 )
-from .model import DEFAULT_CONFIG, FamilyParams, NumericConfig
+from .model import FamilyParams, NumericConfig
 from .quad import _OFF_MIN, EndpointSpec, _tanh_sinh, integrate_1d
 
 
@@ -330,7 +332,7 @@ def _runs(row: np.ndarray, cols: np.ndarray):
 
 def _w_integrals(X: float, w_lo: np.ndarray, w_hi: float, tol: float):
     """int_{w_lo[i]}^{w_hi} e^(X w) dw for every i, as one vector quadrature
-    (w = log y: the column int y^(X-1) dy of ztilde1_2d).  Each interval is
+    (w = log y: the column int y^(X-1) dy of ztilde_2d's zt1).  Each interval is
     mapped onto u in (0, 1) by w = w_lo + (w_hi - w_lo) u inside the
     integrand, so an interval narrow against |w| samples distinct abscissae.
     The integrand is smooth up to both ends, so u is sampled no closer to 0
@@ -644,8 +646,8 @@ def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], Xs,
 
 def _w_floor(X: float, lnY2: float) -> float:
     """Lower clip of the log-variable columns int^lnY2 e^(X w) dw of
-    ztilde1_2d.  The mass dropped below it is at most Y2^X e^-800 / X, under
-    the double range relative to the column.  Without it the interval
+    ztilde_2d's zt1.  The mass dropped below it is at most Y2^X e^-800 / X,
+    under the double range relative to the column.  Without it the interval
     reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at p = 6), where
     tanh-sinh does not resolve the mass next to lnY2 within its level cap."""
     return lnY2 - 800.0 / X
@@ -679,12 +681,6 @@ def _slice_pieces(params: FamilyParams, lam: np.ndarray, sig: np.ndarray):
             ((kinked, x1[kinked], params.r1 - x1[kinked]), None)]
 
 
-def _one_pair(params: FamilyParams, lam: float, X: float):
-    """The checked sigma of the one pair (lam, X) and its slice pieces."""
-    sigma = _check_slice(params, lam, X)
-    return sigma, _slice_pieces(params, np.array([lam]), np.array([sigma]))
-
-
 def _mapped(piece, us, cols):
     """Pairs, abscissae x = lo + width u and widths of the components cols
     of a piece (pairs, lo, width)."""
@@ -711,7 +707,7 @@ def _on_pieces(column, pieces, tol, k: int):
 
 
 def region_samples(params: FamilyParams, lams, Xs,
-                   cfg: NumericConfig = DEFAULT_CONFIG) -> list[DecompositionTrace]:
+                   cfg: NumericConfig) -> list[DecompositionTrace]:
     """Z1, Z2 over the split regions {lambda y >= e(x)} / {lambda y < e(x)}
     and their 1D reductions
 
@@ -826,41 +822,23 @@ def region_samples(params: FamilyParams, lams, Xs,
 # auxiliary 1D reductions
 # ---------------------------------------------------------------------------
 
-def ztilde1_2d(params: FamilyParams, lam: float, X: float,
-               cfg: NumericConfig = DEFAULT_CONFIG) -> float:
-    """Direct iterated quadrature of x^(a s) y^(b s) over {lambda y >= e(x)},
-    for cross-checking the 1D reduction: its own inner quadrature on each
-    column, on the slice pieces of ztilde1."""
-    sigma, pieces = _one_pair(params, lam, X)
-    lnY2, ln_lam = math.log(params.r2), math.log(lam)
-    w_floor = _w_floor(X, lnY2)
-
-    def zt1_2d(piece, us, cols):
-        _, xs, width = _mapped(piece, us, cols)
-        x = xs[:, 0]
-        ln_c = log_e_flat(params, x) - ln_lam
-        out = np.zeros_like(x)
-        sel = ln_c < lnY2
-        if sel.any():     # int_c^r2 y^(X-1) dy in w = log y, c = e(x)/lambda
-            out[sel] = _w_integrals(X, np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
-        with np.errstate(divide="ignore", over="ignore"):
-            out *= np.exp(params.a * sigma * np.log(x))
-        return width * out[:, None]
-
-    return float(_on_pieces(zt1_2d, pieces, cfg.tol_2d, 1)[0][0])
-
-
-def ztilde2_2d(params: FamilyParams, lam: float, X: float,
-               cfg: NumericConfig = DEFAULT_CONFIG) -> float:
-    """Direct iterated quadrature of x^(a s) y^((b-q)s) e^(-s/x^p) over
-    {lambda y < e(x)}, for cross-checking the two-piece reduction, on the
-    slice pieces of ztilde2.  The inner integral is v0 m^((b-q)s+1),
-    m = min(e(x)/lambda, r2), with v0 the quadrature of v^((b-q)s) over
-    (0, 1)."""
-    sigma, pieces = _one_pair(params, lam, X)
+def ztilde_2d(params: FamilyParams, lam: float, X: float,
+              cfg: NumericConfig) -> tuple[float, float]:
+    """Direct iterated quadratures (zt1, zt2) for cross-checking the 1D
+    reductions: zt1 of x^(a s) y^(b s) over {lambda y >= e(x)}, with its
+    own inner quadrature on each column, and zt2 of x^(a s) y^((b-q)s)
+    e^(-s/x^p) over {lambda y < e(x)}, whose inner integral is
+    v0 m^((b-q)s+1), m = min(e(x)/lambda, r2), with v0 the quadrature of
+    v^((b-q)s) over (0, 1).  Component 0 is zt1 and 1 zt2, each kind of
+    column formed on its own component alone: one outer call on the left
+    slice piece with both, and one on the right piece of a kinked slice
+    with zt2 alone, as {lambda y >= e(x)} misses the box there."""
+    sigma = _check_slice(params, lam, X)
+    (left, ends), (right, _) = _slice_pieces(params, np.array([lam]), np.array([sigma]))
     a, q = params.a, params.q
     bq = (params.b - params.q) * sigma
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
+    w_floor = _w_floor(X, lnY2)
 
     def fv(vs):
         with np.errstate(divide="ignore"):
@@ -868,8 +846,18 @@ def ztilde2_2d(params: FamilyParams, lam: float, X: float,
 
     v0 = integrate_1d(fv, 0.0, 1.0, EndpointSpec(exponent_lo=bq), cfg.tol_2d / 5.0).value
 
-    def zt2_2d(piece, us, cols):
-        _, xs, width = _mapped(piece, us, cols)
+    def zt1(xs, width):
+        x = xs[:, 0]
+        ln_c = log_e_flat(params, x) - ln_lam
+        out = np.zeros_like(x)
+        sel = ln_c < lnY2
+        if sel.any():     # int_c^r2 y^(X-1) dy in w = log y, c = e(x)/lambda
+            out[sel] = _w_integrals(X, np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
+        with np.errstate(divide="ignore", over="ignore"):
+            out *= np.exp(a * sigma * np.log(x))
+        return width * out[:, None]
+
+    def zt2(xs, width):
         ln_es = log_e_flat(params, xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             ln_col = (a * sigma * np.log(xs) + q * sigma * ln_es
@@ -878,7 +866,15 @@ def ztilde2_2d(params: FamilyParams, lam: float, X: float,
             col = np.where((ln_es > -np.inf) & (ln_col >= -740.0), np.exp(ln_col) * v0, 0.0)
         return width * col
 
-    return float(_on_pieces(zt2_2d, pieces, cfg.tol_2d, 1)[0][0])
+    def columns_2d(piece, us, cols):
+        c, xs, width = _mapped(piece, us, cols)     # c: 0 for zt1, 1 for zt2
+        return np.hstack([(zt1, zt2)[i](xs[:, [j]], width[[j]]) for j, i in enumerate(c)])
+
+    (zt1_v, zt2_v), _ = _on_pieces(columns_2d, [
+        ((np.arange(2), np.tile(left[1], 2), np.tile(left[2], 2)),
+         EndpointSpec(exponent_lo=np.tile(ends.exponent_lo, 2))),
+        ((right[0] + 1, right[1], right[2]), None)], cfg.tol_2d, 2)
+    return float(zt1_v), float(zt2_v)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +891,7 @@ def _from_one(f, U: float, cfg: NumericConfig) -> float:
 
 
 def g_pieces(params: FamilyParams, lam: float, X: float,
-             cfg: NumericConfig = DEFAULT_CONFIG):
+             cfg: NumericConfig):
     """G1, G2, G3 after the rescaling u = X^(-1/p) x:
 
         G1 = int_0^1 u^(a s)(rt2^X - e(u)) du
@@ -931,7 +927,7 @@ def g_pieces(params: FamilyParams, lam: float, X: float,
 
 
 def h_pieces(params: FamilyParams, lam: float, X: float,
-             cfg: NumericConfig = DEFAULT_CONFIG):
+             cfg: NumericConfig):
     """Critical-regime split of G2: H1 = q^-1 (log rho(rt2) - p^-1 log X) and
     H2 = int_1^U (q^-1 / u - u^(a s)(1 - e(u))) du, so G2 = H1 - H2."""
     sigma = _check_slice(params, lam, X)
@@ -949,7 +945,7 @@ def h_pieces(params: FamilyParams, lam: float, X: float,
 
 
 def j_pieces(params: FamilyParams, lam: float, X: float,
-             cfg: NumericConfig = DEFAULT_CONFIG):
+             cfg: NumericConfig):
     """Subcritical split of the 1D reduction:
 
         J1 = lam^-X int_0^rho x^(a s) (1 - e(x)^X)/X dx
@@ -994,7 +990,7 @@ def _check_log_moments(params: FamilyParams, bump: BumpSpec, s: float, j,
 
 
 def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: int,
-                           cfg: NumericConfig = DEFAULT_CONFIG, *,
+                           cfg: NumericConfig, *,
                            flat: bool) -> np.ndarray:
     """D_0(s), ..., D_J(s) over the plane (4x quadrant) as one array.  As
     |f| = x^a f_y with f_y = y^(b-q) (y^q + E(x)), the binomial theorem gives
@@ -1128,7 +1124,7 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
 
 
 def log_derivative_integral(params: FamilyParams, bump: BumpSpec, s: float, j: int,
-                            cfg: NumericConfig = DEFAULT_CONFIG, *,
+                            cfg: NumericConfig, *,
                             flat: bool) -> float:
     """D_j(s) over the plane (4x quadrant), requiring |f| < 1 on the support
     so that sign(D_j) = (-1)^j.  D_0 runs on the weighted engine

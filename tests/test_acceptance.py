@@ -31,8 +31,7 @@ from flatzeta.zeta import (
     monomial_closed_form,
     region_samples,
     zeta_samples,
-    ztilde1_2d,
-    ztilde2_2d,
+    ztilde_2d,
     g_pieces,
     j_pieces,
 )
@@ -199,9 +198,8 @@ def test_criterion_06_decomposition_identities():
         (z,) = zeta_samples(params, None, [X], CFG, flat=True)
         (tr,) = region_samples(params, [lam], [X], CFG)
         resids[f"{name}/additivity"] = abs(z.value - (tr.z1 + tr.z2)) / z.value
-        zt1_2d = ztilde1_2d(params, lam, X, CFG)
+        zt1_2d, zt2_2d = ztilde_2d(params, lam, X, CFG)
         resids[f"{name}/zt1-reduction"] = abs(tr.ztilde1 - zt1_2d) / tr.ztilde1
-        zt2_2d = ztilde2_2d(params, lam, X, CFG)
         resids[f"{name}/zt2-two-piece"] = (abs(tr.ztilde2 - zt2_2d)
                                            / max(abs(tr.ztilde2), 1e-300))
     params = PRESETS["supercritical"]

@@ -177,6 +177,16 @@ def test_tanh_sinh_interval_without_nodes():
     assert values.tolist() == [0.0, 0.0] and errors.tolist() == [0.0, 0.0] and evals == 0
 
 
+@pytest.mark.parametrize("ends", [EndpointSpec(), None], ids=["declared", "regular"])
+def test_tanh_sinh_no_components(ends):
+    # k = 0: empty values and errors, no evaluation and no integrand call
+    def f(xs, cols):
+        raise AssertionError("the integrand was called")
+
+    values, errors, evals = _tanh_sinh(f, 0.0, 1.0, 1e-10, ends, k=0)
+    assert values.shape == errors.shape == (0,) and evals == 0
+
+
 def test_tanh_sinh_vector_wide_levels_in_blocks():
     # 1024 components: f gets blocks of at most _BLOCK_CELLS values, and
     # every component still returns its lone call's result bit for bit

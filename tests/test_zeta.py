@@ -56,8 +56,7 @@ from flatzeta.zeta import (
     monomial_closed_form,
     region_samples,
     zeta_samples,
-    ztilde1_2d,
-    ztilde2_2d,
+    ztilde_2d,
 )
 
 CFG = NumericConfig()
@@ -816,11 +815,18 @@ def test_zeta_samples_one_outer_call(monkeypatch, flat):
     assert calls == flat * [(0.0, SUP.r1, 14)]
 
 
+@pytest.mark.parametrize("bump", [None, BumpSpec()], ids=["unweighted", "bump"])
+@pytest.mark.parametrize("flat", [True, False])
+def test_zeta_samples_empty_batch(bump, flat):
+    # an empty batch is an empty list, with the flat term on or off
+    assert zeta_samples(CRIT, bump, [], CFG, flat=flat) == []
+
+
 def test_ztilde1_saturated_equals_2d():
     # lam r2 = 2 >= e(r1): saturation branch, upper limit rho = r1
     lam, X = 2.0 / CRIT.r2, CRIT.b * -0.4 + 1.0
     v1 = region_samples(CRIT, [lam], [X], CFG)[0].ztilde1
-    v2 = ztilde1_2d(CRIT, lam, X, CFG)
+    v2, _ = ztilde_2d(CRIT, lam, X, CFG)
     assert v1 == pytest.approx(v2, rel=1e-6)
 
 
@@ -854,7 +860,7 @@ def test_ztilde2_matches_2d():
     for params, lam, sigma in ((GREEN, 1.0, -0.45), (CRIT, 0.5, -0.3), (SUP, 2.0, -0.45)):
         X = params.b * sigma + 1.0
         v1 = region_samples(params, [lam], [X], CFG)[0].ztilde2
-        v2 = ztilde2_2d(params, lam, X, CFG)
+        _, v2 = ztilde_2d(params, lam, X, CFG)
         assert v1 == pytest.approx(v2, rel=1e-5)
 
 
@@ -875,13 +881,16 @@ def test_ztilde_reductions_match_2d_over_families():
         X = b * sigma + 1.0
         n_kinked += rho(params, lam * params.r2) < params.r1
         (tr,) = region_samples(params, [lam], [X], CFG)
-        for v1, two in ((tr.ztilde1, ztilde1_2d), (tr.ztilde2, ztilde2_2d)):
-            v2 = two(params, lam, X, CFG)
-            assert abs(v1 - v2) <= 1e-8 * abs(v1), (params, lam, X, two.__name__)
+        for v1, v2, name in zip((tr.ztilde1, tr.ztilde2), ztilde_2d(params, lam, X, CFG),
+                                ("ztilde1", "ztilde2")):
+            assert abs(v1 - v2) <= 1e-8 * abs(v1), (params, lam, X, name)
     assert 0 < n_kinked < 60
 
 
-@pytest.mark.parametrize("fn", [ztilde1_2d, ztilde2_2d])
+@pytest.mark.parametrize("fn", [
+    pytest.param(lambda *args: ztilde_2d(*args)[0], id="ztilde1_2d"),
+    pytest.param(lambda *args: ztilde_2d(*args)[1], id="ztilde2_2d"),
+])
 @pytest.mark.parametrize("lam", [0.0, -1.0])
 def test_ztilde_2d_rejects_nonpositive_lambda(fn, lam):
     with pytest.raises(DomainError, match="lambda must be positive"):
@@ -960,9 +969,10 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
     # closed forms, one _inner_columns call per lambda of the z1/z2
     # components of an integrand call, and V(1/lambda) one more per lambda
     # before the quadratures.
-    # ztilde1_2d and ztilde2_2d run on the same one-pair pieces, one outer
-    # call apiece.  At SUP, lambda = 0.25 kinks inside (0, r1) and 4
-    # saturates at r1.
+    # ztilde_2d runs on the one-pair pieces: one outer call with both
+    # components on the left piece (the endpoint declared) and one with
+    # zt2's alone on the right piece of a kinked slice (regular ends).  At
+    # SUP, lambda = 0.25 kinks inside (0, r1) and 4 saturates at r1.
     calls, depth, level_calls, outside = [], [0], [], [0]
     real, real_inner = zeta_mod._tanh_sinh, zeta_mod._inner_columns
 
@@ -1006,11 +1016,10 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
             assert made == (cols < n_kink).any()
     for lam in lams:
         kinked = rho(SUP, lam * SUP.r2) < SUP.r1
-        for fn, name in ((ztilde1_2d, "zt1_2d"), (ztilde2_2d, "zt2_2d")):
-            calls.clear()
-            fn(SUP, lam, xs[0], CFG)
-            assert [c[:5] for c in calls if not c[5]] == (
-                [(name, 0.0, 1.0, 1, False)] + kinked * [(name, 0.0, 1.0, 1, True)])
+        calls.clear()
+        ztilde_2d(SUP, lam, xs[0], CFG)
+        assert [c[:5] for c in calls if not c[5]] == (
+            [("columns_2d", 0.0, 1.0, 2, False)] + kinked * [("columns_2d", 0.0, 1.0, 1, True)])
 
 
 # every field of the region traces, frozen before the four kinds of region
@@ -1061,6 +1070,34 @@ REGION_FROZEN = {
 def test_region_samples_keep_their_bits(name):
     got = region_samples(*REGION_CASES[name], CFG)
     assert [dataclasses.astuple(tr) for tr in got] == REGION_FROZEN[name]
+
+
+# (zt1, zt2) of the 2D cross-checks, frozen while each was a function of its
+# own: SUP at a kinked (0.25) and a saturated (4) lambda, greenblatt and
+# (5,6,4,6) at lambda = 1, down to X = 1e-12 on the latter
+ZTILDE_2D_CASES = {
+    "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4, SUP.b).xs),
+    "greenblatt": (GREEN, [1.0], [0.02]),
+    "(5,6,4,6)": (FamilyParams(5, 6, 4, Fraction(6)), [1.0], [0.02, 1e-12]),
+}
+ZTILDE_2D_FROZEN = {
+    "supercritical": [
+        (1.9851451560361801, 0.7065400933477529), (5.3193292393867315, 1.236072746600457),
+        (12.28360547484339, 1.5865722772694326), (26.394053169596145, 1.784749838144911),
+        (2.4777950260821653, 0.0442318580039299), (6.17697943602125, 0.07734294295965308),
+        (13.383998343285262, 0.09925346316691123), (27.631803022136967, 0.11164066789654134),
+    ],
+    "greenblatt": [(0.6300610865166002, 1.3269885505789336)],
+    "(5,6,4,6)": [(230.72385116871854, 0.18270592968301236),
+                  (2724813727701.0054, 3.9308702646289846)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZTILDE_2D_FROZEN))
+def test_ztilde_2d_keeps_its_bits(name):
+    params, lams, xs = ZTILDE_2D_CASES[name]
+    got = [ztilde_2d(params, lam, X, CFG) for lam in lams for X in xs]
+    assert got == ZTILDE_2D_FROZEN[name]
 
 
 @st.composite
@@ -1713,8 +1750,8 @@ NAN = float("nan")
                  id="ztilde1-inf"),
     pytest.param(lambda: region_samples(GREEN, [math.inf], [0.2], CFG)[0].ztilde2,
                  id="ztilde2-inf"),
-    pytest.param(lambda: ztilde1_2d(GREEN, NAN, 0.2, CFG), id="ztilde1_2d-nan"),
-    pytest.param(lambda: ztilde2_2d(GREEN, NAN, 0.2, CFG), id="ztilde2_2d-nan"),
+    pytest.param(lambda: ztilde_2d(GREEN, NAN, 0.2, CFG)[0], id="ztilde1_2d-nan"),
+    pytest.param(lambda: ztilde_2d(GREEN, NAN, 0.2, CFG)[1], id="ztilde2_2d-nan"),
     pytest.param(lambda: g_pieces(SUP, NAN, 0.2, CFG), id="g_pieces-nan"),
     pytest.param(lambda: g_pieces(SUP, 0.0, 0.2, CFG), id="g_pieces-zero"),
     pytest.param(lambda: g_pieces(SUP, math.inf, 0.2, CFG), id="g_pieces-inf"),
@@ -1803,8 +1840,8 @@ def test_nan_exponent_out_of_window(j):
     pytest.param(lambda p, lam, X: region_samples(p, [1.0, lam], [X], CFG), id="region_samples"),
     pytest.param(lambda p, lam, X: region_samples(p, [lam], [X], CFG)[0].ztilde1, id="ztilde1"),
     pytest.param(lambda p, lam, X: region_samples(p, [lam], [X], CFG)[0].ztilde2, id="ztilde2"),
-    pytest.param(lambda p, lam, X: ztilde1_2d(p, lam, X, CFG), id="ztilde1_2d"),
-    pytest.param(lambda p, lam, X: ztilde2_2d(p, lam, X, CFG), id="ztilde2_2d"),
+    pytest.param(lambda p, lam, X: ztilde_2d(p, lam, X, CFG)[0], id="ztilde1_2d"),
+    pytest.param(lambda p, lam, X: ztilde_2d(p, lam, X, CFG)[1], id="ztilde2_2d"),
     pytest.param(lambda p, lam, X: g_pieces(p, lam, X, CFG), id="g_pieces"),
     pytest.param(lambda p, lam, X: h_pieces(p, lam, X, CFG), id="h_pieces"),
     pytest.param(lambda p, lam, X: j_pieces(p, lam, X, CFG), id="j_pieces"),
