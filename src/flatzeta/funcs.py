@@ -39,26 +39,27 @@ def e_flat(params: FamilyParams, x):
     """e(x) = exp(-1/(q x^p)) for x > 0, with e(0) = 0.
 
     Values with 1/(q x^p) > _FLAT_CUTOFF are flushed to exact zero; they
-    would be below 1e-299 and only contribute subnormal noise.
+    would be below 1e-299 and only contribute subnormal noise.  No flushed
+    value goes through exp: it is taken on the kept values alone.
     """
     arr, scalar = _as_array(x)
-    ln = log_e_flat(params, arr)
-    ln = np.asarray(ln, dtype=float)
-    out = np.where(ln < -_FLAT_CUTOFF, 0.0, np.exp(np.maximum(ln, -745.0)))
-    out = np.where(np.asarray(arr) > 0.0, out, 0.0)
+    ln = np.asarray(log_e_flat(params, arr), dtype=float)    # -inf at x = 0
+    out = np.exp(ln, out=np.zeros_like(ln), where=ln >= -_FLAT_CUTOFF)
     return float(out) if scalar else out
 
 
 def E_flat(params: FamilyParams, x):
-    """E(x) = exp(-1/x^p) = e(x)^q, with the same cutoff convention."""
+    """E(x) = exp(-1/x^p) = e(x)^q, with the same cutoff convention: no
+    flushed value goes through exp."""
     arr, scalar = _as_array(x)
     if not np.all(arr >= 0.0):      # NaN fails
         raise DomainError("x must be nonnegative")
     with np.errstate(divide="ignore"):
         lnE = np.where(arr > 0.0, -1.0 / np.power(arr, params.p_float), -np.inf)
-    # same cutoff rule as e_flat, expressed on ln e = lnE / q
-    out = np.where(lnE / params.q < -_FLAT_CUTOFF, 0.0, np.exp(np.maximum(lnE, -745.0)))
-    out = np.where(arr > 0.0, out, 0.0)
+    # same cutoff rule as e_flat, expressed on ln e = lnE / q; at q >= 2 a
+    # kept lnE can pass -745, and E is then 5e-324
+    out = np.exp(np.maximum(lnE, -745.0), out=np.zeros_like(lnE),
+                 where=lnE / params.q >= -_FLAT_CUTOFF)
     return float(out) if scalar else out
 
 

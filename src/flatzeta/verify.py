@@ -181,8 +181,7 @@ def verify_decompositions(params: FamilyParams, lam: float, X: float,
         pref = lam**(-X) * X**(-1.0 + (1.0 + params.a * z.sigma) / params.p_float)
         resid["g_sum"] = abs(tr.ztilde1 - pref * (g1 + g2 + g3)) / tr.ztilde1
     elif kind is RegimeKind.CRITICAL_FLAT:
-        _, g2, _ = g_pieces(params, lam, X, cfg)
-        h1, h2 = h_pieces(params, lam, X, cfg)
+        g2, h1, h2 = h_pieces(params, lam, X, cfg)
         resid["h_split"] = abs(g2 - (h1 - h2)) / max(abs(g2), 1e-300)
     else:
         j1, j2 = j_pieces(params, lam, X, cfg)

@@ -102,8 +102,9 @@ is one pass over the one-pair slice pieces: one outer call with both
 components on the left piece and one with zt2's alone on the right piece
 of a kinked slice.  Each keeps its own integrand and inner quadrature,
 formed on its own component alone, so each value is a lone call's bit for
-bit; the log-variable columns of zt1 are clipped at log r2 - 800/X
-(_w_floor), below which the neglected mass is under e^-800 of the column.
+bit; the log-variable columns of zt1 are clipped at log r2 - 40/X
+(_w_floor), below which the neglected mass is under e^-40/(1 - e^-40)
+~ 4.2e-18 of the column.
 """
 
 from __future__ import annotations
@@ -646,11 +647,21 @@ def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], Xs,
 
 def _w_floor(X: float, lnY2: float) -> float:
     """Lower clip of the log-variable columns int^lnY2 e^(X w) dw of
-    ztilde_2d's zt1.  The mass dropped below it is at most Y2^X e^-800 / X,
-    under the double range relative to the column.  Without it the interval
-    reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at p = 6), where
-    tanh-sinh does not resolve the mass next to lnY2 within its level cap."""
-    return lnY2 - 800.0 / X
+    ztilde_2d's zt1.  The mass dropped below it is at most Y2^X e^-40 / X,
+    and a clipped column keeps at least Y2^X (1 - e^-40) / X, so the
+    relative loss is under e^-40/(1 - e^-40) ~ 4.2e-18, below the rounding
+    of the column (the margin of _LN_Z_TAIL and _ln_E_dead).  Without it
+    the interval reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at
+    p = 6), where tanh-sinh does not resolve the mass next to lnY2 within
+    its level cap."""
+    return lnY2 - 40.0 / X
+
+
+def _flushed(ln_f):
+    """ln_f with -inf where ln_f < -745, where exp(ln_f) is at most the
+    least subnormal, 5e-324: such a factor is an exact 0, and exp takes no
+    slow subnormal path, over 100x the time of a normal value."""
+    return np.where(ln_f < -745.0, -np.inf, ln_f)
 
 
 def _slice_rho(params: FamilyParams, lam):
@@ -753,8 +764,11 @@ def region_samples(params: FamilyParams, lams, Xs,
         """c < k is z1 of pair c, c >= k z2 of pair c - k."""
         p = c % k
         out = np.empty(xs.shape)
-        for g in np.unique(grp[p]):     # the pairs of one lambda share their nodes
-            j = np.flatnonzero(grp[p] == g)
+        gp = grp[p]
+        # the pairs of one lambda share their nodes; bincount, as a plain
+        # np.unique imports numpy.ma on its first call
+        for g in np.flatnonzero(np.bincount(gp)):
+            j = np.flatnonzero(gp == g)
             pj, at = np.unique(p[j], return_inverse=True)   # z1 and z2 share C
             ln_es = log_e_flat(params, xs[:, j[0]])
             with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
@@ -775,9 +789,9 @@ def region_samples(params: FamilyParams, lams, Xs,
             return width * np.exp(a * sig[p] * np.log(xs)) * diff
 
     def zt2_left(p, xs, width):
-        ln_es = log_e_flat(params, xs)
+        ln_eX = Xs[p] * log_e_flat(params, xs)
         with np.errstate(divide="ignore"):
-            return width * np.exp(a * sig[p] * np.log(xs) + np.maximum(Xs[p] * ln_es, -745.0))
+            return width * np.exp(a * sig[p] * np.log(xs) + _flushed(ln_eX))
 
     def zt2_right(p, xs, width):
         ln_es = log_e_flat(params, xs)
@@ -881,13 +895,31 @@ def ztilde_2d(params: FamilyParams, lam: float, X: float,
 # proof-level parts: G (supercritical rescaling), H (critical), J (subcritical)
 # ---------------------------------------------------------------------------
 
-def _from_one(f, U: float, cfg: NumericConfig) -> float:
+def _from_one(f, U: float, cfg: NumericConfig):
     """int_1^U f(u) du for U on either side of 1; 0 for U = 1, where the
-    G2 and H2 intervals are empty."""
-    if U == 1.0:
-        return 0.0
-    val = integrate_1d(f, min(1.0, U), max(1.0, U), tol=cfg.tol_1d).value
-    return val if U > 1.0 else -val
+    G2 and H2 intervals are empty.  f is one integrand, or a tuple of them,
+    each a component of one call on shared nodes that returns what a call
+    of its own returns; the integrals are then a tuple."""
+    fs = f if isinstance(f, tuple) else (f,)
+    vals = np.zeros(len(fs))
+    if U != 1.0:
+        vals, _, _ = _tanh_sinh(lambda xs, cols: np.stack([fs[c](xs[:, 0]) for c in cols], 1),
+                                min(1.0, U), max(1.0, U), cfg.tol_1d, EndpointSpec(),
+                                k=len(fs))
+    out = tuple(float(v) if U > 1.0 else -float(v) for v in vals)
+    return out if isinstance(f, tuple) else out[0]
+
+
+def _g_upper(params: FamilyParams, rho_v: float, X: float) -> float:
+    """U = rho_v / X^(1/p), rho_v = rho(lam r2): the upper end of G2 and H2."""
+    return rho_v * math.exp(-math.log(X) * float(1 / params.p))
+
+
+def _g2_integrand(params: FamilyParams, sigma: float):
+    """u^(a s)(1 - e(u)), the integrand of G2."""
+    def f(us):
+        return np.exp(params.a * sigma * np.log(us)) * (-np.expm1(log_e_flat(params, us)))
+    return f
 
 
 def g_pieces(params: FamilyParams, lam: float, X: float,
@@ -903,23 +935,17 @@ def g_pieces(params: FamilyParams, lam: float, X: float,
     rt2 = lam * params.r2
     ln_rt2 = math.log(rt2)
     rt2X = math.exp(X * ln_rt2)
-    U = _slice_rho(params, lam) * math.exp(-math.log(X) * float(1 / params.p))
+    U = _g_upper(params, _slice_rho(params, lam), X)
 
     def e_of(us):
-        ln_es = log_e_flat(params, us)
-        return np.exp(np.maximum(ln_es, -745.0)) * (ln_es > -math.inf)
+        return np.exp(_flushed(log_e_flat(params, us)))
 
     def f1(us):
         with np.errstate(divide="ignore"):
             return np.exp(a * sigma * np.log(us)) * (rt2X - e_of(us))
 
     g1 = integrate_1d(f1, 0.0, 1.0, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d).value
-
-    def f2(us):
-        ln_es = log_e_flat(params, us)
-        return np.exp(a * sigma * np.log(us)) * (-np.expm1(ln_es))
-
-    g2 = _from_one(f2, U, cfg)
+    g2 = _from_one(_g2_integrand(params, sigma), U, cfg)
 
     asp1 = a * sigma + 1.0
     g3 = math.expm1(X * ln_rt2) * (U**asp1 - 1.0) / asp1
@@ -928,20 +954,22 @@ def g_pieces(params: FamilyParams, lam: float, X: float,
 
 def h_pieces(params: FamilyParams, lam: float, X: float,
              cfg: NumericConfig):
-    """Critical-regime split of G2: H1 = q^-1 (log rho(rt2) - p^-1 log X) and
-    H2 = int_1^U (q^-1 / u - u^(a s)(1 - e(u))) du, so G2 = H1 - H2."""
+    """G2 of g_pieces and its critical-regime split (G2, H1, H2):
+    H1 = q^-1 (log rho(rt2) - p^-1 log X) and
+    H2 = int_1^U (q^-1 / u - u^(a s)(1 - e(u))) du, so G2 = H1 - H2.  G2 and
+    H2 are the two components of one call on (1, U), each what a call of
+    its own returns."""
     sigma = _check_slice(params, lam, X)
-    a, q = params.a, params.q
+    q = params.q
     rho_v = _slice_rho(params, lam)
-    p = params.p_float
-    U = rho_v * math.exp(-math.log(X) / p)
-    h1 = (math.log(rho_v) - math.log(X) / p) / q
+    h1 = (math.log(rho_v) - math.log(X) / params.p_float) / q
+    f2 = _g2_integrand(params, sigma)
 
-    def f(us):
-        ln_es = log_e_flat(params, us)
-        return 1.0 / (q * us) - np.exp(a * sigma * np.log(us)) * (-np.expm1(ln_es))
+    def fh(us):
+        return 1.0 / (q * us) - f2(us)
 
-    return h1, _from_one(f, U, cfg)
+    g2, h2 = _from_one((f2, fh), _g_upper(params, rho_v, X), cfg)
+    return g2, h1, h2
 
 
 def j_pieces(params: FamilyParams, lam: float, X: float,

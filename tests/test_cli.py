@@ -357,6 +357,19 @@ def test_console_script_entry_point():
     assert json.loads(proc.stdout)["one_over_pq"] == 0.5
 
 
+@pytest.mark.parametrize("suite", ["sandwich", "decomp"])
+def test_region_suites_leave_numpy_ma_unimported(suite):
+    # a plain np.unique imports numpy.ma on its first call, about 10 ms of a
+    # CLI run; the region pieces group their pairs by lambda without it
+    script = ("import sys\n"
+              "import flatzeta.cli\n"
+              f"code = flatzeta.cli.main(['verify', '--preset', 'critical', '--suite', {suite!r}])\n"
+              "assert 'numpy.ma' not in sys.modules, 'the run imported numpy.ma'\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["compute", "--preset", "critical"],
                                   ["verify", "--preset", "greenblatt", "--suite", "all"]],
                          ids=["compute", "verify"])

@@ -35,6 +35,7 @@ from flatzeta.funcs import (
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import MAX_LEVELS, EndpointSpec, _tanh_sinh, integrate_1d
 from flatzeta.verify import landau_taylor_rebuild
+import flatzeta.quad as quad_mod
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     INNER_REL_ERR,
@@ -887,6 +888,49 @@ def test_ztilde_reductions_match_2d_over_families():
     assert 0 < n_kinked < 60
 
 
+ZT1_FAMILIES = {**PRESETS, "(5,6,4,6)": FamilyParams(5, 6, 4, Fraction(6)),
+                "(1,2,2,1/4) kinked": FamilyParams(1, 2, 2, Fraction(1, 4), r1=0.3, r2=0.45)}
+
+
+@pytest.mark.parametrize("name", sorted(ZT1_FAMILIES))
+def test_ztilde1_matches_2d_down_to_tiny_X(name):
+    # zt1, its log-variable columns clipped at log r2 - 40/X (_w_floor),
+    # against region_samples' ztilde1 down to X = 1e-12, where the clip cuts
+    # the most of the interval (worst 2.2e-9)
+    params = ZT1_FAMILIES[name]
+    for tr in region_samples(params, [0.25, 1.0, 4.0], [0.5, 0.02, 1e-4, 1e-8, 1e-12], CFG):
+        zt1, _ = ztilde_2d(params, tr.lam, tr.X, CFG)
+        assert abs(zt1 - tr.ztilde1) <= 1e-8 * tr.ztilde1, (tr.lam, tr.X)
+
+
+def test_ztilde_2d_inner_columns_retire_by_level_4(monkeypatch):
+    # supercritical, lambda = 1, X = 0.02: every inner column of zt1 (an
+    # inner call is made inside the outer call's integrand) retires by level
+    # 4, so each inner call evaluates the nodes of levels 0-4 once per
+    # component, and ztilde_2d makes 30,739 evaluations (47,161 with the
+    # clip at log r2 - 800/X, where inner columns ran to level 5)
+    monkeypatch.setattr(quad_mod, "_FIRST_SPAN", 4)
+    span = sum(quad_mod._nodes(lv, 0.0, 1.0, True)[0].size for lv in range(5))
+    real, depth, inner, total = quad_mod._tanh_sinh, [0], [], [0]
+
+    def tanh_sinh(f, lo, hi, tol, endpoints=None, *, k, **kwargs):
+        depth[0] += 1
+        try:
+            out = real(f, lo, hi, tol, endpoints, k=k, **kwargs)
+        finally:
+            depth[0] -= 1
+        if depth[0]:
+            inner.append((k, out[2]))
+        total[0] += out[2]
+        return out
+
+    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
+    monkeypatch.setattr(quad_mod, "_tanh_sinh", tanh_sinh)
+    ztilde_2d(SUP, 1.0, 0.02, CFG)
+    assert inner and all(evals == k * span for k, evals in inner)
+    assert total[0] == 30739
+
+
 @pytest.mark.parametrize("fn", [
     pytest.param(lambda *args: ztilde_2d(*args)[0], id="ztilde1_2d"),
     pytest.param(lambda *args: ztilde_2d(*args)[1], id="ztilde2_2d"),
@@ -1074,7 +1118,10 @@ def test_region_samples_keep_their_bits(name):
 
 # (zt1, zt2) of the 2D cross-checks, frozen while each was a function of its
 # own: SUP at a kinked (0.25) and a saturated (4) lambda, greenblatt and
-# (5,6,4,6) at lambda = 1, down to X = 1e-12 on the latter
+# (5,6,4,6) at lambda = 1, down to X = 1e-12 on the latter; the zt1 of SUP
+# and (5,6,4,6) frozen again with its log-variable columns clipped at
+# log r2 - 40/X instead of log r2 - 800/X, which moved them by at most
+# 7.5e-14 relative
 ZTILDE_2D_CASES = {
     "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4, SUP.b).xs),
     "greenblatt": (GREEN, [1.0], [0.02]),
@@ -1082,14 +1129,14 @@ ZTILDE_2D_CASES = {
 }
 ZTILDE_2D_FROZEN = {
     "supercritical": [
-        (1.9851451560361801, 0.7065400933477529), (5.3193292393867315, 1.236072746600457),
-        (12.28360547484339, 1.5865722772694326), (26.394053169596145, 1.784749838144911),
-        (2.4777950260821653, 0.0442318580039299), (6.17697943602125, 0.07734294295965308),
-        (13.383998343285262, 0.09925346316691123), (27.631803022136967, 0.11164066789654134),
+        (1.9851451560361866, 0.7065400933477529), (5.319329239386735, 1.236072746600457),
+        (12.283605474843402, 1.5865722772694326), (26.394053169596177, 1.784749838144911),
+        (2.477795026082171, 0.0442318580039299), (6.176979436021254, 0.07734294295965308),
+        (13.38399834328527, 0.09925346316691123), (27.631803022137, 0.11164066789654134),
     ],
     "greenblatt": [(0.6300610865166002, 1.3269885505789336)],
-    "(5,6,4,6)": [(230.72385116871854, 0.18270592968301236),
-                  (2724813727701.0054, 3.9308702646289846)],
+    "(5,6,4,6)": [(230.7238511687207, 0.18270592968301236),
+                  (2724813727701.211, 3.9308702646289846)],
 }
 
 
@@ -1277,8 +1324,7 @@ def test_g_identity_supercritical():
 
 def test_h_identity_critical():
     lam, X = 1.0, CRIT.b * -0.49 + 1.0
-    _, g2, _ = g_pieces(CRIT, lam, X, CFG)
-    h1, h2 = h_pieces(CRIT, lam, X, CFG)
+    g2, h1, h2 = h_pieces(CRIT, lam, X, CFG)
     assert g2 == pytest.approx(h1 - h2, rel=1e-9)
 
 
