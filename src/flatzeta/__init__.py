@@ -35,7 +35,6 @@ from .model import (
 )
 from .funcs import (
     BumpSpec,
-    E_flat,
     bump_eval,
     bump_x_profile,
     bump_y_increment,

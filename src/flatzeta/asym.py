@@ -197,7 +197,7 @@ def scale_sequence(params: FamilyParams, samples: Sequence[ZetaSample]) -> Blowu
         bounded:       S_k = Z_k
     """
     regime = classify_regime(params)
-    schedule = SigmaSchedule(tuple(s.X for s in samples), params.b)
+    schedule = SigmaSchedule(tuple(s.X for s in samples))
     if regime.kind is RegimeKind.SUPERCRITICAL_FLAT:
         kappa = regime.blowup_exponent
         scaled = tuple(s.X**kappa * s.value for s in samples)

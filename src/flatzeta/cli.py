@@ -96,7 +96,7 @@ class RunConfig:
 
     def schedule(self) -> SigmaSchedule:
         x0, ratio, count = self.schedule_spec
-        return make_schedule(x0, ratio, count, self.params.b)
+        return make_schedule(x0, ratio, count)
 
     def to_text(self) -> str:
         p = self.params
@@ -286,7 +286,7 @@ def _run_suite(cfg: RunConfig, suite: str, expects: dict[str, float],
     if suite in ("thm21", "all"):
         reports.append(verify_blowup_law(params, bump, sched, numeric))
     if suite in ("sandwich", "all"):
-        short = make_schedule(0.125, 0.25, 4, params.b)
+        short = make_schedule(0.125, 0.25, 4)
         reports.append(verify_sandwich(params, [0.25, 1.0, 4.0], short, numeric))
     if suite in ("decomp", "all"):
         reports.append(verify_decompositions(params, 1.0, 0.02, numeric))

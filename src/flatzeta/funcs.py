@@ -1,6 +1,8 @@
-"""Stable evaluation of the auxiliary functions: the flat exponential e(x),
-its q-th power E(x), the difference quotient psi_alpha, the inverse-profile
-rho, and a smooth compactly supported bump weight."""
+"""Stable evaluation of the auxiliary functions: the flat exponential e(x)
+and its logarithm, the difference quotient psi_alpha, the inverse-profile
+rho, and a smooth compactly supported bump weight.  The flat term
+E(x) = e(x)^q is never formed: its values near x = 0 lie far below double
+precision, so the engine takes log E = q log e (log_e_flat) alone."""
 
 from __future__ import annotations
 
@@ -48,21 +50,6 @@ def e_flat(params: FamilyParams, x):
     return float(out) if scalar else out
 
 
-def E_flat(params: FamilyParams, x):
-    """E(x) = exp(-1/x^p) = e(x)^q, with the same cutoff convention: no
-    flushed value goes through exp."""
-    arr, scalar = _as_array(x)
-    if not np.all(arr >= 0.0):      # NaN fails
-        raise DomainError("x must be nonnegative")
-    with np.errstate(divide="ignore"):
-        lnE = np.where(arr > 0.0, -1.0 / np.power(arr, params.p_float), -np.inf)
-    # same cutoff rule as e_flat, expressed on ln e = lnE / q; at q >= 2 a
-    # kept lnE can pass -745, and E is then 5e-324
-    out = np.exp(np.maximum(lnE, -745.0), out=np.zeros_like(lnE),
-                 where=lnE / params.q >= -_FLAT_CUTOFF)
-    return float(out) if scalar else out
-
-
 def psi(alpha: float, x):
     """psi_alpha(x) = (1 - alpha^x)/x, evaluated cancellation-free.
 
@@ -95,10 +82,8 @@ def rho(params: FamilyParams, y):
         logs = np.log(np.where(arr > 0.0, arr, 1.0))
         inner = np.where(logs < 0.0, -1.0 / (params.q * logs), np.inf)
         branch = np.power(inner, inv_p)
-    out = np.where(arr >= e_r1, params.r1, np.where(arr > 0.0, branch, 0.0))
     # e_r1 == 0 (flat term dead on the whole box) saturates everything but y=0
-    if e_r1 == 0.0:
-        out = np.where(arr > 0.0, params.r1, 0.0)
+    out = np.where(arr > 0.0, np.where(arr >= e_r1, params.r1, branch), 0.0)
     return float(out) if scalar else out
 
 

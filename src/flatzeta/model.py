@@ -124,7 +124,6 @@ class SigmaSchedule:
     i.e. sigma_k = (X_k - 1)/b in (-1/b, 0) approaching -1/b."""
 
     xs: tuple[float, ...]
-    b: int
 
     def __post_init__(self):
         if len(self.xs) < 4:
@@ -138,7 +137,7 @@ class SigmaSchedule:
         return len(self.xs)
 
 
-def make_schedule(x_start: float, ratio: float, count: int, b: int) -> SigmaSchedule:
+def make_schedule(x_start: float, ratio: float, count: int) -> SigmaSchedule:
     """Geometric schedule X_k = x_start * ratio^k.
 
     Proof-level correction terms scale like X log X, so geometric spacing in X
@@ -150,7 +149,7 @@ def make_schedule(x_start: float, ratio: float, count: int, b: int) -> SigmaSche
         raise DomainError(f"need X_start in (0,1), got {x_start}")
     if count < 4:
         raise DomainError(f"need count >= 4, got {count}")
-    return SigmaSchedule(tuple(x_start * ratio**k for k in range(count)), b)
+    return SigmaSchedule(tuple(x_start * ratio**k for k in range(count)))
 
 
 #: Default schedule shape: geometric in X with ratio 1/2, 14 points from X = 2^-3.

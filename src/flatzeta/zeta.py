@@ -29,6 +29,12 @@ rounding as sigma is O(1/b).  Rebuilding X from sigma would lose eps/X of
 it, 1e-4 relative at X = 1e-12.  Only the log-derivative integrals, whose
 variable s runs past 0, take s.
 
+The flat term E(x) = e(x)^q is taken in log form alone, log e(x) =
+-1/(q x^p) (log_e_flat) and log E = q log e: near x = 0 its values lie far
+below double precision.  A factor e(x)^c of a slice integrand or column is
+one exp of its log through the one underflow rule, _flushed, which makes
+it an exact 0 where exp would underflow; no other clamp is applied.
+
 The region pieces z1 and z2 take their columns from the same series as Z;
 the auxiliary reductions ztilde1/ztilde2 and the proof-level G/H/J parts
 are computed by independent quadratures in scaled variables, so the
@@ -100,9 +106,10 @@ depend on the other pairs of its batch: the one-pair batch gives it bit
 for bit.  ztilde_2d, the 2D cross-checks (zt1, zt2) of the 1D reductions,
 is one pass over the one-pair slice pieces: one outer call with both
 components on the left piece and one with zt2's alone on the right piece
-of a kinked slice.  Each keeps its own integrand and inner quadrature,
-formed on its own component alone, so each value is a lone call's bit for
-bit; the log-variable columns of zt1 are clipped at log r2 - 40/X
+of a kinked slice.  Each keeps its own integrand, formed on its own
+component alone, so each value is a lone call's bit for bit: zt1 has an
+inner quadrature per column, zt2 its exact inner integral, one exp of one
+log per column.  The log-variable columns of zt1 are clipped at log r2 - 40/X
 (_w_floor), below which the neglected mass is under e^-40/(1 - e^-40)
 ~ 4.2e-18 of the column.
 """
@@ -126,7 +133,6 @@ from .errors import (
 )
 from .funcs import (
     BumpSpec,
-    E_flat,
     bump_x_profile,
     bump_y_increment,
     bump_y_profile,
@@ -475,9 +481,10 @@ def integrand(params: FamilyParams, x, y, sigma: float, *, flat: bool):
     x^(a s) y^((b-q) s) (y^q + E(x))^s, for finite x, y > 0 and a finite
     sigma (DomainError otherwise).
 
-    All powers go through logarithms and one exponential, so the value stays
-    well scaled even where E underflows; with E cut off to zero this reduces
-    exactly to the monomial x^(a s) y^(b s).
+    All powers go through logarithms and one exponential, with log E =
+    q log e(x) (log_e_flat), so the value stays well scaled even where E
+    underflows; without the flat term log E = -inf and this reduces exactly
+    to the monomial x^(a s) y^(b s).
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -487,14 +494,9 @@ def integrand(params: FamilyParams, x, y, sigma: float, *, flat: bool):
             and np.all(np.isfinite(sigma))):      # NaN fails
         raise DomainError("integrand requires finite x, y > 0 and a finite sigma")
     lnx, lny = np.log(xa), np.log(ya)
-    if flat:
-        E = np.asarray(E_flat(params, xa), dtype=float)
-        with np.errstate(divide="ignore"):
-            lnE = np.where(E > 0.0, np.log(E), -np.inf)
+    with np.errstate(over="ignore"):    # q log e overflows to -inf: E = 0
+        lnE = params.q * log_e_flat(params, xa) if flat else -np.inf
         ln_core = np.logaddexp(params.q * lny, lnE)
-    else:
-        ln_core = params.q * lny
-    with np.errstate(over="ignore"):
         out = np.exp(sigma * (params.a * lnx + (params.b - params.q) * lny + ln_core))
     return float(out[0]) if scalar else out
 
@@ -774,7 +776,7 @@ def region_samples(params: FamilyParams, lams, Xs,
             with np.errstate(over="ignore"):   # q log e overflows to -inf: E = 0
                 lnE = q * ln_es
             C = _inner_columns(q, lnY2, ln_es, lnE, tab[row[pj]])
-            eV = np.exp(np.multiply.outer(ln_es, Xs[pj])) * V[pj]
+            eV = np.exp(_flushed(np.multiply.outer(ln_es, Xs[pj]))) * V[pj]
             inside = (ln_es - ln_lam[g] < lnY2)[:, None]
             out[:, j] = np.where(c[j] < k, np.where(inside, C - eV, 0.0)[:, at],
                                  np.where(inside, eV, C)[:, at])
@@ -841,24 +843,22 @@ def ztilde_2d(params: FamilyParams, lam: float, X: float,
     """Direct iterated quadratures (zt1, zt2) for cross-checking the 1D
     reductions: zt1 of x^(a s) y^(b s) over {lambda y >= e(x)}, with its
     own inner quadrature on each column, and zt2 of x^(a s) y^((b-q)s)
-    e^(-s/x^p) over {lambda y < e(x)}, whose inner integral is
-    v0 m^((b-q)s+1), m = min(e(x)/lambda, r2), with v0 the quadrature of
-    v^((b-q)s) over (0, 1).  Component 0 is zt1 and 1 zt2, each kind of
-    column formed on its own component alone: one outer call on the left
-    slice piece with both, and one on the right piece of a kinked slice
-    with zt2 alone, as {lambda y >= e(x)} misses the box there."""
+    e^(-s/x^p) over {lambda y < e(x)}, whose inner integral is exact,
+    m^al / al with al = (b-q)s + 1 and m = min(e(x)/lambda, r2).  zt2's
+    column is one exp of one log: inside the slice (m = e/lambda)
+    e^(q s) m^al = e^X lambda^-al, X = q s + al, so its log is
+    X log e - al log lambda, not two terms of size |log e| that cancel;
+    outside it is q s log e + al log r2; an underflowing column is an
+    exact 0 (_flushed).  Component 0 is zt1 and 1 zt2, each kind of column
+    formed on its own component alone: one outer call on the left slice
+    piece with both, and one on the right piece of a kinked slice with zt2
+    alone, as {lambda y >= e(x)} misses the box there."""
     sigma = _check_slice(params, lam, X)
     (left, ends), (right, _) = _slice_pieces(params, np.array([lam]), np.array([sigma]))
     a, q = params.a, params.q
-    bq = (params.b - params.q) * sigma
+    al = (params.b - params.q) * sigma + 1.0
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
     w_floor = _w_floor(X, lnY2)
-
-    def fv(vs):
-        with np.errstate(divide="ignore"):
-            return np.exp(bq * np.log(vs))
-
-    v0 = integrate_1d(fv, 0.0, 1.0, EndpointSpec(exponent_lo=bq), cfg.tol_2d / 5.0).value
 
     def zt1(xs, width):
         x = xs[:, 0]
@@ -873,12 +873,9 @@ def ztilde_2d(params: FamilyParams, lam: float, X: float,
 
     def zt2(xs, width):
         ln_es = log_e_flat(params, xs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln_col = (a * sigma * np.log(xs) + q * sigma * ln_es
-                      + (bq + 1.0) * np.minimum(ln_es - ln_lam, lnY2))
-            # where ln e = -inf, ln_col is inf - inf; the column vanishes there
-            col = np.where((ln_es > -np.inf) & (ln_col >= -740.0), np.exp(ln_col) * v0, 0.0)
-        return width * col
+        inside = ln_es - ln_lam < lnY2      # m = e/lambda: e^(q s) m^al = e^X lambda^-al
+        ln_col = np.where(inside, X * ln_es - al * ln_lam, q * sigma * ln_es + al * lnY2)
+        return width * np.exp(_flushed(a * sigma * np.log(xs) + ln_col)) / al
 
     def columns_2d(piece, us, cols):
         c, xs, width = _mapped(piece, us, cols)     # c: 0 for zt1, 1 for zt2
@@ -987,7 +984,7 @@ def j_pieces(params: FamilyParams, lam: float, X: float,
 
     def f(xs):
         ln_es = log_e_flat(params, xs)
-        return np.exp(a * sigma * np.log(xs)) * (-np.expm1(np.maximum(X * ln_es, -745.0))) / X
+        return np.exp(a * sigma * np.log(xs)) * (-np.expm1(X * ln_es)) / X
 
     j1 = integrate_1d(f, 0.0, rho_v, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d).value
     asp1 = a * sigma + 1.0
@@ -1011,7 +1008,7 @@ def _check_log_moments(params: FamilyParams, bump: BumpSpec, s: float, j,
         raise OutOfWindow(f"s={s} is <= -c0 = {-c0}")
     a, b, q = params.a, params.b, params.q
     R1, R2 = bump.R1, bump.R2
-    fmax = R1**a * R2**(b - q) * (R2**q + (E_flat(params, R1) if flat else 0.0))
+    fmax = R1**a * R2**(b - q) * (R2**q + (math.exp(q * log_e_flat(params, R1)) if flat else 0.0))
     if fmax >= 1.0:
         raise DomainError(f"|f| reaches {fmax:.3g} >= 1 on the bump support")
     return int(j)
@@ -1055,7 +1052,8 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
     column recombine N - N0 binomially in a log x.  Where the x-bump is
     exactly 0 both x integrands are 0 and no row is built.  With no live
     node L_j is exactly 0, and the moments are those without the flat term
-    bit for bit.
+    bit for bit; as E rises with x, a box whose E(R1) is dead makes no L_j
+    call.
 
     Requires |f| < 1 on the support, so that sign(D_j) = (-1)^j.  Where
     also x <= 1 and f_y <= 1 (R1 <= 1 and R2^(b-q) (R2^q + E(R1)) <= 1),
@@ -1146,8 +1144,11 @@ def log_derivative_moments(params: FamilyParams, bump: BumpSpec, s: float, J: in
             out[np.flatnonzero(on)[live]] = dn * w[live, None]
         return out
 
-    L = (_tanh_sinh(excess, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
-                    k=G, group=G)[0] if flat else 0.0)
+    L = 0.0
+    # E rises with x: with E(R1) dead no node is live, and L_j is 0 with no call
+    if flat and q * log_e_flat(params, bump.R1) >= ln_dead:
+        L = _tanh_sinh(excess, 0.0, bump.R1, cfg.tol_2d, EndpointSpec(exponent_lo=a * s),
+                       k=G, group=G)[0]
     return 4.0 * (fact * np.convolve(m, n0 / fact)[:G] + L)
 
 

@@ -47,7 +47,7 @@ from flatzeta.verify import verify_psi_and_flat
 
 CFG = NumericConfig()
 BUMP = BumpSpec(0.5, 0.5)
-SCHEDULE = make_schedule(0.125, 0.5, 12, b=2)
+SCHEDULE = make_schedule(0.125, 0.5, 12)
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
 _dj_cache: dict = {}

@@ -313,7 +313,7 @@ def test_case3_example_values_bracket_the_limit():
     # The extrapolation target of the raw sequence must live in the bracket;
     # checked end to end (this is the bounded-regime law at desk scale).
     from flatzeta.zeta import zeta_samples
-    sched = make_schedule(0.125, 0.5, 8, GREEN.b)
+    sched = make_schedule(0.125, 0.5, 8)
     zs = [z.value for z in zeta_samples(GREEN, None, sched.xs, CFG, flat=True)]
     b3 = case3_bounds(GREEN, CFG)
     assert b3.lower <= zs[-1] <= b3.upper

@@ -74,7 +74,7 @@ def test_compute_csv_floats_parse_back_to_the_samples(capsys, flat):
                          "--schedule", "geo:%r,%r,%d" % schedule], capsys=capsys)
     assert code == 0
     params = PRESETS["critical"]
-    samples = zeta_samples(params, None, make_schedule(*schedule, params.b).xs, NumericConfig(),
+    samples = zeta_samples(params, None, make_schedule(*schedule).xs, NumericConfig(),
                            flat=flat == "on")
     seq = scale_sequence(params, samples)
     lines = out.split("\n")

@@ -110,31 +110,30 @@ def test_newton_c0_exact():
 
 
 def test_make_schedule_geometric():
-    sched = make_schedule(2**-4, 0.5, 12, b=2)
+    sched = make_schedule(2**-4, 0.5, 12)
     assert len(sched) == 12
     for k, x in enumerate(sched.xs):
         assert x == pytest.approx(2.0 ** (-4 - k), rel=1e-15)
-    sched3 = make_schedule(0.9, 0.5, 6, b=3)
+    sched3 = make_schedule(0.9, 0.5, 6)
     assert sched3.xs == tuple(0.9 * 0.5**k for k in range(6))
-    assert sched3.b == 3
 
 
 def test_make_schedule_rejections():
     with pytest.raises(DomainError):
-        make_schedule(2**-4, 0.5, 3, b=2)          # count < 4
+        make_schedule(2**-4, 0.5, 3)          # count < 4
     with pytest.raises(DomainError):
-        make_schedule(1.5, 0.5, 8, b=2)            # X_start outside (0,1)
+        make_schedule(1.5, 0.5, 8)            # X_start outside (0,1)
     with pytest.raises(DomainError):
-        make_schedule(0.5, 1.0, 8, b=2)            # ratio not in (0,1)
+        make_schedule(0.5, 1.0, 8)            # ratio not in (0,1)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.25, math.nan])
 def test_schedule_rejects_x_outside_the_window(bad):
     # X_k = b sigma_k + 1 must lie in (0, 1), sigma_k in (-1/b, 0); NaN fails
     with pytest.raises(DomainError):
-        SigmaSchedule((0.5, 0.25, 0.125, bad), 3)
+        SigmaSchedule((0.5, 0.25, 0.125, bad))
     with pytest.raises(DomainError):
-        SigmaSchedule((bad, 0.5, 0.25, 0.125), 3)
+        SigmaSchedule((bad, 0.5, 0.25, 0.125))
 
 
 def test_numeric_config_validation():

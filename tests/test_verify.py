@@ -26,8 +26,8 @@ from flatzeta.zeta import region_samples, zeta_samples
 
 CFG = NumericConfig()
 BUMP = BumpSpec(0.5, 0.5)
-SCHED = make_schedule(0.125, 0.5, 12, 2)
-SHORT = make_schedule(0.125, 0.25, 4, 2)
+SCHED = make_schedule(0.125, 0.5, 12)
+SHORT = make_schedule(0.125, 0.25, 4)
 
 
 def test_report_passed_recomputable():
@@ -63,7 +63,7 @@ def test_theorem31_three_regimes():
     FamilyParams(0, 4, 4, Fraction(1, 2), r1=0.6, r2=0.4),   # bounded
 ], ids=lambda p: f"({p.a},{p.b},{p.q},{p.p})")
 def test_theorem31_generalizes_beyond_presets(params):
-    sched = make_schedule(0.125, 0.5, 12, params.b)
+    sched = make_schedule(0.125, 0.5, 12)
     rep = verify_blowup_law(params, None, sched, CFG)
     assert rep.passed, rep
 

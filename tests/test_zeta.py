@@ -25,11 +25,11 @@ from flatzeta.errors import (
 )
 from flatzeta.funcs import (
     BumpSpec,
-    E_flat,
     bump_eval,
     bump_x_profile,
     bump_y_increment,
     bump_y_profile,
+    log_e_flat,
     rho,
 )
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
@@ -40,6 +40,7 @@ import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     INNER_REL_ERR,
     _bump_moments,
+    _check_log_moments,
     _dead_column,
     _from_one,
     _increment_columns,
@@ -338,6 +339,24 @@ def test_integrand_matches_literal_randomized():
         assert integrand(params, x, y, sigma, flat=True) == pytest.approx(lit, rel=1e-12)
 
 
+def test_integrand_where_E_underflows():
+    # log E = q log e(x) = -1/x^p, not the log of an underflowed E: at
+    # (0,2,2,2) the integrand is exp(s logaddexp(2 log y, -1/x^2)).  At
+    # 1/x^2 = 1000, y = 1e-200 and s = -0.4 it is 1.00e160 (an E of 5e-324
+    # gave 2.10e129), and on a grid of 1/x^2 from 745 to 1380, with y^2
+    # on both sides of E, it meets that form within 1e-12
+    params = FamilyParams(0, 2, 2, Fraction(2))
+    v = integrand(params, 1000.0 ** -0.5, 1e-200, -0.4, flat=True)
+    assert v == pytest.approx(math.exp(-0.4 * np.logaddexp(-400.0 * math.log(10.0), -1000.0)),
+                              rel=1e-12)
+    t = np.linspace(745.0, 1380.0, 128)
+    for d in (-20.0, -1.0, 0.0, 3.0, 20.0):
+        y = np.exp(-t / 2.0 + d)
+        ref = np.exp(-0.4 * np.logaddexp(2.0 * np.log(y), -t))
+        got = integrand(params, 1.0 / np.sqrt(t), y, -0.4, flat=True)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref), d
+
+
 def test_integrand_rejects_boundary():
     with pytest.raises(Exception):
         integrand(SUP, 0.0, 0.5, -0.4, flat=True)
@@ -624,7 +643,7 @@ def test_flat_off_error_bounds_the_actual_error(fam, x0):
     # build
     a, b, q, p = fam
     params = FamilyParams(a, b, q, Fraction(p))
-    for z in zeta_samples(params, None, make_schedule(x0, 0.5, 14, b).xs, CFG, flat=False):
+    for z in zeta_samples(params, None, make_schedule(x0, 0.5, 14).xs, CFG, flat=False):
         exact = monomial_closed_form(a, b, params.r1, params.r2, z.X)
         assert abs(z.value - exact) <= z.error <= 1e-12 * z.value, z
 
@@ -708,7 +727,7 @@ def test_zeta_samples_match_one_sigma_calls(bump):
     # coefficient row, and the weighted inner columns share their per-row
     # factors among the sigmas of a row in the same operations
     for params, x0, flat in (BATCH_CASES if bump is None else WEIGHTED_CASES):
-        sched = make_schedule(x0, 0.5, 14, params.b)
+        sched = make_schedule(x0, 0.5, 14)
         batch = zeta_samples(params, bump, sched.xs, CFG, flat=flat)
         assert len(batch) == 14
         for X, z in zip(sched.xs, batch):
@@ -743,7 +762,7 @@ def test_weighted_inner_rows_share_the_bump_increment(monkeypatch):
 
     monkeypatch.setattr(zeta_mod, "bump_y_increment", increment)
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    sched = make_schedule(0.1, 0.5, 14, CRIT.b)
+    sched = make_schedule(0.1, 0.5, 14)
     zeta_samples(CRIT, BumpSpec(0.5, 0.5), sched.xs, CFG, flat=True)
     assert count["increment"] > 0
     assert count["increment"] == count["nodes"]
@@ -773,7 +792,7 @@ def test_correction_columns_stop_at_their_column_tolerance(monkeypatch, name):
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     params = PRESETS[name]
-    zeta_samples(params, BumpSpec(0.5, 0.5), make_schedule(0.125, 0.5, 14, params.b).xs, CFG,
+    zeta_samples(params, BumpSpec(0.5, 0.5), make_schedule(0.125, 0.5, 14).xs, CFG,
                  flat=True)
     assert 0 < evals[0] <= 0.55 * INNER_EVALS_AT_MINI_TOL[name]
 
@@ -789,7 +808,7 @@ def test_weighted_error_counts_the_inner_share(params, bump, sched):
     # (tau/Phi)|Z|: default samples meet those of tol_2d = 1e-10 (tau =
     # 1e-12) within it.  On q40 at X = 0.001171875 the two differ by 5x the
     # error without the share
-    xs = make_schedule(*sched, params.b).xs
+    xs = make_schedule(*sched).xs
     got = zeta_samples(params, bump, xs, CFG, flat=True)
     ref = zeta_samples(params, bump, xs, NumericConfig(tol_2d=1e-10), flat=True)
     share = CFG.tol_2d * 1e-2 / zeta_mod._BUMP_MASS
@@ -811,7 +830,7 @@ def test_zeta_samples_one_outer_call(monkeypatch, flat):
         return real(f, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    sched = make_schedule(0.125, 0.5, 14, SUP.b)
+    sched = make_schedule(0.125, 0.5, 14)
     zeta_samples(SUP, None, sched.xs, CFG, flat=flat)
     assert calls == flat * [(0.0, SUP.r1, 14)]
 
@@ -903,12 +922,24 @@ def test_ztilde1_matches_2d_down_to_tiny_X(name):
         assert abs(zt1 - tr.ztilde1) <= 1e-8 * tr.ztilde1, (tr.lam, tr.X)
 
 
+def test_ztilde2_matches_2d_down_to_tiny_X():
+    # zt2's column is one exp of X log e - al log lambda inside the slice,
+    # with its inner integral exactly 1/al: on (5,6,4,6) it stays within
+    # 1e-12 of region_samples' ztilde2 down to X = 1e-12 (the split
+    # exponent q s log e + al log(e/lambda) drifted to 7.5e-7)
+    params = FamilyParams(5, 6, 4, Fraction(6))
+    for tr in region_samples(params, [0.25, 1.0, 4.0], [1e-4, 1e-8, 1e-12], CFG):
+        _, zt2 = ztilde_2d(params, tr.lam, tr.X, CFG)
+        assert abs(zt2 - tr.ztilde2) <= 1e-12 * tr.ztilde2, (tr.lam, tr.X)
+
+
 def test_ztilde_2d_inner_columns_retire_by_level_4(monkeypatch):
     # supercritical, lambda = 1, X = 0.02: every inner column of zt1 (an
     # inner call is made inside the outer call's integrand) retires by level
     # 4, so each inner call evaluates the nodes of levels 0-4 once per
-    # component, and ztilde_2d makes 30,739 evaluations (47,161 with the
-    # clip at log r2 - 800/X, where inner columns ran to level 5)
+    # component, and ztilde_2d makes 30,591 evaluations (30,739 with zt2's
+    # inner integral a 148-evaluation quadrature, 47,161 with the clip at
+    # log r2 - 800/X, where inner columns ran to level 5)
     monkeypatch.setattr(quad_mod, "_FIRST_SPAN", 4)
     span = sum(quad_mod._nodes(lv, 0.0, 1.0, True)[0].size for lv in range(5))
     real, depth, inner, total = quad_mod._tanh_sinh, [0], [], [0]
@@ -928,7 +959,7 @@ def test_ztilde_2d_inner_columns_retire_by_level_4(monkeypatch):
     monkeypatch.setattr(quad_mod, "_tanh_sinh", tanh_sinh)
     ztilde_2d(SUP, 1.0, 0.02, CFG)
     assert inner and all(evals == k * span for k, evals in inner)
-    assert total[0] == 30739
+    assert total[0] == 30591
 
 
 @pytest.mark.parametrize("fn", [
@@ -996,7 +1027,7 @@ def test_region_samples_match_one_sigma_calls(params):
     # vector quadrature, outer and inner, so its trace is the one-pair calls'
     # bit for bit, ztilde1 and ztilde2 included; the batch is the CLI's
     # sandwich lambdas and schedule
-    xs = make_schedule(0.125, 0.25, 4, params.b).xs
+    xs = make_schedule(0.125, 0.25, 4).xs
     batch = region_samples(params, LAMS, xs, CFG)
     assert [(tr.lam, tr.X) for tr in batch] == [(lam, X) for lam in LAMS for X in xs]
     for tr in batch:
@@ -1043,7 +1074,7 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
     monkeypatch.setattr(zeta_mod, "_inner_columns", inner_columns)
-    xs = make_schedule(0.125, 0.25, 4, SUP.b).xs
+    xs = make_schedule(0.125, 0.25, 4).xs
     region_samples(SUP, lams, xs, CFG)
     n, n_kink = 4 * len(lams), 4 * sum(rho(SUP, lam * SUP.r2) < SUP.r1 for lam in lams)
     expect = [("columns", 4 * n, False), ("columns", 2 * n_kink, True)]
@@ -1072,7 +1103,7 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
 # greenblatt at lambda = 1, whose ztilde1 moves if its integrand's factors
 # are multiplied in another order (SUP's x^(a s) is 1 at a = 0)
 REGION_CASES = {
-    "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4, SUP.b).xs),
+    "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4).xs),
     "(5,6,4,6)": (FamilyParams(5, 6, 4, Fraction(6)), [1.0], [0.02]),
     "greenblatt": (GREEN, [1.0], [0.5, 0.125, 0.03125]),
 }
@@ -1121,22 +1152,25 @@ def test_region_samples_keep_their_bits(name):
 # (5,6,4,6) at lambda = 1, down to X = 1e-12 on the latter; the zt1 of SUP
 # and (5,6,4,6) frozen again with its log-variable columns clipped at
 # log r2 - 40/X instead of log r2 - 800/X, which moved them by at most
-# 7.5e-14 relative
+# 7.5e-14 relative; every zt2 frozen again with its column one exp of
+# X log e - al log lambda (al = (b-q)s + 1) and its inner integral exactly
+# 1/al, which moved them by at most 8.7e-16 relative, and by 6.1e-7 on
+# (5,6,4,6) at X = 1e-12, where the split exponent had drifted
 ZTILDE_2D_CASES = {
-    "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4, SUP.b).xs),
+    "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4).xs),
     "greenblatt": (GREEN, [1.0], [0.02]),
     "(5,6,4,6)": (FamilyParams(5, 6, 4, Fraction(6)), [1.0], [0.02, 1e-12]),
 }
 ZTILDE_2D_FROZEN = {
     "supercritical": [
         (1.9851451560361866, 0.7065400933477529), (5.319329239386735, 1.236072746600457),
-        (12.283605474843402, 1.5865722772694326), (26.394053169596177, 1.784749838144911),
-        (2.477795026082171, 0.0442318580039299), (6.176979436021254, 0.07734294295965308),
-        (13.38399834328527, 0.09925346316691123), (27.631803022137, 0.11164066789654134),
+        (12.283605474843402, 1.5865722772694328), (26.394053169596177, 1.7847498381449094),
+        (2.477795026082171, 0.044231858003929904), (6.176979436021254, 0.07734294295965308),
+        (13.38399834328527, 0.09925346316691128), (27.631803022137, 0.11164066789654134),
     ],
-    "greenblatt": [(0.6300610865166002, 1.3269885505789336)],
+    "greenblatt": [(0.6300610865166002, 1.3269885505789338)],
     "(5,6,4,6)": [(230.7238511687207, 0.18270592968301236),
-                  (2724813727701.211, 3.9308702646289846)],
+                  (2724813727701.211, 3.9308678716589736)],
 }
 
 
@@ -1225,7 +1259,7 @@ def test_weighted_invariants_over_families():
         bump = BumpSpec(*map(float, rng.uniform(0.05, 0.95, 2)))
         params = FamilyParams(a, b, q, p)
         box = FamilyParams(a, b, q, p, r1=bump.R1, r2=bump.R2)
-        wide += bump.R2 < E_flat(params, bump.R1) ** (1.0 / q)
+        wide += bump.R2 < math.exp(log_e_flat(params, bump.R1))
         xs = [b * ((X - 1.0) / b) + 1.0 for X in np.sort(10.0 ** rng.uniform(-8.0, -1.0, 4))]
         zw = zeta_samples(params, bump, xs, CFG, flat=True)
         zq = zeta_samples(box, None, xs, CFG, flat=True)
@@ -1378,6 +1412,29 @@ def test_log_derivative_window():
         log_derivative_integral(GREEN, bump, -0.5, 0, CFG, flat=False)
 
 
+def test_log_moments_check_the_box_against_the_literal_bound():
+    # |f| < 1 on the bump's box is R1^a R2^(b-q) (R2^q + E(R1)) < 1: boxes
+    # on both sides of 1, flat on and off, one with E(R1) below 5e-324
+    p21, p22, p2421 = (FamilyParams(0, 2, 2, Fraction(1)), FamilyParams(0, 2, 2, Fraction(2)),
+                       FamilyParams(2, 4, 2, Fraction(1)))
+    boxes = [(p21, 0.5, 0.5), (p21, 0.9, 0.9), (p21, 0.9, 0.82), (p21, 0.5, 1.0),
+             (p21, 0.05, 0.999), (GREEN, 0.95, 0.9), (GREEN, 0.6, 0.6), (p22, 0.03, 0.999),
+             (p2421, 0.99, 0.99)]
+    verdicts = set()
+    for params, R1, R2 in boxes:
+        a, b, q = params.a, params.b, params.q
+        for flat in (True, False):
+            E = math.exp(-1.0 / R1 ** params.p_float) if flat else 0.0
+            ok = R1**a * R2 ** (b - q) * (R2**q + E) < 1.0
+            verdicts.add((flat, ok))
+            if ok:
+                assert _check_log_moments(params, BumpSpec(R1, R2), 0.5, 3, flat) == 3
+            else:
+                with pytest.raises(DomainError):
+                    _check_log_moments(params, BumpSpec(R1, R2), 0.5, 3, flat)
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("flat", [True, False])
 @pytest.mark.parametrize("s0", [0.5, -0.2])
 def test_log_derivative_moments_match_per_j(s0, flat):
@@ -1458,6 +1515,18 @@ def test_log_derivative_moments_at_a0_integrate_the_e0_row_alone(monkeypatch):
     unit, outer, inner, expected, _ = _moment_calls(monkeypatch, params, bump, J, True)
     assert unit == [(G, G)] and outer == [(G, G)]
     assert inner == expected and len(expected) >= 1
+
+
+def test_flat_on_moments_on_a_dead_box_make_no_l_call(monkeypatch):
+    # E rises with x: at (1,2,2,2) on the box (0.02, 0.45), log E(R1) = -2500
+    # is below the dead threshold, so no node is live, L_j = 0 and no L_j
+    # call is made; the moments are the flat-off ones bit for bit
+    params, bump, J = FamilyParams(1, 2, 2, Fraction(2)), BumpSpec(0.02, 0.45), 12
+    unit, outer, inner, _, _ = _moment_calls(monkeypatch, params, bump, J, True)
+    assert unit == [(2 * (J + 1), J + 1)] and outer == inner == []
+    on = log_derivative_moments(params, bump, 0.5, J, CFG, flat=True)
+    off = log_derivative_moments(params, bump, 0.5, J, CFG, flat=False)
+    assert on.tolist() == off.tolist()
 
 
 def test_flat_off_moments_at_a0_are_the_e0_row_times_the_bump_mass(monkeypatch):
@@ -1591,7 +1660,8 @@ def test_no_inner_columns_where_the_x_bump_is_zero(monkeypatch, engine):
         return real_tanh_sinh(f, lo, hi, *args, **kwargs)
 
     def log_e_flat(params, x):
-        built.append(np.asarray(x))
+        if np.ndim(x):      # the 0-d calls at R1 test the box, and build no column
+            built.append(np.asarray(x))
         return real_log_e(params, x)
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
