@@ -91,6 +91,11 @@ def constant_A(params: FamilyParams) -> float:
     return c**beta * math.gamma(1.0 - beta) / (params.p_float * beta)
 
 
+def _check_lam(lam: float) -> None:
+    if not 0.0 < lam < math.inf:      # NaN fails
+        raise DomainError("lambda must be positive and finite")
+
+
 def constant_L(params: FamilyParams, lam: float) -> float:
     """Limit of the monomial-side auxiliary integral in the bounded regime:
 
@@ -99,12 +104,15 @@ def constant_L(params: FamilyParams, lam: float) -> float:
     """
     if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
         raise WrongRegime("L(lambda) exists only in the bounded regime")
-    if not 0.0 < lam < math.inf:
-        raise DomainError("lambda must be positive and finite")
+    _check_lam(lam)
+    rt2 = lam * params.r2
+    return _constant_L(params, rt2, rho(params, rt2))
+
+
+def _constant_L(params: FamilyParams, rt2: float, rho_v: float) -> float:
+    """L at lam r2 = rt2 from rho_v = rho(rt2) (constant_L)."""
     ab = params.a / params.b
     pf = params.p_float
-    rt2 = lam * params.r2
-    rho_v = rho(params, rt2)
     return (rho_v**(1.0 - ab) / (1.0 - ab) * math.log(rt2)
             + rho_v**(1.0 - ab - pf) / (params.q * (1.0 - ab - pf)))
 
@@ -119,14 +127,16 @@ def constant_M(params: FamilyParams, lam: float,
     The integrand grows toward the lower limit but rho(lam r2) > 0 keeps it
     finite; DegenerateLowerLimit is raised if rho underflows to 0.
     """
-    if not 0.0 < lam < math.inf:
-        raise DomainError("lambda must be positive and finite")
+    _check_lam(lam)
+    return _constant_M(params, lam, rho(params, lam * params.r2), cfg)
+
+
+def _constant_M(params: FamilyParams, lam: float, rho_v: float, cfg: NumericConfig) -> float:
+    """M at lam from rho_v = rho(lam r2) (constant_M)."""
     a, b, q = params.a, params.b, params.q
     ab = a / b
-    rt2 = lam * params.r2
-    rho_v = rho(params, rt2)
     if rho_v == 0.0:
-        raise DegenerateLowerLimit(f"rho({rt2:g}) underflowed to 0")
+        raise DegenerateLowerLimit(f"rho({lam * params.r2:g}) underflowed to 0")
     first = b * b / (q * (b - a)) * lam**(-q / b) * rho_v**(1.0 - ab)
     second = 0.0
     if rho_v < params.r1:
@@ -156,12 +166,21 @@ def case3_bounds(params: FamilyParams, cfg: NumericConfig) -> Case3Bounds:
     L' > 0, M' < 0), so its one root is the global maximizer, where
     F = L (1+lam^q)^((b-1)/b). Newton's method on g from t = 0 finds it,
     one M per step, bisecting the bracket of its iterates where it stalls.
+    L, M and D of a step share its one rho(lam r2).
     """
     if classify_regime(params).kind is not RegimeKind.SUBCRITICAL_FLAT:
         raise WrongRegime("case-3 bounds exist only in the bounded regime")
     a, b, q = params.a, params.b, params.q
     c = q * (b - 1) / b
-    L, M = constant_L(params, 1.0), constant_M(params, 1.0, cfg)
+
+    def at(lam):
+        """L, M and u = rho(lam r2) at lam, from one rho call."""
+        _check_lam(lam)
+        rt2 = lam * params.r2
+        u = rho(params, rt2)
+        return _constant_L(params, rt2, u), _constant_M(params, lam, u, cfg), u
+
+    L, M, u = at(1.0)
     upper = L + M
 
     t, lo, hi, last = 0.0, -math.inf, math.inf, math.inf
@@ -171,7 +190,7 @@ def case3_bounds(params: FamilyParams, cfg: NumericConfig) -> Case3Bounds:
             raise NonConvergence(f"case-3 lower end: L = {L}, M = {M} at lambda = {lam:g}")
         g = math.log(M) - math.log(L) - c * t
         lo, hi = (t, hi) if g > 0.0 else (lo, t)
-        d = b * rho(params, lam * params.r2)**(1.0 - a / b) / (b - a)
+        d = b * u**(1.0 - a / b) / (b - a)
         step = g / (d * (lam**(-q / b) / M + 1.0 / L) + c)
         # [lo, hi] brackets the root; bisect where Newton leaves it or does not
         # halve its step, as it can cycle across the kink where rho saturates
@@ -181,7 +200,7 @@ def case3_bounds(params: FamilyParams, cfg: NumericConfig) -> Case3Bounds:
         last = step
         if abs(step) <= 1e-10:
             break
-        L, M = constant_L(params, math.exp(t)), constant_M(params, math.exp(t), cfg)
+        L, M, u = at(math.exp(t))
     else:
         raise NonConvergence("case-3 lower end: Newton did not settle in 50 steps")
     lam = math.exp(t)

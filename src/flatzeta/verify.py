@@ -166,7 +166,16 @@ def verify_decompositions(params: FamilyParams, lam: float, X: float,
                           cfg: NumericConfig) -> VerificationReport:
     """Relative residuals at (lam, X) of the additivity Z = Z1 + Z2, the 1D
     reductions against direct iterated quadrature, and the regime-matched
-    proof splits (G-sum, H-difference, J-sum); all must fall below 1e-5."""
+    proof splits (G-sum, H-difference, J-sum); all must fall below 1e-5.
+
+    ztilde1, ztilde2's left term, G1 and J1 are closed forms from one
+    incomplete Gamma (zeta._slice_gamma), and ztilde_2d integrates the
+    same regions by x-quadratures of exact inner integrals: the reduction
+    residuals check each closed form against an independent quadrature.
+    j_sum compares ztilde1 with J1 + J2, which was already a pointwise
+    identity of their integrands when both were quadratures and is one of
+    their closed forms now: it checks the split's algebra, and ztilde1
+    itself is checked by ztilde1_reduction."""
     (z,) = zeta_samples(params, None, [X], cfg, flat=True)
     (tr,) = region_samples(params, [lam], [X], cfg)
     resid = {}

@@ -35,14 +35,16 @@ below double precision.  A factor e(x)^c of a slice integrand or column is
 one exp of its log through the one underflow rule, _flushed, which makes
 it an exact 0 where exp would underflow; no other clamp is applied.
 
-The region pieces z1 and z2 take their columns from the same series as Z;
-the auxiliary reductions ztilde1/ztilde2 and the proof-level G/H/J parts
-are computed by independent quadratures in scaled variables, so the
-identity checks compare the closed-form columns with quadratures.  In every
-iterated integral that keeps an inner quadrature (the bump-weighted
-correction of the bump-weighted Z, the 2D reductions) the inner integrals
-of one outer level are batched into one vector _tanh_sinh call per piece,
-each column retiring at its own level.  The bump-weighted correction of a
+The region pieces z1 and z2 take their columns from the same series as Z.
+The 1D reductions ztilde1 and ztilde2's left term, and the proof-level
+parts G1 and J1, are each one upper incomplete Gamma plus elementary terms
+(_slice_gamma, _gamma_upper), with no quadrature; ztilde2's right term and
+G2/H2 are quadratures.  ztilde_2d integrates the same regions by
+x-quadratures of exact inner integrals, so the reduction checks compare
+closed forms with an independent quadrature.  In the one iterated integral
+that keeps an inner quadrature, the bump-weighted correction of the
+bump-weighted Z, the inner integrals of one outer level are batched into
+one vector _tanh_sinh call, each column retiring at its own level.  The bump-weighted correction of a
 (column, sigma), Delta = int_0^R2 y^((b-q)s) (y^q+E)^s (phi_y(y) - 1) dy, is
 one scaled piece in y = e(x) v over v in (0, R2/e) (_increment_columns), so
 an outer level makes one inner call.  Delta is added to the closed-form
@@ -75,10 +77,9 @@ the exponent G = (b-q) log v + log1p(v^q) and the scaled increment
 h (phi_y - 1) are formed once per (node, row), the increment at y = R2 u
 once per node, and each (node, sigma) cell is one product, one exp and one
 product (_runs), in the same operations, so every component keeps its
-bits.  The inner integrands that are smooth up to both ends
-(_increment_columns and the log-variable columns of ztilde_2d's zt1,
-_w_integrals) declare no endpoint, so their lower end is sampled no
-deeper than the upper.  The x-bump
+bits.  Their inner integrand is smooth up to both ends, so it declares
+no endpoint and its lower end is sampled no deeper than the upper.  The
+x-bump
 underflows to exactly 0 past 1 - x/R1 ~ 6.7e-4, where the outer rule puts
 many nodes: the bump-weighted columns and the moment columns are 0 there,
 and build no inner column or row.
@@ -97,21 +98,22 @@ at Y = 1/lambda, one per distinct lambda and X, all from one
 _inner_tables call with the quadrant table (K and the coefficient products
 made once), and C the quadrant column,
 one _inner_columns call per distinct lambda of an outer level, as the pairs
-of one lambda share their x-nodes.  The 1D reductions ztilde1 and ztilde2
-share the pass: z1, z2, ztilde1 and ztilde2's first term are one outer call
-with four components per pair on the left piece, and z2 and ztilde2's
-second term one more on the right piece, as right of the kink
-{lambda y >= e(x)} has no part inside the box.  A pair's trace does not
-depend on the other pairs of its batch: the one-pair batch gives it bit
-for bit.  ztilde_2d, the 2D cross-checks (zt1, zt2) of the 1D reductions,
-is one pass over the one-pair slice pieces: one outer call with both
-components on the left piece and one with zt2's alone on the right piece
-of a kinked slice.  Each keeps its own integrand, formed on its own
-component alone, so each value is a lone call's bit for bit: zt1 has an
-inner quadrature per column, zt2 its exact inner integral, one exp of one
-log per column.  The log-variable columns of zt1 are clipped at log r2 - 40/X
-(_w_floor), below which the neglected mass is under e^-40/(1 - e^-40)
-~ 4.2e-18 of the column.
+of one lambda share their x-nodes.  z1 and z2 are one outer call with two
+components per pair on the left piece, and z2 and ztilde2's right term one
+more on the right piece, as right of the kink {lambda y >= e(x)} has no
+part inside the box.  On the left piece, t = X/(q x^p) turns
+int_0^x1 x^(a s) e(x)^X dx into (1/p)(X/q)^beta' Gamma(-beta', z),
+beta' = (a s + 1)/p, z = X/(q x1^p) (DLMF 8.2.2), and ztilde1 follows from
+it and the elementary int_0^x1 x^(a s) dx: one _gamma_upper call per
+batch gives both.  A pair's trace does not depend on the other pairs of
+its batch: the one-pair batch gives it bit for bit.  ztilde_2d, the 2D
+cross-checks (zt1, zt2) of the 1D reductions, is one pass over the
+one-pair slice pieces: one outer call with both components on the left
+piece and one with zt2's alone on the right piece of a kinked slice.  Each
+keeps its own integrand, formed on its own component alone, so each value
+is a lone call's bit for bit, and both take their exact inner integrals:
+zt1's r2^X (-expm1(X (log(e/lambda) - log r2)))/X, zt2's one exp of one
+log per column.  So ztilde_2d makes no nested call.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ from .funcs import (
     rho,
 )
 from .model import FamilyParams, NumericConfig
-from .quad import _OFF_MIN, EndpointSpec, _tanh_sinh, integrate_1d
+from .quad import _OFF_MIN, EndpointSpec, _tanh_sinh
 
 
 @dataclass(frozen=True)
@@ -238,13 +240,121 @@ def _k_closed(q: int, sigmas: np.ndarray, Xs: np.ndarray) -> np.ndarray:
     is taken from X in log1p(-t) (at q = 1 and X = 1 - 2^-k it is 2^-k
     exactly).  Each reduction is along a row: K is its one-sigma value."""
     ts, n = Xs / q, Xs.size
-    m, t = np.concatenate([np.ones(n), -sigmas]), np.concatenate([-ts, ts])
+    D = _log_gamma_ratio(np.concatenate([np.ones(n), -sigmas]), np.concatenate([-ts, ts]))
+    return -np.expm1(D[:n] + D[n:]) / Xs
+
+
+def _log_gamma_ratio(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """D(m, t) = log Gamma(m+t) - log Gamma(m) for every (m, t) of the 1D
+    arrays m, t (m > 0, m + t > 0, |t| < 1), by Stirling's series at
+    M = m + _SHIFT (_k_closed)."""
     M, k = m + _SHIFT, -1.0 - 2.0 * np.arange(_STIRLING.size)
     u = np.log1p(t / M)
-    D = ((M - 0.5) * u + t * np.log(M + t) - t
-         + np.vecdot(np.expm1(np.multiply.outer(u, k)) * np.power.outer(M, k), _STIRLING)
-         - np.log1p(t[:, None] / np.add.outer(m, np.arange(_SHIFT))).sum(axis=1))
-    return -np.expm1(D[:n] + D[n:]) / Xs
+    return ((M - 0.5) * u + t * np.log(M + t) - t
+            + np.vecdot(np.expm1(np.multiply.outer(u, k)) * np.power.outer(M, k), _STIRLING)
+            - np.log1p(t[:, None] / np.add.outer(m, np.arange(_SHIFT))).sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the upper incomplete Gamma of the slice reductions
+# ---------------------------------------------------------------------------
+
+#: _gamma_upper sums its series where z <= _Z_SERIES and takes its continued
+#: fraction beyond.  The series stops after _SERIES_TERMS terms: with z <= 1
+#: and a0 + k >= k - 1/2 the rest is under 1/(27! 26.5) < 4e-30, against
+#: e^z z^-a0 Gamma(a0, z) > 0.4.
+_Z_SERIES = 1.0
+_SERIES_TERMS = 26
+#: Euler's constant, -Gamma'(1): the a0 -> 0 limit of (Gamma(1 + a0) - 1)/a0.
+_EULER = 0.5772156649015329
+
+#: Relative error bounds of _gamma_upper, per branch.  The truncation of
+#: each branch is proved under 2e-17 (above, and in _gamma_upper); what
+#: remains is rounding, which a 4000-cell sweep against 40-digit mpmath
+#: over alpha in [-8, 1) and z in [1e-13, 1e6] measures (python
+#: tests/oracle_gamma.py sweep): at most 4.0e-15 for the series with its
+#: recurrence (5.2e-15 on the grid of tests/test_gamma.py) and 3.5e-16 for
+#: the continued fraction.  Each bound is 19x or more its branch's worst.
+_GAMMA_SERIES_REL_ERR = 1e-13
+_GAMMA_CF_REL_ERR = 1e-14
+_GAMMA_REL_ERR = max(_GAMMA_SERIES_REL_ERR, _GAMMA_CF_REL_ERR)
+
+
+def _gamma_upper(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The scaled upper incomplete Gamma S(alpha, z) = e^z z^-alpha
+    Gamma(alpha, z) for every (alpha, z) of the 1D arrays alpha < 1 and
+    z > 0, within _GAMMA_REL_ERR (_GAMMA_SERIES_REL_ERR where z <= 1,
+    _GAMMA_CF_REL_ERR beyond).  The scaling keeps it O(1) where Gamma
+    under- or overflows; every element is formed on its own.
+
+    z <= _Z_SERIES: with n = max(0, ceil(-alpha - 1/2)) and a0 = alpha + n
+    in [-1/2, 1) (exact, by Sterbenz's lemma), the series of DLMF 8.7.3
+    with Gamma(a0)'s pole and the k = 0 term taken together,
+
+        Gamma(a0, z) = (Gamma(1 + a0) - 1)/a0 - expm1(a0 log z)/a0
+                       - z^a0 sum_(k >= 1) (-z)^k / (k! (a0 + k)),
+
+    (Gamma(1 + a0) - 1)/a0 = expm1(D)/a0, D = log Gamma(1 + a0) from
+    Stirling's series (_log_gamma_ratio), and the limits -gamma and log z
+    at a0 = 0, so nothing cancels as a0 -> 0, where the plain step from
+    a0 + 1 loses every digit (critical families with a > 0 have
+    alpha = -aX/(b-a)).  Then n steps of DLMF 8.8.2, scaled:
+    S(a) = (z S(a+1) - 1)/a.  For a < 0 and z <= 1, z S(a+1) < 1 stays away
+    from 1, so the steps do not amplify the error much.
+
+    z > _Z_SERIES: the continued fraction of DLMF 8.9.2,
+
+        S = 1/(z + (1-a)/(1 + 1/(z + (2-a)/(1 + 2/(z + ...))))),
+
+    evaluated from the tail up.  With a < 1 every partial numerator and
+    denominator is positive, so consecutive approximants enclose S: the
+    depths 2K+1 and 2K+2 run side by side, and their difference, held under
+    2^-56 of S (K grown by half until it is), bounds the truncation."""
+    alpha, z = np.asarray(alpha, dtype=float), np.asarray(z, dtype=float)
+    out = np.empty(alpha.shape)
+    far = z > _Z_SERIES
+    if far.any():
+        out[far] = _gamma_cf(alpha[far], z[far])
+    near = ~far
+    if near.any():
+        al, zn = alpha[near], z[near]
+        n = np.maximum(np.ceil(-al - 0.5), 0.0)
+        a0 = al + n
+        lz = np.log(zn)
+        with np.errstate(divide="ignore", invalid="ignore"):     # a0 = 0: the limits
+            gm1 = np.where(a0 == 0.0, -_EULER,
+                           np.expm1(_log_gamma_ratio(np.ones_like(a0), a0)) / a0)
+            zm1 = np.where(a0 == 0.0, lz, np.expm1(a0 * lz) / a0)
+        k = np.arange(1.0, _SERIES_TERMS + 1.0)
+        terms = np.multiply.accumulate(np.divide.outer(-zn, k), axis=1) / np.add.outer(a0, k)
+        S = (gm1 - zm1) * np.exp(zn - a0 * lz) - np.exp(zn) * terms[:, ::-1].sum(axis=1)
+        for j in range(1, int(n.max()) + 1):
+            S = np.where(n >= j, (zn * S - 1.0) / (a0 - j), S)
+        out[near] = S
+    return out
+
+
+def _gamma_cf(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The continued fraction branch of _gamma_upper (z > 1): K two-level
+    steps per element from the tails at depth 2K+2 (t = z) and 2K+1
+    (t = inf), K = 8 + 100/sqrt(z) to start (about 107 steps at z = 1, 33
+    at z = 16), grown by half for the elements whose two depths differ by
+    more than 2^-56.  Each element's K depends on its own (a, z) alone."""
+    out = np.empty(a.size)
+    K = (8.0 + 100.0 / np.sqrt(z)).astype(int)
+    todo = np.arange(a.size)
+    while todo.size:
+        n, Kt = todo.size, np.tile(K[todo], 2)
+        zz, ca = np.tile(z[todo], 2), np.tile(1.0 - a[todo], 2)
+        t = np.concatenate([z[todo], np.full(n, np.inf)])
+        for k in range(int(Kt.max()), -1, -1):
+            t = np.where(k <= Kt, zz + (k + ca) / (1.0 + (k + 1.0) / t), t)
+        f = 1.0 / t
+        done = np.abs(f[:n] - f[n:]) <= 2.0**-56 * f[:n]
+        out[todo[done]] = f[:n][done]
+        todo = todo[~done]
+        K[todo] += K[todo] // 2
+    return out
 
 
 #: Layout of a row of _inner_tables: s, X, A, B, then the near and the tail
@@ -335,23 +445,6 @@ def _runs(row: np.ndarray, cols: np.ndarray):
     np.not_equal(rc[1:], rc[:-1], out=new[1:])
     R = rc[new]
     return R, (None if R.size == rc.size else np.cumsum(new) - 1)
-
-
-def _w_integrals(X: float, w_lo: np.ndarray, w_hi: float, tol: float):
-    """int_{w_lo[i]}^{w_hi} e^(X w) dw for every i, as one vector quadrature
-    (w = log y: the column int y^(X-1) dy of ztilde_2d's zt1).  Each interval is
-    mapped onto u in (0, 1) by w = w_lo + (w_hi - w_lo) u inside the
-    integrand, so an interval narrow against |w| samples distinct abscissae.
-    The integrand is smooth up to both ends, so u is sampled no closer to 0
-    than to 1 (endpoints None): deeper nodes would round onto w_lo.
-
-    Returns (values, errors, evaluations)."""
-    width = w_hi - w_lo
-
-    def f(us, cols):
-        return np.exp(X * (w_lo[cols] + width[cols] * us)) * width[cols]
-
-    return _tanh_sinh(f, 0.0, 1.0, tol, None, k=w_lo.size)
 
 
 def _ln_E_dead(q: int, R2: float) -> float:
@@ -647,18 +740,6 @@ def zeta_samples(params: FamilyParams, bump: Optional[BumpSpec], Xs,
 # region pieces along lambda*y = e(x)
 # ---------------------------------------------------------------------------
 
-def _w_floor(X: float, lnY2: float) -> float:
-    """Lower clip of the log-variable columns int^lnY2 e^(X w) dw of
-    ztilde_2d's zt1.  The mass dropped below it is at most Y2^X e^-40 / X,
-    and a clipped column keeps at least Y2^X (1 - e^-40) / X, so the
-    relative loss is under e^-40/(1 - e^-40) ~ 4.2e-18, below the rounding
-    of the column (the margin of _LN_Z_TAIL and _ln_E_dead).  Without it
-    the interval reaches down to log e(x) ~ -1/(q x^p) (about -1e15 at
-    p = 6), where tanh-sinh does not resolve the mass next to lnY2 within
-    its level cap."""
-    return lnY2 - 40.0 / X
-
-
 def _flushed(ln_f):
     """ln_f with -inf where ln_f < -745, where exp(ln_f) is at most the
     least subnormal, 5e-324: such a factor is an exact 0, and exp takes no
@@ -692,6 +773,28 @@ def _slice_pieces(params: FamilyParams, lam: np.ndarray, sig: np.ndarray):
     kinked, k = np.flatnonzero(x1 < params.r1), sig.size
     return [((np.arange(k), np.zeros(k), x1), EndpointSpec(exponent_lo=params.a * sig)),
             ((kinked, x1[kinked], params.r1 - x1[kinked]), None)]
+
+
+def _slice_gamma(params: FamilyParams, x1, sig, X):
+    """The closed forms of the slice reductions on (0, x1), for every (x1,
+    sigma, X) of the 1D arrays (or scalars) x1, sig, X: with as + 1 =
+    a sigma + 1, beta' = (as + 1)/p and z = X/(q x1^p) = -X log e(x1),
+    (P, z, g, h) with P = x1^(as+1)/(as+1),
+
+        g = z^beta' Gamma(1 - beta', z),   h = beta' z^beta' Gamma(-beta', z) = e^-z - g,
+
+    so that int_0^x1 x^(as) e(x)^X dx = P h (t = X/(q x^p), DLMF 8.2.2 and
+    8.8.2).  g and h are each one component of one _gamma_upper call, so
+    neither is the difference e^-z - (the other), which cancels where z is
+    large for h and where z is small and beta' < 1 for g; each is within
+    _GAMMA_REL_ERR of its value, up to a few roundings."""
+    x1, sig, X = np.atleast_1d(x1), np.atleast_1d(sig), np.atleast_1d(X)
+    asp1 = params.a * sig + 1.0
+    bp = asp1 / params.p_float
+    z = -X * log_e_flat(params, x1)
+    S1, S0 = _gamma_upper(np.concatenate([1.0 - bp, -bp]), np.tile(z, 2)).reshape(2, -1)
+    ez = np.exp(-z)
+    return np.exp(asp1 * np.log(x1)) / asp1, z, z * ez * S1, bp * ez * S0
 
 
 def _mapped(piece, us, cols):
@@ -730,10 +833,14 @@ def region_samples(params: FamilyParams, lams, Xs,
 
     rho = rho(lam r2) or r1, at every (lambda, X) pair of lams x Xs,
     lambda-major, in one pass over the slice pieces (_slice_pieces; see the
-    module docstring): z1 and z2 at tol_2d, the three integrals of the
-    reductions at tol_1d, each a component of its own, so a pair's trace
-    does not depend on the other pairs.  The lower limit rho > 0 keeps the
-    growing factor e^(-s/x^p) finite on the right piece.  The columns of z1
+    module docstring): z1 and z2 at tol_2d and ztilde2's right integral at
+    tol_1d, each a component of its own, so a pair's trace does not depend
+    on the other pairs.  The lower limit rho > 0 keeps the growing factor
+    e^(-s/x^p) finite on the right piece.  The left integrals are closed
+    forms (_slice_gamma): int_0^rho x^(a s) e(x)^X dx = P h, so ztilde1 =
+    lam^-X P (g + (lam r2)^X - e^-z)/X, the last two terms cancelling
+    exactly where the slice kinks (e(rho)^X = (lam r2)^X), and each is
+    within _GAMMA_REL_ERR of its value up to a few roundings.  The columns of z1
     and z2 are closed forms: with V(T) = int_0^T v^((b-q)s) (1+v^q)^s dv
     and C(x) the quadrant column on (0, r2) (_inner_columns), z2's column
     is e^X V(1/lambda) and z1's C - e^X V(1/lambda) where the slice
@@ -759,8 +866,6 @@ def region_samples(params: FamilyParams, lams, Xs,
     zero = np.zeros(1)
     V = np.array([_inner_columns(q, -t, zero, zero, tab_t)[0]
                   for t, tab_t in zip(ln_lam, tabs)])[grp, row]
-    ln_rt2 = np.log(lam * params.r2)
-    scale = np.exp(Xs * ln_rt2)
 
     def z_columns(c, xs, width):
         """c < k is z1 of pair c, c >= k z2 of pair c - k."""
@@ -784,49 +889,42 @@ def region_samples(params: FamilyParams, lams, Xs,
             out *= np.exp(a * sig[p] * np.log(xs))
         return width * out
 
-    def zt1(p, xs, width):
-        ln_es = log_e_flat(params, xs)
-        diff = scale[p] * (-np.expm1(np.minimum(Xs[p] * (ln_es - ln_rt2[p]), 0.0)))
-        with np.errstate(divide="ignore"):
-            return width * np.exp(a * sig[p] * np.log(xs)) * diff
-
-    def zt2_left(p, xs, width):
-        ln_eX = Xs[p] * log_e_flat(params, xs)
-        with np.errstate(divide="ignore"):
-            return width * np.exp(a * sig[p] * np.log(xs) + _flushed(ln_eX))
-
     def zt2_right(p, xs, width):
         ln_es = log_e_flat(params, xs)
         return width * np.exp(a * sig[p] * np.log(xs) + q * sig[p] * ln_es)
 
     def columns(piece, us, cols):
-        """Component c is, of pair c % k, z1 or z2 for c < 2k, then
-        ztilde1's integrand and ztilde2's on the left and on the right
-        piece, each kind formed on its own components alone."""
+        """Component c is, of pair c % k, z1 or z2 for c < 2k and ztilde2's
+        right integrand for c >= 2k, each kind formed on its own components
+        alone."""
         c, xs, width = _mapped(piece, us, cols)
         out = np.empty(xs.shape)
-        for lo, hi, f in ((0, 2, z_columns), (2, 3, zt1), (3, 4, zt2_left), (4, 5, zt2_right)):
+        for lo, hi, f in ((0, 2, z_columns), (2, 3, zt2_right)):
             at = np.flatnonzero((lo * k <= c) & (c < hi * k))
             if at.size:
                 out[:, at] = f(c[at] - lo * k, xs[:, at], width[at])
         return out
 
-    # z1, z2, ztilde1 and ztilde2's first term on the left piece; z2 and
-    # ztilde2's second term on the right one, where e(x)/lambda > r2 and
-    # {lambda y >= e(x)} misses the box
+    # z1 and z2 on the left piece; z2 and ztilde2's right term on the right
+    # one, where e(x)/lambda > r2 and {lambda y >= e(x)} misses the box
     (left, ends), (right, _) = _slice_pieces(params, lam, sig)
     kinked = right[0]
-    tol = np.repeat([cfg.tol_2d, cfg.tol_1d], [2 * k, 3 * k])
     z, err = _on_pieces(columns, [
-        ((np.arange(4 * k), np.tile(left[1], 4), np.tile(left[2], 4)),
-         EndpointSpec(exponent_lo=np.tile(ends.exponent_lo, 4))),
-        ((np.concatenate([kinked + k, kinked + 4 * k]), np.tile(right[1], 2),
-          np.tile(right[2], 2)), None)], tol, 5 * k)
-    z1, z2, i1, i2_left, i2_right = z.reshape(5, k)
+        ((np.arange(2 * k), np.tile(left[1], 2), np.tile(left[2], 2)),
+         EndpointSpec(exponent_lo=np.tile(ends.exponent_lo, 2))),
+        ((np.concatenate([kinked + k, kinked + 2 * k]), np.tile(right[1], 2),
+          np.tile(right[2], 2)), None)], np.repeat([cfg.tol_2d, cfg.tol_1d], [2 * k, k]), 3 * k)
+    z1, z2, i2_right = z.reshape(3, k)
     err = err[:k] + err[k:2 * k] + INNER_REL_ERR * (np.abs(z1) + 3.0 * np.abs(z2))
-    zt1 = np.exp(-Xs * np.log(lam)) / Xs * i1
+    # the left-piece reductions in closed form: ztilde1 = lam^-X P (g + rim)/X,
+    # rim = (lam r2)^X - e^-z, e^-z = e(x1)^X, which is 0 where the slice kinks
+    # at x1 = rho(lam r2) and is the band above e(r1)^X where it saturates
+    x1 = left[2]
+    P, zg, g, h = _slice_gamma(params, x1, sig, Xs)
+    rim = np.where(x1 >= params.r1, np.expm1(Xs * np.log(lam * params.r2)) - np.expm1(-zg), 0.0)
+    zt1 = np.exp(-Xs * np.log(lam)) * P * (g + rim) / Xs
     denom = Xs - q * sig
-    zt2 = (i2_left * (np.exp(-denom * np.log(lam)) / denom)
+    zt2 = (P * h * (np.exp(-denom * np.log(lam)) / denom)
            + np.exp(denom * math.log(params.r2)) / denom * i2_right)
     return [DecompositionTrace(lam=lams[i // n_sig], sigma=float(sig[i]), X=float(Xs[i]),
                                z1=float(z1[i]), z2=float(z2[i]), ztilde1=float(zt1[i]),
@@ -840,11 +938,14 @@ def region_samples(params: FamilyParams, lams, Xs,
 
 def ztilde_2d(params: FamilyParams, lam: float, X: float,
               cfg: NumericConfig) -> tuple[float, float]:
-    """Direct iterated quadratures (zt1, zt2) for cross-checking the 1D
-    reductions: zt1 of x^(a s) y^(b s) over {lambda y >= e(x)}, with its
-    own inner quadrature on each column, and zt2 of x^(a s) y^((b-q)s)
-    e^(-s/x^p) over {lambda y < e(x)}, whose inner integral is exact,
-    m^al / al with al = (b-q)s + 1 and m = min(e(x)/lambda, r2).  zt2's
+    """Direct iterated integrals (zt1, zt2) for cross-checking the 1D
+    reductions, whose left-piece integrals are closed forms
+    (region_samples): an x-quadrature of exact inner integrals, so an
+    independent check of those closed forms.  zt1 is x^(a s) y^(b s) over
+    {lambda y >= e(x)}, its inner integral int_c^r2 y^(X-1) dy =
+    r2^X (-expm1(X (log c - log r2)))/X with c = min(e(x)/lambda, r2), and
+    zt2 is x^(a s) y^((b-q)s) e^(-s/x^p) over {lambda y < e(x)}, its inner
+    integral m^al / al with al = (b-q)s + 1 and m = min(e(x)/lambda, r2).  zt2's
     column is one exp of one log: inside the slice (m = e/lambda)
     e^(q s) m^al = e^X lambda^-al, X = q s + al, so its log is
     X log e - al log lambda, not two terms of size |log e| that cancel;
@@ -852,24 +953,19 @@ def ztilde_2d(params: FamilyParams, lam: float, X: float,
     exact 0 (_flushed).  Component 0 is zt1 and 1 zt2, each kind of column
     formed on its own component alone: one outer call on the left slice
     piece with both, and one on the right piece of a kinked slice with zt2
-    alone, as {lambda y >= e(x)} misses the box there."""
+    alone, as {lambda y >= e(x)} misses the box there; no call is nested."""
     sigma = _check_slice(params, lam, X)
     (left, ends), (right, _) = _slice_pieces(params, np.array([lam]), np.array([sigma]))
     a, q = params.a, params.q
     al = (params.b - params.q) * sigma + 1.0
     lnY2, ln_lam = math.log(params.r2), math.log(lam)
-    w_floor = _w_floor(X, lnY2)
+    Y2X = math.exp(X * lnY2) / X
 
-    def zt1(xs, width):
-        x = xs[:, 0]
-        ln_c = log_e_flat(params, x) - ln_lam
-        out = np.zeros_like(x)
-        sel = ln_c < lnY2
-        if sel.any():     # int_c^r2 y^(X-1) dy in w = log y, c = e(x)/lambda
-            out[sel] = _w_integrals(X, np.maximum(ln_c[sel], w_floor), lnY2, cfg.tol_2d / 5.0)[0]
-        with np.errstate(divide="ignore", over="ignore"):
-            out *= np.exp(a * sigma * np.log(x))
-        return width * out[:, None]
+    def zt1(xs, width):      # int_c^r2 y^(X-1) dy, c = min(e(x)/lambda, r2)
+        ln_c = log_e_flat(params, xs) - ln_lam
+        with np.errstate(divide="ignore"):
+            return width * np.exp(a * sigma * np.log(xs)) * (
+                -np.expm1(X * np.minimum(ln_c - lnY2, 0.0))) * Y2X
 
     def zt2(xs, width):
         ln_es = log_e_flat(params, xs)
@@ -926,25 +1022,20 @@ def g_pieces(params: FamilyParams, lam: float, X: float,
         G1 = int_0^1 u^(a s)(rt2^X - e(u)) du
         G2 = int_1^U u^(a s)(1 - e(u)) du,      U = rho(rt2) / X^(1/p)
         G3 = (rt2^X - 1) int_1^U u^(a s) du
-    """
+
+    G1 in closed form: int_0^1 u^(a s) e(u) du is the slice integral of
+    _slice_gamma at x1 = 1 and X = 1, P h with P = 1/(as+1) and z = 1/q,
+    so G1 = (rt2^X - h)/(as+1), h = e^(-1/q) - q^-beta' Gamma(1 - beta', 1/q).
+    G2 is a quadrature (_from_one) and G3 elementary."""
     sigma = _check_slice(params, lam, X)
     a = params.a
     rt2 = lam * params.r2
     ln_rt2 = math.log(rt2)
-    rt2X = math.exp(X * ln_rt2)
     U = _g_upper(params, _slice_rho(params, lam), X)
-
-    def e_of(us):
-        return np.exp(_flushed(log_e_flat(params, us)))
-
-    def f1(us):
-        with np.errstate(divide="ignore"):
-            return np.exp(a * sigma * np.log(us)) * (rt2X - e_of(us))
-
-    g1 = integrate_1d(f1, 0.0, 1.0, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d).value
-    g2 = _from_one(_g2_integrand(params, sigma), U, cfg)
-
     asp1 = a * sigma + 1.0
+    _, _, _, (h,) = _slice_gamma(params, 1.0, sigma, 1.0)
+    g1 = (math.exp(X * ln_rt2) - float(h)) / asp1
+    g2 = _from_one(_g2_integrand(params, sigma), U, cfg)
     g3 = math.expm1(X * ln_rt2) * (U**asp1 - 1.0) / asp1
     return g1, g2, g3
 
@@ -975,20 +1066,16 @@ def j_pieces(params: FamilyParams, lam: float, X: float,
 
         J1 = lam^-X int_0^rho x^(a s) (1 - e(x)^X)/X dx
         J2 = lam^-X (rt2^X - 1)/X int_0^rho x^(a s) dx
+
+    both in closed form: with P = int_0^rho x^(a s) dx, z and g of
+    _slice_gamma at x1 = rho, J1 = lam^-X P (-expm1(-z) + g)/X, as
+    int_0^rho x^(a s) e(x)^X dx = P (e^-z - g); its two terms are positive.
     """
     sigma = _check_slice(params, lam, X)
-    a = params.a
-    rt2 = lam * params.r2
-    rho_v = _slice_rho(params, lam)
     lamX = math.exp(-X * math.log(lam))
-
-    def f(xs):
-        ln_es = log_e_flat(params, xs)
-        return np.exp(a * sigma * np.log(xs)) * (-np.expm1(X * ln_es)) / X
-
-    j1 = integrate_1d(f, 0.0, rho_v, EndpointSpec(exponent_lo=a * sigma), cfg.tol_1d).value
-    asp1 = a * sigma + 1.0
-    j2 = math.expm1(X * math.log(rt2)) / X * rho_v**asp1 / asp1
+    (P,), (z,), (g,), _ = _slice_gamma(params, _slice_rho(params, lam), sigma, X)
+    j1 = float(P) * (-math.expm1(-z) + float(g)) / X
+    j2 = math.expm1(X * math.log(lam * params.r2)) / X * float(P)
     return lamX * j1, lamX * j2
 
 

@@ -203,9 +203,28 @@ def test_lambda_derivatives_of_L_and_M_in_closed_form(lam):
 
 
 def test_case3_bounds_raise_on_non_finite_M(monkeypatch):
-    monkeypatch.setattr(asym_mod, "constant_M", lambda params, lam, cfg=CFG: math.nan)
+    # the Newton steps take M from rho(lam r2) (asym._constant_M)
+    monkeypatch.setattr(asym_mod, "_constant_M", lambda params, lam, rho_v, cfg: math.nan)
     with pytest.raises(NonConvergence):
         case3_bounds(GREEN, CFG)
+
+
+@pytest.mark.parametrize("params", [GREEN, FamilyParams(1, 2, 2, Fraction(1, 4), r1=0.45, r2=0.3),
+                                    FamilyParams(0, 3, 2, Fraction(5, 6)),
+                                    FamilyParams(3, 7, 2, Fraction(1, 2))],
+                         ids=["greenblatt", "box(0.45,0.3)", "(0,3,2,5/6)", "(3,7,2,1/2)"])
+def test_case3_bounds_take_one_rho_per_newton_step(monkeypatch, params):
+    # L, M and the derivative D of a Newton step share one rho(lam r2): every
+    # rho argument is a new lambda (the steps, then the lower end's L)
+    args, real = [], asym_mod.rho
+
+    def spy(p, y):
+        args.append(y)
+        return real(p, y)
+
+    monkeypatch.setattr(asym_mod, "rho", spy)
+    case3_bounds(params, CFG)
+    assert len(args) >= 3 and len(set(args)) == len(args), args
 
 
 def test_case3_regime_gate():

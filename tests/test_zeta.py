@@ -35,7 +35,6 @@ from flatzeta.funcs import (
 from flatzeta.model import FamilyParams, NumericConfig, PRESETS, make_schedule
 from flatzeta.quad import MAX_LEVELS, EndpointSpec, _tanh_sinh, integrate_1d
 from flatzeta.verify import landau_taylor_rebuild
-import flatzeta.quad as quad_mod
 import flatzeta.zeta as zeta_mod
 from flatzeta.zeta import (
     INNER_REL_ERR,
@@ -913,9 +912,9 @@ ZT1_FAMILIES = {**PRESETS, "(5,6,4,6)": FamilyParams(5, 6, 4, Fraction(6)),
 
 @pytest.mark.parametrize("name", sorted(ZT1_FAMILIES))
 def test_ztilde1_matches_2d_down_to_tiny_X(name):
-    # zt1, its log-variable columns clipped at log r2 - 40/X (_w_floor),
-    # against region_samples' ztilde1 down to X = 1e-12, where the clip cuts
-    # the most of the interval (worst 2.2e-9)
+    # zt1, an x-quadrature of its exact inner integral, against
+    # region_samples' ztilde1, one incomplete Gamma, down to X = 1e-12
+    # (worst 2.2e-9, on the kinked box at lambda = 1, X = 1e-8)
     params = ZT1_FAMILIES[name]
     for tr in region_samples(params, [0.25, 1.0, 4.0], [0.5, 0.02, 1e-4, 1e-8, 1e-12], CFG):
         zt1, _ = ztilde_2d(params, tr.lam, tr.X, CFG)
@@ -931,35 +930,6 @@ def test_ztilde2_matches_2d_down_to_tiny_X():
     for tr in region_samples(params, [0.25, 1.0, 4.0], [1e-4, 1e-8, 1e-12], CFG):
         _, zt2 = ztilde_2d(params, tr.lam, tr.X, CFG)
         assert abs(zt2 - tr.ztilde2) <= 1e-12 * tr.ztilde2, (tr.lam, tr.X)
-
-
-def test_ztilde_2d_inner_columns_retire_by_level_4(monkeypatch):
-    # supercritical, lambda = 1, X = 0.02: every inner column of zt1 (an
-    # inner call is made inside the outer call's integrand) retires by level
-    # 4, so each inner call evaluates the nodes of levels 0-4 once per
-    # component, and ztilde_2d makes 30,591 evaluations (30,739 with zt2's
-    # inner integral a 148-evaluation quadrature, 47,161 with the clip at
-    # log r2 - 800/X, where inner columns ran to level 5)
-    monkeypatch.setattr(quad_mod, "_FIRST_SPAN", 4)
-    span = sum(quad_mod._nodes(lv, 0.0, 1.0, True)[0].size for lv in range(5))
-    real, depth, inner, total = quad_mod._tanh_sinh, [0], [], [0]
-
-    def tanh_sinh(f, lo, hi, tol, endpoints=None, *, k, **kwargs):
-        depth[0] += 1
-        try:
-            out = real(f, lo, hi, tol, endpoints, k=k, **kwargs)
-        finally:
-            depth[0] -= 1
-        if depth[0]:
-            inner.append((k, out[2]))
-        total[0] += out[2]
-        return out
-
-    monkeypatch.setattr(zeta_mod, "_tanh_sinh", tanh_sinh)
-    monkeypatch.setattr(quad_mod, "_tanh_sinh", tanh_sinh)
-    ztilde_2d(SUP, 1.0, 0.02, CFG)
-    assert inner and all(evals == k * span for k, evals in inner)
-    assert total[0] == 30591
 
 
 @pytest.mark.parametrize("fn", [
@@ -1036,17 +1006,18 @@ def test_region_samples_match_one_sigma_calls(params):
 
 @pytest.mark.parametrize("lams", [[0.25, 4.0], [4.0]], ids=["kink", "saturated"])
 def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
-    # every pair's interval is mapped onto (0, 1): z1, z2, ztilde1 and
-    # ztilde2's first term of every pair are one call with 4k components on
-    # the left piece (the x^(a s) endpoint declared), z2 and ztilde2's second
-    # term one more on the right piece of the kinked pairs (regular ends),
-    # where z1's region misses the box.  No call is nested: the columns are
-    # closed forms, one _inner_columns call per lambda of the z1/z2
-    # components of an integrand call, and V(1/lambda) one more per lambda
-    # before the quadratures.
+    # every pair's interval is mapped onto (0, 1): z1 and z2 of every pair
+    # are one call with 2k components on the left piece (the x^(a s)
+    # endpoint declared), z2 and ztilde2's right term one more on the right
+    # piece of the kinked pairs (regular ends), where z1's region misses the
+    # box; ztilde1 and ztilde2's left term are closed forms (_slice_gamma).
+    # No call is nested: the columns are closed forms, one _inner_columns
+    # call per lambda of the z1/z2 components of an integrand call, and
+    # V(1/lambda) one more per lambda before the quadratures.
     # ztilde_2d runs on the one-pair pieces: one outer call with both
     # components on the left piece (the endpoint declared) and one with
-    # zt2's alone on the right piece of a kinked slice (regular ends).  At
+    # zt2's alone on the right piece of a kinked slice (regular ends); both
+    # inner integrals are exact, so it makes no nested call either.  At
     # SUP, lambda = 0.25 kinks inside (0, r1) and 4 saturates at r1.
     calls, depth, level_calls, outside = [], [0], [], [0]
     real, real_inner = zeta_mod._tanh_sinh, zeta_mod._inner_columns
@@ -1077,31 +1048,34 @@ def test_region_samples_one_outer_call_per_panel(monkeypatch, lams):
     xs = make_schedule(0.125, 0.25, 4).xs
     region_samples(SUP, lams, xs, CFG)
     n, n_kink = 4 * len(lams), 4 * sum(rho(SUP, lam * SUP.r2) < SUP.r1 for lam in lams)
-    expect = [("columns", 4 * n, False), ("columns", 2 * n_kink, True)]
+    expect = [("columns", 2 * n, False), ("columns", 2 * n_kink, True)]
     expect = [c for c in expect if c[1]]
     assert [(name, k, regular) for name, lo, hi, k, regular, _ in calls] == expect
     assert all((lo, hi) == (0.0, 1.0) and not d for _, lo, hi, _, _, d in calls)
     assert n_kink == (4 if lams == [0.25, 4.0] else 0)
     assert outside[0] == len(lams)
     for name, k, cols, made in level_calls:
-        if k == 4 * n:      # component c is z1, z2, ztilde1, ztilde2 of pair c % n
-            z = cols[cols < 2 * n]
-            assert made == len(np.unique((z % n) // 4))
+        if k == 2 * n:      # component c is z1 or z2 of pair c % n
+            assert made == len(np.unique((cols % n) // 4))
         else:               # z2 and ztilde2 of the kinked pairs, all of lambda = 0.25
             assert made == (cols < n_kink).any()
     for lam in lams:
         kinked = rho(SUP, lam * SUP.r2) < SUP.r1
         calls.clear()
         ztilde_2d(SUP, lam, xs[0], CFG)
-        assert [c[:5] for c in calls if not c[5]] == (
+        assert [c[:5] for c in calls] == (
             [("columns_2d", 0.0, 1.0, 2, False)] + kinked * [("columns_2d", 0.0, 1.0, 1, True)])
+        assert not any(d for *_, d in calls)
 
 
 # every field of the region traces, frozen before the four kinds of region
 # component became one call per slice piece: SUP at a kinked (0.25) and a
 # saturated (4) lambda, (5,6,4,6), a/b >= 0.8 with p = 6, at lambda = 1, and
 # greenblatt at lambda = 1, whose ztilde1 moves if its integrand's factors
-# are multiplied in another order (SUP's x^(a s) is 1 at a = 0)
+# are multiplied in another order (SUP's x^(a s) is 1 at a = 0); ztilde1
+# and ztilde2 frozen again when their left-piece integrals became one
+# incomplete Gamma (_slice_gamma), which moved them by at most 1.4e-15
+# relative, while z1, z2 and the error kept their bits
 REGION_CASES = {
     "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4).xs),
     "(5,6,4,6)": (FamilyParams(5, 6, 4, Fraction(6)), [1.0], [0.02]),
@@ -1109,34 +1083,34 @@ REGION_CASES = {
 }
 REGION_FROZEN = {
     "supercritical": [
-        (0.25, -0.4375, 0.125, 1.9828629600786027, 0.3970923031754635, 1.9851451560361888,
-         0.7065400933477529, 1.2013989475877502e-11),
-        (0.25, -0.484375, 0.03125, 5.315282765987876, 0.6589110914658614, 5.319329239386738,
+        (0.25, -0.4375, 0.125, 1.9828629600786027, 0.3970923031754635, 1.9851451560361895,
+         0.7065400933477534, 1.2013989475877502e-11),
+        (0.25, -0.484375, 0.03125, 5.315282765987876, 0.6589110914658614, 5.319329239386739,
          1.236072746600457, 8.458807373478044e-10),
         (0.25, -0.49609375, 0.0078125, 12.278333856948535, 0.8348230744658919,
-         12.283605474843414, 1.5865722772694328, 1.966130407988516e-08),
+         12.283605474843414, 1.5865722772694333, 1.966130407988516e-08),
         (0.25, -0.4990234375, 0.001953125, 26.38806131922152, 0.9360463696280226,
-         26.394053169596123, 1.7847498381449103, 4.148442760780688e-07),
+         26.394053169596116, 1.7847498381449105, 4.148442760780688e-07),
         (4.0, -0.4375, 0.125, 2.336116072313052, 0.04383919094101424, 2.4777950260821733,
-         0.044231858003929904, 1.0742675480944621e-11),
+         0.044231858003929925, 1.0742675480944621e-11),
         (4.0, -0.484375, 0.03125, 5.897610441650002, 0.07658341580373337, 6.176979436021257,
-         0.07734294295965308, 8.438035350140547e-10),
+         0.0773429429596531, 8.438035350140547e-10),
         (4.0, -0.49609375, 0.0078125, 13.014901530800977, 0.09825540061344817,
-         13.383998343285281, 0.09925346316691128, 1.1300377169105198e-08),
+         13.383998343285281, 0.09925346316691129, 1.1300377169105198e-08),
         (4.0, -0.4990234375, 0.001953125, 27.213596214971513, 0.1105114738781087,
-         27.631803022136868, 0.11164066789654142, 4.41390504079656e-07),
+         27.63180302213686, 0.11164066789654141, 4.41390504079656e-07),
     ],
     "(5,6,4,6)": [
         (1.0, -0.16333333333333333, 0.02, 230.71981734912612, 0.17933107684338434,
-         230.72385116872115, 0.18270592968301202, 1.0560438474092284e-07),
+         230.72385116872124, 0.18270592968301227, 1.0560438474092284e-07),
     ],
     "greenblatt": [
-        (1.0, -0.25, 0.5, 0.0872845001123719, 0.47600006946566953, 0.09683086748134899,
-         0.5066664566411828, 2.9007422790727147e-09),
-        (1.0, -0.4375, 0.125, 0.3256732267255509, 0.9353481104231094, 0.3739430569313268,
+        (1.0, -0.25, 0.5, 0.0872845001123719, 0.47600006946566953, 0.09683086748134896,
+         0.5066664566411829, 2.9007422790727147e-09),
+        (1.0, -0.4375, 0.125, 0.3256732267255509, 0.9353481104231094, 0.37394305693132684,
          1.042532825779368, 1.9798674877426024e-08),
         (1.0, -0.484375, 0.03125, 0.5169355011034895, 1.145220174041033, 0.5903494165367529,
-         1.2911434280226952, 2.2318010757692678e-08),
+         1.2911434280226954, 2.2318010757692678e-08),
     ],
 }
 
@@ -1155,7 +1129,10 @@ def test_region_samples_keep_their_bits(name):
 # 7.5e-14 relative; every zt2 frozen again with its column one exp of
 # X log e - al log lambda (al = (b-q)s + 1) and its inner integral exactly
 # 1/al, which moved them by at most 8.7e-16 relative, and by 6.1e-7 on
-# (5,6,4,6) at X = 1e-12, where the split exponent had drifted
+# (5,6,4,6) at X = 1e-12, where the split exponent had drifted; every zt1
+# frozen again with its inner integral exact, r2^X (-expm1(X (log(e/lambda)
+# - log r2)))/X, in place of the clipped log-variable quadrature, which
+# moved them by at most 5.1e-15 relative
 ZTILDE_2D_CASES = {
     "supercritical": (SUP, [0.25, 4.0], make_schedule(0.125, 0.25, 4).xs),
     "greenblatt": (GREEN, [1.0], [0.02]),
@@ -1163,14 +1140,14 @@ ZTILDE_2D_CASES = {
 }
 ZTILDE_2D_FROZEN = {
     "supercritical": [
-        (1.9851451560361866, 0.7065400933477529), (5.319329239386735, 1.236072746600457),
-        (12.283605474843402, 1.5865722772694328), (26.394053169596177, 1.7847498381449094),
-        (2.477795026082171, 0.044231858003929904), (6.176979436021254, 0.07734294295965308),
-        (13.38399834328527, 0.09925346316691128), (27.631803022137, 0.11164066789654134),
+        (1.9851451560361886, 0.7065400933477529), (5.319329239386737, 1.236072746600457),
+        (12.283605474843412, 1.5865722772694328), (26.394053169596184, 1.7847498381449094),
+        (2.4777950260821733, 0.044231858003929904), (6.176979436021256, 0.07734294295965308),
+        (13.383998343285281, 0.09925346316691128), (27.63180302213701, 0.11164066789654134),
     ],
-    "greenblatt": [(0.6300610865166002, 1.3269885505789338)],
-    "(5,6,4,6)": [(230.7238511687207, 0.18270592968301236),
-                  (2724813727701.211, 3.9308678716589736)],
+    "greenblatt": [(0.6300610865166004, 1.3269885505789338)],
+    "(5,6,4,6)": [(230.72385116872118, 0.18270592968301236),
+                  (2724813727701.2246, 3.9308678716589736)],
 }
 
 
@@ -1966,12 +1943,13 @@ def test_degenerate_lower_limit(monkeypatch, call):
     # lam r2 so tiny that rho underflows to exact zero: needs a very small p
     # so the inverse profile (1/(q |log y|))^(1/p) collapses below fp range.
     # One check (_slice_rho) rejects it for every slice integral and every
-    # proof-level part, before any quadrature and without a warning
+    # proof-level part, before any quadrature or incomplete Gamma and
+    # without a warning
     def no_quadrature(*args, **kwargs):
-        raise AssertionError("a quadrature ran")
+        raise AssertionError("a quadrature or an incomplete Gamma ran")
 
     monkeypatch.setattr(zeta_mod, "_tanh_sinh", no_quadrature)
-    monkeypatch.setattr(zeta_mod, "integrate_1d", no_quadrature)
+    monkeypatch.setattr(zeta_mod, "_gamma_upper", no_quadrature)
     p = FamilyParams(0, 2, 2, Fraction(1, 150), r1=0.5, r2=0.5)
     with pytest.raises(DegenerateLowerLimit):
         call(p, 1e-300, p.b * -0.3 + 1.0)
